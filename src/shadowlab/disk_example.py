@@ -8,6 +8,7 @@ executable bound lhs(n) <= 4(M + sum of step errors).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -54,8 +55,15 @@ class DiskExampleInstance:
     def M(self) -> float:
         return self.xi.family.space.distance(self.start, self.xi.points[0])
 
+    @cached_property
+    def _true_orbit(self) -> np.ndarray:
+        pts = orbit(self.xi.family, self.xi.word, self.start, self.xi.horizon + 1)
+        pts.flags.writeable = False
+        return pts
+
     def true_orbit_points(self) -> np.ndarray:
-        return orbit(self.xi.family, self.xi.word, self.start, self.xi.horizon + 1)
+        """The true orbit of the start, stepped once per instance (read-only)."""
+        return self._true_orbit
 
     def tracking_errors(self) -> np.ndarray:
         """d((a_i, b_i), (x_i, y_i)) along the whole horizon."""

@@ -24,7 +24,10 @@ CIRCLE = "circle-1d"
 
 
 def as_point(p, dimension: int | None = None) -> np.ndarray:
-    q = np.atleast_1d(np.asarray(p, dtype=np.float64))
+    if type(p) is np.ndarray and p.dtype == np.float64 and p.ndim == 1:
+        q = p
+    else:
+        q = np.atleast_1d(np.asarray(p, dtype=np.float64))
     if q.ndim != 1:
         raise DomainError(f"a point must be a 1-d coordinate vector, got shape {q.shape}")
     if dimension is not None and q.shape[0] != dimension:
@@ -85,7 +88,8 @@ class MetricSpace:
     def contains(self, p, tol: float = MEMBERSHIP_TOL) -> bool:
         q = as_point(p, self.dimension)
         if self.kind == UNIT_DISK:
-            return float(np.linalg.norm(q)) <= 1.0 + tol
+            # The 1-d np.linalg.norm, without its dispatch: sqrt of q.dot(q).
+            return math.sqrt(q.dot(q)) <= 1.0 + tol
         if self.kind == CIRCLE:
             return bool(np.all(np.isfinite(q)))
         lo = np.asarray(self.lo)
@@ -190,14 +194,21 @@ class GeneratorMap:
         return cls("scale", factors=tuple(float(v) for v in np.atleast_1d(factors)))
 
     def __call__(self, p: np.ndarray) -> np.ndarray:
+        return self._point_step()(p)
+
+    def _point_step(self):
+        """The single-point form p -> image, with the map's arrays built once."""
         if self.kind == "identity":
-            return p
+            return lambda p: p
         if self.kind == "permutation":
-            return p[list(self.perm)]
+            perm = list(self.perm)
+            return lambda p: p[perm]
         if self.kind == "affine":
-            return np.asarray(self.matrix) @ p + np.asarray(self.offset)
+            A, b = np.asarray(self.matrix), np.asarray(self.offset)
+            return lambda p: A @ p + b
         if self.kind == "scale":
-            return p * np.asarray(self.factors)
+            factors = np.asarray(self.factors)
+            return lambda p: p * factors
         raise ParameterError(f"unknown map kind {self.kind!r}")
 
     def apply_batch(self, P: np.ndarray) -> np.ndarray:
@@ -368,16 +379,27 @@ class Word:
             return self.prefix[j]
         return self.tail.symbol_at(j - len(self.prefix))
 
-    def _iid_symbol(self, j: int) -> int:
-        # Counter-based draw: deterministic regardless of query order.
-        digest = hashlib.sha256(
-            b"shadowlab-word" + self.seed.to_bytes(8, "big") + j.to_bytes(8, "big")
-        ).digest()
-        u = int.from_bytes(digest[:8], "big") / 2.0**64
+    def _iid_draws(self, start: int, n: int) -> bytes:
+        """8 big-endian bytes per index start..start+n-1.
+
+        Counter-based draws: deterministic regardless of query order.
+        """
+        key = b"shadowlab-word" + self.seed.to_bytes(8, "big")
+        return b"".join(hashlib.sha256(key + j.to_bytes(8, "big")).digest()[:8]
+                        for j in range(start, start + n))
+
+    def _iid_thresholds(self) -> list[float]:
         total = sum(self.weights)
         acc = 0.0
-        for s, w in enumerate(self.weights, start=1):
+        thresholds = []
+        for w in self.weights:
             acc += w / total
+            thresholds.append(acc)
+        return thresholds
+
+    def _iid_symbol(self, j: int) -> int:
+        u = int.from_bytes(self._iid_draws(j, 1), "big") / 2.0**64
+        for s, acc in enumerate(self._iid_thresholds(), start=1):
             if u < acc:
                 return s
         return self.m
@@ -388,8 +410,25 @@ class Word:
         return self._base_symbol(self.offset + j)
 
     def symbols(self, n: int) -> np.ndarray:
-        """The first n symbols as an int array."""
-        return np.array([self.symbol_at(j) for j in range(n)], dtype=np.int64)
+        """The first n symbols as an int array; equal to symbol_at(0..n-1)."""
+        return self._base_symbols(self.offset, max(int(n), 0))
+
+    def _base_symbols(self, start: int, n: int) -> np.ndarray:
+        """Base-rule symbols start..start+n-1, without per-index dispatch."""
+        if self.kind == "constant":
+            return np.full(n, self.symbol, dtype=np.int64)
+        if self.kind == "periodic":
+            pattern = np.array(self.pattern, dtype=np.int64)
+            return pattern[(start + np.arange(n)) % len(pattern)]
+        if self.kind == "iid":
+            u = np.frombuffer(self._iid_draws(start, n), dtype=">u8").astype(np.float64) / 2.0**64
+            s = np.searchsorted(np.array(self._iid_thresholds()), u, side="right") + 1
+            return np.minimum(s, self.m).astype(np.int64)
+        L = len(self.prefix)
+        head = np.array(self.prefix[start:start + n], dtype=np.int64)
+        tail_start = max(start, L) - L
+        return np.concatenate((head, self.tail._base_symbols(self.tail.offset + tail_start,
+                                                             n - len(head))))
 
     def shifted(self, k: int) -> "Word":
         if k < 0:
@@ -435,19 +474,54 @@ def apply(family: GeneratorFamily, symbol: int, p) -> np.ndarray:
     return family.apply(symbol, p)
 
 
+def _walk(family: GeneratorFamily, symbols, z, jump=None) -> np.ndarray:
+    """Step z through the symbols one point at a time; return the points.
+
+    The image of points[j] is f_{symbols[j]}(points[j]), in the single-point
+    float form of ``GeneratorFamily.apply``; points[j+1] is that image, or
+    jump(j, image) when a jump is given. Symbols are range-checked before
+    stepping, and images are checked for membership once, with one
+    ``contains_batch`` over the finished walk. The errors are those of
+    ``apply`` at the first failing step.
+    """
+    space = family.space
+    p = as_point(z, space.dimension)
+    if not space.contains(p):
+        raise DomainError(f"start {p.tolist()} is outside the {space.kind} space")
+    symbols = np.asarray(symbols, dtype=np.int64)
+    out_of_range = np.flatnonzero((symbols < 0) | (symbols > family.m))
+    n = int(out_of_range[0]) if out_of_range.size else len(symbols)
+    steps = [lambda q: q] + [g._point_step() for g in family.maps]
+    if space.kind == CIRCLE:
+        steps[1:] = [lambda q, f=f: np.mod(f(q), 1.0) for f in steps[1:]]
+    points = np.empty((n + 1, space.dimension), dtype=np.float64)
+    points[0] = p
+    images = points[1:] if jump is None else np.empty((n, space.dimension), dtype=np.float64)
+    # A point that left the space may overflow before the membership check raises.
+    with np.errstate(all="ignore"):
+        for j, s in enumerate(symbols[:n].tolist()):
+            p = images[j] = steps[s](p)
+            if jump is not None:
+                p = points[j + 1] = jump(j, p)
+    outside = np.flatnonzero(~space.contains_batch(images))
+    if outside.size:
+        j = int(outside[0])
+        raise DomainError(f"map {int(symbols[j])} sends {points[j].tolist()} to "
+                          f"{images[j].tolist()}, outside the space")
+    if out_of_range.size:
+        raise RangeError(f"symbol {int(symbols[n])} outside [0, {family.m}]")
+    return points
+
+
 def orbit(family: GeneratorFamily, word: Word, z, n: int) -> np.ndarray:
-    """True orbit of z: n points, element j+1 = f_{w_j}(element j)."""
+    """True orbit of z: n points, element j+1 = f_{w_j}(element j).
+
+    The n - 1 symbols are computed once; membership of every image is
+    checked once per orbit, with ``contains_batch``.
+    """
     if n < 1:
         raise ParameterError("orbit length must be >= 1")
-    p = as_point(z, family.space.dimension)
-    if not family.space.contains(p):
-        raise DomainError(f"start {p.tolist()} is outside the {family.space.kind} space")
-    out = np.empty((n, family.space.dimension), dtype=np.float64)
-    out[0] = p
-    for j in range(n - 1):
-        p = family.apply(word.symbol_at(j), p)
-        out[j + 1] = p
-    return out
+    return _walk(family, word.symbols(n - 1), z)
 
 
 def orbit_shifted(family: GeneratorFamily, word: Word, start_index: int, z, n: int) -> np.ndarray:

@@ -18,7 +18,7 @@ from .density import (
     tail_window_start,
     upper_density_estimate,
 )
-from .dynamics import GeneratorFamily, Word, as_point, orbit
+from .dynamics import GeneratorFamily, MetricSpace, Word, _walk, as_point, orbit
 from .errors import DomainError, ParameterError, ResourceCapError
 from .verdict import ClassificationVerdict
 
@@ -84,9 +84,15 @@ class PseudoOrbit:
 
 
 def true_orbit(family: GeneratorFamily, word: Word, z, horizon: int) -> PseudoOrbit:
-    """The zero-error pseudo-orbit: the actual orbit of z for `horizon` steps."""
+    """The actual orbit of z for `horizon` steps, as a pseudo-orbit.
+
+    Its step errors are the recomputed ones: zero for exact maps, ~1e-16
+    for affine ones, whose batch and single-point forms round differently.
+    Storing them keeps the file checksum equal to what loading recomputes.
+    """
     pts = orbit(family, word, z, horizon + 1)
-    return PseudoOrbit(family, word, pts, np.zeros(horizon), {"kind": "true-orbit"})
+    return PseudoOrbit(family, word, pts, recompute_step_errors(family, word, pts),
+                       {"kind": "true-orbit"})
 
 
 # ---------------------------------------------------------------------------
@@ -251,22 +257,28 @@ class JumpRule:
                    scale=spec.get("scale", 1.0), power=spec.get("power", 0.0))
 
 
-def _jump_target(rule: JumpRule, family: GeneratorFamily, rng: np.random.Generator,
-                 j: int, image: np.ndarray) -> tuple[np.ndarray, bool]:
-    space = family.space
-    if rule.kind == "uniform":
-        return space.sample(rng), False
-    if rule.kind == "fixed":
-        raw = as_point(rule.point, space.dimension)
-    else:
-        u = rng.normal(size=space.dimension)
-        norm = np.linalg.norm(u)
-        u = u / norm if norm > 0 else np.eye(space.dimension)[0]
-        raw = image + u * (rule.scale / (j + 1) ** rule.power)
+def _land(space: MetricSpace, raw: np.ndarray) -> tuple[np.ndarray, bool]:
+    """A jump's landing point, clamped onto the space if it left it."""
     raw = space.canonical(raw)
     if space.contains(raw):
         return raw, False
     return space.project(raw), True
+
+
+def _draw_jumps(rule: JumpRule, space: MetricSpace, rng: np.random.Generator,
+                steps: np.ndarray) -> np.ndarray:
+    """One row per corrupted step, drawn in step order: the landing point for
+    "uniform", the displacement from the true image for "offset"."""
+    d = space.dimension
+    if rule.kind == "uniform":
+        return np.array([space.sample(rng) for _ in steps], dtype=np.float64).reshape(-1, d)
+    u = rng.normal(size=(len(steps), d))
+    # vecdot rounds exactly as the 1-d np.linalg.norm does; einsum does not.
+    norms = np.sqrt(np.vecdot(u, u))[:, None]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        u = np.where(norms > 0, u / norms, np.eye(d)[0])
+    sizes = [rule.scale / (j + 1) ** rule.power for j in steps.tolist()]
+    return u * np.array(sizes, dtype=np.float64)[:, None]
 
 
 def make_corrupted_orbit(family: GeneratorFamily, word: Word, z,
@@ -275,26 +287,36 @@ def make_corrupted_orbit(family: GeneratorFamily, word: Word, z,
     """True orbit except at corrupted steps, where x_{j+1} follows the jump rule.
 
     Jumps that leave the space are clamped onto it; clamped indices are
-    flagged in the metadata. Deterministic under the seed.
+    flagged in the metadata. Deterministic under the seed: every jump is
+    drawn before stepping, in corrupted-step order. Membership of every
+    image, including images a jump replaces, is checked once per orbit
+    with ``contains_batch``.
     """
-    horizon = corruption_indices.horizon
-    p = as_point(z, family.space.dimension)
-    if not family.space.contains(p):
-        raise DomainError(f"start {p.tolist()} is outside the {family.space.kind} space")
-    rng = np.random.default_rng(seed)
+    space = family.space
     corrupted = corruption_indices.mask()
-    points = np.empty((horizon + 1, family.space.dimension), dtype=np.float64)
-    points[0] = p
+    steps = np.flatnonzero(corrupted)
+    rng = np.random.default_rng(seed)
+    if jump_rule.kind == "fixed":
+        fixed, fixed_clamped = _land(space, as_point(jump_rule.point, space.dimension))
+    else:
+        rows = iter(_draw_jumps(jump_rule, space, rng, steps))
+    is_corrupted = corrupted.tolist()
     clamped: list[int] = []
-    for j in range(horizon):
-        image = family.apply(word.symbol_at(j), points[j])
-        if corrupted[j]:
-            target, was_clamped = _jump_target(jump_rule, family, rng, j, image)
-            if was_clamped:
-                clamped.append(j)
-            points[j + 1] = target
+
+    def jump(j: int, image: np.ndarray) -> np.ndarray:
+        if not is_corrupted[j]:
+            return image
+        if jump_rule.kind == "uniform":
+            return next(rows)
+        if jump_rule.kind == "fixed":
+            target, was_clamped = fixed, fixed_clamped
         else:
-            points[j + 1] = image
+            target, was_clamped = _land(space, image + next(rows))
+        if was_clamped:
+            clamped.append(j)
+        return target
+
+    points = _walk(family, word.symbols(corruption_indices.horizon), z, jump)
     meta = {"kind": "corrupted-orbit", "seed": seed, "jump_rule": jump_rule.spec(),
             "corrupted_count": len(corruption_indices), "clamped_indices": clamped}
     errors = recompute_step_errors(family, word, points)

@@ -87,8 +87,8 @@ def trace_report(z, xi: PseudoOrbit, eps: float,
     t = np.empty(L, dtype=np.float64)
     P = zp.reshape(1, -1)
     t[0] = space.distance_batch(P, xi.points[0])[0]
-    for j in range(1, L):
-        P = xi.family.apply_batch(xi.word.symbol_at(j - 1), P)
+    for j, s in enumerate(xi.word.symbols(L - 1).tolist(), start=1):
+        P = xi.family.apply_batch(s, P)
         t[j] = space.distance_batch(P, xi.points[j])[0]
     return _build_report(t, eps, space.diameter, tail_fraction, zp, alpha, net_index, {})
 
@@ -126,8 +126,8 @@ def _scan_chunk(xi: PseudoOrbit, P0: np.ndarray, eps: float, n_lo: int):
     if 1 >= n_lo:
         np.maximum(max_mean, sums, out=max_mean)
         np.minimum(min_density, hits, out=min_density)
-    for j in range(1, L):
-        P = xi.family.apply_batch(xi.word.symbol_at(j - 1), P)
+    for j, s in enumerate(xi.word.symbols(L - 1).tolist(), start=1):
+        P = xi.family.apply_batch(s, P)
         t = space.distance_batch(P, xi.points[j])
         sums += t
         hits += t < eps

@@ -60,6 +60,25 @@ def test_classify_pipeline(tmp_path):
         assert "params" in v and v["params"]
 
 
+def test_generate_then_classify_affine_true_orbit(tmp_path):
+    # Affine images round differently in the single-point and batch forms,
+    # so a true orbit's recomputed step errors are ~1e-16, not zero; the
+    # saved checksum must be the one loading recomputes.
+    system = {
+        "space": {"kind": "box-kd", "lo": [0.0, 0.0], "hi": [1.0, 1.0]},
+        "maps": [{"kind": "affine", "matrix": [[0.5, 0.1], [0.0, 0.5]], "offset": [0.1, 0.2]},
+                 {"kind": "affine", "matrix": [[0.4, 0.0], [0.2, 0.4]], "offset": [0.5, 0.3]}],
+        "word": {"kind": "iid", "m": 2, "weights": [0.5, 0.5], "seed": 3},
+        "start": [0.25, 0.75],
+    }
+    cfg = write_config(tmp_path, system=system)
+    assert main(["generate", "--config", str(cfg)]) == 0
+    assert main(["classify", "--config", str(cfg)]) == 0
+    xi = load_orbit(tmp_path / "out" / "orbit.json")
+    assert xi.step_errors.max() > 0.0
+    assert is_pseudo_orbit(xi, 1e-9)
+
+
 def test_classify_tampered_checksum_exits_2(tmp_path):
     cfg = write_config(tmp_path)
     assert main(["generate", "--config", str(cfg)]) == 0

@@ -156,3 +156,26 @@ def test_aasp_demo_rejects_persistent_errors():
     with pytest.raises(PreconditionError) as err:
         aasp_demo(inst)
     assert err.value.witness is not None
+
+
+def test_true_orbit_stepped_once_per_instance_and_read_only(monkeypatch):
+    import shadowlab.disk_example as disk_example
+
+    calls = []
+
+    def counting_orbit(*args):
+        calls.append(args)
+        return orbit(*args)
+
+    monkeypatch.setattr(disk_example, "orbit", counting_orbit)
+    inst = make_decaying_instance(4, horizon=2000, start=(0.1, -0.3))
+    tracking_inequality_curve(inst)
+    aasp_demo(inst)
+    assert step_recurrence_holds(inst)
+    assert len(calls) == 1
+    points = inst.true_orbit_points()
+    family, word = build_disk_system()
+    assert np.array_equal(points, orbit(family, word, (0.1, -0.3), 2001))
+    assert not points.flags.writeable
+    with pytest.raises(ValueError):
+        points[0, 0] = 0.0

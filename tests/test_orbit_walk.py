@@ -1,0 +1,305 @@
+"""Differential and property tests of the sequential orbit walk.
+
+``orbit`` and ``make_corrupted_orbit`` step a point with symbols computed
+once and check membership once per orbit. The references below step one
+symbol at a time through ``GeneratorFamily.apply`` and ``Word.symbol_at``
+and draw each jump when it is needed; results must agree bit for bit, and
+failures must raise the same error at the same step.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from shadowlab import (
+    DomainError,
+    GeneratorFamily,
+    GeneratorMap,
+    IndexSet,
+    JumpRule,
+    MetricSpace,
+    RangeError,
+    Word,
+    make_corrupted_orbit,
+    orbit,
+    orbit_shifted,
+)
+from shadowlab.dynamics import as_point
+
+SETTINGS = settings(max_examples=150, deadline=None)
+
+
+def reference_orbit(family, word, z, n):
+    p = as_point(z, family.space.dimension)
+    if not family.space.contains(p):
+        raise DomainError(f"start {p.tolist()} is outside the {family.space.kind} space")
+    out = [p]
+    for j in range(n - 1):
+        out.append(family.apply(word.symbol_at(j), out[-1]))
+    return np.array(out, dtype=np.float64)
+
+
+def reference_corrupted_orbit(family, word, z, indices, rule, seed):
+    """Per-step form: each jump is drawn at its own step, in step order."""
+    space = family.space
+    d = space.dimension
+    rng = np.random.default_rng(seed)
+    corrupted = indices.mask()
+    points = [reference_orbit(family, word, z, 1)[0]]
+    clamped = []
+    for j in range(indices.horizon):
+        image = family.apply(word.symbol_at(j), points[-1])
+        if not corrupted[j]:
+            points.append(image)
+            continue
+        if rule.kind == "uniform":
+            points.append(space.sample(rng))
+            continue
+        if rule.kind == "fixed":
+            raw = as_point(rule.point, d)
+        else:
+            u = rng.normal(size=d)
+            norm = np.linalg.norm(u)
+            u = u / norm if norm > 0 else np.eye(d)[0]
+            raw = image + u * (rule.scale / (j + 1) ** rule.power)
+        raw = space.canonical(raw)
+        if space.contains(raw):
+            points.append(raw)
+        else:
+            points.append(space.project(raw))
+            clamped.append(j)
+    return np.array(points, dtype=np.float64), clamped
+
+
+def outcome(fn, *args):
+    """The value of fn(*args), or the type and message of what it raised."""
+    try:
+        return "ok", fn(*args)
+    except (DomainError, RangeError) as exc:
+        return type(exc), str(exc)
+
+
+def same_outcome(a, b):
+    if a[0] == "ok" and b[0] == "ok":
+        return np.array_equal(a[1], b[1])
+    return a == b
+
+
+# ---------------------------------------------------------------------------
+# Strategies: self-maps of each space kind, words of every kind, starts
+
+
+def unit(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+def vectors(d, lo, hi):
+    return st.lists(unit(lo, hi), min_size=d, max_size=d)
+
+
+def matrices(d, lo, hi):
+    return st.lists(vectors(d, lo, hi), min_size=d, max_size=d)
+
+
+@st.composite
+def disk_systems(draw):
+    maps = st.one_of(
+        st.just(GeneratorMap.identity()),
+        st.sampled_from([GeneratorMap.permutation((1, 0)), GeneratorMap.permutation((0, 1))]),
+        st.builds(GeneratorMap.scale, vectors(2, -1.0, 1.0)),
+        # Frobenius norm <= 0.6 and |offset| <= 0.36, so the disk maps into itself.
+        st.builds(GeneratorMap.affine, matrices(2, -0.3, 0.3), vectors(2, -0.25, 0.25)),
+    )
+    family = GeneratorFamily(MetricSpace.unit_disk(),
+                             tuple(draw(st.lists(maps, min_size=1, max_size=3))))
+    return family, draw(vectors(2, -0.7, 0.7))
+
+
+@st.composite
+def box_systems(draw):
+    d = draw(st.integers(1, 3))
+    centred = draw(st.booleans())
+    lo = -1.0 if centred else 0.0
+    bound = 1.0 / (2 * d)
+    maps = st.one_of(
+        st.just(GeneratorMap.identity()),
+        st.permutations(range(d)).map(GeneratorMap.permutation),
+        st.builds(GeneratorMap.scale, vectors(d, lo, 1.0)),
+        st.builds(GeneratorMap.affine, matrices(d, lo * bound, bound),
+                  vectors(d, lo / 2, 0.5)),
+    )
+    family = GeneratorFamily(MetricSpace.box([lo] * d, [1.0] * d),
+                             tuple(draw(st.lists(maps, min_size=1, max_size=3))))
+    return family, draw(vectors(d, lo, 1.0))
+
+
+@st.composite
+def circle_systems(draw):
+    maps = st.one_of(
+        st.just(GeneratorMap.identity()),
+        st.just(GeneratorMap.permutation((0,))),
+        st.builds(GeneratorMap.scale, st.integers(-3, 3).map(lambda k: [float(k)])),
+        st.builds(GeneratorMap.affine, st.integers(-3, 3).map(lambda k: [[float(k)]]),
+                  vectors(1, -2.0, 2.0)),
+    )
+    family = GeneratorFamily(MetricSpace.circle(),
+                             tuple(draw(st.lists(maps, min_size=1, max_size=3))))
+    return family, draw(vectors(1, 0.0, 0.999))
+
+
+systems = st.one_of(disk_systems(), box_systems(), circle_systems())
+
+
+@st.composite
+def words(draw, m, depth=2):
+    symbol = st.integers(1, m)
+    kinds = ["constant", "periodic", "iid"] + (["prefix"] if depth > 0 else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "constant":
+        word = Word.constant(draw(symbol), m)
+    elif kind == "periodic":
+        word = Word.periodic(draw(st.lists(symbol, min_size=1, max_size=5)), m)
+    elif kind == "iid":
+        weights = draw(st.lists(unit(0.0, 1.0), min_size=m, max_size=m))
+        if sum(weights) <= 0:
+            weights = [1.0] * m
+        word = Word.iid(weights, seed=draw(st.integers(0, 2**40)))
+    else:
+        # Offsets past the prefix and nested prefix tails are both drawn.
+        word = Word.with_prefix(draw(st.lists(symbol, max_size=6)), draw(words(m, depth - 1)))
+    return word.shifted(draw(st.integers(0, 12)))
+
+
+@st.composite
+def system_and_word(draw):
+    family, start = draw(systems)
+    return family, draw(words(family.m)), start
+
+
+# ---------------------------------------------------------------------------
+# Words
+
+
+@SETTINGS
+@given(st.integers(1, 3).flatmap(words), st.integers(0, 60))
+def test_symbols_equal_symbol_at(word, n):
+    symbols = word.symbols(n)
+    assert symbols.dtype == np.int64
+    assert np.array_equal(symbols, [word.symbol_at(j) for j in range(n)])
+
+
+def test_iid_symbols_equal_symbol_at_at_scale():
+    word = Word.iid((0.2, 0.0, 0.5, 0.3), seed=2**40 + 7).shifted(123_456)
+    n = 20_000
+    assert np.array_equal(word.symbols(n), [word.symbol_at(j) for j in range(n)])
+
+
+# ---------------------------------------------------------------------------
+# Orbits
+
+
+@SETTINGS
+@given(system_and_word(), st.integers(1, 40), st.integers(0, 5))
+def test_orbit_matches_apply_loop_bit_for_bit(system, n, shift):
+    family, word, start = system
+    expected = reference_orbit(family, word.shifted(shift), start, n)
+    got = orbit_shifted(family, word, shift, start, n)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, expected)
+
+
+@SETTINGS
+@given(system_and_word(), st.integers(1, 40), st.integers(0, 2**32),
+       st.sampled_from(["uniform", "fixed", "offset"]), unit(0.01, 2.0), unit(0.0, 2.0),
+       st.data())
+def test_corrupted_orbit_matches_per_step_draws(system, horizon, seed, kind, scale, power,
+                                                data):
+    family, word, start = system
+    mask = data.draw(st.lists(st.booleans(), min_size=horizon, max_size=horizon))
+    indices = IndexSet.from_mask(np.array(mask, dtype=bool))
+    d = family.space.dimension
+    point = tuple(data.draw(vectors(d, -1.5, 1.5))) if kind == "fixed" else None
+    rule = JumpRule(kind, point=point, scale=scale, power=power)
+    expected, clamped = reference_corrupted_orbit(family, word, start, indices, rule, seed)
+    xi = make_corrupted_orbit(family, word, start, indices, rule, seed)
+    assert np.array_equal(xi.points, expected)
+    assert xi.meta["clamped_indices"] == clamped
+
+
+def test_corrupted_orbit_matches_per_step_draws_on_decaying_disk():
+    family = GeneratorFamily(MetricSpace.unit_disk(), (GeneratorMap.permutation((1, 0)),
+                                                       GeneratorMap.scale((0.5, 0.5))))
+    word = Word.periodic((1, 2), m=2)
+    indices = IndexSet.from_iterable(range(5_000), 5_000)
+    rule = JumpRule("offset", scale=1.0, power=0.25)
+    expected, clamped = reference_corrupted_orbit(family, word, (0.9, 0.1), indices, rule, 3)
+    xi = make_corrupted_orbit(family, word, (0.9, 0.1), indices, rule, 3)
+    assert clamped
+    assert np.array_equal(xi.points, expected)
+    assert xi.meta["clamped_indices"] == clamped
+
+
+@SETTINGS
+@given(unit(0.99999, 1.00001), unit(0.0, 2 * np.pi))
+def test_disk_membership_agrees_with_1d_norm(radius, angle):
+    space = MetricSpace.unit_disk()
+    q = np.array([radius * np.cos(angle), radius * np.sin(angle)])
+    assert space.contains(q) == (float(np.linalg.norm(q)) <= 1.0 + 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Error parity
+
+
+@SETTINGS
+@given(st.lists(st.integers(1, 2), min_size=1, max_size=6), st.integers(0, 6),
+       vectors(2, 0.0, 1.0), st.integers(1, 12))
+def test_error_parity_on_expanding_box_with_out_of_range_symbols(pattern, shift, start, n):
+    # One map (scale 2) under a two-letter word: the first failing step is
+    # either an image leaving the box or the symbol 2 outside [0, 1].
+    family = GeneratorFamily(MetricSpace.box([0.0, 0.0], [1.0, 1.0]),
+                             (GeneratorMap.scale((2.0, 2.0)),))
+    word = Word.periodic(pattern, m=2).shifted(shift)
+    assert same_outcome(outcome(orbit, family, word, start, n),
+                        outcome(reference_orbit, family, word, start, n))
+
+
+@pytest.mark.parametrize("pattern, error", [((1, 1, 1, 2), DomainError),
+                                            ((1, 2, 1, 1), RangeError)])
+def test_first_failing_step_decides_the_error(pattern, error):
+    family = GeneratorFamily(MetricSpace.box([0.0, 0.0], [1.0, 1.0]),
+                             (GeneratorMap.scale((2.0, 2.0)),))
+    word = Word.periodic(pattern, m=2)
+    with pytest.raises(error) as caught:
+        orbit(family, word, (0.2, 0.3), 6)
+    with pytest.raises(error) as expected:
+        reference_orbit(family, word, (0.2, 0.3), 6)
+    assert str(caught.value) == str(expected.value)
+
+
+def test_corrupted_orbit_checks_images_a_jump_replaces():
+    # Every image leaves the box; fixed jumps put every stored point back inside.
+    family = GeneratorFamily(MetricSpace.box([0.0], [1.0]), (GeneratorMap.scale((3.0,)),))
+    word = Word.constant(1, 1)
+    indices = IndexSet.from_iterable(range(5), 5)
+    with pytest.raises(DomainError, match="outside the space"):
+        make_corrupted_orbit(family, word, (0.5,), indices, JumpRule("fixed", point=(0.5,)), 0)
+
+
+def test_start_outside_space_raises_domain_error():
+    family = GeneratorFamily(MetricSpace.unit_disk(), (GeneratorMap.identity(),))
+    with pytest.raises(DomainError, match="start"):
+        orbit(family, Word.constant(1, 1), (1.0, 1.0), 3)
+    with pytest.raises(DomainError, match="start"):
+        make_corrupted_orbit(family, Word.constant(1, 1), (1.0, 1.0),
+                             IndexSet.from_iterable([0], 3), JumpRule("uniform"), 0)
+
+
+def test_walk_emits_no_warnings_before_raising():
+    family = GeneratorFamily(MetricSpace.box([0.0], [1.0]),
+                             (GeneratorMap.affine([[1e300]], [0.0]),
+                              GeneratorMap.affine([[0.0]], [0.0])))
+    word = Word.periodic((1, 1, 1, 2), m=2)
+    with np.errstate(all="raise"), pytest.raises(DomainError, match="map 1"):
+        orbit(family, word, (0.5,), 200)
