@@ -17,6 +17,7 @@ from .density import (
     DEFAULT_TAIL_FRACTION,
     IndexSet,
     prefix_density,
+    prefix_means,
     tail_window_start,
     upper_density_estimate,
 )
@@ -60,7 +61,7 @@ class BoundedSequence:
 
 def cesaro_means(a: BoundedSequence) -> np.ndarray:
     """Element n-1 is (1/n) * sum of the first n values, via prefix sums."""
-    return np.cumsum(a.values) / np.arange(1, a.horizon + 1)
+    return prefix_means(a.values)
 
 
 def default_level_schedule(count: int = DEFAULT_LEVEL_COUNT) -> list[float]:
@@ -174,8 +175,7 @@ def threshold_inequality_holds(a: BoundedSequence, theta: float, tol: float = 1e
     if theta <= 0:
         raise ParameterError("theta must be positive")
     means = cesaro_means(a)
-    ns = np.arange(1, a.horizon + 1)
-    dens = np.cumsum(a.values >= theta) / ns
+    dens = prefix_means(a.values >= theta)
     return bool(np.all(means <= a.bound * dens + theta + tol))
 
 

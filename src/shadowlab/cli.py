@@ -135,13 +135,13 @@ def write_curve(report, path: Path) -> None:
     dump_csv(rows, ["n", "prefix_mean"], path)
 
 
-def classify_all(xi: PseudoOrbit, cfg: ExperimentConfig, scan: str = "full") -> dict:
+def classify_all(xi: PseudoOrbit, cfg: ExperimentConfig) -> dict:
     N = min(block_length(xi.family.space, cfg.delta), xi.horizon)
     checks = {
         "pseudo_orbit": is_pseudo_orbit(xi, cfg.delta),
         "ergodic_pseudo_orbit": is_ergodic_pseudo_orbit(
             xi, cfg.delta, cfg.density_tol, cfg.tail_fraction),
-        "average_pseudo_orbit": is_average_pseudo_orbit(xi, cfg.delta, N, mode=scan),
+        "average_pseudo_orbit": is_average_pseudo_orbit(xi, cfg.delta, N),
         "weak_asymptotic_average": is_weak_asymptotic_average(xi, cfg.delta, cfg.tail_fraction),
         "asymptotic_average": is_asymptotic_average(xi, cfg.tol, cfg.tail_fraction),
     }
@@ -166,9 +166,12 @@ def _orbit_path(cfg: ExperimentConfig, section: str, out: Path) -> Path:
 
 
 def cmd_classify(cfg: ExperimentConfig, out: Path) -> int:
+    # v1 key: both values run the exact window scan.
     scan = cfg.extra.get("classify", {}).get("scan", "full")
+    if scan not in ("full", "sampled"):
+        raise ParameterError(f"config field 'classify.scan': unknown scan mode {scan!r}")
     xi = load_orbit(_orbit_path(cfg, "classify", out))
-    verdicts = classify_all(xi, cfg, scan)
+    verdicts = classify_all(xi, cfg)
     dump_json(verdicts, out / "classification.json")
     for name, v in verdicts.items():
         print(f"{name}: {'true' if v['verdict'] else 'false'}")
@@ -375,6 +378,8 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
         return cfg
     from dataclasses import replace
     new = replace(cfg, **updates)
+    if new.seed < 0:
+        raise ParameterError("config field 'seed': must be >= 0")
     if new.horizon < 10:
         raise ParameterError("config field 'horizon': must be >= 10")
     if new.threads < 1:

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .density import prefix_means
 from .errors import ParameterError, PreconditionError
 from .pseudo_orbits import PseudoOrbit, recompute_step_errors
 from .dynamics import Word
@@ -98,7 +99,7 @@ def concatenate(plan: BlockPlan, word: Word) -> PseudoOrbit:
                 f"block {k} is not a pseudo-orbit for the word shifted by {offsets[k - 1]}",
                 witness={"block": k, "offset": offsets[k - 1],
                          "max_error_mismatch": float(np.max(np.abs(errors - block.step_errors)))})
-        means = np.cumsum(errors) / np.arange(1, len(errors) + 1)
+        means = prefix_means(errors)
         over = np.flatnonzero(means[N - 1:] >= 1.0 / k)
         if over.size:
             n = N + int(over[0])

@@ -24,6 +24,11 @@ def tail_window_start(horizon: int, tail_fraction: float) -> int:
     return max(1, math.ceil(tail_fraction * horizon))
 
 
+def prefix_means(x) -> np.ndarray:
+    """Element n-1 is the mean of x[:n]: one cumulative sum, one division."""
+    return np.cumsum(x) / np.arange(1, len(x) + 1, dtype=np.int64)
+
+
 @dataclass(frozen=True)
 class IndexSet:
     """Strictly increasing natural numbers below a declared horizon."""

@@ -7,7 +7,6 @@ sliding-window means, or in Cesàro means.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,14 +14,14 @@ import numpy as np
 from .density import (
     DEFAULT_TAIL_FRACTION,
     IndexSet,
+    prefix_means,
     tail_window_start,
     upper_density_estimate,
 )
 from .dynamics import GeneratorFamily, MetricSpace, Word, _walk, as_point, orbit
-from .errors import DomainError, ParameterError, ResourceCapError
+from .errors import DomainError, ParameterError
 from .verdict import ClassificationVerdict
 
-DEFAULT_PAIR_BUDGET = 200_000_000
 DEFAULT_DENSITY_TOL = 0.01
 
 
@@ -128,67 +127,50 @@ def is_ergodic_pseudo_orbit(xi: PseudoOrbit, delta: float,
     return ClassificationVerdict("ergodic-pseudo-orbit", ok, witness, params)
 
 
-def _full_scan_pairs(horizon: int, N: int) -> int:
-    span = horizon - N + 1
-    return span * (span + 1) // 2 if span > 0 else 0
+# Relative slack against rounding in the O(H) window scan's float shortcuts;
+# every decision they do not settle goes through the canonical comparison.
+_ROUNDING_SLACK = 1e-9
 
 
-def _window_lengths(horizon: int, N: int, mode: str) -> list[int]:
-    if mode == "full":
-        return list(range(N, horizon + 1))
-    lengths = []
-    n = N
-    while n <= horizon:
-        lengths.append(n)
-        n = max(n + 1, math.ceil(n * 1.1))
-    if lengths and lengths[-1] != horizon:
-        lengths.append(horizon)
-    return lengths
-
-
-def is_average_pseudo_orbit(xi: PseudoOrbit, delta: float, N: int, mode: str = "full",
-                            pair_budget: int = DEFAULT_PAIR_BUDGET) -> ClassificationVerdict:
+def is_average_pseudo_orbit(xi: PseudoOrbit, delta: float, N: int) -> ClassificationVerdict:
     """All sliding-window means of step errors with length >= N stay below delta.
 
-    The full scan covers every (k, n) pair with prefix sums; the sampled
-    mode (opt-in, labeled in the verdict) covers a geometric grid of
-    window lengths with every start k.
+    Exact over every window (k, n), n >= N, in O(N*H) work at worst and
+    O(H) beyond the max below (the maximum-density-segment argument of
+    Lin, Jiang & Chao 2002; Goldwasser, Kao & Lu 2005). S is the prefix
+    sum of the step errors, and a window's canonical comparison is
+    ``(S[k+n] - S[k]) / n >= delta``.
+
+    - ``max_window_mean`` is the max over lengths N..2N-1 only: a window of
+      length >= 2N splits into two of length >= N, one at least as dense,
+      so the densest window is shorter than 2N.
+    - A window (k, n) reaching delta has g[k+n] >= g[k] for
+      g_i = S_i - delta*i. Starts k whose suffix max of g beyond k+N
+      reaches g[k], less a relative slack, are candidates; they are
+      confirmed in increasing order with the canonical comparison, and the
+      first that confirms, with its first n, is the witness: the
+      lexicographically first violating window.
     """
     if delta <= 0:
         raise ParameterError("delta must be positive")
-    if not 1 <= N <= xi.horizon:
-        raise ParameterError(f"N must lie in [1, horizon={xi.horizon}]")
-    if mode not in ("full", "sampled"):
-        raise ParameterError(f"unknown scan mode {mode!r}")
-    if mode == "full" and _full_scan_pairs(xi.horizon, N) > pair_budget:
-        raise ResourceCapError(
-            f"full window scan needs {_full_scan_pairs(xi.horizon, N)} (k,n) pairs, "
-            f"over the budget of {pair_budget}; request mode='sampled' explicitly",
-            required_cap=_full_scan_pairs(xi.horizon, N),
-        )
+    H = xi.horizon
+    if not 1 <= N <= H:
+        raise ParameterError(f"N must lie in [1, horizon={H}]")
     S = np.concatenate(([0.0], np.cumsum(xi.step_errors)))
-    worst = None
-    candidates = []
-    for n in _window_lengths(xi.horizon, N, mode):
-        means = (S[n:] - S[: xi.horizon - n + 1]) / n
-        bad = np.flatnonzero(means >= delta)
-        if bad.size:
-            k = int(bad[0])
-            candidates.append((k, n, float(means[k])))
-        top = float(means.max())
-        if worst is None or top > worst:
-            worst = top
-    params = {"delta": delta, "N": N, "horizon": xi.horizon, "scan": mode,
-              "max_window_mean": worst}
-    if candidates:
-        k, n, mean = min(candidates, key=lambda t: (t[0], t[1]))
-        return ClassificationVerdict("average-pseudo-orbit", False,
-                                     {"k": k, "n": n, "window_mean": mean}, params)
+    worst = max(float(((S[n:] - S[:H - n + 1]) / n).max())
+                for n in range(N, min(2 * N - 1, H) + 1))
+    params = {"delta": delta, "N": N, "horizon": H, "scan": "full", "max_window_mean": worst}
+    if worst >= delta * (1 - _ROUNDING_SLACK):
+        g = S - delta * np.arange(H + 1)
+        reach = np.maximum.accumulate(g[::-1])[::-1]
+        slack = _ROUNDING_SLACK * (S[-1] + delta * H)
+        for k in np.flatnonzero(reach[N:] >= g[:H - N + 1] - slack).tolist():
+            means = (S[k + N:] - S[k]) / np.arange(N, H - k + 1)
+            bad = np.flatnonzero(means >= delta)
+            if bad.size:
+                witness = {"k": k, "n": N + int(bad[0]), "window_mean": float(means[bad[0]])}
+                return ClassificationVerdict("average-pseudo-orbit", False, witness, params)
     return ClassificationVerdict("average-pseudo-orbit", True, None, params)
-
-
-def _prefix_mean_curve(errors: np.ndarray) -> np.ndarray:
-    return np.cumsum(errors) / np.arange(1, len(errors) + 1)
 
 
 def is_weak_asymptotic_average(xi: PseudoOrbit, delta: float,
@@ -197,7 +179,7 @@ def is_weak_asymptotic_average(xi: PseudoOrbit, delta: float,
     if delta <= 0:
         raise ParameterError("delta must be positive")
     n_lo = tail_window_start(xi.horizon, tail_fraction)
-    curve = _prefix_mean_curve(xi.step_errors)
+    curve = prefix_means(xi.step_errors)
     tail = curve[n_lo - 1:]
     worst = int(np.argmax(tail))
     params = {"delta": delta, "horizon": xi.horizon, "tail_fraction": tail_fraction,

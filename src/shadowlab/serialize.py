@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .dynamics import GeneratorFamily, Word
-from .errors import IntegrityError, ParameterError
+from .dynamics import GeneratorFamily, Word, as_point
+from .errors import DomainError, IntegrityError, ParameterError
 from .pseudo_orbits import PseudoOrbit, recompute_step_errors
 
 CONFIG_SCHEMA = "shadowlab/config/v1"
@@ -151,6 +152,17 @@ def _fail(f: str, msg: str):
     raise ParameterError(f"config field {f!r}: {msg}")
 
 
+def _number(f: str, value, kind=float):
+    """value as an int, or as a finite float; anything else fails naming field f."""
+    try:
+        out = kind(value)
+        if kind is float and not math.isfinite(out):
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
+        _fail(f, f"must be a finite number, got {value!r}")
+    return out
+
+
 def validate_config(data: dict) -> ExperimentConfig:
     if not isinstance(data, dict):
         _fail("<root>", "config must be a JSON object")
@@ -158,39 +170,52 @@ def validate_config(data: dict) -> ExperimentConfig:
         _fail("schema", f"expected {CONFIG_SCHEMA!r}, got {data.get('schema')!r}")
     system = data.get("system")
     if not isinstance(system, dict):
-        _fail("system", "required object with space, maps, word")
-    for key in ("space", "maps", "word"):
+        _fail("system", "required object with space, maps, word, start")
+    for key in ("space", "maps", "word", "start"):
         if key not in system:
             _fail(f"system.{key}", "required")
-    horizon = int(data.get("horizon", 10_000))
+    seed = _number("seed", data.get("seed", 0), int)
+    if seed < 0:
+        _fail("seed", f"must be >= 0, got {seed}")
+    horizon = _number("horizon", data.get("horizon", 10_000), int)
     if horizon < 10:
         _fail("horizon", f"must be >= 10, got {horizon}")
-    tail_fraction = float(data.get("tail_fraction", 0.5))
+    tail_fraction = _number("tail_fraction", data.get("tail_fraction", 0.5))
     if not 0.0 < tail_fraction < 1.0:
         _fail("tail_fraction", f"must lie in (0,1), got {tail_fraction}")
     thresholds = data.get("thresholds", {})
+    if not isinstance(thresholds, dict):
+        _fail("thresholds", "must be an object")
+    thresholds = {name: _number(f"thresholds.{name}", v) for name, v in thresholds.items()}
     for name in ("delta", "epsilon", "tol", "density_tol"):
-        if name in thresholds and float(thresholds[name]) <= 0:
+        if name in thresholds and thresholds[name] <= 0:
             _fail(f"thresholds.{name}", "must be positive")
-    if "alpha" in thresholds and not 0.0 < float(thresholds["alpha"]) < 1.0:
+    if "alpha" in thresholds and not 0.0 < thresholds["alpha"] < 1.0:
         _fail("thresholds.alpha", "must lie in (0,1)")
-    net_mesh = float(data.get("net_mesh", 0.1))
+    net_mesh = _number("net_mesh", data.get("net_mesh", 0.1))
     if net_mesh <= 0:
         _fail("net_mesh", "must be positive")
-    threads = int(data.get("threads", 1))
+    threads = _number("threads", data.get("threads", 1), int)
     if threads < 1:
         _fail("threads", "must be >= 1")
     known = {"schema", "system", "seed", "horizon", "tail_fraction", "threads", "out",
              "thresholds", "net_mesh", "corruption"}
     extra = {k: v for k, v in data.items() if k not in known}
     try:
-        GeneratorFamily.from_spec(system)
+        family = GeneratorFamily.from_spec(system)
         Word.from_spec(system["word"])
     except (KeyError, TypeError) as exc:
         _fail("system", f"malformed system descriptor ({exc})")
-    return ExperimentConfig(system=system, seed=int(data.get("seed", 0)), horizon=horizon,
+    try:
+        start_ok = family.space.contains(as_point(system["start"], family.space.dimension))
+    except (TypeError, ValueError, DomainError):
+        start_ok = False
+    if not start_ok:
+        _fail("system.start", f"must be a point of the {family.space.kind} space, "
+                              f"got {system['start']!r}")
+    return ExperimentConfig(system=system, seed=seed, horizon=horizon,
                             tail_fraction=tail_fraction, threads=threads,
-                            out=str(data.get("out", "out")), thresholds=dict(thresholds),
+                            out=str(data.get("out", "out")), thresholds=thresholds,
                             net_mesh=net_mesh, corruption=dict(data.get("corruption", {})),
                             extra=extra)
 

@@ -8,13 +8,12 @@ exhaustive over a net, so failure is a first-class, reportable outcome.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density import DEFAULT_TAIL_FRACTION, IndexSet
+from .density import DEFAULT_TAIL_FRACTION, IndexSet, prefix_means, tail_window_start
 from .dynamics import DEFAULT_NET_CAP, as_point, net
 from .errors import DomainError, ParameterError
 from .pseudo_orbits import PseudoOrbit
@@ -46,24 +45,17 @@ class ShadowReport:
                              else np.zeros(1), alpha, None, {})
 
 
-def _tail_start(length: int, tail_fraction: float) -> int:
-    if not 0.0 < tail_fraction < 1.0:
-        raise ParameterError(f"tail_fraction must lie in (0,1), got {tail_fraction}")
-    return max(1, math.ceil(tail_fraction * length))
-
-
 def _build_report(t: np.ndarray, eps: float, diam: float, tail_fraction: float,
                   candidate: np.ndarray, alpha: float | None, net_index: int | None,
                   extra_params: dict) -> ShadowReport:
     if eps <= 0:
         raise ParameterError("eps must be positive")
     L = len(t)
-    ns = np.arange(1, L + 1, dtype=np.int64)
-    means = np.cumsum(t) / ns
-    n_lo = _tail_start(L, tail_fraction)
+    means = prefix_means(t)
+    n_lo = tail_window_start(L, tail_fraction)
     limsup = float(means[n_lo - 1:].max())
     hit_mask = t < eps
-    hit_curve = np.cumsum(hit_mask) / ns
+    hit_curve = prefix_means(hit_mask)
     lower = float(hit_curve[n_lo - 1:].min())
     upper = float(hit_curve[n_lo - 1:].max())
     verdicts = {"shadowed_on_average": limsup < eps}
@@ -95,17 +87,13 @@ def trace_report(z, xi: PseudoOrbit, eps: float,
 
 def markov_inequality_check(report: ShadowReport, eps: float, tol: float = 1e-12) -> bool:
     """mean_n >= eps * density({j : t_j >= eps}, n) at every prefix n."""
-    t = report.trace_errors
-    ns = np.arange(1, len(t) + 1)
-    miss_density = np.cumsum(t >= eps) / ns
+    miss_density = prefix_means(report.trace_errors >= eps)
     return bool(np.all(report.prefix_means >= eps * miss_density - tol))
 
 
 def diameter_bound_check(report: ShadowReport, eta: float, tol: float = 1e-12) -> bool:
     """mean_n <= diam * density({j : t_j >= eta}, n) + eta at every prefix n."""
-    t = report.trace_errors
-    ns = np.arange(1, len(t) + 1)
-    big_density = np.cumsum(t >= eta) / ns
+    big_density = prefix_means(report.trace_errors >= eta)
     return bool(np.all(report.prefix_means <= report.diam * big_density + eta + tol))
 
 
@@ -140,7 +128,7 @@ def _scan_chunk(xi: PseudoOrbit, P0: np.ndarray, eps: float, n_lo: int):
 
 def _scan_net(xi: PseudoOrbit, candidates: np.ndarray, eps: float,
               tail_fraction: float, threads: int):
-    n_lo = _tail_start(xi.horizon + 1, tail_fraction)
+    n_lo = tail_window_start(xi.horizon + 1, tail_fraction)
     if threads <= 1 or len(candidates) < 2 * threads:
         return _scan_chunk(xi, candidates, eps, n_lo)
     bounds = np.linspace(0, len(candidates), threads + 1, dtype=int)

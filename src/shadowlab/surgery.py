@@ -50,7 +50,10 @@ def block_length(space: MetricSpace, delta: float, horizon: int | None = None) -
     """Minimal M with diam(X)/M < delta/8."""
     if delta <= 0:
         raise ParameterError("delta must be positive")
-    M = max(1, math.floor(8.0 * space.diameter / delta) + 1)
+    ratio = 8.0 * space.diameter / delta
+    if not math.isfinite(ratio):
+        raise ParameterError(f"delta={delta} is too small for a finite block length")
+    M = max(1, math.floor(ratio) + 1)
     if horizon is not None and M > horizon:
         raise ParameterError(
             f"delta={delta} needs block length M={M}, which exceeds horizon {horizon}; "

@@ -209,3 +209,18 @@ def test_full_pipeline_byte_identical_across_runs(tmp_path):
         outputs[run] = {p.name: p.read_bytes()
                         for p in sorted((tmp_path / "out").iterdir())}
     assert outputs["first"] == outputs["second"]
+
+
+def test_classify_scan_key_is_accepted_and_exact(tmp_path):
+    # The v1 key `classify.scan`: "full" and "sampled" both run the exact scan.
+    corruption = {"indices": {"kind": "squares"}, "jump": {"kind": "uniform"}}
+    outputs = {}
+    for scan in ("full", "sampled"):
+        cfg = write_config(tmp_path, corruption=corruption, classify={"scan": scan})
+        assert main(["generate", "--config", str(cfg)]) == 0
+        assert main(["classify", "--config", str(cfg)]) == 0
+        outputs[scan] = (tmp_path / "out" / "classification.json").read_bytes()
+    assert outputs["sampled"] == outputs["full"]
+    assert json.loads(outputs["full"])["average_pseudo_orbit"]["params"]["scan"] == "full"
+    cfg = write_config(tmp_path, corruption=corruption, classify={"scan": "bogus"})
+    assert main(["classify", "--config", str(cfg)]) == 2

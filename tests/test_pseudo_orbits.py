@@ -8,7 +8,6 @@ from shadowlab import (
     JumpRule,
     MetricSpace,
     PseudoOrbit,
-    ResourceCapError,
     Word,
     build_disk_system,
     is_asymptotic_average,
@@ -142,14 +141,21 @@ def test_average_witness_recheck():
     assert xi.step_errors[k:k + n].mean() == pytest.approx(mean, abs=1e-12)
 
 
-def test_full_scan_budget_and_sampled_mode():
+def test_exact_scan_at_horizon_40k_with_n_1():
+    # 8e8 (k, n) windows: every one is covered without a budget.
     family, word = interval_identity()
     xi = true_orbit(family, word, [0.5], 40_000)
-    with pytest.raises(ResourceCapError):
-        is_average_pseudo_orbit(xi, 0.1, N=1)
-    verdict = is_average_pseudo_orbit(xi, 0.1, N=1, mode="sampled")
+    verdict = is_average_pseudo_orbit(xi, 0.1, N=1)
     assert verdict
-    assert verdict.params["scan"] == "sampled"
+    assert verdict.params["scan"] == "full"
+    assert verdict.params["max_window_mean"] == 0.0
+    values = np.full(40_001, 0.5)
+    values[30_000] = 0.75
+    jumped = orbit_with_errors(values)
+    verdict = is_average_pseudo_orbit(jumped, 0.2, N=1)
+    assert not verdict
+    assert verdict.witness == {"k": 29_999, "n": 1, "window_mean": 0.25}
+    assert verdict.params["max_window_mean"] == 0.25
 
 
 # ---------------------------------------------------------------------------
