@@ -31,11 +31,9 @@ from .dynamics import (
     GeneratorMap,
     MetricSpace,
     Word,
-    apply,
     check_self_mapping,
     net,
     orbit,
-    orbit_shifted,
 )
 from .errors import (
     DomainError,
@@ -79,13 +77,13 @@ __all__ = [
     "JumpRule", "MetricSpace", "NullSetExtraction", "ParameterError", "PreconditionError",
     "PseudoOrbit", "RangeError", "RefinedSearchResult", "RepairResult", "ResourceCapError",
     "SearchResult", "ShadowReport", "ShadowlabError", "Word",
-    "aasp_demo", "apply", "asymptotic_certificate", "average_shadow_search",
+    "aasp_demo", "asymptotic_certificate", "average_shadow_search",
     "block_length", "build_disk_system", "cesaro_means", "check_self_mapping",
     "concatenate", "diameter_bound_check", "extract_null_set", "in_M_alpha",
     "is_asymptotic_average", "is_average_pseudo_orbit", "is_ergodic_pseudo_orbit",
     "is_pseudo_orbit", "is_weak_asymptotic_average", "lower_density_estimate",
     "m_alpha_shadow_search", "make_corrupted_orbit", "make_decaying_instance",
-    "markov_inequality_check", "net", "orbit", "orbit_shifted", "prefix_density",
+    "markov_inequality_check", "net", "orbit", "prefix_density",
     "prefix_density_exact", "refined_asymptotic_search", "repair", "select_anchors",
     "step_recurrence_holds", "threshold_inequality_holds", "trace_report",
     "tracking_inequality_check", "tracking_inequality_curve", "true_orbit",

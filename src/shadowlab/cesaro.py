@@ -18,6 +18,7 @@ from .density import (
     IndexSet,
     prefix_density,
     prefix_means,
+    tail_extremum,
     tail_window_start,
     upper_density_estimate,
 )
@@ -116,8 +117,7 @@ def extract_null_set(a: BoundedSequence, level_schedule: list[float] | None = No
 
     H = a.horizon
     means = cesaro_means(a)
-    n_lo = tail_window_start(H, tail_fraction)
-    tail_mean = float(means[n_lo - 1:].max())
+    tail_mean, _ = tail_extremum(means, tail_fraction)
     if tail_mean >= levels[0] * density_margin:
         raise PreconditionError(
             f"tail Cesàro means reach {tail_mean}, not below "
@@ -205,17 +205,18 @@ def verify_equivalence(a: BoundedSequence, J: IndexSet, tol: float,
     exact_ok = bool(np.all(means[n_lo - 1:] <= exact_bound + 1e-12))
 
     direction_i = (off_tail_sup >= tol) or exact_ok
-    simple_bound_holds = float(means[n_lo - 1:].max()) < tol + a.bound * dJ
+    tail_mean_max, _ = tail_extremum(means, tail_fraction)
+    simple_bound_holds = tail_mean_max < tol + a.bound * dJ
     direction_ii = off_tail_sup < tol
 
     verdict = direction_i and direction_ii
     params = {"tol": tol, "tail_fraction": tail_fraction, "bound": a.bound,
               "off_J_tail_sup": off_tail_sup, "J_upper_density_estimate": dJ,
-              "early_off_J_mass": early_off_mass, "tail_mean_max": float(means[n_lo - 1:].max()),
+              "early_off_J_mass": early_off_mass, "tail_mean_max": tail_mean_max,
               "simple_bound_holds": simple_bound_holds, "horizon": H}
     witness = None
     if not verdict:
         bad_dir = "i" if not direction_i else "ii"
         witness = {"direction": bad_dir, "off_J_tail_sup": off_tail_sup,
-                   "tail_mean_max": float(means[n_lo - 1:].max())}
+                   "tail_mean_max": tail_mean_max}
     return ClassificationVerdict("cesaro-null-set-equivalence", verdict, witness, params)

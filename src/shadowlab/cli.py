@@ -40,6 +40,7 @@ from .pseudo_orbits import (
 from .serialize import (
     CONFIG_SCHEMA,
     ExperimentConfig,
+    check_corruption,
     dump_csv,
     dump_json,
     load_block_plan_manifest,
@@ -245,16 +246,15 @@ def cmd_search(cfg: ExperimentConfig, out: Path) -> int:
     xi = load_orbit(orbit_file) if orbit_file else build_orbit(cfg)
     mode = section.get("mode", "average")
     if mode == "average":
-        result = average_shadow_search(xi, cfg.epsilon, cfg.net_mesh,
-                                       cfg.tail_fraction, cfg.threads)
+        result = average_shadow_search(xi, cfg.epsilon, cfg.net_mesh, cfg.tail_fraction)
     elif mode == "m-alpha":
         result = m_alpha_shadow_search(xi, cfg.epsilon, cfg.alpha, cfg.net_mesh,
-                                       cfg.tail_fraction, cfg.threads)
+                                       cfg.tail_fraction)
     elif mode == "refined":
         levels = int(section.get("levels", 4))
         schedule = section.get("mesh_schedule") or [cfg.net_mesh / 2**i for i in range(levels)]
         refined = refined_asymptotic_search(xi, cfg.epsilon, levels, schedule,
-                                            cfg.tail_fraction, cfg.threads)
+                                            cfg.tail_fraction)
         dump_json({
             "candidate": refined.candidate.tolist(),
             "stages": refined.stages,
@@ -300,18 +300,17 @@ def cmd_equivalence_suite(cfg: ExperimentConfig, out: Path) -> int:
 
     searches = {}
     avg_on_repaired = average_shadow_search(result.y, cfg.epsilon, cfg.net_mesh,
-                                            cfg.tail_fraction, cfg.threads)
+                                            cfg.tail_fraction)
     searches["average_shadowing_on_repaired"] = report_to_dict(avg_on_repaired)
-    mean_ergodic = average_shadow_search(xi, cfg.epsilon, cfg.net_mesh,
-                                         cfg.tail_fraction, cfg.threads)
+    mean_ergodic = average_shadow_search(xi, cfg.epsilon, cfg.net_mesh, cfg.tail_fraction)
     searches["mean_ergodic_shadowing_on_original"] = report_to_dict(mean_ergodic)
     m_alpha = m_alpha_shadow_search(xi, cfg.epsilon, cfg.alpha, cfg.net_mesh,
-                                    cfg.tail_fraction, cfg.threads)
+                                    cfg.tail_fraction)
     searches["m_alpha_shadowing_on_original"] = report_to_dict(m_alpha)
     if original["asymptotic_average"]["verdict"]:
         refined = refined_asymptotic_search(xi, cfg.epsilon, 3,
                                             [cfg.net_mesh, cfg.net_mesh / 2, cfg.net_mesh / 4],
-                                            cfg.tail_fraction, cfg.threads)
+                                            cfg.tail_fraction)
         searches["asymptotic_shadowing_on_original"] = {
             "stages": refined.stages, "failed_stage": refined.failed_stage,
             "succeeded": refined.succeeded}
@@ -359,8 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
     parser.add_argument("--horizon", type=int, default=None, help="override config horizon")
     parser.add_argument("--out", type=Path, default=None, help="override output directory")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker count (affects speed only)")
     return parser
 
 
@@ -372,8 +369,6 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
         updates["horizon"] = args.horizon
     if args.out is not None:
         updates["out"] = str(args.out)
-    if args.threads is not None:
-        updates["threads"] = args.threads
     if not updates:
         return cfg
     from dataclasses import replace
@@ -382,8 +377,7 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
         raise ParameterError("config field 'seed': must be >= 0")
     if new.horizon < 10:
         raise ParameterError("config field 'horizon': must be >= 10")
-    if new.threads < 1:
-        raise ParameterError("config field 'threads': must be >= 1")
+    check_corruption(new.corruption, len(new.start_point()), new.horizon)
     return new
 
 

@@ -29,6 +29,15 @@ def prefix_means(x) -> np.ndarray:
     return np.cumsum(x) / np.arange(1, len(x) + 1, dtype=np.int64)
 
 
+def tail_extremum(curve, tail_fraction: float, mode: str = "max") -> tuple[float, int]:
+    """Max (or min) of a prefix curve over its tail window, and the first
+    prefix length n attaining it; curve[n - 1] is the value at prefix n."""
+    n_lo = tail_window_start(len(curve), tail_fraction)
+    tail = np.asarray(curve)[n_lo - 1:]
+    i = int(tail.argmax() if mode == "max" else tail.argmin())
+    return float(tail[i]), n_lo + i
+
+
 @dataclass(frozen=True)
 class IndexSet:
     """Strictly increasing natural numbers below a declared horizon."""
@@ -93,20 +102,11 @@ def prefix_density_exact(A: IndexSet, n: int) -> Fraction:
     return Fraction(A.count_below(n), n)
 
 
-def _prefix_density_curve(A: IndexSet, n_lo: int, n_hi: int) -> np.ndarray:
-    ns = np.arange(n_lo, n_hi + 1, dtype=np.int64)
-    counts = np.searchsorted(A.indices, ns, side="left")
-    return counts / ns
-
-
 def _density_extremum(A: IndexSet, tail_fraction: float, mode: str) -> float:
     if A.horizon < 10:
         raise ParameterError(f"density estimates need horizon >= 10, got {A.horizon}")
-    n_lo = tail_window_start(A.horizon, tail_fraction)
-    if n_lo > A.horizon:
-        raise ParameterError("tail window is empty")
-    curve = _prefix_density_curve(A, n_lo, A.horizon)
-    return float(curve.max() if mode == "max" else curve.min())
+    ns = np.arange(1, A.horizon + 1, dtype=np.int64)
+    return tail_extremum(np.searchsorted(A.indices, ns, side="left") / ns, tail_fraction, mode)[0]
 
 
 def upper_density_estimate(A: IndexSet, tail_fraction: float = DEFAULT_TAIL_FRACTION) -> float:

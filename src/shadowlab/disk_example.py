@@ -67,7 +67,7 @@ class DiskExampleInstance:
 
     def tracking_errors(self) -> np.ndarray:
         """d((a_i, b_i), (x_i, y_i)) along the whole horizon."""
-        return self.xi.family.space.distance_batch(self.true_orbit_points(), self.xi.points)
+        return self.xi.family.space.distance(self.true_orbit_points(), self.xi.points)
 
 
 def make_decaying_instance(seed: int, horizon: int, scale: float = 1.0, power: float = 2.0,

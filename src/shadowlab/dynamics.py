@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,15 +24,23 @@ BOX = "box-kd"
 CIRCLE = "circle-1d"
 
 
-def as_point(p, dimension: int | None = None) -> np.ndarray:
-    if type(p) is np.ndarray and p.dtype == np.float64 and p.ndim == 1:
-        q = p
+def as_points(P, dimension: int | None = None) -> np.ndarray:
+    """P as float64 coordinates: one point (1-d) or an (n, d) array of rows."""
+    if type(P) is np.ndarray and P.dtype == np.float64 and 0 < P.ndim <= 2:
+        q = P
     else:
-        q = np.atleast_1d(np.asarray(p, dtype=np.float64))
+        q = np.atleast_1d(np.asarray(P, dtype=np.float64))
+    if q.ndim > 2:
+        raise DomainError(f"expected a point or an (n, d) array of rows, got shape {q.shape}")
+    if dimension is not None and q.shape[-1] != dimension:
+        raise DomainError(f"point has dimension {q.shape[-1]}, space has dimension {dimension}")
+    return q
+
+
+def as_point(p, dimension: int | None = None) -> np.ndarray:
+    q = as_points(p, dimension)
     if q.ndim != 1:
         raise DomainError(f"a point must be a 1-d coordinate vector, got shape {q.shape}")
-    if dimension is not None and q.shape[0] != dimension:
-        raise DomainError(f"point has dimension {q.shape[0]}, space has dimension {dimension}")
     return q
 
 
@@ -85,49 +94,45 @@ class MetricSpace:
             return np.mod(p, 1.0)
         return p
 
-    def contains(self, p, tol: float = MEMBERSHIP_TOL) -> bool:
-        q = as_point(p, self.dimension)
+    def contains(self, P, tol: float = MEMBERSHIP_TOL):
+        """Membership of a point (a bool) or of each row of P (a bool array)."""
+        q = as_points(P, self.dimension)
         if self.kind == UNIT_DISK:
-            # The 1-d np.linalg.norm, without its dispatch: sqrt of q.dot(q).
-            return math.sqrt(q.dot(q)) <= 1.0 + tol
+            if q.ndim == 1:
+                # The 1-d np.linalg.norm without its dispatch, twice as fast as
+                # vecdot; a corrupted orbit tests every jump's landing point.
+                return math.sqrt(q.dot(q)) <= 1.0 + tol
+            return np.linalg.norm(q, axis=1) <= 1.0 + tol
         if self.kind == CIRCLE:
-            return bool(np.all(np.isfinite(q)))
-        lo = np.asarray(self.lo)
-        hi = np.asarray(self.hi)
-        return bool(np.all(q >= lo - tol) and np.all(q <= hi + tol))
+            inside = np.all(np.isfinite(q), axis=-1)
+        else:
+            inside = np.all((q >= np.asarray(self.lo) - tol) & (q <= np.asarray(self.hi) + tol),
+                            axis=-1)
+        return bool(inside) if q.ndim == 1 else inside
 
-    def contains_batch(self, P: np.ndarray, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
+    def distance(self, P, Q):
+        """d(P, Q) for two points (a float), or row by row when either is an
+        (n, d) array of rows (an array); a single point broadcasts.
+
+        Two rounding forms, both pinned by artifact bytes: two points take
+        the 1-d ``np.linalg.norm`` (``sqrt(vecdot)`` rounds the same), rows
+        take ``np.linalg.norm(axis=1)``, which can differ in the last bit.
+        """
+        a, b = as_points(P, self.dimension), as_points(Q, self.dimension)
+        if self.kind == CIRCLE:
+            m = np.abs(np.mod(a[..., 0], 1.0) - np.mod(b[..., 0], 1.0))
+            out = np.minimum(m, 1.0 - m)
+            return float(out) if out.ndim == 0 else out
+        diff = a - b
+        return math.sqrt(diff.dot(diff)) if diff.ndim == 1 else np.linalg.norm(diff, axis=1)
+
+    def project(self, P) -> np.ndarray:
+        """Nearest point of the space (clamp / normalize / wrap) to a point or to each row of P."""
+        q = as_points(P, self.dimension)
         if self.kind == UNIT_DISK:
-            return np.linalg.norm(P, axis=1) <= 1.0 + tol
-        if self.kind == CIRCLE:
-            return np.all(np.isfinite(P), axis=1)
-        lo = np.asarray(self.lo)
-        hi = np.asarray(self.hi)
-        return np.all((P >= lo - tol) & (P <= hi + tol), axis=1)
-
-    def distance(self, p, q) -> float:
-        a = as_point(p, self.dimension)
-        b = as_point(q, self.dimension)
-        if self.kind == CIRCLE:
-            m = abs(float(np.mod(a[0], 1.0)) - float(np.mod(b[0], 1.0)))
-            return min(m, 1.0 - m)
-        return float(np.linalg.norm(a - b))
-
-    def distance_batch(self, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-        """Rowwise distances; Q may be a single point broadcast against P."""
-        if self.kind == CIRCLE:
-            m = np.abs(np.mod(P, 1.0) - np.mod(Q, 1.0))
-            m = m.reshape(m.shape[0], -1)[:, 0] if m.ndim > 1 else m
-            return np.minimum(m, 1.0 - m)
-        diff = P - Q
-        return np.linalg.norm(diff.reshape(diff.shape[0], -1), axis=1)
-
-    def project(self, p) -> np.ndarray:
-        """Nearest point of the space (clamp / normalize / wrap)."""
-        q = as_point(p, self.dimension)
-        if self.kind == UNIT_DISK:
-            r = float(np.linalg.norm(q))
-            return q / r if r > 1.0 else q
+            # Division by max(|q|, 1) is exact for points inside; fmax keeps
+            # a NaN norm from touching the point.
+            return q / np.fmax(np.sqrt(np.vecdot(q, q)), 1.0)[..., None]
         if self.kind == CIRCLE:
             return np.mod(q, 1.0)
         return np.clip(q, np.asarray(self.lo), np.asarray(self.hi))
@@ -193,33 +198,28 @@ class GeneratorMap:
     def scale(cls, factors) -> "GeneratorMap":
         return cls("scale", factors=tuple(float(v) for v in np.atleast_1d(factors)))
 
-    def __call__(self, p: np.ndarray) -> np.ndarray:
-        return self._point_step()(p)
+    def __call__(self, P) -> np.ndarray:
+        """Image of a point, or of each row of an (n, d) array P."""
+        return self._step(as_points(P))
 
-    def _point_step(self):
-        """The single-point form p -> image, with the map's arrays built once."""
+    @cached_property
+    def _step(self):
+        """The map as one function of a point or of rows, its arrays built once."""
         if self.kind == "identity":
-            return lambda p: p
+            return lambda P: P
         if self.kind == "permutation":
-            perm = list(self.perm)
-            return lambda p: p[perm]
+            perm = np.array(self.perm, dtype=np.intp)
+            # On a point p[perm] takes a fifth of the time of P[..., perm], and
+            # orbits step one point at a time.
+            return lambda P: P[perm] if P.ndim == 1 else P[:, perm]
         if self.kind == "affine":
-            A, b = np.asarray(self.matrix), np.asarray(self.offset)
-            return lambda p: A @ p + b
+            # The transposed view, not a contiguous copy: on a point this rounds
+            # as A @ p + b does, on rows as the batch form always has.
+            AT, b = np.asarray(self.matrix).T, np.asarray(self.offset)
+            return lambda P: P @ AT + b
         if self.kind == "scale":
             factors = np.asarray(self.factors)
-            return lambda p: p * factors
-        raise ParameterError(f"unknown map kind {self.kind!r}")
-
-    def apply_batch(self, P: np.ndarray) -> np.ndarray:
-        if self.kind == "identity":
-            return P
-        if self.kind == "permutation":
-            return P[:, list(self.perm)]
-        if self.kind == "affine":
-            return P @ np.asarray(self.matrix).T + np.asarray(self.offset)
-        if self.kind == "scale":
-            return P * np.asarray(self.factors)
+            return lambda P: P * factors
         raise ParameterError(f"unknown map kind {self.kind!r}")
 
     def spec(self) -> dict:
@@ -263,31 +263,47 @@ class GeneratorFamily:
     def m(self) -> int:
         return len(self.maps)
 
-    def apply(self, symbol: int, p) -> np.ndarray:
-        """Image of p under f_symbol; symbol 0 returns p unchanged."""
-        if not 0 <= symbol <= self.m:
-            raise RangeError(f"symbol {symbol} outside [0, {self.m}]")
-        q = as_point(p, self.space.dimension)
-        if not self.space.contains(q):
-            raise DomainError(f"point {q.tolist()} is outside the {self.space.kind} space")
-        if symbol == 0:
-            return q
-        img = self.space.canonical(self.maps[symbol - 1](q))
-        if not self.space.contains(img):
-            raise DomainError(
-                f"map {symbol} sends {q.tolist()} to {img.tolist()}, outside the space"
-            )
-        return img
+    @cached_property
+    def steps(self) -> tuple:
+        """Step table: ``steps[s]`` maps a point or rows through f_s.
 
-    def apply_batch(self, symbol: int, P: np.ndarray) -> np.ndarray:
-        """Vectorized apply; assumes rows of P are already members."""
-        if not 0 <= symbol <= self.m:
-            raise RangeError(f"symbol {symbol} outside [0, {self.m}]")
-        if symbol == 0:
-            return P
-        img = self.maps[symbol - 1].apply_batch(P)
+        Symbol 0 is the identity, and circle images wrap into [0, 1). Every
+        stepping loop goes through this table, after ``checked_symbols``.
+        """
+        maps = [g._step for g in self.maps]
         if self.space.kind == CIRCLE:
-            img = np.mod(img, 1.0)
+            maps = [lambda P, f=f: np.mod(f(P), 1.0) for f in maps]
+        return (lambda P: P, *maps)
+
+    def symbols_in_range(self, symbols: np.ndarray) -> int:
+        """Length of the longest prefix of the symbols inside [0, m]."""
+        bad = np.flatnonzero((symbols < 0) | (symbols > self.m))
+        return int(bad[0]) if bad.size else len(symbols)
+
+    def checked_symbols(self, symbols) -> np.ndarray:
+        """The symbols as an int64 array; RangeError at the first outside [0, m]."""
+        symbols = np.asarray(symbols, dtype=np.int64)
+        n = self.symbols_in_range(symbols)
+        if n < len(symbols):
+            raise RangeError(f"symbol {int(symbols[n])} outside [0, {self.m}]")
+        return symbols
+
+    def apply(self, symbol: int, P) -> np.ndarray:
+        """Image of a point, or of each row of P, under f_symbol (0 is the identity).
+
+        Inputs and images must lie in the space (DomainError naming the
+        first that does not); a symbol outside [0, m] raises RangeError.
+        """
+        step = self.steps[int(self.checked_symbols((symbol,))[0])]
+        q = as_points(P, self.space.dimension)
+        i = _first_outside(self.space, q)
+        if i is not None:
+            raise DomainError(f"point {np.atleast_2d(q)[i].tolist()} is outside the "
+                              f"{self.space.kind} space")
+        img = step(q)
+        i = _first_outside(self.space, img)
+        if i is not None:
+            raise _left_space(symbol, np.atleast_2d(q)[i], np.atleast_2d(img)[i])
         return img
 
     def spec(self) -> dict:
@@ -470,30 +486,33 @@ class Word:
         return f"Word({self.spec()!r})"
 
 
-def apply(family: GeneratorFamily, symbol: int, p) -> np.ndarray:
-    return family.apply(symbol, p)
+def _first_outside(space: MetricSpace, P: np.ndarray) -> int | None:
+    """Index of the first row of P outside the space (a point is one row)."""
+    bad = np.flatnonzero(~np.atleast_1d(space.contains(P)))
+    return int(bad[0]) if bad.size else None
+
+
+def _left_space(symbol: int, p: np.ndarray, image: np.ndarray) -> DomainError:
+    return DomainError(f"map {int(symbol)} sends {p.tolist()} to {image.tolist()}, "
+                       "outside the space")
 
 
 def _walk(family: GeneratorFamily, symbols, z, jump=None) -> np.ndarray:
     """Step z through the symbols one point at a time; return the points.
 
-    The image of points[j] is f_{symbols[j]}(points[j]), in the single-point
-    float form of ``GeneratorFamily.apply``; points[j+1] is that image, or
-    jump(j, image) when a jump is given. Symbols are range-checked before
-    stepping, and images are checked for membership once, with one
-    ``contains_batch`` over the finished walk. The errors are those of
-    ``apply`` at the first failing step.
+    The image of points[j] is ``family.steps[symbols[j]](points[j])``;
+    points[j+1] is that image, or jump(j, image) when a jump is given.
+    Symbols are range-checked before stepping, and images are checked for
+    membership once, over the finished walk. The errors are those of
+    ``family.apply`` at the first failing step.
     """
     space = family.space
     p = as_point(z, space.dimension)
     if not space.contains(p):
         raise DomainError(f"start {p.tolist()} is outside the {space.kind} space")
     symbols = np.asarray(symbols, dtype=np.int64)
-    out_of_range = np.flatnonzero((symbols < 0) | (symbols > family.m))
-    n = int(out_of_range[0]) if out_of_range.size else len(symbols)
-    steps = [lambda q: q] + [g._point_step() for g in family.maps]
-    if space.kind == CIRCLE:
-        steps[1:] = [lambda q, f=f: np.mod(f(q), 1.0) for f in steps[1:]]
+    n = family.symbols_in_range(symbols)
+    steps = family.steps
     points = np.empty((n + 1, space.dimension), dtype=np.float64)
     points[0] = p
     images = points[1:] if jump is None else np.empty((n, space.dimension), dtype=np.float64)
@@ -503,13 +522,11 @@ def _walk(family: GeneratorFamily, symbols, z, jump=None) -> np.ndarray:
             p = images[j] = steps[s](p)
             if jump is not None:
                 p = points[j + 1] = jump(j, p)
-    outside = np.flatnonzero(~space.contains_batch(images))
-    if outside.size:
-        j = int(outside[0])
-        raise DomainError(f"map {int(symbols[j])} sends {points[j].tolist()} to "
-                          f"{images[j].tolist()}, outside the space")
-    if out_of_range.size:
-        raise RangeError(f"symbol {int(symbols[n])} outside [0, {family.m}]")
+    j = _first_outside(space, images)
+    if j is not None:
+        raise _left_space(symbols[j], points[j], images[j])
+    # The first out-of-range symbol, when no earlier image left the space.
+    family.checked_symbols(symbols)
     return points
 
 
@@ -517,16 +534,11 @@ def orbit(family: GeneratorFamily, word: Word, z, n: int) -> np.ndarray:
     """True orbit of z: n points, element j+1 = f_{w_j}(element j).
 
     The n - 1 symbols are computed once; membership of every image is
-    checked once per orbit, with ``contains_batch``.
+    checked once per orbit.
     """
     if n < 1:
         raise ParameterError("orbit length must be >= 1")
     return _walk(family, word.symbols(n - 1), z)
-
-
-def orbit_shifted(family: GeneratorFamily, word: Word, start_index: int, z, n: int) -> np.ndarray:
-    """Orbit composing symbols w_k, w_{k+1}, … from start_index k."""
-    return orbit(family, word.shifted(start_index), z, n)
 
 
 def net(space: MetricSpace, mesh: float, cap: int = DEFAULT_NET_CAP) -> np.ndarray:
@@ -554,24 +566,18 @@ def net(space: MetricSpace, mesh: float, cap: int = DEFAULT_NET_CAP) -> np.ndarr
             f"net for mesh {mesh} needs {total} grid points (cap {cap})", required_cap=total
         )
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, k)
-    kept = []
-    seen = set()
-    for g in grid:
-        proj = space.project(g)
-        if space.distance(g, proj) > mesh:
-            continue
-        key = proj.tobytes()
-        if key not in seen:
-            seen.add(key)
-            kept.append(proj)
-    return np.array(kept, dtype=np.float64)
+    proj = space.project(grid)
+    # A grid point is kept when its projection lies within mesh of it, by the
+    # point form of distance, sqrt(vecdot). On the circle the grid lies in
+    # [0, 1), where the projection is the identity.
+    gap = grid - proj
+    proj = proj[np.sqrt(np.vecdot(gap, gap)) <= mesh]
+    rows = np.ascontiguousarray(proj).view(np.dtype((np.void, proj.itemsize * k))).ravel()
+    _, first = np.unique(rows, return_index=True)
+    return proj[np.sort(first)]
 
 
 def check_self_mapping(family: GeneratorFamily, mesh: float = 0.1) -> bool:
     """Verify on a net that every generator maps the space into itself."""
     points = net(family.space, mesh)
-    for symbol in range(1, family.m + 1):
-        images = family.apply_batch(symbol, points)
-        if not bool(np.all(family.space.contains_batch(images))):
-            return False
-    return True
+    return all(bool(np.all(family.space.contains(step(points)))) for step in family.steps[1:])

@@ -15,7 +15,7 @@ from .density import (
     DEFAULT_TAIL_FRACTION,
     IndexSet,
     prefix_means,
-    tail_window_start,
+    tail_extremum,
     upper_density_estimate,
 )
 from .dynamics import GeneratorFamily, MetricSpace, Word, _walk, as_point, orbit
@@ -28,12 +28,12 @@ DEFAULT_DENSITY_TOL = 0.01
 def recompute_step_errors(family: GeneratorFamily, word: Word, points: np.ndarray) -> np.ndarray:
     """e_j = d(f_{w_j}(x_j), x_{j+1}), vectorized by grouping steps per symbol."""
     H = len(points) - 1
-    symbols = word.symbols(H)
+    symbols = family.checked_symbols(word.symbols(H))
     images = np.empty((H, family.space.dimension), dtype=np.float64)
-    for s in np.unique(symbols):
+    for s in np.unique(symbols).tolist():
         idx = np.flatnonzero(symbols == s)
-        images[idx] = family.apply_batch(int(s), points[idx])
-    return family.space.distance_batch(images, points[1:])
+        images[idx] = family.steps[s](points[idx])
+    return family.space.distance(images, points[1:])
 
 
 @dataclass(frozen=True)
@@ -54,9 +54,10 @@ class PseudoOrbit:
             raise DomainError("points must be an (H+1, dim) array matching the space")
         if len(self.step_errors) != len(pts) - 1:
             raise DomainError("step_errors must have one entry per step")
-        if not bool(np.all(self.family.space.contains_batch(pts))):
-            bad = int(np.flatnonzero(~self.family.space.contains_batch(pts))[0])
-            raise DomainError(f"point {bad} is outside the {self.family.space.kind} space")
+        outside = np.flatnonzero(~self.family.space.contains(pts))
+        if outside.size:
+            raise DomainError(f"point {int(outside[0])} is outside the "
+                              f"{self.family.space.kind} space")
 
     @classmethod
     def from_points(cls, family: GeneratorFamily, word: Word, points,
@@ -178,15 +179,12 @@ def is_weak_asymptotic_average(xi: PseudoOrbit, delta: float,
     """Tail-window prefix means of step errors stay below delta."""
     if delta <= 0:
         raise ParameterError("delta must be positive")
-    n_lo = tail_window_start(xi.horizon, tail_fraction)
-    curve = prefix_means(xi.step_errors)
-    tail = curve[n_lo - 1:]
-    worst = int(np.argmax(tail))
+    limsup, n = tail_extremum(prefix_means(xi.step_errors), tail_fraction)
     params = {"delta": delta, "horizon": xi.horizon, "tail_fraction": tail_fraction,
-              "limsup_estimate": float(tail.max())}
-    if tail.max() < delta:
+              "limsup_estimate": limsup}
+    if limsup < delta:
         return ClassificationVerdict("weak-asymptotic-average-pseudo-orbit", True, None, params)
-    witness = {"n": n_lo + worst, "prefix_mean": float(tail[worst])}
+    witness = {"n": n, "prefix_mean": limsup}
     return ClassificationVerdict("weak-asymptotic-average-pseudo-orbit", False, witness, params)
 
 
@@ -271,8 +269,7 @@ def make_corrupted_orbit(family: GeneratorFamily, word: Word, z,
     Jumps that leave the space are clamped onto it; clamped indices are
     flagged in the metadata. Deterministic under the seed: every jump is
     drawn before stepping, in corrupted-step order. Membership of every
-    image, including images a jump replaces, is checked once per orbit
-    with ``contains_batch``.
+    image, including images a jump replaces, is checked once per orbit.
     """
     space = family.space
     corrupted = corruption_indices.mask()

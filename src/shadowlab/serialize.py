@@ -16,7 +16,7 @@ import numpy as np
 
 from .dynamics import GeneratorFamily, Word, as_point
 from .errors import DomainError, IntegrityError, ParameterError
-from .pseudo_orbits import PseudoOrbit, recompute_step_errors
+from .pseudo_orbits import JumpRule, PseudoOrbit, recompute_step_errors
 
 CONFIG_SCHEMA = "shadowlab/config/v1"
 ORBIT_SCHEMA = "shadowlab/pseudo-orbit/v1"
@@ -113,7 +113,6 @@ class ExperimentConfig:
     seed: int = 0
     horizon: int = 10_000
     tail_fraction: float = 0.5
-    threads: int = 1
     out: str = "out"
     thresholds: dict = field(default_factory=dict)
     net_mesh: float = 0.1
@@ -153,8 +152,11 @@ def _fail(f: str, msg: str):
 
 
 def _number(f: str, value, kind=float):
-    """value as an int, or as a finite float; anything else fails naming field f."""
+    """A JSON number as an int, or as a finite float; anything else, a string
+    or a bool included, fails naming field f."""
     try:
+        if isinstance(value, (bool, str)):
+            raise TypeError
         out = kind(value)
         if kind is float and not math.isfinite(out):
             raise ValueError
@@ -163,14 +165,59 @@ def _number(f: str, value, kind=float):
     return out
 
 
+def _object(f: str, value) -> dict:
+    if not isinstance(value, dict):
+        _fail(f, f"must be an object, got {value!r}")
+    return value
+
+
+def _point(f: str, value, dimension: int) -> np.ndarray:
+    try:
+        q = as_point(value, dimension)
+    except (TypeError, ValueError, DomainError):
+        q = None
+    if q is None or not np.all(np.isfinite(q)):
+        _fail(f, f"must be a point of {dimension} finite coordinates, got {value!r}")
+    return q
+
+
+def check_corruption(section, dimension: int, horizon: int) -> None:
+    """Types and ranges of the corruption section, for a space of the given
+    dimension; the index kind is checked where the index set is built."""
+    indices = _object("corruption.indices", _object("corruption", section).get("indices", {}))
+    if "density" in indices:
+        if not 0 <= _number("corruption.indices.density", indices["density"]) <= 1:
+            _fail("corruption.indices.density", "must lie in [0, 1]")
+    if "base" in indices and _number("corruption.indices.base", indices["base"], int) < 2:
+        _fail("corruption.indices.base", "must be >= 2")
+    if indices.get("kind") == "explicit":
+        listed = indices.get("indices")
+        if not isinstance(listed, list):
+            _fail("corruption.indices.indices", f"must be a list of step indices, got {listed!r}")
+        for v in listed:
+            if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < horizon:
+                _fail("corruption.indices.indices",
+                      f"must hold integers in [0, {horizon}), got {v!r}")
+    jump = _object("corruption.jump", section.get("jump", {"kind": "uniform"}))
+    if "kind" not in jump:
+        _fail("corruption.jump.kind", "required")
+    _number("corruption.jump.scale", jump.get("scale", 1.0))
+    # Offset sizes divide by (j + 1) ** power for j < horizon: keep it a normal float.
+    if abs(_number("corruption.jump.power", jump.get("power", 0.0))) * math.log(horizon) > 700:
+        _fail("corruption.jump.power", f"{horizon} ** power is out of floating-point range")
+    if jump.get("kind") == "fixed" or jump.get("point") is not None:
+        _point("corruption.jump.point", jump.get("point"), dimension)
+    try:
+        JumpRule.from_spec(jump)
+    except ParameterError as exc:
+        _fail("corruption.jump", str(exc))
+
+
 def validate_config(data: dict) -> ExperimentConfig:
-    if not isinstance(data, dict):
-        _fail("<root>", "config must be a JSON object")
+    _object("<root>", data)
     if data.get("schema") != CONFIG_SCHEMA:
         _fail("schema", f"expected {CONFIG_SCHEMA!r}, got {data.get('schema')!r}")
-    system = data.get("system")
-    if not isinstance(system, dict):
-        _fail("system", "required object with space, maps, word, start")
+    system = _object("system", data.get("system"))
     for key in ("space", "maps", "word", "start"):
         if key not in system:
             _fail(f"system.{key}", "required")
@@ -183,10 +230,8 @@ def validate_config(data: dict) -> ExperimentConfig:
     tail_fraction = _number("tail_fraction", data.get("tail_fraction", 0.5))
     if not 0.0 < tail_fraction < 1.0:
         _fail("tail_fraction", f"must lie in (0,1), got {tail_fraction}")
-    thresholds = data.get("thresholds", {})
-    if not isinstance(thresholds, dict):
-        _fail("thresholds", "must be an object")
-    thresholds = {name: _number(f"thresholds.{name}", v) for name, v in thresholds.items()}
+    thresholds = {name: _number(f"thresholds.{name}", v)
+                  for name, v in _object("thresholds", data.get("thresholds", {})).items()}
     for name in ("delta", "epsilon", "tol", "density_tol"):
         if name in thresholds and thresholds[name] <= 0:
             _fail(f"thresholds.{name}", "must be positive")
@@ -195,29 +240,29 @@ def validate_config(data: dict) -> ExperimentConfig:
     net_mesh = _number("net_mesh", data.get("net_mesh", 0.1))
     if net_mesh <= 0:
         _fail("net_mesh", "must be positive")
-    threads = _number("threads", data.get("threads", 1), int)
-    if threads < 1:
+    # v1 key, accepted and ignored: the net scan has no worker count.
+    if _number("threads", data.get("threads", 1), int) < 1:
         _fail("threads", "must be >= 1")
     known = {"schema", "system", "seed", "horizon", "tail_fraction", "threads", "out",
              "thresholds", "net_mesh", "corruption"}
     extra = {k: v for k, v in data.items() if k not in known}
     try:
         family = GeneratorFamily.from_spec(system)
-        Word.from_spec(system["word"])
-    except (KeyError, TypeError) as exc:
+        word = Word.from_spec(system["word"])
+    except (KeyError, TypeError, ValueError) as exc:
         _fail("system", f"malformed system descriptor ({exc})")
-    try:
-        start_ok = family.space.contains(as_point(system["start"], family.space.dimension))
-    except (TypeError, ValueError, DomainError):
-        start_ok = False
-    if not start_ok:
-        _fail("system.start", f"must be a point of the {family.space.kind} space, "
+    if word.m > family.m:
+        _fail("system.word.m", f"the word has {word.m} symbols, the system {family.m} maps")
+    space = family.space
+    if not space.contains(_point("system.start", system["start"], space.dimension)):
+        _fail("system.start", f"must be a point of the {space.kind} space, "
                               f"got {system['start']!r}")
+    corruption = data.get("corruption", {})
+    check_corruption(corruption, space.dimension, horizon)
     return ExperimentConfig(system=system, seed=seed, horizon=horizon,
-                            tail_fraction=tail_fraction, threads=threads,
+                            tail_fraction=tail_fraction,
                             out=str(data.get("out", "out")), thresholds=thresholds,
-                            net_mesh=net_mesh, corruption=dict(data.get("corruption", {})),
-                            extra=extra)
+                            net_mesh=net_mesh, corruption=dict(corruption), extra=extra)
 
 
 def load_config(path: Path | str) -> ExperimentConfig:

@@ -8,13 +8,18 @@ exhaustive over a net, so failure is a first-class, reportable outcome.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density import DEFAULT_TAIL_FRACTION, IndexSet, prefix_means, tail_window_start
-from .dynamics import DEFAULT_NET_CAP, as_point, net
+from .density import (
+    DEFAULT_TAIL_FRACTION,
+    IndexSet,
+    prefix_means,
+    tail_extremum,
+    tail_window_start,
+)
+from .dynamics import DEFAULT_NET_CAP, as_point, net, orbit
 from .errors import DomainError, ParameterError
 from .pseudo_orbits import PseudoOrbit
 
@@ -52,12 +57,11 @@ def _build_report(t: np.ndarray, eps: float, diam: float, tail_fraction: float,
         raise ParameterError("eps must be positive")
     L = len(t)
     means = prefix_means(t)
-    n_lo = tail_window_start(L, tail_fraction)
-    limsup = float(means[n_lo - 1:].max())
+    limsup, _ = tail_extremum(means, tail_fraction)
     hit_mask = t < eps
     hit_curve = prefix_means(hit_mask)
-    lower = float(hit_curve[n_lo - 1:].min())
-    upper = float(hit_curve[n_lo - 1:].max())
+    lower, _ = tail_extremum(hit_curve, tail_fraction, "min")
+    upper, _ = tail_extremum(hit_curve, tail_fraction)
     verdicts = {"shadowed_on_average": limsup < eps}
     if alpha is not None:
         verdicts["m_alpha"] = lower > alpha
@@ -70,18 +74,16 @@ def _build_report(t: np.ndarray, eps: float, diam: float, tail_fraction: float,
 def trace_report(z, xi: PseudoOrbit, eps: float,
                  tail_fraction: float = DEFAULT_TAIL_FRACTION,
                  alpha: float | None = None, net_index: int | None = None) -> ShadowReport:
-    """Full tracing report of candidate z against the pseudo-orbit."""
+    """Full tracing report of candidate z against the pseudo-orbit.
+
+    The candidate's orbit is one walk, so a family that sends it out of the
+    space raises DomainError.
+    """
     space = xi.family.space
     zp = as_point(z, space.dimension)
     if not space.contains(zp):
         raise DomainError(f"candidate {zp.tolist()} is outside the {space.kind} space")
-    L = xi.horizon + 1
-    t = np.empty(L, dtype=np.float64)
-    P = zp.reshape(1, -1)
-    t[0] = space.distance_batch(P, xi.points[0])[0]
-    for j, s in enumerate(xi.word.symbols(L - 1).tolist(), start=1):
-        P = xi.family.apply_batch(s, P)
-        t[j] = space.distance_batch(P, xi.points[j])[0]
+    t = space.distance(orbit(xi.family, xi.word, zp, xi.horizon + 1), xi.points)
     return _build_report(t, eps, space.diameter, tail_fraction, zp, alpha, net_index, {})
 
 
@@ -101,42 +103,28 @@ def diameter_bound_check(report: ShadowReport, eta: float, tol: float = 1e-12) -
 # Net scans
 
 
-def _scan_chunk(xi: PseudoOrbit, P0: np.ndarray, eps: float, n_lo: int):
+def _scan(xi: PseudoOrbit, P: np.ndarray, eps: float, tail_fraction: float):
     """Per-candidate tail max of prefix means and tail min of hit density."""
-    space = xi.family.space
-    L = xi.horizon + 1
-    P = P0
-    t = space.distance_batch(P, xi.points[0])
+    family = xi.family
+    steps = family.steps
+    n_lo = tail_window_start(xi.horizon + 1, tail_fraction)
+    t = family.space.distance(P, xi.points[0])
     sums = t.copy()
     hits = (t < eps).astype(np.float64)
-    max_mean = np.full(len(P0), -np.inf)
-    min_density = np.full(len(P0), np.inf)
+    max_mean = np.full(len(P), -np.inf)
+    min_density = np.full(len(P), np.inf)
     if 1 >= n_lo:
         np.maximum(max_mean, sums, out=max_mean)
         np.minimum(min_density, hits, out=min_density)
-    for j, s in enumerate(xi.word.symbols(L - 1).tolist(), start=1):
-        P = xi.family.apply_batch(s, P)
-        t = space.distance_batch(P, xi.points[j])
+    for j, s in enumerate(family.checked_symbols(xi.word.symbols(xi.horizon)).tolist(), start=1):
+        P = steps[s](P)
+        t = family.space.distance(P, xi.points[j])
         sums += t
         hits += t < eps
         n = j + 1
         if n >= n_lo:
             np.maximum(max_mean, sums / n, out=max_mean)
             np.minimum(min_density, hits / n, out=min_density)
-    return max_mean, min_density
-
-
-def _scan_net(xi: PseudoOrbit, candidates: np.ndarray, eps: float,
-              tail_fraction: float, threads: int):
-    n_lo = tail_window_start(xi.horizon + 1, tail_fraction)
-    if threads <= 1 or len(candidates) < 2 * threads:
-        return _scan_chunk(xi, candidates, eps, n_lo)
-    bounds = np.linspace(0, len(candidates), threads + 1, dtype=int)
-    chunks = [candidates[a:b] for a, b in zip(bounds, bounds[1:]) if b > a]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(lambda c: _scan_chunk(xi, c, eps, n_lo), chunks))
-    max_mean = np.concatenate([p[0] for p in parts])
-    min_density = np.concatenate([p[1] for p in parts])
     return max_mean, min_density
 
 
@@ -154,39 +142,37 @@ class SearchResult:
 
 def average_shadow_search(xi: PseudoOrbit, eps: float, mesh: float,
                           tail_fraction: float = DEFAULT_TAIL_FRACTION,
-                          threads: int = 1, net_cap: int = DEFAULT_NET_CAP) -> SearchResult:
+                          net_cap: int = DEFAULT_NET_CAP) -> SearchResult:
     """Minimize the limsup estimate of trace means over a net.
 
     Success means the minimum is below eps; ties break to the lowest net
-    enumeration index, so results are reproducible for any worker count.
+    enumeration index, so results are reproducible.
     """
     candidates = net(xi.family.space, mesh, cap=net_cap)
-    max_mean, _ = _scan_net(xi, candidates, eps, tail_fraction, threads)
+    max_mean, _ = _scan(xi, candidates, eps, tail_fraction)
     best = int(np.argmin(max_mean))
     report = trace_report(candidates[best], xi, eps, tail_fraction, net_index=best)
     scan_objective = float(max_mean[best])
     return SearchResult(report, scan_objective < eps, "limsup_estimate", mesh,
-                        len(candidates), {"scan_objective": scan_objective,
-                                          "threads": threads, "eps": eps,
+                        len(candidates), {"scan_objective": scan_objective, "eps": eps,
                                           "tail_fraction": tail_fraction})
 
 
 def m_alpha_shadow_search(xi: PseudoOrbit, eps: float, alpha: float, mesh: float,
                           tail_fraction: float = DEFAULT_TAIL_FRACTION,
-                          threads: int = 1, net_cap: int = DEFAULT_NET_CAP) -> SearchResult:
+                          net_cap: int = DEFAULT_NET_CAP) -> SearchResult:
     """Find a net point whose hit set has lower density estimate above alpha."""
     if not 0.0 < alpha < 1.0:
         raise ParameterError(f"alpha must lie in (0,1), got {alpha}")
     candidates = net(xi.family.space, mesh, cap=net_cap)
-    _, min_density = _scan_net(xi, candidates, eps, tail_fraction, threads)
+    _, min_density = _scan(xi, candidates, eps, tail_fraction)
     best = int(np.argmax(min_density))
     report = trace_report(candidates[best], xi, eps, tail_fraction, alpha=alpha,
                           net_index=best)
     best_density = float(min_density[best])
     return SearchResult(report, best_density > alpha, "hit_lower_density", mesh,
-                        len(candidates), {"scan_objective": best_density,
-                                          "threads": threads, "eps": eps, "alpha": alpha,
-                                          "tail_fraction": tail_fraction})
+                        len(candidates), {"scan_objective": best_density, "eps": eps,
+                                          "alpha": alpha, "tail_fraction": tail_fraction})
 
 
 @dataclass(frozen=True)
@@ -206,7 +192,6 @@ class RefinedSearchResult:
 def refined_asymptotic_search(xi: PseudoOrbit, eps0: float, levels: int,
                               mesh_schedule: list[float],
                               tail_fraction: float = DEFAULT_TAIL_FRACTION,
-                              threads: int = 1,
                               net_cap: int = DEFAULT_NET_CAP) -> RefinedSearchResult:
     """Stage m seeks a candidate with limsup estimate below eps0 / 2^m.
 
@@ -230,7 +215,7 @@ def refined_asymptotic_search(xi: PseudoOrbit, eps0: float, levels: int,
     for m in range(1, levels + 1):
         budget = eps0 / 2.0**m
         points = net(space, meshes[m - 1], cap=net_cap)
-        max_mean, _ = _scan_net(xi, points, budget, tail_fraction, threads)
+        max_mean, _ = _scan(xi, points, budget, tail_fraction)
         best = int(np.argmin(max_mean))
         estimate = float(max_mean[best])
         ok = estimate < budget

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import DEFAULT_TAIL_FRACTION, IndexSet
-from .dynamics import MetricSpace, orbit_shifted
+from .dynamics import MetricSpace, orbit
 from .errors import ParameterError, PreconditionError
 from .pseudo_orbits import (
     DEFAULT_DENSITY_TOL,
@@ -109,7 +109,7 @@ def repair(xi: PseudoOrbit, delta: float,
         length = min(M, H + 1 - k)
         if length < M:
             truncated = True
-        block = orbit_shifted(xi.family, xi.word, k, xi.points[k], length)
+        block = orbit(xi.family, xi.word.shifted(k), xi.points[k], length)
         points[k:k + length] = block
         block_indices.extend(range(k, k + length))
 

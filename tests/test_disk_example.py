@@ -9,7 +9,6 @@ from shadowlab import (
     PreconditionError,
     Word,
     aasp_demo,
-    apply,
     build_disk_system,
     make_corrupted_orbit,
     make_decaying_instance,
@@ -39,8 +38,8 @@ def closed_form_lhs(n):
 
 def test_build_disk_system_maps():
     family, word = build_disk_system()
-    assert np.allclose(apply(family, 1, (0.6, -0.2)), (-0.2, 0.6))
-    assert np.allclose(apply(family, 2, (0.6, -0.2)), (0.3, -0.1))
+    assert np.allclose(family.apply(1, (0.6, -0.2)), (-0.2, 0.6))
+    assert np.allclose(family.apply(2, (0.6, -0.2)), (0.3, -0.1))
     pts = orbit(family, word, (1.0, 0.0), 5)
     assert np.allclose(pts, [(1, 0), (0, 1), (0, 0.5), (0.5, 0), (0.25, 0)])
 

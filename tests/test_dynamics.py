@@ -10,11 +10,9 @@ from shadowlab import (
     RangeError,
     ResourceCapError,
     Word,
-    apply,
     check_self_mapping,
     net,
     orbit,
-    orbit_shifted,
 )
 
 
@@ -32,25 +30,32 @@ def alternating():
 
 def test_apply_identity_symbol_zero(disk_family):
     p = np.array([0.3, 0.4])
-    assert np.array_equal(apply(disk_family, 0, p), p)
+    assert np.array_equal(disk_family.apply(0, p), p)
 
 
 def test_apply_swap(disk_family):
-    assert np.allclose(apply(disk_family, 1, (1.0, 0.0)), (0.0, 1.0))
+    assert np.allclose(disk_family.apply(1, (1.0, 0.0)), (0.0, 1.0))
 
 
 def test_apply_halving(disk_family):
-    assert np.allclose(apply(disk_family, 2, (1.0, 0.0)), (0.5, 0.0))
+    assert np.allclose(disk_family.apply(2, (1.0, 0.0)), (0.5, 0.0))
 
 
 def test_apply_symbol_out_of_range(disk_family):
     with pytest.raises(RangeError):
-        apply(disk_family, 3, (0.0, 0.0))
+        disk_family.apply(3, (0.0, 0.0))
 
 
 def test_apply_point_outside_space(disk_family):
     with pytest.raises(DomainError):
-        apply(disk_family, 1, (2.0, 2.0))
+        disk_family.apply(1, (2.0, 2.0))
+
+
+def test_apply_takes_rows_and_names_the_first_outside(disk_family):
+    P = np.array([[1.0, 0.0], [0.3, -0.4]])
+    assert np.array_equal(disk_family.apply(1, P), [[0.0, 1.0], [-0.4, 0.3]])
+    with pytest.raises(DomainError, match=r"point \[2.0, 0.0\] is outside"):
+        disk_family.apply(2, np.array([[0.1, 0.1], [2.0, 0.0]]))
 
 
 def test_orbit_disk_alternating(disk_family, alternating):
@@ -73,27 +78,27 @@ def test_orbit_halving_on_box():
 
 
 def test_orbit_shifted_skips_first_symbols(disk_family, alternating):
-    pts = orbit_shifted(disk_family, alternating, 1, (1.0, 0.0), 3)
+    pts = orbit(disk_family, alternating.shifted(1), (1.0, 0.0), 3)
     assert np.allclose(pts, [(1, 0), (0.5, 0), (0, 0.5)])
 
 
 def test_orbit_shifted_zero_equals_orbit(disk_family, alternating):
     a = orbit(disk_family, alternating, (0.7, 0.1), 8)
-    b = orbit_shifted(disk_family, alternating, 0, (0.7, 0.1), 8)
+    b = orbit(disk_family, alternating.shifted(0), (0.7, 0.1), 8)
     assert np.array_equal(a, b)
 
 
 def test_orbit_identity_family_is_constant():
     space = MetricSpace.box([0.0], [1.0])
     family = GeneratorFamily(space, (GeneratorMap.identity(),))
-    pts = orbit_shifted(family, Word.constant(1, m=1), 5, [0.3], 10)
+    pts = orbit(family, Word.constant(1, m=1).shifted(5), [0.3], 10)
     assert np.allclose(pts, 0.3)
 
 
 def test_orbit_composition_associativity(disk_family, alternating):
     # The n1+n2 orbit must continue bitwise from its own n1-th point.
     full = orbit(disk_family, alternating, (0.6, -0.3), 12)
-    resumed = orbit_shifted(disk_family, alternating, 7, full[7], 5)
+    resumed = orbit(disk_family, alternating.shifted(7), full[7], 5)
     assert np.array_equal(full[7:12], resumed)
 
 
@@ -102,7 +107,7 @@ def test_orbit_points_stay_in_space(disk_family, alternating):
     for _ in range(20):
         z = disk_family.space.sample(rng)
         pts = orbit(disk_family, alternating, z, 50)
-        assert np.all(disk_family.space.contains_batch(pts, tol=1e-12))
+        assert np.all(disk_family.space.contains(pts, tol=1e-12))
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +172,7 @@ def test_net_members_and_deterministic_order():
     a = net(space, 0.3)
     b = net(space, 0.3)
     assert np.array_equal(a, b)
-    assert np.all(space.contains_batch(a))
+    assert np.all(space.contains(a))
 
 
 def test_net_cap_enforced():
@@ -256,7 +261,7 @@ def test_net_covering_sweep():
     for space, meshes in cases:
         for mesh in meshes:
             points = net(space, mesh)
-            assert np.all(space.contains_batch(points))
+            assert np.all(space.contains(points))
             for _ in range(150):
                 p = space.sample(rng)
                 nearest = min(space.distance(p, q) for q in points)

@@ -1,11 +1,16 @@
-"""Differential and property tests of the sequential orbit walk.
+"""Differential and property tests of the sequential orbit walk and of the
+space and map operations that take a point or rows.
 
 ``orbit`` and ``make_corrupted_orbit`` step a point with symbols computed
 once and check membership once per orbit. The references below step one
-symbol at a time through ``GeneratorFamily.apply`` and ``Word.symbol_at``
-and draw each jump when it is needed; results must agree bit for bit, and
-failures must raise the same error at the same step.
+symbol at a time through ``Word.symbol_at`` with the single-point float
+forms written out here (not through the library's step table), and draw
+each jump when it is needed; results must agree bit for bit, and failures
+must raise the same error at the same step. ``net`` and ``trace_report``
+are checked against the per-point and per-step loops they replaced.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -22,21 +27,67 @@ from shadowlab import (
     RangeError,
     Word,
     make_corrupted_orbit,
+    net,
     orbit,
-    orbit_shifted,
+    trace_report,
 )
-from shadowlab.dynamics import as_point
+from shadowlab.dynamics import CIRCLE, UNIT_DISK, as_point
 
 SETTINGS = settings(max_examples=150, deadline=None)
+TOL = 1e-12
+
+
+def reference_contains(space, q):
+    if space.kind == UNIT_DISK:
+        return float(np.linalg.norm(q)) <= 1.0 + TOL
+    if space.kind == CIRCLE:
+        return bool(np.all(np.isfinite(q)))
+    return bool(np.all(q >= np.asarray(space.lo) - TOL) and np.all(q <= np.asarray(space.hi) + TOL))
+
+
+def reference_project(space, q):
+    if space.kind == UNIT_DISK:
+        r = float(np.linalg.norm(q))
+        return q / r if r > 1.0 else q
+    if space.kind == CIRCLE:
+        return np.mod(q, 1.0)
+    return np.clip(q, np.asarray(space.lo), np.asarray(space.hi))
+
+
+def reference_map(g, p):
+    if g.kind == "identity":
+        return p
+    if g.kind == "permutation":
+        return p[list(g.perm)]
+    if g.kind == "affine":
+        return np.asarray(g.matrix) @ p + np.asarray(g.offset)
+    return p * np.asarray(g.factors)
+
+
+def reference_step(family, s, p):
+    """f_s(p), checked as ``GeneratorFamily.apply`` checks it."""
+    space = family.space
+    if not 0 <= s <= family.m:
+        raise RangeError(f"symbol {s} outside [0, {family.m}]")
+    if not reference_contains(space, p):
+        raise DomainError(f"point {p.tolist()} is outside the {space.kind} space")
+    if s == 0:
+        return p
+    image = reference_map(family.maps[s - 1], p)
+    if space.kind == CIRCLE:
+        image = np.mod(image, 1.0)
+    if not reference_contains(space, image):
+        raise DomainError(f"map {s} sends {p.tolist()} to {image.tolist()}, outside the space")
+    return image
 
 
 def reference_orbit(family, word, z, n):
     p = as_point(z, family.space.dimension)
-    if not family.space.contains(p):
+    if not reference_contains(family.space, p):
         raise DomainError(f"start {p.tolist()} is outside the {family.space.kind} space")
     out = [p]
     for j in range(n - 1):
-        out.append(family.apply(word.symbol_at(j), out[-1]))
+        out.append(reference_step(family, word.symbol_at(j), out[-1]))
     return np.array(out, dtype=np.float64)
 
 
@@ -49,7 +100,7 @@ def reference_corrupted_orbit(family, word, z, indices, rule, seed):
     points = [reference_orbit(family, word, z, 1)[0]]
     clamped = []
     for j in range(indices.horizon):
-        image = family.apply(word.symbol_at(j), points[-1])
+        image = reference_step(family, word.symbol_at(j), points[-1])
         if not corrupted[j]:
             points.append(image)
             continue
@@ -63,11 +114,12 @@ def reference_corrupted_orbit(family, word, z, indices, rule, seed):
             norm = np.linalg.norm(u)
             u = u / norm if norm > 0 else np.eye(d)[0]
             raw = image + u * (rule.scale / (j + 1) ** rule.power)
-        raw = space.canonical(raw)
-        if space.contains(raw):
+        if space.kind == CIRCLE:
+            raw = np.mod(raw, 1.0)
+        if reference_contains(space, raw):
             points.append(raw)
         else:
-            points.append(space.project(raw))
+            points.append(reference_project(space, raw))
             clamped.append(j)
     return np.array(points, dtype=np.float64), clamped
 
@@ -204,7 +256,7 @@ def test_iid_symbols_equal_symbol_at_at_scale():
 def test_orbit_matches_apply_loop_bit_for_bit(system, n, shift):
     family, word, start = system
     expected = reference_orbit(family, word.shifted(shift), start, n)
-    got = orbit_shifted(family, word, shift, start, n)
+    got = orbit(family, word.shifted(shift), start, n)
     assert got.dtype == np.float64
     assert np.array_equal(got, expected)
 
@@ -303,3 +355,151 @@ def test_walk_emits_no_warnings_before_raising():
     word = Word.periodic((1, 1, 1, 2), m=2)
     with np.errstate(all="raise"), pytest.raises(DomainError, match="map 1"):
         orbit(family, word, (0.5,), 200)
+
+
+# ---------------------------------------------------------------------------
+# One entry point per operation: a point or rows
+
+
+def reference_distance(space, a, b):
+    """The single-point distance: geodesic on the circle, else the 1-d norm."""
+    if space.kind == CIRCLE:
+        m = abs(float(np.mod(a[0], 1.0)) - float(np.mod(b[0], 1.0)))
+        return min(m, 1.0 - m)
+    return float(np.linalg.norm(a - b))
+
+
+def reference_net(space, mesh):
+    """The per-grid-point loop: project, keep within mesh, drop repeated bytes."""
+    k = space.dimension
+    spacing = min(mesh, 2.0 * mesh / math.sqrt(k))
+    axes = []
+    for lo, hi in zip(space.lo, space.hi):
+        if space.kind == CIRCLE:
+            npts = max(1, math.ceil((hi - lo) / spacing))
+            axes.append(lo + (hi - lo) * np.arange(npts) / npts)
+        else:
+            npts = max(2, math.ceil((hi - lo) / spacing) + 1)
+            axes.append(np.linspace(lo, hi, npts))
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, k)
+    kept, seen = [], set()
+    for g in grid:
+        proj = reference_project(space, g)
+        if reference_distance(space, g, proj) > mesh:
+            continue
+        if proj.tobytes() not in seen:
+            seen.add(proj.tobytes())
+            kept.append(proj)
+    return np.array(kept, dtype=np.float64)
+
+
+def reference_trace_errors(xi, z):
+    """The per-step loop: a one-row array stepped by the batch map forms, and
+    one row distance per step."""
+    family, space = xi.family, xi.family.space
+
+    def row_distance(P, q):
+        if space.kind == CIRCLE:
+            m = np.abs(np.mod(P, 1.0) - np.mod(q, 1.0))[:, 0]
+            return np.minimum(m, 1.0 - m)[0]
+        return np.linalg.norm(P - q, axis=1)[0]
+
+    P = np.asarray(z, dtype=np.float64).reshape(1, -1)
+    t = [row_distance(P, xi.points[0])]
+    for j in range(xi.horizon):
+        g = family.maps[xi.word.symbol_at(j) - 1]
+        if g.kind == "permutation":
+            P = P[:, list(g.perm)]
+        elif g.kind == "affine":
+            P = P @ np.asarray(g.matrix).T + np.asarray(g.offset)
+        elif g.kind == "scale":
+            P = P * np.asarray(g.factors)
+        if space.kind == CIRCLE:
+            P = np.mod(P, 1.0)
+        t.append(row_distance(P, xi.points[j + 1]))
+    return np.array(t, dtype=np.float64)
+
+
+@st.composite
+def spaces(draw):
+    kind = draw(st.sampled_from([UNIT_DISK, CIRCLE, "box"]))
+    if kind == UNIT_DISK:
+        return MetricSpace.unit_disk(), draw(unit(0.03, 1.5))
+    if kind == CIRCLE:
+        return MetricSpace.circle(), draw(unit(0.005, 1.5))
+    d = draw(st.integers(1, 3))
+    lo = draw(vectors(d, -2.0, 1.0))
+    hi = [a + w for a, w in zip(lo, draw(vectors(d, 0.1, 2.0)))]
+    return MetricSpace.box(lo, hi), draw(unit(0.05 * d, 1.5))
+
+
+@settings(max_examples=80, deadline=None)
+@given(spaces())
+def test_net_matches_per_point_loop(space_and_mesh):
+    space, mesh = space_and_mesh
+    got, expected = net(space, mesh), reference_net(space, mesh)
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+@SETTINGS
+@given(system_and_word(), st.integers(2, 40), st.integers(0, 2**32))
+def test_trace_report_matches_per_step_loop(system, horizon, seed):
+    family, word, start = system
+    rng = np.random.default_rng(seed)
+    indices = IndexSet.from_mask(rng.random(horizon) < 0.3)
+    xi = make_corrupted_orbit(family, word, start, indices, JumpRule("uniform"), seed)
+    z = family.space.sample(rng)
+    report = trace_report(z, xi, eps=0.1)
+    assert report.trace_errors.tobytes() == reference_trace_errors(xi, z).tobytes()
+
+
+@SETTINGS
+@given(system_and_word(), st.integers(1, 8), st.integers(0, 2**32))
+def test_point_and_rows_agree_for_maps_and_project(system, n, seed):
+    family, _, _ = system
+    space = family.space
+    d = space.dimension
+    P = np.random.default_rng(seed).uniform(-1.5, 1.5, size=(n, d))
+    for p, row in zip(P, space.project(P)):
+        assert space.project(p).tobytes() == row.tobytes()
+    for g in family.maps:
+        for p, row in zip(P, g(P)):
+            if g.kind != "affine":
+                assert g(p).tobytes() == row.tobytes()
+                continue
+            # A @ p + b and the rows' P @ A.T + b are both pinned by artifact
+            # bytes; they round within the dot-product error bound of each other.
+            A, b = np.asarray(g.matrix), np.asarray(g.offset)
+            bound = (d + 1) * np.finfo(np.float64).eps * (np.abs(A) @ np.abs(p) + np.abs(b))
+            assert np.all(np.abs(g(p) - row) <= bound)
+
+
+@SETTINGS
+@given(st.lists(st.tuples(unit(1.0 - 1e-11, 1.0 + 3e-12), unit(0.0, 2 * np.pi)),
+                min_size=1, max_size=8))
+def test_disk_contains_point_and_rows_agree_off_the_boundary(polar):
+    space = MetricSpace.unit_disk()
+    P = np.array([(r * np.cos(a), r * np.sin(a)) for r, a in polar])
+    rows = space.contains(P)
+    for p, inside in zip(P, rows):
+        on_boundary = abs(float(np.linalg.norm(p)) - (1.0 + TOL)) <= np.spacing(1.0)
+        assert space.contains(p) == inside or on_boundary
+
+
+@SETTINGS
+@given(system_and_word(), st.integers(1, 8), st.integers(0, 2**32))
+def test_point_and_rows_agree_for_contains_and_distance(system, n, seed):
+    family, _, _ = system
+    space = family.space
+    rng = np.random.default_rng(seed)
+    P = rng.uniform(-1.5, 1.5, size=(n, space.dimension))
+    Q = np.array([space.sample(rng) for _ in range(n)])
+    for p, inside in zip(P, space.contains(P)):
+        on_boundary = (space.kind == UNIT_DISK
+                       and abs(float(np.linalg.norm(p)) - (1.0 + TOL)) <= np.spacing(1.0))
+        assert space.contains(p) == inside or on_boundary
+    for p, q, row in zip(P, Q, space.distance(P, Q)):
+        point = space.distance(p, q)
+        assert isinstance(point, float)
+        assert abs(point - row) <= np.spacing(point)

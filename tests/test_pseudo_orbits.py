@@ -243,7 +243,7 @@ def test_clamped_jumps_flagged_and_in_space():
     all_idx = IndexSet.from_iterable(range(50), 50)
     xi = make_corrupted_orbit(family, word, (1.0, 0.0), all_idx,
                               JumpRule("offset", scale=3.0, power=0.0), seed=5)
-    assert np.all(family.space.contains_batch(xi.points))
+    assert np.all(family.space.contains(xi.points))
     assert len(xi.meta["clamped_indices"]) > 0
 
 

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from shadowlab import (
+    DomainError,
     GeneratorFamily,
     GeneratorMap,
     IndexSet,
     JumpRule,
     MetricSpace,
     ShadowReport,
+    PseudoOrbit,
     Word,
     average_shadow_search,
     build_disk_system,
@@ -58,10 +60,10 @@ def matrix_rescan(xi, points, tail_fraction=0.5):
     L = xi.horizon + 1
     T = np.empty((len(points), L))
     P = points.copy()
-    T[:, 0] = space.distance_batch(P, xi.points[0])
+    T[:, 0] = space.distance(P, xi.points[0])
     for j in range(1, L):
-        P = xi.family.apply_batch(xi.word.symbol_at(j - 1), P)
-        T[:, j] = space.distance_batch(P, xi.points[j])
+        P = xi.family.apply(xi.word.symbol_at(j - 1), P)
+        T[:, j] = space.distance(P, xi.points[j])
     means = np.cumsum(T, axis=1) / np.arange(1, L + 1)
     n_lo = max(1, int(np.ceil(tail_fraction * L)))
     return means[:, n_lo - 1:].max(axis=1)
@@ -173,7 +175,7 @@ def test_search_identity_constant_orbit_finds_nearest():
     result = average_shadow_search(xi, eps=0.3, mesh=0.2)
     assert result.success
     points = net(xi.family.space, 0.2)
-    dists = xi.family.space.distance_batch(points, np.array([0.33, 0.61]))
+    dists = xi.family.space.distance(points, np.array([0.33, 0.61]))
     assert result.params["scan_objective"] == pytest.approx(dists.min(), abs=1e-12)
 
 
@@ -188,15 +190,23 @@ def test_search_decaying_disk_instance_with_rescan_oracle():
     assert result.report.net_index == int(np.argmin(oracle))
 
 
-def test_search_deterministic_across_workers():
+def test_search_byte_identical_across_repeated_calls():
     xi = decaying_disk_orbit(horizon=500)
     payloads = []
-    for threads in (1, 4, 8):
-        result = average_shadow_search(xi, eps=0.2, mesh=0.1, threads=threads)
-        d = report_to_dict(result)
-        d["search_params"].pop("threads")
-        payloads.append(json.dumps(to_jsonable(d), sort_keys=True).encode())
+    for _ in range(3):
+        result = average_shadow_search(xi, eps=0.2, mesh=0.1)
+        payloads.append(json.dumps(to_jsonable(report_to_dict(result)), sort_keys=True).encode())
     assert payloads[0] == payloads[1] == payloads[2]
+
+
+def test_trace_report_rejects_a_candidate_sent_out_of_the_space():
+    # Scale (2, 2) does not map the unit box into itself; the per-step loop
+    # this replaced reported trace errors larger than the box's diameter.
+    family = GeneratorFamily(MetricSpace.box([0.0, 0.0], [1.0, 1.0]),
+                             (GeneratorMap.scale((2.0, 2.0)),))
+    xi = PseudoOrbit.from_points(family, Word.constant(1, m=1), np.full((20, 2), 0.1))
+    with pytest.raises(DomainError, match="outside the space"):
+        trace_report((0.9, 0.9), xi, eps=0.1)
 
 
 def test_search_failure_on_circle_rotation():
