@@ -1,14 +1,16 @@
 """Reproducible experiment front end.
 
 Every subcommand reads one JSON config (``--config``; omitting it selects
-the built-in unit-disk system), emits deterministic JSON/CSV artifacts
-under ``--out``, and encodes failures in the exit status: 0 success,
-2 config error, 3 precondition-verdict rejection, 4 resource cap.
+the built-in unit-disk system), loaded and checked once by
+``serialize.load_config``, emits deterministic JSON/CSV artifacts under
+``--out``, and encodes failures in the exit status: 0 success, 2 config or
+input-file error, 3 precondition-verdict rejection, 4 resource cap.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -16,7 +18,6 @@ import numpy as np
 
 from .cesaro import BoundedSequence, cesaro_means, extract_null_set, verify_equivalence
 from .concat import BlockPlan, asymptotic_certificate, concatenate
-from .density import IndexSet
 from .disk_example import aasp_demo, make_decaying_instance, tracking_inequality_curve
 from .errors import (
     DomainError,
@@ -27,7 +28,6 @@ from .errors import (
     ResourceCapError,
 )
 from .pseudo_orbits import (
-    JumpRule,
     PseudoOrbit,
     is_asymptotic_average,
     is_average_pseudo_orbit,
@@ -38,16 +38,14 @@ from .pseudo_orbits import (
     true_orbit,
 )
 from .serialize import (
-    CONFIG_SCHEMA,
     ExperimentConfig,
-    check_corruption,
     dump_csv,
     dump_json,
     load_block_plan_manifest,
     load_config,
     load_orbit,
+    load_values,
     save_orbit,
-    validate_config,
 )
 from .shadow_search import (
     SearchResult,
@@ -57,59 +55,11 @@ from .shadow_search import (
 )
 from .surgery import block_length, repair
 
-SUBCOMMANDS = ("generate", "classify", "repair", "cesaro", "concat", "search",
-               "example-disk", "equivalence-suite")
-
-
-def default_config() -> ExperimentConfig:
-    """Built-in unit-disk system (swap + halving, alternating word)."""
-    return validate_config({
-        "schema": CONFIG_SCHEMA,
-        "system": {
-            "space": {"kind": "unit-disk-2d"},
-            "maps": [{"kind": "permutation", "perm": [1, 0]},
-                     {"kind": "scale", "factors": [0.5, 0.5]}],
-            "word": {"kind": "periodic", "m": 2, "pattern": [1, 2]},
-            "start": [1.0, 0.0],
-        },
-    })
-
-
-def corruption_index_set(cfg: ExperimentConfig) -> IndexSet:
-    spec = cfg.corruption.get("indices", {"kind": "none"})
-    kind = spec.get("kind", "none")
-    H = cfg.horizon
-    if kind == "none":
-        return IndexSet.from_iterable([], H)
-    if kind == "all":
-        return IndexSet.from_iterable(range(H), H)
-    if kind == "squares":
-        return IndexSet.from_iterable((k * k for k in range(int(H**0.5) + 1) if k * k < H), H)
-    if kind == "evens":
-        return IndexSet.from_iterable(range(0, H, 2), H)
-    if kind == "powers":
-        base = int(spec.get("base", 2))
-        vals, v = [], 1
-        while v < H:
-            vals.append(v)
-            v *= base
-        return IndexSet.from_iterable(vals, H)
-    if kind == "explicit":
-        return IndexSet.from_iterable(spec["indices"], H)
-    if kind == "random":
-        rng = np.random.default_rng(cfg.seed)
-        mask = rng.random(H) < float(spec.get("density", 0.01))
-        return IndexSet.from_mask(mask)
-    raise ParameterError(f"config field 'corruption.indices.kind': unknown kind {kind!r}")
-
-
 def build_orbit(cfg: ExperimentConfig) -> PseudoOrbit:
-    family, word = cfg.family_and_word()
-    indices = corruption_index_set(cfg)
-    if len(indices) == 0:
-        return true_orbit(family, word, cfg.start_point(), cfg.horizon)
-    jump = JumpRule.from_spec(cfg.corruption.get("jump", {"kind": "uniform"}))
-    return make_corrupted_orbit(family, word, cfg.start_point(), indices, jump, cfg.seed)
+    if len(cfg.corruption_indices) == 0:
+        return true_orbit(cfg.family, cfg.word, cfg.start, cfg.horizon)
+    return make_corrupted_orbit(cfg.family, cfg.word, cfg.start, cfg.corruption_indices,
+                                cfg.jump, cfg.seed)
 
 
 def report_to_dict(result: SearchResult) -> dict:
@@ -161,17 +111,8 @@ def cmd_generate(cfg: ExperimentConfig, out: Path) -> int:
     return 0
 
 
-def _orbit_path(cfg: ExperimentConfig, section: str, out: Path) -> Path:
-    configured = cfg.extra.get(section, {}).get("orbit")
-    return Path(configured) if configured else out / "orbit.json"
-
-
 def cmd_classify(cfg: ExperimentConfig, out: Path) -> int:
-    # v1 key: both values run the exact window scan.
-    scan = cfg.extra.get("classify", {}).get("scan", "full")
-    if scan not in ("full", "sampled"):
-        raise ParameterError(f"config field 'classify.scan': unknown scan mode {scan!r}")
-    xi = load_orbit(_orbit_path(cfg, "classify", out))
+    xi = load_orbit(cfg.classify_orbit or out / "orbit.json")
     verdicts = classify_all(xi, cfg)
     dump_json(verdicts, out / "classification.json")
     for name, v in verdicts.items():
@@ -180,7 +121,7 @@ def cmd_classify(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def cmd_repair(cfg: ExperimentConfig, out: Path) -> int:
-    xi = load_orbit(_orbit_path(cfg, "repair", out))
+    xi = load_orbit(cfg.repair_orbit or out / "orbit.json")
     result = repair(xi, cfg.delta, cfg.density_tol, cfg.tail_fraction)
     save_orbit(result.y, out / "repaired.json")
     posterior = is_average_pseudo_orbit(result.y, cfg.delta, max(1, min(result.M, xi.horizon)))
@@ -199,12 +140,9 @@ def cmd_repair(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def cmd_cesaro(cfg: ExperimentConfig, out: Path) -> int:
-    section = cfg.extra.get("cesaro", {})
-    csv_path = section.get("input_csv")
-    if not csv_path:
+    if not cfg.cesaro_csv:
         raise ParameterError("config field 'cesaro.input_csv': required for the cesaro subcommand")
-    values = [float(line) for line in Path(csv_path).read_text().split() if line.strip()]
-    a = BoundedSequence.from_values(values, section.get("bound"))
+    a = BoundedSequence.from_values(load_values(cfg.cesaro_csv), cfg.cesaro_bound)
     means = cesaro_means(a)
     dump_csv([(n + 1, float(v)) for n, v in enumerate(means)], ["n", "cesaro_mean"],
              out / "cesaro_means.csv")
@@ -224,14 +162,11 @@ def cmd_cesaro(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def cmd_concat(cfg: ExperimentConfig, out: Path) -> int:
-    section = cfg.extra.get("concat", {})
-    manifest = section.get("manifest")
-    if not manifest:
+    if not cfg.concat_manifest:
         raise ParameterError("config field 'concat.manifest': required for the concat subcommand")
-    block_paths, N_levels = load_block_plan_manifest(manifest)
+    block_paths, N_levels = load_block_plan_manifest(cfg.concat_manifest)
     plan = BlockPlan(tuple(load_orbit(p) for p in block_paths), tuple(N_levels))
-    _, word = cfg.family_and_word()
-    xi = concatenate(plan, word)
+    xi = concatenate(plan, cfg.word)
     save_orbit(xi, out / "concatenated.json")
     cert = asymptotic_certificate(xi, plan)
     dump_json(cert.to_dict(), out / "concat_certificate.json")
@@ -241,19 +176,16 @@ def cmd_concat(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def cmd_search(cfg: ExperimentConfig, out: Path) -> int:
-    section = cfg.extra.get("search", {})
-    orbit_file = section.get("orbit")
-    xi = load_orbit(orbit_file) if orbit_file else build_orbit(cfg)
-    mode = section.get("mode", "average")
-    if mode == "average":
+    xi = load_orbit(cfg.search_orbit) if cfg.search_orbit else build_orbit(cfg)
+    if cfg.search_mode == "average":
         result = average_shadow_search(xi, cfg.epsilon, cfg.net_mesh, cfg.tail_fraction)
-    elif mode == "m-alpha":
+    elif cfg.search_mode == "m-alpha":
         result = m_alpha_shadow_search(xi, cfg.epsilon, cfg.alpha, cfg.net_mesh,
                                        cfg.tail_fraction)
-    elif mode == "refined":
-        levels = int(section.get("levels", 4))
-        schedule = section.get("mesh_schedule") or [cfg.net_mesh / 2**i for i in range(levels)]
-        refined = refined_asymptotic_search(xi, cfg.epsilon, levels, schedule,
+    else:
+        schedule = (cfg.search_mesh_schedule
+                    or [math.ldexp(cfg.net_mesh, -i) for i in range(cfg.search_levels)])
+        refined = refined_asymptotic_search(xi, cfg.epsilon, cfg.search_levels, schedule,
                                             cfg.tail_fraction)
         dump_json({
             "candidate": refined.candidate.tolist(),
@@ -264,22 +196,16 @@ def cmd_search(cfg: ExperimentConfig, out: Path) -> int:
         }, out / "search.json")
         print(f"refined search: {'ok' if refined.succeeded else f'failed at stage {refined.failed_stage}'}")
         return 0
-    else:
-        raise ParameterError(f"config field 'search.mode': unknown mode {mode!r}")
     dump_json(report_to_dict(result), out / "search.json")
     write_curve(result.report, out / "search_curve.csv")
-    print(f"{mode} search: success={result.success}, "
+    print(f"{cfg.search_mode} search: success={result.success}, "
           f"objective={result.params['scan_objective']:.6g}, net={result.net_size}")
     return 0
 
 
 def cmd_example_disk(cfg: ExperimentConfig, out: Path) -> int:
-    section = cfg.extra.get("example_disk", {})
-    instance = make_decaying_instance(
-        cfg.seed, cfg.horizon,
-        scale=float(section.get("scale", 1.0)),
-        power=float(section.get("power", 2.0)),
-        start=section.get("start"))
+    instance = make_decaying_instance(cfg.seed, cfg.horizon, scale=cfg.disk_scale,
+                                      power=cfg.disk_power, start=cfg.disk_start)
     lhs, rhs, verdict = tracking_inequality_curve(instance)
     ns = np.arange(1, len(lhs) + 1)
     rows = [(int(n), float(l), float(r), float(l / n)) for n, l, r in zip(ns, lhs, rhs)]
@@ -352,40 +278,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Pseudo-orbit laboratory: generate, classify, repair, and search.",
         epilog="Defaults: horizon 10000, tail_fraction 0.5. Exit codes: 0 success, "
                "2 config error, 3 precondition rejection, 4 resource cap.")
-    parser.add_argument("command", choices=SUBCOMMANDS)
+    parser.add_argument("command", choices=tuple(DISPATCH))
     parser.add_argument("--config", type=Path, default=None,
                         help="JSON experiment config (defaults to the built-in disk system)")
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
     parser.add_argument("--horizon", type=int, default=None, help="override config horizon")
-    parser.add_argument("--out", type=Path, default=None, help="override output directory")
+    parser.add_argument("--out", default=None, help="override output directory")
     return parser
-
-
-def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    updates = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.horizon is not None:
-        updates["horizon"] = args.horizon
-    if args.out is not None:
-        updates["out"] = str(args.out)
-    if not updates:
-        return cfg
-    from dataclasses import replace
-    new = replace(cfg, **updates)
-    if new.seed < 0:
-        raise ParameterError("config field 'seed': must be >= 0")
-    if new.horizon < 10:
-        raise ParameterError("config field 'horizon': must be >= 10")
-    check_corruption(new.corruption, len(new.start_point()), new.horizon)
-    return new
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config) if args.config else default_config()
-        cfg = _apply_overrides(cfg, args)
+        cfg = load_config(args.config, seed=args.seed, horizon=args.horizon, out=args.out)
         out = Path(cfg.out)
         out.mkdir(parents=True, exist_ok=True)
         return DISPATCH[args.command](cfg, out)
@@ -396,9 +301,6 @@ def main(argv=None) -> int:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
         return 4
     except (ParameterError, RangeError, DomainError, IntegrityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

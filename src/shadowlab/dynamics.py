@@ -258,6 +258,10 @@ class GeneratorFamily:
     def __post_init__(self):
         if len(self.maps) < 1:
             raise ParameterError("a generator family needs at least one map")
+        sizes = {len(v) for g in self.maps for v in (g.perm, g.offset, g.factors) if v is not None}
+        if sizes - {self.space.dimension}:
+            raise ParameterError(f"maps of sizes {sorted(sizes)} on a space of dimension "
+                                 f"{self.space.dimension}")
 
     @property
     def m(self) -> int:
@@ -552,19 +556,17 @@ def net(space: MetricSpace, mesh: float, cap: int = DEFAULT_NET_CAP) -> np.ndarr
         raise ParameterError("mesh must be positive")
     k = space.dimension
     spacing = min(mesh, 2.0 * mesh / math.sqrt(k))
-    axes = []
-    for lo, hi in zip(space.lo, space.hi):
-        if space.kind == CIRCLE:
-            npts = max(1, math.ceil((hi - lo) / spacing))
-            axes.append(lo + (hi - lo) * np.arange(npts) / npts)
-        else:
-            npts = max(2, math.ceil((hi - lo) / spacing) + 1)
-            axes.append(np.linspace(lo, hi, npts))
-    total = int(np.prod([len(a) for a in axes]))
+    # Points per axis, counted before any axis is built, so that a tiny mesh
+    # hits the cap instead of allocating; an axis is counted at most cap + 1.
+    bounds = list(zip(space.lo, space.hi))
+    cells = [math.ceil(min((hi - lo) / spacing, cap + 1)) for lo, hi in bounds]
+    counts = [max(1, n) if space.kind == CIRCLE else max(2, n + 1) for n in cells]
+    total = math.prod(counts)
     if total > cap:
-        raise ResourceCapError(
-            f"net for mesh {mesh} needs {total} grid points (cap {cap})", required_cap=total
-        )
+        raise ResourceCapError(f"net for mesh {mesh} needs at least {total} grid points "
+                               f"(cap {cap})", required_cap=total)
+    axes = [lo + (hi - lo) * np.arange(n) / n if space.kind == CIRCLE else np.linspace(lo, hi, n)
+            for (lo, hi), n in zip(bounds, counts)]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, k)
     proj = space.project(grid)
     # A grid point is kept when its projection lies within mesh of it, by the

@@ -1,7 +1,9 @@
 """JSON/CSV serialization: pseudo-orbits with error checksums, configs, reports.
 
 Payload files are deterministic (sorted keys, no timestamps) so identical
-config + seed reproduces byte-identical artifacts.
+config + seed reproduces byte-identical artifacts. This module is the one
+place that knows the config format: ``load_config`` checks every field once
+and returns a typed ``ExperimentConfig``.
 """
 
 from __future__ import annotations
@@ -9,13 +11,15 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .dynamics import GeneratorFamily, Word, as_point
-from .errors import DomainError, IntegrityError, ParameterError
+from .density import IndexSet
+from .dynamics import GeneratorFamily, MetricSpace, Word, as_points
+from .errors import IntegrityError, ParameterError
 from .pseudo_orbits import JumpRule, PseudoOrbit, recompute_step_errors
 
 CONFIG_SCHEMA = "shadowlab/config/v1"
@@ -23,21 +27,17 @@ ORBIT_SCHEMA = "shadowlab/pseudo-orbit/v1"
 PLAN_SCHEMA = "shadowlab/block-plan/v1"
 
 
-def to_jsonable(obj):
-    """Recursively convert numpy scalars/arrays for json.dumps."""
+def json_default(obj):
+    """``json.dumps`` hook: numpy arrays as lists, numpy scalars as Python values."""
     if isinstance(obj, np.ndarray):
-        return [to_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
+        return obj.tolist()
+    if isinstance(obj, np.generic):
         return obj.item()
-    if isinstance(obj, dict):
-        return {k: to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def dump_json(obj, path: Path | str) -> None:
-    Path(path).write_text(json.dumps(to_jsonable(obj), sort_keys=True, indent=2) + "\n")
+    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2, default=json_default) + "\n")
 
 
 def dump_csv(rows, header: list[str], path: Path | str) -> None:
@@ -45,6 +45,34 @@ def dump_csv(rows, header: list[str], path: Path | str) -> None:
     for row in rows:
         lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+@contextmanager
+def _input_file(what: str, path):
+    """A missing, unreadable or malformed input file is a ParameterError naming
+    the file; an IntegrityError (a checksum mismatch) passes unchanged."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ParameterError(f"{what} {path}: missing key {exc}") from None
+    except (OSError, AttributeError, TypeError, ValueError) as exc:
+        raise ParameterError(f"{what} {path}: {exc}") from None
+
+
+def _read_object(path) -> dict:
+    data = json.loads(Path(path).read_text())
+    if not isinstance(data, dict):
+        raise ParameterError(f"must hold a JSON object, got a {type(data).__name__}")
+    return data
+
+
+def load_values(path: Path | str) -> np.ndarray:
+    """The finite numbers of a whitespace-separated text file, one value a line."""
+    with _input_file("values file", path):
+        values = np.array([float(v) for v in Path(path).read_text().split()], dtype=np.float64)
+        if not np.all(np.isfinite(values)):
+            raise ParameterError("values must be finite numbers")
+    return values
 
 
 def step_error_checksum(errors: np.ndarray) -> str:
@@ -57,9 +85,9 @@ def orbit_to_dict(xi: PseudoOrbit) -> dict:
         "schema": ORBIT_SCHEMA,
         "system": xi.family.spec(),
         "word": xi.word.spec(),
-        "points": to_jsonable(xi.points),
+        "points": xi.points.tolist(),
         "step_error_checksum": step_error_checksum(xi.step_errors),
-        "meta": to_jsonable(xi.meta),
+        "meta": xi.meta,
     }
 
 
@@ -69,7 +97,7 @@ def orbit_from_dict(data: dict) -> PseudoOrbit:
         raise ParameterError(f"unsupported orbit schema {data.get('schema')!r}")
     family = GeneratorFamily.from_spec(data["system"])
     word = Word.from_spec(data["word"])
-    points = np.asarray(data["points"], dtype=np.float64)
+    points = as_points(data["points"], family.space.dimension)
     errors = recompute_step_errors(family, word, points)
     checksum = step_error_checksum(errors)
     if checksum != data["step_error_checksum"]:
@@ -84,7 +112,8 @@ def save_orbit(xi: PseudoOrbit, path: Path | str) -> None:
 
 
 def load_orbit(path: Path | str) -> PseudoOrbit:
-    return orbit_from_dict(json.loads(Path(path).read_text()))
+    with _input_file("orbit file", path):
+        return orbit_from_dict(_read_object(path))
 
 
 def save_block_plan_manifest(block_paths: list[str], N_levels: list[int],
@@ -94,57 +123,61 @@ def save_block_plan_manifest(block_paths: list[str], N_levels: list[int],
 
 
 def load_block_plan_manifest(path: Path | str) -> tuple[list[Path], list[int]]:
-    data = json.loads(Path(path).read_text())
-    if data.get("schema") != PLAN_SCHEMA:
-        raise ParameterError(f"unsupported plan schema {data.get('schema')!r}")
-    base = Path(path).parent
-    return [base / p for p in data["blocks"]], [int(n) for n in data["N_levels"]]
+    with _input_file("plan manifest", path):
+        data = _read_object(path)
+        if data.get("schema") != PLAN_SCHEMA:
+            raise ParameterError(f"unsupported plan schema {data.get('schema')!r}")
+        base = Path(path).parent
+        return [base / p for p in data["blocks"]], [int(n) for n in data["N_levels"]]
 
 
 # ---------------------------------------------------------------------------
 # Experiment configuration
 
+# Run when no config file is given: the unit disk, a coordinate swap and a halving, alternating.
+DEFAULT_SYSTEM = {
+    "space": {"kind": "unit-disk-2d"},
+    "maps": [{"kind": "permutation", "perm": [1, 0]},
+             {"kind": "scale", "factors": [0.5, 0.5]}],
+    "word": {"kind": "periodic", "m": 2, "pattern": [1, 2]},
+    "start": [1.0, 0.0],
+}
+THRESHOLDS = {"delta": 0.4, "epsilon": 0.2, "alpha": 0.9, "tol": 0.01, "density_tol": 0.01}
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description shared by all subcommands."""
+    """One validated experiment, shared by all subcommands: the built system,
+    the thresholds, the corruption and each subcommand section, every field
+    typed and checked when the config is loaded. An input file left out is None."""
 
-    system: dict
-    seed: int = 0
-    horizon: int = 10_000
-    tail_fraction: float = 0.5
-    out: str = "out"
-    thresholds: dict = field(default_factory=dict)
-    net_mesh: float = 0.1
-    corruption: dict = field(default_factory=dict)
-    extra: dict = field(default_factory=dict)
-
-    @property
-    def delta(self) -> float:
-        return float(self.thresholds.get("delta", 0.4))
-
-    @property
-    def epsilon(self) -> float:
-        return float(self.thresholds.get("epsilon", 0.2))
-
-    @property
-    def alpha(self) -> float:
-        return float(self.thresholds.get("alpha", 0.9))
-
-    @property
-    def tol(self) -> float:
-        return float(self.thresholds.get("tol", 0.01))
-
-    @property
-    def density_tol(self) -> float:
-        return float(self.thresholds.get("density_tol", 0.01))
-
-    def family_and_word(self) -> tuple[GeneratorFamily, Word]:
-        family = GeneratorFamily.from_spec(self.system)
-        return family, Word.from_spec(self.system["word"])
-
-    def start_point(self) -> np.ndarray:
-        return np.asarray(self.system["start"], dtype=np.float64)
+    family: GeneratorFamily
+    word: Word
+    start: np.ndarray
+    seed: int
+    horizon: int
+    tail_fraction: float
+    out: str
+    net_mesh: float
+    delta: float
+    epsilon: float
+    alpha: float
+    tol: float
+    density_tol: float
+    corruption_indices: IndexSet
+    jump: JumpRule
+    classify_orbit: str | None
+    repair_orbit: str | None
+    cesaro_csv: str | None
+    cesaro_bound: float | None
+    concat_manifest: str | None
+    search_orbit: str | None
+    search_mode: str
+    search_levels: int
+    search_mesh_schedule: list[float] | None
+    disk_scale: float
+    disk_power: float
+    disk_start: np.ndarray | None
 
 
 def _fail(f: str, msg: str):
@@ -165,52 +198,102 @@ def _number(f: str, value, kind=float):
     return out
 
 
+def _positive(f: str, value) -> float:
+    out = _number(f, value)
+    if out <= 0:
+        _fail(f, f"must be positive, got {out}")
+    return out
+
+
+def _at_least(f: str, value, low: int) -> int:
+    out = _number(f, value, int)
+    if out < low:
+        _fail(f, f"must be >= {low}, got {out}")
+    return out
+
+
 def _object(f: str, value) -> dict:
     if not isinstance(value, dict):
         _fail(f, f"must be an object, got {value!r}")
     return value
 
 
+def _text(f: str, value, choices: tuple[str, ...] | None = None) -> str:
+    if not isinstance(value, str) or (choices and value not in choices):
+        _fail(f, f"must be {f'one of {choices}' if choices else 'a string'}, got {value!r}")
+    return value
+
+
+def _optional(check, f: str, value, *args):
+    """None for a missing or null value, else the value as check(f, value, *args) takes it."""
+    return None if value is None else check(f, value, *args)
+
+
 def _point(f: str, value, dimension: int) -> np.ndarray:
-    try:
-        q = as_point(value, dimension)
-    except (TypeError, ValueError, DomainError):
-        q = None
-    if q is None or not np.all(np.isfinite(q)):
+    if not isinstance(value, (list, tuple)) or len(value) != dimension:
         _fail(f, f"must be a point of {dimension} finite coordinates, got {value!r}")
-    return q
+    return np.array([_number(f, v) for v in value], dtype=np.float64)
 
 
-def check_corruption(section, dimension: int, horizon: int) -> None:
-    """Types and ranges of the corruption section, for a space of the given
-    dimension; the index kind is checked where the index set is built."""
-    indices = _object("corruption.indices", _object("corruption", section).get("indices", {}))
-    if "density" in indices:
-        if not 0 <= _number("corruption.indices.density", indices["density"]) <= 1:
-            _fail("corruption.indices.density", "must lie in [0, 1]")
-    if "base" in indices and _number("corruption.indices.base", indices["base"], int) < 2:
-        _fail("corruption.indices.base", "must be >= 2")
-    if indices.get("kind") == "explicit":
-        listed = indices.get("indices")
-        if not isinstance(listed, list):
-            _fail("corruption.indices.indices", f"must be a list of step indices, got {listed!r}")
-        for v in listed:
-            if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < horizon:
-                _fail("corruption.indices.indices",
-                      f"must hold integers in [0, {horizon}), got {v!r}")
+def _member(f: str, value, space: MetricSpace) -> np.ndarray:
+    p = _point(f, value, space.dimension)
+    if not space.contains(p):
+        _fail(f, f"must be a point of the {space.kind} space, got {value!r}")
+    return p
+
+
+def _power(f: str, value, horizon: int) -> float:
+    """An exponent p with horizon ** p a normal float: offsets divide by (j + 1) ** p, j < horizon."""
+    p = _number(f, value)
+    if abs(p) * math.log(horizon) > 700:
+        _fail(f, f"{horizon} ** power is out of floating-point range")
+    return p
+
+
+def _corruption(section, dimension: int, horizon: int, seed: int) -> tuple[IndexSet, JumpRule]:
+    """The corrupted steps and the jump rule of the corruption section."""
+    spec = _object("corruption.indices", _object("corruption", section).get("indices", {}))
+    density = _number("corruption.indices.density", spec.get("density", 0.01))
+    if not 0 <= density <= 1:
+        _fail("corruption.indices.density", "must lie in [0, 1]")
+    base = _at_least("corruption.indices.base", spec.get("base", 2), 2)
+    kind, H = spec.get("kind", "none"), horizon
+    if kind == "none":
+        steps = []
+    elif kind == "all":
+        steps = range(H)
+    elif kind == "squares":
+        steps = (k * k for k in range(math.isqrt(H - 1) + 1))
+    elif kind == "evens":
+        steps = range(0, H, 2)
+    elif kind == "powers":
+        steps, v = [], 1
+        while v < H:
+            steps.append(v)
+            v *= base
+    elif kind == "explicit":
+        steps = spec.get("indices")
+        if not isinstance(steps, list):
+            _fail("corruption.indices.indices", f"must be a list of step indices, got {steps!r}")
+        for v in steps:
+            if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < H:
+                _fail("corruption.indices.indices", f"must hold integers in [0, {H}), got {v!r}")
+    elif kind == "random":
+        steps = np.flatnonzero(np.random.default_rng(seed).random(H) < density)
+    else:
+        _fail("corruption.indices.kind", f"unknown kind {kind!r}")
     jump = _object("corruption.jump", section.get("jump", {"kind": "uniform"}))
     if "kind" not in jump:
         _fail("corruption.jump.kind", "required")
     _number("corruption.jump.scale", jump.get("scale", 1.0))
-    # Offset sizes divide by (j + 1) ** power for j < horizon: keep it a normal float.
-    if abs(_number("corruption.jump.power", jump.get("power", 0.0))) * math.log(horizon) > 700:
-        _fail("corruption.jump.power", f"{horizon} ** power is out of floating-point range")
+    _power("corruption.jump.power", jump.get("power", 0.0), H)
     if jump.get("kind") == "fixed" or jump.get("point") is not None:
         _point("corruption.jump.point", jump.get("point"), dimension)
     try:
-        JumpRule.from_spec(jump)
+        rule = JumpRule.from_spec(jump)
     except ParameterError as exc:
         _fail("corruption.jump", str(exc))
+    return IndexSet.from_iterable(steps, H), rule
 
 
 def validate_config(data: dict) -> ExperimentConfig:
@@ -221,31 +304,20 @@ def validate_config(data: dict) -> ExperimentConfig:
     for key in ("space", "maps", "word", "start"):
         if key not in system:
             _fail(f"system.{key}", "required")
-    seed = _number("seed", data.get("seed", 0), int)
-    if seed < 0:
-        _fail("seed", f"must be >= 0, got {seed}")
-    horizon = _number("horizon", data.get("horizon", 10_000), int)
-    if horizon < 10:
-        _fail("horizon", f"must be >= 10, got {horizon}")
+    seed = _at_least("seed", data.get("seed", 0), 0)
+    horizon = _at_least("horizon", data.get("horizon", 10_000), 10)
     tail_fraction = _number("tail_fraction", data.get("tail_fraction", 0.5))
     if not 0.0 < tail_fraction < 1.0:
         _fail("tail_fraction", f"must lie in (0,1), got {tail_fraction}")
-    thresholds = {name: _number(f"thresholds.{name}", v)
-                  for name, v in _object("thresholds", data.get("thresholds", {})).items()}
+    given = {**THRESHOLDS, **_object("thresholds", data.get("thresholds", {}))}
+    thresholds = {name: _number(f"thresholds.{name}", v) for name, v in given.items()}
     for name in ("delta", "epsilon", "tol", "density_tol"):
-        if name in thresholds and thresholds[name] <= 0:
+        if thresholds[name] <= 0:
             _fail(f"thresholds.{name}", "must be positive")
-    if "alpha" in thresholds and not 0.0 < thresholds["alpha"] < 1.0:
+    if not 0.0 < thresholds["alpha"] < 1.0:
         _fail("thresholds.alpha", "must lie in (0,1)")
-    net_mesh = _number("net_mesh", data.get("net_mesh", 0.1))
-    if net_mesh <= 0:
-        _fail("net_mesh", "must be positive")
     # v1 key, accepted and ignored: the net scan has no worker count.
-    if _number("threads", data.get("threads", 1), int) < 1:
-        _fail("threads", "must be >= 1")
-    known = {"schema", "system", "seed", "horizon", "tail_fraction", "threads", "out",
-             "thresholds", "net_mesh", "corruption"}
-    extra = {k: v for k, v in data.items() if k not in known}
+    _at_least("threads", data.get("threads", 1), 1)
     try:
         family = GeneratorFamily.from_spec(system)
         word = Word.from_spec(system["word"])
@@ -253,23 +325,45 @@ def validate_config(data: dict) -> ExperimentConfig:
         _fail("system", f"malformed system descriptor ({exc})")
     if word.m > family.m:
         _fail("system.word.m", f"the word has {word.m} symbols, the system {family.m} maps")
-    space = family.space
-    if not space.contains(_point("system.start", system["start"], space.dimension)):
-        _fail("system.start", f"must be a point of the {space.kind} space, "
-                              f"got {system['start']!r}")
-    corruption = data.get("corruption", {})
-    check_corruption(corruption, space.dimension, horizon)
-    return ExperimentConfig(system=system, seed=seed, horizon=horizon,
-                            tail_fraction=tail_fraction,
-                            out=str(data.get("out", "out")), thresholds=thresholds,
-                            net_mesh=net_mesh, corruption=dict(corruption), extra=extra)
+    indices, jump = _corruption(data.get("corruption", {}), family.space.dimension, horizon, seed)
+
+    classify, repair, cesaro, concat, search, disk = (
+        _object(name, data.get(name, {}))
+        for name in ("classify", "repair", "cesaro", "concat", "search", "example_disk"))
+    # v1 key: both values run the exact window scan.
+    _text("classify.scan", classify.get("scan", "full"), ("full", "sampled"))
+    schedule = search.get("mesh_schedule")
+    if not isinstance(schedule, (list, type(None))):
+        _fail("search.mesh_schedule", f"must be a list of meshes, got {schedule!r}")
+    return ExperimentConfig(
+        family=family, word=word, start=_member("system.start", system["start"], family.space),
+        seed=seed, horizon=horizon, tail_fraction=tail_fraction,
+        out=_text("out", data.get("out", "out")),
+        net_mesh=_positive("net_mesh", data.get("net_mesh", 0.1)),
+        **{name: thresholds[name] for name in THRESHOLDS}, corruption_indices=indices, jump=jump,
+        classify_orbit=_optional(_text, "classify.orbit", classify.get("orbit")),
+        repair_orbit=_optional(_text, "repair.orbit", repair.get("orbit")),
+        cesaro_csv=_optional(_text, "cesaro.input_csv", cesaro.get("input_csv")),
+        cesaro_bound=_optional(_number, "cesaro.bound", cesaro.get("bound")),
+        concat_manifest=_optional(_text, "concat.manifest", concat.get("manifest")),
+        search_orbit=_optional(_text, "search.orbit", search.get("orbit")),
+        search_mode=_text("search.mode", search.get("mode", "average"),
+                          ("average", "m-alpha", "refined")),
+        search_levels=_at_least("search.levels", search.get("levels", 4), 1),
+        search_mesh_schedule=schedule and [_positive("search.mesh_schedule", v) for v in schedule],
+        disk_scale=_positive("example_disk.scale", disk.get("scale", 1.0)),
+        disk_power=_power("example_disk.power", disk.get("power", 2.0), horizon),
+        disk_start=_optional(_member, "example_disk.start", disk.get("start"),
+                             MetricSpace.unit_disk()))
 
 
-def load_config(path: Path | str) -> ExperimentConfig:
-    try:
-        data = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise ParameterError(f"config file {path} not found")
-    except json.JSONDecodeError as exc:
-        raise ParameterError(f"config file {path} is not valid JSON: {exc}")
+def load_config(path: Path | str | None = None, **overrides) -> ExperimentConfig:
+    """The config file at path, or the built-in system when path is None, with
+    every override that is not None set before the one validation."""
+    if path is None:
+        data = {"schema": CONFIG_SCHEMA, "system": DEFAULT_SYSTEM}
+    else:
+        with _input_file("config file", path):
+            data = _read_object(path)
+    data.update((k, v) for k, v in overrides.items() if v is not None)
     return validate_config(data)

@@ -43,7 +43,7 @@ from shadowlab import (
     window_violation_bound_check,
 )
 from shadowlab.cli import report_to_dict
-from shadowlab.serialize import to_jsonable
+from shadowlab.serialize import json_default
 
 
 def _line(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -214,7 +214,7 @@ def test_criterion_8_search_soundness_and_determinism():
     payloads = []
     for _ in range(3):
         result = average_shadow_search(noisy, eps=0.2, mesh=0.1)
-        payloads.append(json.dumps(to_jsonable(report_to_dict(result)), sort_keys=True).encode())
+        payloads.append(json.dumps(report_to_dict(result), sort_keys=True, default=json_default).encode())
     ok = ok and payloads[0] == payloads[1] == payloads[2]
 
     circle = MetricSpace.circle()

@@ -13,8 +13,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from shadowlab import build_disk_system, true_orbit
 from shadowlab.cli import main
-from shadowlab.serialize import CONFIG_SCHEMA
+from shadowlab.errors import IntegrityError
+from shadowlab.serialize import (
+    CONFIG_SCHEMA,
+    PLAN_SCHEMA,
+    load_orbit,
+    orbit_from_dict,
+    save_orbit,
+)
 
 EXIT_CODES = {0, 2, 3, 4}
 FIELDS = ("seed", "horizon", "tail_fraction", "net_mesh", "threads", "thresholds.delta",
@@ -251,3 +259,262 @@ def test_word_alphabet_larger_than_the_map_count_exits_2(tmp_path, capsys):
     code, err = run(data, tmp_path, "generate", capsys)
     assert code == 2
     assert "config field 'system.word.m'" in err
+
+
+# ---------------------------------------------------------------------------
+# Map sizes and point coordinates
+
+
+@pytest.mark.parametrize("spec", [
+    # The first two ran and broadcast their one coordinate into both; the
+    # affine map ended in a matmul ValueError traceback.
+    {"kind": "scale", "factors": [0.5]},
+    {"kind": "permutation", "perm": [0]},
+    {"kind": "affine", "matrix": [[0.5]], "offset": [0.1]},
+])
+def test_map_of_the_wrong_dimension_exits_2(tmp_path, capsys, spec):
+    data = base_config(tmp_path / "out")
+    data["system"]["maps"][1] = spec
+    code, err = run(data, tmp_path, "generate", capsys)
+    assert code == 2
+    assert "config field 'system'" in err
+
+
+@pytest.mark.parametrize("field, command", [
+    ("system.start", "generate"),
+    ("corruption.jump.point", "generate"),
+    ("example_disk.start", "example-disk"),
+])
+def test_string_coordinates_exit_2_naming_the_point(tmp_path, capsys, field, command):
+    data = base_config(tmp_path / "out")
+    data["corruption"]["jump"] = {"kind": "fixed", "point": [0.1, 0.2]}
+    data["example_disk"] = {"start": [0.1, 0.2]}
+    set_field(data, field, ["0.5", "0.1"])
+    code, err = run(data, tmp_path, command, capsys)
+    assert code == 2
+    assert f"config field {field!r}" in err
+
+
+# ---------------------------------------------------------------------------
+# Subcommand sections, each run through the subcommand that reads it
+
+
+def section_config(tmp: Path, capsys) -> dict:
+    """A config whose sections all point at valid inputs: a true orbit of the
+    system, a one-block plan over it and a short values file. The generated
+    (corrupted) orbit is in the output directory."""
+    data = base_config(tmp / "out")
+    assert run(data, tmp, "generate", capsys)[0] == 0
+    orbit = str(tmp / "true_orbit.json")
+    save_orbit(true_orbit(*build_disk_system(), [0.6, 0.3], 120), orbit)
+    (tmp / "plan.json").write_text(json.dumps(
+        {"schema": PLAN_SCHEMA, "blocks": [orbit], "N_levels": [1]}))
+    (tmp / "values.csv").write_text("\n".join(["1.0"] + ["0.0"] * 99) + "\n")
+    data.update({
+        "classify": {"orbit": orbit, "scan": "full"},
+        "repair": {"orbit": orbit},
+        "cesaro": {"input_csv": str(tmp / "values.csv"), "bound": 1.0},
+        "concat": {"manifest": str(tmp / "plan.json")},
+        "search": {"orbit": orbit, "mode": "refined", "levels": 2,
+                   "mesh_schedule": [0.25, 0.2]},
+        "example_disk": {"scale": 0.5, "power": 2.0, "start": [0.1, 0.2]},
+    })
+    return data
+
+
+# field -> the subcommand that reads it
+SECTION_FIELDS = {
+    "classify": "classify", "classify.orbit": "classify", "classify.scan": "classify",
+    "repair": "repair", "repair.orbit": "repair",
+    "cesaro": "cesaro", "cesaro.input_csv": "cesaro", "cesaro.bound": "cesaro",
+    "concat": "concat", "concat.manifest": "concat",
+    "search": "search", "search.orbit": "search", "search.mode": "search",
+    "search.levels": "search", "search.mesh_schedule": "search",
+    "example_disk": "example-disk", "example_disk.scale": "example-disk",
+    "example_disk.power": "example-disk", "example_disk.start": "example-disk",
+}
+SECTION_NAMES = ("classify", "repair", "cesaro", "concat", "search", "example_disk")
+# null is a valid value (the default) of these fields.
+NULLABLE = ("classify.orbit", "repair.orbit", "cesaro.input_csv", "cesaro.bound",
+            "concat.manifest", "search.orbit", "search.mesh_schedule", "example_disk.start")
+not_strings = st.one_of(st.integers(-3, 3), st.floats(-2.0, 2.0), st.booleans(),
+                        st.lists(st.integers(0, 3), max_size=2),
+                        st.dictionaries(st.sampled_from("ab"), st.integers(0, 3), max_size=2))
+not_meshes = st.one_of(
+    st.text(max_size=4), st.integers(-3, 3), st.booleans(),
+    st.dictionaries(st.sampled_from("ab"), st.integers(0, 3), max_size=2),
+    st.lists(st.one_of(st.text(max_size=2), st.none(), st.integers(-3, 0),
+                       st.sampled_from([math.nan, math.inf])), min_size=1, max_size=3))
+
+
+def section_junk(field: str):
+    if field in SECTION_NAMES:
+        return not_objects
+    if field in ("classify.orbit", "repair.orbit", "cesaro.input_csv", "concat.manifest",
+                 "search.orbit"):
+        return not_strings
+    if field in ("classify.scan", "search.mode"):
+        return st.one_of(not_strings, st.none(), st.text(alphabet="abxyz-", max_size=6))
+    if field == "search.mesh_schedule":
+        return not_meshes
+    return junk.filter(lambda v: v is not None) if field in NULLABLE else junk
+
+
+def run_section(field: str, value, capsys):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        data = section_config(tmp, capsys)
+        set_field(data, field, value)
+        return run(data, tmp, SECTION_FIELDS[field], capsys)
+
+
+@given(data=st.data(), field=st.sampled_from(sorted(SECTION_FIELDS)))
+@fuzz
+def test_malformed_section_field_exits_2_naming_it(capsys, data, field):
+    code, err = run_section(field, data.draw(section_junk(field)), capsys)
+    assert code == 2
+    assert f"config field {field!r}" in err
+
+
+@given(field=st.sampled_from(sorted(SECTION_FIELDS)),
+       value=st.one_of(st.just(MISSING), numbers, not_objects,
+                       st.sampled_from(["full", "sampled", "average", "m-alpha", "refined"]),
+                       st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2),
+                       st.lists(st.floats(0.05, 0.5), max_size=3)))
+@fuzz
+def test_any_section_value_exits_with_a_documented_code(capsys, field, value):
+    code, _ = run_section(field, value, capsys)
+    assert code in EXIT_CODES
+
+
+@pytest.mark.parametrize("field, value", [
+    # Each of these ended in a traceback (ValueError or AttributeError) before.
+    ("search.levels", "abc"),
+    ("search.mesh_schedule", ["a"]),
+    ("search", 5),
+    ("example_disk.scale", "0.5"),
+    ("example_disk.power", "2"),
+    ("example_disk.start", "ab"),
+    ("example_disk", 3),
+    ("cesaro.bound", "x"),
+    ("classify", 5),
+    ("repair", 5),
+    ("concat", 5),
+])
+def test_malformed_section_exits_2_naming_it(tmp_path, capsys, field, value):
+    data = section_config(tmp_path, capsys)
+    set_field(data, field, value)
+    code, err = run(data, tmp_path, SECTION_FIELDS[field], capsys)
+    assert code == 2
+    assert f"config field {field!r}" in err
+
+
+@pytest.mark.parametrize("command", ["generate", "classify", "search", "example-disk"])
+def test_a_bad_section_exits_2_for_every_subcommand(tmp_path, capsys, command):
+    data = section_config(tmp_path, capsys)
+    data["corruption"]["indices"] = {"kind": "cubes"}
+    code, err = run(data, tmp_path, command, capsys)
+    assert code == 2
+    assert "config field 'corruption.indices.kind'" in err
+
+
+def test_short_horizon_override_exits_2(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(base_config(tmp_path / "out")))
+    assert main(["generate", "--config", str(path), "--horizon", "5"]) == 2
+    assert "config field 'horizon'" in capsys.readouterr().err
+
+
+def test_override_replaces_the_field_before_validation(tmp_path, capsys):
+    # The config's own horizon was validated, and rejected, before the override.
+    data = base_config(tmp_path / "out")
+    data["horizon"] = "abc"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    assert main(["generate", "--config", str(path), "--horizon", "60"]) == 0
+    assert load_orbit(tmp_path / "out" / "orbit.json").horizon == 60
+
+
+def test_override_is_checked_against_the_corruption_section(tmp_path, capsys):
+    data = base_config(tmp_path / "out")
+    data["corruption"]["indices"] = {"kind": "explicit", "indices": [3, 50]}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    assert main(["generate", "--config", str(path), "--horizon", "40"]) == 2
+    assert "config field 'corruption.indices.indices'" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Input files: exit 2 naming the file
+
+
+def orbit_variants(orbit: dict) -> dict:
+    return {
+        "invalid.json": "{not json",
+        "list.json": "[1, 2]",
+        "no-system.json": json.dumps({k: v for k, v in orbit.items() if k != "system"}),
+        "3d-points.json": json.dumps({**orbit, "points": [p + [0.0] for p in orbit["points"]]}),
+        "missing.json": None,
+    }
+
+
+@pytest.mark.parametrize("command", ["classify", "repair", "search"])
+@pytest.mark.parametrize("name", sorted(orbit_variants({"points": []})))
+def test_malformed_orbit_file_exits_2_naming_it(tmp_path, capsys, command, name):
+    data = section_config(tmp_path, capsys)
+    text = orbit_variants(json.loads((tmp_path / "out" / "orbit.json").read_text()))[name]
+    path = tmp_path / name
+    if text is not None:
+        path.write_text(text)
+    data[command]["orbit"] = str(path)
+    code, err = run(data, tmp_path, command, capsys)
+    assert code == 2
+    assert f"orbit file {path}" in err
+
+
+@pytest.mark.parametrize("plan", [
+    "{not json", "[1]", json.dumps({"schema": PLAN_SCHEMA, "N_levels": [1]})])
+def test_malformed_plan_manifest_exits_2_naming_it(tmp_path, capsys, plan):
+    data = section_config(tmp_path, capsys)
+    (tmp_path / "plan.json").write_text(plan)
+    code, err = run(data, tmp_path, "concat", capsys)
+    assert code == 2
+    assert f"plan manifest {tmp_path / 'plan.json'}" in err
+
+
+def test_malformed_block_in_a_plan_exits_2_naming_the_block(tmp_path, capsys):
+    data = section_config(tmp_path, capsys)
+    (tmp_path / "block.json").write_text("[]")
+    (tmp_path / "plan.json").write_text(json.dumps(
+        {"schema": PLAN_SCHEMA, "blocks": ["block.json"], "N_levels": [1]}))
+    code, err = run(data, tmp_path, "concat", capsys)
+    assert code == 2
+    assert f"orbit file {tmp_path / 'block.json'}" in err
+
+
+@pytest.mark.parametrize("text", ["0.5\nabc\n", "0.5\nnan\n"])
+def test_non_numeric_values_file_exits_2_naming_it(tmp_path, capsys, text):
+    data = section_config(tmp_path, capsys)
+    (tmp_path / "values.csv").write_text(text)
+    code, err = run(data, tmp_path, "cesaro", capsys)
+    assert code == 2
+    assert f"values file {tmp_path / 'values.csv'}" in err
+
+
+def test_tampered_orbit_file_is_still_an_integrity_error(tmp_path, capsys):
+    data = section_config(tmp_path, capsys)
+    orbit = json.loads((tmp_path / "out" / "orbit.json").read_text())
+    with pytest.raises(IntegrityError):
+        orbit_from_dict({**orbit, "step_error_checksum": "0" * 64})
+    (tmp_path / "tampered.json").write_text(json.dumps({**orbit, "step_error_checksum": "0" * 64}))
+    data["classify"]["orbit"] = str(tmp_path / "tampered.json")
+    code, err = run(data, tmp_path, "classify", capsys)
+    assert code == 2
+    assert "checksum mismatch" in err
+
+
+@pytest.mark.parametrize("command", sorted(set(SECTION_FIELDS.values())))
+def test_section_config_runs_every_subcommand(tmp_path, capsys, command):
+    # The fuzz above varies one field of this config at a time.
+    data = section_config(tmp_path, capsys)
+    assert run(data, tmp_path, command, capsys)[0] == 0

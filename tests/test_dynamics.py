@@ -14,6 +14,7 @@ from shadowlab import (
     net,
     orbit,
 )
+from shadowlab.dynamics import DEFAULT_NET_CAP
 
 
 @pytest.fixture
@@ -179,6 +180,18 @@ def test_net_cap_enforced():
     with pytest.raises(ResourceCapError) as err:
         net(MetricSpace.box([0, 0], [1, 1]), 1e-4, cap=1000)
     assert err.value.required_cap > 1000
+
+
+@pytest.mark.parametrize("space", [MetricSpace.unit_disk(), MetricSpace.circle(),
+                                   MetricSpace.box([0, 0, 0], [1, 2, 3])])
+@pytest.mark.parametrize("mesh", [1e-9, 1e-38, 5e-324])
+def test_net_cap_is_checked_before_any_axis_is_built(space, mesh):
+    # The axes were built before the cap was checked: 1e-38 ended in a numpy
+    # "Maximum allowed size exceeded" ValueError, 5e-324 in an OverflowError
+    # from math.ceil(inf), and 1e-9 asks for an axis of 2e9 points (16 GB).
+    with pytest.raises(ResourceCapError) as err:
+        net(space, mesh)
+    assert err.value.required_cap > DEFAULT_NET_CAP
 
 
 def test_net_circle_covers():

@@ -137,6 +137,6 @@ def test_load_config_roundtrip(tmp_path):
     path.write_text(json.dumps(data))
     cfg = load_config(path)
     assert cfg.horizon == 500
-    family, word = cfg.family_and_word()
+    family, word = cfg.family, cfg.word
     assert family.m == 2
     assert list(word.symbols(4)) == [1, 2, 1, 2]

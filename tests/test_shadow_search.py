@@ -27,7 +27,7 @@ from shadowlab import (
     true_orbit,
 )
 from shadowlab.cli import report_to_dict
-from shadowlab.serialize import to_jsonable
+from shadowlab.serialize import json_default
 
 
 def constant_orbit(p, horizon):
@@ -195,7 +195,7 @@ def test_search_byte_identical_across_repeated_calls():
     payloads = []
     for _ in range(3):
         result = average_shadow_search(xi, eps=0.2, mesh=0.1)
-        payloads.append(json.dumps(to_jsonable(report_to_dict(result)), sort_keys=True).encode())
+        payloads.append(json.dumps(report_to_dict(result), sort_keys=True, default=json_default).encode())
     assert payloads[0] == payloads[1] == payloads[2]
 
 
