@@ -10,7 +10,6 @@ input-file error, 3 precondition-verdict rejection, 4 resource cap.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -48,6 +47,7 @@ from .serialize import (
     save_orbit,
 )
 from .shadow_search import (
+    RefinedSearchResult,
     SearchResult,
     average_shadow_search,
     m_alpha_shadow_search,
@@ -60,30 +60,6 @@ def build_orbit(cfg: ExperimentConfig) -> PseudoOrbit:
         return true_orbit(cfg.family, cfg.word, cfg.start, cfg.horizon)
     return make_corrupted_orbit(cfg.family, cfg.word, cfg.start, cfg.corruption_indices,
                                 cfg.jump, cfg.seed)
-
-
-def report_to_dict(result: SearchResult) -> dict:
-    rep = result.report
-    return {
-        "candidate": rep.candidate.tolist(),
-        "net_index": rep.net_index,
-        "limsup_estimate": rep.limsup_estimate,
-        "hit_lower_density": rep.hit_lower_density,
-        "hit_upper_density": rep.hit_upper_density,
-        "hit_set": rep.hit_set.to_list(),
-        "verdicts": rep.verdicts,
-        "params": rep.params,
-        "success": result.success,
-        "objective": result.objective,
-        "mesh": result.mesh,
-        "net_size": result.net_size,
-        "search_params": result.params,
-    }
-
-
-def write_curve(report, path: Path) -> None:
-    rows = [(n + 1, float(v)) for n, v in enumerate(report.prefix_means)]
-    dump_csv(rows, ["n", "prefix_mean"], path)
 
 
 def classify_all(xi: PseudoOrbit, cfg: ExperimentConfig) -> dict:
@@ -175,29 +151,30 @@ def cmd_concat(cfg: ExperimentConfig, out: Path) -> int:
     return 0
 
 
+def run_search(cfg: ExperimentConfig, mode: str, xi: PseudoOrbit,
+               mesh_schedule: tuple[float, ...] | None = None
+               ) -> SearchResult | RefinedSearchResult:
+    """The configured search of one mode ("average", "m-alpha" or "refined")
+    on xi; the refined search runs mesh_schedule, by default the config's."""
+    if mode == "average":
+        return average_shadow_search(xi, cfg.epsilon, cfg.net_mesh, cfg.tail_fraction)
+    if mode == "m-alpha":
+        return m_alpha_shadow_search(xi, cfg.epsilon, cfg.alpha, cfg.net_mesh,
+                                     cfg.tail_fraction)
+    return refined_asymptotic_search(xi, cfg.epsilon, mesh_schedule or cfg.search_schedule,
+                                     cfg.tail_fraction)
+
+
 def cmd_search(cfg: ExperimentConfig, out: Path) -> int:
     xi = load_orbit(cfg.search_orbit) if cfg.search_orbit else build_orbit(cfg)
-    if cfg.search_mode == "average":
-        result = average_shadow_search(xi, cfg.epsilon, cfg.net_mesh, cfg.tail_fraction)
-    elif cfg.search_mode == "m-alpha":
-        result = m_alpha_shadow_search(xi, cfg.epsilon, cfg.alpha, cfg.net_mesh,
-                                       cfg.tail_fraction)
-    else:
-        schedule = (cfg.search_mesh_schedule
-                    or [math.ldexp(cfg.net_mesh, -i) for i in range(cfg.search_levels)])
-        refined = refined_asymptotic_search(xi, cfg.epsilon, cfg.search_levels, schedule,
-                                            cfg.tail_fraction)
-        dump_json({
-            "candidate": refined.candidate.tolist(),
-            "stages": refined.stages,
-            "candidate_distances": refined.candidate_distances,
-            "failed_stage": refined.failed_stage,
-            "succeeded": refined.succeeded,
-        }, out / "search.json")
-        print(f"refined search: {'ok' if refined.succeeded else f'failed at stage {refined.failed_stage}'}")
+    result = run_search(cfg, cfg.search_mode, xi)
+    dump_json(result.to_dict(), out / "search.json")
+    if isinstance(result, RefinedSearchResult):
+        outcome = "ok" if result.succeeded else f"failed at stage {result.failed_stage}"
+        print(f"refined search: {outcome}")
         return 0
-    dump_json(report_to_dict(result), out / "search.json")
-    write_curve(result.report, out / "search_curve.csv")
+    dump_csv([(n + 1, float(v)) for n, v in enumerate(result.report.prefix_means)],
+             ["n", "prefix_mean"], out / "search_curve.csv")
     print(f"{cfg.search_mode} search: success={result.success}, "
           f"objective={result.params['scan_objective']:.6g}, net={result.net_size}")
     return 0
@@ -224,25 +201,16 @@ def cmd_equivalence_suite(cfg: ExperimentConfig, out: Path) -> int:
     save_orbit(result.y, out / "repaired.json")
     repaired = classify_all(result.y, cfg)
 
-    searches = {}
-    avg_on_repaired = average_shadow_search(result.y, cfg.epsilon, cfg.net_mesh,
-                                            cfg.tail_fraction)
-    searches["average_shadowing_on_repaired"] = report_to_dict(avg_on_repaired)
-    mean_ergodic = average_shadow_search(xi, cfg.epsilon, cfg.net_mesh, cfg.tail_fraction)
-    searches["mean_ergodic_shadowing_on_original"] = report_to_dict(mean_ergodic)
-    m_alpha = m_alpha_shadow_search(xi, cfg.epsilon, cfg.alpha, cfg.net_mesh,
-                                    cfg.tail_fraction)
-    searches["m_alpha_shadowing_on_original"] = report_to_dict(m_alpha)
-    if original["asymptotic_average"]["verdict"]:
-        refined = refined_asymptotic_search(xi, cfg.epsilon, 3,
-                                            [cfg.net_mesh, cfg.net_mesh / 2, cfg.net_mesh / 4],
-                                            cfg.tail_fraction)
-        searches["asymptotic_shadowing_on_original"] = {
-            "stages": refined.stages, "failed_stage": refined.failed_stage,
-            "succeeded": refined.succeeded}
-    else:
-        searches["asymptotic_shadowing_on_original"] = {
-            "skipped": "input is not an asymptotic average pseudo-orbit"}
+    # Each row is what `search` writes for its mode on that orbit.
+    searches = {
+        "average_shadowing_on_repaired": run_search(cfg, "average", result.y).to_dict(),
+        "mean_ergodic_shadowing_on_original": run_search(cfg, "average", xi).to_dict(),
+        "m_alpha_shadowing_on_original": run_search(cfg, "m-alpha", xi).to_dict(),
+        "asymptotic_shadowing_on_original": (
+            run_search(cfg, "refined", xi, (cfg.net_mesh, cfg.net_mesh / 2, cfg.net_mesh / 4))
+            .to_dict() if original["asymptotic_average"]["verdict"]
+            else {"skipped": "input is not an asymptotic average pseudo-orbit"}),
+    }
 
     matrix = {
         "params": {"delta": cfg.delta, "epsilon": cfg.epsilon, "alpha": cfg.alpha,

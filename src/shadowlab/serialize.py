@@ -50,9 +50,11 @@ def dump_csv(rows, header: list[str], path: Path | str) -> None:
 @contextmanager
 def _input_file(what: str, path):
     """A missing, unreadable or malformed input file is a ParameterError naming
-    the file; an IntegrityError (a checksum mismatch) passes unchanged."""
+    the file; an IntegrityError (a checksum mismatch) stays one, naming the file."""
     try:
         yield
+    except IntegrityError as exc:
+        raise IntegrityError(f"{what} {path}: {exc}") from None
     except KeyError as exc:
         raise ParameterError(f"{what} {path}: missing key {exc}") from None
     except (OSError, AttributeError, TypeError, ValueError) as exc:
@@ -127,8 +129,11 @@ def load_block_plan_manifest(path: Path | str) -> tuple[list[Path], list[int]]:
         data = _read_object(path)
         if data.get("schema") != PLAN_SCHEMA:
             raise ParameterError(f"unsupported plan schema {data.get('schema')!r}")
+        levels = data["N_levels"]
+        if not isinstance(levels, list) or not all(map(_integral, levels)):
+            raise ParameterError(f"N_levels must be a list of integers, got {levels!r}")
         base = Path(path).parent
-        return [base / p for p in data["blocks"]], [int(n) for n in data["N_levels"]]
+        return [base / p for p in data["blocks"]], [int(n) for n in levels]
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +178,7 @@ class ExperimentConfig:
     concat_manifest: str | None
     search_orbit: str | None
     search_mode: str
-    search_levels: int
-    search_mesh_schedule: list[float] | None
+    search_schedule: tuple[float, ...]
     disk_scale: float
     disk_power: float
     disk_start: np.ndarray | None
@@ -184,14 +188,20 @@ def _fail(f: str, msg: str):
     raise ParameterError(f"config field {f!r}: {msg}")
 
 
-def _number(f: str, value, kind=float):
-    """A JSON number as an int, or as a finite float; anything else, a string
-    or a bool included, fails naming field f."""
+def _integral(value) -> bool:
+    """Whether value is a JSON number with an integral value; a bool is not."""
+    return not isinstance(value, bool) and (
+        isinstance(value, int) or isinstance(value, float) and value.is_integer())
+
+
+def _number(f: str, value) -> float:
+    """A JSON number as a finite float; anything else, a string or a bool
+    included, fails naming field f."""
     try:
         if isinstance(value, (bool, str)):
             raise TypeError
-        out = kind(value)
-        if kind is float and not math.isfinite(out):
+        out = float(value)
+        if not math.isfinite(out):
             raise ValueError
     except (TypeError, ValueError, OverflowError):
         _fail(f, f"must be a finite number, got {value!r}")
@@ -206,7 +216,10 @@ def _positive(f: str, value) -> float:
 
 
 def _at_least(f: str, value, low: int) -> int:
-    out = _number(f, value, int)
+    """An integral JSON number (2.0 included) as an int of at least low."""
+    if not _integral(value):
+        _fail(f, f"must be an integer, got {value!r}")
+    out = int(value)
     if out < low:
         _fail(f, f"must be >= {low}, got {out}")
     return out
@@ -248,6 +261,25 @@ def _power(f: str, value, horizon: int) -> float:
     if abs(p) * math.log(horizon) > 700:
         _fail(f, f"{horizon} ** power is out of floating-point range")
     return p
+
+
+def _schedule(section: dict, net_mesh: float, epsilon: float) -> tuple[float, ...]:
+    """The refined search's meshes, one a stage: the first search.levels entries of
+    search.mesh_schedule, else net_mesh / 2**i. Stage m's budget is epsilon / 2**m."""
+    levels = _at_least("search.levels", section.get("levels", 4), 1)
+    if math.ldexp(epsilon, -levels) == 0.0:
+        _fail("search.levels", f"epsilon / 2**{levels}, the last stage's budget, is 0")
+    given = section.get("mesh_schedule")
+    if given is None:
+        return tuple(math.ldexp(net_mesh, -i) for i in range(levels))
+    if not isinstance(given, list) or not given:
+        _fail("search.mesh_schedule", f"must be a non-empty list of meshes, got {given!r}")
+    meshes = [_positive("search.mesh_schedule", v) for v in given]
+    if len(meshes) < levels:
+        _fail("search.mesh_schedule", f"has {len(meshes)} entries, search.levels is {levels}")
+    if any(b > a for a, b in zip(meshes, meshes[1:])):
+        _fail("search.mesh_schedule", f"must be non-increasing, got {given!r}")
+    return tuple(meshes[:levels])
 
 
 def _corruption(section, dimension: int, horizon: int, seed: int) -> tuple[IndexSet, JumpRule]:
@@ -332,14 +364,12 @@ def validate_config(data: dict) -> ExperimentConfig:
         for name in ("classify", "repair", "cesaro", "concat", "search", "example_disk"))
     # v1 key: both values run the exact window scan.
     _text("classify.scan", classify.get("scan", "full"), ("full", "sampled"))
-    schedule = search.get("mesh_schedule")
-    if not isinstance(schedule, (list, type(None))):
-        _fail("search.mesh_schedule", f"must be a list of meshes, got {schedule!r}")
+    net_mesh = _positive("net_mesh", data.get("net_mesh", 0.1))
     return ExperimentConfig(
         family=family, word=word, start=_member("system.start", system["start"], family.space),
         seed=seed, horizon=horizon, tail_fraction=tail_fraction,
         out=_text("out", data.get("out", "out")),
-        net_mesh=_positive("net_mesh", data.get("net_mesh", 0.1)),
+        net_mesh=net_mesh,
         **{name: thresholds[name] for name in THRESHOLDS}, corruption_indices=indices, jump=jump,
         classify_orbit=_optional(_text, "classify.orbit", classify.get("orbit")),
         repair_orbit=_optional(_text, "repair.orbit", repair.get("orbit")),
@@ -349,8 +379,7 @@ def validate_config(data: dict) -> ExperimentConfig:
         search_orbit=_optional(_text, "search.orbit", search.get("orbit")),
         search_mode=_text("search.mode", search.get("mode", "average"),
                           ("average", "m-alpha", "refined")),
-        search_levels=_at_least("search.levels", search.get("levels", 4), 1),
-        search_mesh_schedule=schedule and [_positive("search.mesh_schedule", v) for v in schedule],
+        search_schedule=_schedule(search, net_mesh, thresholds["epsilon"]),
         disk_scale=_positive("example_disk.scale", disk.get("scale", 1.0)),
         disk_power=_power("example_disk.power", disk.get("power", 2.0), horizon),
         disk_start=_optional(_member, "example_disk.start", disk.get("start"),

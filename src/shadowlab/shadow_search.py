@@ -8,6 +8,7 @@ exhaustive over a net, so failure is a first-class, reportable outcome.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,30 +103,40 @@ def diameter_bound_check(report: ShadowReport, eta: float, tol: float = 1e-12) -
 # ---------------------------------------------------------------------------
 # Net scans
 
+LIMSUP = "limsup_estimate"
+HIT_DENSITY = "hit_lower_density"
 
-def _scan(xi: PseudoOrbit, P: np.ndarray, eps: float, tail_fraction: float):
-    """Per-candidate tail max of prefix means and tail min of hit density."""
+
+def _scan(xi: PseudoOrbit, P: np.ndarray, objective: str, eps: float,
+          tail_fraction: float) -> np.ndarray:
+    """Per-candidate objective over the tail window: the max of the prefix
+    means of the trace errors t (LIMSUP), or the min of the prefix means of
+    1[t < eps] (HIT_DENSITY)."""
+    hits = objective == HIT_DENSITY
+    extremum = np.minimum if hits else np.maximum
     family = xi.family
-    steps = family.steps
     n_lo = tail_window_start(xi.horizon + 1, tail_fraction)
-    t = family.space.distance(P, xi.points[0])
-    sums = t.copy()
-    hits = (t < eps).astype(np.float64)
-    max_mean = np.full(len(P), -np.inf)
-    min_density = np.full(len(P), np.inf)
-    if 1 >= n_lo:
-        np.maximum(max_mean, sums, out=max_mean)
-        np.minimum(min_density, hits, out=min_density)
-    for j, s in enumerate(family.checked_symbols(xi.word.symbols(xi.horizon)).tolist(), start=1):
-        P = steps[s](P)
-        t = family.space.distance(P, xi.points[j])
-        sums += t
-        hits += t < eps
-        n = j + 1
+    symbols = family.checked_symbols(xi.word.symbols(xi.horizon)).tolist()
+    sums = np.zeros(len(P))
+    best = np.full(len(P), np.inf if hits else -np.inf)
+    # Symbol 0 is the identity: at n = 1 the candidates are scored as they are.
+    for n, (s, x) in enumerate(zip([0, *symbols], xi.points), start=1):
+        P = family.steps[s](P)
+        t = family.space.distance(P, x)
+        sums += t < eps if hits else t
         if n >= n_lo:
-            np.maximum(max_mean, sums / n, out=max_mean)
-            np.minimum(min_density, hits / n, out=min_density)
-    return max_mean, min_density
+            extremum(best, sums / n, out=best)
+    return best
+
+
+def _net_search(xi: PseudoOrbit, objective: str, eps: float, mesh: float,
+                tail_fraction: float, net_cap: int) -> tuple[np.ndarray, int, float, int]:
+    """The best point of the mesh net for objective (LIMSUP is minimised, HIT_DENSITY
+    maximised, ties go to the lowest net index), its index, its value and the net size."""
+    points = net(xi.family.space, mesh, cap=net_cap)
+    values = _scan(xi, points, objective, eps, tail_fraction)
+    best = int(np.argmax(values) if objective == HIT_DENSITY else np.argmin(values))
+    return points[best], best, float(values[best]), len(points)
 
 
 @dataclass(frozen=True)
@@ -139,23 +150,36 @@ class SearchResult:
     net_size: int
     params: dict = field(default_factory=dict)
 
+    def to_dict(self) -> dict:
+        rep = self.report
+        return {
+            "candidate": rep.candidate.tolist(),
+            "net_index": rep.net_index,
+            "limsup_estimate": rep.limsup_estimate,
+            "hit_lower_density": rep.hit_lower_density,
+            "hit_upper_density": rep.hit_upper_density,
+            "hit_set": rep.hit_set.to_list(),
+            "verdicts": rep.verdicts,
+            "params": rep.params,
+            "success": self.success,
+            "objective": self.objective,
+            "mesh": self.mesh,
+            "net_size": self.net_size,
+            "search_params": self.params,
+        }
+
 
 def average_shadow_search(xi: PseudoOrbit, eps: float, mesh: float,
                           tail_fraction: float = DEFAULT_TAIL_FRACTION,
                           net_cap: int = DEFAULT_NET_CAP) -> SearchResult:
     """Minimize the limsup estimate of trace means over a net.
 
-    Success means the minimum is below eps; ties break to the lowest net
-    enumeration index, so results are reproducible.
+    Success means the minimum is below eps.
     """
-    candidates = net(xi.family.space, mesh, cap=net_cap)
-    max_mean, _ = _scan(xi, candidates, eps, tail_fraction)
-    best = int(np.argmin(max_mean))
-    report = trace_report(candidates[best], xi, eps, tail_fraction, net_index=best)
-    scan_objective = float(max_mean[best])
-    return SearchResult(report, scan_objective < eps, "limsup_estimate", mesh,
-                        len(candidates), {"scan_objective": scan_objective, "eps": eps,
-                                          "tail_fraction": tail_fraction})
+    z, index, value, size = _net_search(xi, LIMSUP, eps, mesh, tail_fraction, net_cap)
+    report = trace_report(z, xi, eps, tail_fraction, net_index=index)
+    return SearchResult(report, value < eps, LIMSUP, mesh, size,
+                        {"scan_objective": value, "eps": eps, "tail_fraction": tail_fraction})
 
 
 def m_alpha_shadow_search(xi: PseudoOrbit, eps: float, alpha: float, mesh: float,
@@ -164,15 +188,11 @@ def m_alpha_shadow_search(xi: PseudoOrbit, eps: float, alpha: float, mesh: float
     """Find a net point whose hit set has lower density estimate above alpha."""
     if not 0.0 < alpha < 1.0:
         raise ParameterError(f"alpha must lie in (0,1), got {alpha}")
-    candidates = net(xi.family.space, mesh, cap=net_cap)
-    _, min_density = _scan(xi, candidates, eps, tail_fraction)
-    best = int(np.argmax(min_density))
-    report = trace_report(candidates[best], xi, eps, tail_fraction, alpha=alpha,
-                          net_index=best)
-    best_density = float(min_density[best])
-    return SearchResult(report, best_density > alpha, "hit_lower_density", mesh,
-                        len(candidates), {"scan_objective": best_density, "eps": eps,
-                                          "alpha": alpha, "tail_fraction": tail_fraction})
+    z, index, value, size = _net_search(xi, HIT_DENSITY, eps, mesh, tail_fraction, net_cap)
+    report = trace_report(z, xi, eps, tail_fraction, alpha=alpha, net_index=index)
+    return SearchResult(report, value > alpha, HIT_DENSITY, mesh, size,
+                        {"scan_objective": value, "eps": eps, "alpha": alpha,
+                         "tail_fraction": tail_fraction})
 
 
 @dataclass(frozen=True)
@@ -188,47 +208,44 @@ class RefinedSearchResult:
     def succeeded(self) -> bool:
         return self.failed_stage is None
 
+    def to_dict(self) -> dict:
+        return {
+            "candidate": self.candidate.tolist(),
+            "stages": self.stages,
+            "candidate_distances": self.candidate_distances,
+            "failed_stage": self.failed_stage,
+            "succeeded": self.succeeded,
+        }
 
-def refined_asymptotic_search(xi: PseudoOrbit, eps0: float, levels: int,
-                              mesh_schedule: list[float],
+
+def refined_asymptotic_search(xi: PseudoOrbit, eps0: float, mesh_schedule: list[float],
                               tail_fraction: float = DEFAULT_TAIL_FRACTION,
                               net_cap: int = DEFAULT_NET_CAP) -> RefinedSearchResult:
-    """Stage m seeks a candidate with limsup estimate below eps0 / 2^m.
+    """Stage m scans the net of the m-th mesh for a candidate with limsup
+    estimate below eps0 / 2^m; there is one stage per mesh.
 
     A failed stage stops the refinement and returns the last successful
     candidate, flagged; successive candidate distances diagnose whether
     the stages are converging to one point.
     """
-    if levels < 1:
-        raise ParameterError("levels must be >= 1")
     meshes = [float(v) for v in mesh_schedule]
-    if len(meshes) < levels:
-        raise ParameterError(f"mesh schedule has {len(meshes)} entries, needs {levels}")
+    if not meshes:
+        raise ParameterError("mesh schedule must not be empty")
     if any(b > a for a, b in zip(meshes, meshes[1:])):
         raise ParameterError("mesh schedule must be non-increasing")
 
-    space = xi.family.space
-    stages: list[dict] = []
-    candidates_per_stage: list[np.ndarray] = []
-    failed_stage: int | None = None
-    last_good: np.ndarray | None = None
-    for m in range(1, levels + 1):
-        budget = eps0 / 2.0**m
-        points = net(space, meshes[m - 1], cap=net_cap)
-        max_mean, _ = _scan(xi, points, budget, tail_fraction)
-        best = int(np.argmin(max_mean))
-        estimate = float(max_mean[best])
+    stages, candidates = [], []
+    for m, mesh in enumerate(meshes, start=1):
+        budget = math.ldexp(eps0, -m)
+        z, _, estimate, size = _net_search(xi, LIMSUP, budget, mesh, tail_fraction, net_cap)
         ok = estimate < budget
-        stages.append({"stage": m, "mesh": meshes[m - 1], "budget": budget,
-                       "estimate": estimate, "candidate": points[best].tolist(),
-                       "net_size": len(points), "success": ok})
-        candidates_per_stage.append(points[best])
-        if ok:
-            last_good = points[best]
-        else:
-            failed_stage = m
+        stages.append({"stage": m, "mesh": mesh, "budget": budget, "estimate": estimate,
+                       "candidate": z.tolist(), "net_size": size, "success": ok})
+        candidates.append(z)
+        if not ok:
             break
-    distances = [space.distance(a, b)
-                 for a, b in zip(candidates_per_stage, candidates_per_stage[1:])]
-    final = last_good if last_good is not None else candidates_per_stage[-1]
+    failed_stage = None if ok else m
+    distances = [xi.family.space.distance(a, b) for a, b in zip(candidates, candidates[1:])]
+    # The failed stage's candidate is returned only when no stage succeeded.
+    final = candidates[-2] if failed_stage and failed_stage > 1 else candidates[-1]
     return RefinedSearchResult(final, stages, distances, failed_stage)

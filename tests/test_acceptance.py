@@ -42,7 +42,6 @@ from shadowlab import (
     verify_equivalence,
     window_violation_bound_check,
 )
-from shadowlab.cli import report_to_dict
 from shadowlab.serialize import json_default
 
 
@@ -214,7 +213,7 @@ def test_criterion_8_search_soundness_and_determinism():
     payloads = []
     for _ in range(3):
         result = average_shadow_search(noisy, eps=0.2, mesh=0.1)
-        payloads.append(json.dumps(report_to_dict(result), sort_keys=True, default=json_default).encode())
+        payloads.append(json.dumps(result.to_dict(), sort_keys=True, default=json_default).encode())
     ok = ok and payloads[0] == payloads[1] == payloads[2]
 
     circle = MetricSpace.circle()
@@ -234,7 +233,7 @@ def test_criterion_9_refined_search_budgets():
     xi = inst.xi
     eps0 = 0.4
     meshes = [0.2, 0.1, 0.05, 0.025]
-    result = refined_asymptotic_search(xi, eps0=eps0, levels=4, mesh_schedule=meshes)
+    result = refined_asymptotic_search(xi, eps0=eps0, mesh_schedule=meshes)
     ok = result.succeeded
     for m, stage in enumerate(result.stages, start=1):
         if stage["estimate"] > 1.2 * eps0 / 2**m:

@@ -202,13 +202,39 @@ def test_full_pipeline_byte_identical_across_runs(tmp_path):
     cfg = write_config(tmp_path, horizon=2000,
                        corruption={"indices": {"kind": "squares"},
                                    "jump": {"kind": "uniform"}})
+    # The m-alpha and refined searches of the generated orbit, each in its own directory.
+    searches = []
+    for mode in ("m-alpha", "refined"):
+        (tmp_path / mode).mkdir()
+        searches.append(write_config(tmp_path / mode, search={
+            "mode": mode, "levels": 3, "orbit": str(tmp_path / "out" / "orbit.json")}))
     outputs = {}
     for run in ("first", "second"):
         for command in ("generate", "classify", "repair", "search"):
             assert main([command, "--config", str(cfg)]) == 0
-        outputs[run] = {p.name: p.read_bytes()
-                        for p in sorted((tmp_path / "out").iterdir())}
+        for search in searches:
+            assert main(["search", "--config", str(search)]) == 0
+        outputs[run] = {str(p.relative_to(tmp_path)): p.read_bytes()
+                        for p in sorted(tmp_path.rglob("*")) if p.is_file()}
+    assert len(outputs["first"]) == 12
     assert outputs["first"] == outputs["second"]
+
+
+def test_equivalence_suite_rows_are_search_outputs(tmp_path):
+    corruption = {"indices": {"kind": "squares"}, "jump": {"kind": "uniform"}}
+    cfg = write_config(tmp_path, horizon=2000, corruption=corruption, search={"levels": 3})
+    assert main(["equivalence-suite", "--config", str(cfg)]) == 0
+    out = tmp_path / "out"
+    rows = json.loads((out / "equivalence_matrix.json").read_text())["searches"]
+    for row, mode, orbit in (("average_shadowing_on_repaired", "average", "repaired.json"),
+                             ("mean_ergodic_shadowing_on_original", "average", "orbit.json"),
+                             ("m_alpha_shadowing_on_original", "m-alpha", "orbit.json"),
+                             ("asymptotic_shadowing_on_original", "refined", "orbit.json")):
+        search = write_config(tmp_path, horizon=2000, corruption=corruption,
+                              out=str(tmp_path / mode), search={
+                                  "levels": 3, "mode": mode, "orbit": str(out / orbit)})
+        assert main(["search", "--config", str(search)]) == 0
+        assert json.loads((tmp_path / mode / "search.json").read_text()) == rows[row], row
 
 
 def test_classify_scan_key_is_accepted_and_exact(tmp_path):

@@ -409,6 +409,79 @@ def test_malformed_section_exits_2_naming_it(tmp_path, capsys, field, value):
     assert f"config field {field!r}" in err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("seed", 2.7),
+    ("horizon", 99.9),
+    ("corruption.indices.base", 2.5),
+    ("search.levels", 2.5),
+    ("search.mesh_schedule", [0.25]),
+    ("search.mesh_schedule", [0.2, 0.25]),
+    ("search.mesh_schedule", []),
+])
+def test_non_integral_or_inconsistent_field_exits_2_naming_it(tmp_path, capsys, field, value):
+    # Each of these ran before, truncated or with a default, or exited 2 naming no field.
+    data = section_config(tmp_path, capsys)
+    set_field(data, field, value)
+    code, err = run(data, tmp_path, "search", capsys)
+    assert code == 2
+    assert f"config field {field!r}" in err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("seed", 2.0), ("horizon", 100.0), ("corruption.indices.base", 3.0), ("search.levels", 2.0)])
+def test_integral_float_still_loads(tmp_path, capsys, field, value):
+    data = section_config(tmp_path, capsys)
+    set_field(data, field, value)
+    assert run(data, tmp_path, "search", capsys)[0] == 0
+
+
+def test_levels_with_a_zero_last_budget_exits_2_before_building_a_schedule(tmp_path, capsys):
+    # With no mesh_schedule, a default schedule of 10**9 meshes was built first.
+    data = section_config(tmp_path, capsys)
+    data["search"] = {"mode": "refined", "levels": 1_000_000_000}
+    code, err = run(data, tmp_path, "search", capsys)
+    assert code == 2
+    assert "config field 'search.levels'" in err
+
+
+def true_orbit_refined(tmp: Path, levels: int) -> dict:
+    """A refined search with one 0.5 mesh per level on the true orbit of (0, 0):
+    every stage's best estimate is 0, so every stage succeeds."""
+    data = base_config(tmp / "out")
+    data["horizon"] = 10
+    data["system"]["start"] = [0.0, 0.0]
+    del data["corruption"]
+    data["search"] = {"mode": "refined", "levels": levels, "mesh_schedule": [0.5] * levels}
+    return data
+
+
+def test_levels_whose_budget_underflows_exits_2_naming_it(tmp_path, capsys):
+    # It ended at stage 1 024 in an OverflowError from eps0 / 2.0**m.
+    code, err = run(true_orbit_refined(tmp_path, 1100), tmp_path, "search", capsys)
+    assert code == 2
+    assert "config field 'search.levels'" in err
+
+
+def test_refined_search_runs_past_stage_1024(tmp_path, capsys):
+    assert run(true_orbit_refined(tmp_path, 1050), tmp_path, "search", capsys)[0] == 0
+    result = json.loads((tmp_path / "out" / "search.json").read_text())
+    assert result["succeeded"] is True
+    assert len(result["stages"]) == 1050
+    assert 0.0 < result["stages"][-1]["budget"] == math.ldexp(0.3, -1050)
+
+
+@pytest.mark.parametrize("command", ["classify", "repair", "search"])
+def test_tampered_orbit_file_exits_2_naming_it(tmp_path, capsys, command):
+    data = section_config(tmp_path, capsys)
+    orbit = json.loads((tmp_path / "out" / "orbit.json").read_text())
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps({**orbit, "step_error_checksum": "0" * 64}))
+    data[command]["orbit"] = str(path)
+    code, err = run(data, tmp_path, command, capsys)
+    assert code == 2
+    assert f"orbit file {path}: step-error checksum mismatch" in err
+
+
 @pytest.mark.parametrize("command", ["generate", "classify", "search", "example-disk"])
 def test_a_bad_section_exits_2_for_every_subcommand(tmp_path, capsys, command):
     data = section_config(tmp_path, capsys)
@@ -473,7 +546,9 @@ def test_malformed_orbit_file_exits_2_naming_it(tmp_path, capsys, command, name)
 
 
 @pytest.mark.parametrize("plan", [
-    "{not json", "[1]", json.dumps({"schema": PLAN_SCHEMA, "N_levels": [1]})])
+    "{not json", "[1]", json.dumps({"schema": PLAN_SCHEMA, "N_levels": [1]}),
+    json.dumps({"schema": PLAN_SCHEMA, "blocks": ["true_orbit.json"], "N_levels": [2.5]}),
+    json.dumps({"schema": PLAN_SCHEMA, "blocks": ["true_orbit.json"], "N_levels": ["3"]})])
 def test_malformed_plan_manifest_exits_2_naming_it(tmp_path, capsys, plan):
     data = section_config(tmp_path, capsys)
     (tmp_path / "plan.json").write_text(plan)

@@ -7,7 +7,8 @@ symbol at a time through ``Word.symbol_at`` with the single-point float
 forms written out here (not through the library's step table), and draw
 each jump when it is needed; results must agree bit for bit, and failures
 must raise the same error at the same step. ``net`` and ``trace_report``
-are checked against the per-point and per-step loops they replaced.
+are checked against the per-point and per-step loops they replaced, and the
+one-objective net scan against the two-objective scan it replaced.
 """
 
 import math
@@ -31,7 +32,9 @@ from shadowlab import (
     orbit,
     trace_report,
 )
-from shadowlab.dynamics import CIRCLE, UNIT_DISK, as_point
+from shadowlab.density import tail_window_start
+from shadowlab.dynamics import CIRCLE, DEFAULT_NET_CAP, UNIT_DISK, as_point
+from shadowlab.shadow_search import HIT_DENSITY, LIMSUP, _net_search, _scan
 
 SETTINGS = settings(max_examples=150, deadline=None)
 TOL = 1e-12
@@ -452,6 +455,52 @@ def test_trace_report_matches_per_step_loop(system, horizon, seed):
     z = family.space.sample(rng)
     report = trace_report(z, xi, eps=0.1)
     assert report.trace_errors.tobytes() == reference_trace_errors(xi, z).tobytes()
+
+
+def reference_scan(xi, P, eps, tail_fraction):
+    """The scan that computed both objectives in one pass: per candidate, the
+    tail max of the prefix means of t and the tail min of those of 1[t < eps]."""
+    family = xi.family
+    steps = family.steps
+    n_lo = tail_window_start(xi.horizon + 1, tail_fraction)
+    t = family.space.distance(P, xi.points[0])
+    sums = t.copy()
+    hits = (t < eps).astype(np.float64)
+    max_mean = np.full(len(P), -np.inf)
+    min_density = np.full(len(P), np.inf)
+    if 1 >= n_lo:
+        np.maximum(max_mean, sums, out=max_mean)
+        np.minimum(min_density, hits, out=min_density)
+    for j, s in enumerate(family.checked_symbols(xi.word.symbols(xi.horizon)).tolist(), start=1):
+        P = steps[s](P)
+        t = family.space.distance(P, xi.points[j])
+        sums += t
+        hits += t < eps
+        n = j + 1
+        if n >= n_lo:
+            np.maximum(max_mean, sums / n, out=max_mean)
+            np.minimum(min_density, hits / n, out=min_density)
+    return max_mean, min_density
+
+
+@SETTINGS
+@given(system_and_word(), st.integers(1, 40), st.integers(0, 2**32), unit(0.2, 1.5),
+       unit(0.01, 1.0), unit(0.01, 0.99))
+def test_scan_matches_two_objective_scan(system, horizon, seed, mesh, eps, tail_fraction):
+    family, word, start = system
+    rng = np.random.default_rng(seed)
+    indices = IndexSet.from_mask(rng.random(horizon) < 0.3)
+    xi = make_corrupted_orbit(family, word, start, indices, JumpRule("uniform"), seed)
+    P = net(family.space, mesh)
+    max_mean, min_density = reference_scan(xi, P, eps, tail_fraction)
+    for objective, oracle, pick in ((LIMSUP, max_mean, np.argmin),
+                                    (HIT_DENSITY, min_density, np.argmax)):
+        assert _scan(xi, P, objective, eps, tail_fraction).tobytes() == oracle.tobytes()
+        z, index, value, size = _net_search(xi, objective, eps, mesh, tail_fraction,
+                                            DEFAULT_NET_CAP)
+        assert index == int(pick(oracle))
+        assert z.tobytes() == P[index].tobytes()
+        assert value == float(oracle[index]) and size == len(P)
 
 
 @SETTINGS

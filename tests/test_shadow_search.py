@@ -26,7 +26,6 @@ from shadowlab import (
     trace_report,
     true_orbit,
 )
-from shadowlab.cli import report_to_dict
 from shadowlab.serialize import json_default
 
 
@@ -195,7 +194,7 @@ def test_search_byte_identical_across_repeated_calls():
     payloads = []
     for _ in range(3):
         result = average_shadow_search(xi, eps=0.2, mesh=0.1)
-        payloads.append(json.dumps(report_to_dict(result), sort_keys=True, default=json_default).encode())
+        payloads.append(json.dumps(result.to_dict(), sort_keys=True, default=json_default).encode())
     assert payloads[0] == payloads[1] == payloads[2]
 
 
@@ -266,8 +265,7 @@ def test_refined_true_orbit_stays_put():
     family, word = build_disk_system()
     points = net(family.space, 0.2)
     xi = true_orbit(family, word, points[5], 200)
-    result = refined_asymptotic_search(xi, eps0=0.4, levels=3,
-                                       mesh_schedule=[0.2, 0.2, 0.2])
+    result = refined_asymptotic_search(xi, eps0=0.4, mesh_schedule=[0.2, 0.2, 0.2])
     assert result.succeeded
     assert all(d == 0.0 for d in result.candidate_distances)
     assert all(s["estimate"] == 0.0 for s in result.stages)
@@ -276,7 +274,7 @@ def test_refined_true_orbit_stays_put():
 def test_refined_decaying_disk_budgets():
     xi = decaying_disk_orbit(horizon=2000)
     meshes = [0.2, 0.1, 0.05, 0.05]
-    result = refined_asymptotic_search(xi, eps0=0.4, levels=4, mesh_schedule=meshes)
+    result = refined_asymptotic_search(xi, eps0=0.4, mesh_schedule=meshes)
     assert result.succeeded
     for m, stage in enumerate(result.stages, start=1):
         assert stage["estimate"] < 1.2 * 0.4 / 2**m
@@ -286,8 +284,7 @@ def test_refined_decaying_disk_budgets():
 
 def test_refined_rotation_fails_early():
     xi = rotation_circle_orbit()
-    result = refined_asymptotic_search(xi, eps0=0.4, levels=3,
-                                       mesh_schedule=[0.05, 0.02, 0.01])
+    result = refined_asymptotic_search(xi, eps0=0.4, mesh_schedule=[0.05, 0.02, 0.01])
     assert not result.succeeded
     assert result.failed_stage == 1
     assert not result.stages[0]["success"]
