@@ -15,6 +15,7 @@ import numpy as np
 
 from .density import (
     DEFAULT_TAIL_FRACTION,
+    ROUNDING_TOL,
     IndexSet,
     prefix_density,
     prefix_means,
@@ -25,9 +26,9 @@ from .density import (
 from .errors import ParameterError, PreconditionError
 from .verdict import ClassificationVerdict
 
-DEFAULT_LEVEL_COUNT = 32
-DEFAULT_DENSITY_MARGIN = 0.5
-DEFAULT_MIN_STAGE_RATIO = 2.0
+DEFAULT_LEVELS = tuple(1.0 / k for k in range(1, 33))
+DENSITY_MARGIN = 0.5
+MIN_STAGE_RATIO = 2.0
 
 
 @dataclass(frozen=True)
@@ -56,17 +57,10 @@ class BoundedSequence:
     def horizon(self) -> int:
         return len(self.values)
 
-    def level_set(self, theta: float) -> IndexSet:
-        return IndexSet.from_mask(self.values >= theta)
-
 
 def cesaro_means(a: BoundedSequence) -> np.ndarray:
     """Element n-1 is (1/n) * sum of the first n values, via prefix sums."""
     return prefix_means(a.values)
-
-
-def default_level_schedule(count: int = DEFAULT_LEVEL_COUNT) -> list[float]:
-    return [1.0 / k for k in range(1, count + 1)]
 
 
 @dataclass(frozen=True)
@@ -95,8 +89,6 @@ def _first_certified(cum: np.ndarray, level: float, lo: int, hi: int) -> int | N
 
 
 def extract_null_set(a: BoundedSequence, level_schedule: list[float] | None = None,
-                     density_margin: float = DEFAULT_DENSITY_MARGIN,
-                     min_stage_ratio: float = DEFAULT_MIN_STAGE_RATIO,
                      tail_fraction: float = DEFAULT_TAIL_FRACTION) -> NullSetExtraction:
     """Stage-wise extraction of an index set off which the sequence is small.
 
@@ -107,23 +99,21 @@ def extract_null_set(a: BoundedSequence, level_schedule: list[float] | None = No
     guarantee holds through the horizon; an unreachable boundary truncates
     the schedule (recorded, not an error).
     """
-    levels = list(level_schedule) if level_schedule is not None else default_level_schedule()
+    levels = list(DEFAULT_LEVELS if level_schedule is None else level_schedule)
     if not levels or any(l <= 0 for l in levels):
         raise ParameterError("level schedule must be positive")
     if any(b >= a_ for a_, b in zip(levels, levels[1:])):
         raise ParameterError("level schedule must be strictly decreasing")
-    if not 0.0 < density_margin <= 1.0:
-        raise ParameterError("density margin must lie in (0, 1]")
 
     H = a.horizon
     means = cesaro_means(a)
     tail_mean, _ = tail_extremum(means, tail_fraction)
-    if tail_mean >= levels[0] * density_margin:
+    if tail_mean >= levels[0] * DENSITY_MARGIN:
         raise PreconditionError(
             f"tail Cesàro means reach {tail_mean}, not below "
-            f"level_1 * margin = {levels[0] * density_margin}; sequence is not Cesàro-null "
+            f"level_1 * margin = {levels[0] * DENSITY_MARGIN}; sequence is not Cesàro-null "
             f"at this horizon",
-            witness={"tail_mean_max": tail_mean, "required_below": levels[0] * density_margin})
+            witness={"tail_mean_max": tail_mean, "required_below": levels[0] * DENSITY_MARGIN})
 
     cums = {level: np.cumsum(a.values >= level) for level in levels}
 
@@ -141,7 +131,7 @@ def extract_null_set(a: BoundedSequence, level_schedule: list[float] | None = No
         while k < len(levels):
             level = levels[k]
             Tk = boundaries[-1]
-            lo = Tk + max(1, math.ceil(min_stage_ratio * Tk))
+            lo = Tk + max(1, math.ceil(MIN_STAGE_RATIO * Tk))
             T_next = _first_certified(cums[level], level, lo, H)
             if T_next is None:
                 truncated_at = k
@@ -164,19 +154,19 @@ def extract_null_set(a: BoundedSequence, level_schedule: list[float] | None = No
     J = IndexSet.from_mask(flagged)
     for rec in stages:
         rec["realized_J_density_at_T_next"] = prefix_density(J, rec["T_next"])
-    params = {"levels": levels, "density_margin": density_margin,
-              "min_stage_ratio": min_stage_ratio, "tail_fraction": tail_fraction,
+    params = {"levels": levels, "density_margin": DENSITY_MARGIN,
+              "min_stage_ratio": MIN_STAGE_RATIO, "tail_fraction": tail_fraction,
               "horizon": H, "realized_J_density_at_horizon": prefix_density(J, H)}
     return NullSetExtraction(J, boundaries, stages, truncated_at, params)
 
 
-def threshold_inequality_holds(a: BoundedSequence, theta: float, tol: float = 1e-12) -> bool:
+def threshold_inequality_holds(a: BoundedSequence, theta: float) -> bool:
     """mean_n <= B * prefix_density({i : a_i >= theta}, n) + theta, every n."""
     if theta <= 0:
         raise ParameterError("theta must be positive")
     means = cesaro_means(a)
     dens = prefix_means(a.values >= theta)
-    return bool(np.all(means <= a.bound * dens + theta + tol))
+    return bool(np.all(means <= a.bound * dens + theta + ROUNDING_TOL))
 
 
 def verify_equivalence(a: BoundedSequence, J: IndexSet, tol: float,
@@ -200,9 +190,8 @@ def verify_equivalence(a: BoundedSequence, J: IndexSet, tol: float,
 
     dJ = upper_density_estimate(J, tail_fraction)
     ns = np.arange(n_lo, H + 1, dtype=np.int64)
-    dens_J = np.searchsorted(J.indices, ns) / ns
-    exact_bound = a.bound * dens_J + early_off_mass / ns + off_tail_sup
-    exact_ok = bool(np.all(means[n_lo - 1:] <= exact_bound + 1e-12))
+    exact_bound = a.bound * prefix_means(in_J)[n_lo - 1:] + early_off_mass / ns + off_tail_sup
+    exact_ok = bool(np.all(means[n_lo - 1:] <= exact_bound + ROUNDING_TOL))
 
     direction_i = (off_tail_sup >= tol) or exact_ok
     tail_mean_max, _ = tail_extremum(means, tail_fraction)

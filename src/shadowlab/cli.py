@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .cesaro import BoundedSequence, cesaro_means, extract_null_set, verify_equivalence
-from .concat import BlockPlan, asymptotic_certificate, concatenate
+from .concat import asymptotic_certificate, concatenate
 from .disk_example import aasp_demo, make_decaying_instance, tracking_inequality_curve
 from .errors import (
     DomainError,
@@ -40,7 +40,7 @@ from .serialize import (
     ExperimentConfig,
     dump_csv,
     dump_json,
-    load_block_plan_manifest,
+    load_block_plan,
     load_config,
     load_orbit,
     load_values,
@@ -140,8 +140,7 @@ def cmd_cesaro(cfg: ExperimentConfig, out: Path) -> int:
 def cmd_concat(cfg: ExperimentConfig, out: Path) -> int:
     if not cfg.concat_manifest:
         raise ParameterError("config field 'concat.manifest': required for the concat subcommand")
-    block_paths, N_levels = load_block_plan_manifest(cfg.concat_manifest)
-    plan = BlockPlan(tuple(load_orbit(p) for p in block_paths), tuple(N_levels))
+    plan = load_block_plan(cfg.concat_manifest)
     xi = concatenate(plan, cfg.word)
     save_orbit(xi, out / "concatenated.json")
     cert = asymptotic_certificate(xi, plan)
@@ -151,18 +150,15 @@ def cmd_concat(cfg: ExperimentConfig, out: Path) -> int:
     return 0
 
 
-def run_search(cfg: ExperimentConfig, mode: str, xi: PseudoOrbit,
-               mesh_schedule: tuple[float, ...] | None = None
-               ) -> SearchResult | RefinedSearchResult:
-    """The configured search of one mode ("average", "m-alpha" or "refined")
-    on xi; the refined search runs mesh_schedule, by default the config's."""
+def run_search(cfg: ExperimentConfig, mode: str,
+               xi: PseudoOrbit) -> SearchResult | RefinedSearchResult:
+    """The configured search of one mode ("average", "m-alpha" or "refined") on xi."""
     if mode == "average":
         return average_shadow_search(xi, cfg.epsilon, cfg.net_mesh, cfg.tail_fraction)
     if mode == "m-alpha":
         return m_alpha_shadow_search(xi, cfg.epsilon, cfg.alpha, cfg.net_mesh,
                                      cfg.tail_fraction)
-    return refined_asymptotic_search(xi, cfg.epsilon, mesh_schedule or cfg.search_schedule,
-                                     cfg.tail_fraction)
+    return refined_asymptotic_search(xi, cfg.epsilon, cfg.search_schedule, cfg.tail_fraction)
 
 
 def cmd_search(cfg: ExperimentConfig, out: Path) -> int:
@@ -207,8 +203,7 @@ def cmd_equivalence_suite(cfg: ExperimentConfig, out: Path) -> int:
         "mean_ergodic_shadowing_on_original": run_search(cfg, "average", xi).to_dict(),
         "m_alpha_shadowing_on_original": run_search(cfg, "m-alpha", xi).to_dict(),
         "asymptotic_shadowing_on_original": (
-            run_search(cfg, "refined", xi, (cfg.net_mesh, cfg.net_mesh / 2, cfg.net_mesh / 4))
-            .to_dict() if original["asymptotic_average"]["verdict"]
+            run_search(cfg, "refined", xi).to_dict() if original["asymptotic_average"]["verdict"]
             else {"skipped": "input is not an asymptotic average pseudo-orbit"}),
     }
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import prefix_means
+from .density import ROUNDING_TOL, prefix_means
 from .errors import ParameterError, PreconditionError
 from .pseudo_orbits import PseudoOrbit, recompute_step_errors
 from .dynamics import Word
@@ -19,6 +19,8 @@ from .verdict import ClassificationVerdict
 
 GROWTH_CAP = 20
 GROWTH_RATIO = 8.0
+# Largest deviation of the three-part split from a prefix sum that the certificate accepts.
+SPLIT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -65,20 +67,19 @@ class BlockPlan:
             out.append(out[-1] + m + 1)
         return out
 
-    def growth_floor(self, k: int, cap: int = GROWTH_CAP, ratio: float = GROWTH_RATIO) -> int:
+    def growth_floor(self, k: int) -> int:
         """Desk-scale floor for m_k (1-indexed block)."""
         floor = 1
         if k < len(self.N_levels):
-            floor = max(floor, 2 ** min(self.N_levels[k], cap))
+            floor = max(floor, 2 ** min(self.N_levels[k], GROWTH_CAP))
         if k >= 2:
-            floor = max(floor, int(np.ceil(ratio * self.offsets[k - 1])))
+            floor = max(floor, int(np.ceil(GROWTH_RATIO * self.offsets[k - 1])))
         return floor
 
-    def growth_floor_report(self, cap: int = GROWTH_CAP, ratio: float = GROWTH_RATIO) -> list[dict]:
+    def growth_floor_report(self) -> list[dict]:
         lengths = self.block_lengths
-        return [{"block": k, "m": lengths[k - 1],
-                 "floor": self.growth_floor(k, cap, ratio),
-                 "ok": lengths[k - 1] >= self.growth_floor(k, cap, ratio)}
+        return [{"block": k, "m": lengths[k - 1], "floor": self.growth_floor(k),
+                 "ok": lengths[k - 1] >= self.growth_floor(k)}
                 for k in range(1, len(self.blocks) + 1)]
 
 
@@ -94,7 +95,7 @@ def concatenate(plan: BlockPlan, word: Word) -> PseudoOrbit:
     for k, (block, N) in enumerate(zip(plan.blocks, plan.N_levels), start=1):
         shifted = word.shifted(offsets[k - 1])
         errors = recompute_step_errors(family, shifted, block.points)
-        if float(np.max(np.abs(errors - block.step_errors))) > 1e-12:
+        if float(np.max(np.abs(errors - block.step_errors))) > ROUNDING_TOL:
             raise PreconditionError(
                 f"block {k} is not a pseudo-orbit for the word shifted by {offsets[k - 1]}",
                 witness={"block": k, "offset": offsets[k - 1],
@@ -126,8 +127,7 @@ def _sample_grid(offsets: list[int], horizon: int) -> list[int]:
     return sorted(j for j in js if 1 <= j <= horizon)
 
 
-def asymptotic_certificate(xi: PseudoOrbit, plan: BlockPlan,
-                           tol: float = 1e-9) -> ClassificationVerdict:
+def asymptotic_certificate(xi: PseudoOrbit, plan: BlockPlan) -> ClassificationVerdict:
     """Check the three-part split of prefix sums and the per-boundary targets.
 
     The split (interior block sums + junction sum + tail partial block)
@@ -172,8 +172,8 @@ def asymptotic_certificate(xi: PseudoOrbit, plan: BlockPlan,
                                  "target": 1.0 / n, "below_target": mean < 1.0 / n,
                                  "junction_share": sum(float(e[i]) for i in junction_indices[:n - 1]) / j})
 
-    ok = max_dev <= tol
-    params = {"tol": tol, "horizon": H, "split_records": split_records,
+    ok = max_dev <= SPLIT_TOL
+    params = {"tol": SPLIT_TOL, "horizon": H, "split_records": split_records,
               "boundary_records": boundary_records,
               "growth_floor": plan.growth_floor_report(),
               "note": "boundary targets are heuristic at finite horizon"}

@@ -15,6 +15,8 @@ import numpy as np
 from .errors import ParameterError, RangeError
 
 DEFAULT_TAIL_FRACTION = 0.5
+# Slack for float rounding in the exact finite inequality checks.
+ROUNDING_TOL = 1e-12
 
 
 def tail_window_start(horizon: int, tail_fraction: float) -> int:
@@ -105,8 +107,7 @@ def prefix_density_exact(A: IndexSet, n: int) -> Fraction:
 def _density_extremum(A: IndexSet, tail_fraction: float, mode: str) -> float:
     if A.horizon < 10:
         raise ParameterError(f"density estimates need horizon >= 10, got {A.horizon}")
-    ns = np.arange(1, A.horizon + 1, dtype=np.int64)
-    return tail_extremum(np.searchsorted(A.indices, ns, side="left") / ns, tail_fraction, mode)[0]
+    return tail_extremum(prefix_means(A.mask()), tail_fraction, mode)[0]
 
 
 def upper_density_estimate(A: IndexSet, tail_fraction: float = DEFAULT_TAIL_FRACTION) -> float:

@@ -12,20 +12,24 @@ from functools import cached_property
 
 import numpy as np
 
-from .density import DEFAULT_TAIL_FRACTION, IndexSet
-from .dynamics import GeneratorFamily, GeneratorMap, MetricSpace, Word, as_point, orbit
+from .density import DEFAULT_TAIL_FRACTION, ROUNDING_TOL, IndexSet
+from .dynamics import GeneratorFamily, Word, as_point, orbit
 from .errors import ParameterError, PreconditionError
 from .pseudo_orbits import JumpRule, PseudoOrbit, is_asymptotic_average, make_corrupted_orbit
 
 TRACKING_TOL = 1e-9
+# The worked system as a spec, which the built-in config shares.
+DISK_SYSTEM = {
+    "space": {"kind": "unit-disk-2d"},
+    "maps": [{"kind": "permutation", "perm": [1, 0]},
+             {"kind": "scale", "factors": [0.5, 0.5]}],
+    "word": {"kind": "periodic", "m": 2, "pattern": [1, 2]},
+}
 
 
 def build_disk_system() -> tuple[GeneratorFamily, Word]:
     """Closed unit disk with f_1 = coordinate swap, f_2 = halving, word 1,2,1,2,…"""
-    space = MetricSpace.unit_disk()
-    family = GeneratorFamily(space, (GeneratorMap.permutation((1, 0)),
-                                     GeneratorMap.scale((0.5, 0.5))))
-    return family, Word.periodic((1, 2), m=2)
+    return GeneratorFamily.from_spec(DISK_SYSTEM), Word.from_spec(DISK_SYSTEM["word"])
 
 
 @dataclass(frozen=True)
@@ -108,13 +112,13 @@ def tracking_inequality_check(instance: DiskExampleInstance, n: int):
     return float(lhs[n - 1]), float(rhs[n - 1]), bool(lhs[n - 1] <= rhs[n - 1] + TRACKING_TOL)
 
 
-def step_recurrence_holds(instance: DiskExampleInstance, tol: float = 1e-12) -> bool:
+def step_recurrence_holds(instance: DiskExampleInstance) -> bool:
     """d_{k+1} <= alpha_k + d_k after swaps, <= alpha_k + d_k / 2 after halvings."""
     d = instance.tracking_errors()
     symbols = instance.xi.word.symbols(instance.xi.horizon)
     prev = d[:-1].copy()
     prev[symbols == 2] /= 2.0
-    return bool(np.all(d[1:] <= instance.alphas + prev + tol))
+    return bool(np.all(d[1:] <= instance.alphas + prev + ROUNDING_TOL))
 
 
 def aasp_demo(instance: DiskExampleInstance, tail_fraction: float = DEFAULT_TAIL_FRACTION,

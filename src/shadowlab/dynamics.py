@@ -94,20 +94,20 @@ class MetricSpace:
             return np.mod(p, 1.0)
         return p
 
-    def contains(self, P, tol: float = MEMBERSHIP_TOL):
-        """Membership of a point (a bool) or of each row of P (a bool array)."""
+    def contains(self, P):
+        """Membership of a point (a bool) or of each row of P (an array), within MEMBERSHIP_TOL."""
         q = as_points(P, self.dimension)
         if self.kind == UNIT_DISK:
             if q.ndim == 1:
                 # The 1-d np.linalg.norm without its dispatch, twice as fast as
                 # vecdot; a corrupted orbit tests every jump's landing point.
-                return math.sqrt(q.dot(q)) <= 1.0 + tol
-            return np.linalg.norm(q, axis=1) <= 1.0 + tol
+                return math.sqrt(q.dot(q)) <= 1.0 + MEMBERSHIP_TOL
+            return np.linalg.norm(q, axis=1) <= 1.0 + MEMBERSHIP_TOL
         if self.kind == CIRCLE:
             inside = np.all(np.isfinite(q), axis=-1)
         else:
-            inside = np.all((q >= np.asarray(self.lo) - tol) & (q <= np.asarray(self.hi) + tol),
-                            axis=-1)
+            inside = np.all((q >= np.asarray(self.lo) - MEMBERSHIP_TOL)
+                            & (q <= np.asarray(self.hi) + MEMBERSHIP_TOL), axis=-1)
         return bool(inside) if q.ndim == 1 else inside
 
     def distance(self, P, Q):

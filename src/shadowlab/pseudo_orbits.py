@@ -13,6 +13,7 @@ import numpy as np
 
 from .density import (
     DEFAULT_TAIL_FRACTION,
+    ROUNDING_TOL,
     IndexSet,
     prefix_means,
     tail_extremum,
@@ -75,8 +76,9 @@ class PseudoOrbit:
     def recompute_errors(self) -> np.ndarray:
         return recompute_step_errors(self.family, self.word, self.points)
 
-    def cache_consistent(self, tol: float = 1e-12) -> bool:
-        return bool(np.max(np.abs(self.recompute_errors() - self.step_errors), initial=0.0) <= tol)
+    def cache_consistent(self) -> bool:
+        gap = np.max(np.abs(self.recompute_errors() - self.step_errors), initial=0.0)
+        return bool(gap <= ROUNDING_TOL)
 
     def exceptional_set(self, delta: float) -> IndexSet:
         """Indices whose step error reaches delta."""

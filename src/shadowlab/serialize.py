@@ -17,7 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .concat import BlockPlan
 from .density import IndexSet
+from .disk_example import DISK_SYSTEM
 from .dynamics import GeneratorFamily, MetricSpace, Word, as_points
 from .errors import IntegrityError, ParameterError
 from .pseudo_orbits import JumpRule, PseudoOrbit, recompute_step_errors
@@ -136,17 +138,17 @@ def load_block_plan_manifest(path: Path | str) -> tuple[list[Path], list[int]]:
         return [base / p for p in data["blocks"]], [int(n) for n in levels]
 
 
+def load_block_plan(path: Path | str) -> BlockPlan:
+    """The manifest's plan over its loaded blocks; a plan they do not fit names the manifest."""
+    block_paths, N_levels = load_block_plan_manifest(path)
+    blocks = tuple(load_orbit(p) for p in block_paths)
+    with _input_file("plan manifest", path):
+        return BlockPlan(blocks, tuple(N_levels))
+
+
 # ---------------------------------------------------------------------------
 # Experiment configuration
 
-# Run when no config file is given: the unit disk, a coordinate swap and a halving, alternating.
-DEFAULT_SYSTEM = {
-    "space": {"kind": "unit-disk-2d"},
-    "maps": [{"kind": "permutation", "perm": [1, 0]},
-             {"kind": "scale", "factors": [0.5, 0.5]}],
-    "word": {"kind": "periodic", "m": 2, "pattern": [1, 2]},
-    "start": [1.0, 0.0],
-}
 THRESHOLDS = {"delta": 0.4, "epsilon": 0.2, "alpha": 0.9, "tol": 0.01, "density_tol": 0.01}
 
 
@@ -266,7 +268,7 @@ def _power(f: str, value, horizon: int) -> float:
 def _schedule(section: dict, net_mesh: float, epsilon: float) -> tuple[float, ...]:
     """The refined search's meshes, one a stage: the first search.levels entries of
     search.mesh_schedule, else net_mesh / 2**i. Stage m's budget is epsilon / 2**m."""
-    levels = _at_least("search.levels", section.get("levels", 4), 1)
+    levels = _at_least("search.levels", section.get("levels", 3), 1)
     if math.ldexp(epsilon, -levels) == 0.0:
         _fail("search.levels", f"epsilon / 2**{levels}, the last stage's budget, is 0")
     given = section.get("mesh_schedule")
@@ -308,7 +310,7 @@ def _corruption(section, dimension: int, horizon: int, seed: int) -> tuple[Index
         if not isinstance(steps, list):
             _fail("corruption.indices.indices", f"must be a list of step indices, got {steps!r}")
         for v in steps:
-            if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < H:
+            if not _integral(v) or not 0 <= v < H:
                 _fail("corruption.indices.indices", f"must hold integers in [0, {H}), got {v!r}")
     elif kind == "random":
         steps = np.flatnonzero(np.random.default_rng(seed).random(H) < density)
@@ -390,7 +392,7 @@ def load_config(path: Path | str | None = None, **overrides) -> ExperimentConfig
     """The config file at path, or the built-in system when path is None, with
     every override that is not None set before the one validation."""
     if path is None:
-        data = {"schema": CONFIG_SCHEMA, "system": DEFAULT_SYSTEM}
+        data = {"schema": CONFIG_SCHEMA, "system": {**DISK_SYSTEM, "start": [1.0, 0.0]}}
     else:
         with _input_file("config file", path):
             data = _read_object(path)

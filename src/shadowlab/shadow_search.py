@@ -15,12 +15,13 @@ import numpy as np
 
 from .density import (
     DEFAULT_TAIL_FRACTION,
+    ROUNDING_TOL,
     IndexSet,
     prefix_means,
     tail_extremum,
     tail_window_start,
 )
-from .dynamics import DEFAULT_NET_CAP, as_point, net, orbit
+from .dynamics import as_point, net, orbit
 from .errors import DomainError, ParameterError
 from .pseudo_orbits import PseudoOrbit
 
@@ -48,12 +49,12 @@ class ShadowReport:
         """Build a report from a raw trace-error vector (synthetic or measured)."""
         return _build_report(np.asarray(t, dtype=np.float64), eps, diam, tail_fraction,
                              np.asarray(candidate, dtype=np.float64) if candidate is not None
-                             else np.zeros(1), alpha, None, {})
+                             else np.zeros(1), alpha, None)
 
 
 def _build_report(t: np.ndarray, eps: float, diam: float, tail_fraction: float,
-                  candidate: np.ndarray, alpha: float | None, net_index: int | None,
-                  extra_params: dict) -> ShadowReport:
+                  candidate: np.ndarray, alpha: float | None,
+                  net_index: int | None) -> ShadowReport:
     if eps <= 0:
         raise ParameterError("eps must be positive")
     L = len(t)
@@ -66,8 +67,7 @@ def _build_report(t: np.ndarray, eps: float, diam: float, tail_fraction: float,
     verdicts = {"shadowed_on_average": limsup < eps}
     if alpha is not None:
         verdicts["m_alpha"] = lower > alpha
-    params = {"eps": eps, "alpha": alpha, "tail_fraction": tail_fraction,
-              "length": L, **extra_params}
+    params = {"eps": eps, "alpha": alpha, "tail_fraction": tail_fraction, "length": L}
     return ShadowReport(candidate, t, means, limsup, IndexSet.from_mask(hit_mask),
                         lower, upper, verdicts, params, diam, net_index)
 
@@ -85,19 +85,19 @@ def trace_report(z, xi: PseudoOrbit, eps: float,
     if not space.contains(zp):
         raise DomainError(f"candidate {zp.tolist()} is outside the {space.kind} space")
     t = space.distance(orbit(xi.family, xi.word, zp, xi.horizon + 1), xi.points)
-    return _build_report(t, eps, space.diameter, tail_fraction, zp, alpha, net_index, {})
+    return _build_report(t, eps, space.diameter, tail_fraction, zp, alpha, net_index)
 
 
-def markov_inequality_check(report: ShadowReport, eps: float, tol: float = 1e-12) -> bool:
+def markov_inequality_check(report: ShadowReport, eps: float) -> bool:
     """mean_n >= eps * density({j : t_j >= eps}, n) at every prefix n."""
     miss_density = prefix_means(report.trace_errors >= eps)
-    return bool(np.all(report.prefix_means >= eps * miss_density - tol))
+    return bool(np.all(report.prefix_means >= eps * miss_density - ROUNDING_TOL))
 
 
-def diameter_bound_check(report: ShadowReport, eta: float, tol: float = 1e-12) -> bool:
+def diameter_bound_check(report: ShadowReport, eta: float) -> bool:
     """mean_n <= diam * density({j : t_j >= eta}, n) + eta at every prefix n."""
     big_density = prefix_means(report.trace_errors >= eta)
-    return bool(np.all(report.prefix_means <= report.diam * big_density + eta + tol))
+    return bool(np.all(report.prefix_means <= report.diam * big_density + eta + ROUNDING_TOL))
 
 
 # ---------------------------------------------------------------------------
@@ -130,10 +130,10 @@ def _scan(xi: PseudoOrbit, P: np.ndarray, objective: str, eps: float,
 
 
 def _net_search(xi: PseudoOrbit, objective: str, eps: float, mesh: float,
-                tail_fraction: float, net_cap: int) -> tuple[np.ndarray, int, float, int]:
+                tail_fraction: float) -> tuple[np.ndarray, int, float, int]:
     """The best point of the mesh net for objective (LIMSUP is minimised, HIT_DENSITY
     maximised, ties go to the lowest net index), its index, its value and the net size."""
-    points = net(xi.family.space, mesh, cap=net_cap)
+    points = net(xi.family.space, mesh)
     values = _scan(xi, points, objective, eps, tail_fraction)
     best = int(np.argmax(values) if objective == HIT_DENSITY else np.argmin(values))
     return points[best], best, float(values[best]), len(points)
@@ -170,25 +170,23 @@ class SearchResult:
 
 
 def average_shadow_search(xi: PseudoOrbit, eps: float, mesh: float,
-                          tail_fraction: float = DEFAULT_TAIL_FRACTION,
-                          net_cap: int = DEFAULT_NET_CAP) -> SearchResult:
+                          tail_fraction: float = DEFAULT_TAIL_FRACTION) -> SearchResult:
     """Minimize the limsup estimate of trace means over a net.
 
     Success means the minimum is below eps.
     """
-    z, index, value, size = _net_search(xi, LIMSUP, eps, mesh, tail_fraction, net_cap)
+    z, index, value, size = _net_search(xi, LIMSUP, eps, mesh, tail_fraction)
     report = trace_report(z, xi, eps, tail_fraction, net_index=index)
     return SearchResult(report, value < eps, LIMSUP, mesh, size,
                         {"scan_objective": value, "eps": eps, "tail_fraction": tail_fraction})
 
 
 def m_alpha_shadow_search(xi: PseudoOrbit, eps: float, alpha: float, mesh: float,
-                          tail_fraction: float = DEFAULT_TAIL_FRACTION,
-                          net_cap: int = DEFAULT_NET_CAP) -> SearchResult:
+                          tail_fraction: float = DEFAULT_TAIL_FRACTION) -> SearchResult:
     """Find a net point whose hit set has lower density estimate above alpha."""
     if not 0.0 < alpha < 1.0:
         raise ParameterError(f"alpha must lie in (0,1), got {alpha}")
-    z, index, value, size = _net_search(xi, HIT_DENSITY, eps, mesh, tail_fraction, net_cap)
+    z, index, value, size = _net_search(xi, HIT_DENSITY, eps, mesh, tail_fraction)
     report = trace_report(z, xi, eps, tail_fraction, alpha=alpha, net_index=index)
     return SearchResult(report, value > alpha, HIT_DENSITY, mesh, size,
                         {"scan_objective": value, "eps": eps, "alpha": alpha,
@@ -219,8 +217,7 @@ class RefinedSearchResult:
 
 
 def refined_asymptotic_search(xi: PseudoOrbit, eps0: float, mesh_schedule: list[float],
-                              tail_fraction: float = DEFAULT_TAIL_FRACTION,
-                              net_cap: int = DEFAULT_NET_CAP) -> RefinedSearchResult:
+                              tail_fraction: float = DEFAULT_TAIL_FRACTION) -> RefinedSearchResult:
     """Stage m scans the net of the m-th mesh for a candidate with limsup
     estimate below eps0 / 2^m; there is one stage per mesh.
 
@@ -237,7 +234,7 @@ def refined_asymptotic_search(xi: PseudoOrbit, eps0: float, mesh_schedule: list[
     stages, candidates = [], []
     for m, mesh in enumerate(meshes, start=1):
         budget = math.ldexp(eps0, -m)
-        z, _, estimate, size = _net_search(xi, LIMSUP, budget, mesh, tail_fraction, net_cap)
+        z, _, estimate, size = _net_search(xi, LIMSUP, budget, mesh, tail_fraction)
         ok = estimate < budget
         stages.append({"stage": m, "mesh": mesh, "budget": budget, "estimate": estimate,
                        "candidate": z.tolist(), "net_size": size, "success": ok})

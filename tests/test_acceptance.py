@@ -132,8 +132,8 @@ def test_criterion_4_exact_tracing_inequalities():
             eps = float(rng.uniform(0.01, diam))
             eta = float(rng.uniform(0.01, diam))
             report = ShadowReport.from_trace_errors(t, eps=eps, diam=diam)
-            ok = ok and markov_inequality_check(report, eps, tol=1e-12)
-            ok = ok and diameter_bound_check(report, eta, tol=1e-12)
+            ok = ok and markov_inequality_check(report, eps)
+            ok = ok and diameter_bound_check(report, eta)
         if not ok:
             break
     _line(4, "Markov and diameter inequalities at every prefix, 1000 random traces", ok)
@@ -189,7 +189,7 @@ def test_criterion_7_concatenation_decomposition():
     blocks = tuple(zigzag(m, 0.999 / k) for k, m in enumerate((8, 64, 1024), start=1))
     plan = BlockPlan(blocks, (1, 1, 1))
     xi = concatenate(plan, word)
-    cert = asymptotic_certificate(xi, plan, tol=1e-9)
+    cert = asymptotic_certificate(xi, plan)
     ok = bool(cert)
     for rec in cert.params["split_records"]:
         direct = float(np.sum(xi.step_errors[:rec["j"]]))

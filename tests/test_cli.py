@@ -220,21 +220,32 @@ def test_full_pipeline_byte_identical_across_runs(tmp_path):
     assert outputs["first"] == outputs["second"]
 
 
-def test_equivalence_suite_rows_are_search_outputs(tmp_path):
-    corruption = {"indices": {"kind": "squares"}, "jump": {"kind": "uniform"}}
-    cfg = write_config(tmp_path, horizon=2000, corruption=corruption, search={"levels": 3})
+def assert_suite_rows_are_search_outputs(tmp_path, search: dict, **overrides):
+    """Each suite row equals the search.json of its mode on its orbit."""
+    cfg = write_config(tmp_path, horizon=2000, search=search, **overrides)
     assert main(["equivalence-suite", "--config", str(cfg)]) == 0
     out = tmp_path / "out"
     rows = json.loads((out / "equivalence_matrix.json").read_text())["searches"]
+    assert "stages" in rows["asymptotic_shadowing_on_original"]
     for row, mode, orbit in (("average_shadowing_on_repaired", "average", "repaired.json"),
                              ("mean_ergodic_shadowing_on_original", "average", "orbit.json"),
                              ("m_alpha_shadowing_on_original", "m-alpha", "orbit.json"),
                              ("asymptotic_shadowing_on_original", "refined", "orbit.json")):
-        search = write_config(tmp_path, horizon=2000, corruption=corruption,
-                              out=str(tmp_path / mode), search={
-                                  "levels": 3, "mode": mode, "orbit": str(out / orbit)})
-        assert main(["search", "--config", str(search)]) == 0
+        config = write_config(tmp_path, horizon=2000, out=str(tmp_path / mode), search={
+            **search, "mode": mode, "orbit": str(out / orbit)}, **overrides)
+        assert main(["search", "--config", str(config)]) == 0
         assert json.loads((tmp_path / mode / "search.json").read_text()) == rows[row], row
+
+
+def test_equivalence_suite_rows_are_search_outputs(tmp_path):
+    corruption = {"indices": {"kind": "squares"}, "jump": {"kind": "uniform"}}
+    assert_suite_rows_are_search_outputs(tmp_path, {"levels": 3}, corruption=corruption)
+
+
+def test_equivalence_suite_rows_are_search_outputs_at_the_default_levels(tmp_path):
+    # A true orbit passes every refined stage, so the suite's row had 3 stages
+    # where `search` ran the default 4.
+    assert_suite_rows_are_search_outputs(tmp_path, {})
 
 
 def test_classify_scan_key_is_accepted_and_exact(tmp_path):

@@ -177,8 +177,8 @@ not_objects = st.one_of(st.none(), st.text(max_size=4), st.integers(-3, 3),
                         st.lists(st.integers(0, 3), max_size=3))
 not_integer_lists = st.one_of(
     st.none(), st.text(max_size=4), st.dictionaries(st.sampled_from("ab"), st.integers(0, 3)),
-    st.lists(st.one_of(st.text(max_size=2), st.floats(0.0, 9.0), st.none()), min_size=1,
-             max_size=3))
+    st.lists(st.one_of(st.text(max_size=2), st.floats(0.0, 9.0).filter(lambda v: v % 1),
+                       st.none()), min_size=1, max_size=3))
 
 
 def corruption_junk(field: str):
@@ -230,6 +230,8 @@ def test_any_corruption_value_exits_with_a_documented_code(capsys, field, value,
     # Out of range, or used as given where a number is needed.
     ("corruption.indices.base", {"indices": {"kind": "powers", "base": 1}}),
     ("corruption.indices.indices", {"indices": {"kind": "explicit", "indices": [3, 120]}}),
+    ("corruption.indices.indices", {"indices": {"kind": "explicit", "indices": [2.5]}}),
+    ("corruption.indices.indices", {"indices": {"kind": "explicit", "indices": [True]}}),
     ("corruption.jump.scale", {"jump": {"kind": "offset", "scale": "0.5"}}),
     ("corruption.jump.power", {"jump": {"kind": "offset", "power": 400}}),
     ("corruption.jump.point", {"jump": {"kind": "fixed"}}),
@@ -241,6 +243,18 @@ def test_malformed_corruption_exits_2_naming_it(tmp_path, capsys, field, section
     code, err = run(data, tmp_path, "generate", capsys)
     assert code == 2
     assert f"config field {field!r}" in err
+
+
+def test_explicit_corruption_indices_accept_integral_floats(tmp_path, capsys):
+    # [2.0] exited 2, while every other integer field loads an integral float.
+    orbits = []
+    for indices in ([2, 7], [2.0, 7.0]):
+        data = base_config(tmp_path / "out")
+        data["corruption"] = {"indices": {"kind": "explicit", "indices": indices},
+                              "jump": UNIFORM}
+        assert run(data, tmp_path, "generate", capsys)[0] == 0
+        orbits.append((tmp_path / "out" / "orbit.json").read_bytes())
+    assert orbits[0] == orbits[1]
 
 
 def test_map_spec_that_is_not_numeric_exits_2(tmp_path, capsys):
@@ -548,7 +562,11 @@ def test_malformed_orbit_file_exits_2_naming_it(tmp_path, capsys, command, name)
 @pytest.mark.parametrize("plan", [
     "{not json", "[1]", json.dumps({"schema": PLAN_SCHEMA, "N_levels": [1]}),
     json.dumps({"schema": PLAN_SCHEMA, "blocks": ["true_orbit.json"], "N_levels": [2.5]}),
-    json.dumps({"schema": PLAN_SCHEMA, "blocks": ["true_orbit.json"], "N_levels": ["3"]})])
+    json.dumps({"schema": PLAN_SCHEMA, "blocks": ["true_orbit.json"], "N_levels": ["3"]}),
+    # In range of no block: these exited 2 without naming the manifest.
+    json.dumps({"schema": PLAN_SCHEMA, "blocks": ["true_orbit.json"], "N_levels": [0]}),
+    json.dumps({"schema": PLAN_SCHEMA, "blocks": ["true_orbit.json"], "N_levels": [-1]}),
+    json.dumps({"schema": PLAN_SCHEMA, "blocks": ["true_orbit.json"], "N_levels": [1000000]})])
 def test_malformed_plan_manifest_exits_2_naming_it(tmp_path, capsys, plan):
     data = section_config(tmp_path, capsys)
     (tmp_path / "plan.json").write_text(plan)

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shadowlab import (
     IndexSet,
@@ -13,6 +15,7 @@ from shadowlab import (
     prefix_density_exact,
     upper_density_estimate,
 )
+from shadowlab.density import tail_window_start
 
 
 def evens(horizon):
@@ -119,3 +122,21 @@ def test_index_set_complement_partitions():
 def test_small_horizon_rejected():
     with pytest.raises(ParameterError):
         upper_density_estimate(IndexSet.from_iterable([0], 5))
+
+
+@st.composite
+def index_sets(draw):
+    horizon = draw(st.integers(10, 2_000))
+    density = draw(st.floats(0.0, 1.0))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return IndexSet.from_mask(np.random.default_rng(seed).random(horizon) < density)
+
+
+@given(A=index_sets(), tail_fraction=st.floats(0.01, 0.99))
+@settings(max_examples=150, deadline=None)
+def test_density_estimates_are_the_scalar_prefix_density_extrema(A, tail_fraction):
+    # Oracle: the scalar prefix_density at every n of the tail window.
+    n_lo = tail_window_start(A.horizon, tail_fraction)
+    scalar = [prefix_density(A, n) for n in range(n_lo, A.horizon + 1)]
+    assert upper_density_estimate(A, tail_fraction) == max(scalar)
+    assert lower_density_estimate(A, tail_fraction) == min(scalar)

@@ -108,7 +108,7 @@ def test_orbit_points_stay_in_space(disk_family, alternating):
     for _ in range(20):
         z = disk_family.space.sample(rng)
         pts = orbit(disk_family, alternating, z, 50)
-        assert np.all(disk_family.space.contains(pts, tol=1e-12))
+        assert np.all(disk_family.space.contains(pts))
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Cross-version artifact digests.
 
-Each case runs one CLI subcommand on a fixed config and compares the SHA-256
-of every output file with a pinned value. The pinned values were produced by
-the release before the sequential orbit walk (except where a case says
-otherwise), so a change to the dynamics core that alters any artifact byte
-fails here, not only across two runs of the same code. When an artifact is
-meant to change, update its digest and record why in CHANGES.md.
+Each case runs CLI subcommands in order on a fixed config and compares the
+SHA-256 of every output file with a pinned value. The pinned values of the
+``generate`` and ``example-disk`` cases were produced by the release before
+the sequential orbit walk (except where a case says otherwise); those of the
+other subcommands by the release before the single-valued parameters became
+constants. So a change that alters any artifact byte fails here, not only
+across two runs of the same code. When an artifact is meant to change,
+update its digest and record why in CHANGES.md.
 """
 
 import hashlib
@@ -14,7 +16,9 @@ import json
 import pytest
 
 from shadowlab.cli import main
-from shadowlab.serialize import CONFIG_SCHEMA
+from shadowlab.dynamics import GeneratorFamily, Word
+from shadowlab.pseudo_orbits import true_orbit
+from shadowlab.serialize import CONFIG_SCHEMA, save_block_plan_manifest, save_orbit
 
 DISK_SYSTEM = {
     "space": {"kind": "unit-disk-2d"},
@@ -37,8 +41,11 @@ CIRCLE_ROTATION_SYSTEM = {
     "start": [0.1],
 }
 SQUARES = {"kind": "squares"}
+UNIFORM_SQUARES = {"corruption": {"indices": SQUARES, "jump": {"kind": "uniform"}}}
+DECAYING = {"corruption": {"indices": {"kind": "all"},
+                           "jump": {"kind": "offset", "scale": 0.5, "power": 1.5}}}
 
-# case -> (subcommand, system, extra config keys)
+# case -> (subcommand or subcommands run in order, system, extra config keys)
 CASES = {
     "disk-uniform": ("generate", DISK_SYSTEM,
                      {"corruption": {"indices": SQUARES, "jump": {"kind": "uniform"}}}),
@@ -63,6 +70,18 @@ CASES = {
     "example-disk-default-start": ("example-disk", DISK_SYSTEM, {}),
     "example-disk-seeded-start": ("example-disk", DISK_SYSTEM,
                                   {"example_disk": {"start": [0.31, -0.42]}}),
+    "classify": (("generate", "classify"), DISK_SYSTEM, UNIFORM_SQUARES),
+    "repair": (("generate", "repair"), DISK_SYSTEM,
+               {**UNIFORM_SQUARES, "thresholds": {"delta": 0.8, "density_tol": 0.2}}),
+    "cesaro": ("cesaro", DISK_SYSTEM, {"cesaro": {"input_csv": "values.txt"}}),
+    "concat": ("concat", DISK_SYSTEM, {"concat": {"manifest": "plan.json"}}),
+    "search-average": ("search", DISK_SYSTEM, UNIFORM_SQUARES),
+    "search-m-alpha": ("search", BOX_AFFINE_SYSTEM,
+                       {"search": {"mode": "m-alpha"}, "thresholds": {"alpha": 0.5}}),
+    "search-refined": ("search", DISK_SYSTEM,
+                       {**DECAYING, "net_mesh": 0.2, "search": {"mode": "refined", "levels": 4}}),
+    # No search section: the refined row runs the default schedule.
+    "equivalence-suite": ("equivalence-suite", DISK_SYSTEM, DECAYING),
 }
 
 GOLDEN = {
@@ -102,20 +121,87 @@ GOLDEN = {
         "example_disk.json":
             "99d3ad676939121d86a43a1ac89c87f118d5cc3a4e5318718cdf776d7a81c094",
     },
+    "classify": {
+        "classification.json":
+            "f8cf1dbd7c998164c47cb480eab4f77d2030ba660ddf1214c89b3d31faa7543c",
+        "orbit.json":
+            "0136cd964ced7fea4664117168db8ba793fb455f52e2d6643660ba5761ad15a2",
+    },
+    "repair": {
+        "orbit.json":
+            "0136cd964ced7fea4664117168db8ba793fb455f52e2d6643660ba5761ad15a2",
+        "repair.json":
+            "6c612137fd9dbad6614c5428cc3491a315acd80697cda70f078f8a1f144eec00",
+        "repaired.json":
+            "ae0f1fd2954298022606edd40273b92fb955bde9ac9ad884509a276e5fc001a0",
+    },
+    "cesaro": {
+        "cesaro.json":
+            "dde27557a37a4f3bb5fab6f4c2687d76fe40b3f1fc6608d0066bc1aac7d24705",
+        "cesaro_means.csv":
+            "518462564b2c8bfb0ddd3a5e02f2906e554215dac8ca6404349c2e714d5c84df",
+    },
+    "concat": {
+        "concat_certificate.json":
+            "12ff587be371d6dd8bdcb0fd03ea9f2909fba710f4d10f99eaac17077ba89751",
+        "concatenated.json":
+            "1fdfe460c95764e34916f1270bb0c324016a10c4b44e1f72dda24b0a805b4865",
+    },
+    "search-average": {
+        "search.json":
+            "adc908bdbaeb4ba54e8af7af61f3300fd2f64e9748803ad06b9eaf131ddfbce6",
+        "search_curve.csv":
+            "4fa38834dd6e94de8630dbd66e1cba03612637aee242605f893075d0190cf94c",
+    },
+    "search-m-alpha": {
+        "search.json":
+            "4243d6a3088a1b7f620a8139f0d2d8b1899958d38eeb6122af129af66e8d8b72",
+        "search_curve.csv":
+            "404e415afcdb4349beacb1aa4f3c6b7b36b348cd84a5d7e3b470330b36955040",
+    },
+    "search-refined": {
+        "search.json":
+            "656e1a0285373c3054293bf28d56c5bb9259fa34c31ee45a849c22ec3b021d33",
+    },
+    "equivalence-suite": {
+        "equivalence_matrix.json":
+            "c930c2915f13bb4593b1233d1e93889f525ddaf9011c1e1b03d663ae0bdbb001",
+        "orbit.json":
+            "bcc217cc290c9822811032dba2431c8e0ce12b87849c49a5aa3d1d9ae26960b1",
+        "repaired.json":
+            "c96a8cd53fe62a2e736915010f939f1e6a96073b6aa4ee74d82ca1d64be27cfe",
+    },
 }
 
 
+def _write_inputs(tmp_path) -> None:
+    """The cesaro values file and the concat blocks and manifest, the same bytes every run."""
+    values = [1.0 if round(n ** 0.5) ** 2 == n else 0.5 / (n + 1) for n in range(500)]
+    (tmp_path / "values.txt").write_text("".join(f"{v!r}\n" for v in values))
+    family = GeneratorFamily.from_spec(DISK_SYSTEM)
+    word = Word.from_spec(DISK_SYSTEM["word"])
+    offset, names = 0, []
+    for k, (m, start) in enumerate(((20, [0.7, 0.1]), (40, [0.2, 0.5]), (80, [-0.3, 0.6])), 1):
+        names.append(f"block{k}.json")
+        save_orbit(true_orbit(family, word.shifted(offset), start, m), tmp_path / names[-1])
+        offset += m + 1
+    save_block_plan_manifest(names, [1, 2, 4], tmp_path / "plan.json")
+
+
 def _run_case(tmp_path, case: str) -> dict[str, str]:
-    command, system, extra = CASES[case]
+    commands, system, extra = CASES[case]
+    _write_inputs(tmp_path)
     out = tmp_path / "out"
     config = {"schema": CONFIG_SCHEMA, "seed": 17, "horizon": 500, "out": str(out),
               "system": system, **extra}
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
-    assert main([command, "--config", str(path)]) == 0
+    for command in (commands,) if isinstance(commands, str) else commands:
+        assert main([command, "--config", str(path)]) == 0
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_artifact_digests_match_pinned_values(tmp_path, case):
+def test_artifact_digests_match_pinned_values(tmp_path, monkeypatch, case):
+    monkeypatch.chdir(tmp_path)  # the input file names in CASES are relative
     assert _run_case(tmp_path, case) == GOLDEN[case]

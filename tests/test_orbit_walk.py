@@ -33,7 +33,7 @@ from shadowlab import (
     trace_report,
 )
 from shadowlab.density import tail_window_start
-from shadowlab.dynamics import CIRCLE, DEFAULT_NET_CAP, UNIT_DISK, as_point
+from shadowlab.dynamics import CIRCLE, UNIT_DISK, as_point
 from shadowlab.shadow_search import HIT_DENSITY, LIMSUP, _net_search, _scan
 
 SETTINGS = settings(max_examples=150, deadline=None)
@@ -496,8 +496,7 @@ def test_scan_matches_two_objective_scan(system, horizon, seed, mesh, eps, tail_
     for objective, oracle, pick in ((LIMSUP, max_mean, np.argmin),
                                     (HIT_DENSITY, min_density, np.argmax)):
         assert _scan(xi, P, objective, eps, tail_fraction).tobytes() == oracle.tobytes()
-        z, index, value, size = _net_search(xi, objective, eps, mesh, tail_fraction,
-                                            DEFAULT_NET_CAP)
+        z, index, value, size = _net_search(xi, objective, eps, mesh, tail_fraction)
         assert index == int(pick(oracle))
         assert z.tobytes() == P[index].tobytes()
         assert value == float(oracle[index]) and size == len(P)
