@@ -51,7 +51,7 @@ class BoundedSequence:
     @classmethod
     def from_values(cls, values, bound: float | None = None) -> "BoundedSequence":
         vals = np.asarray(values, dtype=np.float64)
-        return cls(vals, float(vals.max()) if bound is None else float(bound))
+        return cls(vals, float(vals.max(initial=0.0)) if bound is None else float(bound))
 
     @property
     def horizon(self) -> int:
@@ -115,14 +115,12 @@ def extract_null_set(a: BoundedSequence, level_schedule: list[float] | None = No
             f"at this horizon",
             witness={"tail_mean_max": tail_mean, "required_below": levels[0] * DENSITY_MARGIN})
 
-    cums = {level: np.cumsum(a.values >= level) for level in levels}
-
     boundaries: list[int] = []
     stages: list[dict] = []
     flagged = np.zeros(H, dtype=bool)
     truncated_at: int | None = None
 
-    T1 = _first_certified(cums[levels[0]], levels[0], 1, H)
+    T1 = _first_certified(np.cumsum(a.values >= levels[0]), levels[0], 1, H)
     if T1 is None:
         truncated_at = 0
     else:
@@ -132,12 +130,13 @@ def extract_null_set(a: BoundedSequence, level_schedule: list[float] | None = No
             level = levels[k]
             Tk = boundaries[-1]
             lo = Tk + max(1, math.ceil(MIN_STAGE_RATIO * Tk))
-            T_next = _first_certified(cums[level], level, lo, H)
+            cum = np.cumsum(a.values >= level)
+            T_next = _first_certified(cum, level, lo, H)
             if T_next is None:
                 truncated_at = k
                 break
             flagged[Tk:T_next] |= a.values[Tk:T_next] >= level
-            certified = float(cums[level][T_next - 1] / T_next)
+            certified = float(cum[T_next - 1] / T_next)
             boundaries.append(T_next)
             stages.append({"stage": k, "T": Tk, "T_next": T_next, "level": level,
                            "certified_density": certified})

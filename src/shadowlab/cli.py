@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cesaro import BoundedSequence, cesaro_means, extract_null_set, verify_equivalence
+from .cesaro import cesaro_means, extract_null_set, verify_equivalence
 from .concat import asymptotic_certificate, concatenate
 from .disk_example import aasp_demo, make_decaying_instance, tracking_inequality_curve
 from .errors import (
@@ -43,7 +43,7 @@ from .serialize import (
     load_block_plan,
     load_config,
     load_orbit,
-    load_values,
+    load_sequence,
     save_orbit,
 )
 from .shadow_search import (
@@ -118,7 +118,7 @@ def cmd_repair(cfg: ExperimentConfig, out: Path) -> int:
 def cmd_cesaro(cfg: ExperimentConfig, out: Path) -> int:
     if not cfg.cesaro_csv:
         raise ParameterError("config field 'cesaro.input_csv': required for the cesaro subcommand")
-    a = BoundedSequence.from_values(load_values(cfg.cesaro_csv), cfg.cesaro_bound)
+    a = load_sequence(cfg.cesaro_csv, cfg.cesaro_bound)
     means = cesaro_means(a)
     dump_csv([(n + 1, float(v)) for n, v in enumerate(means)], ["n", "cesaro_mean"],
              out / "cesaro_means.csv")

@@ -87,20 +87,22 @@ def concatenate(plan: BlockPlan, word: Word) -> PseudoOrbit:
     """Lay the blocks end to end against the given word.
 
     Each block must be a pseudo-orbit for the word shifted to its own
-    offset, with prefix mean errors below 1/k beyond N_k; junction step
-    errors are recorded separately in the metadata.
+    offset, with prefix mean errors below 1/k beyond N_k; both checks read
+    the block's slice of the step errors recomputed once over the laid-out
+    points. Junction step errors are recorded separately in the metadata.
     """
     offsets = plan.offsets
     family = plan.blocks[0].family
+    points = np.concatenate([b.points for b in plan.blocks], axis=0)
+    errors = recompute_step_errors(family, word, points)
     for k, (block, N) in enumerate(zip(plan.blocks, plan.N_levels), start=1):
-        shifted = word.shifted(offsets[k - 1])
-        errors = recompute_step_errors(family, shifted, block.points)
-        if float(np.max(np.abs(errors - block.step_errors))) > ROUNDING_TOL:
+        block_errors = errors[offsets[k - 1]:offsets[k] - 1]
+        mismatch = float(np.max(np.abs(block_errors - block.step_errors)))
+        if mismatch > ROUNDING_TOL:
             raise PreconditionError(
                 f"block {k} is not a pseudo-orbit for the word shifted by {offsets[k - 1]}",
-                witness={"block": k, "offset": offsets[k - 1],
-                         "max_error_mismatch": float(np.max(np.abs(errors - block.step_errors)))})
-        means = prefix_means(errors)
+                witness={"block": k, "offset": offsets[k - 1], "max_error_mismatch": mismatch})
+        means = prefix_means(block_errors)
         over = np.flatnonzero(means[N - 1:] >= 1.0 / k)
         if over.size:
             n = N + int(over[0])
@@ -108,8 +110,6 @@ def concatenate(plan: BlockPlan, word: Word) -> PseudoOrbit:
                 f"block {k} has prefix mean {means[n - 1]:.6g} >= 1/{k} at length {n}",
                 witness={"block": k, "n": n, "prefix_mean": float(means[n - 1])})
 
-    points = np.concatenate([b.points for b in plan.blocks], axis=0)
-    errors = recompute_step_errors(family, word, points)
     junction_indices = [offsets[k] - 1 for k in range(1, len(plan.blocks))]
     meta = {"kind": "concatenation", "offsets": offsets,
             "junction_indices": junction_indices,

@@ -17,6 +17,8 @@ from .errors import ParameterError, RangeError
 DEFAULT_TAIL_FRACTION = 0.5
 # Slack for float rounding in the exact finite inequality checks.
 ROUNDING_TOL = 1e-12
+# Shortest horizon whose tail window the density estimates read.
+MIN_DENSITY_HORIZON = 10
 
 
 def tail_window_start(horizon: int, tail_fraction: float) -> int:
@@ -105,8 +107,9 @@ def prefix_density_exact(A: IndexSet, n: int) -> Fraction:
 
 
 def _density_extremum(A: IndexSet, tail_fraction: float, mode: str) -> float:
-    if A.horizon < 10:
-        raise ParameterError(f"density estimates need horizon >= 10, got {A.horizon}")
+    if A.horizon < MIN_DENSITY_HORIZON:
+        raise ParameterError(f"density estimates need horizon >= {MIN_DENSITY_HORIZON}, "
+                             f"got {A.horizon}")
     return tail_extremum(prefix_means(A.mask()), tail_fraction, mode)[0]
 
 

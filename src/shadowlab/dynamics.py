@@ -135,7 +135,10 @@ class MetricSpace:
             return q / np.fmax(np.sqrt(np.vecdot(q, q)), 1.0)[..., None]
         if self.kind == CIRCLE:
             return np.mod(q, 1.0)
-        return np.clip(q, np.asarray(self.lo), np.asarray(self.hi))
+        # A tie goes to the bound in both forms, which np.clip does not do for
+        # signed zeros on every array layout; NaN stays NaN.
+        lo, hi = np.asarray(self.lo), np.asarray(self.hi)
+        return np.where(q <= lo, lo, np.where(q >= hi, hi, q))
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         """Uniform seeded point of the space."""

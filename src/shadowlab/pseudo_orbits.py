@@ -73,11 +73,9 @@ class PseudoOrbit:
     def horizon(self) -> int:
         return len(self.step_errors)
 
-    def recompute_errors(self) -> np.ndarray:
-        return recompute_step_errors(self.family, self.word, self.points)
-
     def cache_consistent(self) -> bool:
-        gap = np.max(np.abs(self.recompute_errors() - self.step_errors), initial=0.0)
+        recomputed = recompute_step_errors(self.family, self.word, self.points)
+        gap = np.max(np.abs(recomputed - self.step_errors), initial=0.0)
         return bool(gap <= ROUNDING_TOL)
 
     def exceptional_set(self, delta: float) -> IndexSet:
@@ -92,9 +90,8 @@ def true_orbit(family: GeneratorFamily, word: Word, z, horizon: int) -> PseudoOr
     for affine ones, whose batch and single-point forms round differently.
     Storing them keeps the file checksum equal to what loading recomputes.
     """
-    pts = orbit(family, word, z, horizon + 1)
-    return PseudoOrbit(family, word, pts, recompute_step_errors(family, word, pts),
-                       {"kind": "true-orbit"})
+    return PseudoOrbit.from_points(family, word, orbit(family, word, z, horizon + 1),
+                                   {"kind": "true-orbit"})
 
 
 # ---------------------------------------------------------------------------
@@ -249,9 +246,12 @@ def _land(space: MetricSpace, raw: np.ndarray) -> tuple[np.ndarray, bool]:
 
 def _draw_jumps(rule: JumpRule, space: MetricSpace, rng: np.random.Generator,
                 steps: np.ndarray) -> np.ndarray:
-    """One row per corrupted step, drawn in step order: the landing point for
-    "uniform", the displacement from the true image for "offset"."""
+    """One row per corrupted step, drawn in step order: the target point for
+    "uniform" and "fixed" (which draws nothing), the displacement from the
+    true image for "offset"."""
     d = space.dimension
+    if rule.kind == "fixed":
+        return np.tile(as_point(rule.point, d), (len(steps), 1))
     if rule.kind == "uniform":
         return np.array([space.sample(rng) for _ in steps], dtype=np.float64).reshape(-1, d)
     u = rng.normal(size=(len(steps), d))
@@ -276,23 +276,16 @@ def make_corrupted_orbit(family: GeneratorFamily, word: Word, z,
     space = family.space
     corrupted = corruption_indices.mask()
     steps = np.flatnonzero(corrupted)
-    rng = np.random.default_rng(seed)
-    if jump_rule.kind == "fixed":
-        fixed, fixed_clamped = _land(space, as_point(jump_rule.point, space.dimension))
-    else:
-        rows = iter(_draw_jumps(jump_rule, space, rng, steps))
+    rows = iter(_draw_jumps(jump_rule, space, np.random.default_rng(seed), steps))
+    offset = jump_rule.kind == "offset"
     is_corrupted = corrupted.tolist()
     clamped: list[int] = []
 
     def jump(j: int, image: np.ndarray) -> np.ndarray:
         if not is_corrupted[j]:
             return image
-        if jump_rule.kind == "uniform":
-            return next(rows)
-        if jump_rule.kind == "fixed":
-            target, was_clamped = fixed, fixed_clamped
-        else:
-            target, was_clamped = _land(space, image + next(rows))
+        row = next(rows)
+        target, was_clamped = _land(space, image + row if offset else row)
         if was_clamped:
             clamped.append(j)
         return target
@@ -300,5 +293,4 @@ def make_corrupted_orbit(family: GeneratorFamily, word: Word, z,
     points = _walk(family, word.symbols(corruption_indices.horizon), z, jump)
     meta = {"kind": "corrupted-orbit", "seed": seed, "jump_rule": jump_rule.spec(),
             "corrupted_count": len(corruption_indices), "clamped_indices": clamped}
-    errors = recompute_step_errors(family, word, points)
-    return PseudoOrbit(family, word, points, errors, meta)
+    return PseudoOrbit.from_points(family, word, points, meta)

@@ -17,8 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .cesaro import BoundedSequence
 from .concat import BlockPlan
-from .density import IndexSet
+from .density import MIN_DENSITY_HORIZON, IndexSet
 from .disk_example import DISK_SYSTEM
 from .dynamics import GeneratorFamily, MetricSpace, Word, as_points
 from .errors import IntegrityError, ParameterError
@@ -70,13 +71,19 @@ def _read_object(path) -> dict:
     return data
 
 
-def load_values(path: Path | str) -> np.ndarray:
-    """The finite numbers of a whitespace-separated text file, one value a line."""
+def load_sequence(path: Path | str, bound: float | None) -> BoundedSequence:
+    """The values file (finite numbers, one a line) as a sequence long enough for
+    the density estimates; every error names the file."""
     with _input_file("values file", path):
         values = np.array([float(v) for v in Path(path).read_text().split()], dtype=np.float64)
         if not np.all(np.isfinite(values)):
             raise ParameterError("values must be finite numbers")
-    return values
+        if values.size < MIN_DENSITY_HORIZON:
+            raise ParameterError(f"density estimates need at least {MIN_DENSITY_HORIZON} "
+                                 f"values, got {values.size}")
+        if bound is not None and bound < values.max():
+            _fail("cesaro.bound", f"{bound} is below the largest value {values.max()}")
+        return BoundedSequence.from_values(values, bound)
 
 
 def step_error_checksum(errors: np.ndarray) -> str:

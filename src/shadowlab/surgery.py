@@ -17,12 +17,7 @@ import numpy as np
 from .density import DEFAULT_TAIL_FRACTION, IndexSet
 from .dynamics import MetricSpace, orbit
 from .errors import ParameterError, PreconditionError
-from .pseudo_orbits import (
-    DEFAULT_DENSITY_TOL,
-    PseudoOrbit,
-    is_ergodic_pseudo_orbit,
-    recompute_step_errors,
-)
+from .pseudo_orbits import DEFAULT_DENSITY_TOL, PseudoOrbit, is_ergodic_pseudo_orbit
 
 
 @dataclass(frozen=True)
@@ -113,9 +108,8 @@ def repair(xi: PseudoOrbit, delta: float,
         points[k:k + length] = block
         block_indices.extend(range(k, k + length))
 
-    errors = recompute_step_errors(xi.family, xi.word, points)
     meta = {**xi.meta, "repaired": True, "M": M, "delta": delta}
-    y = PseudoOrbit(xi.family, xi.word, points, errors, meta)
+    y = PseudoOrbit.from_points(xi.family, xi.word, points, meta)
 
     diff_mask = np.any(points != xi.points, axis=1)
     diff = IndexSet.from_mask(diff_mask)

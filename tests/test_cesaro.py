@@ -1,9 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shadowlab import (
     BoundedSequence,
     IndexSet,
+    NullSetExtraction,
     ParameterError,
     PreconditionError,
     cesaro_means,
@@ -11,6 +16,13 @@ from shadowlab import (
     threshold_inequality_holds,
     verify_equivalence,
 )
+from shadowlab.cesaro import (
+    DEFAULT_LEVELS,
+    DENSITY_MARGIN,
+    MIN_STAGE_RATIO,
+    _first_certified,
+)
+from shadowlab.density import DEFAULT_TAIL_FRACTION, prefix_density, tail_extremum
 
 
 def squares_indicator(horizon):
@@ -177,3 +189,104 @@ def test_bounded_sequence_validation():
         BoundedSequence(np.array([-0.1, 0.2]), 1.0)
     with pytest.raises(ParameterError):
         BoundedSequence(np.array([0.5, 2.0]), 1.0)
+
+
+def test_empty_sequence_is_a_parameter_error():
+    with pytest.raises(ParameterError, match="nonempty"):
+        BoundedSequence.from_values([])
+
+
+# ---------------------------------------------------------------------------
+# Differential: level counts computed per stage against all counts up front
+
+
+def reference_extract_null_set(a, level_schedule=None, tail_fraction=DEFAULT_TAIL_FRACTION):
+    """The eager form: every level's count of the level set built before stage 1."""
+    levels = list(DEFAULT_LEVELS if level_schedule is None else level_schedule)
+    if not levels or any(l <= 0 for l in levels):
+        raise ParameterError("level schedule must be positive")
+    if any(b >= a_ for a_, b in zip(levels, levels[1:])):
+        raise ParameterError("level schedule must be strictly decreasing")
+    H = a.horizon
+    tail_mean, _ = tail_extremum(cesaro_means(a), tail_fraction)
+    if tail_mean >= levels[0] * DENSITY_MARGIN:
+        raise PreconditionError(
+            f"tail Cesàro means reach {tail_mean}, not below "
+            f"level_1 * margin = {levels[0] * DENSITY_MARGIN}; sequence is not Cesàro-null "
+            f"at this horizon",
+            witness={"tail_mean_max": tail_mean, "required_below": levels[0] * DENSITY_MARGIN})
+    cums = {level: np.cumsum(a.values >= level) for level in levels}
+    boundaries, stages = [], []
+    flagged = np.zeros(H, dtype=bool)
+    truncated_at = None
+    T1 = _first_certified(cums[levels[0]], levels[0], 1, H)
+    if T1 is None:
+        truncated_at = 0
+    else:
+        boundaries.append(T1)
+        k = 1
+        while k < len(levels):
+            level = levels[k]
+            Tk = boundaries[-1]
+            lo = Tk + max(1, math.ceil(MIN_STAGE_RATIO * Tk))
+            T_next = _first_certified(cums[level], level, lo, H)
+            if T_next is None:
+                truncated_at = k
+                break
+            flagged[Tk:T_next] |= a.values[Tk:T_next] >= level
+            certified = float(cums[level][T_next - 1] / T_next)
+            boundaries.append(T_next)
+            stages.append({"stage": k, "T": Tk, "T_next": T_next, "level": level,
+                           "certified_density": certified})
+            k += 1
+        tail_level = levels[min(len(boundaries), len(levels) - 1)]
+        Tk = boundaries[-1]
+        if Tk < H:
+            flagged[Tk:] |= a.values[Tk:] >= tail_level
+            stages.append({"stage": len(boundaries), "T": Tk, "T_next": H,
+                           "level": tail_level, "certified_density": None})
+    J = IndexSet.from_mask(flagged)
+    for rec in stages:
+        rec["realized_J_density_at_T_next"] = prefix_density(J, rec["T_next"])
+    params = {"levels": levels, "density_margin": DENSITY_MARGIN,
+              "min_stage_ratio": MIN_STAGE_RATIO, "tail_fraction": tail_fraction,
+              "horizon": H, "realized_J_density_at_horizon": prefix_density(J, H)}
+    return NullSetExtraction(J, boundaries, stages, truncated_at, params)
+
+
+def extraction_outcome(fn, a, levels):
+    try:
+        e = fn(a, levels)
+    except (ParameterError, PreconditionError) as exc:
+        return type(exc), str(exc), getattr(exc, "witness", None)
+    return (e.J.indices.tobytes(), e.J.horizon, e.boundaries, e.stages,
+            e.truncated_at_stage, e.params)
+
+
+@st.composite
+def null_sequences(draw):
+    """Sparse large values (indices near k^p, p > 1, and a few random ones)
+    over small noise decaying like n^-q: Cesàro-null as H grows."""
+    H = draw(st.integers(10, 4000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    n = np.arange(1, H + 1, dtype=np.float64)
+    values = draw(st.floats(0.0, 0.5)) * rng.random(H) * n ** -draw(st.floats(0.2, 2.0))
+    spikes = (np.arange(int(H ** 0.5) + 1) ** draw(st.floats(1.5, 3.0))).astype(np.int64)
+    values[spikes[spikes < H]] = draw(st.floats(0.1, 2.0))
+    values[rng.integers(0, H, size=draw(st.integers(0, 5)))] = 1.0
+    return BoundedSequence(values, max(1.0, float(values.max())))
+
+
+level_schedules = st.one_of(
+    st.none(),
+    st.lists(st.floats(1e-4, 4.0), min_size=1, max_size=12, unique=True).map(
+        lambda ls: sorted(ls, reverse=True)),
+    st.lists(st.floats(-1.0, 1.0), min_size=0, max_size=3),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(null_sequences(), level_schedules)
+def test_extract_null_set_matches_eager_counts(a, levels):
+    assert extraction_outcome(extract_null_set, a, levels) == \
+        extraction_outcome(reference_extract_null_set, a, levels)

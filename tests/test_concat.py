@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shadowlab import (
     BlockPlan,
     GeneratorFamily,
     GeneratorMap,
+    IndexSet,
+    JumpRule,
     MetricSpace,
     ParameterError,
     PreconditionError,
@@ -13,8 +17,11 @@ from shadowlab import (
     asymptotic_certificate,
     build_disk_system,
     concatenate,
+    make_corrupted_orbit,
     true_orbit,
 )
+from shadowlab.density import ROUNDING_TOL, prefix_means
+from shadowlab.pseudo_orbits import recompute_step_errors
 
 
 def interval_identity():
@@ -210,3 +217,114 @@ def test_certificate_three_term_boundary_bound():
         direct = float(np.sum(e[:Mn])) / Mn
         assert total == pytest.approx(direct, abs=1e-9)
         assert direct <= 1.0 / n + offsets[n - 1] / Mn + junction_mass / Mn + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Differential: one step-error recompute against the per-block shifted-word check
+
+
+def reference_concatenate(plan, word):
+    """The per-block form: each block's step errors recomputed against the
+    word shifted to its offset, then once more over the laid-out points."""
+    offsets = plan.offsets
+    family = plan.blocks[0].family
+    for k, (block, N) in enumerate(zip(plan.blocks, plan.N_levels), start=1):
+        shifted = word.shifted(offsets[k - 1])
+        errors = recompute_step_errors(family, shifted, block.points)
+        if float(np.max(np.abs(errors - block.step_errors))) > ROUNDING_TOL:
+            raise PreconditionError(
+                f"block {k} is not a pseudo-orbit for the word shifted by {offsets[k - 1]}",
+                witness={"block": k, "offset": offsets[k - 1],
+                         "max_error_mismatch": float(np.max(np.abs(errors - block.step_errors)))})
+        means = prefix_means(errors)
+        over = np.flatnonzero(means[N - 1:] >= 1.0 / k)
+        if over.size:
+            n = N + int(over[0])
+            raise PreconditionError(
+                f"block {k} has prefix mean {means[n - 1]:.6g} >= 1/{k} at length {n}",
+                witness={"block": k, "n": n, "prefix_mean": float(means[n - 1])})
+
+    points = np.concatenate([b.points for b in plan.blocks], axis=0)
+    errors = recompute_step_errors(family, word, points)
+    junction_indices = [offsets[k] - 1 for k in range(1, len(plan.blocks))]
+    meta = {"kind": "concatenation", "offsets": offsets,
+            "junction_indices": junction_indices,
+            "junction_errors": [float(errors[i]) for i in junction_indices]}
+    return PseudoOrbit(family, word, points, errors, meta)
+
+
+def affine_box_system(seed):
+    """Two contracting affine maps of [0, 4]^2 under an iid word; the box is
+    wide enough that uniform jumps break the 1/k check of block 1."""
+    space = MetricSpace.box([0.0, 0.0], [4.0, 4.0])
+    maps = (GeneratorMap.affine([[0.3, 0.2], [-0.1, 0.4]], [0.8, 1.2]),
+            GeneratorMap.affine([[0.45, -0.05], [0.1, 0.35]], [1.0, 1.6]))
+    return GeneratorFamily(space, maps), Word.iid([0.4, 0.6], seed=seed)
+
+
+@st.composite
+def plans(draw):
+    """A system, a word and a plan of 1-3 blocks, each a true orbit of the word
+    shifted to its offset, a true orbit of a wrongly shifted word (fails the
+    mismatch check) or a corrupted orbit (often fails the 1/k check)."""
+    if draw(st.booleans()):
+        family, word = build_disk_system()
+    else:
+        family, word = affine_box_system(draw(st.integers(0, 2**32)))
+    lengths = sorted(draw(st.lists(st.integers(3, 60), min_size=1, max_size=3)))
+    blocks, levels, offset = [], [], 0
+    for m in lengths:
+        start = family.space.sample(np.random.default_rng(draw(st.integers(0, 2**32))))
+        kind = draw(st.sampled_from(["true", "wrong-shift", "corrupted"]))
+        if kind == "true":
+            block = true_orbit(family, word.shifted(offset), start, m)
+        elif kind == "wrong-shift":
+            block = true_orbit(family, word.shifted(offset + draw(st.integers(1, 3))), start, m)
+        else:
+            mask = draw(st.one_of(st.just([True] * m),
+                                  st.lists(st.booleans(), min_size=m, max_size=m)))
+            block = make_corrupted_orbit(
+                family, word.shifted(offset), start, IndexSet.from_mask(np.array(mask)),
+                JumpRule(draw(st.sampled_from(["uniform", "offset"])),
+                         scale=draw(st.floats(0.001, 2.0))),
+                draw(st.integers(0, 2**32)))
+        blocks.append(block)
+        levels.append(draw(st.integers(1, m)))
+        offset += m + 1
+    return BlockPlan(tuple(blocks), tuple(levels)), word
+
+
+def concat_outcome(fn, plan, word):
+    try:
+        xi = fn(plan, word)
+    except PreconditionError as exc:
+        return type(exc), exc.witness
+    return xi.points.tobytes(), xi.step_errors.tobytes(), xi.meta
+
+
+@settings(max_examples=200, deadline=None)
+@given(plans())
+def test_concatenate_matches_per_block_shifted_check(plan_and_word):
+    plan, word = plan_and_word
+    assert concat_outcome(concatenate, plan, word) == concat_outcome(reference_concatenate,
+                                                                     plan, word)
+
+
+def test_differential_plans_reach_every_outcome():
+    """The plans above pass, fail the mismatch check and fail the 1/k check."""
+    family, word = affine_box_system(5)
+    starts = ((0.5, 0.5), (0.2, 0.9), (0.7, 0.1))
+    good = [true_orbit(family, word.shifted(o), z, 8) for o, z in zip((0, 9), starts)]
+    wrong = true_orbit(family, word.shifted(10), starts[2], 8)
+    corrupted = make_corrupted_orbit(family, word.shifted(9), starts[2],
+                                     IndexSet.from_iterable(range(8), 8),
+                                     JumpRule("offset", scale=1.0), 0)
+    for second, witness_key in ((good[1], None), (wrong, "max_error_mismatch"),
+                                (corrupted, "prefix_mean")):
+        outcome = concat_outcome(concatenate, BlockPlan((good[0], second), (1, 1)), word)
+        assert outcome == concat_outcome(reference_concatenate,
+                                         BlockPlan((good[0], second), (1, 1)), word)
+        if witness_key is None:
+            assert outcome[2]["kind"] == "concatenation"
+        else:
+            assert outcome[0] is PreconditionError and witness_key in outcome[1]

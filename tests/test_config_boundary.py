@@ -594,6 +594,24 @@ def test_non_numeric_values_file_exits_2_naming_it(tmp_path, capsys, text):
     assert f"values file {tmp_path / 'values.csv'}" in err
 
 
+@pytest.mark.parametrize("text, bound, message", [
+    ("", 1.0, "got 0"),
+    ("0\n" * 5, 1.0, "got 5"),
+    ("-1.0\n" + "0.0\n" * 99, 1.0, "nonnegative"),
+    ("11.0\n" + "0.0\n" * 99, 3.0, "config field 'cesaro.bound'"),
+], ids=["empty", "five-values", "negative", "bound-below-max"])
+def test_unusable_values_file_exits_2_naming_it_before_writing(tmp_path, capsys, text, bound,
+                                                                message):
+    data = section_config(tmp_path, capsys)
+    (tmp_path / "values.csv").write_text(text)
+    data["cesaro"]["bound"] = bound
+    code, err = run(data, tmp_path, "cesaro", capsys)
+    assert code == 2
+    assert f"values file {tmp_path / 'values.csv'}" in err
+    assert message in err
+    assert not (tmp_path / "out" / "cesaro_means.csv").exists()
+
+
 def test_tampered_orbit_file_is_still_an_integrity_error(tmp_path, capsys):
     data = section_config(tmp_path, capsys)
     orbit = json.loads((tmp_path / "out" / "orbit.json").read_text())

@@ -264,13 +264,18 @@ def test_orbit_matches_apply_loop_bit_for_bit(system, n, shift):
     assert np.array_equal(got, expected)
 
 
-@SETTINGS
-@given(system_and_word(), st.integers(1, 40), st.integers(0, 2**32),
-       st.sampled_from(["uniform", "fixed", "offset"]), unit(0.01, 2.0), unit(0.0, 2.0),
-       st.data())
-def test_corrupted_orbit_matches_per_step_draws(system, horizon, seed, kind, scale, power,
+SYSTEMS = {UNIT_DISK: disk_systems(), "box": box_systems(), CIRCLE: circle_systems()}
+
+
+@pytest.mark.parametrize("kind", ["uniform", "fixed", "offset"])
+@pytest.mark.parametrize("space", sorted(SYSTEMS))
+@settings(max_examples=50, deadline=None)
+@given(horizon=st.integers(1, 40), seed=st.integers(0, 2**32), scale=unit(0.01, 2.0),
+       power=unit(0.0, 2.0), data=st.data())
+def test_corrupted_orbit_matches_per_step_draws(space, kind, horizon, seed, scale, power,
                                                 data):
-    family, word, start = system
+    family, start = data.draw(SYSTEMS[space])
+    word = data.draw(words(family.m))
     mask = data.draw(st.lists(st.booleans(), min_size=horizon, max_size=horizon))
     indices = IndexSet.from_mask(np.array(mask, dtype=bool))
     d = family.space.dimension
@@ -280,6 +285,28 @@ def test_corrupted_orbit_matches_per_step_draws(system, horizon, seed, kind, sca
     xi = make_corrupted_orbit(family, word, start, indices, rule, seed)
     assert np.array_equal(xi.points, expected)
     assert xi.meta["clamped_indices"] == clamped
+
+
+@pytest.mark.parametrize("kind", ["uniform", "fixed", "offset"])
+@pytest.mark.parametrize("space", [MetricSpace.unit_disk(), MetricSpace.box([0.0] * 2, [1.0] * 2),
+                                   MetricSpace.circle()], ids=lambda s: s.kind)
+def test_corrupted_orbit_reference_lands_every_kind(space, kind):
+    """Far fixed points and long offsets leave the disk and the box, so those
+    jumps are clamped; uniform jumps, and every jump on the circle, which
+    wraps, land as drawn."""
+    d = space.dimension
+    family = GeneratorFamily(space, (GeneratorMap.scale([0.5] * d),))
+    word = Word.constant(1, m=1)
+    indices = IndexSet.from_iterable(range(0, 60, 3), 60)
+    rule = JumpRule(kind, point=(3.0,) * d if kind == "fixed" else None, scale=3.0)
+    expected, clamped = reference_corrupted_orbit(family, word, (0.25,) * d, indices, rule, 8)
+    xi = make_corrupted_orbit(family, word, (0.25,) * d, indices, rule, 8)
+    assert np.array_equal(xi.points, expected)
+    assert xi.meta["clamped_indices"] == clamped
+    if kind == "uniform" or space.kind == CIRCLE:
+        assert clamped == []
+    else:
+        assert len(clamped) >= len(indices) // 2
 
 
 def test_corrupted_orbit_matches_per_step_draws_on_decaying_disk():
@@ -443,6 +470,17 @@ def test_net_matches_per_point_loop(space_and_mesh):
     got, expected = net(space, mesh), reference_net(space, mesh)
     assert got.shape == expected.shape
     assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("lo, hi", [((-0.0,), (1.0,)), ((-1.0,), (-0.0,)),
+                                    ((-0.0, 0.0), (1.0, 1.0))])
+def test_box_net_and_project_send_signed_zero_ties_to_the_bound(lo, hi):
+    # A grid coordinate of 0.0 against a bound of -0.0 is a tie; the per-point
+    # loop's clip returns the bound, and so must the rows form.
+    space = MetricSpace.box(lo, hi)
+    assert net(space, 1.0).tobytes() == reference_net(space, 1.0).tobytes()
+    rows = np.zeros((3, len(lo)))
+    assert space.project(rows).tobytes() == np.array([space.project(r) for r in rows]).tobytes()
 
 
 @SETTINGS

@@ -272,7 +272,7 @@ def test_classification_invariant_under_recache():
     family, word = build_disk_system()
     squares = IndexSet.from_iterable([k * k for k in range(10)], 120)
     xi = make_corrupted_orbit(family, word, (0.2, 0.2), squares, JumpRule("uniform"), seed=6)
-    recached = PseudoOrbit(family, word, xi.points, xi.recompute_errors(), xi.meta)
+    recached = PseudoOrbit.from_points(family, word, xi.points, xi.meta)
     assert xi.cache_consistent()
     for delta in (0.05, 0.5):
         assert is_pseudo_orbit(xi, delta).verdict == is_pseudo_orbit(recached, delta).verdict
