@@ -3,7 +3,6 @@
 from .cesaro import (
     BoundedSequence,
     NullSetExtraction,
-    cesaro_means,
     extract_null_set,
     threshold_inequality_holds,
     verify_equivalence,
@@ -78,7 +77,7 @@ __all__ = [
     "PseudoOrbit", "RangeError", "RefinedSearchResult", "RepairResult", "ResourceCapError",
     "SearchResult", "ShadowReport", "ShadowlabError", "Word",
     "aasp_demo", "asymptotic_certificate", "average_shadow_search",
-    "block_length", "build_disk_system", "cesaro_means", "check_self_mapping",
+    "block_length", "build_disk_system", "check_self_mapping",
     "concatenate", "diameter_bound_check", "extract_null_set", "in_M_alpha",
     "is_asymptotic_average", "is_average_pseudo_orbit", "is_ergodic_pseudo_orbit",
     "is_pseudo_orbit", "is_weak_asymptotic_average", "lower_density_estimate",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -19,7 +20,6 @@ from .density import (
     IndexSet,
     prefix_density,
     prefix_means,
-    tail_extremum,
     tail_window_start,
     upper_density_estimate,
 )
@@ -57,10 +57,22 @@ class BoundedSequence:
     def horizon(self) -> int:
         return len(self.values)
 
+    @cached_property
+    def means(self) -> np.ndarray:
+        """Cesàro means, derived once and read-only: element n-1 is (1/n) * sum
+        of the first n values, via prefix sums."""
+        means = prefix_means(self.values)
+        means.flags.writeable = False
+        return means
 
-def cesaro_means(a: BoundedSequence) -> np.ndarray:
-    """Element n-1 is (1/n) * sum of the first n values, via prefix sums."""
-    return prefix_means(a.values)
+    @cached_property
+    def _means_suffix_max(self) -> np.ndarray:
+        """Element i is the largest of the Cesàro means from element i on."""
+        return np.maximum.accumulate(self.means[::-1])[::-1]
+
+    def tail_mean_max(self, tail_fraction: float) -> float:
+        """The largest Cesàro mean over the tail window of tail_fraction."""
+        return float(self._means_suffix_max[tail_window_start(self.horizon, tail_fraction) - 1])
 
 
 @dataclass(frozen=True)
@@ -106,8 +118,7 @@ def extract_null_set(a: BoundedSequence, level_schedule: list[float] | None = No
         raise ParameterError("level schedule must be strictly decreasing")
 
     H = a.horizon
-    means = cesaro_means(a)
-    tail_mean, _ = tail_extremum(means, tail_fraction)
+    tail_mean = a.tail_mean_max(tail_fraction)
     if tail_mean >= levels[0] * DENSITY_MARGIN:
         raise PreconditionError(
             f"tail Cesàro means reach {tail_mean}, not below "
@@ -163,9 +174,8 @@ def threshold_inequality_holds(a: BoundedSequence, theta: float) -> bool:
     """mean_n <= B * prefix_density({i : a_i >= theta}, n) + theta, every n."""
     if theta <= 0:
         raise ParameterError("theta must be positive")
-    means = cesaro_means(a)
     dens = prefix_means(a.values >= theta)
-    return bool(np.all(means <= a.bound * dens + theta + ROUNDING_TOL))
+    return bool(np.all(a.means <= a.bound * dens + theta + ROUNDING_TOL))
 
 
 def verify_equivalence(a: BoundedSequence, J: IndexSet, tol: float,
@@ -180,7 +190,6 @@ def verify_equivalence(a: BoundedSequence, J: IndexSet, tol: float,
         raise ParameterError("J must share the sequence's horizon")
     H = a.horizon
     n_lo = tail_window_start(H, tail_fraction)
-    means = cesaro_means(a)
     in_J = J.mask()
 
     off_tail = a.values[n_lo:][~in_J[n_lo:]]
@@ -190,10 +199,10 @@ def verify_equivalence(a: BoundedSequence, J: IndexSet, tol: float,
     dJ = upper_density_estimate(J, tail_fraction)
     ns = np.arange(n_lo, H + 1, dtype=np.int64)
     exact_bound = a.bound * prefix_means(in_J)[n_lo - 1:] + early_off_mass / ns + off_tail_sup
-    exact_ok = bool(np.all(means[n_lo - 1:] <= exact_bound + ROUNDING_TOL))
+    exact_ok = bool(np.all(a.means[n_lo - 1:] <= exact_bound + ROUNDING_TOL))
 
     direction_i = (off_tail_sup >= tol) or exact_ok
-    tail_mean_max, _ = tail_extremum(means, tail_fraction)
+    tail_mean_max = a.tail_mean_max(tail_fraction)
     simple_bound_holds = tail_mean_max < tol + a.bound * dJ
     direction_ii = off_tail_sup < tol
 

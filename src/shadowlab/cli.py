@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cesaro import cesaro_means, extract_null_set, verify_equivalence
+from .cesaro import extract_null_set, verify_equivalence
 from .concat import asymptotic_certificate, concatenate
 from .disk_example import aasp_demo, make_decaying_instance, tracking_inequality_curve
 from .errors import (
@@ -119,8 +119,7 @@ def cmd_cesaro(cfg: ExperimentConfig, out: Path) -> int:
     if not cfg.cesaro_csv:
         raise ParameterError("config field 'cesaro.input_csv': required for the cesaro subcommand")
     a = load_sequence(cfg.cesaro_csv, cfg.cesaro_bound)
-    means = cesaro_means(a)
-    dump_csv([(n + 1, float(v)) for n, v in enumerate(means)], ["n", "cesaro_mean"],
+    dump_csv([(n + 1, float(v)) for n, v in enumerate(a.means)], ["n", "cesaro_mean"],
              out / "cesaro_means.csv")
     extraction = extract_null_set(a, tail_fraction=cfg.tail_fraction)
     verdict = verify_equivalence(a, extraction.J, cfg.tol, cfg.tail_fraction)

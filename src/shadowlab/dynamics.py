@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import KW_ONLY, dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -44,6 +45,34 @@ def as_point(p, dimension: int | None = None) -> np.ndarray:
     return q
 
 
+def _integral(value) -> bool:
+    """Whether value is an integer, Python or numpy, or an integral float such
+    as 2.0; a bool, a string or a non-integral number is not."""
+    return not isinstance(value, bool) and (
+        isinstance(value, (int, np.integer)) or isinstance(value, float) and value.is_integer())
+
+
+def _integer(what: str, value) -> int:
+    if not _integral(value):
+        raise ParameterError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _integers(what: str, values) -> tuple[int, ...]:
+    return tuple(_integer(f"{what} entry", v) for v in values)
+
+
+def _finite(what: str, values) -> tuple[float, ...]:
+    """values as floats; a ParameterError naming what at the first entry that is
+    not a finite real number, such as a bool, a string, NaN or infinity."""
+    values = tuple(values)
+    for v in values:
+        if (isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating))
+                or not abs(v) <= sys.float_info.max):
+            raise ParameterError(f"{what} must be finite real numbers, got {v!r}")
+    return tuple(float(v) for v in values)
+
+
 @dataclass(frozen=True)
 class MetricSpace:
     """Compact phase space with an exact analytic diameter.
@@ -62,8 +91,8 @@ class MetricSpace:
 
     @classmethod
     def box(cls, lo, hi) -> "MetricSpace":
-        lo_t = tuple(float(v) for v in np.atleast_1d(lo))
-        hi_t = tuple(float(v) for v in np.atleast_1d(hi))
+        lo_t = _finite("box lo", [lo] if np.ndim(lo) == 0 else lo)
+        hi_t = _finite("box hi", [hi] if np.ndim(hi) == 0 else hi)
         if len(lo_t) != len(hi_t) or not lo_t:
             raise ParameterError("box bounds must be nonempty and of equal length")
         if any(h <= l for l, h in zip(lo_t, hi_t)):
@@ -184,22 +213,23 @@ class GeneratorMap:
 
     @classmethod
     def permutation(cls, perm) -> "GeneratorMap":
-        perm_t = tuple(int(i) for i in perm)
+        perm_t = _integers("permutation", perm)
         if sorted(perm_t) != list(range(len(perm_t))):
             raise ParameterError(f"{perm!r} is not a permutation of 0..{len(perm_t) - 1}")
         return cls("permutation", perm=perm_t)
 
     @classmethod
     def affine(cls, matrix, offset) -> "GeneratorMap":
-        mat = tuple(tuple(float(v) for v in row) for row in matrix)
-        off = tuple(float(v) for v in offset)
+        mat = tuple(_finite("affine matrix", row) for row in matrix)
+        off = _finite("affine offset", offset)
         if any(len(row) != len(mat) for row in mat) or len(off) != len(mat):
             raise ParameterError("affine spec requires a square matrix and a matching offset")
         return cls("affine", matrix=mat, offset=off)
 
     @classmethod
     def scale(cls, factors) -> "GeneratorMap":
-        return cls("scale", factors=tuple(float(v) for v in np.atleast_1d(factors)))
+        return cls("scale", factors=_finite("scale factors",
+                                            [factors] if np.ndim(factors) == 0 else factors))
 
     def __call__(self, P) -> np.ndarray:
         """Image of a point, or of each row of an (n, d) array P."""
@@ -325,33 +355,39 @@ class GeneratorFamily:
 _WORD_KINDS = ("constant", "periodic", "iid", "prefix")
 
 
+@dataclass(frozen=True)
 class Word:
     """Deterministic rule for an infinite symbol sequence over {1..m}.
 
     Rules are a closed, serializable algebra; ``shifted`` views share the
-    base rule, so orbit composition can start at any symbol index.
+    base rule, so orbit composition can start at any symbol index. A frozen
+    value: every field is checked, and cast to its type, when the word is
+    built, and two words are equal when their fields are.
     """
 
-    def __init__(self, kind: str, m: int, *, symbol=None, pattern=None, weights=None,
-                 seed=None, prefix=None, tail: "Word | None" = None, offset: int = 0):
-        if kind not in _WORD_KINDS:
-            raise ParameterError(f"unknown word kind {kind!r}")
-        if m < 1:
-            raise ParameterError("alphabet size m must be >= 1")
-        if offset < 0:
-            raise ParameterError("word offset must be >= 0")
-        self.kind = kind
-        self.m = int(m)
-        self.offset = int(offset)
-        self.symbol = None if symbol is None else int(symbol)
-        self.pattern = None if pattern is None else tuple(int(s) for s in pattern)
-        self.weights = None if weights is None else tuple(float(v) for v in weights)
-        self.seed = None if seed is None else int(seed)
-        self.prefix = None if prefix is None else tuple(int(s) for s in prefix)
-        self.tail = tail
-        self._validate()
+    kind: str
+    m: int
+    _: KW_ONLY
+    symbol: int | None = None
+    pattern: tuple[int, ...] | None = None
+    weights: tuple[float, ...] | None = None
+    seed: int | None = None
+    prefix: tuple[int, ...] | None = None
+    tail: Word | None = None
+    offset: int = 0
 
-    def _validate(self):
+    def __post_init__(self):
+        if self.kind not in _WORD_KINDS:
+            raise ParameterError(f"unknown word kind {self.kind!r}")
+        for name, check in (("m", _integer), ("offset", _integer), ("symbol", _integer),
+                            ("seed", _integer), ("pattern", _integers), ("prefix", _integers),
+                            ("weights", _finite)):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, check(f"word {name}", getattr(self, name)))
+        if self.m < 1:
+            raise ParameterError("alphabet size m must be >= 1")
+        if self.offset < 0:
+            raise ParameterError("word offset must be >= 0")
         if self.kind == "constant":
             if not 1 <= self.symbol <= self.m:
                 raise ParameterError(f"constant symbol {self.symbol} outside 1..{self.m}")
@@ -367,6 +403,8 @@ class Word:
                 raise ParameterError("iid weights must be nonnegative with positive sum")
             if self.seed is None:
                 raise ParameterError("iid word needs a seed")
+            if not 0 <= self.seed < 2**64:
+                raise ParameterError(f"word seed must lie in [0, 2**64), got {self.seed}")
         elif self.kind == "prefix":
             if self.prefix is None or self.tail is None:
                 raise ParameterError("prefix word needs an explicit prefix and a tail word")
@@ -391,17 +429,6 @@ class Word:
     def with_prefix(cls, prefix, tail: "Word") -> "Word":
         return cls("prefix", tail.m, prefix=prefix, tail=tail)
 
-    def _base_symbol(self, j: int) -> int:
-        if self.kind == "constant":
-            return self.symbol
-        if self.kind == "periodic":
-            return self.pattern[j % len(self.pattern)]
-        if self.kind == "iid":
-            return self._iid_symbol(j)
-        if j < len(self.prefix):
-            return self.prefix[j]
-        return self.tail.symbol_at(j - len(self.prefix))
-
     def _iid_draws(self, start: int, n: int) -> bytes:
         """8 big-endian bytes per index start..start+n-1.
 
@@ -420,24 +447,18 @@ class Word:
             thresholds.append(acc)
         return thresholds
 
-    def _iid_symbol(self, j: int) -> int:
-        u = int.from_bytes(self._iid_draws(j, 1), "big") / 2.0**64
-        for s, acc in enumerate(self._iid_thresholds(), start=1):
-            if u < acc:
-                return s
-        return self.m
-
     def symbol_at(self, j: int) -> int:
+        """Symbol j, by the rule that ``symbols`` reads."""
         if j < 0:
             raise RangeError("word indices start at 0")
-        return self._base_symbol(self.offset + j)
+        return int(self._base_symbols(self.offset + j, 1)[0])
 
     def symbols(self, n: int) -> np.ndarray:
         """The first n symbols as an int array; equal to symbol_at(0..n-1)."""
         return self._base_symbols(self.offset, max(int(n), 0))
 
     def _base_symbols(self, start: int, n: int) -> np.ndarray:
-        """Base-rule symbols start..start+n-1, without per-index dispatch."""
+        """Base-rule symbols start..start+n-1: the one symbol rule of the word."""
         if self.kind == "constant":
             return np.full(n, self.symbol, dtype=np.int64)
         if self.kind == "periodic":
@@ -456,11 +477,7 @@ class Word:
     def shifted(self, k: int) -> "Word":
         if k < 0:
             raise RangeError("word shift must be >= 0")
-        if k == 0:
-            return self
-        return Word(self.kind, self.m, symbol=self.symbol, pattern=self.pattern,
-                    weights=self.weights, seed=self.seed, prefix=self.prefix,
-                    tail=self.tail, offset=self.offset + k)
+        return replace(self, offset=self.offset + k)
 
     def spec(self) -> dict:
         out: dict = {"kind": self.kind, "m": self.m}
@@ -485,12 +502,6 @@ class Word:
         return cls(kind, spec["m"], symbol=spec.get("symbol"), pattern=spec.get("pattern"),
                    weights=spec.get("weights"), seed=spec.get("seed"),
                    prefix=spec.get("prefix"), tail=tail, offset=spec.get("offset", 0))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Word) and self.spec() == other.spec()
-
-    def __repr__(self) -> str:
-        return f"Word({self.spec()!r})"
 
 
 def _first_outside(space: MetricSpace, P: np.ndarray) -> int | None:

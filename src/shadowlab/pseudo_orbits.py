@@ -27,7 +27,13 @@ DEFAULT_DENSITY_TOL = 0.01
 
 
 def recompute_step_errors(family: GeneratorFamily, word: Word, points: np.ndarray) -> np.ndarray:
-    """e_j = d(f_{w_j}(x_j), x_{j+1}), vectorized by grouping steps per symbol."""
+    """e_j = d(f_{w_j}(x_j), x_{j+1}), vectorized by grouping steps per symbol.
+
+    Each symbol's map is applied to all of its rows at once. An affine map
+    rounds a one-row group as the point form, and a group of two or more
+    rows can differ from that in the last bit, so the same step recomputed
+    within another sequence may differ within ROUNDING_TOL.
+    """
     H = len(points) - 1
     symbols = family.checked_symbols(word.symbols(H))
     images = np.empty((H, family.space.dimension), dtype=np.float64)

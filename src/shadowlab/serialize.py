@@ -21,7 +21,7 @@ from .cesaro import BoundedSequence
 from .concat import BlockPlan
 from .density import MIN_DENSITY_HORIZON, IndexSet
 from .disk_example import DISK_SYSTEM
-from .dynamics import GeneratorFamily, MetricSpace, Word, as_points
+from .dynamics import GeneratorFamily, GeneratorMap, MetricSpace, Word, _integral, as_points
 from .errors import IntegrityError, ParameterError
 from .pseudo_orbits import JumpRule, PseudoOrbit, recompute_step_errors
 
@@ -197,12 +197,6 @@ def _fail(f: str, msg: str):
     raise ParameterError(f"config field {f!r}: {msg}")
 
 
-def _integral(value) -> bool:
-    """Whether value is a JSON number with an integral value; a bool is not."""
-    return not isinstance(value, bool) and (
-        isinstance(value, int) or isinstance(value, float) and value.is_integer())
-
-
 def _number(f: str, value) -> float:
     """A JSON number as a finite float; anything else, a string or a bool
     included, fails naming field f."""
@@ -215,6 +209,14 @@ def _number(f: str, value) -> float:
     except (TypeError, ValueError, OverflowError):
         _fail(f, f"must be a finite number, got {value!r}")
     return out
+
+
+def _built(f: str, build, *args):
+    """build(*args); a malformed spec fails naming field f."""
+    try:
+        return build(*args)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        _fail(f, f"malformed spec ({exc})")
 
 
 def _positive(f: str, value) -> float:
@@ -359,11 +361,13 @@ def validate_config(data: dict) -> ExperimentConfig:
         _fail("thresholds.alpha", "must lie in (0,1)")
     # v1 key, accepted and ignored: the net scan has no worker count.
     _at_least("threads", data.get("threads", 1), 1)
-    try:
-        family = GeneratorFamily.from_spec(system)
-        word = Word.from_spec(system["word"])
-    except (KeyError, TypeError, ValueError) as exc:
-        _fail("system", f"malformed system descriptor ({exc})")
+    space = _built("system.space", MetricSpace.from_spec, system["space"])
+    if not isinstance(system["maps"], list):
+        _fail("system.maps", f"must be a list of map specs, got {system['maps']!r}")
+    maps = tuple(_built(f"system.maps[{i}]", GeneratorMap.from_spec, g)
+                 for i, g in enumerate(system["maps"]))
+    family = _built("system", GeneratorFamily, space, maps)
+    word = _built("system.word", Word.from_spec, system["word"])
     if word.m > family.m:
         _fail("system.word.m", f"the word has {word.m} symbols, the system {family.m} maps")
     indices, jump = _corruption(data.get("corruption", {}), family.space.dimension, horizon, seed)

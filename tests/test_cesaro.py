@@ -11,7 +11,6 @@ from shadowlab import (
     NullSetExtraction,
     ParameterError,
     PreconditionError,
-    cesaro_means,
     extract_null_set,
     threshold_inequality_holds,
     verify_equivalence,
@@ -22,7 +21,12 @@ from shadowlab.cesaro import (
     MIN_STAGE_RATIO,
     _first_certified,
 )
-from shadowlab.density import DEFAULT_TAIL_FRACTION, prefix_density, tail_extremum
+from shadowlab.density import (
+    DEFAULT_TAIL_FRACTION,
+    prefix_density,
+    prefix_means,
+    tail_extremum,
+)
 
 
 def squares_indicator(horizon):
@@ -36,26 +40,35 @@ def squares_indicator(horizon):
 
 def test_cesaro_means_small_example():
     a = BoundedSequence(np.array([1.0, 0.0, 0.0, 1.0]), 1.0)
-    assert np.allclose(cesaro_means(a), [1.0, 0.5, 1.0 / 3.0, 0.5])
+    assert np.allclose(a.means, [1.0, 0.5, 1.0 / 3.0, 0.5])
 
 
 def test_cesaro_means_zero():
     a = BoundedSequence(np.zeros(50), 0.0)
-    assert np.all(cesaro_means(a) == 0.0)
+    assert np.all(a.means == 0.0)
 
 
 def test_cesaro_means_squares_at_horizon():
     a = squares_indicator(10_000)
     # Oracle: direct count of squares below 10^4 (0^2 .. 99^2).
-    assert cesaro_means(a)[-1] == pytest.approx(100 / 10_000)
+    assert a.means[-1] == pytest.approx(100 / 10_000)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=300), st.floats(0.01, 0.99))
+def test_means_and_tail_maximum_are_derived_once_and_read_only(values, tail_fraction):
+    a = BoundedSequence.from_values(values)
+    assert a.means is a.means and not a.means.flags.writeable
+    assert np.array_equal(a.means, prefix_means(a.values))
+    assert a.tail_mean_max(tail_fraction) == tail_extremum(a.means, tail_fraction)[0]
 
 
 def test_means_monotone_under_domination():
     rng = np.random.default_rng(0)
     lo = rng.random(200)
     hi = lo + rng.random(200)
-    ma = cesaro_means(BoundedSequence.from_values(lo))
-    mb = cesaro_means(BoundedSequence.from_values(hi))
+    ma = BoundedSequence.from_values(lo).means
+    mb = BoundedSequence.from_values(hi).means
     assert np.all(ma <= mb + 1e-15)
 
 
@@ -208,7 +221,7 @@ def reference_extract_null_set(a, level_schedule=None, tail_fraction=DEFAULT_TAI
     if any(b >= a_ for a_, b in zip(levels, levels[1:])):
         raise ParameterError("level schedule must be strictly decreasing")
     H = a.horizon
-    tail_mean, _ = tail_extremum(cesaro_means(a), tail_fraction)
+    tail_mean, _ = tail_extremum(prefix_means(a.values), tail_fraction)
     if tail_mean >= levels[0] * DENSITY_MARGIN:
         raise PreconditionError(
             f"tail Cesàro means reach {tail_mean}, not below "

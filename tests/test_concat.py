@@ -302,12 +302,41 @@ def concat_outcome(fn, plan, word):
     return xi.points.tobytes(), xi.step_errors.tobytes(), xi.meta
 
 
+def assert_outcomes_agree(plan, word):
+    """Orbit bytes agree exactly; a rejection agrees in exception type, witness
+    keys and integer entries, and in float entries to within ROUNDING_TOL. A
+    block's step errors are batched differently in the two forms (the laid-out
+    sequence groups a symbol's steps across blocks), so a mismatch witness can
+    differ in the last bit."""
+    got = concat_outcome(concatenate, plan, word)
+    want = concat_outcome(reference_concatenate, plan, word)
+    if want[0] is not PreconditionError:
+        assert got == want
+        return
+    assert got[0] is PreconditionError and got[1].keys() == want[1].keys()
+    for key, value in want[1].items():
+        if isinstance(value, float):
+            assert abs(got[1][key] - value) <= ROUNDING_TOL, key
+        else:
+            assert got[1][key] == value, key
+
+
 @settings(max_examples=200, deadline=None)
 @given(plans())
 def test_concatenate_matches_per_block_shifted_check(plan_and_word):
-    plan, word = plan_and_word
-    assert concat_outcome(concatenate, plan, word) == concat_outcome(reference_concatenate,
-                                                                     plan, word)
+    assert_outcomes_agree(*plan_and_word)
+
+
+def test_mismatch_witness_may_differ_in_the_last_bit():
+    """Block 1 fails the mismatch check. A symbol that occurs once in it rounds
+    as the point form there and in a group of rows in the laid-out sequence;
+    with numpy 2.4 the two witnesses differ in the last bit."""
+    family, word = affine_box_system(1)
+    wrong = true_orbit(family, word.shifted(1), (3.5, 0.5), 3)
+    second = true_orbit(family, word.shifted(4), (2.0, 2.0), 5)
+    plan = BlockPlan((wrong, second), (1, 1))
+    assert "max_error_mismatch" in concat_outcome(concatenate, plan, word)[1]
+    assert_outcomes_agree(plan, word)
 
 
 def test_differential_plans_reach_every_outcome():
@@ -322,8 +351,7 @@ def test_differential_plans_reach_every_outcome():
     for second, witness_key in ((good[1], None), (wrong, "max_error_mismatch"),
                                 (corrupted, "prefix_mean")):
         outcome = concat_outcome(concatenate, BlockPlan((good[0], second), (1, 1)), word)
-        assert outcome == concat_outcome(reference_concatenate,
-                                         BlockPlan((good[0], second), (1, 1)), word)
+        assert_outcomes_agree(BlockPlan((good[0], second), (1, 1)), word)
         if witness_key is None:
             assert outcome[2]["kind"] == "concatenation"
         else:

@@ -263,7 +263,7 @@ def test_map_spec_that_is_not_numeric_exits_2(tmp_path, capsys):
     data["system"]["maps"][0] = {"kind": "permutation", "perm": ["a", "b"]}
     code, err = run(data, tmp_path, "generate", capsys)
     assert code == 2
-    assert "config field 'system'" in err
+    assert "config field 'system.maps[0]'" in err
 
 
 def test_word_alphabet_larger_than_the_map_count_exits_2(tmp_path, capsys):
@@ -292,6 +292,96 @@ def test_map_of_the_wrong_dimension_exits_2(tmp_path, capsys, spec):
     code, err = run(data, tmp_path, "generate", capsys)
     assert code == 2
     assert "config field 'system'" in err
+
+
+# ---------------------------------------------------------------------------
+# Word, map and space fields: integral where an integer is meant, finite real
+# numbers elsewhere, checked when the word, map or space is built
+
+IID = {"kind": "iid", "m": 2, "weights": [0.5, 0.5], "seed": 3}
+BOX = {"kind": "box-kd", "lo": [0.0, 0.0], "hi": [1.0, 1.0]}
+
+
+@pytest.mark.parametrize("word", [
+    # The seeds ended in an OverflowError traceback; the rest exited 0,
+    # truncated, cast, or (NaN, infinity) giving the all-1 word.
+    {**IID, "seed": -1},
+    {**IID, "seed": 2**70},
+    {"kind": "constant", "m": 2.7, "symbol": 1},
+    {"kind": "constant", "m": 2, "symbol": 1.9},
+    {"kind": "periodic", "m": 2, "pattern": [1.5, 2]},
+    {"kind": "periodic", "m": 2, "pattern": [1, 2], "offset": 1.5},
+    {"kind": "constant", "m": 2, "symbol": True},
+    {"kind": "periodic", "m": 2, "pattern": ["1", "2"]},
+    {**IID, "weights": ["0.5", "0.5"]},
+    {**IID, "weights": [math.nan, 1]},
+    {**IID, "weights": [math.inf, 1]},
+])
+def test_malformed_word_exits_2_naming_it(tmp_path, capsys, word):
+    data = {**base_config(tmp_path / "out"), "horizon": 20}
+    data["system"]["word"] = word
+    code, err = run(data, tmp_path, "generate", capsys)
+    assert code == 2
+    assert "config field 'system.word'" in err
+
+
+@pytest.mark.parametrize("field, spec", [
+    # Each of these exited 0: the half became 0 and the strings were cast.
+    ("system.maps[0]", {"kind": "permutation", "perm": [1, 0.5]}),
+    ("system.maps[0]", {"kind": "permutation", "perm": ["1", "0"]}),
+    ("system.maps[1]", {"kind": "scale", "factors": ["0.5", "0.5"]}),
+    ("system.maps[1]", {"kind": "affine", "matrix": [[0.5, 0], [0, "0.5"]], "offset": [0, 0]}),
+    ("system.maps[1]", {"kind": "affine", "matrix": [[0.5, 0], [0, 0.5]], "offset": [0, True]}),
+    ("system.space", {**BOX, "lo": ["0", 0]}),
+    # A space of infinite diameter.
+    ("system.space", {**BOX, "hi": [1, math.inf]}),
+])
+def test_malformed_map_or_space_exits_2_naming_it(tmp_path, capsys, field, spec):
+    data = {**base_config(tmp_path / "out"), "horizon": 20}
+    system = data["system"]
+    if field == "system.space":
+        system.update(space=spec, start=[0.5, 0.5])
+    else:
+        system["maps"][int(field[-2])] = spec
+    code, err = run(data, tmp_path, "generate", capsys)
+    assert code == 2
+    assert f"config field {field!r}" in err
+
+
+def test_integral_floats_in_the_system_spec_still_load(tmp_path, capsys):
+    orbits = []
+    for one, two in ((1, 2), (1.0, 2.0)):
+        data = {**base_config(tmp_path / "out"), "horizon": 20}
+        data["system"]["maps"][0]["perm"] = [one, 0]
+        data["system"]["word"] = {"kind": "prefix", "m": two, "prefix": [two, one],
+                                  "tail": {"kind": "periodic", "m": two, "pattern": [one, two]},
+                                  "offset": one}
+        assert run(data, tmp_path, "generate", capsys)[0] == 0
+        orbits.append((tmp_path / "out" / "orbit.json").read_bytes())
+    assert orbits[0] == orbits[1]
+
+
+@pytest.mark.parametrize("section, key, value", [
+    # The seed ended classify in an OverflowError traceback; the others were
+    # cast to the spec the file was written with, and loaded.
+    ("word", "seed", -1),
+    ("word", "weights", ["0.5", "0.5"]),
+    ("maps", "perm", [1, 0.5]),
+])
+def test_malformed_system_in_an_orbit_file_exits_2_naming_it(tmp_path, capsys, section, key,
+                                                             value):
+    data = {**base_config(tmp_path / "out"), "horizon": 20}
+    data["system"]["word"] = IID
+    assert run(data, tmp_path, "generate", capsys)[0] == 0
+    orbit = json.loads((tmp_path / "out" / "orbit.json").read_text())
+    spec = orbit["word"] if section == "word" else orbit["system"]["maps"][0]
+    spec[key] = value
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(orbit))
+    data["classify"] = {"orbit": str(path)}
+    code, err = run(data, tmp_path, "classify", capsys)
+    assert code == 2
+    assert f"orbit file {path}" in err
 
 
 @pytest.mark.parametrize("field, command", [

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -249,6 +251,15 @@ def test_word_validation():
         Word.periodic((1, 0), m=2)
     with pytest.raises(ParameterError):
         Word.iid([-1.0, 2.0], seed=1)
+
+
+def test_word_is_a_frozen_value():
+    word = Word.periodic(np.array([1, 2]), m=np.int64(2))
+    assert word == Word.periodic([1.0, 2], m=2) and hash(word) == hash(Word.periodic((1, 2), 2))
+    assert word.pattern == (1, 2) and type(word.m) is int
+    assert word.shifted(3) == Word("periodic", 2, pattern=(1, 2), offset=3) != word
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        word.offset = 1
 
 
 def test_word_roundtrip_spec():

@@ -3,14 +3,15 @@ space and map operations that take a point or rows.
 
 ``orbit`` and ``make_corrupted_orbit`` step a point with symbols computed
 once and check membership once per orbit. The references below step one
-symbol at a time through ``Word.symbol_at`` with the single-point float
-forms written out here (not through the library's step table), and draw
-each jump when it is needed; results must agree bit for bit, and failures
-must raise the same error at the same step. ``net`` and ``trace_report``
+symbol at a time through the per-index symbol rule and the single-point
+float forms written out here (not through the library's symbol rule or
+step table), and draw each jump when it is needed; results must agree bit
+for bit, and failures must raise the same error at the same step. ``net`` and ``trace_report``
 are checked against the per-point and per-step loops they replaced, and the
 one-objective net scan against the two-objective scan it replaced.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -38,6 +39,30 @@ from shadowlab.shadow_search import HIT_DENSITY, LIMSUP, _net_search, _scan
 
 SETTINGS = settings(max_examples=150, deadline=None)
 TOL = 1e-12
+
+
+def reference_symbol(word, j):
+    """Symbol j of the word, one index at a time: an iid index hashes its own
+    SHA-256 draw and walks the cumulative weights; a prefix word's tail is
+    read at its own index."""
+    b = word.offset + j
+    if word.kind == "constant":
+        return word.symbol
+    if word.kind == "periodic":
+        return word.pattern[b % len(word.pattern)]
+    if word.kind == "iid":
+        key = b"shadowlab-word" + word.seed.to_bytes(8, "big")
+        u = int.from_bytes(hashlib.sha256(key + b.to_bytes(8, "big")).digest()[:8], "big")
+        u /= 2.0**64
+        total, acc = sum(word.weights), 0.0
+        for s, w in enumerate(word.weights, start=1):
+            acc += w / total
+            if u < acc:
+                return s
+        return word.m
+    if b < len(word.prefix):
+        return word.prefix[b]
+    return reference_symbol(word.tail, b - len(word.prefix))
 
 
 def reference_contains(space, q):
@@ -90,7 +115,7 @@ def reference_orbit(family, word, z, n):
         raise DomainError(f"start {p.tolist()} is outside the {family.space.kind} space")
     out = [p]
     for j in range(n - 1):
-        out.append(reference_step(family, word.symbol_at(j), out[-1]))
+        out.append(reference_step(family, reference_symbol(word, j), out[-1]))
     return np.array(out, dtype=np.float64)
 
 
@@ -103,7 +128,7 @@ def reference_corrupted_orbit(family, word, z, indices, rule, seed):
     points = [reference_orbit(family, word, z, 1)[0]]
     clamped = []
     for j in range(indices.horizon):
-        image = reference_step(family, word.symbol_at(j), points[-1])
+        image = reference_step(family, reference_symbol(word, j), points[-1])
         if not corrupted[j]:
             points.append(image)
             continue
@@ -239,15 +264,20 @@ def system_and_word(draw):
 @SETTINGS
 @given(st.integers(1, 3).flatmap(words), st.integers(0, 60))
 def test_symbols_equal_symbol_at(word, n):
+    expected = [reference_symbol(word, j) for j in range(n)]
     symbols = word.symbols(n)
     assert symbols.dtype == np.int64
-    assert np.array_equal(symbols, [word.symbol_at(j) for j in range(n)])
+    assert np.array_equal(symbols, expected)
+    at = [word.symbol_at(j) for j in range(n)]
+    assert at == expected and all(type(s) is int for s in at)
 
 
 def test_iid_symbols_equal_symbol_at_at_scale():
     word = Word.iid((0.2, 0.0, 0.5, 0.3), seed=2**40 + 7).shifted(123_456)
     n = 20_000
-    assert np.array_equal(word.symbols(n), [word.symbol_at(j) for j in range(n)])
+    expected = [reference_symbol(word, j) for j in range(n)]
+    assert np.array_equal(word.symbols(n), expected)
+    assert [word.symbol_at(j) for j in range(n)] == expected
 
 
 # ---------------------------------------------------------------------------
