@@ -1,17 +1,21 @@
 """Phase spaces, generator families, infinite words, and orbit composition.
 
-Points are float64 vectors. Map specs form a closed algebra (identity,
-coordinate permutation, affine, componentwise scale) so that continuity and
-self-mapping are verifiable rather than assumed.
+Map specs form a closed algebra (identity, coordinate permutation, affine,
+componentwise scale) so that continuity and self-mapping are verifiable
+rather than assumed. Every map and space operation is one fixed-order
+elementwise expression over d coordinates, Python floats for a point and
+numpy columns for rows, so a point and a row round the same.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import operator
 import sys
 from dataclasses import KW_ONLY, dataclass, replace
 from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -27,10 +31,7 @@ CIRCLE = "circle-1d"
 
 def as_points(P, dimension: int | None = None) -> np.ndarray:
     """P as float64 coordinates: one point (1-d) or an (n, d) array of rows."""
-    if type(P) is np.ndarray and P.dtype == np.float64 and 0 < P.ndim <= 2:
-        q = P
-    else:
-        q = np.atleast_1d(np.asarray(P, dtype=np.float64))
+    q = np.atleast_1d(np.asarray(P, dtype=np.float64))
     if q.ndim > 2:
         raise DomainError(f"expected a point or an (n, d) array of rows, got shape {q.shape}")
     if dimension is not None and q.shape[-1] != dimension:
@@ -43,6 +44,26 @@ def as_point(p, dimension: int | None = None) -> np.ndarray:
     if q.ndim != 1:
         raise DomainError(f"a point must be a 1-d coordinate vector, got shape {q.shape}")
     return q
+
+
+# Besides operators, the expressions call these on floats and numpy's on
+# columns; math.sqrt and np.sqrt are both the correctly rounded square root.
+_FLOATS = SimpleNamespace(sqrt=math.sqrt, isfinite=math.isfinite,
+                          where=lambda condition, a, b: a if condition else b)
+
+
+def _coordinates(P, dimension: int | None = None) -> tuple:
+    """A point's floats or an (n, d) array's columns, with their namespace."""
+    q = as_points(P, dimension)
+    return (tuple(q.tolist()), _FLOATS) if q.ndim == 1 else (tuple(q.T), np)
+
+
+def _dot(u, v):
+    """Sum of u[k] * v[k], accumulated left to right."""
+    acc = u[0] * v[0]
+    for k in range(1, len(u)):
+        acc = acc + u[k] * v[k]
+    return acc
 
 
 def _integral(value) -> bool:
@@ -117,57 +138,54 @@ class MetricSpace:
         span = np.asarray(self.hi) - np.asarray(self.lo)
         return float(np.linalg.norm(span))
 
-    def canonical(self, p: np.ndarray) -> np.ndarray:
-        """Canonical representative: wraps circle coordinates into [0, 1)."""
-        if self.kind == CIRCLE:
-            return np.mod(p, 1.0)
-        return p
-
     def contains(self, P):
         """Membership of a point (a bool) or of each row of P (an array), within MEMBERSHIP_TOL."""
-        q = as_points(P, self.dimension)
-        if self.kind == UNIT_DISK:
-            if q.ndim == 1:
-                # The 1-d np.linalg.norm without its dispatch, twice as fast as
-                # vecdot; a corrupted orbit tests every jump's landing point.
-                return math.sqrt(q.dot(q)) <= 1.0 + MEMBERSHIP_TOL
-            return np.linalg.norm(q, axis=1) <= 1.0 + MEMBERSHIP_TOL
-        if self.kind == CIRCLE:
-            inside = np.all(np.isfinite(q), axis=-1)
-        else:
-            inside = np.all((q >= np.asarray(self.lo) - MEMBERSHIP_TOL)
-                            & (q <= np.asarray(self.hi) + MEMBERSHIP_TOL), axis=-1)
-        return bool(inside) if q.ndim == 1 else inside
+        return self._inside(*_coordinates(P, self.dimension))
 
     def distance(self, P, Q):
         """d(P, Q) for two points (a float), or row by row when either is an
-        (n, d) array of rows (an array); a single point broadcasts.
-
-        Two rounding forms, both pinned by artifact bytes: two points take
-        the 1-d ``np.linalg.norm`` (``sqrt(vecdot)`` rounds the same), rows
-        take ``np.linalg.norm(axis=1)``, which can differ in the last bit.
-        """
-        a, b = as_points(P, self.dimension), as_points(Q, self.dimension)
-        if self.kind == CIRCLE:
-            m = np.abs(np.mod(a[..., 0], 1.0) - np.mod(b[..., 0], 1.0))
-            out = np.minimum(m, 1.0 - m)
-            return float(out) if out.ndim == 0 else out
-        diff = a - b
-        return math.sqrt(diff.dot(diff)) if diff.ndim == 1 else np.linalg.norm(diff, axis=1)
+        (n, d) array of rows (an array); a single point broadcasts."""
+        a, xa = _coordinates(P, self.dimension)
+        b, xb = _coordinates(Q, self.dimension)
+        return self._distance(a, b, xa if xa is xb else np)
 
     def project(self, P) -> np.ndarray:
         """Nearest point of the space (clamp / normalize / wrap) to a point or to each row of P."""
-        q = as_points(P, self.dimension)
+        c, xp = _coordinates(P, self.dimension)
+        return np.stack(self._project(c, xp), axis=-1)
+
+    def _canonical(self, c: tuple) -> tuple:
+        """Canonical representative: wraps circle coordinates into [0, 1)."""
+        return (c[0] % 1.0,) if self.kind == CIRCLE else c
+
+    def _inside(self, c: tuple, xp):
         if self.kind == UNIT_DISK:
-            # Division by max(|q|, 1) is exact for points inside; fmax keeps
-            # a NaN norm from touching the point.
-            return q / np.fmax(np.sqrt(np.vecdot(q, q)), 1.0)[..., None]
+            return xp.sqrt(_dot(c, c)) <= 1.0 + MEMBERSHIP_TOL
         if self.kind == CIRCLE:
-            return np.mod(q, 1.0)
-        # A tie goes to the bound in both forms, which np.clip does not do for
-        # signed zeros on every array layout; NaN stays NaN.
-        lo, hi = np.asarray(self.lo), np.asarray(self.hi)
-        return np.where(q <= lo, lo, np.where(q >= hi, hi, q))
+            return xp.isfinite(c[0])
+        inside = True
+        for x, lo, hi in zip(c, self.lo, self.hi):
+            inside = inside & (x >= lo - MEMBERSHIP_TOL) & (x <= hi + MEMBERSHIP_TOL)
+        return inside
+
+    def _distance(self, a: tuple, b: tuple, xp):
+        if self.kind == CIRCLE:
+            m = abs(a[0] % 1.0 - b[0] % 1.0)
+            return xp.where(m <= 1.0 - m, m, 1.0 - m)
+        diff = [x - y for x, y in zip(a, b)]
+        return xp.sqrt(_dot(diff, diff))
+
+    def _project(self, c: tuple, xp) -> tuple:
+        if self.kind == UNIT_DISK:
+            # Division by max(|c|, 1), or by 1 for a NaN norm, is exact inside.
+            r = xp.sqrt(_dot(c, c))
+            r = xp.where(r > 1.0, r, 1.0)
+            return tuple(x / r for x in c)
+        if self.kind == CIRCLE:
+            return self._canonical(c)
+        # A tie goes to the bound, signed zeros included; NaN stays NaN.
+        return tuple(xp.where(x <= lo, lo, xp.where(x >= hi, hi, x))
+                     for x, lo, hi in zip(c, self.lo, self.hi))
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         """Uniform seeded point of the space."""
@@ -233,26 +251,22 @@ class GeneratorMap:
 
     def __call__(self, P) -> np.ndarray:
         """Image of a point, or of each row of an (n, d) array P."""
-        return self._step(as_points(P))
+        size = self.perm or self.offset or self.factors
+        c, _ = _coordinates(P, None if size is None else len(size))
+        return np.stack(self._step(c), axis=-1)
 
     @cached_property
     def _step(self):
-        """The map as one function of a point or of rows, its arrays built once."""
+        """The map as one expression over a tuple of coordinates."""
         if self.kind == "identity":
-            return lambda P: P
+            return lambda c: c
         if self.kind == "permutation":
-            perm = np.array(self.perm, dtype=np.intp)
-            # On a point p[perm] takes a fifth of the time of P[..., perm], and
-            # orbits step one point at a time.
-            return lambda P: P[perm] if P.ndim == 1 else P[:, perm]
+            return lambda c: tuple([c[i] for i in self.perm])
         if self.kind == "affine":
-            # The transposed view, not a contiguous copy: on a point this rounds
-            # as A @ p + b does, on rows as the batch form always has.
-            AT, b = np.asarray(self.matrix).T, np.asarray(self.offset)
-            return lambda P: P @ AT + b
+            rows = tuple(zip(self.matrix, self.offset))
+            return lambda c: tuple([_dot(c, a) + b for a, b in rows])
         if self.kind == "scale":
-            factors = np.asarray(self.factors)
-            return lambda P: P * factors
+            return lambda c: tuple(map(operator.mul, c, self.factors))
         raise ParameterError(f"unknown map kind {self.kind!r}")
 
     def spec(self) -> dict:
@@ -302,27 +316,22 @@ class GeneratorFamily:
 
     @cached_property
     def steps(self) -> tuple:
-        """Step table: ``steps[s]`` maps a point or rows through f_s.
+        """Step table: ``steps[s]`` maps coordinates, floats or columns, through f_s.
 
         Symbol 0 is the identity, and circle images wrap into [0, 1). Every
-        stepping loop goes through this table, after ``checked_symbols``.
+        stepping loop goes through this table.
         """
         maps = [g._step for g in self.maps]
         if self.space.kind == CIRCLE:
-            maps = [lambda P, f=f: np.mod(f(P), 1.0) for f in maps]
-        return (lambda P: P, *maps)
-
-    def symbols_in_range(self, symbols: np.ndarray) -> int:
-        """Length of the longest prefix of the symbols inside [0, m]."""
-        bad = np.flatnonzero((symbols < 0) | (symbols > self.m))
-        return int(bad[0]) if bad.size else len(symbols)
+            maps = [lambda c, f=f: self.space._canonical(f(c)) for f in maps]
+        return (lambda c: c, *maps)
 
     def checked_symbols(self, symbols) -> np.ndarray:
         """The symbols as an int64 array; RangeError at the first outside [0, m]."""
         symbols = np.asarray(symbols, dtype=np.int64)
-        n = self.symbols_in_range(symbols)
-        if n < len(symbols):
-            raise RangeError(f"symbol {int(symbols[n])} outside [0, {self.m}]")
+        bad = np.flatnonzero((symbols < 0) | (symbols > self.m))
+        if bad.size:
+            raise RangeError(f"symbol {int(symbols[bad[0]])} outside [0, {self.m}]")
         return symbols
 
     def apply(self, symbol: int, P) -> np.ndarray:
@@ -332,16 +341,18 @@ class GeneratorFamily:
         first that does not); a symbol outside [0, m] raises RangeError.
         """
         step = self.steps[int(self.checked_symbols((symbol,))[0])]
-        q = as_points(P, self.space.dimension)
-        i = _first_outside(self.space, q)
-        if i is not None:
-            raise DomainError(f"point {np.atleast_2d(q)[i].tolist()} is outside the "
+        q = np.atleast_2d(as_points(P, self.space.dimension))
+        outside = np.flatnonzero(~self.space.contains(q))
+        if outside.size:
+            raise DomainError(f"point {q[outside[0]].tolist()} is outside the "
                               f"{self.space.kind} space")
-        img = step(q)
-        i = _first_outside(self.space, img)
-        if i is not None:
-            raise _left_space(symbol, np.atleast_2d(q)[i], np.atleast_2d(img)[i])
-        return img
+        img = np.stack(step(tuple(q.T)), axis=-1)
+        outside = np.flatnonzero(~self.space.contains(img))
+        if outside.size:
+            i = outside[0]
+            raise DomainError(f"map {int(symbol)} sends {q[i].tolist()} to {img[i].tolist()}, "
+                              "outside the space")
+        return img if np.ndim(P) == 2 else img[0]
 
     def spec(self) -> dict:
         return {"space": self.space.spec(), "maps": [g.spec() for g in self.maps]}
@@ -423,7 +434,8 @@ class Word:
 
     @classmethod
     def iid(cls, weights, seed: int) -> "Word":
-        return cls("iid", len(tuple(weights)), weights=weights, seed=seed)
+        weights = tuple(weights)
+        return cls("iid", len(weights), weights=weights, seed=seed)
 
     @classmethod
     def with_prefix(cls, prefix, tail: "Word") -> "Word":
@@ -504,48 +516,40 @@ class Word:
                    prefix=spec.get("prefix"), tail=tail, offset=spec.get("offset", 0))
 
 
-def _first_outside(space: MetricSpace, P: np.ndarray) -> int | None:
-    """Index of the first row of P outside the space (a point is one row)."""
-    bad = np.flatnonzero(~np.atleast_1d(space.contains(P)))
-    return int(bad[0]) if bad.size else None
-
-
-def _left_space(symbol: int, p: np.ndarray, image: np.ndarray) -> DomainError:
-    return DomainError(f"map {int(symbol)} sends {p.tolist()} to {image.tolist()}, "
-                       "outside the space")
-
-
-def _walk(family: GeneratorFamily, symbols, z, jump=None) -> np.ndarray:
-    """Step z through the symbols one point at a time; return the points.
-
-    The image of points[j] is ``family.steps[symbols[j]](points[j])``;
-    points[j+1] is that image, or jump(j, image) when a jump is given.
-    Symbols are range-checked before stepping, and images are checked for
-    membership once, over the finished walk. The errors are those of
-    ``family.apply`` at the first failing step.
+def _walk(family: GeneratorFamily, symbols, z, jumps: dict | None = None,
+          offset: bool = False) -> tuple[np.ndarray, list[int]]:
+    """Step z through the symbols on Python floats; return the points and
+    the steps whose jump was clamped. At a step j in jumps, points[j+1] is
+    where jumps[j] lands: the image displaced by it when offset is true, else
+    jumps[j] itself, projected onto the space if it left it. Images are
+    checked once, on columns; the first outside raises as ``family.apply``.
     """
-    space = family.space
-    p = as_point(z, space.dimension)
-    if not space.contains(p):
-        raise DomainError(f"start {p.tolist()} is outside the {space.kind} space")
-    symbols = np.asarray(symbols, dtype=np.int64)
-    n = family.symbols_in_range(symbols)
-    steps = family.steps
-    points = np.empty((n + 1, space.dimension), dtype=np.float64)
-    points[0] = p
-    images = points[1:] if jump is None else np.empty((n, space.dimension), dtype=np.float64)
-    # A point that left the space may overflow before the membership check raises.
+    space, steps, jumps = family.space, family.steps, jumps or {}
+    p = tuple(as_point(z, space.dimension).tolist())
+    if not space._inside(p, _FLOATS):
+        raise DomainError(f"start {list(p)} is outside the {space.kind} space")
+    points, images, clamped = [p], [], []
+    for j, s in enumerate(symbols.tolist()):
+        if not 0 <= s < len(steps):
+            break
+        p = steps[s](p)
+        images.append(p)
+        if j in jumps:
+            p = space._canonical(tuple(map(operator.add, p, jumps[j])) if offset else jumps[j])
+            if not space._inside(p, _FLOATS):
+                p = space._project(p, _FLOATS)
+                clamped.append(j)
+        points.append(p)
+    points = np.array(points)
+    images = np.array(images).reshape(-1, space.dimension) if jumps else points[1:]
+    # A point that left the space may overflow before the check raises.
     with np.errstate(all="ignore"):
-        for j, s in enumerate(symbols[:n].tolist()):
-            p = images[j] = steps[s](p)
-            if jump is not None:
-                p = points[j + 1] = jump(j, p)
-    j = _first_outside(space, images)
-    if j is not None:
-        raise _left_space(symbols[j], points[j], images[j])
+        outside = np.flatnonzero(~space._inside(tuple(images.T), np))
+        if outside.size:  # apply rounds that step the same, and raises for it
+            family.apply(symbols[outside[0]], points[outside[0]])
     # The first out-of-range symbol, when no earlier image left the space.
     family.checked_symbols(symbols)
-    return points
+    return points, clamped
 
 
 def orbit(family: GeneratorFamily, word: Word, z, n: int) -> np.ndarray:
@@ -556,7 +560,7 @@ def orbit(family: GeneratorFamily, word: Word, z, n: int) -> np.ndarray:
     """
     if n < 1:
         raise ParameterError("orbit length must be >= 1")
-    return _walk(family, word.symbols(n - 1), z)
+    return _walk(family, word.symbols(n - 1), z)[0]
 
 
 def net(space: MetricSpace, mesh: float, cap: int = DEFAULT_NET_CAP) -> np.ndarray:
@@ -581,13 +585,9 @@ def net(space: MetricSpace, mesh: float, cap: int = DEFAULT_NET_CAP) -> np.ndarr
                                f"(cap {cap})", required_cap=total)
     axes = [lo + (hi - lo) * np.arange(n) / n if space.kind == CIRCLE else np.linspace(lo, hi, n)
             for (lo, hi), n in zip(bounds, counts)]
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, k)
-    proj = space.project(grid)
-    # A grid point is kept when its projection lies within mesh of it, by the
-    # point form of distance, sqrt(vecdot). On the circle the grid lies in
-    # [0, 1), where the projection is the identity.
-    gap = grid - proj
-    proj = proj[np.sqrt(np.vecdot(gap, gap)) <= mesh]
+    grid = tuple(axis.ravel() for axis in np.meshgrid(*axes, indexing="ij"))
+    proj = space._project(grid, np)
+    proj = np.stack(proj, axis=-1)[space._distance(grid, proj, np) <= mesh]
     rows = np.ascontiguousarray(proj).view(np.dtype((np.void, proj.itemsize * k))).ravel()
     _, first = np.unique(rows, return_index=True)
     return proj[np.sort(first)]
@@ -595,5 +595,5 @@ def net(space: MetricSpace, mesh: float, cap: int = DEFAULT_NET_CAP) -> np.ndarr
 
 def check_self_mapping(family: GeneratorFamily, mesh: float = 0.1) -> bool:
     """Verify on a net that every generator maps the space into itself."""
-    points = net(family.space, mesh)
-    return all(bool(np.all(family.space.contains(step(points)))) for step in family.steps[1:])
+    c = tuple(net(family.space, mesh).T)
+    return all(bool(np.all(family.space._inside(step(c), np))) for step in family.steps[1:])

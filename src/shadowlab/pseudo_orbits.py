@@ -27,20 +27,17 @@ DEFAULT_DENSITY_TOL = 0.01
 
 
 def recompute_step_errors(family: GeneratorFamily, word: Word, points: np.ndarray) -> np.ndarray:
-    """e_j = d(f_{w_j}(x_j), x_{j+1}), vectorized by grouping steps per symbol.
-
-    Each symbol's map is applied to all of its rows at once. An affine map
-    rounds a one-row group as the point form, and a group of two or more
-    rows can differ from that in the last bit, so the same step recomputed
-    within another sequence may differ within ROUNDING_TOL.
-    """
+    """e_j = d(f_{w_j}(x_j), x_{j+1}), each symbol's map evaluated on the
+    columns of its steps; a step rounds the same within any sequence."""
     H = len(points) - 1
     symbols = family.checked_symbols(word.symbols(H))
-    images = np.empty((H, family.space.dimension), dtype=np.float64)
+    columns = tuple(points[:-1].T)
+    images = tuple(np.empty(H) for _ in columns)
     for s in np.unique(symbols).tolist():
         idx = np.flatnonzero(symbols == s)
-        images[idx] = family.steps[s](points[idx])
-    return family.space.distance(images, points[1:])
+        for image, column in zip(images, family.steps[s](tuple(c[idx] for c in columns))):
+            image[idx] = column
+    return family.space._distance(images, tuple(points[1:].T), np)
 
 
 @dataclass(frozen=True)
@@ -92,9 +89,7 @@ class PseudoOrbit:
 def true_orbit(family: GeneratorFamily, word: Word, z, horizon: int) -> PseudoOrbit:
     """The actual orbit of z for `horizon` steps, as a pseudo-orbit.
 
-    Its step errors are the recomputed ones: zero for exact maps, ~1e-16
-    for affine ones, whose batch and single-point forms round differently.
-    Storing them keeps the file checksum equal to what loading recomputes.
+    Its step errors are the recomputed ones, all exactly zero.
     """
     return PseudoOrbit.from_points(family, word, orbit(family, word, z, horizon + 1),
                                    {"kind": "true-orbit"})
@@ -242,14 +237,6 @@ class JumpRule:
                    scale=spec.get("scale", 1.0), power=spec.get("power", 0.0))
 
 
-def _land(space: MetricSpace, raw: np.ndarray) -> tuple[np.ndarray, bool]:
-    """A jump's landing point, clamped onto the space if it left it."""
-    raw = space.canonical(raw)
-    if space.contains(raw):
-        return raw, False
-    return space.project(raw), True
-
-
 def _draw_jumps(rule: JumpRule, space: MetricSpace, rng: np.random.Generator,
                 steps: np.ndarray) -> np.ndarray:
     """One row per corrupted step, drawn in step order: the target point for
@@ -276,27 +263,14 @@ def make_corrupted_orbit(family: GeneratorFamily, word: Word, z,
 
     Jumps that leave the space are clamped onto it; clamped indices are
     flagged in the metadata. Deterministic under the seed: every jump is
-    drawn before stepping, in corrupted-step order. Membership of every
-    image, including images a jump replaces, is checked once per orbit.
+    drawn before stepping, in corrupted-step order. Every image, including
+    an image a jump replaces, is checked for membership.
     """
-    space = family.space
-    corrupted = corruption_indices.mask()
-    steps = np.flatnonzero(corrupted)
-    rows = iter(_draw_jumps(jump_rule, space, np.random.default_rng(seed), steps))
-    offset = jump_rule.kind == "offset"
-    is_corrupted = corrupted.tolist()
-    clamped: list[int] = []
-
-    def jump(j: int, image: np.ndarray) -> np.ndarray:
-        if not is_corrupted[j]:
-            return image
-        row = next(rows)
-        target, was_clamped = _land(space, image + row if offset else row)
-        if was_clamped:
-            clamped.append(j)
-        return target
-
-    points = _walk(family, word.symbols(corruption_indices.horizon), z, jump)
+    steps = np.flatnonzero(corruption_indices.mask())
+    rows = _draw_jumps(jump_rule, family.space, np.random.default_rng(seed), steps)
+    jumps = dict(zip(steps.tolist(), map(tuple, rows.tolist())))
+    points, clamped = _walk(family, word.symbols(corruption_indices.horizon), z, jumps,
+                            jump_rule.kind == "offset")
     meta = {"kind": "corrupted-orbit", "seed": seed, "jump_rule": jump_rule.spec(),
             "corrupted_count": len(corruption_indices), "clamped_indices": clamped}
     return PseudoOrbit.from_points(family, word, points, meta)

@@ -119,10 +119,11 @@ def _scan(xi: PseudoOrbit, P: np.ndarray, objective: str, eps: float,
     symbols = family.checked_symbols(xi.word.symbols(xi.horizon)).tolist()
     sums = np.zeros(len(P))
     best = np.full(len(P), np.inf if hits else -np.inf)
+    c = tuple(P.T)
     # Symbol 0 is the identity: at n = 1 the candidates are scored as they are.
-    for n, (s, x) in enumerate(zip([0, *symbols], xi.points), start=1):
-        P = family.steps[s](P)
-        t = family.space.distance(P, x)
+    for n, (s, x) in enumerate(zip([0, *symbols], xi.points.tolist()), start=1):
+        c = family.steps[s](c)
+        t = family.space._distance(c, x, np)
         sums += t < eps if hits else t
         if n >= n_lo:
             extremum(best, sums / n, out=best)

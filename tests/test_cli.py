@@ -1,10 +1,33 @@
 import json
 
 import numpy as np
+import pytest
 
-from shadowlab import build_disk_system, is_pseudo_orbit, true_orbit
+from shadowlab import (
+    GeneratorFamily,
+    IntegrityError,
+    Word,
+    build_disk_system,
+    is_pseudo_orbit,
+    true_orbit,
+)
 from shadowlab.cli import main
-from shadowlab.serialize import CONFIG_SCHEMA, load_orbit, save_block_plan_manifest, save_orbit
+from shadowlab.serialize import (
+    CONFIG_SCHEMA,
+    ORBIT_SCHEMA,
+    load_orbit,
+    save_block_plan_manifest,
+    save_orbit,
+    step_error_checksum,
+)
+
+AFFINE_BOX_SYSTEM = {
+    "space": {"kind": "box-kd", "lo": [0.0, 0.0], "hi": [1.0, 1.0]},
+    "maps": [{"kind": "affine", "matrix": [[0.5, 0.1], [0.0, 0.5]], "offset": [0.1, 0.2]},
+             {"kind": "affine", "matrix": [[0.4, 0.0], [0.2, 0.4]], "offset": [0.5, 0.3]}],
+    "word": {"kind": "iid", "m": 2, "weights": [0.5, 0.5], "seed": 3},
+    "start": [0.25, 0.75],
+}
 
 
 def write_config(tmp_path, **overrides):
@@ -61,22 +84,47 @@ def test_classify_pipeline(tmp_path):
 
 
 def test_generate_then_classify_affine_true_orbit(tmp_path):
-    # Affine images round differently in the single-point and batch forms,
-    # so a true orbit's recomputed step errors are ~1e-16, not zero; the
-    # saved checksum must be the one loading recomputes.
-    system = {
-        "space": {"kind": "box-kd", "lo": [0.0, 0.0], "hi": [1.0, 1.0]},
-        "maps": [{"kind": "affine", "matrix": [[0.5, 0.1], [0.0, 0.5]], "offset": [0.1, 0.2]},
-                 {"kind": "affine", "matrix": [[0.4, 0.0], [0.2, 0.4]], "offset": [0.5, 0.3]}],
-        "word": {"kind": "iid", "m": 2, "weights": [0.5, 0.5], "seed": 3},
-        "start": [0.25, 0.75],
-    }
-    cfg = write_config(tmp_path, system=system)
+    # A point and a row round the same, so an affine true orbit recomputes
+    # to step errors of exactly zero, and loading recomputes the checksum.
+    cfg = write_config(tmp_path, system=AFFINE_BOX_SYSTEM)
     assert main(["generate", "--config", str(cfg)]) == 0
     assert main(["classify", "--config", str(cfg)]) == 0
     xi = load_orbit(tmp_path / "out" / "orbit.json")
-    assert xi.step_errors.max() > 0.0
+    assert xi.step_errors.max() == 0.0
     assert is_pseudo_orbit(xi, 1e-9)
+
+
+def test_affine_orbit_file_of_matmul_rounding_exits_2_naming_it(tmp_path, capsys):
+    """An affine orbit file as releases before the one rounding rule wrote it:
+    points stepped by ``p @ A.T + b``, step errors by the rows matmul
+    ``P @ A.T + b`` per symbol group and ``np.linalg.norm(axis=1)``. Its
+    checksum is not the one the columns recompute, and the check is exact."""
+    family = GeneratorFamily.from_spec(AFFINE_BOX_SYSTEM)
+    word = Word.from_spec(AFFINE_BOX_SYSTEM["word"])
+    forms = [(np.asarray(g.matrix).T, np.asarray(g.offset)) for g in family.maps]
+    symbols = word.symbols(400)
+    points = [np.asarray(AFFINE_BOX_SYSTEM["start"])]
+    for s in symbols.tolist():
+        AT, b = forms[s - 1]
+        points.append(points[-1] @ AT + b)
+    points = np.array(points)
+    images = np.empty_like(points[1:])
+    for s, (AT, b) in enumerate(forms, start=1):
+        idx = np.flatnonzero(symbols == s)
+        images[idx] = points[idx] @ AT + b
+    errors = np.linalg.norm(images - points[1:], axis=1)
+    path = tmp_path / "matmul-orbit.json"
+    path.write_text(json.dumps({"schema": ORBIT_SCHEMA, "system": family.spec(),
+                                "word": word.spec(), "points": points.tolist(),
+                                "step_error_checksum": step_error_checksum(errors),
+                                "meta": {"kind": "true-orbit"}}))
+    cfg = write_config(tmp_path, system=AFFINE_BOX_SYSTEM, classify={"orbit": str(path)})
+    capsys.readouterr()
+    assert main(["classify", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"orbit file {path}: step-error checksum mismatch" in err
+    with pytest.raises(IntegrityError, match="checksum mismatch"):
+        load_orbit(path)
 
 
 def test_classify_tampered_checksum_exits_2(tmp_path):

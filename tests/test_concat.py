@@ -303,22 +303,16 @@ def concat_outcome(fn, plan, word):
 
 
 def assert_outcomes_agree(plan, word):
-    """Orbit bytes agree exactly; a rejection agrees in exception type, witness
-    keys and integer entries, and in float entries to within ROUNDING_TOL. A
-    block's step errors are batched differently in the two forms (the laid-out
-    sequence groups a symbol's steps across blocks), so a mismatch witness can
-    differ in the last bit."""
+    """Orbit bytes agree exactly, and so does a rejection: its exception type
+    and every witness entry, floats bit for bit. A step recomputes to the same
+    bits whichever steps share its symbol's group, so a block's step errors
+    are the same within the laid-out sequence and on their own."""
     got = concat_outcome(concatenate, plan, word)
     want = concat_outcome(reference_concatenate, plan, word)
-    if want[0] is not PreconditionError:
-        assert got == want
-        return
-    assert got[0] is PreconditionError and got[1].keys() == want[1].keys()
-    for key, value in want[1].items():
-        if isinstance(value, float):
-            assert abs(got[1][key] - value) <= ROUNDING_TOL, key
-        else:
-            assert got[1][key] == value, key
+    assert got == want
+    if want[0] is PreconditionError:
+        assert {k: float(v).hex() for k, v in got[1].items()} == \
+            {k: float(v).hex() for k, v in want[1].items()}
 
 
 @settings(max_examples=200, deadline=None)
@@ -327,15 +321,17 @@ def test_concatenate_matches_per_block_shifted_check(plan_and_word):
     assert_outcomes_agree(*plan_and_word)
 
 
-def test_mismatch_witness_may_differ_in_the_last_bit():
-    """Block 1 fails the mismatch check. A symbol that occurs once in it rounds
-    as the point form there and in a group of rows in the laid-out sequence;
-    with numpy 2.4 the two witnesses differ in the last bit."""
+def test_mismatch_witness_agrees_bit_for_bit():
+    """Block 1 fails the mismatch check. A symbol that occurs once in it is a
+    one-row group there and part of a larger group in the laid-out sequence;
+    the two witnesses are the same float, bit for bit."""
     family, word = affine_box_system(1)
     wrong = true_orbit(family, word.shifted(1), (3.5, 0.5), 3)
     second = true_orbit(family, word.shifted(4), (2.0, 2.0), 5)
     plan = BlockPlan((wrong, second), (1, 1))
-    assert "max_error_mismatch" in concat_outcome(concatenate, plan, word)[1]
+    got = concat_outcome(concatenate, plan, word)[1]["max_error_mismatch"]
+    want = concat_outcome(reference_concatenate, plan, word)[1]["max_error_mismatch"]
+    assert got.hex() == want.hex()
     assert_outcomes_agree(plan, word)
 
 

@@ -277,6 +277,13 @@ def test_iid_word_frequencies_follow_weights():
     assert abs(freqs[2] - 0.1) < 0.02
 
 
+def test_iid_word_reads_its_weights_once():
+    # An iterator of weights is spent by its first read.
+    word = Word.iid(iter([0.5, 0.5]), seed=1)
+    assert word == Word.iid([0.5, 0.5], seed=1)
+    assert word.m == 2 and word.weights == (0.5, 0.5)
+
+
 def test_net_covering_sweep():
     rng = np.random.default_rng(17)
     cases = [(MetricSpace.unit_disk(), (0.15, 0.4, 1.0)),

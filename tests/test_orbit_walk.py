@@ -3,12 +3,13 @@ space and map operations that take a point or rows.
 
 ``orbit`` and ``make_corrupted_orbit`` step a point with symbols computed
 once and check membership once per orbit. The references below step one
-symbol at a time through the per-index symbol rule and the single-point
-float forms written out here (not through the library's symbol rule or
-step table), and draw each jump when it is needed; results must agree bit
-for bit, and failures must raise the same error at the same step. ``net`` and ``trace_report``
-are checked against the per-point and per-step loops they replaced, and the
-one-objective net scan against the two-objective scan it replaced.
+symbol at a time through the per-index symbol rule, and evaluate each map
+and space operation as its documented expression on a list of Python
+floats, one point at a time (not through the library's symbol rule, step
+table or space methods); they draw each jump when it is needed. Results
+must agree bit for bit, and failures must raise the same error at the same
+step. ``net``, ``trace_report`` and the net scan are checked against
+per-point and per-step loops of the same expressions.
 """
 
 import hashlib
@@ -28,13 +29,16 @@ from shadowlab import (
     MetricSpace,
     RangeError,
     Word,
+    average_shadow_search,
+    m_alpha_shadow_search,
     make_corrupted_orbit,
     net,
     orbit,
     trace_report,
+    true_orbit,
 )
-from shadowlab.density import tail_window_start
-from shadowlab.dynamics import CIRCLE, UNIT_DISK, as_point
+from shadowlab.dynamics import CIRCLE, UNIT_DISK
+from shadowlab.pseudo_orbits import recompute_step_errors
 from shadowlab.shadow_search import HIT_DENSITY, LIMSUP, _net_search, _scan
 
 SETTINGS = settings(max_examples=150, deadline=None)
@@ -65,31 +69,41 @@ def reference_symbol(word, j):
     return reference_symbol(word.tail, b - len(word.prefix))
 
 
+def reference_dot(u, v):
+    """The sum of u[k] * v[k], accumulated left to right."""
+    acc = u[0] * v[0]
+    for x, y in zip(u[1:], v[1:]):
+        acc = acc + x * y
+    return acc
+
+
 def reference_contains(space, q):
     if space.kind == UNIT_DISK:
-        return float(np.linalg.norm(q)) <= 1.0 + TOL
+        return math.sqrt(reference_dot(q, q)) <= 1.0 + TOL
     if space.kind == CIRCLE:
-        return bool(np.all(np.isfinite(q)))
-    return bool(np.all(q >= np.asarray(space.lo) - TOL) and np.all(q <= np.asarray(space.hi) + TOL))
+        return math.isfinite(q[0])
+    return all(x >= lo - TOL and x <= hi + TOL for x, lo, hi in zip(q, space.lo, space.hi))
 
 
 def reference_project(space, q):
     if space.kind == UNIT_DISK:
-        r = float(np.linalg.norm(q))
-        return q / r if r > 1.0 else q
+        r = math.sqrt(reference_dot(q, q))
+        return [x / r for x in q] if r > 1.0 else q
     if space.kind == CIRCLE:
-        return np.mod(q, 1.0)
-    return np.clip(q, np.asarray(space.lo), np.asarray(space.hi))
+        return [q[0] % 1.0]
+    return [lo if x <= lo else hi if x >= hi else x for x, lo, hi in zip(q, space.lo, space.hi)]
 
 
 def reference_map(g, p):
+    """f(p) for one point p, a list of floats: an affine row is
+    ((p0*a_i0 + p1*a_i1) + ...) + b_i."""
     if g.kind == "identity":
         return p
     if g.kind == "permutation":
-        return p[list(g.perm)]
+        return [p[i] for i in g.perm]
     if g.kind == "affine":
-        return np.asarray(g.matrix) @ p + np.asarray(g.offset)
-    return p * np.asarray(g.factors)
+        return [reference_dot(p, a) + b for a, b in zip(g.matrix, g.offset)]
+    return [x * f for x, f in zip(p, g.factors)]
 
 
 def reference_step(family, s, p):
@@ -98,25 +112,25 @@ def reference_step(family, s, p):
     if not 0 <= s <= family.m:
         raise RangeError(f"symbol {s} outside [0, {family.m}]")
     if not reference_contains(space, p):
-        raise DomainError(f"point {p.tolist()} is outside the {space.kind} space")
+        raise DomainError(f"point {p} is outside the {space.kind} space")
     if s == 0:
         return p
     image = reference_map(family.maps[s - 1], p)
     if space.kind == CIRCLE:
-        image = np.mod(image, 1.0)
+        image = [image[0] % 1.0]
     if not reference_contains(space, image):
-        raise DomainError(f"map {s} sends {p.tolist()} to {image.tolist()}, outside the space")
+        raise DomainError(f"map {s} sends {p} to {image}, outside the space")
     return image
 
 
 def reference_orbit(family, word, z, n):
-    p = as_point(z, family.space.dimension)
+    p = [float(x) for x in z]
     if not reference_contains(family.space, p):
-        raise DomainError(f"start {p.tolist()} is outside the {family.space.kind} space")
+        raise DomainError(f"start {p} is outside the {family.space.kind} space")
     out = [p]
     for j in range(n - 1):
         out.append(reference_step(family, reference_symbol(word, j), out[-1]))
-    return np.array(out, dtype=np.float64)
+    return np.array(out, dtype=np.float64).reshape(n, -1)
 
 
 def reference_corrupted_orbit(family, word, z, indices, rule, seed):
@@ -125,7 +139,7 @@ def reference_corrupted_orbit(family, word, z, indices, rule, seed):
     d = space.dimension
     rng = np.random.default_rng(seed)
     corrupted = indices.mask()
-    points = [reference_orbit(family, word, z, 1)[0]]
+    points = [reference_orbit(family, word, z, 1)[0].tolist()]
     clamped = []
     for j in range(indices.horizon):
         image = reference_step(family, reference_symbol(word, j), points[-1])
@@ -133,17 +147,18 @@ def reference_corrupted_orbit(family, word, z, indices, rule, seed):
             points.append(image)
             continue
         if rule.kind == "uniform":
-            points.append(space.sample(rng))
+            points.append(space.sample(rng).tolist())
             continue
         if rule.kind == "fixed":
-            raw = as_point(rule.point, d)
+            raw = [float(x) for x in rule.point]
         else:
             u = rng.normal(size=d)
             norm = np.linalg.norm(u)
             u = u / norm if norm > 0 else np.eye(d)[0]
-            raw = image + u * (rule.scale / (j + 1) ** rule.power)
+            row = u * (rule.scale / (j + 1) ** rule.power)
+            raw = [x + y for x, y in zip(image, row.tolist())]
         if space.kind == CIRCLE:
-            raw = np.mod(raw, 1.0)
+            raw = [raw[0] % 1.0]
         if reference_contains(space, raw):
             points.append(raw)
         else:
@@ -354,10 +369,10 @@ def test_corrupted_orbit_matches_per_step_draws_on_decaying_disk():
 
 @SETTINGS
 @given(unit(0.99999, 1.00001), unit(0.0, 2 * np.pi))
-def test_disk_membership_agrees_with_1d_norm(radius, angle):
+def test_disk_membership_agrees_with_the_documented_expression(radius, angle):
     space = MetricSpace.unit_disk()
     q = np.array([radius * np.cos(angle), radius * np.sin(angle)])
-    assert space.contains(q) == (float(np.linalg.norm(q)) <= 1.0 + 1e-12)
+    assert space.contains(q) == reference_contains(space, q.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -422,11 +437,13 @@ def test_walk_emits_no_warnings_before_raising():
 
 
 def reference_distance(space, a, b):
-    """The single-point distance: geodesic on the circle, else the 1-d norm."""
+    """Geodesic on the circle, else the square root of the sum of squared
+    coordinate differences, accumulated left to right."""
     if space.kind == CIRCLE:
-        m = abs(float(np.mod(a[0], 1.0)) - float(np.mod(b[0], 1.0)))
+        m = abs(a[0] % 1.0 - b[0] % 1.0)
         return min(m, 1.0 - m)
-    return float(np.linalg.norm(a - b))
+    diff = [x - y for x, y in zip(a, b)]
+    return math.sqrt(reference_dot(diff, diff))
 
 
 def reference_net(space, mesh):
@@ -443,40 +460,29 @@ def reference_net(space, mesh):
             axes.append(np.linspace(lo, hi, npts))
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, k)
     kept, seen = [], set()
-    for g in grid:
+    for g in grid.tolist():
         proj = reference_project(space, g)
         if reference_distance(space, g, proj) > mesh:
             continue
-        if proj.tobytes() not in seen:
-            seen.add(proj.tobytes())
+        key = np.array(proj).tobytes()
+        if key not in seen:
+            seen.add(key)
             kept.append(proj)
-    return np.array(kept, dtype=np.float64)
+    return np.array(kept, dtype=np.float64).reshape(-1, k)
 
 
 def reference_trace_errors(xi, z):
-    """The per-step loop: a one-row array stepped by the batch map forms, and
-    one row distance per step."""
-    family, space = xi.family, xi.family.space
-
-    def row_distance(P, q):
-        if space.kind == CIRCLE:
-            m = np.abs(np.mod(P, 1.0) - np.mod(q, 1.0))[:, 0]
-            return np.minimum(m, 1.0 - m)[0]
-        return np.linalg.norm(P - q, axis=1)[0]
-
-    P = np.asarray(z, dtype=np.float64).reshape(1, -1)
-    t = [row_distance(P, xi.points[0])]
+    """The per-step loop: the candidate stepped as a list of floats, one
+    point distance per step."""
+    space = xi.family.space
+    points = xi.points.tolist()
+    p = [float(x) for x in z]
+    t = [reference_distance(space, p, points[0])]
     for j in range(xi.horizon):
-        g = family.maps[xi.word.symbol_at(j) - 1]
-        if g.kind == "permutation":
-            P = P[:, list(g.perm)]
-        elif g.kind == "affine":
-            P = P @ np.asarray(g.matrix).T + np.asarray(g.offset)
-        elif g.kind == "scale":
-            P = P * np.asarray(g.factors)
+        p = reference_map(xi.family.maps[reference_symbol(xi.word, j) - 1], p)
         if space.kind == CIRCLE:
-            P = np.mod(P, 1.0)
-        t.append(row_distance(P, xi.points[j + 1]))
+            p = [p[0] % 1.0]
+        t.append(reference_distance(space, p, points[j + 1]))
     return np.array(t, dtype=np.float64)
 
 
@@ -526,29 +532,21 @@ def test_trace_report_matches_per_step_loop(system, horizon, seed):
 
 
 def reference_scan(xi, P, eps, tail_fraction):
-    """The scan that computed both objectives in one pass: per candidate, the
-    tail max of the prefix means of t and the tail min of those of 1[t < eps]."""
-    family = xi.family
-    steps = family.steps
-    n_lo = tail_window_start(xi.horizon + 1, tail_fraction)
-    t = family.space.distance(P, xi.points[0])
-    sums = t.copy()
-    hits = (t < eps).astype(np.float64)
-    max_mean = np.full(len(P), -np.inf)
-    min_density = np.full(len(P), np.inf)
-    if 1 >= n_lo:
-        np.maximum(max_mean, sums, out=max_mean)
-        np.minimum(min_density, hits, out=min_density)
-    for j, s in enumerate(family.checked_symbols(xi.word.symbols(xi.horizon)).tolist(), start=1):
-        P = steps[s](P)
-        t = family.space.distance(P, xi.points[j])
-        sums += t
-        hits += t < eps
-        n = j + 1
-        if n >= n_lo:
-            np.maximum(max_mean, sums / n, out=max_mean)
-            np.minimum(min_density, hits / n, out=min_density)
-    return max_mean, min_density
+    """Both objectives, one candidate at a time: over prefix lengths n from
+    ceil(tail_fraction * (H + 1)) on, the max of the running means of its
+    trace errors t and the min of those of 1[t < eps]."""
+    n_lo = max(1, math.ceil(tail_fraction * (xi.horizon + 1)))
+    max_mean, min_density = [], []
+    for z in P.tolist():
+        total, hits, top, bottom = 0.0, 0.0, -math.inf, math.inf
+        for n, t in enumerate(reference_trace_errors(xi, z).tolist(), start=1):
+            total += t
+            hits += t < eps
+            if n >= n_lo:
+                top, bottom = max(top, total / n), min(bottom, hits / n)
+        max_mean.append(top)
+        min_density.append(bottom)
+    return np.array(max_mean), np.array(min_density)
 
 
 @SETTINGS
@@ -579,28 +577,21 @@ def test_point_and_rows_agree_for_maps_and_project(system, n, seed):
     P = np.random.default_rng(seed).uniform(-1.5, 1.5, size=(n, d))
     for p, row in zip(P, space.project(P)):
         assert space.project(p).tobytes() == row.tobytes()
+        assert row.tobytes() == np.array(reference_project(space, p.tolist())).tobytes()
     for g in family.maps:
         for p, row in zip(P, g(P)):
-            if g.kind != "affine":
-                assert g(p).tobytes() == row.tobytes()
-                continue
-            # A @ p + b and the rows' P @ A.T + b are both pinned by artifact
-            # bytes; they round within the dot-product error bound of each other.
-            A, b = np.asarray(g.matrix), np.asarray(g.offset)
-            bound = (d + 1) * np.finfo(np.float64).eps * (np.abs(A) @ np.abs(p) + np.abs(b))
-            assert np.all(np.abs(g(p) - row) <= bound)
+            assert g(p).tobytes() == row.tobytes()
+            assert row.tobytes() == np.array(reference_map(g, p.tolist())).tobytes()
 
 
 @SETTINGS
 @given(st.lists(st.tuples(unit(1.0 - 1e-11, 1.0 + 3e-12), unit(0.0, 2 * np.pi)),
                 min_size=1, max_size=8))
-def test_disk_contains_point_and_rows_agree_off_the_boundary(polar):
+def test_disk_contains_point_and_rows_agree_on_the_boundary(polar):
     space = MetricSpace.unit_disk()
     P = np.array([(r * np.cos(a), r * np.sin(a)) for r, a in polar])
-    rows = space.contains(P)
-    for p, inside in zip(P, rows):
-        on_boundary = abs(float(np.linalg.norm(p)) - (1.0 + TOL)) <= np.spacing(1.0)
-        assert space.contains(p) == inside or on_boundary
+    for p, inside in zip(P, space.contains(P)):
+        assert space.contains(p) == inside == reference_contains(space, p.tolist())
 
 
 @SETTINGS
@@ -612,10 +603,49 @@ def test_point_and_rows_agree_for_contains_and_distance(system, n, seed):
     P = rng.uniform(-1.5, 1.5, size=(n, space.dimension))
     Q = np.array([space.sample(rng) for _ in range(n)])
     for p, inside in zip(P, space.contains(P)):
-        on_boundary = (space.kind == UNIT_DISK
-                       and abs(float(np.linalg.norm(p)) - (1.0 + TOL)) <= np.spacing(1.0))
-        assert space.contains(p) == inside or on_boundary
+        assert space.contains(p) == inside == reference_contains(space, p.tolist())
     for p, q, row in zip(P, Q, space.distance(P, Q)):
         point = space.distance(p, q)
         assert isinstance(point, float)
-        assert abs(point - row) <= np.spacing(point)
+        assert point == row == reference_distance(space, p.tolist(), q.tolist())
+
+
+# ---------------------------------------------------------------------------
+# One rounding rule: a step rounds the same on a point and in any group of rows
+
+
+@SETTINGS
+@given(system_and_word(), st.integers(1, 40))
+def test_true_orbit_recomputes_to_zero_step_errors(system, horizon):
+    family, word, start = system
+    xi = true_orbit(family, word, start, horizon)
+    assert xi.step_errors.tobytes() == np.zeros(horizon).tobytes()
+
+
+@SETTINGS
+@given(system_and_word(), st.integers(2, 40), st.integers(0, 2**32), st.data())
+def test_step_errors_of_slices_concatenate_bit_for_bit(system, horizon, seed, data):
+    """Each slice x_a..x_b, recomputed under the word shifted by a, gives
+    exactly the steps a..b-1 of the whole sequence's step errors."""
+    family, word, start = system
+    indices = IndexSet.from_mask(np.random.default_rng(seed).random(horizon) < 0.3)
+    points = make_corrupted_orbit(family, word, start, indices, JumpRule("uniform"), seed).points
+    cuts = sorted(data.draw(st.sets(st.integers(1, horizon - 1))))
+    bounds = [0, *cuts, horizon]
+    pieces = [recompute_step_errors(family, word.shifted(a), points[a:b + 1])
+              for a, b in zip(bounds, bounds[1:])]
+    whole = recompute_step_errors(family, word, points)
+    assert np.concatenate(pieces).tobytes() == whole.tobytes()
+
+
+@SETTINGS
+@given(system_and_word(), st.integers(1, 40), st.integers(0, 2**32), unit(0.2, 1.5),
+       unit(0.01, 1.0), unit(0.01, 0.99))
+def test_scan_objective_equals_report_value(system, horizon, seed, mesh, eps, tail_fraction):
+    family, word, start = system
+    indices = IndexSet.from_mask(np.random.default_rng(seed).random(horizon) < 0.3)
+    xi = make_corrupted_orbit(family, word, start, indices, JumpRule("uniform"), seed)
+    average = average_shadow_search(xi, eps, mesh, tail_fraction)
+    assert average.params["scan_objective"] == average.report.limsup_estimate
+    m_alpha = m_alpha_shadow_search(xi, eps, 0.5, mesh, tail_fraction)
+    assert m_alpha.params["scan_objective"] == m_alpha.report.hit_lower_density
