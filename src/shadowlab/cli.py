@@ -55,6 +55,12 @@ from .shadow_search import (
 )
 from .surgery import block_length, repair
 
+
+def numbered_rows(*columns: np.ndarray) -> list[tuple]:
+    """CSV rows (n, columns[0][n-1], ...) for n = 1, 2, ..., as Python numbers."""
+    return list(zip(range(1, len(columns[0]) + 1), *(c.tolist() for c in columns)))
+
+
 def build_orbit(cfg: ExperimentConfig) -> PseudoOrbit:
     if len(cfg.corruption_indices) == 0:
         return true_orbit(cfg.family, cfg.word, cfg.start, cfg.horizon)
@@ -119,8 +125,7 @@ def cmd_cesaro(cfg: ExperimentConfig, out: Path) -> int:
     if not cfg.cesaro_csv:
         raise ParameterError("config field 'cesaro.input_csv': required for the cesaro subcommand")
     a = load_sequence(cfg.cesaro_csv, cfg.cesaro_bound)
-    dump_csv([(n + 1, float(v)) for n, v in enumerate(a.means)], ["n", "cesaro_mean"],
-             out / "cesaro_means.csv")
+    dump_csv(numbered_rows(a.means), ["n", "cesaro_mean"], out / "cesaro_means.csv")
     extraction = extract_null_set(a, tail_fraction=cfg.tail_fraction)
     verdict = verify_equivalence(a, extraction.J, cfg.tol, cfg.tail_fraction)
     dump_json({
@@ -168,8 +173,8 @@ def cmd_search(cfg: ExperimentConfig, out: Path) -> int:
         outcome = "ok" if result.succeeded else f"failed at stage {result.failed_stage}"
         print(f"refined search: {outcome}")
         return 0
-    dump_csv([(n + 1, float(v)) for n, v in enumerate(result.report.prefix_means)],
-             ["n", "prefix_mean"], out / "search_curve.csv")
+    dump_csv(numbered_rows(result.report.prefix_means), ["n", "prefix_mean"],
+             out / "search_curve.csv")
     print(f"{cfg.search_mode} search: success={result.success}, "
           f"objective={result.params['scan_objective']:.6g}, net={result.net_size}")
     return 0
@@ -179,9 +184,9 @@ def cmd_example_disk(cfg: ExperimentConfig, out: Path) -> int:
     instance = make_decaying_instance(cfg.seed, cfg.horizon, scale=cfg.disk_scale,
                                       power=cfg.disk_power, start=cfg.disk_start)
     lhs, rhs, verdict = tracking_inequality_curve(instance)
-    ns = np.arange(1, len(lhs) + 1)
-    rows = [(int(n), float(l), float(r), float(l / n)) for n, l, r in zip(ns, lhs, rhs)]
-    dump_csv(rows, ["n", "lhs", "rhs", "mean"], out / "example_disk.csv")
+    mean = lhs / np.arange(1, len(lhs) + 1)
+    dump_csv(numbered_rows(lhs, rhs, mean), ["n", "lhs", "rhs", "mean"],
+             out / "example_disk.csv")
     demo = aasp_demo(instance, cfg.tail_fraction, asymptotic_tol=cfg.tol)
     dump_json({"all_prefixes_bounded": verdict, "demo": demo}, out / "example_disk.json")
     print(f"example-disk: bound holds at every prefix: {verdict}")

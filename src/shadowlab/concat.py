@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import ROUNDING_TOL, prefix_means
+from .density import prefix_means
 from .errors import ParameterError, PreconditionError
 from .pseudo_orbits import PseudoOrbit, recompute_step_errors
 from .dynamics import Word
@@ -97,8 +97,10 @@ def concatenate(plan: BlockPlan, word: Word) -> PseudoOrbit:
     errors = recompute_step_errors(family, word, points)
     for k, (block, N) in enumerate(zip(plan.blocks, plan.N_levels), start=1):
         block_errors = errors[offsets[k - 1]:offsets[k] - 1]
-        mismatch = float(np.max(np.abs(block_errors - block.step_errors)))
-        if mismatch > ROUNDING_TOL:
+        # A step recomputes to the same bits wherever it lies, so any difference
+        # means the block was built for another word.
+        if not np.array_equal(block_errors, block.step_errors):
+            mismatch = float(np.max(np.abs(block_errors - block.step_errors)))
             raise PreconditionError(
                 f"block {k} is not a pseudo-orbit for the word shifted by {offsets[k - 1]}",
                 witness={"block": k, "offset": offsets[k - 1], "max_error_mismatch": mismatch})

@@ -364,6 +364,8 @@ class GeneratorFamily:
 
 
 _WORD_KINDS = ("constant", "periodic", "iid", "prefix")
+_NO_SYMBOLS = np.zeros(0, dtype=np.int64)
+_NO_SYMBOLS.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -466,8 +468,19 @@ class Word:
         return int(self._base_symbols(self.offset + j, 1)[0])
 
     def symbols(self, n: int) -> np.ndarray:
-        """The first n symbols as an int array; equal to symbol_at(0..n-1)."""
-        return self._base_symbols(self.offset, max(int(n), 0))
+        """The first n symbols as a read-only int array; equal to symbol_at(0..n-1).
+
+        The word keeps the longest prefix asked for so far and computes only
+        the symbols past it.
+        """
+        n = max(int(n), 0)
+        memo = self.__dict__.get("_symbols_memo", _NO_SYMBOLS)
+        if n > len(memo):
+            memo = np.concatenate(
+                (memo, self._base_symbols(self.offset + len(memo), n - len(memo))))
+            memo.flags.writeable = False
+            object.__setattr__(self, "_symbols_memo", memo)
+        return memo[:n]
 
     def _base_symbols(self, start: int, n: int) -> np.ndarray:
         """Base-rule symbols start..start+n-1: the one symbol rule of the word."""
@@ -528,19 +541,21 @@ def _walk(family: GeneratorFamily, symbols, z, jumps: dict | None = None,
     p = tuple(as_point(z, space.dimension).tolist())
     if not space._inside(p, _FLOATS):
         raise DomainError(f"start {list(p)} is outside the {space.kind} space")
-    points, images, clamped = [p], [], []
+    # Coordinates are collected flat, not as a tuple per point, into one array.
+    points, images, clamped = list(p), [], []
     for j, s in enumerate(symbols.tolist()):
         if not 0 <= s < len(steps):
             break
         p = steps[s](p)
-        images.append(p)
+        if jumps:
+            images.extend(p)
         if j in jumps:
             p = space._canonical(tuple(map(operator.add, p, jumps[j])) if offset else jumps[j])
             if not space._inside(p, _FLOATS):
                 p = space._project(p, _FLOATS)
                 clamped.append(j)
-        points.append(p)
-    points = np.array(points)
+        points.extend(p)
+    points = np.array(points).reshape(-1, space.dimension)
     images = np.array(images).reshape(-1, space.dimension) if jumps else points[1:]
     # A point that left the space may overflow before the check raises.
     with np.errstate(all="ignore"):

@@ -13,7 +13,6 @@ import numpy as np
 
 from .density import (
     DEFAULT_TAIL_FRACTION,
-    ROUNDING_TOL,
     IndexSet,
     prefix_means,
     tail_extremum,
@@ -77,9 +76,9 @@ class PseudoOrbit:
         return len(self.step_errors)
 
     def cache_consistent(self) -> bool:
-        recomputed = recompute_step_errors(self.family, self.word, self.points)
-        gap = np.max(np.abs(recomputed - self.step_errors), initial=0.0)
-        return bool(gap <= ROUNDING_TOL)
+        """The stored step errors are, bit for bit, the recomputed ones."""
+        return np.array_equal(recompute_step_errors(self.family, self.word, self.points),
+                              self.step_errors)
 
     def exceptional_set(self, delta: float) -> IndexSet:
         """Indices whose step error reaches delta."""

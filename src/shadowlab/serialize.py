@@ -39,15 +39,29 @@ def json_default(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
+# Rows ``dump_csv`` formats and writes at a time, so a 10^5-row file is never
+# held as one string.
+CSV_CHUNK_ROWS = 4096
+
+
 def dump_json(obj, path: Path | str) -> None:
     Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2, default=json_default) + "\n")
 
 
 def dump_csv(rows, header: list[str], path: Path | str) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Write the header and ``len(rows)`` data rows, each of ``len(header)`` cells,
+    as comma-separated lines, ``str`` of each cell.
+
+    ``rows`` is a sequence, formatted and written CSV_CHUNK_ROWS rows at a time
+    by one ``%s`` template per row. Cells are Python ints, floats or str (as
+    ``cli.numbered_rows`` builds them), and ``str`` of a float is its ``repr``.
+    """
+    line = ",".join(["%s"] * len(header)) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(rows), CSV_CHUNK_ROWS):
+            chunk = rows[start:start + CSV_CHUNK_ROWS]
+            fh.write("".join(map(line.__mod__, map(tuple, chunk))))
 
 
 @contextmanager
@@ -91,15 +105,19 @@ def step_error_checksum(errors: np.ndarray) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
-def orbit_to_dict(xi: PseudoOrbit) -> dict:
+def _orbit_payload(xi: PseudoOrbit, points) -> dict:
     return {
         "schema": ORBIT_SCHEMA,
         "system": xi.family.spec(),
         "word": xi.word.spec(),
-        "points": xi.points.tolist(),
+        "points": points,
         "step_error_checksum": step_error_checksum(xi.step_errors),
         "meta": xi.meta,
     }
+
+
+def orbit_to_dict(xi: PseudoOrbit) -> dict:
+    return _orbit_payload(xi, xi.points.tolist())
 
 
 def orbit_from_dict(data: dict) -> PseudoOrbit:
@@ -118,8 +136,32 @@ def orbit_from_dict(data: dict) -> PseudoOrbit:
     return PseudoOrbit(family, word, points, errors, data.get("meta", {}))
 
 
+def _points_text(points: np.ndarray) -> str:
+    """json's indent=2 text of ``points.tolist()`` as the value of a top-level key,
+    for an (n, d) float64 array with n, d >= 1: one ``%r`` (``float.__repr__``,
+    the text json writes for a finite float) per value in a template of json's
+    layout."""
+    row = "[\n      " + ",\n      ".join(["%r"] * points.shape[1]) + "\n    ]"
+    template = "[\n    " + ",\n    ".join([row] * len(points)) + "\n  ]"
+    return template % tuple(points.ravel().tolist())
+
+
 def save_orbit(xi: PseudoOrbit, path: Path | str) -> None:
-    dump_json(orbit_to_dict(xi), path)
+    """Write ``orbit_to_dict(xi)`` as ``dump_json`` does. Finite points are
+    formatted from the array by ``_points_text``; json writes every other value,
+    and points holding an infinity (as ``Infinity``, where repr writes ``inf``)."""
+    payload = _orbit_payload(xi, xi.points)
+    items = []
+    for key in sorted(payload):
+        value = payload[key]
+        if key == "points" and np.isfinite(value).all():
+            text = _points_text(value)
+        else:
+            # json escapes every newline inside a string, so each "\n" is layout.
+            text = json.dumps(value, sort_keys=True, indent=2,
+                              default=json_default).replace("\n", "\n  ")
+        items.append(json.dumps(key) + ": " + text)
+    Path(path).write_text("{\n  " + ",\n  ".join(items) + "\n}\n")
 
 
 def load_orbit(path: Path | str) -> PseudoOrbit:

@@ -20,7 +20,7 @@ from shadowlab import (
     make_corrupted_orbit,
     true_orbit,
 )
-from shadowlab.density import ROUNDING_TOL, prefix_means
+from shadowlab.density import prefix_means
 from shadowlab.pseudo_orbits import recompute_step_errors
 
 
@@ -100,6 +100,20 @@ def test_concatenate_accepts_correct_shift():
     assert len(xi.points) == 10
     interior = np.delete(xi.step_errors, 4)
     assert np.all(interior <= 1e-15)
+
+
+def test_step_errors_one_ulp_off_are_rejected():
+    # A step recomputes to the same bits wherever it lies: no tolerance applies.
+    family, word = interval_identity()
+    block = zigzag_block(family, word, 10, 0.25)
+    errors = block.step_errors.copy()
+    errors[3] = np.nextafter(errors[3], np.inf)
+    raw = PseudoOrbit(family, word, block.points, errors)
+    assert block.cache_consistent() and not raw.cache_consistent()
+    concatenate(BlockPlan((block,), (1,)), word)
+    with pytest.raises(PreconditionError) as err:
+        concatenate(BlockPlan((raw,), (1,)), word)
+    assert err.value.witness["max_error_mismatch"] == errors[3] - 0.25
 
 
 def test_concatenate_rejects_poor_quality_block():
@@ -231,7 +245,7 @@ def reference_concatenate(plan, word):
     for k, (block, N) in enumerate(zip(plan.blocks, plan.N_levels), start=1):
         shifted = word.shifted(offsets[k - 1])
         errors = recompute_step_errors(family, shifted, block.points)
-        if float(np.max(np.abs(errors - block.step_errors))) > ROUNDING_TOL:
+        if not np.array_equal(errors, block.step_errors):
             raise PreconditionError(
                 f"block {k} is not a pseudo-orbit for the word shifted by {offsets[k - 1]}",
                 witness={"block": k, "offset": offsets[k - 1],

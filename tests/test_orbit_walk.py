@@ -12,6 +12,7 @@ step. ``net``, ``trace_report`` and the net scan are checked against
 per-point and per-step loops of the same expressions.
 """
 
+import dataclasses
 import hashlib
 import math
 
@@ -285,6 +286,32 @@ def test_symbols_equal_symbol_at(word, n):
     assert np.array_equal(symbols, expected)
     at = [word.symbol_at(j) for j in range(n)]
     assert at == expected and all(type(s) is int for s in at)
+
+
+@SETTINGS
+@given(st.integers(1, 3).flatmap(words), st.lists(st.integers(-2, 80), min_size=1, max_size=6))
+def test_symbols_memo_answers_any_query_sequence(word, queries):
+    # The word keeps the longest prefix asked for; every answer is the rule's.
+    for n in queries:
+        symbols = word.symbols(n)
+        fresh = dataclasses.replace(word)
+        assert np.array_equal(symbols, fresh._base_symbols(fresh.offset, max(n, 0)))
+        assert symbols.dtype == np.int64 and not symbols.flags.writeable
+        if n > 0:
+            with pytest.raises(ValueError):
+                symbols[0] = 1
+    assert word == dataclasses.replace(word) and hash(word) == hash(dataclasses.replace(word))
+
+
+def test_shifted_words_share_no_symbols_memo():
+    word = Word.with_prefix((2, 1, 2), Word.iid((0.3, 0.7), seed=5))
+    long = word.symbols(100)
+    for k in (0, 1, 7, 150):
+        shifted = word.shifted(k)
+        assert np.array_equal(shifted.symbols(60), word._base_symbols(k, 60))
+        assert not np.shares_memory(shifted.symbols(60), long)
+    # The benchmark tracer patches the method on the class.
+    assert "symbols" in vars(Word)
 
 
 def test_iid_symbols_equal_symbol_at_at_scale():
