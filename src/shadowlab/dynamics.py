@@ -585,8 +585,8 @@ def net(space: MetricSpace, mesh: float, cap: int = DEFAULT_NET_CAP) -> np.ndarr
     indices), projected onto the space; exact duplicates are dropped
     keeping the first occurrence.
     """
-    if mesh <= 0:
-        raise ParameterError("mesh must be positive")
+    if not mesh > 0:
+        raise ParameterError(f"mesh must be positive, got {mesh}")
     k = space.dimension
     spacing = min(mesh, 2.0 * mesh / math.sqrt(k))
     # Points per axis, counted before any axis is built, so that a tiny mesh
@@ -603,9 +603,14 @@ def net(space: MetricSpace, mesh: float, cap: int = DEFAULT_NET_CAP) -> np.ndarr
     grid = tuple(axis.ravel() for axis in np.meshgrid(*axes, indexing="ij"))
     proj = space._project(grid, np)
     proj = np.stack(proj, axis=-1)[space._distance(grid, proj, np) <= mesh]
-    rows = np.ascontiguousarray(proj).view(np.dtype((np.void, proj.itemsize * k))).ravel()
-    _, first = np.unique(rows, return_index=True)
+    _, first = np.unique(row_keys(proj), return_index=True)
     return proj[np.sort(first)]
+
+
+def row_keys(P: np.ndarray) -> np.ndarray:
+    """Each row of the (n, d) array P as one opaque value, so that rows sort and
+    compare by their exact bytes (0.0 and -0.0 differ)."""
+    return np.ascontiguousarray(P).view(np.dtype((np.void, P.itemsize * P.shape[1]))).ravel()
 
 
 def check_self_mapping(family: GeneratorFamily, mesh: float = 0.1) -> bool:

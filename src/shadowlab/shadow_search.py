@@ -9,6 +9,7 @@ exhaustive over a net, so failure is a first-class, reportable outcome.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,8 +22,8 @@ from .density import (
     tail_extremum,
     tail_window_start,
 )
-from .dynamics import as_point, net, orbit
-from .errors import DomainError, ParameterError
+from .dynamics import DEFAULT_NET_CAP, as_point, net, orbit, row_keys
+from .errors import DomainError, ParameterError, ResourceCapError
 from .pseudo_orbits import PseudoOrbit
 
 
@@ -52,11 +53,16 @@ class ShadowReport:
                              else np.zeros(1), alpha, None)
 
 
+def _check_positive(name: str, value: float) -> None:
+    """Reject a budget or mesh that is not > 0 (NaN included)."""
+    if not value > 0:
+        raise ParameterError(f"{name} must be positive, got {value}")
+
+
 def _build_report(t: np.ndarray, eps: float, diam: float, tail_fraction: float,
                   candidate: np.ndarray, alpha: float | None,
                   net_index: int | None) -> ShadowReport:
-    if eps <= 0:
-        raise ParameterError("eps must be positive")
+    _check_positive("eps", eps)
     L = len(t)
     means = prefix_means(t)
     limsup, _ = tail_extremum(means, tail_fraction)
@@ -130,14 +136,50 @@ def _scan(xi: PseudoOrbit, P: np.ndarray, objective: str, eps: float,
     return best
 
 
-def _net_search(xi: PseudoOrbit, objective: str, eps: float, mesh: float,
-                tail_fraction: float) -> tuple[np.ndarray, int, float, int]:
-    """The best point of the mesh net for objective (LIMSUP is minimised, HIT_DENSITY
-    maximised, ties go to the lowest net index), its index, its value and the net size."""
-    points = net(xi.family.space, mesh)
-    values = _scan(xi, points, objective, eps, tail_fraction)
-    best = int(np.argmax(values) if objective == HIT_DENSITY else np.argmin(values))
-    return points[best], best, float(values[best]), len(points)
+def _net_search(xi: PseudoOrbit, objective: str, eps: float, meshes: list[float],
+                tail_fraction: float) -> Iterator[tuple[np.ndarray, int, float, int]]:
+    """For each mesh in turn, the best point of its net for objective (LIMSUP is
+    minimised, HIT_DENSITY maximised, ties go to the lowest net index), its index,
+    its value and the net size.
+
+    Consecutive nets are scanned together, as one union of their exact rows, while
+    that union stays within DEFAULT_NET_CAP points; a group is scanned only when its
+    first result is asked for. A candidate's value is column arithmetic, the same in
+    any batch, so each net's pick is the one a scan of that net alone makes. A net
+    over the cap raises once the results of the nets before it have been taken.
+    """
+    group = []
+    for mesh in meshes:
+        try:
+            points = net(xi.family.space, mesh)
+        except ResourceCapError:
+            if group:
+                yield from _best_of_each(xi, objective, eps, group, tail_fraction)
+            raise
+        if group and len(_union([*group, points])[0]) > DEFAULT_NET_CAP:
+            yield from _best_of_each(xi, objective, eps, group, tail_fraction)
+            group = []
+        group.append(points)
+    yield from _best_of_each(xi, objective, eps, group, tail_fraction)
+
+
+def _union(nets: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows (exact bytes) of the stacked nets, and the position of each
+    stacked row among them."""
+    stacked = np.concatenate(nets)
+    _, first, inverse = np.unique(row_keys(stacked), return_index=True, return_inverse=True)
+    return stacked[first], inverse
+
+
+def _best_of_each(xi: PseudoOrbit, objective: str, eps: float, nets: list[np.ndarray],
+                  tail_fraction: float) -> Iterator[tuple[np.ndarray, int, float, int]]:
+    """One scan of the union of nets, then each net's pick from its own values."""
+    union, inverse = _union(nets)
+    values = _scan(xi, union, objective, eps, tail_fraction)[inverse]
+    pick = np.argmax if objective == HIT_DENSITY else np.argmin
+    for points, own in zip(nets, np.split(values, np.cumsum([len(p) for p in nets[:-1]]))):
+        best = int(pick(own))
+        yield points[best], best, float(own[best]), len(points)
 
 
 @dataclass(frozen=True)
@@ -176,7 +218,8 @@ def average_shadow_search(xi: PseudoOrbit, eps: float, mesh: float,
 
     Success means the minimum is below eps.
     """
-    z, index, value, size = _net_search(xi, LIMSUP, eps, mesh, tail_fraction)
+    _check_positive("eps", eps)
+    z, index, value, size = next(_net_search(xi, LIMSUP, eps, [mesh], tail_fraction))
     report = trace_report(z, xi, eps, tail_fraction, net_index=index)
     return SearchResult(report, value < eps, LIMSUP, mesh, size,
                         {"scan_objective": value, "eps": eps, "tail_fraction": tail_fraction})
@@ -187,7 +230,8 @@ def m_alpha_shadow_search(xi: PseudoOrbit, eps: float, alpha: float, mesh: float
     """Find a net point whose hit set has lower density estimate above alpha."""
     if not 0.0 < alpha < 1.0:
         raise ParameterError(f"alpha must lie in (0,1), got {alpha}")
-    z, index, value, size = _net_search(xi, HIT_DENSITY, eps, mesh, tail_fraction)
+    _check_positive("eps", eps)
+    z, index, value, size = next(_net_search(xi, HIT_DENSITY, eps, [mesh], tail_fraction))
     report = trace_report(z, xi, eps, tail_fraction, alpha=alpha, net_index=index)
     return SearchResult(report, value > alpha, HIT_DENSITY, mesh, size,
                         {"scan_objective": value, "eps": eps, "alpha": alpha,
@@ -219,23 +263,35 @@ class RefinedSearchResult:
 
 def refined_asymptotic_search(xi: PseudoOrbit, eps0: float, mesh_schedule: list[float],
                               tail_fraction: float = DEFAULT_TAIL_FRACTION) -> RefinedSearchResult:
-    """Stage m scans the net of the m-th mesh for a candidate with limsup
-    estimate below eps0 / 2^m; there is one stage per mesh.
+    """Stage m picks the point of the m-th mesh's net with the least limsup
+    estimate and succeeds when that estimate is below eps0 / 2^m; there is one
+    stage per mesh.
 
     A failed stage stops the refinement and returns the last successful
     candidate, flagged; successive candidate distances diagnose whether
     the stages are converging to one point.
+
+    The limsup estimate does not depend on the budget, so the stages share
+    scans: consecutive stage nets are scanned as one union (exact rows) while
+    it stays within DEFAULT_NET_CAP points, and a later group is scanned only
+    if every earlier stage succeeded. A search therefore costs about one scan
+    of the union of its nets whichever stage fails. The budget and the whole
+    schedule are checked before any net is built; a net over the cap raises
+    ResourceCapError only once every earlier stage has succeeded.
     """
     meshes = [float(v) for v in mesh_schedule]
     if not meshes:
         raise ParameterError("mesh schedule must not be empty")
+    for mesh in meshes:
+        _check_positive("mesh", mesh)
     if any(b > a for a, b in zip(meshes, meshes[1:])):
         raise ParameterError("mesh schedule must be non-increasing")
+    _check_positive(f"eps0 / 2**{len(meshes)}", math.ldexp(eps0, -len(meshes)))
 
     stages, candidates = [], []
-    for m, mesh in enumerate(meshes, start=1):
+    picks = _net_search(xi, LIMSUP, eps0, meshes, tail_fraction)
+    for m, (mesh, (z, _, estimate, size)) in enumerate(zip(meshes, picks), start=1):
         budget = math.ldexp(eps0, -m)
-        z, _, estimate, size = _net_search(xi, LIMSUP, budget, mesh, tail_fraction)
         ok = estimate < budget
         stages.append({"stage": m, "mesh": mesh, "budget": budget, "estimate": estimate,
                        "candidate": z.tolist(), "net_size": size, "success": ok})

@@ -196,6 +196,15 @@ def test_net_cap_is_checked_before_any_axis_is_built(space, mesh):
     assert err.value.required_cap > DEFAULT_NET_CAP
 
 
+@pytest.mark.parametrize("mesh", [0.0, -0.5, float("nan"), float("-inf")])
+def test_net_rejects_a_mesh_that_is_not_positive(mesh):
+    # NaN passed a `mesh <= 0` check and failed later in numpy ("cannot
+    # convert float NaN to integer").
+    for space in (MetricSpace.unit_disk(), MetricSpace.circle(), MetricSpace.box([0], [1])):
+        with pytest.raises(ParameterError, match="mesh must be positive"):
+            net(space, mesh)
+
+
 def test_net_circle_covers():
     space = MetricSpace.circle()
     points = net(space, 0.1)

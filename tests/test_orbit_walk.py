@@ -14,11 +14,12 @@ per-point and per-step loops of the same expressions.
 
 import dataclasses
 import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from shadowlab import (
@@ -35,11 +36,13 @@ from shadowlab import (
     make_corrupted_orbit,
     net,
     orbit,
+    refined_asymptotic_search,
     trace_report,
     true_orbit,
 )
 from shadowlab.dynamics import CIRCLE, UNIT_DISK
 from shadowlab.pseudo_orbits import recompute_step_errors
+from shadowlab.serialize import json_default
 from shadowlab.shadow_search import HIT_DENSITY, LIMSUP, _net_search, _scan
 
 SETTINGS = settings(max_examples=150, deadline=None)
@@ -589,10 +592,114 @@ def test_scan_matches_two_objective_scan(system, horizon, seed, mesh, eps, tail_
     for objective, oracle, pick in ((LIMSUP, max_mean, np.argmin),
                                     (HIT_DENSITY, min_density, np.argmax)):
         assert _scan(xi, P, objective, eps, tail_fraction).tobytes() == oracle.tobytes()
-        z, index, value, size = _net_search(xi, objective, eps, mesh, tail_fraction)
+        z, index, value, size = next(_net_search(xi, objective, eps, [mesh], tail_fraction))
         assert index == int(pick(oracle))
         assert z.tobytes() == P[index].tobytes()
         assert value == float(oracle[index]) and size == len(P)
+
+
+def reference_refined(xi, eps0, meshes, tail_fraction):
+    """The refined search as one net and one scan per stage, stopping at the
+    first stage whose estimate is not below its budget eps0 / 2^m."""
+    stages, candidates = [], []
+    for m, mesh in enumerate(meshes, start=1):
+        budget = math.ldexp(eps0, -m)
+        points = net(xi.family.space, mesh)
+        values = _scan(xi, points, LIMSUP, budget, tail_fraction)
+        best = int(np.argmin(values))
+        z, estimate = points[best], float(values[best])
+        ok = estimate < budget
+        stages.append({"stage": m, "mesh": mesh, "budget": budget, "estimate": estimate,
+                       "candidate": z.tolist(), "net_size": len(points), "success": ok})
+        candidates.append(z)
+        if not ok:
+            break
+    failed_stage = None if ok else m
+    final = candidates[-2] if failed_stage and failed_stage > 1 else candidates[-1]
+    return {"candidate": final.tolist(), "stages": stages,
+            "candidate_distances": [xi.family.space.distance(a, b)
+                                    for a, b in zip(candidates, candidates[1:])],
+            "failed_stage": failed_stage, "succeeded": failed_stage is None}
+
+
+def eps0_failing_at(estimates, stage):
+    """An eps0 under which stages with these limsup estimates first fail at
+    stage (None: every stage succeeds), or None when no eps0 does. Stage m
+    succeeds iff estimates[m-1] * 2^m < eps0; the eps0 returned for a failing
+    stage puts its budget exactly on its estimate."""
+    scaled = [math.ldexp(e, m) for m, e in enumerate(estimates, start=1)]
+    if stage is None:
+        return 2.0 * max(scaled) + 1.0
+    target = scaled[stage - 1]
+    return target if target > max([0.0, *scaled[:stage - 1]]) else None
+
+
+@st.composite
+def refined_cases(draw):
+    """A system and word, a horizon, a seed, a non-increasing mesh schedule
+    (sometimes one mesh repeated) with small nets, a tail fraction and the
+    stage meant to fail first (None: none)."""
+    family, word, start = draw(system_and_word())
+    space = family.space
+    lo = {UNIT_DISK: 0.1, CIRCLE: 0.01}.get(space.kind, 0.1 * space.dimension)
+    count = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        meshes = [draw(unit(lo, 1.0))] * count
+    else:
+        meshes = sorted(draw(st.lists(unit(lo, 1.0), min_size=count, max_size=count)),
+                        reverse=True)
+    stage = draw(st.one_of(st.none(), st.integers(1, min(count, 2))))
+    return (family, word, start, draw(st.integers(1, 30)), draw(st.integers(0, 2**32)),
+            meshes, draw(unit(0.01, 0.99)), stage)
+
+
+def refined_bytes(result):
+    return json.dumps(result, sort_keys=True, default=json_default).encode()
+
+
+@SETTINGS
+@given(refined_cases())
+def test_refined_search_matches_per_stage_loop(case):
+    family, word, start, horizon, seed, meshes, tail_fraction, stage = case
+    rng = np.random.default_rng(seed)
+    indices = IndexSet.from_mask(rng.random(horizon) < 0.3)
+    xi = make_corrupted_orbit(family, word, start, indices, JumpRule("uniform"), seed)
+    estimates = [float(_scan(xi, net(family.space, mesh), LIMSUP, 1.0, tail_fraction).min())
+                 for mesh in meshes]
+    eps0 = eps0_failing_at(estimates, stage)
+    assume(eps0 is not None)
+    expected = reference_refined(xi, eps0, meshes, tail_fraction)
+    assert expected["failed_stage"] == stage
+    got = refined_asymptotic_search(xi, eps0, meshes, tail_fraction).to_dict()
+    assert refined_bytes(got) == refined_bytes(expected)
+
+
+@pytest.mark.parametrize("stage", [None, 1, 2])
+@pytest.mark.parametrize("space, meshes", [
+    (MetricSpace.unit_disk(), [0.2, 0.2, 0.2]),
+    (MetricSpace.unit_disk(), [0.3, 0.17, 0.11]),
+    (MetricSpace.circle(), [0.05, 0.03, 0.02]),
+    (MetricSpace.box([0.0, 0.0], [1.0, 1.0]), [0.3, 0.3, 0.13]),
+])
+def test_refined_search_matches_per_stage_loop_at_each_outcome(space, meshes, stage):
+    d = space.dimension
+    if space.kind == CIRCLE:
+        maps = (GeneratorMap.affine([[1.0]], [0.3137]), GeneratorMap.scale([2.0]))
+    else:
+        maps = (GeneratorMap.scale([0.5] * d),
+                GeneratorMap.affine((0.5 * np.eye(d)).tolist(), [0.25] * d))
+    family = GeneratorFamily(space, maps)
+    start = [0.4] * d
+    indices = IndexSet.from_iterable(range(0, 40, 3), 40)
+    xi = make_corrupted_orbit(family, Word.periodic([1, 2, 2], 2), start, indices,
+                              JumpRule("uniform"), seed=11)
+    estimates = [float(_scan(xi, net(space, mesh), LIMSUP, 1.0, 0.5).min())
+                 for mesh in meshes]
+    eps0 = eps0_failing_at(estimates, stage)
+    expected = reference_refined(xi, eps0, meshes, 0.5)
+    assert expected["failed_stage"] == stage
+    got = refined_asymptotic_search(xi, eps0, meshes).to_dict()
+    assert refined_bytes(got) == refined_bytes(expected)
 
 
 @SETTINGS

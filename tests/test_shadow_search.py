@@ -10,6 +10,8 @@ from shadowlab import (
     IndexSet,
     JumpRule,
     MetricSpace,
+    ParameterError,
+    ResourceCapError,
     ShadowReport,
     PseudoOrbit,
     Word,
@@ -26,6 +28,7 @@ from shadowlab import (
     trace_report,
     true_orbit,
 )
+from shadowlab import shadow_search
 from shadowlab.serialize import json_default
 
 
@@ -288,3 +291,89 @@ def test_refined_rotation_fails_early():
     assert not result.succeeded
     assert result.failed_stage == 1
     assert not result.stages[0]["success"]
+
+
+NOT_POSITIVE = [0.0, -1.0, float("nan")]
+
+
+@pytest.fixture
+def no_net_or_scan(monkeypatch):
+    """Fail the test if a search builds a net or scans one."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a net was built or scanned before the parameters were checked")
+    monkeypatch.setattr(shadow_search, "net", refuse)
+    monkeypatch.setattr(shadow_search, "_scan", refuse)
+
+
+@pytest.mark.parametrize("eps", NOT_POSITIVE)
+def test_searches_reject_a_budget_that_is_not_positive_before_any_net(no_net_or_scan, eps):
+    xi = constant_orbit((0.3, 0.6), 20)
+    with pytest.raises(ParameterError, match="eps must be positive"):
+        average_shadow_search(xi, eps=eps, mesh=0.2)
+    with pytest.raises(ParameterError, match="eps must be positive"):
+        m_alpha_shadow_search(xi, eps=eps, alpha=0.5, mesh=0.2)
+    with pytest.raises(ParameterError, match="eps0"):
+        refined_asymptotic_search(xi, eps0=eps, mesh_schedule=[0.2, 0.1])
+
+
+def test_refined_rejects_a_budget_that_underflows_before_any_net(no_net_or_scan):
+    xi = constant_orbit((0.3, 0.6), 20)
+    with pytest.raises(ParameterError, match="eps0"):
+        refined_asymptotic_search(xi, eps0=5e-324, mesh_schedule=[0.2])
+
+
+@pytest.mark.parametrize("schedule", [[0.2, float("nan")], [0.2, 0.0], [0.2, 0.1, -0.1],
+                                      [float("nan"), 0.2]])
+def test_refined_rejects_every_bad_schedule_mesh_before_any_net(no_net_or_scan, schedule):
+    xi = constant_orbit((0.3, 0.6), 20)
+    with pytest.raises(ParameterError, match="mesh must be positive"):
+        refined_asymptotic_search(xi, eps0=0.4, mesh_schedule=schedule)
+
+
+def test_searches_reject_a_nan_mesh():
+    xi = constant_orbit((0.3, 0.6), 20)
+    with pytest.raises(ParameterError, match="mesh must be positive"):
+        average_shadow_search(xi, eps=0.2, mesh=float("nan"))
+    with pytest.raises(ParameterError, match="mesh must be positive"):
+        m_alpha_shadow_search(xi, eps=0.2, alpha=0.5, mesh=float("nan"))
+
+
+def test_refined_net_over_the_cap_raises_only_after_every_earlier_stage_succeeds():
+    # The 0.001 net of the disk needs about 4e6 grid points, over the cap.
+    schedule = [0.5, 0.001]
+    failing = refined_asymptotic_search(decaying_disk_orbit(horizon=200), eps0=0.002,
+                                        mesh_schedule=schedule)
+    assert failing.failed_stage == 1 and len(failing.stages) == 1
+    family, word = build_disk_system()
+    xi = true_orbit(family, word, net(family.space, 0.5)[3], 200)
+    with pytest.raises(ResourceCapError):
+        refined_asymptotic_search(xi, eps0=0.4, mesh_schedule=schedule)
+
+
+def test_refined_union_over_the_cap_is_scanned_in_groups(monkeypatch):
+    xi = decaying_disk_orbit(horizon=300)
+    schedule = [0.3, 0.2, 0.2, 0.15]
+    expected = refined_asymptotic_search(xi, eps0=0.4, mesh_schedule=schedule).to_dict()
+    assert expected["succeeded"]
+    nets = [net(xi.family.space, mesh) for mesh in schedule]
+
+    def distinct(group):
+        return len({row.tobytes() for row in np.concatenate(group)})
+
+    # With the cap at 200 points the first three nets are scanned as one
+    # union and the fourth, which would take it over the cap, alone.
+    cap = 200
+    assert distinct(nets[:3]) <= cap < distinct(nets) and len(nets[3]) <= cap
+    scanned = []
+    scan = shadow_search._scan
+
+    def counting_scan(xi, P, *args):
+        scanned.append(len(P))
+        return scan(xi, P, *args)
+
+    monkeypatch.setattr(shadow_search, "DEFAULT_NET_CAP", cap)
+    monkeypatch.setattr(shadow_search, "_scan", counting_scan)
+    got = refined_asymptotic_search(xi, eps0=0.4, mesh_schedule=schedule).to_dict()
+    assert scanned == [distinct(nets[:3]), len(nets[3])]
+    assert json.dumps(got, sort_keys=True, default=json_default) == \
+        json.dumps(expected, sort_keys=True, default=json_default)
