@@ -23,7 +23,7 @@ from .density import (
     tail_window_start,
     upper_density_estimate,
 )
-from .errors import ParameterError, PreconditionError
+from .errors import ParameterError, PreconditionError, check_positive
 from .verdict import ClassificationVerdict
 
 DEFAULT_LEVELS = tuple(1.0 / k for k in range(1, 33))
@@ -112,7 +112,7 @@ def extract_null_set(a: BoundedSequence, level_schedule: list[float] | None = No
     the schedule (recorded, not an error).
     """
     levels = list(DEFAULT_LEVELS if level_schedule is None else level_schedule)
-    if not levels or any(l <= 0 for l in levels):
+    if not levels or not all(l > 0 for l in levels):
         raise ParameterError("level schedule must be positive")
     if any(b >= a_ for a_, b in zip(levels, levels[1:])):
         raise ParameterError("level schedule must be strictly decreasing")
@@ -170,14 +170,6 @@ def extract_null_set(a: BoundedSequence, level_schedule: list[float] | None = No
     return NullSetExtraction(J, boundaries, stages, truncated_at, params)
 
 
-def threshold_inequality_holds(a: BoundedSequence, theta: float) -> bool:
-    """mean_n <= B * prefix_density({i : a_i >= theta}, n) + theta, every n."""
-    if theta <= 0:
-        raise ParameterError("theta must be positive")
-    dens = prefix_means(a.values >= theta)
-    return bool(np.all(a.means <= a.bound * dens + theta + ROUNDING_TOL))
-
-
 def verify_equivalence(a: BoundedSequence, J: IndexSet, tol: float,
                        tail_fraction: float = DEFAULT_TAIL_FRACTION) -> ClassificationVerdict:
     """Both finite-horizon directions of the Cesàro/null-set equivalence.
@@ -186,6 +178,7 @@ def verify_equivalence(a: BoundedSequence, J: IndexSet, tol: float,
     the exact bound B*density(J) + early off-J mass / n + tol.
     (ii) Off J, tail values stay below tol.
     """
+    check_positive("tol", tol)
     if J.horizon != a.horizon:
         raise ParameterError("J must share the sequence's horizon")
     H = a.horizon

@@ -1,4 +1,4 @@
-"""Prefix densities and finite-horizon upper/lower density estimates.
+"""Prefix densities, tail-window extrema and the finite-horizon upper density estimate.
 
 Counting is exact (integer) with one final division per prefix; limsup and
 liminf are replaced by extrema over a declared tail window of prefixes.
@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -21,10 +20,15 @@ ROUNDING_TOL = 1e-12
 MIN_DENSITY_HORIZON = 10
 
 
-def tail_window_start(horizon: int, tail_fraction: float) -> int:
-    """First prefix length n of the tail window [ceil(tf*H), H]."""
+def check_tail_fraction(tail_fraction: float) -> None:
+    """Reject a tail fraction outside (0, 1), NaN included."""
     if not 0.0 < tail_fraction < 1.0:
         raise ParameterError(f"tail_fraction must lie in (0,1), got {tail_fraction}")
+
+
+def tail_window_start(horizon: int, tail_fraction: float) -> int:
+    """First prefix length n of the tail window [ceil(tf*H), H]."""
+    check_tail_fraction(tail_fraction)
     return max(1, math.ceil(tail_fraction * horizon))
 
 
@@ -97,34 +101,9 @@ def prefix_density(A: IndexSet, n: int) -> float:
     return A.count_below(n) / n
 
 
-def prefix_density_exact(A: IndexSet, n: int) -> Fraction:
-    """Rational-valued prefix density, for exactness-sensitive checks."""
-    if n < 0 or n > A.horizon:
-        raise RangeError(f"prefix length {n} outside [0, {A.horizon}]")
-    if n == 0:
-        return Fraction(0)
-    return Fraction(A.count_below(n), n)
-
-
-def _density_extremum(A: IndexSet, tail_fraction: float, mode: str) -> float:
+def upper_density_estimate(A: IndexSet, tail_fraction: float = DEFAULT_TAIL_FRACTION) -> float:
+    """Finite surrogate of the upper density: max prefix density over the tail window."""
     if A.horizon < MIN_DENSITY_HORIZON:
         raise ParameterError(f"density estimates need horizon >= {MIN_DENSITY_HORIZON}, "
                              f"got {A.horizon}")
-    return tail_extremum(prefix_means(A.mask()), tail_fraction, mode)[0]
-
-
-def upper_density_estimate(A: IndexSet, tail_fraction: float = DEFAULT_TAIL_FRACTION) -> float:
-    """Finite surrogate of the upper density: max prefix density over the tail window."""
-    return _density_extremum(A, tail_fraction, "max")
-
-
-def lower_density_estimate(A: IndexSet, tail_fraction: float = DEFAULT_TAIL_FRACTION) -> float:
-    """Finite surrogate of the lower density: min prefix density over the tail window."""
-    return _density_extremum(A, tail_fraction, "min")
-
-
-def in_M_alpha(A: IndexSet, alpha: float, tail_fraction: float = DEFAULT_TAIL_FRACTION) -> bool:
-    """Membership in the family of sets with lower density exceeding alpha."""
-    if not 0.0 < alpha < 1.0:
-        raise ParameterError(f"alpha must lie in (0,1), got {alpha}")
-    return lower_density_estimate(A, tail_fraction) > alpha
+    return tail_extremum(prefix_means(A.mask()), tail_fraction)[0]

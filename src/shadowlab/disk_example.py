@@ -12,12 +12,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .density import DEFAULT_TAIL_FRACTION, ROUNDING_TOL, IndexSet
+from .density import DEFAULT_TAIL_FRACTION, IndexSet
 from .dynamics import GeneratorFamily, Word, as_point, orbit
 from .errors import ParameterError, PreconditionError
 from .pseudo_orbits import JumpRule, PseudoOrbit, is_asymptotic_average, make_corrupted_orbit
 
 TRACKING_TOL = 1e-9
+# Prefix lengths at which aasp_demo reports the tracking mean against its bound.
+AASP_CHECKPOINTS = (1_000, 10_000)
 # The worked system as a spec, which the built-in config shares.
 DISK_SYSTEM = {
     "space": {"kind": "unit-disk-2d"},
@@ -104,25 +106,8 @@ def tracking_inequality_curve(instance: DiskExampleInstance):
     return lhs, rhs, verdict
 
 
-def tracking_inequality_check(instance: DiskExampleInstance, n: int):
-    """Compare lhs(n) with 4(M + sum_{i<n} alpha_i) at a single prefix."""
-    if not 1 <= n <= instance.xi.horizon + 1:
-        raise ParameterError(f"n must lie in [1, {instance.xi.horizon + 1}]")
-    lhs, rhs, _ = tracking_inequality_curve(instance)
-    return float(lhs[n - 1]), float(rhs[n - 1]), bool(lhs[n - 1] <= rhs[n - 1] + TRACKING_TOL)
-
-
-def step_recurrence_holds(instance: DiskExampleInstance) -> bool:
-    """d_{k+1} <= alpha_k + d_k after swaps, <= alpha_k + d_k / 2 after halvings."""
-    d = instance.tracking_errors()
-    symbols = instance.xi.word.symbols(instance.xi.horizon)
-    prev = d[:-1].copy()
-    prev[symbols == 2] /= 2.0
-    return bool(np.all(d[1:] <= instance.alphas + prev + ROUNDING_TOL))
-
-
 def aasp_demo(instance: DiskExampleInstance, tail_fraction: float = DEFAULT_TAIL_FRACTION,
-              asymptotic_tol: float = 0.01, checkpoints=(1_000, 10_000)) -> dict:
+              asymptotic_tol: float = 0.01) -> dict:
     """Show tracking prefix means driven to zero by the summed bound.
 
     Requires the instance's pseudo-orbit to pass the asymptotic-average
@@ -138,7 +123,7 @@ def aasp_demo(instance: DiskExampleInstance, tail_fraction: float = DEFAULT_TAIL
     means = lhs / ns
     bound = rhs / ns
     rows = []
-    for n in checkpoints:
+    for n in AASP_CHECKPOINTS:
         if n <= len(lhs):
             rows.append({"n": int(n), "tracking_mean": float(means[n - 1]),
                          "bound": float(bound[n - 1]),

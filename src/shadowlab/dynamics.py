@@ -19,7 +19,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import DomainError, ParameterError, RangeError, ResourceCapError
+from .errors import DomainError, ParameterError, RangeError, ResourceCapError, check_positive
 
 MEMBERSHIP_TOL = 1e-12
 DEFAULT_NET_CAP = 1_000_000
@@ -334,26 +334,6 @@ class GeneratorFamily:
             raise RangeError(f"symbol {int(symbols[bad[0]])} outside [0, {self.m}]")
         return symbols
 
-    def apply(self, symbol: int, P) -> np.ndarray:
-        """Image of a point, or of each row of P, under f_symbol (0 is the identity).
-
-        Inputs and images must lie in the space (DomainError naming the
-        first that does not); a symbol outside [0, m] raises RangeError.
-        """
-        step = self.steps[int(self.checked_symbols((symbol,))[0])]
-        q = np.atleast_2d(as_points(P, self.space.dimension))
-        outside = np.flatnonzero(~self.space.contains(q))
-        if outside.size:
-            raise DomainError(f"point {q[outside[0]].tolist()} is outside the "
-                              f"{self.space.kind} space")
-        img = np.stack(step(tuple(q.T)), axis=-1)
-        outside = np.flatnonzero(~self.space.contains(img))
-        if outside.size:
-            i = outside[0]
-            raise DomainError(f"map {int(symbol)} sends {q[i].tolist()} to {img[i].tolist()}, "
-                              "outside the space")
-        return img if np.ndim(P) == 2 else img[0]
-
     def spec(self) -> dict:
         return {"space": self.space.spec(), "maps": [g.spec() for g in self.maps]}
 
@@ -535,7 +515,8 @@ def _walk(family: GeneratorFamily, symbols, z, jumps: dict | None = None,
     the steps whose jump was clamped. At a step j in jumps, points[j+1] is
     where jumps[j] lands: the image displaced by it when offset is true, else
     jumps[j] itself, projected onto the space if it left it. Images are
-    checked once, on columns; the first outside raises as ``family.apply``.
+    checked once, on columns; the first outside raises DomainError naming its
+    map, its point and its image.
     """
     space, steps, jumps = family.space, family.steps, jumps or {}
     p = tuple(as_point(z, space.dimension).tolist())
@@ -560,8 +541,10 @@ def _walk(family: GeneratorFamily, symbols, z, jumps: dict | None = None,
     # A point that left the space may overflow before the check raises.
     with np.errstate(all="ignore"):
         outside = np.flatnonzero(~space._inside(tuple(images.T), np))
-        if outside.size:  # apply rounds that step the same, and raises for it
-            family.apply(symbols[outside[0]], points[outside[0]])
+    if outside.size:
+        j = int(outside[0])
+        raise DomainError(f"map {int(symbols[j])} sends {points[j].tolist()} to "
+                          f"{images[j].tolist()}, outside the space")
     # The first out-of-range symbol, when no earlier image left the space.
     family.checked_symbols(symbols)
     return points, clamped
@@ -578,26 +561,27 @@ def orbit(family: GeneratorFamily, word: Word, z, n: int) -> np.ndarray:
     return _walk(family, word.symbols(n - 1), z)[0]
 
 
-def net(space: MetricSpace, mesh: float, cap: int = DEFAULT_NET_CAP) -> np.ndarray:
+def net(space: MetricSpace, mesh: float) -> np.ndarray:
     """Finite point set covering the space to within mesh.
 
     Axis-aligned grid over the bounding box (lexicographic over grid
     indices), projected onto the space; exact duplicates are dropped
-    keeping the first occurrence.
+    keeping the first occurrence. A net of more than DEFAULT_NET_CAP grid
+    points raises ResourceCapError.
     """
-    if not mesh > 0:
-        raise ParameterError(f"mesh must be positive, got {mesh}")
+    check_positive("mesh", mesh)
     k = space.dimension
     spacing = min(mesh, 2.0 * mesh / math.sqrt(k))
     # Points per axis, counted before any axis is built, so that a tiny mesh
-    # hits the cap instead of allocating; an axis is counted at most cap + 1.
+    # hits the cap instead of allocating; an axis is counted at most
+    # DEFAULT_NET_CAP + 1.
     bounds = list(zip(space.lo, space.hi))
-    cells = [math.ceil(min((hi - lo) / spacing, cap + 1)) for lo, hi in bounds]
+    cells = [math.ceil(min((hi - lo) / spacing, DEFAULT_NET_CAP + 1)) for lo, hi in bounds]
     counts = [max(1, n) if space.kind == CIRCLE else max(2, n + 1) for n in cells]
     total = math.prod(counts)
-    if total > cap:
+    if total > DEFAULT_NET_CAP:
         raise ResourceCapError(f"net for mesh {mesh} needs at least {total} grid points "
-                               f"(cap {cap})", required_cap=total)
+                               f"(cap {DEFAULT_NET_CAP})", required_cap=total)
     axes = [lo + (hi - lo) * np.arange(n) / n if space.kind == CIRCLE else np.linspace(lo, hi, n)
             for (lo, hi), n in zip(bounds, counts)]
     grid = tuple(axis.ravel() for axis in np.meshgrid(*axes, indexing="ij"))
@@ -611,9 +595,3 @@ def row_keys(P: np.ndarray) -> np.ndarray:
     """Each row of the (n, d) array P as one opaque value, so that rows sort and
     compare by their exact bytes (0.0 and -0.0 differ)."""
     return np.ascontiguousarray(P).view(np.dtype((np.void, P.itemsize * P.shape[1]))).ravel()
-
-
-def check_self_mapping(family: GeneratorFamily, mesh: float = 0.1) -> bool:
-    """Verify on a net that every generator maps the space into itself."""
-    c = tuple(net(family.space, mesh).T)
-    return all(bool(np.all(family.space._inside(step(c), np))) for step in family.steps[1:])

@@ -41,3 +41,9 @@ class ResourceCapError(ShadowlabError):
     def __init__(self, message: str, required_cap: int):
         super().__init__(message)
         self.required_cap = required_cap
+
+
+def check_positive(name: str, value: float) -> None:
+    """Reject a threshold, budget or mesh that is not > 0 (NaN included)."""
+    if not value > 0:
+        raise ParameterError(f"{name} must be positive, got {value}")

@@ -19,7 +19,7 @@ from .density import (
     upper_density_estimate,
 )
 from .dynamics import GeneratorFamily, MetricSpace, Word, _walk, as_point, orbit
-from .errors import DomainError, ParameterError
+from .errors import DomainError, ParameterError, check_positive
 from .verdict import ClassificationVerdict
 
 DEFAULT_DENSITY_TOL = 0.01
@@ -75,11 +75,6 @@ class PseudoOrbit:
     def horizon(self) -> int:
         return len(self.step_errors)
 
-    def cache_consistent(self) -> bool:
-        """The stored step errors are, bit for bit, the recomputed ones."""
-        return np.array_equal(recompute_step_errors(self.family, self.word, self.points),
-                              self.step_errors)
-
     def exceptional_set(self, delta: float) -> IndexSet:
         """Indices whose step error reaches delta."""
         return IndexSet.from_mask(self.step_errors >= delta)
@@ -100,8 +95,7 @@ def true_orbit(family: GeneratorFamily, word: Word, z, horizon: int) -> PseudoOr
 
 def is_pseudo_orbit(xi: PseudoOrbit, delta: float) -> ClassificationVerdict:
     """Every step error below delta."""
-    if delta <= 0:
-        raise ParameterError("delta must be positive")
+    check_positive("delta", delta)
     viol = np.flatnonzero(xi.step_errors >= delta)
     params = {"delta": delta, "horizon": xi.horizon}
     if viol.size:
@@ -115,8 +109,9 @@ def is_ergodic_pseudo_orbit(xi: PseudoOrbit, delta: float,
                             density_tol: float = DEFAULT_DENSITY_TOL,
                             tail_fraction: float = DEFAULT_TAIL_FRACTION) -> ClassificationVerdict:
     """Step errors reach delta only on a set of (estimated) density <= density_tol."""
-    if delta <= 0 or density_tol < 0:
-        raise ParameterError("delta must be positive and density_tol nonnegative")
+    check_positive("delta", delta)
+    if not density_tol >= 0:
+        raise ParameterError(f"density_tol must be nonnegative, got {density_tol}")
     exceptional = xi.exceptional_set(delta)
     est = upper_density_estimate(exceptional, tail_fraction)
     params = {"delta": delta, "density_tol": density_tol, "horizon": xi.horizon,
@@ -151,8 +146,7 @@ def is_average_pseudo_orbit(xi: PseudoOrbit, delta: float, N: int) -> Classifica
       first that confirms, with its first n, is the witness: the
       lexicographically first violating window.
     """
-    if delta <= 0:
-        raise ParameterError("delta must be positive")
+    check_positive("delta", delta)
     H = xi.horizon
     if not 1 <= N <= H:
         raise ParameterError(f"N must lie in [1, horizon={H}]")
@@ -176,8 +170,7 @@ def is_average_pseudo_orbit(xi: PseudoOrbit, delta: float, N: int) -> Classifica
 def is_weak_asymptotic_average(xi: PseudoOrbit, delta: float,
                                tail_fraction: float = DEFAULT_TAIL_FRACTION) -> ClassificationVerdict:
     """Tail-window prefix means of step errors stay below delta."""
-    if delta <= 0:
-        raise ParameterError("delta must be positive")
+    check_positive("delta", delta)
     limsup, n = tail_extremum(prefix_means(xi.step_errors), tail_fraction)
     params = {"delta": delta, "horizon": xi.horizon, "tail_fraction": tail_fraction,
               "limsup_estimate": limsup}

@@ -16,14 +16,14 @@ import numpy as np
 
 from .density import (
     DEFAULT_TAIL_FRACTION,
-    ROUNDING_TOL,
     IndexSet,
+    check_tail_fraction,
     prefix_means,
     tail_extremum,
     tail_window_start,
 )
 from .dynamics import DEFAULT_NET_CAP, as_point, net, orbit, row_keys
-from .errors import DomainError, ParameterError, ResourceCapError
+from .errors import DomainError, ParameterError, ResourceCapError, check_positive
 from .pseudo_orbits import PseudoOrbit
 
 
@@ -43,26 +43,11 @@ class ShadowReport:
     diam: float
     net_index: int | None = None
 
-    @classmethod
-    def from_trace_errors(cls, t, eps: float, diam: float,
-                          tail_fraction: float = DEFAULT_TAIL_FRACTION,
-                          candidate=None, alpha: float | None = None) -> "ShadowReport":
-        """Build a report from a raw trace-error vector (synthetic or measured)."""
-        return _build_report(np.asarray(t, dtype=np.float64), eps, diam, tail_fraction,
-                             np.asarray(candidate, dtype=np.float64) if candidate is not None
-                             else np.zeros(1), alpha, None)
-
-
-def _check_positive(name: str, value: float) -> None:
-    """Reject a budget or mesh that is not > 0 (NaN included)."""
-    if not value > 0:
-        raise ParameterError(f"{name} must be positive, got {value}")
-
 
 def _build_report(t: np.ndarray, eps: float, diam: float, tail_fraction: float,
                   candidate: np.ndarray, alpha: float | None,
                   net_index: int | None) -> ShadowReport:
-    _check_positive("eps", eps)
+    check_positive("eps", eps)
     L = len(t)
     means = prefix_means(t)
     limsup, _ = tail_extremum(means, tail_fraction)
@@ -92,18 +77,6 @@ def trace_report(z, xi: PseudoOrbit, eps: float,
         raise DomainError(f"candidate {zp.tolist()} is outside the {space.kind} space")
     t = space.distance(orbit(xi.family, xi.word, zp, xi.horizon + 1), xi.points)
     return _build_report(t, eps, space.diameter, tail_fraction, zp, alpha, net_index)
-
-
-def markov_inequality_check(report: ShadowReport, eps: float) -> bool:
-    """mean_n >= eps * density({j : t_j >= eps}, n) at every prefix n."""
-    miss_density = prefix_means(report.trace_errors >= eps)
-    return bool(np.all(report.prefix_means >= eps * miss_density - ROUNDING_TOL))
-
-
-def diameter_bound_check(report: ShadowReport, eta: float) -> bool:
-    """mean_n <= diam * density({j : t_j >= eta}, n) + eta at every prefix n."""
-    big_density = prefix_means(report.trace_errors >= eta)
-    return bool(np.all(report.prefix_means <= report.diam * big_density + eta + ROUNDING_TOL))
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +191,8 @@ def average_shadow_search(xi: PseudoOrbit, eps: float, mesh: float,
 
     Success means the minimum is below eps.
     """
-    _check_positive("eps", eps)
+    check_positive("eps", eps)
+    check_tail_fraction(tail_fraction)
     z, index, value, size = next(_net_search(xi, LIMSUP, eps, [mesh], tail_fraction))
     report = trace_report(z, xi, eps, tail_fraction, net_index=index)
     return SearchResult(report, value < eps, LIMSUP, mesh, size,
@@ -230,7 +204,8 @@ def m_alpha_shadow_search(xi: PseudoOrbit, eps: float, alpha: float, mesh: float
     """Find a net point whose hit set has lower density estimate above alpha."""
     if not 0.0 < alpha < 1.0:
         raise ParameterError(f"alpha must lie in (0,1), got {alpha}")
-    _check_positive("eps", eps)
+    check_positive("eps", eps)
+    check_tail_fraction(tail_fraction)
     z, index, value, size = next(_net_search(xi, HIT_DENSITY, eps, [mesh], tail_fraction))
     report = trace_report(z, xi, eps, tail_fraction, alpha=alpha, net_index=index)
     return SearchResult(report, value > alpha, HIT_DENSITY, mesh, size,
@@ -275,18 +250,20 @@ def refined_asymptotic_search(xi: PseudoOrbit, eps0: float, mesh_schedule: list[
     scans: consecutive stage nets are scanned as one union (exact rows) while
     it stays within DEFAULT_NET_CAP points, and a later group is scanned only
     if every earlier stage succeeded. A search therefore costs about one scan
-    of the union of its nets whichever stage fails. The budget and the whole
-    schedule are checked before any net is built; a net over the cap raises
-    ResourceCapError only once every earlier stage has succeeded.
+    of the union of its nets whichever stage fails. The budget, the tail
+    fraction and the whole schedule are checked before any net is built; a
+    net over the cap raises ResourceCapError only once every earlier stage
+    has succeeded.
     """
     meshes = [float(v) for v in mesh_schedule]
     if not meshes:
         raise ParameterError("mesh schedule must not be empty")
     for mesh in meshes:
-        _check_positive("mesh", mesh)
+        check_positive("mesh", mesh)
     if any(b > a for a, b in zip(meshes, meshes[1:])):
         raise ParameterError("mesh schedule must be non-increasing")
-    _check_positive(f"eps0 / 2**{len(meshes)}", math.ldexp(eps0, -len(meshes)))
+    check_positive(f"eps0 / 2**{len(meshes)}", math.ldexp(eps0, -len(meshes)))
+    check_tail_fraction(tail_fraction)
 
     stages, candidates = [], []
     picks = _net_search(xi, LIMSUP, eps0, meshes, tail_fraction)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .density import DEFAULT_TAIL_FRACTION, IndexSet
 from .dynamics import MetricSpace, orbit
-from .errors import ParameterError, PreconditionError
+from .errors import ParameterError, PreconditionError, check_positive
 from .pseudo_orbits import DEFAULT_DENSITY_TOL, PseudoOrbit, is_ergodic_pseudo_orbit
 
 
@@ -43,8 +43,7 @@ class RepairResult:
 
 def block_length(space: MetricSpace, delta: float, horizon: int | None = None) -> int:
     """Minimal M with diam(X)/M < delta/8."""
-    if delta <= 0:
-        raise ParameterError("delta must be positive")
+    check_positive("delta", delta)
     ratio = 8.0 * space.diameter / delta
     if not math.isfinite(ratio):
         raise ParameterError(f"delta={delta} is too small for a finite block length")
@@ -73,14 +72,12 @@ def select_anchors(bad: IndexSet, M: int) -> IndexSet:
 
 def repair(xi: PseudoOrbit, delta: float,
            density_tol: float = DEFAULT_DENSITY_TOL,
-           tail_fraction: float = DEFAULT_TAIL_FRACTION,
-           finite_cutoff: int = 0) -> RepairResult:
+           tail_fraction: float = DEFAULT_TAIL_FRACTION) -> RepairResult:
     """Turn a (delta/2, w)-ergodic pseudo-orbit into a (delta, w)-average one.
 
-    When the bad set has at most `finite_cutoff` elements over the whole
-    horizon, the input is already good enough and is returned unchanged.
-    Rejects inputs that fail the ergodic precondition at the caller's
-    tolerance, carrying the classification witness.
+    An input with no bad step is already good enough and is returned
+    unchanged. Rejects inputs that fail the ergodic precondition at the
+    caller's tolerance, carrying the classification witness.
     """
     gate = is_ergodic_pseudo_orbit(xi, delta / 2.0, density_tol, tail_fraction)
     if not gate:
@@ -91,7 +88,7 @@ def repair(xi: PseudoOrbit, delta: float,
     H = xi.horizon
     bad = xi.exceptional_set(delta / 2.0)
     empty = IndexSet.from_iterable([], H + 1)
-    if len(bad) <= finite_cutoff:
+    if len(bad) == 0:
         return RepairResult(xi, block_length(xi.family.space, delta), empty, empty, empty, delta)
 
     M = block_length(xi.family.space, delta, horizon=H)
@@ -117,13 +114,3 @@ def repair(xi: PseudoOrbit, delta: float,
     anchors_pts = IndexSet.from_iterable(anchors.to_list(), H + 1)
     return RepairResult(y, M, anchors_pts, blocks, diff, delta, truncated)
 
-
-def window_violation_bound_check(result: RepairResult, k: int, n: int) -> bool:
-    """|{i in [k,k+n) : e^y_i >= delta/2}| <= 2(n+M)/M for windows of length n >= M."""
-    if n < result.M:
-        raise ParameterError(f"window length n={n} must be >= M={result.M}")
-    y = result.y
-    half = result.delta / 2.0
-    hi = min(k + n, y.horizon)
-    count = int(np.count_nonzero(y.step_errors[k:hi] >= half))
-    return count <= 2.0 * (n + result.M) / result.M

@@ -1,0 +1,146 @@
+"""Reference checks that several test files share.
+
+Each is a direct, slow statement of one fact the library relies on or one
+inequality of the paper's constructions, evaluated independently of the
+code under test where it can be. None of them is part of the library.
+"""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+
+from shadowlab import DomainError, ParameterError, RangeError
+from shadowlab.density import ROUNDING_TOL, prefix_means, tail_extremum
+from shadowlab.dynamics import CIRCLE, MEMBERSHIP_TOL, UNIT_DISK
+
+# ---------------------------------------------------------------------------
+# One point at a time: maps and spaces on lists of Python floats
+
+
+def reference_dot(u, v):
+    """The sum of u[k] * v[k], accumulated left to right."""
+    acc = u[0] * v[0]
+    for x, y in zip(u[1:], v[1:]):
+        acc = acc + x * y
+    return acc
+
+
+def reference_contains(space, q):
+    """Membership of one point within MEMBERSHIP_TOL, as the space defines it."""
+    if space.kind == UNIT_DISK:
+        return math.sqrt(reference_dot(q, q)) <= 1.0 + MEMBERSHIP_TOL
+    if space.kind == CIRCLE:
+        return math.isfinite(q[0])
+    return all(x >= lo - MEMBERSHIP_TOL and x <= hi + MEMBERSHIP_TOL
+               for x, lo, hi in zip(q, space.lo, space.hi))
+
+
+def reference_map(g, p):
+    """f(p) for one point p, a list of floats: an affine row is
+    ((p0*a_i0 + p1*a_i1) + ...) + b_i."""
+    if g.kind == "identity":
+        return p
+    if g.kind == "permutation":
+        return [p[i] for i in g.perm]
+    if g.kind == "affine":
+        return [reference_dot(p, a) + b for a, b in zip(g.matrix, g.offset)]
+    return [x * f for x, f in zip(p, g.factors)]
+
+
+def reference_step(family, s, p):
+    """f_s(p) for one point p, a list of floats; symbol 0 is the identity and a
+    circle image wraps into [0, 1).
+
+    Pins the errors of one step of a walk: RangeError for a symbol outside
+    [0, m], DomainError for a point outside the space, and DomainError naming
+    the map, the point and the image for an image outside it.
+    """
+    space = family.space
+    if not 0 <= s <= family.m:
+        raise RangeError(f"symbol {s} outside [0, {family.m}]")
+    if not reference_contains(space, p):
+        raise DomainError(f"point {p} is outside the {space.kind} space")
+    if s == 0:
+        return p
+    image = reference_map(family.maps[s - 1], p)
+    if space.kind == CIRCLE:
+        image = [image[0] % 1.0]
+    if not reference_contains(space, image):
+        raise DomainError(f"map {s} sends {p} to {image}, outside the space")
+    return image
+
+
+# ---------------------------------------------------------------------------
+# Densities
+
+
+def prefix_density_exact(A, n):
+    """|A ∩ [0, n)| / n as a Fraction; 0 at n = 0.
+
+    Pins the exact duality density(A, n) + density(complement of A, n) = 1.
+    """
+    if n == 0:
+        return Fraction(0)
+    return Fraction(A.count_below(n), n)
+
+
+def lower_density_estimate(A, tail_fraction=0.5):
+    """Min prefix density of A over the tail window: the finite lower density.
+
+    A set is in M_alpha when this exceeds alpha, the rule by which a trace
+    report decides its ``m_alpha`` verdict on the hit set.
+    """
+    return tail_extremum(prefix_means(A.mask()), tail_fraction, "min")[0]
+
+
+# ---------------------------------------------------------------------------
+# Inequalities of the paper's constructions, at every prefix
+
+
+def markov_inequality_check(t, eps):
+    """Markov: mean_n(t) >= eps * density({j : t_j >= eps}, n) at every prefix n.
+
+    Holds for every nonnegative trace-error vector t.
+    """
+    t = np.asarray(t, dtype=np.float64)
+    return bool(np.all(prefix_means(t) >= eps * prefix_means(t >= eps) - ROUNDING_TOL))
+
+
+def diameter_bound_check(t, diam, eta):
+    """mean_n(t) <= diam * density({j : t_j >= eta}, n) + eta at every prefix n.
+
+    Holds for every trace-error vector t with entries in [0, diam].
+    """
+    t = np.asarray(t, dtype=np.float64)
+    return bool(np.all(prefix_means(t) <= diam * prefix_means(t >= eta) + eta + ROUNDING_TOL))
+
+
+def window_violation_bound_check(result, k, n):
+    """After repair, a window [k, k+n) of length n >= M holds at most 2(n+M)/M
+    steps whose error reaches delta/2: one block exit per block it meets."""
+    if n < result.M:
+        raise ParameterError(f"window length n={n} must be >= M={result.M}")
+    y = result.y
+    hi = min(k + n, y.horizon)
+    count = int(np.count_nonzero(y.step_errors[k:hi] >= result.delta / 2.0))
+    return count <= 2.0 * (n + result.M) / result.M
+
+
+def step_recurrence_holds(instance):
+    """On the disk example, the tracking error d obeys d_{k+1} <= alpha_k + d_k
+    after a swap and d_{k+1} <= alpha_k + d_k / 2 after a halving; their sum is
+    the bound that ``tracking_inequality_curve`` checks."""
+    d = instance.tracking_errors()
+    symbols = instance.xi.word.symbols(instance.xi.horizon)
+    prev = d[:-1].copy()
+    prev[symbols == 2] /= 2.0
+    return bool(np.all(d[1:] <= instance.alphas + prev + ROUNDING_TOL))
+
+
+def threshold_inequality_holds(a, theta):
+    """For a bounded sequence with bound B, mean_n <= B * density({i : a_i >=
+    theta}, n) + theta at every prefix n: the direction of the Cesàro/null-set
+    equivalence that ``verify_equivalence`` checks on the tail."""
+    dens = prefix_means(a.values >= theta)
+    return bool(np.all(a.means <= a.bound * dens + theta + ROUNDING_TOL))

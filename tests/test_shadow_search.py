@@ -12,16 +12,13 @@ from shadowlab import (
     MetricSpace,
     ParameterError,
     ResourceCapError,
-    ShadowReport,
     PseudoOrbit,
     Word,
     average_shadow_search,
     build_disk_system,
-    diameter_bound_check,
     is_average_pseudo_orbit,
     m_alpha_shadow_search,
     make_corrupted_orbit,
-    markov_inequality_check,
     net,
     prefix_density,
     refined_asymptotic_search,
@@ -29,7 +26,10 @@ from shadowlab import (
     true_orbit,
 )
 from shadowlab import shadow_search
+from shadowlab.density import prefix_means
 from shadowlab.serialize import json_default
+
+from oracles import diameter_bound_check, markov_inequality_check
 
 
 def constant_orbit(p, horizon):
@@ -64,7 +64,7 @@ def matrix_rescan(xi, points, tail_fraction=0.5):
     P = points.copy()
     T[:, 0] = space.distance(P, xi.points[0])
     for j in range(1, L):
-        P = xi.family.apply(xi.word.symbol_at(j - 1), P)
+        P = xi.family.maps[xi.word.symbol_at(j - 1) - 1](P)
         T[:, j] = space.distance(P, xi.points[j])
     means = np.cumsum(T, axis=1) / np.arange(1, L + 1)
     n_lo = max(1, int(np.ceil(tail_fraction * L)))
@@ -115,25 +115,21 @@ def test_hit_set_matches_definition():
 
 
 def test_markov_small_example():
-    report = ShadowReport.from_trace_errors([0.5, 0.1, 0.5], eps=0.4, diam=1.0)
-    assert markov_inequality_check(report, 0.4)
-    means = report.prefix_means
+    t = [0.5, 0.1, 0.5]
+    assert markov_inequality_check(t, 0.4)
+    means = prefix_means(t)
     assert means[2] == pytest.approx(1.1 / 3)
     assert means[2] >= 0.4 * (2 / 3)
 
 
 def test_markov_zero_and_boundary():
-    zero = ShadowReport.from_trace_errors(np.zeros(10), eps=0.3, diam=1.0)
-    assert markov_inequality_check(zero, 0.3)
-    boundary = ShadowReport.from_trace_errors(np.full(10, 0.3), eps=0.3, diam=1.0)
-    assert markov_inequality_check(boundary, 0.3)
+    assert markov_inequality_check(np.zeros(10), 0.3)
+    assert markov_inequality_check(np.full(10, 0.3), 0.3)
 
 
 def test_diameter_bound_trivials():
-    zero = ShadowReport.from_trace_errors(np.zeros(10), eps=0.3, diam=2.0)
-    assert diameter_bound_check(zero, 0.5)
-    flat = ShadowReport.from_trace_errors(np.full(10, 2.0), eps=0.3, diam=2.0)
-    assert diameter_bound_check(flat, 0.5)
+    assert diameter_bound_check(np.zeros(10), 2.0, 0.5)
+    assert diameter_bound_check(np.full(10, 2.0), 2.0, 0.5)
 
 
 def test_inequalities_on_random_traces():
@@ -141,10 +137,9 @@ def test_inequalities_on_random_traces():
     for diam in (1.0, 2.0):
         for _ in range(30):
             t = rng.uniform(0, diam, size=1000)
-            report = ShadowReport.from_trace_errors(t, eps=0.25, diam=diam)
-            assert markov_inequality_check(report, 0.25)
+            assert markov_inequality_check(t, 0.25)
             for eta in (0.1, 0.5):
-                assert diameter_bound_check(report, eta)
+                assert diameter_bound_check(t, diam, eta)
 
 
 def test_report_duality_and_monotonicity():
@@ -320,6 +315,18 @@ def test_refined_rejects_a_budget_that_underflows_before_any_net(no_net_or_scan)
     xi = constant_orbit((0.3, 0.6), 20)
     with pytest.raises(ParameterError, match="eps0"):
         refined_asymptotic_search(xi, eps0=5e-324, mesh_schedule=[0.2])
+
+
+@pytest.mark.parametrize("tail_fraction", [1.5, 0.0, float("nan")])
+def test_searches_reject_a_bad_tail_fraction_before_any_net(no_net_or_scan, tail_fraction):
+    # The tail fraction was checked only inside the scan, after every net was built.
+    xi = decaying_disk_orbit(horizon=200)
+    with pytest.raises(ParameterError, match="tail_fraction"):
+        average_shadow_search(xi, 0.2, 0.1, tail_fraction)
+    with pytest.raises(ParameterError, match="tail_fraction"):
+        m_alpha_shadow_search(xi, 0.2, 0.5, 0.1, tail_fraction)
+    with pytest.raises(ParameterError, match="tail_fraction"):
+        refined_asymptotic_search(xi, 0.4, [0.1, 0.05, 0.025], tail_fraction)
 
 
 @pytest.mark.parametrize("schedule", [[0.2, float("nan")], [0.2, 0.0], [0.2, 0.1, -0.1],

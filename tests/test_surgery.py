@@ -17,8 +17,9 @@ from shadowlab import (
     repair,
     select_anchors,
     true_orbit,
-    window_violation_bound_check,
 )
+
+from oracles import window_violation_bound_check
 
 
 def halving_interval():
@@ -147,13 +148,6 @@ def test_repair_rejects_non_ergodic():
     with pytest.raises(PreconditionError) as err:
         repair(xi, 0.2)
     assert err.value.witness is not None
-
-
-def test_repair_finite_cutoff_short_circuit():
-    xi = derived_instance()
-    result = repair(xi, 0.8, finite_cutoff=3)
-    assert np.array_equal(result.y.points, xi.points)
-    assert len(result.anchors) == 0
 
 
 def test_repair_result_invariants():
