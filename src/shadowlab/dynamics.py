@@ -171,7 +171,8 @@ class MetricSpace:
     def _distance(self, a: tuple, b: tuple, xp):
         if self.kind == CIRCLE:
             m = abs(a[0] % 1.0 - b[0] % 1.0)
-            return xp.where(m <= 1.0 - m, m, 1.0 - m)
+            r = 1.0 - m
+            return xp.where(m <= r, m, r)
         diff = [x - y for x, y in zip(a, b)]
         return xp.sqrt(_dot(diff, diff))
 

@@ -47,3 +47,9 @@ def check_positive(name: str, value: float) -> None:
     """Reject a threshold, budget or mesh that is not > 0 (NaN included)."""
     if not value > 0:
         raise ParameterError(f"{name} must be positive, got {value}")
+
+
+def check_alpha(alpha: float | None) -> None:
+    """Reject a density threshold alpha outside (0, 1) (NaN included); None means none."""
+    if alpha is not None and not 0.0 < alpha < 1.0:
+        raise ParameterError(f"alpha must lie in (0,1), got {alpha}")

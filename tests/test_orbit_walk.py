@@ -17,6 +17,7 @@ import dataclasses
 import hashlib
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,9 +31,11 @@ from shadowlab import (
     IndexSet,
     JumpRule,
     MetricSpace,
+    PseudoOrbit,
     RangeError,
     Word,
     average_shadow_search,
+    build_disk_system,
     m_alpha_shadow_search,
     make_corrupted_orbit,
     net,
@@ -41,6 +44,7 @@ from shadowlab import (
     trace_report,
     true_orbit,
 )
+from shadowlab import shadow_search
 from shadowlab.dynamics import CIRCLE, UNIT_DISK
 from shadowlab.pseudo_orbits import recompute_step_errors
 from shadowlab.serialize import json_default
@@ -740,3 +744,162 @@ def test_scan_objective_equals_report_value(system, horizon, seed, mesh, eps, ta
     assert average.params["scan_objective"] == average.report.limsup_estimate
     m_alpha = m_alpha_shadow_search(xi, eps, 0.5, mesh, tail_fraction)
     assert m_alpha.params["scan_objective"] == m_alpha.report.hit_lower_density
+
+
+# ---------------------------------------------------------------------------
+# Pruned net scans: every net's pick is the one of the full scan
+
+
+def full_scan_picks(xi, objective, eps, meshes, tail_fraction):
+    """Each mesh's net scanned alone and in full, then argmin (LIMSUP) or
+    argmax (HIT_DENSITY): the point, its index, its value and the net size."""
+    pick = np.argmax if objective == HIT_DENSITY else np.argmin
+    picks = []
+    for mesh in meshes:
+        P = net(xi.family.space, mesh)
+        values = _scan(xi, P, objective, eps, tail_fraction)
+        best = int(pick(values))
+        picks.append((P[best], best, float(values[best]), len(P)))
+    return picks
+
+
+def pick_bytes(picks):
+    return [(z.tobytes(), index, np.float64(value).tobytes(), size)
+            for z, index, value, size in picks]
+
+
+@st.composite
+def pruning_cases(draw):
+    """A system and word, a horizon on either side of the first checkpoint, a
+    seed, a schedule of overlapping and sometimes repeated meshes, eps (at
+    times exactly a trace error of a net point), a tail fraction and a first
+    checkpoint (sometimes past the horizon)."""
+    family, word, start = draw(system_and_word())
+    space = family.space
+    lo = {UNIT_DISK: 0.1, CIRCLE: 0.01}.get(space.kind, 0.1 * space.dimension)
+    meshes = draw(st.lists(unit(lo, 1.0), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        meshes.append(draw(st.sampled_from(meshes)))
+    return (family, word, start, draw(st.integers(1, 80)), draw(st.integers(0, 2**32)),
+            meshes, draw(unit(0.01, 1.0)), draw(st.booleans()), draw(unit(0.01, 0.99)),
+            draw(st.sampled_from([1, 2, 16, 10**6])))
+
+
+@SETTINGS
+@given(pruning_cases(), st.data())
+def test_pruned_scan_picks_what_the_full_scan_picks(case, data):
+    family, word, start, horizon, seed, meshes, eps, on_value, tail_fraction, first = case
+    rng = np.random.default_rng(seed)
+    indices = IndexSet.from_mask(rng.random(horizon) < 0.3)
+    xi = make_corrupted_orbit(family, word, start, indices, JumpRule("uniform"), seed)
+    if on_value:
+        z = data.draw(st.sampled_from(net(family.space, meshes[0]).tolist()))
+        t = trace_report(z, xi, 1.0).trace_errors
+        eps = float(t[data.draw(st.integers(0, horizon))]) or eps
+    for objective in (LIMSUP, HIT_DENSITY):
+        expected = full_scan_picks(xi, objective, eps, meshes, tail_fraction)
+        with mock.patch.object(shadow_search, "FIRST_CHECKPOINT", first):
+            got = list(_net_search(xi, objective, eps, meshes, tail_fraction))
+        assert pick_bytes(got) == pick_bytes(expected)
+
+
+def test_pruned_scan_keeps_a_later_row_that_ties_the_lowest_index_minimiser():
+    # At n = 16 the row 0.5 tracks exactly and becomes the incumbent; from
+    # n = 32 on the rows 0.25 and 0.5 have the same sums, so both end at
+    # exactly 0.125, and the pick is the lower index, 0.25.
+    family = GeneratorFamily(MetricSpace.box([0.0], [1.0]), (GeneratorMap.identity(),))
+    points = np.array([0.5] * 16 + [0.25] * 16 + [0.375] * 168)[:, None]
+    xi = PseudoOrbit.from_points(family, Word.constant(1, 1), points)
+    P = net(family.space, 0.25)
+    assert P.ravel().tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+    pruned = _scan(xi, P, LIMSUP, 0.2, 0.5, [np.arange(5)])
+    assert pruned.tolist() == [math.inf, 0.125, 0.125, math.inf, math.inf]
+    expected = full_scan_picks(xi, LIMSUP, 0.2, [0.25, 0.25], 0.5)
+    got = list(_net_search(xi, LIMSUP, 0.2, [0.25, 0.25], 0.5))
+    assert pick_bytes(got) == pick_bytes(expected)
+    assert [index for _, index, _, _ in got] == [1, 1]
+
+
+@pytest.mark.parametrize("matrix, horizon", [
+    # x grows 4-fold per step and overflows after about 512 steps, long
+    # after the first checkpoints; the zero entry then turns y into NaN.
+    ([[4.0, 0.0], [0.0, 0.5]], 600),
+    # x overflows at the second step, before the first checkpoint.
+    ([[1e300, 0.0], [0.0, 0.5]], 40),
+])
+def test_nan_objectives_are_never_dropped(matrix, horizon):
+    family = GeneratorFamily(MetricSpace.box([0.0, 0.0], [1.0, 1.0]),
+                             (GeneratorMap.affine(matrix, [0.0, 0.0]),))
+    xi = true_orbit(family, Word.constant(1, 1), (0.0, 0.8), horizon)
+    with np.errstate(all="ignore"):
+        expected = full_scan_picks(xi, LIMSUP, 0.2, [0.25, 0.25], 0.5)
+        got = list(_net_search(xi, LIMSUP, 0.2, [0.25, 0.25], 0.5))
+        assert pick_bytes(got) == pick_bytes(expected)
+        # argmin returns the first NaN, the first row that leaves the box.
+        z, index, value, _ = got[0]
+        assert math.isnan(value) and z.tolist() == [0.25, 0.0]
+        with pytest.raises(DomainError) as caught:
+            average_shadow_search(xi, 0.2, 0.25)
+        with pytest.raises(DomainError) as walked:
+            trace_report(z, xi, 0.2)
+    assert str(caught.value) == str(walked.value)
+
+
+def test_a_net_whose_incumbent_leaves_the_space_is_scanned_in_full():
+    # x -> 2x - 0.5 fixes 0.5 and sends every other point of [0, 1] out.
+    # The pseudo-orbit starts on the true orbit of 0.5625, which tracks
+    # exactly up to the checkpoint n = 2 and leaves the box at step 4; 0.5
+    # stays and is the pick of every net.
+    family = GeneratorFamily(MetricSpace.box([0.0], [1.0]),
+                             (GeneratorMap.affine([[2.0]], [-0.5]),))
+    points = np.array([0.5625, 0.625, 0.75] + [0.5] * 38)[:, None]
+    xi = PseudoOrbit.from_points(family, Word.constant(1, 1), points)
+    P = net(family.space, 1 / 16)
+    with pytest.raises(DomainError):
+        orbit(family, xi.word, (0.5625,), xi.horizon + 1)
+    with mock.patch.object(shadow_search, "FIRST_CHECKPOINT", 2):
+        pruned = _scan(xi, P, LIMSUP, 0.2, 0.5, [np.arange(len(P))])
+        assert pruned.tobytes() == _scan(xi, P, LIMSUP, 0.2, 0.5).tobytes()
+        meshes = [1 / 8, 1 / 16]
+        got = list(_net_search(xi, LIMSUP, 0.2, meshes, 0.5))
+        assert pick_bytes(got) == pick_bytes(full_scan_picks(xi, LIMSUP, 0.2, meshes, 0.5))
+        assert [z.tolist() for z, _, _, _ in got] == [[0.5], [0.5]]
+        refined = refined_asymptotic_search(xi, 0.1, meshes).to_dict()
+        assert refined_bytes(refined) == refined_bytes(reference_refined(xi, 0.1, meshes, 0.5))
+        average = average_shadow_search(xi, 0.2, 1 / 16)
+        assert average.report.candidate.tolist() == [0.5]
+    # Every point of a translation leaves the box; the search raises as the
+    # full scan's pick does.
+    family = GeneratorFamily(MetricSpace.box([0.0], [1.0]),
+                             (GeneratorMap.affine([[1.0]], [0.01]),))
+    xi = PseudoOrbit.from_points(family, Word.constant(1, 1), np.full((200, 1), 0.95))
+    z = full_scan_picks(xi, LIMSUP, 0.2, [0.1], 0.5)[0][0]
+    with pytest.raises(DomainError) as caught:
+        average_shadow_search(xi, 0.2, 0.1)
+    with pytest.raises(DomainError) as walked:
+        trace_report(z, xi, 0.2)
+    assert str(caught.value) == str(walked.value)
+
+
+def test_refined_scan_of_a_decaying_disk_ends_with_under_one_percent_live(monkeypatch):
+    # The decaying disk instance of the benchmark's refined search: horizon
+    # 2 000, every step displaced by 1/(j+1)^2, meshes 0.1 / 0.05 / 0.025.
+    family, word = build_disk_system()
+    indices = IndexSet.from_iterable(range(2000), 2000)
+    xi = make_corrupted_orbit(family, word, (0.5, 0.5), indices,
+                              JumpRule("offset", scale=1.0, power=2.0), seed=3)
+    columns = []
+    distance = MetricSpace._distance
+
+    def counting(self, a, b, xp):
+        # A scan step measures columns against one orbit point of floats.
+        if isinstance(b[0], float) and isinstance(a[0], np.ndarray):
+            columns.append(len(a[0]))
+        return distance(self, a, b, xp)
+
+    monkeypatch.setattr(MetricSpace, "_distance", counting)
+    refined_asymptotic_search(xi, 0.4, [0.1, 0.05, 0.025])
+    union = len({row.tobytes() for mesh in (0.1, 0.05, 0.025)
+                 for row in net(family.space, mesh)})
+    assert len(columns) == xi.horizon + 1 and columns[0] == union
+    assert columns[-1] < 0.01 * union

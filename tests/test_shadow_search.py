@@ -94,6 +94,16 @@ def test_trace_disk_geometric_decay():
     assert report.prefix_means[-1] < report.prefix_means[0]
 
 
+@pytest.mark.parametrize("alpha", [-1.0, 0.0, float("nan"), 1.5, 1.0])
+def test_trace_report_rejects_an_alpha_outside_the_unit_interval(alpha):
+    # The candidate's hit lower density is about 0.94; without the check,
+    # alpha -1 and 0 gave m_alpha True and NaN, 1.5 and 1 gave False.
+    xi = decaying_disk_orbit(horizon=200)
+    assert trace_report((0.1, 0.1), xi, 0.2, alpha=0.5).verdicts["m_alpha"]
+    with pytest.raises(ParameterError, match="alpha must lie in"):
+        trace_report((0.1, 0.1), xi, 0.2, alpha=alpha)
+
+
 def test_trace_constant_distance():
     xi = constant_orbit((0.25, 0.25), 50)
     z = (0.75, 0.25)
