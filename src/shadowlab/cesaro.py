@@ -20,6 +20,7 @@ from .density import (
     IndexSet,
     prefix_density,
     prefix_means,
+    tail_extremum,
     tail_window_start,
     upper_density_estimate,
 )
@@ -65,15 +66,6 @@ class BoundedSequence:
         means.flags.writeable = False
         return means
 
-    @cached_property
-    def _means_suffix_max(self) -> np.ndarray:
-        """Element i is the largest of the Cesàro means from element i on."""
-        return np.maximum.accumulate(self.means[::-1])[::-1]
-
-    def tail_mean_max(self, tail_fraction: float) -> float:
-        """The largest Cesàro mean over the tail window of tail_fraction."""
-        return float(self._means_suffix_max[tail_window_start(self.horizon, tail_fraction) - 1])
-
 
 @dataclass(frozen=True)
 class NullSetExtraction:
@@ -118,7 +110,7 @@ def extract_null_set(a: BoundedSequence, level_schedule: list[float] | None = No
         raise ParameterError("level schedule must be strictly decreasing")
 
     H = a.horizon
-    tail_mean = a.tail_mean_max(tail_fraction)
+    tail_mean = tail_extremum(a.means, tail_fraction)[0]
     if tail_mean >= levels[0] * DENSITY_MARGIN:
         raise PreconditionError(
             f"tail Cesàro means reach {tail_mean}, not below "
@@ -195,7 +187,7 @@ def verify_equivalence(a: BoundedSequence, J: IndexSet, tol: float,
     exact_ok = bool(np.all(a.means[n_lo - 1:] <= exact_bound + ROUNDING_TOL))
 
     direction_i = (off_tail_sup >= tol) or exact_ok
-    tail_mean_max = a.tail_mean_max(tail_fraction)
+    tail_mean_max = tail_extremum(a.means, tail_fraction)[0]
     simple_bound_holds = tail_mean_max < tol + a.bound * dJ
     direction_ii = off_tail_sup < tol
 

@@ -22,7 +22,7 @@ from .density import (
     tail_extremum,
     tail_window_start,
 )
-from .dynamics import CIRCLE, DEFAULT_NET_CAP, as_point, net, orbit, row_keys
+from .dynamics import CIRCLE, DEFAULT_NET_CAP, as_point, net, orbit
 from .errors import (
     DomainError,
     ParameterError,
@@ -115,19 +115,19 @@ def _scan(xi: PseudoOrbit, P: np.ndarray, objective: str, eps: float,
     means of the trace errors t (LIMSUP), or the min of the prefix means of
     1[t < eps] (HIT_DENSITY).
 
-    Given nets (one array of row indices into P per net), the scan drops the
-    candidates that cannot be any of their nets' picks (LIMSUP is minimised,
-    HIT_DENSITY maximised). At each checkpoint n it bounds every live
-    candidate's final value in floats: LIMSUP from below by sums / n_lo before
-    the tail window [n_lo, H + 1] (a float sum of t >= 0 never decreases) and
-    by its running max inside it; HIT_DENSITY from above by
-    (sums + n_lo - n) / n_lo, then by its running min. At the first checkpoint
-    each net's best-bounded member (lowest index on ties) is walked once, and
-    its exact value is that net's incumbent; from then on a candidate whose
-    bound is strictly worse than the worst incumbent of the nets that hold it
-    is dropped and reads +inf (LIMSUP) or -inf (HIT_DENSITY). A NaN bound
-    never drops, and every kept value is exact, so each net's argmin or argmax
-    is the one of the full scan. A net whose incumbent leaves the space is
+    Given nets (one array of row indices into P per net, each row in at most
+    one net), the scan drops the candidates that cannot be their net's pick
+    (LIMSUP is minimised, HIT_DENSITY maximised). At each checkpoint n it
+    bounds every live candidate's final value in floats: LIMSUP from below by
+    sums / n_lo before the tail window [n_lo, H + 1] (a float sum of t >= 0
+    never decreases) and by its running max inside it; HIT_DENSITY from above
+    by (sums + n_lo - n) / n_lo, then by its running min. At the first
+    checkpoint each net's best-bounded member (lowest index on ties) is walked
+    once, and its exact value is that net's incumbent; from then on a
+    candidate whose bound is strictly worse than its net's incumbent is
+    dropped and reads +inf (LIMSUP) or -inf (HIT_DENSITY). A NaN bound never
+    drops, and every kept value is exact, so each net's argmin or argmax is
+    the one of the full scan. A net whose incumbent leaves the space is
     scanned in full, and so is a LIMSUP scan whose trace errors might become
     NaN after a drop (see _nan_free).
     """
@@ -143,23 +143,25 @@ def _scan(xi: PseudoOrbit, P: np.ndarray, objective: str, eps: float,
     checkpoint = FIRST_CHECKPOINT if prune else 0  # n starts at 1: no checkpoint
     c = tuple(P.T)
     # Symbol 0 is the identity: at n = 1 the candidates are scored as they are.
-    for n, (s, x) in enumerate(zip([0, *symbols], xi.points.tolist()), start=1):
-        c = family.steps[s](c)
-        t = family.space._distance(c, x, np)
-        sums += t < eps if hits else t
-        if n >= n_lo:
-            extremum(best, sums / n, out=best)
-        if n == checkpoint:
+    # A family that leaves the space overflows here; the pick's walk raises.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n, (s, x) in enumerate(zip([0, *symbols], xi.points.tolist()), start=1):
+            c = family.steps[s](c)
+            t = family.space._distance(c, x, np)
+            sums += t < eps if hits else t
             if n >= n_lo:
-                bound = best
-            else:
-                bound = (sums + (n_lo - n) if hits else sums) / n_lo
-            if incumbents is None:
-                incumbents = _incumbents(xi, P, objective, eps, tail_fraction, nets, bound)
-            keep = ~worse(bound, incumbents[live])
-            c = tuple(col[keep] for col in c)
-            sums, best, live = sums[keep], best[keep], live[keep]
-            checkpoint *= 2
+                extremum(best, sums / n, out=best)
+            if n == checkpoint:
+                if n >= n_lo:
+                    bound = best
+                else:
+                    bound = (sums + (n_lo - n) if hits else sums) / n_lo
+                if incumbents is None:
+                    incumbents = _incumbents(xi, P, objective, eps, tail_fraction, nets, bound)
+                keep = ~worse(bound, incumbents[live])
+                c = tuple(col[keep] for col in c)
+                sums, best, live = sums[keep], best[keep], live[keep]
+                checkpoint *= 2
     values = np.full(len(P), -np.inf if hits else np.inf)
     values[live] = best
     return values
@@ -168,22 +170,19 @@ def _scan(xi: PseudoOrbit, P: np.ndarray, objective: str, eps: float,
 def _incumbents(xi: PseudoOrbit, P: np.ndarray, objective: str, eps: float,
                 tail_fraction: float, nets: list[np.ndarray],
                 bound: np.ndarray) -> np.ndarray:
-    """For each row of P, the worst exact value among the incumbents of the
-    nets that hold it: each net's incumbent is its member with the best bound,
-    walked once; a net whose incumbent leaves the space has none, which no
-    bound is worse than."""
+    """For each row of P, the exact value of its net's incumbent, the member
+    with the best bound, walked once. A row of no net, or of a net whose
+    incumbent leaves the space, gets a value no bound is worse than."""
     hits = objective == HIT_DENSITY
-    pick, worst = (np.argmax, np.minimum) if hits else (np.argmin, np.maximum)
-    incumbents = np.full(len(P), np.inf if hits else -np.inf)
+    pick = np.argmax if hits else np.argmin
+    incumbents = np.full(len(P), -np.inf if hits else np.inf)
     for rows in nets:
         try:
             t = _trace_errors(xi, P[rows[pick(bound[rows])]])
         except DomainError:
-            value = -np.inf if hits else np.inf
-        else:
-            value = _tail_of_means(t < eps if hits else t, tail_fraction,
-                                   "min" if hits else "max")[1]
-        incumbents[rows] = worst(incumbents[rows], value)
+            continue
+        incumbents[rows] = _tail_of_means(t < eps if hits else t, tail_fraction,
+                                          "min" if hits else "max")[1]
     return incumbents
 
 
@@ -226,51 +225,40 @@ def _net_search(xi: PseudoOrbit, objective: str, eps: float, meshes: list[float]
     minimised, HIT_DENSITY maximised, ties go to the lowest net index), its index,
     its value and the net size.
 
-    Consecutive nets are scanned together, as one union of their exact rows, while
-    that union stays within DEFAULT_NET_CAP points; a group is scanned only when its
+    Consecutive nets are scanned together, stacked as one array of rows, while
+    the stack stays within DEFAULT_NET_CAP rows; a group is scanned only when its
     first result is asked for. A candidate's value is column arithmetic, the same in
-    any batch, and the scan drops only candidates that provably are no net's pick,
-    so each net's pick is the one a full scan of that net alone makes. A group costs
-    one union scan whose live columns shrink at doubling checkpoints, plus one walk
-    per net. A net over the cap raises once the results of the nets before it have
-    been taken.
+    any batch, and the scan drops only candidates that provably are not their own
+    net's pick, so each net's pick is the one a full scan of that net alone makes.
+    A group costs one scan of its stacked nets whose live columns shrink at
+    doubling checkpoints, plus one walk per net. A net over the cap raises once the
+    results of the nets before it have been taken.
     """
-    group, merged = [], None
+    group = []
     for mesh in meshes:
         try:
             points = net(xi.family.space, mesh)
         except ResourceCapError:
             if group:
-                yield from _best_of_each(xi, objective, eps, group, merged, tail_fraction)
+                yield from _best_of_each(xi, objective, eps, group, tail_fraction)
             raise
-        grown = _union([*group, points])
-        if group and len(grown[0]) > DEFAULT_NET_CAP:
-            yield from _best_of_each(xi, objective, eps, group, merged, tail_fraction)
-            group, grown = [], _union([points])
+        if group and sum(map(len, group)) + len(points) > DEFAULT_NET_CAP:
+            yield from _best_of_each(xi, objective, eps, group, tail_fraction)
+            group = []
         group.append(points)
-        merged = grown
-    yield from _best_of_each(xi, objective, eps, group, merged, tail_fraction)
-
-
-def _union(nets: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows (exact bytes) of the stacked nets, and the position of each
-    stacked row among them."""
-    stacked = np.concatenate(nets)
-    _, first, inverse = np.unique(row_keys(stacked), return_index=True, return_inverse=True)
-    return stacked[first], inverse
+    yield from _best_of_each(xi, objective, eps, group, tail_fraction)
 
 
 def _best_of_each(xi: PseudoOrbit, objective: str, eps: float, nets: list[np.ndarray],
-                  merged: tuple[np.ndarray, np.ndarray],
                   tail_fraction: float) -> Iterator[tuple[np.ndarray, int, float, int]]:
-    """One scan of the union of nets (merged, as _union gives it), then each net's
-    pick from its own values."""
-    union, inverse = merged
-    rows = np.split(inverse, np.cumsum([len(p) for p in nets[:-1]]))
-    values = _scan(xi, union, objective, eps, tail_fraction, rows)
+    """One scan of the stacked nets, each net a block of consecutive rows, then
+    each net's pick from its own block of values."""
+    stacked = np.concatenate(nets)
+    starts = np.cumsum([len(p) for p in nets[:-1]])
+    blocks = np.split(np.arange(len(stacked)), starts)
+    values = _scan(xi, stacked, objective, eps, tail_fraction, blocks)
     pick = np.argmax if objective == HIT_DENSITY else np.argmin
-    for points, index in zip(nets, rows):
-        own = values[index]
+    for points, own in zip(nets, np.split(values, starts)):
         best = int(pick(own))
         yield points[best], best, float(own[best]), len(points)
 
@@ -366,10 +354,10 @@ def refined_asymptotic_search(xi: PseudoOrbit, eps0: float, mesh_schedule: list[
     the stages are converging to one point.
 
     The limsup estimate does not depend on the budget, so the stages share
-    scans: consecutive stage nets are scanned as one union (exact rows) while
-    it stays within DEFAULT_NET_CAP points, and a later group is scanned only
-    if every earlier stage succeeded. A search therefore costs about one scan
-    of the union of its nets whichever stage fails. The budget, the tail
+    scans: consecutive stage nets are scanned stacked, as one array, while it
+    stays within DEFAULT_NET_CAP rows, and a later group is scanned only if
+    every earlier stage succeeded. A search therefore costs about one scan of
+    its stacked nets whichever stage fails. The budget, the tail
     fraction and the whole schedule are checked before any net is built; a
     net over the cap raises ResourceCapError only once every earlier stage
     has succeeded.

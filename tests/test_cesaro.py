@@ -56,12 +56,11 @@ def test_cesaro_means_squares_at_horizon():
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=300), st.floats(0.01, 0.99))
-def test_means_and_tail_maximum_are_derived_once_and_read_only(values, tail_fraction):
+@given(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=300))
+def test_means_are_derived_once_and_read_only(values):
     a = BoundedSequence.from_values(values)
     assert a.means is a.means and not a.means.flags.writeable
     assert np.array_equal(a.means, prefix_means(a.values))
-    assert a.tail_mean_max(tail_fraction) == tail_extremum(a.means, tail_fraction)[0]
 
 
 def test_means_monotone_under_domination():

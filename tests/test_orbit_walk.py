@@ -820,6 +820,24 @@ def test_pruned_scan_keeps_a_later_row_that_ties_the_lowest_index_minimiser():
     assert [index for _, index, _, _ in got] == [1, 1]
 
 
+def test_a_row_of_two_stage_nets_can_be_dropped_in_one_and_kept_in_the_other():
+    # 0.5 lies in both nets. Against a constant 0.3 it is the best point of
+    # the 0.5 net, so it is that net's incumbent and is kept, while in the
+    # 0.25 net the point 0.25 is better and 0.5 is dropped.
+    family = GeneratorFamily(MetricSpace.box([0.0], [1.0]), (GeneratorMap.identity(),))
+    xi = PseudoOrbit.from_points(family, Word.constant(1, 1), np.full((100, 1), 0.3))
+    nets = [net(family.space, mesh) for mesh in (0.5, 0.25)]
+    assert [P.ravel().tolist() for P in nets] == [[0.0, 0.5, 1.0],
+                                                  [0.0, 0.25, 0.5, 0.75, 1.0]]
+    stacked = np.concatenate(nets)
+    pruned = _scan(xi, stacked, LIMSUP, 0.2, 0.5, [np.arange(3), np.arange(3, 8)])
+    full = _scan(xi, stacked, LIMSUP, 0.2, 0.5)
+    assert full[1] == full[5] and pruned[1] == full[1] and pruned[5] == math.inf
+    got = list(_net_search(xi, LIMSUP, 0.2, [0.5, 0.25], 0.5))
+    assert pick_bytes(got) == pick_bytes(full_scan_picks(xi, LIMSUP, 0.2, [0.5, 0.25], 0.5))
+    assert [z.tolist() for z, _, _, _ in got] == [[0.5], [0.25]]
+
+
 @pytest.mark.parametrize("matrix, horizon", [
     # x grows 4-fold per step and overflows after about 512 steps, long
     # after the first checkpoints; the zero entry then turns y into NaN.
@@ -831,17 +849,16 @@ def test_nan_objectives_are_never_dropped(matrix, horizon):
     family = GeneratorFamily(MetricSpace.box([0.0, 0.0], [1.0, 1.0]),
                              (GeneratorMap.affine(matrix, [0.0, 0.0]),))
     xi = true_orbit(family, Word.constant(1, 1), (0.0, 0.8), horizon)
-    with np.errstate(all="ignore"):
-        expected = full_scan_picks(xi, LIMSUP, 0.2, [0.25, 0.25], 0.5)
-        got = list(_net_search(xi, LIMSUP, 0.2, [0.25, 0.25], 0.5))
-        assert pick_bytes(got) == pick_bytes(expected)
-        # argmin returns the first NaN, the first row that leaves the box.
-        z, index, value, _ = got[0]
-        assert math.isnan(value) and z.tolist() == [0.25, 0.0]
-        with pytest.raises(DomainError) as caught:
-            average_shadow_search(xi, 0.2, 0.25)
-        with pytest.raises(DomainError) as walked:
-            trace_report(z, xi, 0.2)
+    expected = full_scan_picks(xi, LIMSUP, 0.2, [0.25, 0.25], 0.5)
+    got = list(_net_search(xi, LIMSUP, 0.2, [0.25, 0.25], 0.5))
+    assert pick_bytes(got) == pick_bytes(expected)
+    # argmin returns the first NaN, the first row that leaves the box.
+    z, index, value, _ = got[0]
+    assert math.isnan(value) and z.tolist() == [0.25, 0.0]
+    with pytest.raises(DomainError) as caught:
+        average_shadow_search(xi, 0.2, 0.25)
+    with pytest.raises(DomainError) as walked:
+        trace_report(z, xi, 0.2)
     assert str(caught.value) == str(walked.value)
 
 
@@ -899,7 +916,8 @@ def test_refined_scan_of_a_decaying_disk_ends_with_under_one_percent_live(monkey
 
     monkeypatch.setattr(MetricSpace, "_distance", counting)
     refined_asymptotic_search(xi, 0.4, [0.1, 0.05, 0.025])
-    union = len({row.tobytes() for mesh in (0.1, 0.05, 0.025)
-                 for row in net(family.space, mesh)})
-    assert len(columns) == xi.horizon + 1 and columns[0] == union
-    assert columns[-1] < 0.01 * union
+    # The stage nets are scanned stacked: 373 + 1 369 + 5 253 rows.
+    sizes = [len(net(family.space, mesh)) for mesh in (0.1, 0.05, 0.025)]
+    assert sizes == [373, 1369, 5253]
+    assert len(columns) == xi.horizon + 1 and columns[0] == sum(sizes) == 6995
+    assert columns[-1] < 0.01 * sum(sizes)

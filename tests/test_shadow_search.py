@@ -367,20 +367,17 @@ def test_refined_net_over_the_cap_raises_only_after_every_earlier_stage_succeeds
         refined_asymptotic_search(xi, eps0=0.4, mesh_schedule=schedule)
 
 
-def test_refined_union_over_the_cap_is_scanned_in_groups(monkeypatch):
+def test_refined_stages_over_the_cap_are_scanned_in_groups(monkeypatch):
     xi = decaying_disk_orbit(horizon=300)
     schedule = [0.3, 0.2, 0.2, 0.15]
     expected = refined_asymptotic_search(xi, eps0=0.4, mesh_schedule=schedule).to_dict()
     assert expected["succeeded"]
-    nets = [net(xi.family.space, mesh) for mesh in schedule]
+    sizes = [len(net(xi.family.space, mesh)) for mesh in schedule]
+    assert sizes == [60, 109, 109, 193]
 
-    def distinct(group):
-        return len({row.tobytes() for row in np.concatenate(group)})
-
-    # With the cap at 200 points the first three nets are scanned as one
-    # union and the fourth, which would take it over the cap, alone.
+    # With the cap at 200 rows the nets are stacked while the stack stays
+    # within it: 60 + 109, then 109 alone (109 + 193 is over), then 193.
     cap = 200
-    assert distinct(nets[:3]) <= cap < distinct(nets) and len(nets[3]) <= cap
     scanned = []
     scan = shadow_search._scan
 
@@ -391,6 +388,6 @@ def test_refined_union_over_the_cap_is_scanned_in_groups(monkeypatch):
     monkeypatch.setattr(shadow_search, "DEFAULT_NET_CAP", cap)
     monkeypatch.setattr(shadow_search, "_scan", counting_scan)
     got = refined_asymptotic_search(xi, eps0=0.4, mesh_schedule=schedule).to_dict()
-    assert scanned == [distinct(nets[:3]), len(nets[3])]
+    assert scanned == [169, 109, 193]
     assert json.dumps(got, sort_keys=True, default=json_default) == \
         json.dumps(expected, sort_keys=True, default=json_default)
