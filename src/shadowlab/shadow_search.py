@@ -72,13 +72,6 @@ def _build_report(t: np.ndarray, eps: float, diam: float, tail_fraction: float,
                         lower, upper, verdicts, params, diam, net_index)
 
 
-def _trace_errors(xi: PseudoOrbit, z: np.ndarray) -> np.ndarray:
-    """t_j = d(f_w^j(z), x_j) from one walk of z, which raises DomainError if
-    the family sends it out of the space."""
-    space = xi.family.space
-    return space.distance(orbit(xi.family, xi.word, z, xi.horizon + 1), xi.points)
-
-
 def trace_report(z, xi: PseudoOrbit, eps: float,
                  tail_fraction: float = DEFAULT_TAIL_FRACTION,
                  alpha: float | None = None, net_index: int | None = None) -> ShadowReport:
@@ -91,11 +84,17 @@ def trace_report(z, xi: PseudoOrbit, eps: float,
     check_positive("eps", eps)
     check_alpha(alpha)
     space = xi.family.space
+    zp = _candidate(z, space)
+    t = space.distance(orbit(xi.family, xi.word, zp, xi.horizon + 1), xi.points)
+    return _build_report(t, eps, space.diameter, tail_fraction, zp, alpha, net_index)
+
+
+def _candidate(z, space) -> np.ndarray:
+    """z as a point of the space; DomainError if it lies outside."""
     zp = as_point(z, space.dimension)
     if not space.contains(zp):
         raise DomainError(f"candidate {zp.tolist()} is outside the {space.kind} space")
-    t = _trace_errors(xi, zp)
-    return _build_report(t, eps, space.diameter, tail_fraction, zp, alpha, net_index)
+    return zp
 
 
 # ---------------------------------------------------------------------------
@@ -108,44 +107,71 @@ HIT_DENSITY = "hit_lower_density"
 # FIRST_CHECKPOINT, 2 * FIRST_CHECKPOINT, 4 * FIRST_CHECKPOINT, ...
 FIRST_CHECKPOINT = 16
 
+# The floor of every Lipschitz bound: it covers the products and the squares
+# that underflow (see _trace_gap_bound).
+_TINY = 2.0 ** -500
+
 
 def _scan(xi: PseudoOrbit, P: np.ndarray, objective: str, eps: float,
-          tail_fraction: float, nets: list[np.ndarray] | None = None) -> np.ndarray:
+          tail_fraction: float, nets: list[np.ndarray] | None = None,
+          walks: dict | None = None) -> np.ndarray:
     """Per-candidate objective over the tail window: the max of the prefix
     means of the trace errors t (LIMSUP), or the min of the prefix means of
     1[t < eps] (HIT_DENSITY).
 
-    Given nets (one array of row indices into P per net, each row in at most
-    one net), the scan drops the candidates that cannot be their net's pick
-    (LIMSUP is minimised, HIT_DENSITY maximised). At each checkpoint n it
-    bounds every live candidate's final value in floats: LIMSUP from below by
-    sums / n_lo before the tail window [n_lo, H + 1] (a float sum of t >= 0
-    never decreases) and by its running max inside it; HIT_DENSITY from above
-    by (sums + n_lo - n) / n_lo, then by its running min. At the first
-    checkpoint each net's best-bounded member (lowest index on ties) is walked
-    once, and its exact value is that net's incumbent; from then on a
-    candidate whose bound is strictly worse than its net's incumbent is
-    dropped and reads +inf (LIMSUP) or -inf (HIT_DENSITY). A NaN bound never
-    drops, and every kept value is exact, so each net's argmin or argmax is
-    the one of the full scan. A net whose incumbent leaves the space is
-    scanned in full, and so is a LIMSUP scan whose trace errors might become
-    NaN after a drop (see _nan_free).
+    Given nets (one array of row indices into P per net, in increasing order,
+    each row in at most one net), the scan drops the candidates that cannot be
+    their net's pick (LIMSUP is minimised, HIT_DENSITY maximised, ties go to
+    the lowest row). At each checkpoint n it bounds every live candidate's
+    final value in floats: LIMSUP from below by sums / n_lo before the tail
+    window [n_lo, H + 1] (a float sum of t >= 0 never decreases) and by its
+    running max inside it; HIT_DENSITY from above by (sums + n_lo - n) / n_lo,
+    then by its running min. At the first checkpoint each net's best-bounded
+    member (lowest row on ties) is walked once, and its exact value is that
+    net's incumbent; from then on a candidate whose bound is strictly worse
+    than its net's incumbent is dropped and reads +inf (LIMSUP) or -inf
+    (HIT_DENSITY). A NaN bound never drops. A net whose incumbent leaves the
+    space is scanned in full, and so is a LIMSUP scan whose trace errors might
+    become NaN after a drop (see _nan_free).
+
+    Lipschitz dominance, on a box or the disk (whose maps act on coordinates
+    without the circle's wrap) when every symbol of the word has a norm bound
+    (_symbol_norms) of at most 1 and H < 2**26: every map is affine, so the
+    incumbent's walked trace t* bounds every other member's future. With D
+    the distance between a candidate's point and the incumbent's after n - 1
+    steps, |t_j - t*_j| <= alpha_j D + beta_j for every j >= n, rounding
+    included (_trace_gap_bound). A candidate is then dropped when that bound
+    proves its value worse than the incumbent's, or equal to it at a higher
+    row (_limsup_dominance, _hits_dominance). When the bound proves a
+    candidate better than the incumbent, it is walked and replaces it (one
+    walk per net and checkpoint), and the old incumbent is dropped.
+
+    Every value a scan keeps is exact, so each net's argmin or argmax is the
+    one of the full scan. The loop ends once every live column is a walked
+    incumbent: on a contracting word, at the first checkpoint. Each then
+    reads its walk's value, which is bit-identical to the scan's. A walks
+    dict, when given, receives the trace errors of every incumbent live at
+    the end, by row.
     """
     hits = objective == HIT_DENSITY
     extremum, worse = (np.minimum, np.less) if hits else (np.maximum, np.greater)
-    family = xi.family
-    n_lo = tail_window_start(xi.horizon + 1, tail_fraction)
-    symbols = family.checked_symbols(xi.word.symbols(xi.horizon)).tolist()
+    family, H = xi.family, xi.horizon
+    n_lo = tail_window_start(H + 1, tail_fraction)
+    symbols = family.checked_symbols(xi.word.symbols(H))
+    norms, offsets = _symbol_norms(family)
+    g, h = norms[symbols], offsets.max()
     sums = np.zeros(len(P))
     best = np.full(len(P), np.inf if hits else -np.inf)
-    live, incumbents = np.arange(len(P)), None
-    prune = nets is not None and (hits or _nan_free(xi))
+    live, incumbents = np.arange(len(P)), []
+    prune = nets is not None and (hits or _nan_free(xi, norms, offsets))
+    lipschitz = (prune and family.space.kind != CIRCLE and H < 2**26
+                 and bool(np.all(g <= 1.0)))
     checkpoint = FIRST_CHECKPOINT if prune else 0  # n starts at 1: no checkpoint
     c = tuple(P.T)
     # Symbol 0 is the identity: at n = 1 the candidates are scored as they are.
     # A family that leaves the space overflows here; the pick's walk raises.
     with np.errstate(over="ignore", invalid="ignore"):
-        for n, (s, x) in enumerate(zip([0, *symbols], xi.points.tolist()), start=1):
+        for n, (s, x) in enumerate(zip([0, *symbols.tolist()], xi.points.tolist()), start=1):
             c = family.steps[s](c)
             t = family.space._distance(c, x, np)
             sums += t < eps if hits else t
@@ -156,63 +182,266 @@ def _scan(xi: PseudoOrbit, P: np.ndarray, objective: str, eps: float,
                     bound = best
                 else:
                     bound = (sums + (n_lo - n) if hits else sums) / n_lo
-                if incumbents is None:
-                    incumbents = _incumbents(xi, P, objective, eps, tail_fraction, nets, bound)
-                keep = ~worse(bound, incumbents[live])
+                if not incumbents:
+                    incumbents, targets = _incumbents(xi, P, hits, eps, tail_fraction,
+                                                      nets, bound)
+                keep = ~worse(bound, targets[live])
+                for k, inc in enumerate(incumbents if lipschitz else ()):
+                    if inc is None:
+                        continue
+                    mine = np.flatnonzero(keep & np.isin(live, nets[k]))
+                    inc, drop = _dominance(xi, P, hits, eps, tail_fraction, n, inc, live[mine],
+                                           tuple(col[mine] for col in c), sums[mine],
+                                           best[mine], g, h)
+                    keep[mine[drop]] = False
+                    incumbents[k] = inc
+                    targets[nets[k]] = inc.value
                 c = tuple(col[keep] for col in c)
                 sums, best, live = sums[keep], best[keep], live[keep]
+                if lipschitz and np.isin(live, [inc.row for inc in incumbents
+                                                if inc is not None]).all():
+                    best = targets[live]
+                    break
                 checkpoint *= 2
+    if walks is not None:
+        walks.update((inc.row, inc.trace) for inc in incumbents
+                     if inc is not None and inc.row in live)
     values = np.full(len(P), -np.inf if hits else np.inf)
     values[live] = best
     return values
 
 
-def _incumbents(xi: PseudoOrbit, P: np.ndarray, objective: str, eps: float,
+@dataclass(frozen=True)
+class _Incumbent:
+    """A net member walked once: its row of P, its exact value and the first
+    tail length attaining it, its orbit's points and their largest norm, its
+    trace errors, and the prefix sums of its terms (t, or 1[t < eps] as
+    counts; sums[N - 1] covers the first N)."""
+
+    row: int
+    value: float
+    at: int
+    points: np.ndarray
+    radius: float
+    trace: np.ndarray
+    sums: np.ndarray
+
+
+def _walk_row(xi: PseudoOrbit, P: np.ndarray, row: int, hits: bool, eps: float,
+              tail_fraction: float) -> _Incumbent:
+    """Row `row` of P walked once; DomainError if the family sends it out of
+    the space."""
+    points = orbit(xi.family, xi.word, P[row], xi.horizon + 1)
+    t = xi.family.space.distance(points, xi.points)
+    terms = t < eps if hits else t
+    value, at = tail_extremum(prefix_means(terms), tail_fraction, "min" if hits else "max")
+    radius = float(np.sqrt(np.square(points).sum(axis=1)).max())
+    return _Incumbent(row, value, at, points, radius, t, np.cumsum(terms))
+
+
+def _incumbents(xi: PseudoOrbit, P: np.ndarray, hits: bool, eps: float,
                 tail_fraction: float, nets: list[np.ndarray],
-                bound: np.ndarray) -> np.ndarray:
-    """For each row of P, the exact value of its net's incumbent, the member
-    with the best bound, walked once. A row of no net, or of a net whose
-    incumbent leaves the space, gets a value no bound is worse than."""
-    hits = objective == HIT_DENSITY
+                bound: np.ndarray) -> tuple[list[_Incumbent | None], np.ndarray]:
+    """Each net's incumbent, the member with the best bound walked once (None
+    when that walk leaves the space), and for each row of P the value of its
+    net's incumbent: a value no bound is worse than for a row of no net or of
+    a net without one."""
     pick = np.argmax if hits else np.argmin
-    incumbents = np.full(len(P), -np.inf if hits else np.inf)
+    incumbents, values = [], np.full(len(P), -np.inf if hits else np.inf)
     for rows in nets:
         try:
-            t = _trace_errors(xi, P[rows[pick(bound[rows])]])
+            inc = _walk_row(xi, P, int(rows[pick(bound[rows])]), hits, eps, tail_fraction)
         except DomainError:
-            continue
-        incumbents[rows] = _tail_of_means(t < eps if hits else t, tail_fraction,
-                                          "min" if hits else "max")[1]
-    return incumbents
+            inc = None
+        else:
+            values[rows] = inc.value
+        incumbents.append(inc)
+    return incumbents, values
+
+
+def _dominance(xi: PseudoOrbit, P: np.ndarray, hits: bool, eps: float, tail_fraction: float,
+               n: int, inc: _Incumbent, rows: np.ndarray, c: tuple, sums: np.ndarray,
+               best: np.ndarray, g: np.ndarray, h: float) -> tuple[_Incumbent, np.ndarray]:
+    """One net's Lipschitz dominance at checkpoint n, over its live rows with
+    their columns c (points after n - 1 steps), sums and running extrema: the
+    net's incumbent, and which rows to drop.
+
+    When the bounds prove members better than the incumbent, the one with
+    the best sums is walked and replaces it, and the old incumbent is
+    dropped; a walk that leaves the space keeps the old one."""
+    test = _hits_dominance if hits else _limsup_dominance
+    space = xi.family.space
+    gap = space._distance(c, tuple(inc.points[n - 1].tolist()), np)
+    drop, beats = test(xi, eps, tail_fraction, n, inc, rows, gap, sums, best, g, h)
+    if not beats.any():
+        return inc, drop
+    i = np.flatnonzero(beats)[(np.argmax if hits else np.argmin)(sums[beats])]
+    try:
+        rival = _walk_row(xi, P, int(rows[i]), hits, eps, tail_fraction)
+    except DomainError:
+        return inc, drop
+    gap = space._distance(c, tuple(rival.points[n - 1].tolist()), np)
+    drop = test(xi, eps, tail_fraction, n, rival, rows, gap, sums, best, g, h)[0]
+    return rival, drop | (rows == inc.row)
+
+
+def _trace_gap_bound(g: np.ndarray, inc: _Incumbent, n: int,
+                     h: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """alpha, beta and rho such that |t_j(z) - t*_j| <= alpha[j - n] D + beta[j - n]
+    for j = n..H, for every candidate z of the incumbent's net whose point
+    after n - 1 steps lies at float distance D from the incumbent's. Here t is
+    the scan's float trace, g[k] the norm bound of the word's k-th symbol (at
+    most 1), h the largest offset norm, and H = len(g).
+
+    Proof. Let u = 2^-53, d the dimension, gamma_k = k u / (1 - k u) and
+    rho = (H + 8)(d + 2)^2 2^-49, so that rho / 16 is at least both
+    H sqrt(d) gamma_(d+1) and gamma_(H+d+3).
+    1. A step of f(p) = A p + b rounds each coordinate's dot product and
+       offset, an error of at most gamma_(d+1) (||A||_F |p| + |b|) in norm,
+       and ||A||_F <= sqrt(d) g (a scale map rounds once per coordinate, a
+       permutation not at all). With E_j the distance between the two float
+       points after j steps, E_(n-1) = D and, as |z_j| <= |z*_j| + E_j,
+           E_j <= g_(j-1) (1 + gamma_(d+1) sqrt(d)) E_(j-1)
+                  + 2 gamma_(d+1) (sqrt(d) M + h),
+       with M the largest norm of the incumbent's points. As every g <= 1,
+       E_j <= (1 + rho / 8) Lambda_j D + rho (M + h) / 2, with Lambda_j the
+       product g_(n-1) ... g_(j-1) and j - n + 1 <= H steps of drift. A
+       product that underflows is off by up to 2^-1074 instead, at most
+       H d^2 2^-1074 over a walk.
+    2. The float cumprod of factors <= 1 is within a factor 1 + rho / 8 of
+       Lambda_j while it stays at or above _TINY, and once below it every later
+       Lambda_j is below (1 + rho / 8) _TINY; flooring at _TINY covers both.
+       D's own rounding is a factor 1 + gamma_(d+3).
+    3. A float distance sqrt(sum (p - x)^2) is within a factor
+       1 + gamma_(d+3) of the exact one, plus sqrt(d) 2^-537 when its squares
+       underflow, and the exact distances differ by at most E_j; so
+       |t_j(z) - t*_j| <= (1 + rho / 8) E_j + rho t*_j / 4 plus those terms.
+    Together |t_j(z) - t*_j| <= (1 + rho) Lambda_j D + rho (M + h + t*_j)
+    with Lambda_j and D as computed. So alpha = (1 + 8 rho) Lambda_j and
+    beta = 2 rho (M + h + t*_j) + _TINY hold at least twice the rounding terms
+    the steps need, which covers the rounding of their own evaluation, and
+    _TINY = 2^-500 is more than twice every underflow term above (three
+    distances, D's among them, and a walk's products, for H and d below
+    2^60).
+    """
+    H, d = len(g), inc.points.shape[1]
+    rho = (H + 8) * (d + 2) ** 2 * 2.0 ** -49
+    lam = np.maximum(np.cumprod(g[n - 1:]), _TINY)
+    return (1 + 8 * rho) * lam, 2 * rho * (inc.radius + h + inc.trace[n:]) + _TINY, rho
+
+
+def _limsup_dominance(xi, eps, tail_fraction, n, inc, rows, gap, sums, best, g, h):
+    """Which live rows of a LIMSUP net are dominated by its incumbent, and which
+    are proven better than it.
+
+    The incumbent's value V* is the float mean S*_N* / N* at a tail length N*.
+    For N* > n, let Delta = S_n(z) - S*_n (float sums) and
+    B = sum over n <= j < N* of alpha_j D + beta_j (_trace_gap_bound). The
+    float sums of t >= 0 over N terms are within gamma_N of the exact sums of
+    their terms (N <= H + 1), so
+        S_N*(z) >= S*_N* + Delta - B - rho (S_n(z) + S*_n + S*_N*) / 4.
+    When Delta > B + 10 rho (S_n(z) + S*_n + S*_N*), which leaves room for the
+    rounding of this comparison, S_N*(z) > (1 + 4u) S*_N* + _TINY: z's mean
+    at N* rounds strictly above V*, and so does its max over the tail. Such
+    a z is dropped; lengths N <= n are the running max's, which the plain
+    bound already compares. By the same steps with z and z* swapped, a z
+    whose -Delta exceeds those terms taken over every j >= n (and S*_(H+1))
+    has every tail mean past n strictly below the incumbent's; if its running
+    max is below V* too, z is proven better.
+    """
+    alpha, beta, rho = _trace_gap_bound(g, inc, n, h)
+    S = inc.sums
+    drop = np.zeros(len(rows), dtype=bool)
+    if inc.at > n:
+        k = inc.at - n
+        drop = (sums - S[n - 1] > gap * alpha[:k].sum() + beta[:k].sum()
+                + 10 * rho * (sums + S[n - 1] + S[inc.at - 1]))
+    beats = ((S[n - 1] - sums > gap * alpha.sum() + beta.sum()
+              + 10 * rho * (sums + S[n - 1] + S[-1])) & (best < inc.value))
+    return drop, beats
+
+
+def _hits_dominance(xi, eps, tail_fraction, n, inc, rows, gap, sums, best, g, h):
+    """Which live rows of a HIT_DENSITY net are dominated by its incumbent,
+    and which are proven better than it.
+
+    A step j >= n is clear when |t*_j - eps| > alpha_j D + beta_j with D the
+    largest over the rows (_trace_gap_bound; a NaN D clears nothing): there
+    every row hits exactly when the incumbent does. Counting the other steps
+    as hits bounds a row's count K_N at every length N > n from above by
+    k + C_N (k its count at n); counting them as misses, from below by
+    k + C'_N. The incumbent's value V* is K*_M / M at a tail length M. For
+    H + 1 <= 2**26 two counts over lengths up to H + 1 have their float means
+    in the order of the fractions, equal only when the fractions are, so
+    fl((k + C_N) / N) < V* exactly when (k + C_N) M < K*_M N, in int64. A row
+    is dropped when that holds at some tail length N > n, or when equality
+    does and its row is above the incumbent's: its value is then below V*,
+    or ties it and loses to the lower row. Lengths N <= n are the running
+    min's, which the plain bound already compares. A row is proven better
+    when (k + C'_N) M > K*_M N at every tail length N > n and its running min
+    is above V*.
+    """
+    alpha, beta, _ = _trace_gap_bound(g, inc, n, h)
+    t = inc.trace[n:]
+    clear = np.abs(t - eps) > alpha * gap.max(initial=0.0) + beta
+    hit = t < eps
+    N = np.arange(n + 1, xi.horizon + 2)
+    tail = N >= tail_window_start(xi.horizon + 1, tail_fraction)
+    K, M = int(inc.sums[inc.at - 1]), inc.at
+    k = sums.astype(np.int64) * M
+
+    def most(counted):
+        """The max over tail lengths N > n of K*_M N - M (steps counted in [n, N))."""
+        return (K * N - M * np.cumsum(counted))[tail].max(initial=np.iinfo(np.int64).min)
+
+    upper, lower = most(hit | ~clear), most(hit & clear)
+    drop = (k < upper) | ((k <= upper) & (rows > inc.row))
+    return drop, (k > lower) & (best > inc.value)
 
 
 # Below this bound on every coordinate's magnitude no step overflows.
 _SAFE_MAGNITUDE = 1e300
 
 
-def _nan_free(xi: PseudoOrbit) -> bool:
-    """Whether no trace error of a scan over the space can be NaN.
+def _symbol_norms(family) -> tuple[np.ndarray, np.ndarray]:
+    """For each symbol s (0 is the identity), an upper bound on the operator
+    2-norm of f_s's linear part, and the norm of f_s's offset.
 
-    Only a coordinate that overflows makes t NaN. Let g bound the operator
-    2-norm of every map's linear part (at least 1; for a matrix A, the square
-    root of the largest absolute row sum of A^T A, which is exact when A is
-    orthogonal or diagonal) and h the norm of every offset. A point of norm
-    at most R, the bounding box's corner, then has norm at most g^n (R + n h)
-    after n steps: H steps, or one on the circle, whose images wrap into
-    [0, 1). Below _SAFE_MAGNITUDE that leaves rounding a margin of 10^8.
+    An affine map's bound is the square root of the largest absolute row sum
+    of A^T A, which bounds its largest eigenvalue ||A||_2^2 and equals it when
+    A is orthogonal or diagonal; it is raised by a factor 1 + 2^-40 and by
+    _TINY, which cover its own rounding and underflow. A scale map's bound
+    is its largest |factor|, and a permutation's and the identity's is 1. An
+    entry too large to square makes the bound inf or NaN.
     """
-    space = xi.family.space
     growth, offsets = [1.0], [0.0]
     with np.errstate(all="ignore"):
-        for f in xi.family.maps:
+        for f in family.maps:
             if f.kind == "affine":
                 a = np.array(f.matrix)
                 gram = (a[:, :, None] * a[:, None, :]).sum(axis=0)
-                growth.append(np.sqrt(np.abs(gram).sum(axis=1).max()))
+                root = np.sqrt(np.abs(gram).sum(axis=1).max())
+                growth.append(root * (1 + 2.0 ** -40) + _TINY)
                 offsets.append(np.sqrt(np.square(f.offset).sum()))
-            elif f.kind == "scale":
-                growth.append(np.abs(f.factors).max())
-        g, h = np.max(growth), np.max(offsets)
+            else:
+                growth.append(np.abs(f.factors).max() if f.kind == "scale" else 1.0)
+                offsets.append(0.0)
+    return np.array(growth), np.array(offsets)
+
+
+def _nan_free(xi: PseudoOrbit, norms: np.ndarray, offsets: np.ndarray) -> bool:
+    """Whether no trace error of a scan over the space can be NaN, given the
+    family's _symbol_norms.
+
+    Only a coordinate that overflows makes t NaN. With g the largest norm
+    bound (at least 1, the identity's) and h the largest offset norm, a point
+    of norm at most R, the bounding box's corner, has norm at most
+    g^n (R + n h) after n steps: H steps, or one on the circle, whose images
+    wrap into [0, 1). Below _SAFE_MAGNITUDE that leaves rounding a margin of
+    10^8.
+    """
+    space = xi.family.space
+    g, h = norms.max(), offsets.max()
     corner = math.hypot(*map(max, map(abs, space.lo), map(abs, space.hi)))
     n = 1 if space.kind == CIRCLE else xi.horizon
     # A NaN bound (from an overflowing A^T A) compares False.
@@ -230,37 +459,63 @@ def _net_search(xi: PseudoOrbit, objective: str, eps: float, meshes: list[float]
     first result is asked for. A candidate's value is column arithmetic, the same in
     any batch, and the scan drops only candidates that provably are not their own
     net's pick, so each net's pick is the one a full scan of that net alone makes.
-    A group costs one scan of its stacked nets whose live columns shrink at
-    doubling checkpoints, plus one walk per net. A net over the cap raises once the
-    results of the nets before it have been taken.
+    A group costs one scan of its stacked nets, which ends once only the nets'
+    walked incumbents are live, plus one walk per net. A net over the cap raises
+    once the results of the nets before it have been taken.
     """
+    for group in _net_groups(xi.family.space, meshes):
+        for z, index, value, size, _ in _best_of_each(xi, objective, eps, group, tail_fraction):
+            yield z, index, value, size
+
+
+def _net_groups(space, meshes: list[float]) -> Iterator[list[np.ndarray]]:
+    """The meshes' nets in consecutive groups of at most DEFAULT_NET_CAP rows;
+    a net over the cap raises after the group before it."""
     group = []
     for mesh in meshes:
         try:
-            points = net(xi.family.space, mesh)
+            points = net(space, mesh)
         except ResourceCapError:
             if group:
-                yield from _best_of_each(xi, objective, eps, group, tail_fraction)
+                yield group
             raise
         if group and sum(map(len, group)) + len(points) > DEFAULT_NET_CAP:
-            yield from _best_of_each(xi, objective, eps, group, tail_fraction)
+            yield group
             group = []
         group.append(points)
-    yield from _best_of_each(xi, objective, eps, group, tail_fraction)
+    yield group
 
 
 def _best_of_each(xi: PseudoOrbit, objective: str, eps: float, nets: list[np.ndarray],
-                  tail_fraction: float) -> Iterator[tuple[np.ndarray, int, float, int]]:
+                  tail_fraction: float
+                  ) -> Iterator[tuple[np.ndarray, int, float, int, np.ndarray | None]]:
     """One scan of the stacked nets, each net a block of consecutive rows, then
-    each net's pick from its own block of values."""
+    each net's pick from its own block of values, with the pick's trace errors
+    when it is a walked incumbent (else None)."""
     stacked = np.concatenate(nets)
     starts = np.cumsum([len(p) for p in nets[:-1]])
     blocks = np.split(np.arange(len(stacked)), starts)
-    values = _scan(xi, stacked, objective, eps, tail_fraction, blocks)
+    walks = {}
+    values = _scan(xi, stacked, objective, eps, tail_fraction, blocks, walks)
     pick = np.argmax if objective == HIT_DENSITY else np.argmin
-    for points, own in zip(nets, np.split(values, starts)):
+    for points, rows, own in zip(nets, blocks, np.split(values, starts)):
         best = int(pick(own))
-        yield points[best], best, float(own[best]), len(points)
+        yield points[best], best, float(own[best]), len(points), walks.get(int(rows[best]))
+
+
+def _one_net_search(xi: PseudoOrbit, objective: str, eps: float, mesh: float,
+                    tail_fraction: float, alpha: float | None) -> tuple[ShadowReport, float, int]:
+    """One mesh's pick by _net_search: its trace_report, its value and the net
+    size. A pick that the scan walked as an incumbent is reported from that
+    walk's trace errors instead of a second walk."""
+    space = xi.family.space
+    z, index, value, size, t = next(_best_of_each(xi, objective, eps, [net(space, mesh)],
+                                                  tail_fraction))
+    if t is None:
+        return trace_report(z, xi, eps, tail_fraction, alpha, index), value, size
+    report = _build_report(t, eps, space.diameter, tail_fraction, _candidate(z, space),
+                           alpha, index)
+    return report, value, size
 
 
 @dataclass(frozen=True)
@@ -301,8 +556,7 @@ def average_shadow_search(xi: PseudoOrbit, eps: float, mesh: float,
     """
     check_positive("eps", eps)
     check_tail_fraction(tail_fraction)
-    z, index, value, size = next(_net_search(xi, LIMSUP, eps, [mesh], tail_fraction))
-    report = trace_report(z, xi, eps, tail_fraction, net_index=index)
+    report, value, size = _one_net_search(xi, LIMSUP, eps, mesh, tail_fraction, None)
     return SearchResult(report, value < eps, LIMSUP, mesh, size,
                         {"scan_objective": value, "eps": eps, "tail_fraction": tail_fraction})
 
@@ -313,8 +567,7 @@ def m_alpha_shadow_search(xi: PseudoOrbit, eps: float, alpha: float, mesh: float
     check_alpha(alpha)
     check_positive("eps", eps)
     check_tail_fraction(tail_fraction)
-    z, index, value, size = next(_net_search(xi, HIT_DENSITY, eps, [mesh], tail_fraction))
-    report = trace_report(z, xi, eps, tail_fraction, alpha=alpha, net_index=index)
+    report, value, size = _one_net_search(xi, HIT_DENSITY, eps, mesh, tail_fraction, alpha)
     return SearchResult(report, value > alpha, HIT_DENSITY, mesh, size,
                         {"scan_objective": value, "eps": eps, "alpha": alpha,
                          "tail_fraction": tail_fraction})

@@ -17,6 +17,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import sys
 from unittest import mock
 
 import numpy as np
@@ -898,6 +899,21 @@ def test_a_net_whose_incumbent_leaves_the_space_is_scanned_in_full():
     assert str(caught.value) == str(walked.value)
 
 
+def scan_steps(monkeypatch):
+    """The widths of the scan's steps: each measures the live columns against
+    one orbit point, in a list that grows as scans run."""
+    steps = []
+    distance = MetricSpace._distance
+
+    def counting(self, a, b, xp):
+        if sys._getframe(1).f_code.co_name == "_scan":
+            steps.append(len(a[0]))
+        return distance(self, a, b, xp)
+
+    monkeypatch.setattr(MetricSpace, "_distance", counting)
+    return steps
+
+
 def test_refined_scan_of_a_decaying_disk_ends_with_under_one_percent_live(monkeypatch):
     # The decaying disk instance of the benchmark's refined search: horizon
     # 2 000, every step displaced by 1/(j+1)^2, meshes 0.1 / 0.05 / 0.025.
@@ -905,19 +921,253 @@ def test_refined_scan_of_a_decaying_disk_ends_with_under_one_percent_live(monkey
     indices = IndexSet.from_iterable(range(2000), 2000)
     xi = make_corrupted_orbit(family, word, (0.5, 0.5), indices,
                               JumpRule("offset", scale=1.0, power=2.0), seed=3)
-    columns = []
-    distance = MetricSpace._distance
-
-    def counting(self, a, b, xp):
-        # A scan step measures columns against one orbit point of floats.
-        if isinstance(b[0], float) and isinstance(a[0], np.ndarray):
-            columns.append(len(a[0]))
-        return distance(self, a, b, xp)
-
-    monkeypatch.setattr(MetricSpace, "_distance", counting)
+    nets = [net(family.space, mesh) for mesh in (0.1, 0.05, 0.025)]
+    assert [len(P) for P in nets] == [373, 1369, 5253]
+    stacked = np.concatenate(nets)
+    blocks = np.split(np.arange(len(stacked)), [373, 373 + 1369])
+    full = _scan(xi, stacked, LIMSUP, 0.4, 0.5)
+    steps = scan_steps(monkeypatch)
     refined_asymptotic_search(xi, 0.4, [0.1, 0.05, 0.025])
-    # The stage nets are scanned stacked: 373 + 1 369 + 5 253 rows.
-    sizes = [len(net(family.space, mesh)) for mesh in (0.1, 0.05, 0.025)]
-    assert sizes == [373, 1369, 5253]
-    assert len(columns) == xi.horizon + 1 and columns[0] == sum(sizes) == 6995
-    assert columns[-1] < 0.01 * sum(sizes)
+    # The stage nets are scanned stacked, 6 995 rows, and the scan stops at
+    # its first checkpoint with one live column per net, its walked incumbent.
+    assert steps == [6995] * shadow_search.FIRST_CHECKPOINT
+    walks = {}
+    values = _scan(xi, stacked, LIMSUP, 0.4, 0.5, blocks, walks)
+    live = np.flatnonzero(values < math.inf)
+    assert [np.isin(live, rows).sum() for rows in blocks] == [1, 1, 1]
+    assert sorted(walks) == live.tolist() and len(live) < 0.01 * len(stacked)
+    for rows in blocks:
+        assert np.argmin(values[rows]) == np.argmin(full[rows])
+        assert values[rows].min() == full[rows].min()
+    for row, t in walks.items():
+        assert t.tobytes() == trace_report(stacked[row], xi, 0.4).trace_errors.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Lipschitz dominance: on contracting words the scan ends at a checkpoint
+
+
+@SETTINGS
+@given(st.integers(1, 4).flatmap(lambda d: matrices(d, -3.0, 3.0)))
+def test_symbol_norms_bound_the_operator_norm(matrix):
+    d = len(matrix)
+    A = np.array(matrix)
+    family = GeneratorFamily(MetricSpace.box([0.0] * d, [1.0] * d), (
+        GeneratorMap.affine(matrix, [0.0] * d), GeneratorMap.scale(np.diag(A).tolist()),
+        GeneratorMap.permutation(range(d))))
+    norms, offsets = shadow_search._symbol_norms(family)
+    assert norms[0] == norms[3] == 1.0 and offsets.tolist() == [0.0] * 4
+    assert norms[1] >= np.linalg.norm(A, 2)
+    assert norms[2] == np.abs(np.diag(A)).max() >= np.linalg.norm(np.diag(np.diag(A)), 2)
+
+
+def test_symbol_norm_of_a_non_normal_matrix():
+    # [[0.5, 0.4], [0, 0.5]] has spectral radius 0.5 but 2-norm 0.7385: a
+    # bound on its eigenvalues would not bound how far it moves two points
+    # apart. The bound is sqrt(0.61) = 0.781, and the offset's norm is read too.
+    family = GeneratorFamily(MetricSpace.box([0.0, 0.0], [1.0, 1.0]),
+                             (GeneratorMap.affine([[0.5, 0.4], [0.0, 0.5]], [0.03, 0.04]),))
+    norms, offsets = shadow_search._symbol_norms(family)
+    assert np.linalg.norm([[0.5, 0.4], [0.0, 0.5]], 2) <= norms[1] <= math.sqrt(0.61) * 1.001
+    assert offsets[1] == 0.05
+
+
+@SETTINGS
+@given(st.one_of(disk_systems(), box_systems()).flatmap(
+    lambda system: st.tuples(st.just(system), words(system[0].m))),
+    st.integers(1, 40), st.integers(0, 2**32), unit(0.2, 1.0), st.data())
+def test_trace_gap_bound_covers_every_float_trace(system, horizon, seed, mesh, data):
+    """|t_j(z) - t*_j| <= alpha_j D + beta_j for every net point z, incumbent
+    z* and checkpoint n, with t the walked float traces and D the float
+    distance of their points after n - 1 steps."""
+    (family, start), word = system
+    indices = IndexSet.from_mask(np.random.default_rng(seed).random(horizon) < 0.3)
+    xi = make_corrupted_orbit(family, word, start, indices, JumpRule("uniform"), seed)
+    P = net(family.space, mesh)
+    assert_gap_bound_holds(xi, P, data.draw(st.integers(0, len(P) - 1)),
+                           data.draw(st.integers(1, horizon + 1)))
+
+
+def assert_gap_bound_holds(xi, P, row, n):
+    family, word, horizon = xi.family, xi.word, xi.horizon
+    space = family.space
+    norms, offsets = shadow_search._symbol_norms(family)
+    g = norms[family.checked_symbols(word.symbols(horizon))]
+    assert np.all(g <= 1.0)
+    inc = shadow_search._walk_row(xi, P, row, False, 0.5, 0.5)
+    alpha, beta, _ = shadow_search._trace_gap_bound(g, inc, n, offsets.max())
+    for z in P:
+        points = orbit(family, word, z, horizon + 1)
+        gap = space._distance(tuple(points[n - 1].tolist()), tuple(inc.points[n - 1].tolist()),
+                              math)
+        t = space.distance(points, xi.points)
+        assert np.all(np.abs(t[n:] - inc.trace[n:]) <= alpha * gap + beta)
+
+
+def test_trace_gap_bound_covers_distances_whose_squares_underflow():
+    # Under x -> 1.6e-158 x the trace error of 1 after one step is a distance
+    # whose square is subnormal: its float value is off by about 1e-8 of
+    # itself, far more than one rounding.
+    family = GeneratorFamily(MetricSpace.box([0.0], [1.0]),
+                             (GeneratorMap.scale([1.6251689249365563e-158]),))
+    xi = true_orbit(family, Word.constant(1, 1), (0.0,), 1)
+    assert_gap_bound_holds(xi, np.array([[0.0], [1.0]]), 0, 1)
+
+
+@st.composite
+def contracting_systems(draw):
+    """One to three affine maps of norm bound below 1 that map a box
+    (d = 1-3, [0, 1]^d or [-1, 1]^d) or the disk into itself, and a start."""
+    if draw(st.booleans()):
+        space = MetricSpace.unit_disk()
+        maps = st.builds(GeneratorMap.affine, matrices(2, -0.6, 0.6), vectors(2, -0.15, 0.15))
+        family = GeneratorFamily(space, tuple(draw(st.lists(maps, min_size=1, max_size=3))))
+        assume(all(abs(np.linalg.eigvals(np.array(f.matrix))).max() < 1 for f in family.maps))
+        # |A z + b| <= ||A||_2 + |b| <= 0.85 + 0.15 on the unit disk.
+        assume(shadow_search._symbol_norms(family)[0].max() <= 0.85)
+        return family, draw(vectors(2, -0.7, 0.7))
+    d = draw(st.integers(1, 3))
+    lo = draw(st.sampled_from([0.0, -1.0]))
+    bound = 0.95 / d
+    maps = st.builds(GeneratorMap.affine, matrices(d, lo * bound, bound),
+                     vectors(d, lo * 0.025, 0.025))
+    family = GeneratorFamily(MetricSpace.box([lo] * d, [1.0] * d),
+                             tuple(draw(st.lists(maps, min_size=1, max_size=3))))
+    assume(shadow_search._symbol_norms(family)[0].max() <= 1.0)
+    return family, draw(vectors(d, lo, 1.0))
+
+
+@SETTINGS
+@given(contracting_systems().flatmap(
+    lambda system: st.tuples(st.just(system), words(system[0].m))),
+    st.integers(1, 300), st.integers(0, 2**32), unit(0.2, 1.0), unit(0.01, 1.0),
+    st.booleans(), unit(0.05, 0.95), st.sampled_from([1, 2, 16]), st.data())
+def test_dominance_picks_what_the_full_scan_picks(system, horizon, seed, mesh, eps, on_value,
+                                                  tail_fraction, first, data):
+    (family, start), word = system
+    rng = np.random.default_rng(seed)
+    indices = IndexSet.from_mask(rng.random(horizon) < 0.2)
+    xi = make_corrupted_orbit(family, word, start, indices, JumpRule("uniform"), seed)
+    P = net(family.space, mesh)
+    if on_value:
+        # eps exactly a trace error of a net point: a tie at eps.
+        t = trace_report(P[data.draw(st.integers(0, len(P) - 1))], xi, 1.0).trace_errors
+        eps = float(t[data.draw(st.integers(0, horizon))]) or eps
+    for objective, pick, dropped in ((LIMSUP, np.argmin, math.inf),
+                                     (HIT_DENSITY, np.argmax, -math.inf)):
+        full = _scan(xi, P, objective, eps, tail_fraction)
+        with mock.patch.object(shadow_search, "FIRST_CHECKPOINT", first):
+            walks = {}
+            pruned = _scan(xi, P, objective, eps, tail_fraction, [np.arange(len(P))], walks)
+        # Every kept value is exact, and the pick is the full scan's.
+        assert np.all((pruned == full) | (pruned == dropped))
+        assert pick(pruned) == pick(full)
+        for row, t in walks.items():
+            assert t.tobytes() == trace_report(P[row], xi, eps).trace_errors.tobytes()
+
+
+def test_hit_density_keeps_a_lower_row_that_ties_the_incumbent_at_eps(monkeypatch):
+    # x -> x / 2 + 1/4 on [0, 1], eps = 0.1. The incumbent is 0.5 (row 2),
+    # the only point within eps of x_0 = 0.5. At step 1, x_1 puts 0.5 just
+    # past eps (a near-tie at eps) and 0.25's image 0.375 inside it; from
+    # then on x_j = 0.5 and both hit at every step. So 0.25 (row 1) ties the
+    # incumbent exactly, and as the lower row it is the full scan's pick.
+    family = GeneratorFamily(MetricSpace.box([0.0], [1.0]),
+                             (GeneratorMap.affine([[0.5]], [0.25]),))
+    x1 = 0.5 - 0.1 - 2.0 ** -50
+    points = np.array([0.5, x1] + [0.5] * 39)[:, None]
+    xi = PseudoOrbit.from_points(family, Word.constant(1, 1), points)
+    P = net(family.space, 0.25)
+    assert P.ravel().tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+    hits = [trace_report(z, xi, 0.1).trace_errors < 0.1 for z in P]
+    assert hits[2][:2].tolist() == [True, False] and hits[1][:2].tolist() == [False, True]
+    full = _scan(xi, P, HIT_DENSITY, 0.1, 0.5)
+    assert full[1] == full[2] == full.max() and np.argmax(full) == 1
+    monkeypatch.setattr(shadow_search, "FIRST_CHECKPOINT", 1)
+    pruned = _scan(xi, P, HIT_DENSITY, 0.1, 0.5, [np.arange(5)])
+    # The tie with a higher row (0.75) and the rows below it are dropped at
+    # n = 1; the tie below the incumbent is kept, with its exact value.
+    assert pruned[[1, 2]].tolist() == full[[1, 2]].tolist()
+    assert pruned[[3, 4]].tolist() == [-math.inf, -math.inf]
+    got = list(_net_search(xi, HIT_DENSITY, 0.1, [0.25], 0.5))
+    assert pick_bytes(got) == pick_bytes(full_scan_picks(xi, HIT_DENSITY, 0.1, [0.25], 0.5))
+    assert m_alpha_shadow_search(xi, 0.1, 0.5, 0.25).report.net_index == 1
+
+
+def test_non_normal_contraction_ends_the_scan_at_its_first_checkpoint(monkeypatch):
+    # [[0.5, 0.4], [0, 0.5]] maps [0, 1]^2 into itself with offset
+    # (0.05, 0.25); its iterates grow before they shrink.
+    family = GeneratorFamily(MetricSpace.box([0.0, 0.0], [1.0, 1.0]),
+                             (GeneratorMap.affine([[0.5, 0.4], [0.0, 0.5]], [0.05, 0.25]),))
+    indices = IndexSet.from_iterable(range(0, 300, 7), 300)
+    xi = make_corrupted_orbit(family, Word.constant(1, 1), (0.9, 0.1), indices,
+                              JumpRule("uniform"), seed=5)
+    expected = {objective: full_scan_picks(xi, objective, 0.2, [0.05], 0.5)
+                for objective in (LIMSUP, HIT_DENSITY)}
+    steps = scan_steps(monkeypatch)
+    for objective in (LIMSUP, HIT_DENSITY):
+        steps.clear()
+        got = list(_net_search(xi, objective, 0.2, [0.05], 0.5))
+        assert pick_bytes(got) == pick_bytes(expected[objective])
+        assert steps == [441] * shadow_search.FIRST_CHECKPOINT
+
+
+def test_a_member_that_beats_the_incumbent_is_walked_and_replaces_it(monkeypatch):
+    # x -> 0.9 x on [0, 1] against x_0 = 0.5 and then 0: at n = 1 the
+    # incumbent is 0.5 (row 2), the point nearest x_0, but 0 tracks every
+    # later step exactly. At n = 16 the bounds show 0 beating 0.5, so 0 is
+    # walked, becomes the incumbent and ends the scan alone.
+    family = GeneratorFamily(MetricSpace.box([0.0], [1.0]), (GeneratorMap.affine([[0.9]], [0.0]),))
+    points = np.array([0.5] + [0.0] * 100)[:, None]
+    xi = PseudoOrbit.from_points(family, Word.constant(1, 1), points)
+    P = net(family.space, 0.25)
+    full = _scan(xi, P, LIMSUP, 0.2, 0.5)
+    assert np.argmin(full) == 0
+    walked = []
+    walk_row = shadow_search._walk_row
+
+    def recording(xi, P, row, *args):
+        walked.append(row)
+        return walk_row(xi, P, row, *args)
+
+    monkeypatch.setattr(shadow_search, "_walk_row", recording)
+    monkeypatch.setattr(shadow_search, "FIRST_CHECKPOINT", 1)
+    steps = scan_steps(monkeypatch)
+    walks = {}
+    pruned = _scan(xi, P, LIMSUP, 0.2, 0.5, [np.arange(5)], walks)
+    assert walked == [2, 0] and list(walks) == [0]
+    assert pruned.tolist() == [full[0]] + [math.inf] * 4
+    assert len(steps) == 16
+    got = list(_net_search(xi, LIMSUP, 0.2, [0.25], 0.5))
+    assert pick_bytes(got) == pick_bytes(full_scan_picks(xi, LIMSUP, 0.2, [0.25], 0.5))
+
+
+def circle_rotation():
+    family = GeneratorFamily(MetricSpace.circle(), (GeneratorMap.affine([[1.0]], [0.3137]),))
+    return true_orbit(family, Word.constant(1, 1), (0.2,), 300)
+
+
+def disk_rotation():
+    c, s = math.cos(0.7), math.sin(0.7)
+    family = GeneratorFamily(MetricSpace.unit_disk(),
+                             (GeneratorMap.affine([[c, -s], [s, c]], [0.0, 0.0]),))
+    return true_orbit(family, Word.constant(1, 1), (0.3, 0.4), 300)
+
+
+def expanding_box():
+    # x -> 2x - 1/2 fixes 1/2 and sends every other point out of [0, 1].
+    family = GeneratorFamily(MetricSpace.box([0.0], [1.0]),
+                             (GeneratorMap.affine([[2.0]], [-0.5]),))
+    return PseudoOrbit.from_points(family, Word.constant(1, 1), np.full((301, 1), 0.5))
+
+
+@pytest.mark.parametrize("make", [circle_rotation, disk_rotation, expanding_box])
+def test_dominance_never_fires_on_isometries_or_expanding_maps(make, monkeypatch):
+    xi = make()
+    P = net(xi.family.space, 0.1)
+    full = _scan(xi, P, HIT_DENSITY, 0.2, 0.5)
+    steps = scan_steps(monkeypatch)
+    monkeypatch.setattr(shadow_search, "_dominance", None)
+    pruned = _scan(xi, P, HIT_DENSITY, 0.2, 0.5, [np.arange(len(P))])
+    assert len(steps) == xi.horizon + 1
+    assert np.argmax(pruned) == np.argmax(full) and pruned.max() == full.max()
