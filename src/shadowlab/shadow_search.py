@@ -103,13 +103,16 @@ def _candidate(z, space) -> np.ndarray:
 LIMSUP = "limsup_estimate"
 HIT_DENSITY = "hit_lower_density"
 
-# A scan over several nets bounds its candidates at prefix lengths
+# A scan over several nets compares its candidates at prefix lengths
 # FIRST_CHECKPOINT, 2 * FIRST_CHECKPOINT, 4 * FIRST_CHECKPOINT, ...
 FIRST_CHECKPOINT = 16
 
 # The floor of every Lipschitz bound: it covers the products and the squares
 # that underflow (see _trace_gap_bound).
 _TINY = 2.0 ** -500
+
+# Below this bound on every coordinate's magnitude no step overflows.
+_SAFE_MAGNITUDE = 1e300
 
 
 def _scan(xi: PseudoOrbit, P: np.ndarray, objective: str, eps: float,
@@ -122,29 +125,27 @@ def _scan(xi: PseudoOrbit, P: np.ndarray, objective: str, eps: float,
     Given nets (one array of row indices into P per net, in increasing order,
     each row in at most one net), the scan drops the candidates that cannot be
     their net's pick (LIMSUP is minimised, HIT_DENSITY maximised, ties go to
-    the lowest row). At each checkpoint n it bounds every live candidate's
-    final value in floats: LIMSUP from below by sums / n_lo before the tail
-    window [n_lo, H + 1] (a float sum of t >= 0 never decreases) and by its
-    running max inside it; HIT_DENSITY from above by (sums + n_lo - n) / n_lo,
-    then by its running min. At the first checkpoint each net's best-bounded
-    member (lowest row on ties) is walked once, and its exact value is that
-    net's incumbent; from then on a candidate whose bound is strictly worse
-    than its net's incumbent is dropped and reads +inf (LIMSUP) or -inf
-    (HIT_DENSITY). A NaN bound never drops. A net whose incumbent leaves the
-    space is scanned in full, and so is a LIMSUP scan whose trace errors might
-    become NaN after a drop (see _nan_free).
+    the lowest row) by Lipschitz dominance. It does so only on a box or the
+    disk (whose maps act on coordinates without the circle's wrap), for
+    H < 2**26, when every symbol of the word has a norm bound (_symbol_norms)
+    of at most 1 and, for LIMSUP, R + H h < _SAFE_MAGNITUDE, with R the norm
+    of the bounding box's corner and h the largest offset norm. A point of
+    norm at most R then has norm at most R + H h after H steps, so no trace
+    error is NaN and no NaN pick is dropped. Every other scan is in full.
 
-    Lipschitz dominance, on a box or the disk (whose maps act on coordinates
-    without the circle's wrap) when every symbol of the word has a norm bound
-    (_symbol_norms) of at most 1 and H < 2**26: every map is affine, so the
-    incumbent's walked trace t* bounds every other member's future. With D
+    At the first checkpoint each net's member with the best sums (lowest row
+    on ties) is walked once, and is that net's incumbent; a net whose
+    incumbent leaves the space is scanned in full. Every map is affine, so the
+    incumbent's walked trace t* bounds every other member's future: with D
     the distance between a candidate's point and the incumbent's after n - 1
     steps, |t_j - t*_j| <= alpha_j D + beta_j for every j >= n, rounding
-    included (_trace_gap_bound). A candidate is then dropped when that bound
-    proves its value worse than the incumbent's, or equal to it at a higher
-    row (_limsup_dominance, _hits_dominance). When the bound proves a
-    candidate better than the incumbent, it is walked and replaces it (one
-    walk per net and checkpoint), and the old incumbent is dropped.
+    included (_trace_gap_bound). At each checkpoint n a member is dropped when
+    its running extremum over the tail window is already worse than the
+    incumbent's value, or when that bound proves its value worse, or equal at
+    a higher row (_limsup_dominance, _hits_dominance). When the bound proves
+    a member better than the incumbent, it is walked and replaces it (one
+    walk per net and checkpoint), and the old incumbent is dropped. A dropped
+    candidate reads +inf (LIMSUP) or -inf (HIT_DENSITY).
 
     Every value a scan keeps is exact, so each net's argmin or argmax is the
     one of the full scan. The loop ends once every live column is a walked
@@ -154,18 +155,19 @@ def _scan(xi: PseudoOrbit, P: np.ndarray, objective: str, eps: float,
     the end, by row.
     """
     hits = objective == HIT_DENSITY
-    extremum, worse = (np.minimum, np.less) if hits else (np.maximum, np.greater)
-    family, H = xi.family, xi.horizon
+    extremum, worse, pick = ((np.minimum, np.less, np.argmax) if hits
+                             else (np.maximum, np.greater, np.argmin))
+    family, space, H = xi.family, xi.family.space, xi.horizon
     n_lo = tail_window_start(H + 1, tail_fraction)
     symbols = family.checked_symbols(xi.word.symbols(H))
     norms, offsets = _symbol_norms(family)
     g, h = norms[symbols], offsets.max()
+    corner = math.hypot(*map(max, map(abs, space.lo), map(abs, space.hi)))
+    prune = (nets is not None and space.kind != CIRCLE and H < 2**26
+             and bool(np.all(g <= 1.0)) and (hits or corner + H * h < _SAFE_MAGNITUDE))
     sums = np.zeros(len(P))
     best = np.full(len(P), np.inf if hits else -np.inf)
     live, incumbents = np.arange(len(P)), []
-    prune = nets is not None and (hits or _nan_free(xi, norms, offsets))
-    lipschitz = (prune and family.space.kind != CIRCLE and H < 2**26
-                 and bool(np.all(g <= 1.0)))
     checkpoint = FIRST_CHECKPOINT if prune else 0  # n starts at 1: no checkpoint
     c = tuple(P.T)
     # Symbol 0 is the identity: at n = 1 the candidates are scored as they are.
@@ -173,34 +175,30 @@ def _scan(xi: PseudoOrbit, P: np.ndarray, objective: str, eps: float,
     with np.errstate(over="ignore", invalid="ignore"):
         for n, (s, x) in enumerate(zip([0, *symbols.tolist()], xi.points.tolist()), start=1):
             c = family.steps[s](c)
-            t = family.space._distance(c, x, np)
+            t = space._distance(c, x, np)
             sums += t < eps if hits else t
             if n >= n_lo:
                 extremum(best, sums / n, out=best)
             if n == checkpoint:
-                if n >= n_lo:
-                    bound = best
-                else:
-                    bound = (sums + (n_lo - n) if hits else sums) / n_lo
                 if not incumbents:
-                    incumbents, targets = _incumbents(xi, P, hits, eps, tail_fraction,
-                                                      nets, bound)
-                keep = ~worse(bound, targets[live])
-                for k, inc in enumerate(incumbents if lipschitz else ()):
+                    incumbents = [_walk_row(xi, P, int(rows[pick(sums[rows])]), hits, eps,
+                                            tail_fraction) for rows in nets]
+                keep = np.ones(len(live), dtype=bool)
+                for k, inc in enumerate(incumbents):
                     if inc is None:
                         continue
-                    mine = np.flatnonzero(keep & np.isin(live, nets[k]))
-                    inc, drop = _dominance(xi, P, hits, eps, tail_fraction, n, inc, live[mine],
-                                           tuple(col[mine] for col in c), sums[mine],
-                                           best[mine], g, h)
+                    mine = np.flatnonzero(np.isin(live, nets[k]))
+                    keep[mine] = ~worse(best[mine], inc.value)
+                    mine = mine[keep[mine]]
+                    incumbents[k], drop = _dominance(
+                        xi, P, hits, eps, tail_fraction, n, inc, live[mine],
+                        tuple(col[mine] for col in c), sums[mine], best[mine], g, h)
                     keep[mine[drop]] = False
-                    incumbents[k] = inc
-                    targets[nets[k]] = inc.value
                 c = tuple(col[keep] for col in c)
                 sums, best, live = sums[keep], best[keep], live[keep]
-                if lipschitz and np.isin(live, [inc.row for inc in incumbents
-                                                if inc is not None]).all():
-                    best = targets[live]
+                walked = {inc.row: inc.value for inc in incumbents if inc is not None}
+                if walked.keys() >= set(live.tolist()):
+                    best = np.array([walked[row] for row in live.tolist()])
                     break
                 checkpoint *= 2
     if walks is not None:
@@ -228,35 +226,18 @@ class _Incumbent:
 
 
 def _walk_row(xi: PseudoOrbit, P: np.ndarray, row: int, hits: bool, eps: float,
-              tail_fraction: float) -> _Incumbent:
-    """Row `row` of P walked once; DomainError if the family sends it out of
-    the space."""
-    points = orbit(xi.family, xi.word, P[row], xi.horizon + 1)
+              tail_fraction: float) -> _Incumbent | None:
+    """Row `row` of P walked once; None if the family sends it out of the
+    space."""
+    try:
+        points = orbit(xi.family, xi.word, P[row], xi.horizon + 1)
+    except DomainError:
+        return None
     t = xi.family.space.distance(points, xi.points)
     terms = t < eps if hits else t
     value, at = tail_extremum(prefix_means(terms), tail_fraction, "min" if hits else "max")
     radius = float(np.sqrt(np.square(points).sum(axis=1)).max())
     return _Incumbent(row, value, at, points, radius, t, np.cumsum(terms))
-
-
-def _incumbents(xi: PseudoOrbit, P: np.ndarray, hits: bool, eps: float,
-                tail_fraction: float, nets: list[np.ndarray],
-                bound: np.ndarray) -> tuple[list[_Incumbent | None], np.ndarray]:
-    """Each net's incumbent, the member with the best bound walked once (None
-    when that walk leaves the space), and for each row of P the value of its
-    net's incumbent: a value no bound is worse than for a row of no net or of
-    a net without one."""
-    pick = np.argmax if hits else np.argmin
-    incumbents, values = [], np.full(len(P), -np.inf if hits else np.inf)
-    for rows in nets:
-        try:
-            inc = _walk_row(xi, P, int(rows[pick(bound[rows])]), hits, eps, tail_fraction)
-        except DomainError:
-            inc = None
-        else:
-            values[rows] = inc.value
-        incumbents.append(inc)
-    return incumbents, values
 
 
 def _dominance(xi: PseudoOrbit, P: np.ndarray, hits: bool, eps: float, tail_fraction: float,
@@ -276,9 +257,8 @@ def _dominance(xi: PseudoOrbit, P: np.ndarray, hits: bool, eps: float, tail_frac
     if not beats.any():
         return inc, drop
     i = np.flatnonzero(beats)[(np.argmax if hits else np.argmin)(sums[beats])]
-    try:
-        rival = _walk_row(xi, P, int(rows[i]), hits, eps, tail_fraction)
-    except DomainError:
+    rival = _walk_row(xi, P, int(rows[i]), hits, eps, tail_fraction)
+    if rival is None:
         return inc, drop
     gap = space._distance(c, tuple(rival.points[n - 1].tolist()), np)
     drop = test(xi, eps, tail_fraction, n, rival, rows, gap, sums, best, g, h)[0]
@@ -343,8 +323,8 @@ def _limsup_dominance(xi, eps, tail_fraction, n, inc, rows, gap, sums, best, g, 
     When Delta > B + 10 rho (S_n(z) + S*_n + S*_N*), which leaves room for the
     rounding of this comparison, S_N*(z) > (1 + 4u) S*_N* + _TINY: z's mean
     at N* rounds strictly above V*, and so does its max over the tail. Such
-    a z is dropped; lengths N <= n are the running max's, which the plain
-    bound already compares. By the same steps with z and z* swapped, a z
+    a z is dropped; lengths N <= n are the running max's, which _scan
+    compares with V* exactly. By the same steps with z and z* swapped, a z
     whose -Delta exceeds those terms taken over every j >= n (and S*_(H+1))
     has every tail mean past n strictly below the incumbent's; if its running
     max is below V* too, z is proven better.
@@ -377,7 +357,7 @@ def _hits_dominance(xi, eps, tail_fraction, n, inc, rows, gap, sums, best, g, h)
     is dropped when that holds at some tail length N > n, or when equality
     does and its row is above the incumbent's: its value is then below V*,
     or ties it and loses to the lower row. Lengths N <= n are the running
-    min's, which the plain bound already compares. A row is proven better
+    min's, which _scan compares with V* exactly. A row is proven better
     when (k + C'_N) M > K*_M N at every tail length N > n and its running min
     is above V*.
     """
@@ -397,10 +377,6 @@ def _hits_dominance(xi, eps, tail_fraction, n, inc, rows, gap, sums, best, g, h)
     upper, lower = most(hit | ~clear), most(hit & clear)
     drop = (k < upper) | ((k <= upper) & (rows > inc.row))
     return drop, (k > lower) & (best > inc.value)
-
-
-# Below this bound on every coordinate's magnitude no step overflows.
-_SAFE_MAGNITUDE = 1e300
 
 
 def _symbol_norms(family) -> tuple[np.ndarray, np.ndarray]:
@@ -429,25 +405,6 @@ def _symbol_norms(family) -> tuple[np.ndarray, np.ndarray]:
     return np.array(growth), np.array(offsets)
 
 
-def _nan_free(xi: PseudoOrbit, norms: np.ndarray, offsets: np.ndarray) -> bool:
-    """Whether no trace error of a scan over the space can be NaN, given the
-    family's _symbol_norms.
-
-    Only a coordinate that overflows makes t NaN. With g the largest norm
-    bound (at least 1, the identity's) and h the largest offset norm, a point
-    of norm at most R, the bounding box's corner, has norm at most
-    g^n (R + n h) after n steps: H steps, or one on the circle, whose images
-    wrap into [0, 1). Below _SAFE_MAGNITUDE that leaves rounding a margin of
-    10^8.
-    """
-    space = xi.family.space
-    g, h = norms.max(), offsets.max()
-    corner = math.hypot(*map(max, map(abs, space.lo), map(abs, space.hi)))
-    n = 1 if space.kind == CIRCLE else xi.horizon
-    # A NaN bound (from an overflowing A^T A) compares False.
-    return n * math.log(g) + math.log(corner + n * h) < math.log(_SAFE_MAGNITUDE)
-
-
 def _net_search(xi: PseudoOrbit, objective: str, eps: float, meshes: list[float],
                 tail_fraction: float) -> Iterator[tuple[np.ndarray, int, float, int]]:
     """For each mesh in turn, the best point of its net for objective (LIMSUP is
@@ -459,9 +416,10 @@ def _net_search(xi: PseudoOrbit, objective: str, eps: float, meshes: list[float]
     first result is asked for. A candidate's value is column arithmetic, the same in
     any batch, and the scan drops only candidates that provably are not their own
     net's pick, so each net's pick is the one a full scan of that net alone makes.
-    A group costs one scan of its stacked nets, which ends once only the nets'
-    walked incumbents are live, plus one walk per net. A net over the cap raises
-    once the results of the nets before it have been taken.
+    A group costs one scan of its stacked nets. Where the scan prunes (see
+    _scan), it walks about one incumbent per net and ends once only those are
+    live. A net over the cap raises once the results of the nets before it
+    have been taken.
     """
     for group in _net_groups(xi.family.space, meshes):
         for z, index, value, size, _ in _best_of_each(xi, objective, eps, group, tail_fraction):

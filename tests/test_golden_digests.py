@@ -7,9 +7,11 @@ the sequential orbit walk; those of the other subcommands by the release
 before the single-valued parameters became constants. The three cases of
 the affine box system (``box-affine-iid``, ``box-affine-iid-true-orbit`` and
 ``search-m-alpha``) were re-pinned when points and rows came to round the
-same. So a change that alters any artifact byte fails here, not only
-across two runs of the same code. When an artifact is meant to change,
-update its digest and record why in CHANGES.md.
+same. The ``search-circle`` case was pinned by the release whose scan
+still pruned the circle with a float bound around a walked incumbent; the
+scan now runs in full there. So a change that alters any artifact byte
+fails here, not only across two runs of the same code. When an artifact is
+meant to change, update its digest and record why in CHANGES.md.
 """
 
 import hashlib
@@ -79,6 +81,11 @@ CASES = {
     "search-average": ("search", DISK_SYSTEM, UNIFORM_SQUARES),
     "search-m-alpha": ("search", BOX_AFFINE_SYSTEM,
                        {"search": {"mode": "m-alpha"}, "thresholds": {"alpha": 0.5}}),
+    # The rotation is an isometry: the scan runs in full, and the search fails.
+    "search-circle": ("search", CIRCLE_ROTATION_SYSTEM,
+                      {"corruption": {"indices": SQUARES,
+                                      "jump": {"kind": "offset", "scale": 0.7, "power": 0.0}},
+                       "net_mesh": 0.02}),
     "search-refined": ("search", DISK_SYSTEM,
                        {**DECAYING, "net_mesh": 0.2, "search": {"mode": "refined", "levels": 4}}),
     # No search section: the refined row runs the default schedule.
@@ -159,6 +166,12 @@ GOLDEN = {
             "e874ec959010883be4898fad62857043c5cdf857565867d3708db64b83eac7f9",
         "search_curve.csv":
             "bdb78d853cc076b28cbae3ebd0810516e44c3b25e9765a169a3e3481488df277",
+    },
+    "search-circle": {
+        "search.json":
+            "b449f0c4319cb76b1e6fcc563847ad8cf0dcf9767eda7c5e990d56f5a7716bd2",
+        "search_curve.csv":
+            "31309c1fafb51fa5150aedc7205a6a460564a2d86ef33151b40ede199c627fef",
     },
     "search-refined": {
         "search.json":

@@ -32,6 +32,7 @@ from shadowlab import (
     IndexSet,
     JumpRule,
     MetricSpace,
+    ParameterError,
     PseudoOrbit,
     RangeError,
     Word,
@@ -630,6 +631,11 @@ def test_refined_search_matches_per_stage_loop(case):
                  for mesh in meshes]
     eps0 = eps0_failing_at(estimates, stage)
     assume(eps0 is not None)
+    if math.ldexp(eps0, -len(meshes)) == 0.0:
+        # A subnormal estimate can make the last budget underflow to 0.
+        with pytest.raises(ParameterError):
+            refined_asymptotic_search(xi, eps0, meshes, tail_fraction)
+        return
     expected = reference_refined(xi, eps0, meshes, tail_fraction)
     assert expected["failed_stage"] == stage
     got = refined_asymptotic_search(xi, eps0, meshes, tail_fraction).to_dict()
@@ -863,29 +869,30 @@ def test_nan_objectives_are_never_dropped(matrix, horizon):
     assert str(caught.value) == str(walked.value)
 
 
-def test_a_net_whose_incumbent_leaves_the_space_is_scanned_in_full():
-    # x -> 2x - 0.5 fixes 0.5 and sends every other point of [0, 1] out.
-    # The pseudo-orbit starts on the true orbit of 0.5625, which tracks
-    # exactly up to the checkpoint n = 2 and leaves the box at step 4; 0.5
-    # stays and is the pick of every net.
-    family = GeneratorFamily(MetricSpace.box([0.0], [1.0]),
-                             (GeneratorMap.affine([[2.0]], [-0.5]),))
-    points = np.array([0.5625, 0.625, 0.75] + [0.5] * 38)[:, None]
-    xi = PseudoOrbit.from_points(family, Word.constant(1, 1), points)
-    P = net(family.space, 1 / 16)
+def test_a_net_whose_incumbent_leaves_the_space_is_scanned_in_full(monkeypatch):
+    # z -> p + 0.9 R (z - p), with R the quarter turn and p = (0.1, 0.5), has
+    # the norm bound 0.9 and fixes p, but sends (1, 1) to (-0.35, 1.31). The
+    # pseudo-orbit starts at (1, 1) and then stays at p, so at the checkpoint
+    # n = 1 the incumbent is (1, 1), whose walk leaves the box; p stays and is
+    # the pick.
+    family = GeneratorFamily(MetricSpace.box([0.0, 0.0], [1.0, 1.0]),
+                             (GeneratorMap.affine([[0.0, -0.9], [0.9, 0.0]], [0.55, 0.41]),))
+    xi = PseudoOrbit.from_points(family, Word.constant(1, 1), [[1.0, 1.0]] + [[0.1, 0.5]] * 40)
+    P = net(family.space, 0.1)
     with pytest.raises(DomainError):
-        orbit(family, xi.word, (0.5625,), xi.horizon + 1)
-    with mock.patch.object(shadow_search, "FIRST_CHECKPOINT", 2):
-        pruned = _scan(xi, P, LIMSUP, 0.2, 0.5, [np.arange(len(P))])
-        assert pruned.tobytes() == _scan(xi, P, LIMSUP, 0.2, 0.5).tobytes()
-        meshes = [1 / 8, 1 / 16]
-        got = list(_net_search(xi, LIMSUP, 0.2, meshes, 0.5))
-        assert pick_bytes(got) == pick_bytes(full_scan_picks(xi, LIMSUP, 0.2, meshes, 0.5))
-        assert [z.tolist() for z, _, _, _ in got] == [[0.5], [0.5]]
-        refined = refined_asymptotic_search(xi, 0.1, meshes).to_dict()
-        assert refined_bytes(refined) == refined_bytes(reference_refined(xi, 0.1, meshes, 0.5))
-        average = average_shadow_search(xi, 0.2, 1 / 16)
-        assert average.report.candidate.tolist() == [0.5]
+        orbit(family, xi.word, (1.0, 1.0), xi.horizon + 1)
+    monkeypatch.setattr(shadow_search, "FIRST_CHECKPOINT", 1)
+    full = _scan(xi, P, LIMSUP, 0.2, 0.5)
+    steps = scan_steps(monkeypatch)
+    assert _scan(xi, P, LIMSUP, 0.2, 0.5, [np.arange(len(P))]).tobytes() == full.tobytes()
+    assert steps == [len(P)] * (xi.horizon + 1)
+    meshes = [0.2, 0.1]
+    got = list(_net_search(xi, LIMSUP, 0.2, meshes, 0.5))
+    assert pick_bytes(got) == pick_bytes(full_scan_picks(xi, LIMSUP, 0.2, meshes, 0.5))
+    assert got[1][0].tolist() == [0.1, 0.5]
+    refined = refined_asymptotic_search(xi, 0.1, meshes).to_dict()
+    assert refined_bytes(refined) == refined_bytes(reference_refined(xi, 0.1, meshes, 0.5))
+    assert average_shadow_search(xi, 0.2, 0.1).report.candidate.tolist() == [0.1, 0.5]
     # Every point of a translation leaves the box; the search raises as the
     # full scan's pick does.
     family = GeneratorFamily(MetricSpace.box([0.0], [1.0]),
@@ -1142,8 +1149,46 @@ def test_a_member_that_beats_the_incumbent_is_walked_and_replaces_it(monkeypatch
     assert pick_bytes(got) == pick_bytes(full_scan_picks(xi, LIMSUP, 0.2, [0.25], 0.5))
 
 
+def test_a_rival_that_leaves_the_box_keeps_the_incumbent(monkeypatch):
+    # x -> x / 2 + 0.55 on [0, 1] fixes 1.1. The net is 0, 0.5 and 1, and
+    # the pseudo-orbit 0.24, 0.8, 0.95, 1. At n = 1 the incumbent is 0, whose
+    # orbit stays; at n = 2 the bounds prove 0.5 better, but its orbit
+    # leaves the box at step 3, so its walk fails and 0 stays the incumbent.
+    family = GeneratorFamily(MetricSpace.box([0.0], [1.0]),
+                             (GeneratorMap.affine([[0.5]], [0.55]),))
+    xi = PseudoOrbit.from_points(family, Word.constant(1, 1), [[0.24], [0.8], [0.95], [1.0]])
+    P = net(family.space, 0.5)
+    assert P.ravel().tolist() == [0.0, 0.5, 1.0]
+    full = _scan(xi, P, LIMSUP, 0.2, 0.5)
+    walked = []
+    walk_row = shadow_search._walk_row
+
+    def recording(xi, P, row, *args):
+        inc = walk_row(xi, P, row, *args)
+        walked.append((row, inc is None))
+        return inc
+
+    monkeypatch.setattr(shadow_search, "_walk_row", recording)
+    monkeypatch.setattr(shadow_search, "FIRST_CHECKPOINT", 1)
+    walks = {}
+    pruned = _scan(xi, P, LIMSUP, 0.2, 0.5, [np.arange(3)], walks)
+    assert walked == [(0, False), (1, True), (1, True)] and list(walks) == [0]
+    assert pruned.tolist() == [full[0], full[1], math.inf]
+    with pytest.raises(DomainError) as caught:
+        average_shadow_search(xi, 0.2, 0.5)
+    with pytest.raises(DomainError) as walked_pick:
+        trace_report((0.5,), xi, 0.2)
+    assert str(caught.value) == str(walked_pick.value)
+
+
 def circle_rotation():
     family = GeneratorFamily(MetricSpace.circle(), (GeneratorMap.affine([[1.0]], [0.3137]),))
+    return true_orbit(family, Word.constant(1, 1), (0.2,), 300)
+
+
+def circle_reflection():
+    # x -> -x has the norm bound 1 exactly; only the circle's wrap declines it.
+    family = GeneratorFamily(MetricSpace.circle(), (GeneratorMap.scale([-1.0]),))
     return true_orbit(family, Word.constant(1, 1), (0.2,), 300)
 
 
@@ -1161,13 +1206,40 @@ def expanding_box():
     return PseudoOrbit.from_points(family, Word.constant(1, 1), np.full((301, 1), 0.5))
 
 
-@pytest.mark.parametrize("make", [circle_rotation, disk_rotation, expanding_box])
+@pytest.mark.parametrize("make", [circle_rotation, circle_reflection, disk_rotation,
+                                  expanding_box])
 def test_dominance_never_fires_on_isometries_or_expanding_maps(make, monkeypatch):
+    # None of these passes the pruning gate: the circle wraps, a rotation
+    # written as a matrix has the norm bound 1 + 2^-40 and x -> 2x - 1/2 the
+    # bound 2. A scan with nets is then the full scan: it walks no incumbent
+    # and steps every column to the end.
     xi = make()
     P = net(xi.family.space, 0.1)
-    full = _scan(xi, P, HIT_DENSITY, 0.2, 0.5)
+
+    def refuse(*args):
+        raise AssertionError("a full scan walks no incumbent")
+
+    full = {objective: _scan(xi, P, objective, 0.2, 0.5) for objective in (LIMSUP, HIT_DENSITY)}
+    monkeypatch.setattr(shadow_search, "_walk_row", refuse)
     steps = scan_steps(monkeypatch)
-    monkeypatch.setattr(shadow_search, "_dominance", None)
-    pruned = _scan(xi, P, HIT_DENSITY, 0.2, 0.5, [np.arange(len(P))])
-    assert len(steps) == xi.horizon + 1
-    assert np.argmax(pruned) == np.argmax(full) and pruned.max() == full.max()
+    for objective in (LIMSUP, HIT_DENSITY):
+        steps.clear()
+        pruned = _scan(xi, P, objective, 0.2, 0.5, [np.arange(len(P))])
+        assert steps == [len(P)] * (xi.horizon + 1)
+        assert pruned.tobytes() == full[objective].tobytes()
+
+
+def test_a_word_that_skips_the_expanding_map_ends_at_its_first_checkpoint(monkeypatch):
+    # The family holds x -> 3x, whose 1000th power overflows, but the word
+    # uses only x -> x / 2: the gate reads the norm bounds of the word's
+    # symbols, so the LIMSUP scan ends at its first checkpoint.
+    family = GeneratorFamily(MetricSpace.box([0.0, 0.0], [1.0, 1.0]),
+                             (GeneratorMap.scale([0.5, 0.5]), GeneratorMap.scale([3.0, 3.0])))
+    indices = IndexSet.from_iterable(range(0, 1000, 7), 1000)
+    xi = make_corrupted_orbit(family, Word.constant(1, 2), (0.9, 0.1), indices,
+                              JumpRule("uniform"), seed=5)
+    expected = full_scan_picks(xi, LIMSUP, 0.2, [0.05], 0.5)
+    steps = scan_steps(monkeypatch)
+    got = list(_net_search(xi, LIMSUP, 0.2, [0.05], 0.5))
+    assert pick_bytes(got) == pick_bytes(expected)
+    assert steps == [441] * shadow_search.FIRST_CHECKPOINT
