@@ -184,8 +184,7 @@ def cmd_example_disk(cfg: ExperimentConfig, out: Path) -> int:
     instance = make_decaying_instance(cfg.seed, cfg.horizon, scale=cfg.disk_scale,
                                       power=cfg.disk_power, start=cfg.disk_start)
     lhs, rhs, verdict = tracking_inequality_curve(instance)
-    mean = lhs / np.arange(1, len(lhs) + 1)
-    dump_csv(numbered_rows(lhs, rhs, mean), ["n", "lhs", "rhs", "mean"],
+    dump_csv(numbered_rows(lhs, rhs, instance.tracking_means()), ["n", "lhs", "rhs", "mean"],
              out / "example_disk.csv")
     demo = aasp_demo(instance, cfg.tail_fraction, asymptotic_tol=cfg.tol)
     dump_json({"all_prefixes_bounded": verdict, "demo": demo}, out / "example_disk.json")

@@ -75,6 +75,24 @@ class DiskExampleInstance:
         """d((a_i, b_i), (x_i, y_i)) along the whole horizon."""
         return self.xi.family.space.distance(self.true_orbit_points(), self.xi.points)
 
+    @cached_property
+    def _tracking(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+        """lhs(n), rhs(n) and lhs(n) / n for every prefix n (read-only), and
+        whether lhs(n) <= rhs(n) + TRACKING_TOL at every n."""
+        H = self.xi.horizon
+        lhs = np.cumsum(self.tracking_errors())
+        alpha_partial = np.concatenate(([0.0], np.cumsum(self.alphas)))
+        rhs = 4.0 * (self.M + alpha_partial[np.minimum(np.arange(1, H + 2), H)])
+        means = lhs / np.arange(1, H + 2)
+        for curve in (lhs, rhs, means):
+            curve.flags.writeable = False
+        return lhs, rhs, means, bool(np.all(lhs <= rhs + TRACKING_TOL))
+
+    def tracking_means(self) -> np.ndarray:
+        """The tracking means lhs(n) / n for every prefix n, derived once per
+        instance with the curve (read-only)."""
+        return self._tracking[2]
+
 
 def make_decaying_instance(seed: int, horizon: int, scale: float = 1.0, power: float = 2.0,
                            start=None, x0=None) -> DiskExampleInstance:
@@ -96,13 +114,9 @@ def tracking_inequality_curve(instance: DiskExampleInstance):
     """(lhs(n), rhs(n)) for every prefix n, plus the all-prefixes verdict.
 
     lhs(n) sums tracking errors below n; rhs(n) = 4(M + sum of step
-    errors below n).
+    errors below n). The curve is derived once per instance (read-only).
     """
-    H = instance.xi.horizon
-    lhs = np.cumsum(instance.tracking_errors())
-    alpha_partial = np.concatenate(([0.0], np.cumsum(instance.alphas)))
-    rhs = 4.0 * (instance.M + alpha_partial[np.minimum(np.arange(1, H + 2), H)])
-    verdict = bool(np.all(lhs <= rhs + TRACKING_TOL))
+    lhs, rhs, _, verdict = instance._tracking
     return lhs, rhs, verdict
 
 
@@ -119,9 +133,8 @@ def aasp_demo(instance: DiskExampleInstance, tail_fraction: float = DEFAULT_TAIL
         raise PreconditionError("instance is not an asymptotic average pseudo-orbit "
                                 f"at tol={asymptotic_tol}", witness=gate.witness)
     lhs, rhs, verdict = tracking_inequality_curve(instance)
-    ns = np.arange(1, len(lhs) + 1)
-    means = lhs / ns
-    bound = rhs / ns
+    means = instance.tracking_means()
+    bound = rhs / np.arange(1, len(rhs) + 1)
     rows = []
     for n in AASP_CHECKPOINTS:
         if n <= len(lhs):

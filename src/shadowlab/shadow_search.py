@@ -9,7 +9,6 @@ exhaustive over a net, so failure is a first-class, reportable outcome.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,11 +21,10 @@ from .density import (
     tail_extremum,
     tail_window_start,
 )
-from .dynamics import CIRCLE, DEFAULT_NET_CAP, as_point, net, orbit
+from .dynamics import CIRCLE, as_point, net, orbit
 from .errors import (
     DomainError,
     ParameterError,
-    ResourceCapError,
     check_alpha,
     check_positive,
 )
@@ -103,7 +101,7 @@ def _candidate(z, space) -> np.ndarray:
 LIMSUP = "limsup_estimate"
 HIT_DENSITY = "hit_lower_density"
 
-# A scan over several nets compares its candidates at prefix lengths
+# A pruned scan compares its candidates at prefix lengths
 # FIRST_CHECKPOINT, 2 * FIRST_CHECKPOINT, 4 * FIRST_CHECKPOINT, ...
 FIRST_CHECKPOINT = 16
 
@@ -116,43 +114,40 @@ _SAFE_MAGNITUDE = 1e300
 
 
 def _scan(xi: PseudoOrbit, P: np.ndarray, objective: str, eps: float,
-          tail_fraction: float, nets: list[np.ndarray] | None = None,
-          walks: dict | None = None) -> np.ndarray:
-    """Per-candidate objective over the tail window: the max of the prefix
-    means of the trace errors t (LIMSUP), or the min of the prefix means of
-    1[t < eps] (HIT_DENSITY).
+          tail_fraction: float) -> tuple[np.ndarray, np.ndarray | None]:
+    """Per-candidate objective over the tail window, with the whole of P one
+    net: the max of the prefix means of the trace errors t (LIMSUP), or the
+    min of the prefix means of 1[t < eps] (HIT_DENSITY); and the trace errors
+    of the net's pick (LIMSUP is minimised, HIT_DENSITY maximised, ties go to
+    the lowest row) when the scan walked it, else None.
 
-    Given nets (one array of row indices into P per net, in increasing order,
-    each row in at most one net), the scan drops the candidates that cannot be
-    their net's pick (LIMSUP is minimised, HIT_DENSITY maximised, ties go to
-    the lowest row) by Lipschitz dominance. It does so only on a box or the
-    disk (whose maps act on coordinates without the circle's wrap), for
-    H < 2**26, when every symbol of the word has a norm bound (_symbol_norms)
-    of at most 1 and, for LIMSUP, R + H h < _SAFE_MAGNITUDE, with R the norm
-    of the bounding box's corner and h the largest offset norm. A point of
-    norm at most R then has norm at most R + H h after H steps, so no trace
-    error is NaN and no NaN pick is dropped. Every other scan is in full.
+    The scan drops the candidates that cannot be the pick by Lipschitz
+    dominance. It does so only on a box or the disk (whose maps act on
+    coordinates without the circle's wrap), for H < 2**26, when every symbol
+    of the word has a norm bound (_symbol_norms) of at most 1 and, for LIMSUP,
+    R + H h < _SAFE_MAGNITUDE, with R the norm of the bounding box's corner
+    and h the largest offset norm of the word's maps. A point of norm at most
+    R then has norm at most R + H h after H steps, so no trace error is NaN
+    and no NaN pick is dropped. Every other scan is in full and walks nothing.
 
-    At the first checkpoint each net's member with the best sums (lowest row
-    on ties) is walked once, and is that net's incumbent; a net whose
-    incumbent leaves the space is scanned in full. Every map is affine, so the
-    incumbent's walked trace t* bounds every other member's future: with D
-    the distance between a candidate's point and the incumbent's after n - 1
-    steps, |t_j - t*_j| <= alpha_j D + beta_j for every j >= n, rounding
-    included (_trace_gap_bound). At each checkpoint n a member is dropped when
-    its running extremum over the tail window is already worse than the
-    incumbent's value, or when that bound proves its value worse, or equal at
-    a higher row (_limsup_dominance, _hits_dominance). When the bound proves
-    a member better than the incumbent, it is walked and replaces it (one
-    walk per net and checkpoint), and the old incumbent is dropped. A dropped
+    At the first checkpoint the member with the best sums (lowest row on
+    ties) is walked once, and is the incumbent; if its walk leaves the space
+    the net is scanned in full. Every map is affine, so the incumbent's
+    walked trace t* bounds every other member's future: with D the distance
+    between a candidate's point and the incumbent's after n - 1 steps,
+    |t_j - t*_j| <= alpha_j D + beta_j for every j >= n, rounding included
+    (_trace_gap_bound). At each checkpoint n a member is dropped when its
+    running extremum over the tail window is already worse than the
+    incumbent's value, or when that bound proves its value worse, or equal
+    at a higher row (_limsup_dominance, _hits_dominance). When the bound
+    proves a member better than the incumbent, it is walked and replaces it
+    (one walk per checkpoint), and the old incumbent is dropped. A dropped
     candidate reads +inf (LIMSUP) or -inf (HIT_DENSITY).
 
-    Every value a scan keeps is exact, so each net's argmin or argmax is the
-    one of the full scan. The loop ends once every live column is a walked
-    incumbent: on a contracting word, at the first checkpoint. Each then
-    reads its walk's value, which is bit-identical to the scan's. A walks
-    dict, when given, receives the trace errors of every incumbent live at
-    the end, by row.
+    Every value a scan keeps is exact, so the argmin or argmax is the one of
+    the full scan. The loop ends once the incumbent is the only live column:
+    on a contracting word, at the first checkpoint. It then reads its walk's
+    value, which is bit-identical to the scan's.
     """
     hits = objective == HIT_DENSITY
     extremum, worse, pick = ((np.minimum, np.less, np.argmax) if hits
@@ -161,13 +156,13 @@ def _scan(xi: PseudoOrbit, P: np.ndarray, objective: str, eps: float,
     n_lo = tail_window_start(H + 1, tail_fraction)
     symbols = family.checked_symbols(xi.word.symbols(H))
     norms, offsets = _symbol_norms(family)
-    g, h = norms[symbols], offsets.max()
+    g, h = norms[symbols], offsets[symbols].max(initial=0.0)
     corner = math.hypot(*map(max, map(abs, space.lo), map(abs, space.hi)))
-    prune = (nets is not None and space.kind != CIRCLE and H < 2**26
-             and bool(np.all(g <= 1.0)) and (hits or corner + H * h < _SAFE_MAGNITUDE))
+    prune = (space.kind != CIRCLE and H < 2**26 and bool(np.all(g <= 1.0))
+             and (hits or corner + H * h < _SAFE_MAGNITUDE))
     sums = np.zeros(len(P))
     best = np.full(len(P), np.inf if hits else -np.inf)
-    live, incumbents = np.arange(len(P)), []
+    live, inc = np.arange(len(P)), None
     checkpoint = FIRST_CHECKPOINT if prune else 0  # n starts at 1: no checkpoint
     c = tuple(P.T)
     # Symbol 0 is the identity: at n = 1 the candidates are scored as they are.
@@ -179,34 +174,26 @@ def _scan(xi: PseudoOrbit, P: np.ndarray, objective: str, eps: float,
             sums += t < eps if hits else t
             if n >= n_lo:
                 extremum(best, sums / n, out=best)
-            if n == checkpoint:
-                if not incumbents:
-                    incumbents = [_walk_row(xi, P, int(rows[pick(sums[rows])]), hits, eps,
-                                            tail_fraction) for rows in nets]
-                keep = np.ones(len(live), dtype=bool)
-                for k, inc in enumerate(incumbents):
-                    if inc is None:
-                        continue
-                    mine = np.flatnonzero(np.isin(live, nets[k]))
-                    keep[mine] = ~worse(best[mine], inc.value)
-                    mine = mine[keep[mine]]
-                    incumbents[k], drop = _dominance(
-                        xi, P, hits, eps, tail_fraction, n, inc, live[mine],
-                        tuple(col[mine] for col in c), sums[mine], best[mine], g, h)
-                    keep[mine[drop]] = False
-                c = tuple(col[keep] for col in c)
-                sums, best, live = sums[keep], best[keep], live[keep]
-                walked = {inc.row: inc.value for inc in incumbents if inc is not None}
-                if walked.keys() >= set(live.tolist()):
-                    best = np.array([walked[row] for row in live.tolist()])
-                    break
-                checkpoint *= 2
-    if walks is not None:
-        walks.update((inc.row, inc.trace) for inc in incumbents
-                     if inc is not None and inc.row in live)
+            if n != checkpoint:
+                continue
+            checkpoint *= 2
+            if inc is None:
+                inc = _walk_row(xi, P, int(pick(sums)), hits, eps, tail_fraction)
+                if inc is None:
+                    checkpoint = 0  # the walk left the space: scan in full
+                    continue
+            mine = np.flatnonzero(~worse(best, inc.value))
+            inc, drop = _dominance(xi, P, hits, eps, tail_fraction, n, inc, live[mine],
+                                   tuple(col[mine] for col in c), sums[mine], best[mine], g, h)
+            keep = mine[~drop]
+            c = tuple(col[keep] for col in c)
+            sums, best, live = sums[keep], best[keep], live[keep]
+            if live.tolist() == [inc.row]:
+                best = np.array([inc.value])
+                break
     values = np.full(len(P), -np.inf if hits else np.inf)
     values[live] = best
-    return values
+    return values, inc.trace if inc is not None and pick(values) == inc.row else None
 
 
 @dataclass(frozen=True)
@@ -243,26 +230,28 @@ def _walk_row(xi: PseudoOrbit, P: np.ndarray, row: int, hits: bool, eps: float,
 def _dominance(xi: PseudoOrbit, P: np.ndarray, hits: bool, eps: float, tail_fraction: float,
                n: int, inc: _Incumbent, rows: np.ndarray, c: tuple, sums: np.ndarray,
                best: np.ndarray, g: np.ndarray, h: float) -> tuple[_Incumbent, np.ndarray]:
-    """One net's Lipschitz dominance at checkpoint n, over its live rows with
-    their columns c (points after n - 1 steps), sums and running extrema: the
-    net's incumbent, and which rows to drop.
+    """Lipschitz dominance at checkpoint n, over the live rows with their
+    columns c (points after n - 1 steps), sums and running extrema: the
+    incumbent, and which rows to drop.
 
     When the bounds prove members better than the incumbent, the one with
     the best sums is walked and replaces it, and the old incumbent is
     dropped; a walk that leaves the space keeps the old one."""
-    test = _hits_dominance if hits else _limsup_dominance
-    space = xi.family.space
-    gap = space._distance(c, tuple(inc.points[n - 1].tolist()), np)
-    drop, beats = test(xi, eps, tail_fraction, n, inc, rows, gap, sums, best, g, h)
+
+    def test(inc: _Incumbent) -> tuple[np.ndarray, np.ndarray]:
+        gap = xi.family.space._distance(c, tuple(inc.points[n - 1].tolist()), np)
+        if hits:
+            return _hits_dominance(eps, tail_fraction, n, inc, rows, gap, sums, best, g, h)
+        return _limsup_dominance(n, inc, gap, sums, best, g, h)
+
+    drop, beats = test(inc)
     if not beats.any():
         return inc, drop
     i = np.flatnonzero(beats)[(np.argmax if hits else np.argmin)(sums[beats])]
     rival = _walk_row(xi, P, int(rows[i]), hits, eps, tail_fraction)
     if rival is None:
         return inc, drop
-    gap = space._distance(c, tuple(rival.points[n - 1].tolist()), np)
-    drop = test(xi, eps, tail_fraction, n, rival, rows, gap, sums, best, g, h)[0]
-    return rival, drop | (rows == inc.row)
+    return rival, test(rival)[0] | (rows == inc.row)
 
 
 def _trace_gap_bound(g: np.ndarray, inc: _Incumbent, n: int,
@@ -310,8 +299,8 @@ def _trace_gap_bound(g: np.ndarray, inc: _Incumbent, n: int,
     return (1 + 8 * rho) * lam, 2 * rho * (inc.radius + h + inc.trace[n:]) + _TINY, rho
 
 
-def _limsup_dominance(xi, eps, tail_fraction, n, inc, rows, gap, sums, best, g, h):
-    """Which live rows of a LIMSUP net are dominated by its incumbent, and which
+def _limsup_dominance(n, inc, gap, sums, best, g, h):
+    """Which live rows of a LIMSUP scan are dominated by its incumbent, and which
     are proven better than it.
 
     The incumbent's value V* is the float mean S*_N* / N* at a tail length N*.
@@ -331,7 +320,7 @@ def _limsup_dominance(xi, eps, tail_fraction, n, inc, rows, gap, sums, best, g, 
     """
     alpha, beta, rho = _trace_gap_bound(g, inc, n, h)
     S = inc.sums
-    drop = np.zeros(len(rows), dtype=bool)
+    drop = np.zeros(len(sums), dtype=bool)
     if inc.at > n:
         k = inc.at - n
         drop = (sums - S[n - 1] > gap * alpha[:k].sum() + beta[:k].sum()
@@ -341,8 +330,8 @@ def _limsup_dominance(xi, eps, tail_fraction, n, inc, rows, gap, sums, best, g, 
     return drop, beats
 
 
-def _hits_dominance(xi, eps, tail_fraction, n, inc, rows, gap, sums, best, g, h):
-    """Which live rows of a HIT_DENSITY net are dominated by its incumbent,
+def _hits_dominance(eps, tail_fraction, n, inc, rows, gap, sums, best, g, h):
+    """Which live rows of a HIT_DENSITY scan are dominated by its incumbent,
     and which are proven better than it.
 
     A step j >= n is clear when |t*_j - eps| > alpha_j D + beta_j with D the
@@ -365,8 +354,9 @@ def _hits_dominance(xi, eps, tail_fraction, n, inc, rows, gap, sums, best, g, h)
     t = inc.trace[n:]
     clear = np.abs(t - eps) > alpha * gap.max(initial=0.0) + beta
     hit = t < eps
-    N = np.arange(n + 1, xi.horizon + 2)
-    tail = N >= tail_window_start(xi.horizon + 1, tail_fraction)
+    H = len(g)
+    N = np.arange(n + 1, H + 2)
+    tail = N >= tail_window_start(H + 1, tail_fraction)
     K, M = int(inc.sums[inc.at - 1]), inc.at
     k = sums.astype(np.int64) * M
 
@@ -405,75 +395,25 @@ def _symbol_norms(family) -> tuple[np.ndarray, np.ndarray]:
     return np.array(growth), np.array(offsets)
 
 
-def _net_search(xi: PseudoOrbit, objective: str, eps: float, meshes: list[float],
-                tail_fraction: float) -> Iterator[tuple[np.ndarray, int, float, int]]:
-    """For each mesh in turn, the best point of its net for objective (LIMSUP is
-    minimised, HIT_DENSITY maximised, ties go to the lowest net index), its index,
-    its value and the net size.
-
-    Consecutive nets are scanned together, stacked as one array of rows, while
-    the stack stays within DEFAULT_NET_CAP rows; a group is scanned only when its
-    first result is asked for. A candidate's value is column arithmetic, the same in
-    any batch, and the scan drops only candidates that provably are not their own
-    net's pick, so each net's pick is the one a full scan of that net alone makes.
-    A group costs one scan of its stacked nets. Where the scan prunes (see
-    _scan), it walks about one incumbent per net and ends once only those are
-    live. A net over the cap raises once the results of the nets before it
-    have been taken.
-    """
-    for group in _net_groups(xi.family.space, meshes):
-        for z, index, value, size, _ in _best_of_each(xi, objective, eps, group, tail_fraction):
-            yield z, index, value, size
+def _net_pick(xi: PseudoOrbit, objective: str, eps: float, mesh: float,
+              tail_fraction: float) -> tuple[np.ndarray, int, float, int, np.ndarray | None]:
+    """The best point of the mesh's net for objective (LIMSUP is minimised,
+    HIT_DENSITY maximised, ties go to the lowest net index), its index, its
+    value, the net size, and the pick's trace errors when the scan walked it
+    (else None)."""
+    P = net(xi.family.space, mesh)
+    values, t = _scan(xi, P, objective, eps, tail_fraction)
+    index = int((np.argmax if objective == HIT_DENSITY else np.argmin)(values))
+    return P[index], index, float(values[index]), len(P), t
 
 
-def _net_groups(space, meshes: list[float]) -> Iterator[list[np.ndarray]]:
-    """The meshes' nets in consecutive groups of at most DEFAULT_NET_CAP rows;
-    a net over the cap raises after the group before it."""
-    group = []
-    for mesh in meshes:
-        try:
-            points = net(space, mesh)
-        except ResourceCapError:
-            if group:
-                yield group
-            raise
-        if group and sum(map(len, group)) + len(points) > DEFAULT_NET_CAP:
-            yield group
-            group = []
-        group.append(points)
-    yield group
-
-
-def _best_of_each(xi: PseudoOrbit, objective: str, eps: float, nets: list[np.ndarray],
-                  tail_fraction: float
-                  ) -> Iterator[tuple[np.ndarray, int, float, int, np.ndarray | None]]:
-    """One scan of the stacked nets, each net a block of consecutive rows, then
-    each net's pick from its own block of values, with the pick's trace errors
-    when it is a walked incumbent (else None)."""
-    stacked = np.concatenate(nets)
-    starts = np.cumsum([len(p) for p in nets[:-1]])
-    blocks = np.split(np.arange(len(stacked)), starts)
-    walks = {}
-    values = _scan(xi, stacked, objective, eps, tail_fraction, blocks, walks)
-    pick = np.argmax if objective == HIT_DENSITY else np.argmin
-    for points, rows, own in zip(nets, blocks, np.split(values, starts)):
-        best = int(pick(own))
-        yield points[best], best, float(own[best]), len(points), walks.get(int(rows[best]))
-
-
-def _one_net_search(xi: PseudoOrbit, objective: str, eps: float, mesh: float,
-                    tail_fraction: float, alpha: float | None) -> tuple[ShadowReport, float, int]:
-    """One mesh's pick by _net_search: its trace_report, its value and the net
-    size. A pick that the scan walked as an incumbent is reported from that
-    walk's trace errors instead of a second walk."""
-    space = xi.family.space
-    z, index, value, size, t = next(_best_of_each(xi, objective, eps, [net(space, mesh)],
-                                                  tail_fraction))
+def _pick_report(xi: PseudoOrbit, z: np.ndarray, index: int, t: np.ndarray | None, eps: float,
+                 tail_fraction: float, alpha: float | None) -> ShadowReport:
+    """The pick's trace_report, from the scan's walk of it when there was one."""
     if t is None:
-        return trace_report(z, xi, eps, tail_fraction, alpha, index), value, size
-    report = _build_report(t, eps, space.diameter, tail_fraction, _candidate(z, space),
-                           alpha, index)
-    return report, value, size
+        return trace_report(z, xi, eps, tail_fraction, alpha, index)
+    space = xi.family.space
+    return _build_report(t, eps, space.diameter, tail_fraction, _candidate(z, space), alpha, index)
 
 
 @dataclass(frozen=True)
@@ -514,7 +454,8 @@ def average_shadow_search(xi: PseudoOrbit, eps: float, mesh: float,
     """
     check_positive("eps", eps)
     check_tail_fraction(tail_fraction)
-    report, value, size = _one_net_search(xi, LIMSUP, eps, mesh, tail_fraction, None)
+    z, index, value, size, t = _net_pick(xi, LIMSUP, eps, mesh, tail_fraction)
+    report = _pick_report(xi, z, index, t, eps, tail_fraction, None)
     return SearchResult(report, value < eps, LIMSUP, mesh, size,
                         {"scan_objective": value, "eps": eps, "tail_fraction": tail_fraction})
 
@@ -525,7 +466,8 @@ def m_alpha_shadow_search(xi: PseudoOrbit, eps: float, alpha: float, mesh: float
     check_alpha(alpha)
     check_positive("eps", eps)
     check_tail_fraction(tail_fraction)
-    report, value, size = _one_net_search(xi, HIT_DENSITY, eps, mesh, tail_fraction, alpha)
+    z, index, value, size, t = _net_pick(xi, HIT_DENSITY, eps, mesh, tail_fraction)
+    report = _pick_report(xi, z, index, t, eps, tail_fraction, alpha)
     return SearchResult(report, value > alpha, HIT_DENSITY, mesh, size,
                         {"scan_objective": value, "eps": eps, "alpha": alpha,
                          "tail_fraction": tail_fraction})
@@ -564,14 +506,11 @@ def refined_asymptotic_search(xi: PseudoOrbit, eps0: float, mesh_schedule: list[
     candidate, flagged; successive candidate distances diagnose whether
     the stages are converging to one point.
 
-    The limsup estimate does not depend on the budget, so the stages share
-    scans: consecutive stage nets are scanned stacked, as one array, while it
-    stays within DEFAULT_NET_CAP rows, and a later group is scanned only if
-    every earlier stage succeeded. A search therefore costs about one scan of
-    its stacked nets whichever stage fails. The budget, the tail
-    fraction and the whole schedule are checked before any net is built; a
-    net over the cap raises ResourceCapError only once every earlier stage
-    has succeeded.
+    Each stage builds and scans its own net, only once every earlier stage
+    has succeeded, so a search that fails early builds no later net. The
+    budget, the tail fraction and the whole schedule are checked before any
+    net is built; a net over the cap raises ResourceCapError only once every
+    earlier stage has succeeded.
     """
     meshes = [float(v) for v in mesh_schedule]
     if not meshes:
@@ -584,8 +523,8 @@ def refined_asymptotic_search(xi: PseudoOrbit, eps0: float, mesh_schedule: list[
     check_tail_fraction(tail_fraction)
 
     stages, candidates = [], []
-    picks = _net_search(xi, LIMSUP, eps0, meshes, tail_fraction)
-    for m, (mesh, (z, _, estimate, size)) in enumerate(zip(meshes, picks), start=1):
+    for m, mesh in enumerate(meshes, start=1):
+        z, _, estimate, size, _ = _net_pick(xi, LIMSUP, eps0, mesh, tail_fraction)
         budget = math.ldexp(eps0, -m)
         ok = estimate < budget
         stages.append({"stage": m, "mesh": mesh, "budget": budget, "estimate": estimate,

@@ -177,3 +177,26 @@ def test_true_orbit_stepped_once_per_instance_and_read_only(monkeypatch):
     assert not points.flags.writeable
     with pytest.raises(ValueError):
         points[0, 0] = 0.0
+
+
+def test_tracking_curve_derived_once_per_instance_and_read_only(monkeypatch):
+    # example-disk reads the curve and the means, then aasp_demo reads them
+    # again: the tracking errors are summed once.
+    calls = []
+    errors = DiskExampleInstance.tracking_errors
+
+    def counting_errors(self):
+        calls.append(self)
+        return errors(self)
+
+    monkeypatch.setattr(DiskExampleInstance, "tracking_errors", counting_errors)
+    inst = make_decaying_instance(4, horizon=2000, start=(0.1, -0.3))
+    lhs, rhs, verdict = tracking_inequality_curve(inst)
+    means = inst.tracking_means()
+    demo = aasp_demo(inst)
+    assert len(calls) == 1
+    assert tracking_inequality_curve(inst)[0] is lhs and inst.tracking_means() is means
+    assert means.tobytes() == (lhs / np.arange(1, 2002)).tobytes()
+    assert demo["tracking_mean_final"] == means[-1] and demo["all_prefixes_bounded"] is verdict
+    for curve in (lhs, rhs, means):
+        assert not curve.flags.writeable

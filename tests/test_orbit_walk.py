@@ -50,7 +50,7 @@ from shadowlab import shadow_search
 from shadowlab.dynamics import CIRCLE, UNIT_DISK
 from shadowlab.pseudo_orbits import recompute_step_errors
 from shadowlab.serialize import json_default
-from shadowlab.shadow_search import HIT_DENSITY, LIMSUP, _net_search, _scan
+from shadowlab.shadow_search import HIT_DENSITY, LIMSUP, _net_pick, _scan
 
 from oracles import reference_contains, reference_dot, reference_map, reference_step
 
@@ -554,8 +554,8 @@ def test_scan_matches_two_objective_scan(system, horizon, seed, mesh, eps, tail_
     max_mean, min_density = reference_scan(xi, P, eps, tail_fraction)
     for objective, oracle, pick in ((LIMSUP, max_mean, np.argmin),
                                     (HIT_DENSITY, min_density, np.argmax)):
-        assert _scan(xi, P, objective, eps, tail_fraction).tobytes() == oracle.tobytes()
-        z, index, value, size = next(_net_search(xi, objective, eps, [mesh], tail_fraction))
+        assert full_scan(xi, P, objective, eps, tail_fraction).tobytes() == oracle.tobytes()
+        z, index, value, size, _ = _net_pick(xi, objective, eps, mesh, tail_fraction)
         assert index == int(pick(oracle))
         assert z.tobytes() == P[index].tobytes()
         assert value == float(oracle[index]) and size == len(P)
@@ -568,7 +568,7 @@ def reference_refined(xi, eps0, meshes, tail_fraction):
     for m, mesh in enumerate(meshes, start=1):
         budget = math.ldexp(eps0, -m)
         points = net(xi.family.space, mesh)
-        values = _scan(xi, points, LIMSUP, budget, tail_fraction)
+        values = full_scan(xi, points, LIMSUP, budget, tail_fraction)
         best = int(np.argmin(values))
         z, estimate = points[best], float(values[best])
         ok = estimate < budget
@@ -627,7 +627,7 @@ def test_refined_search_matches_per_stage_loop(case):
     rng = np.random.default_rng(seed)
     indices = IndexSet.from_mask(rng.random(horizon) < 0.3)
     xi = make_corrupted_orbit(family, word, start, indices, JumpRule("uniform"), seed)
-    estimates = [float(_scan(xi, net(family.space, mesh), LIMSUP, 1.0, tail_fraction).min())
+    estimates = [float(full_scan(xi, net(family.space, mesh), LIMSUP, 1.0, tail_fraction).min())
                  for mesh in meshes]
     eps0 = eps0_failing_at(estimates, stage)
     assume(eps0 is not None)
@@ -661,7 +661,7 @@ def test_refined_search_matches_per_stage_loop_at_each_outcome(space, meshes, st
     indices = IndexSet.from_iterable(range(0, 40, 3), 40)
     xi = make_corrupted_orbit(family, Word.periodic([1, 2, 2], 2), start, indices,
                               JumpRule("uniform"), seed=11)
-    estimates = [float(_scan(xi, net(space, mesh), LIMSUP, 1.0, 0.5).min())
+    estimates = [float(full_scan(xi, net(space, mesh), LIMSUP, 1.0, 0.5).min())
                  for mesh in meshes]
     eps0 = eps0_failing_at(estimates, stage)
     expected = reference_refined(xi, eps0, meshes, 0.5)
@@ -757,6 +757,20 @@ def test_scan_objective_equals_report_value(system, horizon, seed, mesh, eps, ta
 # Pruned net scans: every net's pick is the one of the full scan
 
 
+def full_scan(xi, P, objective, eps, tail_fraction):
+    """_scan with its first checkpoint past the horizon: it walks nothing,
+    drops nothing and steps every column to the end."""
+    with mock.patch.object(shadow_search, "FIRST_CHECKPOINT", xi.horizon + 2):
+        values, t = _scan(xi, P, objective, eps, tail_fraction)
+    assert t is None
+    return values
+
+
+def net_picks(xi, objective, eps, meshes, tail_fraction):
+    """_net_pick for each mesh: the point, its index, its value and the net size."""
+    return [_net_pick(xi, objective, eps, mesh, tail_fraction)[:4] for mesh in meshes]
+
+
 def full_scan_picks(xi, objective, eps, meshes, tail_fraction):
     """Each mesh's net scanned alone and in full, then argmin (LIMSUP) or
     argmax (HIT_DENSITY): the point, its index, its value and the net size."""
@@ -764,7 +778,7 @@ def full_scan_picks(xi, objective, eps, meshes, tail_fraction):
     picks = []
     for mesh in meshes:
         P = net(xi.family.space, mesh)
-        values = _scan(xi, P, objective, eps, tail_fraction)
+        values = full_scan(xi, P, objective, eps, tail_fraction)
         best = int(pick(values))
         picks.append((P[best], best, float(values[best]), len(P)))
     return picks
@@ -806,8 +820,11 @@ def test_pruned_scan_picks_what_the_full_scan_picks(case, data):
     for objective in (LIMSUP, HIT_DENSITY):
         expected = full_scan_picks(xi, objective, eps, meshes, tail_fraction)
         with mock.patch.object(shadow_search, "FIRST_CHECKPOINT", first):
-            got = list(_net_search(xi, objective, eps, meshes, tail_fraction))
-        assert pick_bytes(got) == pick_bytes(expected)
+            got = [_net_pick(xi, objective, eps, mesh, tail_fraction) for mesh in meshes]
+        assert pick_bytes([pick[:4] for pick in got]) == pick_bytes(expected)
+        # A pick the scan walked carries its walk's trace errors.
+        for z, _, _, _, t in got:
+            assert t is None or t.tobytes() == trace_report(z, xi, eps).trace_errors.tobytes()
 
 
 def test_pruned_scan_keeps_a_later_row_that_ties_the_lowest_index_minimiser():
@@ -819,28 +836,31 @@ def test_pruned_scan_keeps_a_later_row_that_ties_the_lowest_index_minimiser():
     xi = PseudoOrbit.from_points(family, Word.constant(1, 1), points)
     P = net(family.space, 0.25)
     assert P.ravel().tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
-    pruned = _scan(xi, P, LIMSUP, 0.2, 0.5, [np.arange(5)])
+    pruned, t = _scan(xi, P, LIMSUP, 0.2, 0.5)
     assert pruned.tolist() == [math.inf, 0.125, 0.125, math.inf, math.inf]
+    # The walked incumbent, 0.5, is not the pick, so no trace comes back.
+    assert t is None
     expected = full_scan_picks(xi, LIMSUP, 0.2, [0.25, 0.25], 0.5)
-    got = list(_net_search(xi, LIMSUP, 0.2, [0.25, 0.25], 0.5))
+    got = net_picks(xi, LIMSUP, 0.2, [0.25, 0.25], 0.5)
     assert pick_bytes(got) == pick_bytes(expected)
     assert [index for _, index, _, _ in got] == [1, 1]
 
 
-def test_a_row_of_two_stage_nets_can_be_dropped_in_one_and_kept_in_the_other():
+def test_a_point_of_two_stage_nets_is_judged_in_each_net_alone():
     # 0.5 lies in both nets. Against a constant 0.3 it is the best point of
-    # the 0.5 net, so it is that net's incumbent and is kept, while in the
-    # 0.25 net the point 0.25 is better and 0.5 is dropped.
+    # the 0.5 net, whose scan walks it and keeps it, while the scan of the
+    # 0.25 net finds 0.25 better and drops 0.5.
     family = GeneratorFamily(MetricSpace.box([0.0], [1.0]), (GeneratorMap.identity(),))
     xi = PseudoOrbit.from_points(family, Word.constant(1, 1), np.full((100, 1), 0.3))
-    nets = [net(family.space, mesh) for mesh in (0.5, 0.25)]
-    assert [P.ravel().tolist() for P in nets] == [[0.0, 0.5, 1.0],
-                                                  [0.0, 0.25, 0.5, 0.75, 1.0]]
-    stacked = np.concatenate(nets)
-    pruned = _scan(xi, stacked, LIMSUP, 0.2, 0.5, [np.arange(3), np.arange(3, 8)])
-    full = _scan(xi, stacked, LIMSUP, 0.2, 0.5)
-    assert full[1] == full[5] and pruned[1] == full[1] and pruned[5] == math.inf
-    got = list(_net_search(xi, LIMSUP, 0.2, [0.5, 0.25], 0.5))
+    coarse, fine = (net(family.space, mesh) for mesh in (0.5, 0.25))
+    assert [coarse.ravel().tolist(), fine.ravel().tolist()] == [[0.0, 0.5, 1.0],
+                                                                [0.0, 0.25, 0.5, 0.75, 1.0]]
+    kept, t = _scan(xi, coarse, LIMSUP, 0.2, 0.5)
+    assert kept[1] == full_scan(xi, coarse, LIMSUP, 0.2, 0.5)[1] == kept.min()
+    assert t.tobytes() == trace_report(coarse[1], xi, 0.2).trace_errors.tobytes()
+    dropped, _ = _scan(xi, fine, LIMSUP, 0.2, 0.5)
+    assert dropped[2] == math.inf and full_scan(xi, fine, LIMSUP, 0.2, 0.5)[2] == kept[1]
+    got = net_picks(xi, LIMSUP, 0.2, [0.5, 0.25], 0.5)
     assert pick_bytes(got) == pick_bytes(full_scan_picks(xi, LIMSUP, 0.2, [0.5, 0.25], 0.5))
     assert [z.tolist() for z, _, _, _ in got] == [[0.5], [0.25]]
 
@@ -857,7 +877,7 @@ def test_nan_objectives_are_never_dropped(matrix, horizon):
                              (GeneratorMap.affine(matrix, [0.0, 0.0]),))
     xi = true_orbit(family, Word.constant(1, 1), (0.0, 0.8), horizon)
     expected = full_scan_picks(xi, LIMSUP, 0.2, [0.25, 0.25], 0.5)
-    got = list(_net_search(xi, LIMSUP, 0.2, [0.25, 0.25], 0.5))
+    got = net_picks(xi, LIMSUP, 0.2, [0.25, 0.25], 0.5)
     assert pick_bytes(got) == pick_bytes(expected)
     # argmin returns the first NaN, the first row that leaves the box.
     z, index, value, _ = got[0]
@@ -882,12 +902,13 @@ def test_a_net_whose_incumbent_leaves_the_space_is_scanned_in_full(monkeypatch):
     with pytest.raises(DomainError):
         orbit(family, xi.word, (1.0, 1.0), xi.horizon + 1)
     monkeypatch.setattr(shadow_search, "FIRST_CHECKPOINT", 1)
-    full = _scan(xi, P, LIMSUP, 0.2, 0.5)
+    full = full_scan(xi, P, LIMSUP, 0.2, 0.5)
     steps = scan_steps(monkeypatch)
-    assert _scan(xi, P, LIMSUP, 0.2, 0.5, [np.arange(len(P))]).tobytes() == full.tobytes()
+    values, t = _scan(xi, P, LIMSUP, 0.2, 0.5)
+    assert values.tobytes() == full.tobytes() and t is None
     assert steps == [len(P)] * (xi.horizon + 1)
     meshes = [0.2, 0.1]
-    got = list(_net_search(xi, LIMSUP, 0.2, meshes, 0.5))
+    got = net_picks(xi, LIMSUP, 0.2, meshes, 0.5)
     assert pick_bytes(got) == pick_bytes(full_scan_picks(xi, LIMSUP, 0.2, meshes, 0.5))
     assert got[1][0].tolist() == [0.1, 0.5]
     refined = refined_asymptotic_search(xi, 0.1, meshes).to_dict()
@@ -930,24 +951,19 @@ def test_refined_scan_of_a_decaying_disk_ends_with_under_one_percent_live(monkey
                               JumpRule("offset", scale=1.0, power=2.0), seed=3)
     nets = [net(family.space, mesh) for mesh in (0.1, 0.05, 0.025)]
     assert [len(P) for P in nets] == [373, 1369, 5253]
-    stacked = np.concatenate(nets)
-    blocks = np.split(np.arange(len(stacked)), [373, 373 + 1369])
-    full = _scan(xi, stacked, LIMSUP, 0.4, 0.5)
+    full = [full_scan(xi, P, LIMSUP, 0.4, 0.5) for P in nets]
     steps = scan_steps(monkeypatch)
-    refined_asymptotic_search(xi, 0.4, [0.1, 0.05, 0.025])
-    # The stage nets are scanned stacked, 6 995 rows, and the scan stops at
-    # its first checkpoint with one live column per net, its walked incumbent.
-    assert steps == [6995] * shadow_search.FIRST_CHECKPOINT
-    walks = {}
-    values = _scan(xi, stacked, LIMSUP, 0.4, 0.5, blocks, walks)
-    live = np.flatnonzero(values < math.inf)
-    assert [np.isin(live, rows).sum() for rows in blocks] == [1, 1, 1]
-    assert sorted(walks) == live.tolist() and len(live) < 0.01 * len(stacked)
-    for rows in blocks:
-        assert np.argmin(values[rows]) == np.argmin(full[rows])
-        assert values[rows].min() == full[rows].min()
-    for row, t in walks.items():
-        assert t.tobytes() == trace_report(stacked[row], xi, 0.4).trace_errors.tobytes()
+    assert refined_asymptotic_search(xi, 0.4, [0.1, 0.05, 0.025]).succeeded
+    # Each stage net is scanned alone, and each scan stops at its first
+    # checkpoint with one live column, its walked incumbent and pick.
+    first = shadow_search.FIRST_CHECKPOINT
+    assert steps == [373] * first + [1369] * first + [5253] * first
+    for P, expected in zip(nets, full):
+        values, t = _scan(xi, P, LIMSUP, 0.4, 0.5)
+        live = np.flatnonzero(values < math.inf)
+        assert live.tolist() == [np.argmin(expected)] and len(live) < 0.01 * len(P)
+        assert values[live[0]] == expected.min()
+        assert t.tobytes() == trace_report(P[live[0]], xi, 0.4).trace_errors.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -999,10 +1015,11 @@ def assert_gap_bound_holds(xi, P, row, n):
     family, word, horizon = xi.family, xi.word, xi.horizon
     space = family.space
     norms, offsets = shadow_search._symbol_norms(family)
-    g = norms[family.checked_symbols(word.symbols(horizon))]
+    symbols = family.checked_symbols(word.symbols(horizon))
+    g = norms[symbols]
     assert np.all(g <= 1.0)
     inc = shadow_search._walk_row(xi, P, row, False, 0.5, 0.5)
-    alpha, beta, _ = shadow_search._trace_gap_bound(g, inc, n, offsets.max())
+    alpha, beta, _ = shadow_search._trace_gap_bound(g, inc, n, offsets[symbols].max(initial=0.0))
     for z in P:
         points = orbit(family, word, z, horizon + 1)
         gap = space._distance(tuple(points[n - 1].tolist()), tuple(inc.points[n - 1].tolist()),
@@ -1062,15 +1079,14 @@ def test_dominance_picks_what_the_full_scan_picks(system, horizon, seed, mesh, e
         eps = float(t[data.draw(st.integers(0, horizon))]) or eps
     for objective, pick, dropped in ((LIMSUP, np.argmin, math.inf),
                                      (HIT_DENSITY, np.argmax, -math.inf)):
-        full = _scan(xi, P, objective, eps, tail_fraction)
+        full = full_scan(xi, P, objective, eps, tail_fraction)
         with mock.patch.object(shadow_search, "FIRST_CHECKPOINT", first):
-            walks = {}
-            pruned = _scan(xi, P, objective, eps, tail_fraction, [np.arange(len(P))], walks)
+            pruned, t = _scan(xi, P, objective, eps, tail_fraction)
         # Every kept value is exact, and the pick is the full scan's.
         assert np.all((pruned == full) | (pruned == dropped))
         assert pick(pruned) == pick(full)
-        for row, t in walks.items():
-            assert t.tobytes() == trace_report(P[row], xi, eps).trace_errors.tobytes()
+        if t is not None:
+            assert t.tobytes() == trace_report(P[pick(full)], xi, eps).trace_errors.tobytes()
 
 
 def test_hit_density_keeps_a_lower_row_that_ties_the_incumbent_at_eps(monkeypatch):
@@ -1088,15 +1104,15 @@ def test_hit_density_keeps_a_lower_row_that_ties_the_incumbent_at_eps(monkeypatc
     assert P.ravel().tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
     hits = [trace_report(z, xi, 0.1).trace_errors < 0.1 for z in P]
     assert hits[2][:2].tolist() == [True, False] and hits[1][:2].tolist() == [False, True]
-    full = _scan(xi, P, HIT_DENSITY, 0.1, 0.5)
+    full = full_scan(xi, P, HIT_DENSITY, 0.1, 0.5)
     assert full[1] == full[2] == full.max() and np.argmax(full) == 1
     monkeypatch.setattr(shadow_search, "FIRST_CHECKPOINT", 1)
-    pruned = _scan(xi, P, HIT_DENSITY, 0.1, 0.5, [np.arange(5)])
+    pruned, _ = _scan(xi, P, HIT_DENSITY, 0.1, 0.5)
     # The tie with a higher row (0.75) and the rows below it are dropped at
     # n = 1; the tie below the incumbent is kept, with its exact value.
     assert pruned[[1, 2]].tolist() == full[[1, 2]].tolist()
     assert pruned[[3, 4]].tolist() == [-math.inf, -math.inf]
-    got = list(_net_search(xi, HIT_DENSITY, 0.1, [0.25], 0.5))
+    got = net_picks(xi, HIT_DENSITY, 0.1, [0.25], 0.5)
     assert pick_bytes(got) == pick_bytes(full_scan_picks(xi, HIT_DENSITY, 0.1, [0.25], 0.5))
     assert m_alpha_shadow_search(xi, 0.1, 0.5, 0.25).report.net_index == 1
 
@@ -1114,7 +1130,7 @@ def test_non_normal_contraction_ends_the_scan_at_its_first_checkpoint(monkeypatc
     steps = scan_steps(monkeypatch)
     for objective in (LIMSUP, HIT_DENSITY):
         steps.clear()
-        got = list(_net_search(xi, objective, 0.2, [0.05], 0.5))
+        got = net_picks(xi, objective, 0.2, [0.05], 0.5)
         assert pick_bytes(got) == pick_bytes(expected[objective])
         assert steps == [441] * shadow_search.FIRST_CHECKPOINT
 
@@ -1128,7 +1144,7 @@ def test_a_member_that_beats_the_incumbent_is_walked_and_replaces_it(monkeypatch
     points = np.array([0.5] + [0.0] * 100)[:, None]
     xi = PseudoOrbit.from_points(family, Word.constant(1, 1), points)
     P = net(family.space, 0.25)
-    full = _scan(xi, P, LIMSUP, 0.2, 0.5)
+    full = full_scan(xi, P, LIMSUP, 0.2, 0.5)
     assert np.argmin(full) == 0
     walked = []
     walk_row = shadow_search._walk_row
@@ -1140,12 +1156,12 @@ def test_a_member_that_beats_the_incumbent_is_walked_and_replaces_it(monkeypatch
     monkeypatch.setattr(shadow_search, "_walk_row", recording)
     monkeypatch.setattr(shadow_search, "FIRST_CHECKPOINT", 1)
     steps = scan_steps(monkeypatch)
-    walks = {}
-    pruned = _scan(xi, P, LIMSUP, 0.2, 0.5, [np.arange(5)], walks)
-    assert walked == [2, 0] and list(walks) == [0]
+    pruned, t = _scan(xi, P, LIMSUP, 0.2, 0.5)
+    assert walked == [2, 0]
+    assert t.tobytes() == trace_report(P[0], xi, 0.2).trace_errors.tobytes()
     assert pruned.tolist() == [full[0]] + [math.inf] * 4
     assert len(steps) == 16
-    got = list(_net_search(xi, LIMSUP, 0.2, [0.25], 0.5))
+    got = net_picks(xi, LIMSUP, 0.2, [0.25], 0.5)
     assert pick_bytes(got) == pick_bytes(full_scan_picks(xi, LIMSUP, 0.2, [0.25], 0.5))
 
 
@@ -1159,7 +1175,7 @@ def test_a_rival_that_leaves_the_box_keeps_the_incumbent(monkeypatch):
     xi = PseudoOrbit.from_points(family, Word.constant(1, 1), [[0.24], [0.8], [0.95], [1.0]])
     P = net(family.space, 0.5)
     assert P.ravel().tolist() == [0.0, 0.5, 1.0]
-    full = _scan(xi, P, LIMSUP, 0.2, 0.5)
+    full = full_scan(xi, P, LIMSUP, 0.2, 0.5)
     walked = []
     walk_row = shadow_search._walk_row
 
@@ -1170,9 +1186,10 @@ def test_a_rival_that_leaves_the_box_keeps_the_incumbent(monkeypatch):
 
     monkeypatch.setattr(shadow_search, "_walk_row", recording)
     monkeypatch.setattr(shadow_search, "FIRST_CHECKPOINT", 1)
-    walks = {}
-    pruned = _scan(xi, P, LIMSUP, 0.2, 0.5, [np.arange(3)], walks)
-    assert walked == [(0, False), (1, True), (1, True)] and list(walks) == [0]
+    pruned, t = _scan(xi, P, LIMSUP, 0.2, 0.5)
+    assert walked == [(0, False), (1, True), (1, True)]
+    # The pick is 0.5, whose walk leaves the box; the walked incumbent is 0.
+    assert np.argmin(pruned) == 1 and t is None
     assert pruned.tolist() == [full[0], full[1], math.inf]
     with pytest.raises(DomainError) as caught:
         average_shadow_search(xi, 0.2, 0.5)
@@ -1211,35 +1228,42 @@ def expanding_box():
 def test_dominance_never_fires_on_isometries_or_expanding_maps(make, monkeypatch):
     # None of these passes the pruning gate: the circle wraps, a rotation
     # written as a matrix has the norm bound 1 + 2^-40 and x -> 2x - 1/2 the
-    # bound 2. A scan with nets is then the full scan: it walks no incumbent
-    # and steps every column to the end.
+    # bound 2. Such a scan is the full scan: it walks no incumbent and steps
+    # every column to the end.
     xi = make()
     P = net(xi.family.space, 0.1)
 
     def refuse(*args):
         raise AssertionError("a full scan walks no incumbent")
 
-    full = {objective: _scan(xi, P, objective, 0.2, 0.5) for objective in (LIMSUP, HIT_DENSITY)}
+    full = {objective: full_scan(xi, P, objective, 0.2, 0.5)
+            for objective in (LIMSUP, HIT_DENSITY)}
     monkeypatch.setattr(shadow_search, "_walk_row", refuse)
     steps = scan_steps(monkeypatch)
     for objective in (LIMSUP, HIT_DENSITY):
         steps.clear()
-        pruned = _scan(xi, P, objective, 0.2, 0.5, [np.arange(len(P))])
+        pruned, t = _scan(xi, P, objective, 0.2, 0.5)
         assert steps == [len(P)] * (xi.horizon + 1)
-        assert pruned.tobytes() == full[objective].tobytes()
+        assert pruned.tobytes() == full[objective].tobytes() and t is None
 
 
-def test_a_word_that_skips_the_expanding_map_ends_at_its_first_checkpoint(monkeypatch):
-    # The family holds x -> 3x, whose 1000th power overflows, but the word
-    # uses only x -> x / 2: the gate reads the norm bounds of the word's
-    # symbols, so the LIMSUP scan ends at its first checkpoint.
+@pytest.mark.parametrize("unused", [
+    # x -> 3x: its 1000th power overflows, and its norm bound is 3.
+    GeneratorMap.scale([3.0, 3.0]),
+    # x -> x + (1e299, 0): its offset alone puts R + H h over _SAFE_MAGNITUDE.
+    GeneratorMap.affine([[1.0, 0.0], [0.0, 1.0]], [1e299, 0.0]),
+], ids=["expanding", "far-offset"])
+def test_a_word_that_skips_a_map_ends_at_its_first_checkpoint(unused, monkeypatch):
+    # The word uses only x -> x / 2: the gate reads the norm bounds and the
+    # offsets of the word's maps, so the LIMSUP scan ends at its first
+    # checkpoint whatever the unused map is.
     family = GeneratorFamily(MetricSpace.box([0.0, 0.0], [1.0, 1.0]),
-                             (GeneratorMap.scale([0.5, 0.5]), GeneratorMap.scale([3.0, 3.0])))
+                             (GeneratorMap.scale([0.5, 0.5]), unused))
     indices = IndexSet.from_iterable(range(0, 1000, 7), 1000)
     xi = make_corrupted_orbit(family, Word.constant(1, 2), (0.9, 0.1), indices,
                               JumpRule("uniform"), seed=5)
     expected = full_scan_picks(xi, LIMSUP, 0.2, [0.05], 0.5)
     steps = scan_steps(monkeypatch)
-    got = list(_net_search(xi, LIMSUP, 0.2, [0.05], 0.5))
+    got = net_picks(xi, LIMSUP, 0.2, [0.05], 0.5)
     assert pick_bytes(got) == pick_bytes(expected)
     assert steps == [441] * shadow_search.FIRST_CHECKPOINT

@@ -367,17 +367,9 @@ def test_refined_net_over_the_cap_raises_only_after_every_earlier_stage_succeeds
         refined_asymptotic_search(xi, eps0=0.4, mesh_schedule=schedule)
 
 
-def test_refined_stages_over_the_cap_are_scanned_in_groups(monkeypatch):
+def test_refined_stages_are_scanned_one_net_each(monkeypatch):
     xi = decaying_disk_orbit(horizon=300)
     schedule = [0.3, 0.2, 0.2, 0.15]
-    expected = refined_asymptotic_search(xi, eps0=0.4, mesh_schedule=schedule).to_dict()
-    assert expected["succeeded"]
-    sizes = [len(net(xi.family.space, mesh)) for mesh in schedule]
-    assert sizes == [60, 109, 109, 193]
-
-    # With the cap at 200 rows the nets are stacked while the stack stays
-    # within it: 60 + 109, then 109 alone (109 + 193 is over), then 193.
-    cap = 200
     scanned = []
     scan = shadow_search._scan
 
@@ -385,9 +377,29 @@ def test_refined_stages_over_the_cap_are_scanned_in_groups(monkeypatch):
         scanned.append(len(P))
         return scan(xi, P, *args)
 
-    monkeypatch.setattr(shadow_search, "DEFAULT_NET_CAP", cap)
     monkeypatch.setattr(shadow_search, "_scan", counting_scan)
-    got = refined_asymptotic_search(xi, eps0=0.4, mesh_schedule=schedule).to_dict()
-    assert scanned == [169, 109, 193]
-    assert json.dumps(got, sort_keys=True, default=json_default) == \
-        json.dumps(expected, sort_keys=True, default=json_default)
+    result = refined_asymptotic_search(xi, eps0=0.4, mesh_schedule=schedule)
+    # Every stage succeeds, and each scans its own net once, in stage order.
+    assert result.succeeded
+    assert scanned == [stage["net_size"] for stage in result.stages] == [60, 109, 109, 193]
+
+
+def test_refined_search_that_fails_at_stage_1_builds_and_scans_only_its_first_net(
+        monkeypatch):
+    xi = decaying_disk_orbit(horizon=200)
+    built, scanned = [], []
+    build, scan = shadow_search.net, shadow_search._scan
+
+    def recording_net(space, mesh):
+        built.append(mesh)
+        return build(space, mesh)
+
+    def recording_scan(xi, P, *args):
+        scanned.append(len(P))
+        return scan(xi, P, *args)
+
+    monkeypatch.setattr(shadow_search, "net", recording_net)
+    monkeypatch.setattr(shadow_search, "_scan", recording_scan)
+    result = refined_asymptotic_search(xi, eps0=0.002, mesh_schedule=[0.1, 0.05, 0.025])
+    assert result.failed_stage == 1 and len(result.stages) == 1
+    assert built == [0.1] and scanned == [373]
