@@ -199,6 +199,14 @@ def load_block_plan(path: Path | str) -> BlockPlan:
 # Experiment configuration
 
 THRESHOLDS = {"delta": 0.4, "epsilon": 0.2, "alpha": 0.9, "tol": 0.01, "density_tol": 0.01}
+# The keys each subcommand section and the root may hold: validate_config reads
+# each of them, and rejects every other key, naming it.
+SECTION_KEYS = {"classify": ("orbit", "scan"), "repair": ("orbit",),
+                "cesaro": ("input_csv", "bound"), "concat": ("manifest",),
+                "search": ("orbit", "mode", "levels", "mesh_schedule"),
+                "example_disk": ("scale", "power", "start")}
+ROOT_KEYS = ("schema", "system", "seed", "horizon", "tail_fraction", "thresholds", "threads",
+             "corruption", "net_mesh", "out", *SECTION_KEYS)
 
 
 @dataclass(frozen=True)
@@ -278,9 +286,15 @@ def _at_least(f: str, value, low: int) -> int:
     return out
 
 
-def _object(f: str, value) -> dict:
+def _object(f: str, value, keys) -> dict:
+    """value as a JSON object holding only the given keys; an unknown key
+    fails naming it as f.key (as key at the root)."""
     if not isinstance(value, dict):
         _fail(f, f"must be an object, got {value!r}")
+    for key in value:
+        if key not in keys:
+            _fail(key if f == "<root>" else f"{f}.{key}",
+                  f"unknown key, expected one of {sorted(keys)}")
     return value
 
 
@@ -337,7 +351,9 @@ def _schedule(section: dict, net_mesh: float, epsilon: float) -> tuple[float, ..
 
 def _corruption(section, dimension: int, horizon: int, seed: int) -> tuple[IndexSet, JumpRule]:
     """The corrupted steps and the jump rule of the corruption section."""
-    spec = _object("corruption.indices", _object("corruption", section).get("indices", {}))
+    section = _object("corruption", section, ("indices", "jump"))
+    spec = _object("corruption.indices", section.get("indices", {}),
+                   ("kind", "density", "base", "indices"))
     density = _number("corruption.indices.density", spec.get("density", 0.01))
     if not 0 <= density <= 1:
         _fail("corruption.indices.density", "must lie in [0, 1]")
@@ -367,7 +383,8 @@ def _corruption(section, dimension: int, horizon: int, seed: int) -> tuple[Index
         steps = np.flatnonzero(np.random.default_rng(seed).random(H) < density)
     else:
         _fail("corruption.indices.kind", f"unknown kind {kind!r}")
-    jump = _object("corruption.jump", section.get("jump", {"kind": "uniform"}))
+    jump = _object("corruption.jump", section.get("jump", {"kind": "uniform"}),
+                   ("kind", "scale", "power", "point"))
     if "kind" not in jump:
         _fail("corruption.jump.kind", "required")
     _number("corruption.jump.scale", jump.get("scale", 1.0))
@@ -382,11 +399,12 @@ def _corruption(section, dimension: int, horizon: int, seed: int) -> tuple[Index
 
 
 def validate_config(data: dict) -> ExperimentConfig:
-    _object("<root>", data)
+    _object("<root>", data, ROOT_KEYS)
     if data.get("schema") != CONFIG_SCHEMA:
         _fail("schema", f"expected {CONFIG_SCHEMA!r}, got {data.get('schema')!r}")
-    system = _object("system", data.get("system"))
-    for key in ("space", "maps", "word", "start"):
+    required = ("space", "maps", "word", "start")
+    system = _object("system", data.get("system"), required)
+    for key in required:
         if key not in system:
             _fail(f"system.{key}", "required")
     seed = _at_least("seed", data.get("seed", 0), 0)
@@ -394,7 +412,7 @@ def validate_config(data: dict) -> ExperimentConfig:
     tail_fraction = _number("tail_fraction", data.get("tail_fraction", 0.5))
     if not 0.0 < tail_fraction < 1.0:
         _fail("tail_fraction", f"must lie in (0,1), got {tail_fraction}")
-    given = {**THRESHOLDS, **_object("thresholds", data.get("thresholds", {}))}
+    given = {**THRESHOLDS, **_object("thresholds", data.get("thresholds", {}), THRESHOLDS)}
     thresholds = {name: _number(f"thresholds.{name}", v) for name, v in given.items()}
     for name in ("delta", "epsilon", "tol", "density_tol"):
         if thresholds[name] <= 0:
@@ -415,8 +433,7 @@ def validate_config(data: dict) -> ExperimentConfig:
     indices, jump = _corruption(data.get("corruption", {}), family.space.dimension, horizon, seed)
 
     classify, repair, cesaro, concat, search, disk = (
-        _object(name, data.get(name, {}))
-        for name in ("classify", "repair", "cesaro", "concat", "search", "example_disk"))
+        _object(name, data.get(name, {}), keys) for name, keys in SECTION_KEYS.items())
     # v1 key: both values run the exact window scan.
     _text("classify.scan", classify.get("scan", "full"), ("full", "sampled"))
     net_mesh = _positive("net_mesh", data.get("net_mesh", 0.1))

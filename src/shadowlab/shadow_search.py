@@ -44,30 +44,23 @@ class ShadowReport:
     hit_upper_density: float
     verdicts: dict
     params: dict
-    diam: float
     net_index: int | None = None
 
 
-def _tail_of_means(x, tail_fraction: float, mode: str) -> tuple[np.ndarray, float]:
-    """The prefix means of x, and their max (or min) over the tail window."""
-    curve = prefix_means(x)
-    return curve, tail_extremum(curve, tail_fraction, mode)[0]
-
-
-def _build_report(t: np.ndarray, eps: float, diam: float, tail_fraction: float,
-                  candidate: np.ndarray, alpha: float | None,
-                  net_index: int | None) -> ShadowReport:
-    L = len(t)
-    means, limsup = _tail_of_means(t, tail_fraction, "max")
+def _build_report(t: np.ndarray, eps: float, tail_fraction: float, candidate: np.ndarray,
+                  alpha: float | None, net_index: int | None) -> ShadowReport:
+    means = prefix_means(t)
+    limsup = tail_extremum(means, tail_fraction, "max")[0]
     hit_mask = t < eps
-    hit_curve, lower = _tail_of_means(hit_mask, tail_fraction, "min")
-    upper, _ = tail_extremum(hit_curve, tail_fraction)
+    hit_curve = prefix_means(hit_mask)
+    lower = tail_extremum(hit_curve, tail_fraction, "min")[0]
+    upper = tail_extremum(hit_curve, tail_fraction)[0]
     verdicts = {"shadowed_on_average": limsup < eps}
     if alpha is not None:
         verdicts["m_alpha"] = lower > alpha
-    params = {"eps": eps, "alpha": alpha, "tail_fraction": tail_fraction, "length": L}
+    params = {"eps": eps, "alpha": alpha, "tail_fraction": tail_fraction, "length": len(t)}
     return ShadowReport(candidate, t, means, limsup, IndexSet.from_mask(hit_mask),
-                        lower, upper, verdicts, params, diam, net_index)
+                        lower, upper, verdicts, params, net_index)
 
 
 def trace_report(z, xi: PseudoOrbit, eps: float,
@@ -82,17 +75,11 @@ def trace_report(z, xi: PseudoOrbit, eps: float,
     check_positive("eps", eps)
     check_alpha(alpha)
     space = xi.family.space
-    zp = _candidate(z, space)
-    t = space.distance(orbit(xi.family, xi.word, zp, xi.horizon + 1), xi.points)
-    return _build_report(t, eps, space.diameter, tail_fraction, zp, alpha, net_index)
-
-
-def _candidate(z, space) -> np.ndarray:
-    """z as a point of the space; DomainError if it lies outside."""
     zp = as_point(z, space.dimension)
     if not space.contains(zp):
         raise DomainError(f"candidate {zp.tolist()} is outside the {space.kind} space")
-    return zp
+    t = space.distance(orbit(xi.family, xi.word, zp, xi.horizon + 1), xi.points)
+    return _build_report(t, eps, tail_fraction, zp, alpha, net_index)
 
 
 # ---------------------------------------------------------------------------
@@ -130,19 +117,22 @@ def _scan(xi: PseudoOrbit, P: np.ndarray, objective: str, eps: float,
     R then has norm at most R + H h after H steps, so no trace error is NaN
     and no NaN pick is dropped. Every other scan is in full and walks nothing.
 
-    At the first checkpoint the member with the best sums (lowest row on
-    ties) is walked once, and is the incumbent; if its walk leaves the space
-    the net is scanned in full. Every map is affine, so the incumbent's
-    walked trace t* bounds every other member's future: with D the distance
-    between a candidate's point and the incumbent's after n - 1 steps,
-    |t_j - t*_j| <= alpha_j D + beta_j for every j >= n, rounding included
-    (_trace_gap_bound). At each checkpoint n a member is dropped when its
-    running extremum over the tail window is already worse than the
-    incumbent's value, or when that bound proves its value worse, or equal
-    at a higher row (_limsup_dominance, _hits_dominance). When the bound
-    proves a member better than the incumbent, it is walked and replaces it
-    (one walk per checkpoint), and the old incumbent is dropped. A dropped
-    candidate reads +inf (LIMSUP) or -inf (HIT_DENSITY).
+    At the first checkpoint the member with the best sums (lowest row on ties)
+    is walked once, and is the incumbent. Every map is affine, so the
+    incumbent's walked trace t* bounds every other member's future: with D the
+    distance between a candidate's point and the incumbent's after n - 1
+    steps, |t_j - t*_j| <= alpha_j D + beta_j for every j >= n, rounding
+    included (_trace_gap_bound). At each checkpoint n a member is dropped when
+    its running extremum over the tail window is already worse than the
+    incumbent's value, or when that bound proves its value worse, or equal at
+    a higher row (_limsup_dominance, _hits_dominance). When the bound proves a
+    member better than the incumbent, it is walked and replaces it (one walk
+    per checkpoint), and the old incumbent is dropped. A dropped candidate
+    reads +inf (LIMSUP) or -inf (HIT_DENSITY).
+
+    A walk that leaves the space, the first incumbent's or a rival's, ends
+    pruning: its checkpoint drops nothing and the rest of the net is scanned
+    in full, keeping the incumbent walked so far, if any.
 
     Every value a scan keeps is exact, so the argmin or argmax is the one of
     the full scan. The loop ends once the incumbent is the only live column:
@@ -177,14 +167,15 @@ def _scan(xi: PseudoOrbit, P: np.ndarray, objective: str, eps: float,
             if n != checkpoint:
                 continue
             checkpoint *= 2
-            if inc is None:
-                inc = _walk_row(xi, P, int(pick(sums)), hits, eps, tail_fraction)
+            try:
                 if inc is None:
-                    checkpoint = 0  # the walk left the space: scan in full
-                    continue
-            mine = np.flatnonzero(~worse(best, inc.value))
-            inc, drop = _dominance(xi, P, hits, eps, tail_fraction, n, inc, live[mine],
-                                   tuple(col[mine] for col in c), sums[mine], best[mine], g, h)
+                    inc = _walk_row(xi, P, int(pick(sums)), hits, eps, tail_fraction)
+                mine = np.flatnonzero(~worse(best, inc.value))
+                inc, drop = _dominance(xi, P, hits, eps, tail_fraction, n, inc, live[mine],
+                                       tuple(col[mine] for col in c), sums[mine], best[mine], g, h)
+            except DomainError:
+                checkpoint = 0  # a walk left the space: scan the rest in full
+                continue
             keep = mine[~drop]
             c = tuple(col[keep] for col in c)
             sums, best, live = sums[keep], best[keep], live[keep]
@@ -213,13 +204,10 @@ class _Incumbent:
 
 
 def _walk_row(xi: PseudoOrbit, P: np.ndarray, row: int, hits: bool, eps: float,
-              tail_fraction: float) -> _Incumbent | None:
-    """Row `row` of P walked once; None if the family sends it out of the
-    space."""
-    try:
-        points = orbit(xi.family, xi.word, P[row], xi.horizon + 1)
-    except DomainError:
-        return None
+              tail_fraction: float) -> _Incumbent:
+    """Row `row` of P walked once. A family that sends it out of the space
+    raises the walk's DomainError, which ends the scan's pruning."""
+    points = orbit(xi.family, xi.word, P[row], xi.horizon + 1)
     t = xi.family.space.distance(points, xi.points)
     terms = t < eps if hits else t
     value, at = tail_extremum(prefix_means(terms), tail_fraction, "min" if hits else "max")
@@ -236,7 +224,7 @@ def _dominance(xi: PseudoOrbit, P: np.ndarray, hits: bool, eps: float, tail_frac
 
     When the bounds prove members better than the incumbent, the one with
     the best sums is walked and replaces it, and the old incumbent is
-    dropped; a walk that leaves the space keeps the old one."""
+    dropped. A rival whose walk leaves the space raises its DomainError."""
 
     def test(inc: _Incumbent) -> tuple[np.ndarray, np.ndarray]:
         gap = xi.family.space._distance(c, tuple(inc.points[n - 1].tolist()), np)
@@ -249,8 +237,6 @@ def _dominance(xi: PseudoOrbit, P: np.ndarray, hits: bool, eps: float, tail_frac
         return inc, drop
     i = np.flatnonzero(beats)[(np.argmax if hits else np.argmin)(sums[beats])]
     rival = _walk_row(xi, P, int(rows[i]), hits, eps, tail_fraction)
-    if rival is None:
-        return inc, drop
     return rival, test(rival)[0] | (rows == inc.row)
 
 
@@ -412,8 +398,7 @@ def _pick_report(xi: PseudoOrbit, z: np.ndarray, index: int, t: np.ndarray | Non
     """The pick's trace_report, from the scan's walk of it when there was one."""
     if t is None:
         return trace_report(z, xi, eps, tail_fraction, alpha, index)
-    space = xi.family.space
-    return _build_report(t, eps, space.diameter, tail_fraction, _candidate(z, space), alpha, index)
+    return _build_report(t, eps, tail_fraction, z, alpha, index)
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,11 @@ from hypothesis import strategies as st
 
 from shadowlab import build_disk_system, true_orbit
 from shadowlab.cli import main
-from shadowlab.errors import IntegrityError
+from shadowlab.errors import IntegrityError, ParameterError
 from shadowlab.serialize import (
     CONFIG_SCHEMA,
     PLAN_SCHEMA,
+    load_config,
     load_orbit,
     orbit_from_dict,
     save_orbit,
@@ -142,6 +143,29 @@ def test_malformed_field_exits_2_naming_it(tmp_path, capsys, field, value):
     code, err = run(data, tmp_path, "generate", capsys)
     assert code == 2
     assert f"config field {field!r}" in err
+
+
+@pytest.mark.parametrize("field", [
+    "horizn", "system.strat", "thresholds.epsilonn", "corruption.jumps",
+    "corruption.indices.kindd", "corruption.jump.scal", "classify.scann", "repair.orbits",
+    "cesaro.bounds", "concat.manifests", "search.lvls", "example_disk.scal"])
+def test_an_unknown_key_exits_2_naming_it(tmp_path, capsys, field):
+    # A misspelled key used to load with the default of the key it meant.
+    data = base_config(tmp_path / "out")
+    *sections, key = field.split(".")
+    target = data
+    for section in sections:
+        target = target.setdefault(section, {})
+    target[key] = 0.3
+    code, err = run(data, tmp_path, "generate", capsys)
+    assert code == 2
+    assert f"config field {field!r}: unknown key" in err
+
+
+def test_unknown_override_keys_raise_and_v1_keys_still_load():
+    with pytest.raises(ParameterError, match="config field 'horizn'"):
+        load_config(None, horizn=5, thresholds={"epsilonn": 0.3})
+    assert load_config(None, threads=4, classify={"scan": "sampled"}).horizon == 10_000
 
 
 def test_negative_seed_override_exits_2(tmp_path, capsys):

@@ -22,7 +22,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from shadowlab import (
@@ -1165,37 +1165,122 @@ def test_a_member_that_beats_the_incumbent_is_walked_and_replaces_it(monkeypatch
     assert pick_bytes(got) == pick_bytes(full_scan_picks(xi, LIMSUP, 0.2, [0.25], 0.5))
 
 
-def test_a_rival_that_leaves_the_box_keeps_the_incumbent(monkeypatch):
-    # x -> x / 2 + 0.55 on [0, 1] fixes 1.1. The net is 0, 0.5 and 1, and
-    # the pseudo-orbit 0.24, 0.8, 0.95, 1. At n = 1 the incumbent is 0, whose
-    # orbit stays; at n = 2 the bounds prove 0.5 better, but its orbit
-    # leaves the box at step 3, so its walk fails and 0 stays the incumbent.
-    family = GeneratorFamily(MetricSpace.box([0.0], [1.0]),
-                             (GeneratorMap.affine([[0.5]], [0.55]),))
-    xi = PseudoOrbit.from_points(family, Word.constant(1, 1), [[0.24], [0.8], [0.95], [1.0]])
-    P = net(family.space, 0.5)
-    assert P.ravel().tolist() == [0.0, 0.5, 1.0]
-    full = full_scan(xi, P, LIMSUP, 0.2, 0.5)
+def recording_walks(monkeypatch):
+    """The rows _walk_row walks, each with whether its walk left the space, in
+    a list that grows as scans run."""
     walked = []
     walk_row = shadow_search._walk_row
 
     def recording(xi, P, row, *args):
-        inc = walk_row(xi, P, row, *args)
-        walked.append((row, inc is None))
+        try:
+            inc = walk_row(xi, P, row, *args)
+        except DomainError:
+            walked.append((row, True))
+            raise
+        walked.append((row, False))
         return inc
 
     monkeypatch.setattr(shadow_search, "_walk_row", recording)
+    return walked
+
+
+def test_a_rival_that_leaves_the_box_ends_pruning(monkeypatch):
+    # x -> x / 2 + 0.55 on [0, 1] fixes 1.1. The net is 0, 0.5 and 1, and
+    # the pseudo-orbit 0.25, 0.8, 0.95, 1. At n = 1 the incumbent is 0 (it
+    # ties 0.5 and has the lower row), whose orbit stays, and the bounds drop
+    # nothing; at n = 2 they prove 0.5 better, but its orbit leaves the box
+    # at step 3. That one walk of 0.5 ends pruning: n = 2 drops nothing and
+    # the rest of the net is scanned in full.
+    family = GeneratorFamily(MetricSpace.box([0.0], [1.0]),
+                             (GeneratorMap.affine([[0.5]], [0.55]),))
+    xi = PseudoOrbit.from_points(family, Word.constant(1, 1), [[0.25], [0.8], [0.95], [1.0]])
+    P = net(family.space, 0.5)
+    assert P.ravel().tolist() == [0.0, 0.5, 1.0]
+    full = full_scan(xi, P, LIMSUP, 0.2, 0.5)
+    walked = recording_walks(monkeypatch)
     monkeypatch.setattr(shadow_search, "FIRST_CHECKPOINT", 1)
     pruned, t = _scan(xi, P, LIMSUP, 0.2, 0.5)
-    assert walked == [(0, False), (1, True), (1, True)]
+    assert walked == [(0, False), (1, True)]
     # The pick is 0.5, whose walk leaves the box; the walked incumbent is 0.
     assert np.argmin(pruned) == 1 and t is None
-    assert pruned.tolist() == [full[0], full[1], math.inf]
+    assert pruned.tobytes() == full.tobytes()
     with pytest.raises(DomainError) as caught:
         average_shadow_search(xi, 0.2, 0.5)
     with pytest.raises(DomainError) as walked_pick:
         trace_report((0.5,), xi, 0.2)
     assert str(caught.value) == str(walked_pick.value)
+
+
+@st.composite
+def escaping_systems(draw):
+    """One to three maps z -> p + A (z - p) on [0, 1]^d (d = 1, 2) or the
+    disk, with A of norm bound at most 0.99 and the centre p in or near the
+    space, drawn from a seed: the pruning gate passes, but a map may carry net
+    points out of the space, so some walks stay in it and some leave."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    disk = draw(st.booleans())
+    d = 2 if disk else draw(st.integers(1, 2))
+    space = MetricSpace.unit_disk() if disk else MetricSpace.box([0.0] * d, [1.0] * d)
+    maps = []
+    for _ in range(draw(st.integers(1, 3))):
+        a = rng.uniform(-1.0, 1.0, (d, d))
+        a *= rng.uniform(0.2, 0.99) / math.sqrt(np.abs(a.T @ a).sum(axis=1).max())
+        p = rng.uniform(-0.9, 0.9, 2) if disk else rng.uniform(-0.2, 1.2, d)
+        maps.append(GeneratorMap.affine(a.tolist(), (p - a @ p).tolist()))
+    family = GeneratorFamily(space, tuple(maps))
+    assume(shadow_search._symbol_norms(family)[0].max() <= 1.0)
+    return family
+
+
+@SETTINGS
+@given(escaping_systems().flatmap(lambda family: st.tuples(st.just(family), words(family.m))),
+       st.integers(1, 40), unit(0.1, 0.5), unit(0.01, 1.0), unit(0.05, 0.95), st.data())
+def test_escaping_walks_end_pruning_and_keep_the_full_scans_pick(system, horizon, mesh, eps,
+                                                                 tail_fraction, data):
+    # The pseudo-orbit's points are drawn in the space, not walked, since a
+    # walk may leave it: a net point whose walk leaves (the rival) has its
+    # orbit projected onto the space at each step, after a first point a
+    # little nearer the closest net point whose walk stays. Every pruned value
+    # is the full scan's or dropped, the pick is the full scan's, and a search
+    # returns that pick or raises its walk's error.
+    family, word = system
+    space = family.space
+    P = net(space, mesh)
+    leaves = np.array([outcome(orbit, family, word, z, horizon + 1)[0] != "ok" for z in P])
+    rival = P[data.draw(st.sampled_from(np.flatnonzero(leaves).tolist() or [0]))]
+    other = P[np.argmin(np.where(leaves, np.inf, space.distance(P, rival)))]
+    points, p = [(rival + data.draw(unit(0.5, 0.6)) * (other - rival)).tolist()], rival.tolist()
+    for s in word.symbols(horizon).tolist():
+        p = reference_project(space, reference_map(family.maps[s - 1], p))
+        points.append(p)
+    xi = PseudoOrbit.from_points(family, word, points)
+    full = {objective: full_scan(xi, P, objective, eps, tail_fraction)
+            for objective in (LIMSUP, HIT_DENSITY)}
+    z = P[np.argmin(full[LIMSUP])]
+    walk = outcome(trace_report, z, xi, eps, tail_fraction)
+    with pytest.MonkeyPatch.context() as patch:
+        walked = recording_walks(patch)
+        for first in (1, 2, 16):
+            patch.setattr(shadow_search, "FIRST_CHECKPOINT", first)
+            for objective, pick, dropped in ((LIMSUP, np.argmin, math.inf),
+                                             (HIT_DENSITY, np.argmax, -math.inf)):
+                walked.clear()
+                pruned, t = _scan(xi, P, objective, eps, tail_fraction)
+                if walked[:1] and walked[0][1]:
+                    event("the first incumbent's walk leaves the space")
+                if any(escaped for _, escaped in walked[1:]):
+                    event("a rival's walk leaves the space")
+                assert np.all((pruned == full[objective]) | (pruned == dropped))
+                assert pick(pruned) == pick(full[objective])
+                if t is not None:
+                    w = P[pick(full[objective])]
+                    assert t.tobytes() == trace_report(w, xi, eps).trace_errors.tobytes()
+            try:
+                found = average_shadow_search(xi, eps, mesh, tail_fraction).report.candidate
+            except DomainError as exc:
+                assert walk == (DomainError, str(exc))
+            else:
+                assert found.tobytes() == z.tobytes()
 
 
 def circle_rotation():
