@@ -81,9 +81,6 @@ class IndexSet:
         out[self.indices] = True
         return out
 
-    def complement(self) -> "IndexSet":
-        return IndexSet.from_mask(~self.mask())
-
     def count_below(self, n: int) -> int:
         """|A ∩ [0, n)| by binary search."""
         return int(np.searchsorted(self.indices, n, side="left"))

@@ -13,7 +13,7 @@ import hashlib
 import math
 import operator
 import sys
-from dataclasses import KW_ONLY, dataclass, replace
+from dataclasses import KW_ONLY, dataclass, fields, replace
 from functools import cached_property
 from types import SimpleNamespace
 
@@ -94,36 +94,98 @@ def _finite(what: str, values) -> tuple[float, ...]:
     return tuple(float(v) for v in values)
 
 
+def _vector(what: str, value) -> tuple[float, ...]:
+    """A number, or a sequence of numbers, as a tuple of finite floats."""
+    return _finite(what, [value] if np.ndim(value) == 0 else value)
+
+
+def _rows(what: str, matrix) -> tuple[tuple[float, ...], ...]:
+    return tuple(_finite(what, row) for row in matrix)
+
+
+def _word(what: str, value) -> "Word":
+    """A word, or a word's spec as the word."""
+    return value if isinstance(value, Word) else Word(**value)
+
+
+# The kinds of each spec type, each with the fields it reads and the check that
+# casts each field to its type. __post_init__, from_spec and spec all read these.
+_SPACE_FIELDS = {UNIT_DISK: {}, BOX: {"lo": _vector, "hi": _vector}, CIRCLE: {}}
+_MAP_FIELDS = {"identity": {}, "permutation": {"perm": _integers},
+               "affine": {"matrix": _rows, "offset": _finite}, "scale": {"factors": _vector}}
+_WORD_FIELDS = {"constant": {"symbol": _integer}, "periodic": {"pattern": _integers},
+                "iid": {"weights": _finite, "seed": _integer},
+                "prefix": {"prefix": _integers, "tail": _word}}
+
+
+def _check_fields(obj, table: dict, what: str, shared=("kind",)) -> None:
+    """Check obj's fields against table[obj.kind]: an unknown kind, a missing
+    field the kind reads or a set field that it does not read (one not in
+    shared) is a ParameterError. Each field the kind reads is replaced by its
+    cast value."""
+    checks = table.get(obj.kind) if isinstance(obj.kind, str) else None
+    if checks is None:
+        raise ParameterError(f"unknown {what} kind {obj.kind!r}, expected one of {list(table)}")
+    for name in (f.name for f in fields(obj)):
+        value = getattr(obj, name)
+        if name in checks:
+            if value is None:
+                raise ParameterError(f"{what} kind {obj.kind!r} needs field {name!r}")
+            object.__setattr__(obj, name, checks[name](f"{what} {name}", value))
+        elif value is not None and name not in shared:
+            raise ParameterError(f"{what} kind {obj.kind!r} reads no field {name!r}")
+
+
+def _plain(value):
+    """A field as its spec holds it: a tuple as a list, a word as its spec."""
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value.spec() if isinstance(value, Word) else value
+
+
+def _spec_fields(obj, table: dict) -> dict:
+    return {name: _plain(getattr(obj, name)) for name in table[obj.kind]}
+
+
+# lo/hi of the kinds whose bounding box is fixed.
+_BOUNDS = {UNIT_DISK: ((-1.0, -1.0), (1.0, 1.0)), CIRCLE: ((0.0,), (1.0,))}
+
+
 @dataclass(frozen=True)
 class MetricSpace:
     """Compact phase space with an exact analytic diameter.
 
     ``lo``/``hi`` always hold the axis-aligned bounding box of the space;
-    for ``box-kd`` they are the space itself.
+    for ``box-kd`` they are the space itself and are given, for the other
+    kinds they are fixed and set when the space is built.
     """
 
     kind: str
-    lo: tuple[float, ...]
-    hi: tuple[float, ...]
+    lo: tuple[float, ...] | None = None
+    hi: tuple[float, ...] | None = None
+
+    def __post_init__(self):
+        _check_fields(self, _SPACE_FIELDS, "space")
+        if self.kind in _BOUNDS:
+            object.__setattr__(self, "lo", _BOUNDS[self.kind][0])
+            object.__setattr__(self, "hi", _BOUNDS[self.kind][1])
+        elif len(self.lo) != len(self.hi) or not self.lo:
+            raise ParameterError("box bounds must be nonempty and of equal length")
+        elif any(h <= l for l, h in zip(self.lo, self.hi)):
+            raise ParameterError("box bounds require lo < hi on every axis")
 
     @classmethod
     def unit_disk(cls) -> "MetricSpace":
-        return cls(UNIT_DISK, (-1.0, -1.0), (1.0, 1.0))
+        return cls(UNIT_DISK)
 
     @classmethod
     def box(cls, lo, hi) -> "MetricSpace":
-        lo_t = _finite("box lo", [lo] if np.ndim(lo) == 0 else lo)
-        hi_t = _finite("box hi", [hi] if np.ndim(hi) == 0 else hi)
-        if len(lo_t) != len(hi_t) or not lo_t:
-            raise ParameterError("box bounds must be nonempty and of equal length")
-        if any(h <= l for l, h in zip(lo_t, hi_t)):
-            raise ParameterError("box bounds require lo < hi on every axis")
-        return cls(BOX, lo_t, hi_t)
+        return cls(BOX, lo, hi)
 
     @classmethod
     def circle(cls) -> "MetricSpace":
         """Circle of circumference 1, coordinates in [0, 1), geodesic metric."""
-        return cls(CIRCLE, (0.0,), (1.0,))
+        return cls(CIRCLE)
 
     @property
     def dimension(self) -> int:
@@ -148,11 +210,6 @@ class MetricSpace:
         a, xa = _coordinates(P, self.dimension)
         b, xb = _coordinates(Q, self.dimension)
         return self._distance(a, b, xa if xa is xb else np)
-
-    def project(self, P) -> np.ndarray:
-        """Nearest point of the space (clamp / normalize / wrap) to a point or to each row of P."""
-        c, xp = _coordinates(P, self.dimension)
-        return np.stack(self._project(c, xp), axis=-1)
 
     def _canonical(self, c: tuple) -> tuple:
         """Canonical representative: wraps circle coordinates into [0, 1)."""
@@ -200,20 +257,11 @@ class MetricSpace:
         return rng.uniform(np.asarray(self.lo), np.asarray(self.hi))
 
     def spec(self) -> dict:
-        if self.kind == BOX:
-            return {"kind": BOX, "lo": list(self.lo), "hi": list(self.hi)}
-        return {"kind": self.kind}
+        return {"kind": self.kind, **_spec_fields(self, _SPACE_FIELDS)}
 
     @classmethod
     def from_spec(cls, spec: dict) -> "MetricSpace":
-        kind = spec.get("kind")
-        if kind == UNIT_DISK:
-            return cls.unit_disk()
-        if kind == CIRCLE:
-            return cls.circle()
-        if kind == BOX:
-            return cls.box(spec["lo"], spec["hi"])
-        raise ParameterError(f"unknown space kind {kind!r}")
+        return cls(**spec)
 
 
 @dataclass(frozen=True)
@@ -226,29 +274,30 @@ class GeneratorMap:
     offset: tuple[float, ...] | None = None
     factors: tuple[float, ...] | None = None
 
+    def __post_init__(self):
+        _check_fields(self, _MAP_FIELDS, "map")
+        if self.kind == "permutation" and sorted(self.perm) != list(range(len(self.perm))):
+            raise ParameterError(f"{list(self.perm)} is not a permutation of "
+                                 f"0..{len(self.perm) - 1}")
+        if self.kind == "affine" and (any(len(row) != len(self.matrix) for row in self.matrix)
+                                      or len(self.offset) != len(self.matrix)):
+            raise ParameterError("affine spec requires a square matrix and a matching offset")
+
     @classmethod
     def identity(cls) -> "GeneratorMap":
         return cls("identity")
 
     @classmethod
     def permutation(cls, perm) -> "GeneratorMap":
-        perm_t = _integers("permutation", perm)
-        if sorted(perm_t) != list(range(len(perm_t))):
-            raise ParameterError(f"{perm!r} is not a permutation of 0..{len(perm_t) - 1}")
-        return cls("permutation", perm=perm_t)
+        return cls("permutation", perm=perm)
 
     @classmethod
     def affine(cls, matrix, offset) -> "GeneratorMap":
-        mat = tuple(_finite("affine matrix", row) for row in matrix)
-        off = _finite("affine offset", offset)
-        if any(len(row) != len(mat) for row in mat) or len(off) != len(mat):
-            raise ParameterError("affine spec requires a square matrix and a matching offset")
-        return cls("affine", matrix=mat, offset=off)
+        return cls("affine", matrix=matrix, offset=offset)
 
     @classmethod
     def scale(cls, factors) -> "GeneratorMap":
-        return cls("scale", factors=_finite("scale factors",
-                                            [factors] if np.ndim(factors) == 0 else factors))
+        return cls("scale", factors=factors)
 
     def __call__(self, P) -> np.ndarray:
         """Image of a point, or of each row of an (n, d) array P."""
@@ -266,34 +315,14 @@ class GeneratorMap:
         if self.kind == "affine":
             rows = tuple(zip(self.matrix, self.offset))
             return lambda c: tuple([_dot(c, a) + b for a, b in rows])
-        if self.kind == "scale":
-            return lambda c: tuple(map(operator.mul, c, self.factors))
-        raise ParameterError(f"unknown map kind {self.kind!r}")
+        return lambda c: tuple(map(operator.mul, c, self.factors))
 
     def spec(self) -> dict:
-        out = {"kind": self.kind}
-        if self.perm is not None:
-            out["perm"] = list(self.perm)
-        if self.matrix is not None:
-            out["matrix"] = [list(r) for r in self.matrix]
-        if self.offset is not None:
-            out["offset"] = list(self.offset)
-        if self.factors is not None:
-            out["factors"] = list(self.factors)
-        return out
+        return {"kind": self.kind, **_spec_fields(self, _MAP_FIELDS)}
 
     @classmethod
     def from_spec(cls, spec: dict) -> "GeneratorMap":
-        kind = spec.get("kind")
-        if kind == "identity":
-            return cls.identity()
-        if kind == "permutation":
-            return cls.permutation(spec["perm"])
-        if kind == "affine":
-            return cls.affine(spec["matrix"], spec["offset"])
-        if kind == "scale":
-            return cls.scale(spec["factors"])
-        raise ParameterError(f"unknown map kind {kind!r}")
+        return cls(**spec)
 
 
 @dataclass(frozen=True)
@@ -310,6 +339,11 @@ class GeneratorFamily:
         if sizes - {self.space.dimension}:
             raise ParameterError(f"maps of sizes {sorted(sizes)} on a space of dimension "
                                  f"{self.space.dimension}")
+        if self.space.kind == CIRCLE:
+            # Only integer slopes define maps of R/Z.
+            slopes = [v for g in self.maps for v in g.factors or sum(g.matrix or (), ())]
+            if not all(map(_integral, slopes)):
+                raise ParameterError(f"circle maps need integer slopes, got {slopes}")
 
     @property
     def m(self) -> int:
@@ -344,7 +378,6 @@ class GeneratorFamily:
         return cls(space, tuple(GeneratorMap.from_spec(g) for g in spec["maps"]))
 
 
-_WORD_KINDS = ("constant", "periodic", "iid", "prefix")
 _NO_SYMBOLS = np.zeros(0, dtype=np.int64)
 _NO_SYMBOLS.flags.writeable = False
 
@@ -371,13 +404,9 @@ class Word:
     offset: int = 0
 
     def __post_init__(self):
-        if self.kind not in _WORD_KINDS:
-            raise ParameterError(f"unknown word kind {self.kind!r}")
-        for name, check in (("m", _integer), ("offset", _integer), ("symbol", _integer),
-                            ("seed", _integer), ("pattern", _integers), ("prefix", _integers),
-                            ("weights", _finite)):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, check(f"word {name}", getattr(self, name)))
+        _check_fields(self, _WORD_FIELDS, "word", ("kind", "m", "offset"))
+        for name in ("m", "offset"):
+            object.__setattr__(self, name, _integer(f"word {name}", getattr(self, name)))
         if self.m < 1:
             raise ParameterError("alphabet size m must be >= 1")
         if self.offset < 0:
@@ -391,17 +420,13 @@ class Word:
             if any(not 1 <= s <= self.m for s in self.pattern):
                 raise ParameterError(f"pattern symbols must lie in 1..{self.m}")
         elif self.kind == "iid":
-            if self.weights is None or len(self.weights) != self.m:
+            if len(self.weights) != self.m:
                 raise ParameterError("iid word needs one weight per symbol")
             if any(w < 0 for w in self.weights) or sum(self.weights) <= 0:
                 raise ParameterError("iid weights must be nonnegative with positive sum")
-            if self.seed is None:
-                raise ParameterError("iid word needs a seed")
             if not 0 <= self.seed < 2**64:
                 raise ParameterError(f"word seed must lie in [0, 2**64), got {self.seed}")
-        elif self.kind == "prefix":
-            if self.prefix is None or self.tail is None:
-                raise ParameterError("prefix word needs an explicit prefix and a tail word")
+        else:
             if any(not 1 <= s <= self.m for s in self.prefix):
                 raise ParameterError(f"prefix symbols must lie in 1..{self.m}")
             if self.tail.m != self.m:
@@ -419,10 +444,6 @@ class Word:
     def iid(cls, weights, seed: int) -> "Word":
         weights = tuple(weights)
         return cls("iid", len(weights), weights=weights, seed=seed)
-
-    @classmethod
-    def with_prefix(cls, prefix, tail: "Word") -> "Word":
-        return cls("prefix", tail.m, prefix=prefix, tail=tail)
 
     def _iid_draws(self, start: int, n: int) -> bytes:
         """8 big-endian bytes per index start..start+n-1.
@@ -486,28 +507,14 @@ class Word:
         return replace(self, offset=self.offset + k)
 
     def spec(self) -> dict:
-        out: dict = {"kind": self.kind, "m": self.m}
-        if self.kind == "constant":
-            out["symbol"] = self.symbol
-        elif self.kind == "periodic":
-            out["pattern"] = list(self.pattern)
-        elif self.kind == "iid":
-            out["weights"] = list(self.weights)
-            out["seed"] = self.seed
-        else:
-            out["prefix"] = list(self.prefix)
-            out["tail"] = self.tail.spec()
+        out = {"kind": self.kind, "m": self.m, **_spec_fields(self, _WORD_FIELDS)}
         if self.offset:
             out["offset"] = self.offset
         return out
 
     @classmethod
     def from_spec(cls, spec: dict) -> "Word":
-        kind = spec["kind"]
-        tail = cls.from_spec(spec["tail"]) if kind == "prefix" else None
-        return cls(kind, spec["m"], symbol=spec.get("symbol"), pattern=spec.get("pattern"),
-                   weights=spec.get("weights"), seed=spec.get("seed"),
-                   prefix=spec.get("prefix"), tail=tail, offset=spec.get("offset", 0))
+        return cls(**spec)
 
 
 def _walk(family: GeneratorFamily, symbols, z, jumps: dict | None = None,

@@ -147,14 +147,14 @@ def _points_text(points: np.ndarray) -> str:
 
 
 def save_orbit(xi: PseudoOrbit, path: Path | str) -> None:
-    """Write ``orbit_to_dict(xi)`` as ``dump_json`` does. Finite points are
-    formatted from the array by ``_points_text``; json writes every other value,
-    and points holding an infinity (as ``Infinity``, where repr writes ``inf``)."""
+    """Write ``orbit_to_dict(xi)`` as ``dump_json`` does. The points, finite
+    because they lie in the space, are formatted from the array by
+    ``_points_text``; json writes every other value."""
     payload = _orbit_payload(xi, xi.points)
     items = []
     for key in sorted(payload):
         value = payload[key]
-        if key == "points" and np.isfinite(value).all():
+        if key == "points":
             text = _points_text(value)
         else:
             # json escapes every newline inside a string, so each "\n" is layout.
@@ -167,12 +167,6 @@ def save_orbit(xi: PseudoOrbit, path: Path | str) -> None:
 def load_orbit(path: Path | str) -> PseudoOrbit:
     with _input_file("orbit file", path):
         return orbit_from_dict(_read_object(path))
-
-
-def save_block_plan_manifest(block_paths: list[str], N_levels: list[int],
-                             path: Path | str) -> None:
-    dump_json({"schema": PLAN_SCHEMA, "blocks": list(block_paths),
-               "N_levels": [int(n) for n in N_levels]}, path)
 
 
 def load_block_plan_manifest(path: Path | str) -> tuple[list[Path], list[int]]:

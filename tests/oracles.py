@@ -10,9 +10,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from shadowlab import DomainError, ParameterError, RangeError
+from shadowlab import DomainError, IndexSet, ParameterError, RangeError
 from shadowlab.density import ROUNDING_TOL, prefix_means, tail_extremum
-from shadowlab.dynamics import CIRCLE, MEMBERSHIP_TOL, UNIT_DISK
+from shadowlab.dynamics import CIRCLE, MEMBERSHIP_TOL, UNIT_DISK, _coordinates
+from shadowlab.serialize import PLAN_SCHEMA, dump_json
 
 # ---------------------------------------------------------------------------
 # One point at a time: maps and spaces on lists of Python floats
@@ -71,8 +72,26 @@ def reference_step(family, s, p):
     return image
 
 
+def project(space, P) -> np.ndarray:
+    """The library's nearest point of the space (clamp / normalize / wrap) to a
+    point, or to each row of P."""
+    c, xp = _coordinates(P, space.dimension)
+    return np.stack(space._project(c, xp), axis=-1)
+
+
+def save_block_plan_manifest(block_paths, N_levels, path) -> None:
+    """A plan manifest of the given block files and levels, as ``concat`` reads it."""
+    dump_json({"schema": PLAN_SCHEMA, "blocks": list(block_paths),
+               "N_levels": [int(n) for n in N_levels]}, path)
+
+
 # ---------------------------------------------------------------------------
 # Densities
+
+
+def complement(A):
+    """The indices of [0, H) that A does not hold."""
+    return IndexSet.from_mask(~A.mask())
 
 
 def prefix_density_exact(A, n):

@@ -40,6 +40,7 @@ from shadowlab import (
 from shadowlab.serialize import json_default
 
 from oracles import (
+    complement,
     diameter_bound_check,
     markov_inequality_check,
     prefix_density_exact,
@@ -169,7 +170,7 @@ def test_criterion_6_density_duality_identity():
     for _ in range(1000):
         H = int(rng.integers(10, 400))
         A = IndexSet.from_mask(rng.random(H) < rng.random())
-        Ac = A.complement()
+        Ac = complement(A)
         for n in range(1, H + 1):
             if prefix_density_exact(A, n) + prefix_density_exact(Ac, n) != Fraction(1):
                 ok = False

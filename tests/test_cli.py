@@ -16,10 +16,11 @@ from shadowlab.serialize import (
     CONFIG_SCHEMA,
     ORBIT_SCHEMA,
     load_orbit,
-    save_block_plan_manifest,
     save_orbit,
     step_error_checksum,
 )
+
+from oracles import save_block_plan_manifest
 
 AFFINE_BOX_SYSTEM = {
     "space": {"kind": "box-kd", "lo": [0.0, 0.0], "hi": [1.0, 1.0]},

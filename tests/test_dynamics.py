@@ -197,13 +197,13 @@ def test_words_reproduce_deterministically():
 def test_word_symbols_in_range():
     for word in (Word.constant(2, m=3), Word.periodic((1, 3, 2), m=3),
                  Word.iid([1, 1, 1], seed=9),
-                 Word.with_prefix((3, 3), Word.constant(1, m=3))):
+                 Word("prefix", 3, prefix=(3, 3), tail=Word.constant(1, m=3))):
         syms = word.symbols(200)
         assert syms.min() >= 1 and syms.max() <= 3
 
 
 def test_word_prefix_then_tail():
-    word = Word.with_prefix((2, 2, 2), Word.periodic((1, 2), m=2))
+    word = Word("prefix", 2, prefix=(2, 2, 2), tail=Word.periodic((1, 2), m=2))
     assert list(word.symbols(6)) == [2, 2, 2, 1, 2, 1]
 
 
@@ -222,6 +222,20 @@ def test_word_validation():
         Word.iid([-1.0, 2.0], seed=1)
 
 
+@pytest.mark.parametrize("build", [
+    # Each built before the checks moved into the constructor: the map read
+    # only the first column, the permutation dropped a coordinate, the space
+    # acted as a box, and the map failed at its first step with a TypeError.
+    lambda: GeneratorMap("affine", matrix=((1.0, 2.0),), offset=(0.0,)),
+    lambda: GeneratorMap("permutation", perm=(0, 0)),
+    lambda: MetricSpace("bogus", (0.0,), (1.0,)),
+    lambda: GeneratorMap("affine"),
+])
+def test_raw_constructors_check_what_the_classmethods_check(build):
+    with pytest.raises(ParameterError):
+        build()
+
+
 def test_word_is_a_frozen_value():
     word = Word.periodic(np.array([1, 2]), m=np.int64(2))
     assert word == Word.periodic([1.0, 2], m=2) and hash(word) == hash(Word.periodic((1, 2), 2))
@@ -232,7 +246,7 @@ def test_word_is_a_frozen_value():
 
 
 def test_word_roundtrip_spec():
-    word = Word.with_prefix((1, 2), Word.iid([0.3, 0.7], seed=5)).shifted(4)
+    word = Word("prefix", 2, prefix=(1, 2), tail=Word.iid([0.3, 0.7], seed=5)).shifted(4)
     again = Word.from_spec(word.spec())
     assert np.array_equal(word.symbols(100), again.symbols(100))
 

@@ -22,7 +22,9 @@ import pytest
 from shadowlab.cli import main
 from shadowlab.dynamics import GeneratorFamily, Word
 from shadowlab.pseudo_orbits import true_orbit
-from shadowlab.serialize import CONFIG_SCHEMA, save_block_plan_manifest, save_orbit
+from shadowlab.serialize import CONFIG_SCHEMA, save_orbit
+
+from oracles import save_block_plan_manifest
 
 DISK_SYSTEM = {
     "space": {"kind": "unit-disk-2d"},

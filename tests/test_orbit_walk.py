@@ -52,7 +52,7 @@ from shadowlab.pseudo_orbits import recompute_step_errors
 from shadowlab.serialize import json_default
 from shadowlab.shadow_search import HIT_DENSITY, LIMSUP, _net_pick, _scan
 
-from oracles import reference_contains, reference_dot, reference_map, reference_step
+from oracles import project, reference_contains, reference_dot, reference_map, reference_step
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -229,7 +229,8 @@ def words(draw, m, depth=2):
         word = Word.iid(weights, seed=draw(st.integers(0, 2**40)))
     else:
         # Offsets past the prefix and nested prefix tails are both drawn.
-        word = Word.with_prefix(draw(st.lists(symbol, max_size=6)), draw(words(m, depth - 1)))
+        word = Word("prefix", m, prefix=draw(st.lists(symbol, max_size=6)),
+                    tail=draw(words(m, depth - 1)))
     return word.shifted(draw(st.integers(0, 12)))
 
 
@@ -269,8 +270,16 @@ def test_symbols_memo_answers_any_query_sequence(word, queries):
     assert word == dataclasses.replace(word) and hash(word) == hash(dataclasses.replace(word))
 
 
+@SETTINGS
+@given(system_and_word())
+def test_specs_round_trip_through_json(system):
+    family, word, _ = system
+    for x in (family, family.space, *family.maps, word):
+        assert type(x).from_spec(json.loads(json.dumps(x.spec()))) == x
+
+
 def test_shifted_words_share_no_symbols_memo():
-    word = Word.with_prefix((2, 1, 2), Word.iid((0.3, 0.7), seed=5))
+    word = Word("prefix", 2, prefix=(2, 1, 2), tail=Word.iid((0.3, 0.7), seed=5))
     long = word.symbols(100)
     for k in (0, 1, 7, 150):
         shifted = word.shifted(k)
@@ -333,7 +342,9 @@ def test_corrupted_orbit_reference_lands_every_kind(space, kind):
     jumps are clamped; uniform jumps, and every jump on the circle, which
     wraps, land as drawn."""
     d = space.dimension
-    family = GeneratorFamily(space, (GeneratorMap.scale([0.5] * d),))
+    # A map of the circle needs an integer slope.
+    factor = -1.0 if space.kind == CIRCLE else 0.5
+    family = GeneratorFamily(space, (GeneratorMap.scale([factor] * d),))
     word = Word.constant(1, m=1)
     indices = IndexSet.from_iterable(range(0, 60, 3), 60)
     rule = JumpRule(kind, point=(3.0,) * d if kind == "fixed" else None, scale=3.0)
@@ -509,7 +520,7 @@ def test_box_net_and_project_send_signed_zero_ties_to_the_bound(lo, hi):
     space = MetricSpace.box(lo, hi)
     assert net(space, 1.0).tobytes() == reference_net(space, 1.0).tobytes()
     rows = np.zeros((3, len(lo)))
-    assert space.project(rows).tobytes() == np.array([space.project(r) for r in rows]).tobytes()
+    assert project(space, rows).tobytes() == np.array([project(space, r) for r in rows]).tobytes()
 
 
 @SETTINGS
@@ -677,8 +688,8 @@ def test_point_and_rows_agree_for_maps_and_project(system, n, seed):
     space = family.space
     d = space.dimension
     P = np.random.default_rng(seed).uniform(-1.5, 1.5, size=(n, d))
-    for p, row in zip(P, space.project(P)):
-        assert space.project(p).tobytes() == row.tobytes()
+    for p, row in zip(P, project(space, P)):
+        assert project(space, p).tobytes() == row.tobytes()
         assert row.tobytes() == np.array(reference_project(space, p.tolist())).tobytes()
     for g in family.maps:
         for p, row in zip(P, g(P)):

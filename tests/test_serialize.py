@@ -19,10 +19,11 @@ from shadowlab.serialize import (
     load_orbit,
     orbit_from_dict,
     orbit_to_dict,
-    save_block_plan_manifest,
     save_orbit,
     validate_config,
 )
+
+from oracles import save_block_plan_manifest
 
 
 def sample_orbit(horizon=120):

@@ -29,7 +29,7 @@ from shadowlab import shadow_search
 from shadowlab.density import prefix_means
 from shadowlab.serialize import json_default
 
-from oracles import diameter_bound_check, markov_inequality_check
+from oracles import complement, diameter_bound_check, markov_inequality_check
 
 
 def constant_orbit(p, horizon):
@@ -157,7 +157,7 @@ def test_report_duality_and_monotonicity():
     small = trace_report((0.2, 0.2), xi, eps=0.1)
     large = trace_report((0.2, 0.2), xi, eps=0.3)
     assert set(small.hit_set.to_list()) <= set(large.hit_set.to_list())
-    comp = small.hit_set.complement()
+    comp = complement(small.hit_set)
     for n in range(1, 202):
         total = prefix_density(small.hit_set, n) + prefix_density(comp, n)
         assert total == pytest.approx(1.0, abs=1e-12)

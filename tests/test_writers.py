@@ -6,9 +6,7 @@ those writers: ``json.dumps(..., indent=2)`` of ``orbit_to_dict``, and one
 ``repr``-or-``str`` per CSV cell. Files must agree byte for byte.
 """
 
-import dataclasses
 import json
-import math
 import tempfile
 from pathlib import Path
 
@@ -114,17 +112,6 @@ def test_save_orbit_meta_goes_through_json():
             "points": "[\n  1.0\n]", "z": np.float64(1e16), "": []}
     xi = PseudoOrbit(family, word, xi.points, xi.step_errors, meta)
     assert written(save_orbit, xi) == reference_json(orbit_to_dict(xi))
-
-
-def test_save_orbit_infinite_points_go_through_json():
-    """json writes ``Infinity`` where repr writes ``inf``."""
-    space = dataclasses.replace(MetricSpace.box(0.0, 1.0), lo=(-math.inf,), hi=(math.inf,))
-    family = GeneratorFamily(space, (GeneratorMap.scale([1.0]),))
-    points = np.array([[0.5], [math.inf], [-math.inf]])
-    xi = PseudoOrbit(family, Word.constant(1, 1), points, [math.inf, math.nan])
-    text = written(save_orbit, xi)
-    assert text == reference_json(orbit_to_dict(xi))
-    assert "      -Infinity\n" in text
 
 
 def edge_rows(n: int) -> list[tuple]:
