@@ -10,7 +10,7 @@ from .disk_example import (
     make_decaying_instance,
     tracking_inequality_curve,
 )
-from .dynamics import GeneratorFamily, GeneratorMap, MetricSpace, Word, net, orbit
+from .dynamics import GeneratorFamily, GeneratorMap, JumpRule, MetricSpace, Word, net, orbit
 from .errors import (
     DomainError,
     IntegrityError,
@@ -21,7 +21,6 @@ from .errors import (
     ShadowlabError,
 )
 from .pseudo_orbits import (
-    JumpRule,
     PseudoOrbit,
     is_asymptotic_average,
     is_average_pseudo_orbit,

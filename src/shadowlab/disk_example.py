@@ -13,9 +13,9 @@ from functools import cached_property
 import numpy as np
 
 from .density import DEFAULT_TAIL_FRACTION, IndexSet
-from .dynamics import GeneratorFamily, Word, as_point, orbit
+from .dynamics import GeneratorFamily, JumpRule, Word, as_point, orbit
 from .errors import ParameterError, PreconditionError
-from .pseudo_orbits import JumpRule, PseudoOrbit, is_asymptotic_average, make_corrupted_orbit
+from .pseudo_orbits import PseudoOrbit, is_asymptotic_average, make_corrupted_orbit
 
 TRACKING_TOL = 1e-9
 # Prefix lengths at which aasp_demo reports the tracking mean against its bound.

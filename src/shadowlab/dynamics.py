@@ -13,7 +13,7 @@ import hashlib
 import math
 import operator
 import sys
-from dataclasses import KW_ONLY, dataclass, fields, replace
+from dataclasses import KW_ONLY, MISSING, dataclass, fields, replace
 from functools import cached_property
 from types import SimpleNamespace
 
@@ -83,15 +83,21 @@ def _integers(what: str, values) -> tuple[int, ...]:
     return tuple(_integer(f"{what} entry", v) for v in values)
 
 
+def _real(what: str, value):
+    """value, if it is a finite real number; a bool, a string, NaN or infinity is not."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
+            or not abs(value) <= sys.float_info.max):
+        raise ParameterError(f"{what} must be a finite real number, got {value!r}")
+    return value
+
+
+def _reals(what: str, values) -> tuple:
+    """A sequence of finite real numbers as a tuple, each entry as given."""
+    return tuple(_real(f"{what} entry", v) for v in values)
+
+
 def _finite(what: str, values) -> tuple[float, ...]:
-    """values as floats; a ParameterError naming what at the first entry that is
-    not a finite real number, such as a bool, a string, NaN or infinity."""
-    values = tuple(values)
-    for v in values:
-        if (isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating))
-                or not abs(v) <= sys.float_info.max):
-            raise ParameterError(f"{what} must be finite real numbers, got {v!r}")
-    return tuple(float(v) for v in values)
+    return tuple(map(float, _reals(what, values)))
 
 
 def _vector(what: str, value) -> tuple[float, ...]:
@@ -105,7 +111,7 @@ def _rows(what: str, matrix) -> tuple[tuple[float, ...], ...]:
 
 def _word(what: str, value) -> "Word":
     """A word, or a word's spec as the word."""
-    return value if isinstance(value, Word) else Word(**value)
+    return value if isinstance(value, Word) else Word.from_spec(value)
 
 
 # The kinds of each spec type, each with the fields it reads and the check that
@@ -116,24 +122,10 @@ _MAP_FIELDS = {"identity": {}, "permutation": {"perm": _integers},
 _WORD_FIELDS = {"constant": {"symbol": _integer}, "periodic": {"pattern": _integers},
                 "iid": {"weights": _finite, "seed": _integer},
                 "prefix": {"prefix": _integers, "tail": _word}}
-
-
-def _check_fields(obj, table: dict, what: str, shared=("kind",)) -> None:
-    """Check obj's fields against table[obj.kind]: an unknown kind, a missing
-    field the kind reads or a set field that it does not read (one not in
-    shared) is a ParameterError. Each field the kind reads is replaced by its
-    cast value."""
-    checks = table.get(obj.kind) if isinstance(obj.kind, str) else None
-    if checks is None:
-        raise ParameterError(f"unknown {what} kind {obj.kind!r}, expected one of {list(table)}")
-    for name in (f.name for f in fields(obj)):
-        value = getattr(obj, name)
-        if name in checks:
-            if value is None:
-                raise ParameterError(f"{what} kind {obj.kind!r} needs field {name!r}")
-            object.__setattr__(obj, name, checks[name](f"{what} {name}", value))
-        elif value is not None and name not in shared:
-            raise ParameterError(f"{what} kind {obj.kind!r} reads no field {name!r}")
+# Jump fields are checked finite and kept as given: an integer power rounds
+# differently from a float one in scale / (j + 1) ** power.
+_JUMP_FIELDS = {"uniform": {}, "fixed": {"point": _reals},
+                "offset": {"scale": _real, "power": _real}}
 
 
 def _plain(value):
@@ -143,8 +135,52 @@ def _plain(value):
     return value.spec() if isinstance(value, Word) else value
 
 
-def _spec_fields(obj, table: dict) -> dict:
-    return {name: _plain(getattr(obj, name)) for name in table[obj.kind]}
+class _Spec:
+    """The construction path every spec type shares. _FIELDS, the type's table,
+    lists its kinds and the fields each reads: __post_init__ checks against it,
+    spec writes the kind and those fields, and from_spec reads what spec writes."""
+
+    def _check_fields(self, what: str, shared=()) -> None:
+        """Check the fields against _FIELDS[kind] and shared, the checks of the
+        fields every kind reads: an unknown kind, a missing field that the kind
+        reads, a set one that it does not read or one that its check cannot read
+        is a ParameterError. Each field read is replaced by its cast value. An
+        error puts its field in front of its path."""
+        checks = self._FIELDS.get(self.kind) if isinstance(self.kind, str) else None
+        if checks is None:
+            raise ParameterError(f"unknown {what} kind {self.kind!r}, expected one of "
+                                 f"{list(self._FIELDS)}", "kind")
+        checks = dict(shared, **checks)
+        for name in (f.name for f in fields(self) if f.name != "kind"):
+            value = getattr(self, name)
+            if (value is None) == (name in checks):
+                verb = "needs" if value is None else "reads no"
+                raise ParameterError(f"{what} kind {self.kind!r} {verb} field {name!r}", name)
+            if value is not None:
+                try:
+                    object.__setattr__(self, name, checks[name](f"{what} {name}", value))
+                except (TypeError, ValueError) as exc:  # a ParameterError is a ValueError
+                    raise ParameterError(str(exc), name, *getattr(exc, "path", ())) from None
+
+    def spec(self) -> dict:
+        return {"kind": self.kind,
+                **{name: _plain(getattr(self, name)) for name in self._FIELDS[self.kind]}}
+
+    @classmethod
+    def from_spec(cls, spec: dict):
+        """cls built from its spec, a JSON object with a key per field it sets. A
+        spec that is not an object, or a key that is unknown, null or missing with
+        no default, is a ParameterError naming the key."""
+        if not isinstance(spec, dict):
+            raise ParameterError(f"a {cls.__name__} spec must be an object, got {spec!r}")
+        names = {f.name: f.default for f in fields(cls)}
+        for key in spec:
+            if key not in names:
+                raise ParameterError(f"unknown key {key!r}, expected one of {sorted(names)}", key)
+        for name, default in names.items():
+            if spec.get(name, default) is MISSING or name in spec and spec[name] is None:
+                raise ParameterError(f"{cls.__name__} spec needs a value for {name!r}", name)
+        return cls(**spec)
 
 
 # lo/hi of the kinds whose bounding box is fixed.
@@ -152,7 +188,7 @@ _BOUNDS = {UNIT_DISK: ((-1.0, -1.0), (1.0, 1.0)), CIRCLE: ((0.0,), (1.0,))}
 
 
 @dataclass(frozen=True)
-class MetricSpace:
+class MetricSpace(_Spec):
     """Compact phase space with an exact analytic diameter.
 
     ``lo``/``hi`` always hold the axis-aligned bounding box of the space;
@@ -160,12 +196,13 @@ class MetricSpace:
     kinds they are fixed and set when the space is built.
     """
 
+    _FIELDS = _SPACE_FIELDS
     kind: str
     lo: tuple[float, ...] | None = None
     hi: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        _check_fields(self, _SPACE_FIELDS, "space")
+        self._check_fields("space")
         if self.kind in _BOUNDS:
             object.__setattr__(self, "lo", _BOUNDS[self.kind][0])
             object.__setattr__(self, "hi", _BOUNDS[self.kind][1])
@@ -256,18 +293,12 @@ class MetricSpace:
             return rng.uniform(0.0, 1.0, size=1)
         return rng.uniform(np.asarray(self.lo), np.asarray(self.hi))
 
-    def spec(self) -> dict:
-        return {"kind": self.kind, **_spec_fields(self, _SPACE_FIELDS)}
-
-    @classmethod
-    def from_spec(cls, spec: dict) -> "MetricSpace":
-        return cls(**spec)
-
 
 @dataclass(frozen=True)
-class GeneratorMap:
+class GeneratorMap(_Spec):
     """One continuous self-map from the closed spec algebra."""
 
+    _FIELDS = _MAP_FIELDS
     kind: str
     perm: tuple[int, ...] | None = None
     matrix: tuple[tuple[float, ...], ...] | None = None
@@ -275,10 +306,10 @@ class GeneratorMap:
     factors: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        _check_fields(self, _MAP_FIELDS, "map")
+        self._check_fields("map")
         if self.kind == "permutation" and sorted(self.perm) != list(range(len(self.perm))):
             raise ParameterError(f"{list(self.perm)} is not a permutation of "
-                                 f"0..{len(self.perm) - 1}")
+                                 f"0..{len(self.perm) - 1}", "perm")
         if self.kind == "affine" and (any(len(row) != len(self.matrix) for row in self.matrix)
                                       or len(self.offset) != len(self.matrix)):
             raise ParameterError("affine spec requires a square matrix and a matching offset")
@@ -316,13 +347,6 @@ class GeneratorMap:
             rows = tuple(zip(self.matrix, self.offset))
             return lambda c: tuple([_dot(c, a) + b for a, b in rows])
         return lambda c: tuple(map(operator.mul, c, self.factors))
-
-    def spec(self) -> dict:
-        return {"kind": self.kind, **_spec_fields(self, _MAP_FIELDS)}
-
-    @classmethod
-    def from_spec(cls, spec: dict) -> "GeneratorMap":
-        return cls(**spec)
 
 
 @dataclass(frozen=True)
@@ -383,7 +407,7 @@ _NO_SYMBOLS.flags.writeable = False
 
 
 @dataclass(frozen=True)
-class Word:
+class Word(_Spec):
     """Deterministic rule for an infinite symbol sequence over {1..m}.
 
     Rules are a closed, serializable algebra; ``shifted`` views share the
@@ -392,6 +416,7 @@ class Word:
     built, and two words are equal when their fields are.
     """
 
+    _FIELDS = _WORD_FIELDS
     kind: str
     m: int
     _: KW_ONLY
@@ -404,33 +429,31 @@ class Word:
     offset: int = 0
 
     def __post_init__(self):
-        _check_fields(self, _WORD_FIELDS, "word", ("kind", "m", "offset"))
-        for name in ("m", "offset"):
-            object.__setattr__(self, name, _integer(f"word {name}", getattr(self, name)))
+        self._check_fields("word", {"m": _integer, "offset": _integer})
         if self.m < 1:
-            raise ParameterError("alphabet size m must be >= 1")
+            raise ParameterError("alphabet size m must be >= 1", "m")
         if self.offset < 0:
-            raise ParameterError("word offset must be >= 0")
+            raise ParameterError("word offset must be >= 0", "offset")
         if self.kind == "constant":
             if not 1 <= self.symbol <= self.m:
-                raise ParameterError(f"constant symbol {self.symbol} outside 1..{self.m}")
+                raise ParameterError(f"word symbol {self.symbol} outside 1..{self.m}", "symbol")
         elif self.kind == "periodic":
             if not self.pattern:
-                raise ParameterError("periodic word needs a nonempty pattern")
+                raise ParameterError("periodic word needs a nonempty pattern", "pattern")
             if any(not 1 <= s <= self.m for s in self.pattern):
-                raise ParameterError(f"pattern symbols must lie in 1..{self.m}")
+                raise ParameterError(f"pattern symbols must lie in 1..{self.m}", "pattern")
         elif self.kind == "iid":
             if len(self.weights) != self.m:
-                raise ParameterError("iid word needs one weight per symbol")
+                raise ParameterError("iid word needs one weight per symbol", "weights")
             if any(w < 0 for w in self.weights) or sum(self.weights) <= 0:
-                raise ParameterError("iid weights must be nonnegative with positive sum")
+                raise ParameterError("iid weights must be nonnegative with positive sum", "weights")
             if not 0 <= self.seed < 2**64:
-                raise ParameterError(f"word seed must lie in [0, 2**64), got {self.seed}")
+                raise ParameterError(f"word seed must lie in [0, 2**64), got {self.seed}", "seed")
         else:
             if any(not 1 <= s <= self.m for s in self.prefix):
-                raise ParameterError(f"prefix symbols must lie in 1..{self.m}")
+                raise ParameterError(f"prefix symbols must lie in 1..{self.m}", "prefix")
             if self.tail.m != self.m:
-                raise ParameterError("tail word must share the alphabet size")
+                raise ParameterError("tail word must share the alphabet size", "tail", "m")
 
     @classmethod
     def constant(cls, symbol: int, m: int) -> "Word":
@@ -507,14 +530,35 @@ class Word:
         return replace(self, offset=self.offset + k)
 
     def spec(self) -> dict:
-        out = {"kind": self.kind, "m": self.m, **_spec_fields(self, _WORD_FIELDS)}
+        out = {**super().spec(), "m": self.m}
         if self.offset:
             out["offset"] = self.offset
         return out
 
-    @classmethod
-    def from_spec(cls, spec: dict) -> "Word":
-        return cls(**spec)
+
+@dataclass(frozen=True)
+class JumpRule(_Spec):
+    """Closed, serializable rule for where a corrupted step lands, by kind:
+
+    - "uniform" reads no field: x_{j+1} is a seeded uniform point of the space;
+    - "fixed" reads ``point``, the target x_{j+1};
+    - "offset" reads ``scale`` > 0 and ``power``, 1.0 and 0.0 when unset: x_{j+1} is
+      the true image displaced by scale / (j + 1) ** power in a seeded direction.
+    """
+
+    _FIELDS = _JUMP_FIELDS
+    kind: str
+    point: tuple[float, ...] | None = None
+    scale: float | None = None
+    power: float | None = None
+
+    def __post_init__(self):
+        if self.kind == "offset":
+            object.__setattr__(self, "scale", 1.0 if self.scale is None else self.scale)
+            object.__setattr__(self, "power", 0.0 if self.power is None else self.power)
+        self._check_fields("jump")
+        if self.kind == "offset" and self.scale <= 0:
+            raise ParameterError(f"offset jump scale must be positive, got {self.scale}", "scale")
 
 
 def _walk(family: GeneratorFamily, symbols, z, jumps: dict | None = None,

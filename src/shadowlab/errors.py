@@ -8,7 +8,12 @@ class ShadowlabError(Exception):
 
 
 class ParameterError(ShadowlabError, ValueError):
-    """A parameter is outside its documented range."""
+    """A parameter is outside its documented range; ``path`` holds the keys,
+    outermost first, from the spec being built to the one field it concerns."""
+
+    def __init__(self, message: str, *path: str):
+        super().__init__(message)
+        self.path = path
 
 
 class RangeError(ShadowlabError, ValueError):

@@ -18,7 +18,7 @@ from .density import (
     tail_extremum,
     upper_density_estimate,
 )
-from .dynamics import GeneratorFamily, MetricSpace, Word, _walk, as_point, orbit
+from .dynamics import GeneratorFamily, JumpRule, MetricSpace, Word, _walk, as_point, orbit
 from .errors import DomainError, ParameterError, check_positive
 from .verdict import ClassificationVerdict
 
@@ -192,43 +192,6 @@ def is_asymptotic_average(xi: PseudoOrbit, tol: float,
 # Corrupted-orbit factory
 
 
-@dataclass(frozen=True)
-class JumpRule:
-    """Closed, serializable rule for where a corrupted step lands.
-
-    kinds: "uniform" (seeded point of the space), "fixed" (constant target),
-    "offset" (true image displaced by scale/(j+1)^power in a seeded direction).
-    """
-
-    kind: str
-    point: tuple[float, ...] | None = None
-    scale: float = 1.0
-    power: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("uniform", "fixed", "offset"):
-            raise ParameterError(f"unknown jump rule kind {self.kind!r}")
-        if self.kind == "fixed" and self.point is None:
-            raise ParameterError("fixed jump rule needs a target point")
-        if self.kind == "offset" and self.scale <= 0:
-            raise ParameterError("offset jump rule needs a positive scale")
-
-    def spec(self) -> dict:
-        out: dict = {"kind": self.kind}
-        if self.point is not None:
-            out["point"] = list(self.point)
-        if self.kind == "offset":
-            out["scale"] = self.scale
-            out["power"] = self.power
-        return out
-
-    @classmethod
-    def from_spec(cls, spec: dict) -> "JumpRule":
-        pt = spec.get("point")
-        return cls(spec["kind"], point=None if pt is None else tuple(pt),
-                   scale=spec.get("scale", 1.0), power=spec.get("power", 0.0))
-
-
 def _draw_jumps(rule: JumpRule, space: MetricSpace, rng: np.random.Generator,
                 steps: np.ndarray) -> np.ndarray:
     """One row per corrupted step, drawn in step order: the target point for
@@ -244,8 +207,13 @@ def _draw_jumps(rule: JumpRule, space: MetricSpace, rng: np.random.Generator,
     norms = np.sqrt(np.vecdot(u, u))[:, None]
     with np.errstate(invalid="ignore", divide="ignore"):
         u = np.where(norms > 0, u / norms, np.eye(d)[0])
-    sizes = [rule.scale / (j + 1) ** rule.power for j in steps.tolist()]
-    return u * np.array(sizes, dtype=np.float64)[:, None]
+    try:
+        sizes = np.array([rule.scale / (j + 1) ** rule.power for j in steps.tolist()])
+    except (OverflowError, ZeroDivisionError):
+        sizes = None
+    if sizes is None or not np.isfinite(sizes).all():
+        raise ParameterError(f"jump power {rule.power} is out of floating-point range", "power")
+    return u * sizes[:, None]
 
 
 def make_corrupted_orbit(family: GeneratorFamily, word: Word, z,

@@ -21,9 +21,10 @@ from .cesaro import BoundedSequence
 from .concat import BlockPlan
 from .density import MIN_DENSITY_HORIZON, IndexSet
 from .disk_example import DISK_SYSTEM
-from .dynamics import GeneratorFamily, GeneratorMap, MetricSpace, Word, _integral, as_points
+from .dynamics import (GeneratorFamily, GeneratorMap, JumpRule, MetricSpace, Word, _integer,
+                       _integral, _real, as_points)
 from .errors import IntegrityError, ParameterError
-from .pseudo_orbits import JumpRule, PseudoOrbit, recompute_step_errors
+from .pseudo_orbits import PseudoOrbit, recompute_step_errors
 
 CONFIG_SCHEMA = "shadowlab/config/v1"
 ORBIT_SCHEMA = "shadowlab/pseudo-orbit/v1"
@@ -241,26 +242,19 @@ def _fail(f: str, msg: str):
     raise ParameterError(f"config field {f!r}: {msg}")
 
 
+def _built(f: str, build, *args):
+    """build(*args); a ParameterError fails naming field f, followed by the path
+    of the key the error names."""
+    try:
+        return build(*args)
+    except ParameterError as exc:
+        _fail(".".join((f, *exc.path)), str(exc))
+
+
 def _number(f: str, value) -> float:
     """A JSON number as a finite float; anything else, a string or a bool
     included, fails naming field f."""
-    try:
-        if isinstance(value, (bool, str)):
-            raise TypeError
-        out = float(value)
-        if not math.isfinite(out):
-            raise ValueError
-    except (TypeError, ValueError, OverflowError):
-        _fail(f, f"must be a finite number, got {value!r}")
-    return out
-
-
-def _built(f: str, build, *args):
-    """build(*args); a malformed spec fails naming field f."""
-    try:
-        return build(*args)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        _fail(f, f"malformed spec ({exc})")
+    return float(_built(f, _real, "value", value))
 
 
 def _positive(f: str, value) -> float:
@@ -272,9 +266,7 @@ def _positive(f: str, value) -> float:
 
 def _at_least(f: str, value, low: int) -> int:
     """An integral JSON number (2.0 included) as an int of at least low."""
-    if not _integral(value):
-        _fail(f, f"must be an integer, got {value!r}")
-    out = int(value)
+    out = _built(f, _integer, "value", value)
     if out < low:
         _fail(f, f"must be >= {low}, got {out}")
     return out
@@ -303,14 +295,10 @@ def _optional(check, f: str, value, *args):
     return None if value is None else check(f, value, *args)
 
 
-def _point(f: str, value, dimension: int) -> np.ndarray:
-    if not isinstance(value, (list, tuple)) or len(value) != dimension:
-        _fail(f, f"must be a point of {dimension} finite coordinates, got {value!r}")
-    return np.array([_number(f, v) for v in value], dtype=np.float64)
-
-
 def _member(f: str, value, space: MetricSpace) -> np.ndarray:
-    p = _point(f, value, space.dimension)
+    if not isinstance(value, (list, tuple)) or len(value) != space.dimension:
+        _fail(f, f"must be a point of {space.dimension} finite coordinates, got {value!r}")
+    p = np.array([_number(f, v) for v in value], dtype=np.float64)
     if not space.contains(p):
         _fail(f, f"must be a point of the {space.kind} space, got {value!r}")
     return p
@@ -346,13 +334,10 @@ def _schedule(section: dict, net_mesh: float, epsilon: float) -> tuple[float, ..
 def _corruption(section, dimension: int, horizon: int, seed: int) -> tuple[IndexSet, JumpRule]:
     """The corrupted steps and the jump rule of the corruption section."""
     section = _object("corruption", section, ("indices", "jump"))
-    spec = _object("corruption.indices", section.get("indices", {}),
-                   ("kind", "density", "base", "indices"))
-    density = _number("corruption.indices.density", spec.get("density", 0.01))
-    if not 0 <= density <= 1:
-        _fail("corruption.indices.density", "must lie in [0, 1]")
-    base = _at_least("corruption.indices.base", spec.get("base", 2), 2)
-    kind, H = spec.get("kind", "none"), horizon
+    # Each kind reads its field by popping it, so that what is left is unread.
+    spec = dict(_object("corruption.indices", section.get("indices", {}),
+                        ("kind", "density", "base", "indices")))
+    kind, H = spec.pop("kind", "none"), horizon
     if kind == "none":
         steps = []
     elif kind == "all":
@@ -362,33 +347,32 @@ def _corruption(section, dimension: int, horizon: int, seed: int) -> tuple[Index
     elif kind == "evens":
         steps = range(0, H, 2)
     elif kind == "powers":
+        base = _at_least("corruption.indices.base", spec.pop("base", 2), 2)
         steps, v = [], 1
         while v < H:
             steps.append(v)
             v *= base
     elif kind == "explicit":
-        steps = spec.get("indices")
+        steps = spec.pop("indices", None)
         if not isinstance(steps, list):
             _fail("corruption.indices.indices", f"must be a list of step indices, got {steps!r}")
         for v in steps:
             if not _integral(v) or not 0 <= v < H:
                 _fail("corruption.indices.indices", f"must hold integers in [0, {H}), got {v!r}")
     elif kind == "random":
+        density = _number("corruption.indices.density", spec.pop("density", 0.01))
+        if not 0 <= density <= 1:
+            _fail("corruption.indices.density", "must lie in [0, 1]")
         steps = np.flatnonzero(np.random.default_rng(seed).random(H) < density)
     else:
         _fail("corruption.indices.kind", f"unknown kind {kind!r}")
-    jump = _object("corruption.jump", section.get("jump", {"kind": "uniform"}),
-                   ("kind", "scale", "power", "point"))
-    if "kind" not in jump:
-        _fail("corruption.jump.kind", "required")
-    _number("corruption.jump.scale", jump.get("scale", 1.0))
-    _power("corruption.jump.power", jump.get("power", 0.0), H)
-    if jump.get("kind") == "fixed" or jump.get("point") is not None:
-        _point("corruption.jump.point", jump.get("point"), dimension)
-    try:
-        rule = JumpRule.from_spec(jump)
-    except ParameterError as exc:
-        _fail("corruption.jump", str(exc))
+    for key in spec:
+        _fail(f"corruption.indices.{key}", f"kind {kind!r} does not read it")
+    rule = _built("corruption.jump", JumpRule.from_spec, section.get("jump", {"kind": "uniform"}))
+    if rule.kind == "offset":
+        _power("corruption.jump.power", rule.power, H)
+    if rule.kind == "fixed" and len(rule.point) != dimension:
+        _fail("corruption.jump.point", f"must have {dimension} coordinates, got {rule.point}")
     return IndexSet.from_iterable(steps, H), rule
 
 

@@ -280,6 +280,11 @@ def affine_box_system(seed):
     return GeneratorFamily(space, maps), Word.iid([0.4, 0.6], seed=seed)
 
 
+def jump_rule(kind: str, scale: float) -> JumpRule:
+    """A rule of the kind; only an offset rule reads the scale."""
+    return JumpRule(kind, scale=scale) if kind == "offset" else JumpRule(kind)
+
+
 @st.composite
 def plans(draw):
     """A system, a word and a plan of 1-3 blocks, each a true orbit of the word
@@ -303,8 +308,8 @@ def plans(draw):
                                   st.lists(st.booleans(), min_size=m, max_size=m)))
             block = make_corrupted_orbit(
                 family, word.shifted(offset), start, IndexSet.from_mask(np.array(mask)),
-                JumpRule(draw(st.sampled_from(["uniform", "offset"])),
-                         scale=draw(st.floats(0.001, 2.0))),
+                jump_rule(draw(st.sampled_from(["uniform", "offset"])),
+                          draw(st.floats(0.001, 2.0))),
                 draw(st.integers(0, 2**32)))
         blocks.append(block)
         levels.append(draw(st.integers(1, m)))

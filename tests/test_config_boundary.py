@@ -260,6 +260,18 @@ def test_any_corruption_value_exits_with_a_documented_code(capsys, field, value,
     ("corruption.jump.power", {"jump": {"kind": "offset", "power": 400}}),
     ("corruption.jump.point", {"jump": {"kind": "fixed"}}),
     ("corruption.jump.point", {"jump": {"kind": "fixed", "point": [0.1]}}),
+    ("corruption.jump.point", {"jump": {"kind": "fixed", "point": 0.5}}),
+    ("corruption.jump.point", {"jump": {"kind": "fixed", "point": [math.nan, 0.0]}}),
+    ("corruption.jump.scale", {"jump": {"kind": "offset", "scale": math.nan}}),
+    ("corruption.jump.power", {"jump": {"kind": "offset", "power": None}}),
+    ("corruption.jump.kind", {"jump": {"scale": 0.5}}),
+    # Each of these loaded, and the jump rule in the orbit's meta held the
+    # unread point, or the indices ignored the key.
+    ("corruption.jump.point", {"jump": {"kind": "uniform", "point": [0.5, 0.5]}}),
+    ("corruption.jump.point", {"jump": {"kind": "offset", "point": [0.5, 0.5]}}),
+    ("corruption.indices.density", {"indices": {"kind": "squares", "density": 0.5}}),
+    ("corruption.indices.base", {"indices": {"kind": "squares", "base": 7}}),
+    ("corruption.indices.indices", {"indices": {"kind": "random", "indices": [1, 2]}}),
 ])
 def test_malformed_corruption_exits_2_naming_it(tmp_path, capsys, field, section):
     data = base_config(tmp_path / "out")
@@ -287,7 +299,7 @@ def test_map_spec_that_is_not_numeric_exits_2(tmp_path, capsys):
     data["system"]["maps"][0] = {"kind": "permutation", "perm": ["a", "b"]}
     code, err = run(data, tmp_path, "generate", capsys)
     assert code == 2
-    assert "config field 'system.maps[0]'" in err
+    assert "config field 'system.maps[0].perm'" in err
 
 
 def test_word_alphabet_larger_than_the_map_count_exits_2(tmp_path, capsys):
@@ -344,14 +356,16 @@ BOX = {"kind": "box-kd", "lo": [0.0, 0.0], "hi": [1.0, 1.0]}
     ({"kind": "periodic", "m": 1, "pattern": [1], "ofset": 4}, "ofset"),
     ({"kind": "constant", "m": 2, "symbol": 1, "pattern": [1, 2]}, "pattern"),
     ({"kind": "prefix", "m": 2, "prefix": [1],
-      "tail": {"kind": "constant", "m": 2, "symbol": 2, "sybmol": 1}}, "sybmol"),
+      "tail": {"kind": "constant", "m": 2, "symbol": 2, "sybmol": 1}}, "tail.sybmol"),
+    # This exited 2 naming only the word, with Python's TypeError text.
+    ({"kind": "periodic", "m": 2, "pattern": 1}, "pattern"),
 ])
 def test_malformed_word_exits_2_naming_it(tmp_path, capsys, word, key):
     data = {**base_config(tmp_path / "out"), "horizon": 20}
     data["system"]["word"] = word
     code, err = run(data, tmp_path, "generate", capsys)
     assert code == 2
-    assert "config field 'system.word'" in err and key in err
+    assert f"config field 'system.word.{key}'" in err
 
 
 @pytest.mark.parametrize("field, spec, key", [
@@ -381,7 +395,42 @@ def test_malformed_map_or_space_exits_2_naming_it(tmp_path, capsys, field, spec,
         system["maps"][int(field[-2])] = spec
     code, err = run(data, tmp_path, "generate", capsys)
     assert code == 2
-    assert f"config field {field!r}" in err and key in err
+    assert f"config field '{field}.{key}'" in err
+
+
+# Each spec of base_config, with the keys of its type.
+SPECS = {"system.word": ("kind", "m", "symbol", "pattern", "weights", "seed", "prefix", "tail",
+                         "offset"),
+         "system.maps[1]": ("kind", "perm", "matrix", "offset", "factors"),
+         "system.space": ("kind", "lo", "hi"),
+         "corruption.jump": ("kind", "point", "scale", "power")}
+SPEC_KEYS = sorted({key for keys in SPECS.values() for key in keys})
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(-2.0, 2.0),
+              st.text(max_size=3), st.sampled_from([math.nan, math.inf, 2**70, 1e300])),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.sampled_from(SPEC_KEYS), inner, max_size=3)),
+    max_leaves=8)
+
+
+@given(data=st.data(), spec=st.sampled_from(sorted(SPECS)), value=json_values)
+@settings(fuzz, max_examples=300)
+def test_any_value_in_a_spec_exits_with_a_documented_code(capsys, data, spec, value):
+    # Every error of the one construction path is a ParameterError. A key of
+    # None replaces the whole spec with the value.
+    key = data.draw(st.sampled_from((None, *SPECS[spec])))
+    with tempfile.TemporaryDirectory() as tmp:
+        config = {**base_config(Path(tmp) / "out"), "horizon": 20}
+        parent, name = {"system.word": (config["system"], "word"),
+                        "system.maps[1]": (config["system"]["maps"], 1),
+                        "system.space": (config["system"], "space"),
+                        "corruption.jump": (config["corruption"], "jump")}[spec]
+        if key is None:
+            parent[name] = value
+        else:
+            parent[name][key] = value
+        code, _ = run(config, Path(tmp), "generate", capsys)
+    assert code in EXIT_CODES
 
 
 @pytest.mark.parametrize("spec, code", [
@@ -581,6 +630,8 @@ def test_malformed_section_exits_2_naming_it(tmp_path, capsys, field, value):
 def test_non_integral_or_inconsistent_field_exits_2_naming_it(tmp_path, capsys, field, value):
     # Each of these ran before, truncated or with a default, or exited 2 naming no field.
     data = section_config(tmp_path, capsys)
+    if field == "corruption.indices.base":
+        data["corruption"]["indices"]["kind"] = "powers"  # the kind that reads a base
     set_field(data, field, value)
     code, err = run(data, tmp_path, "search", capsys)
     assert code == 2
@@ -591,6 +642,8 @@ def test_non_integral_or_inconsistent_field_exits_2_naming_it(tmp_path, capsys, 
     ("seed", 2.0), ("horizon", 100.0), ("corruption.indices.base", 3.0), ("search.levels", 2.0)])
 def test_integral_float_still_loads(tmp_path, capsys, field, value):
     data = section_config(tmp_path, capsys)
+    if field == "corruption.indices.base":
+        data["corruption"]["indices"]["kind"] = "powers"  # the kind that reads a base
     set_field(data, field, value)
     assert run(data, tmp_path, "search", capsys)[0] == 0
 

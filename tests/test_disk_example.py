@@ -156,6 +156,21 @@ def test_aasp_demo_rejects_persistent_errors():
     assert err.value.witness is not None
 
 
+@pytest.mark.parametrize("build", [
+    # The first two raised a bare OverflowError (34, 'Numerical result out of
+    # range') from the size of the third jump; the third, a ZeroDivisionError.
+    lambda: make_decaying_instance(1, 50, power=1000.0),
+    lambda: make_corrupted_orbit(*build_disk_system(), (0.5, 0.0),
+                                 IndexSet.from_iterable(range(50), 50),
+                                 JumpRule("offset", power=1000.0), seed=0),
+    lambda: make_decaying_instance(1, 50, power=-1000.0),
+])
+def test_a_jump_power_out_of_float_range_raises_naming_it(build):
+    with pytest.raises(ParameterError, match="jump power") as err:
+        build()
+    assert err.value.path == ("power",)
+
+
 def test_true_orbit_stepped_once_per_instance_and_read_only(monkeypatch):
     import shadowlab.disk_example as disk_example
 

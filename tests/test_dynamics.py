@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from shadowlab import (
     GeneratorFamily,
     GeneratorMap,
+    JumpRule,
     MetricSpace,
     ParameterError,
     ResourceCapError,
@@ -230,10 +232,39 @@ def test_word_validation():
     lambda: GeneratorMap("permutation", perm=(0, 0)),
     lambda: MetricSpace("bogus", (0.0,), (1.0,)),
     lambda: GeneratorMap("affine"),
+    # The NaN scale, the NaN point and the uniform rule's point built: the walk
+    # then blamed a map for the NaN jumps, and the spec carried the unread point.
+    lambda: JumpRule("offset", scale=math.nan),
+    lambda: JumpRule("offset", scale=0),
+    lambda: JumpRule("fixed", point=(math.nan, 0.0)),
+    lambda: JumpRule("uniform", point=(0.5, 0.5)),
+    lambda: JumpRule("fixed"),
 ])
 def test_raw_constructors_check_what_the_classmethods_check(build):
     with pytest.raises(ParameterError):
         build()
+
+
+@pytest.mark.parametrize("build, path", [
+    (lambda: Word.from_spec({"kind": "periodic", "m": 1, "pattern": [1], "ofset": 4}),
+     ("ofset",)),
+    (lambda: Word.from_spec({"kind": "prefix", "m": 2, "prefix": [1],
+                             "tail": {"kind": "constant", "m": 2, "sybmol": 1}}),
+     ("tail", "sybmol")),
+    (lambda: Word.from_spec({"kind": "prefix", "m": 2, "prefix": [1],
+                             "tail": {"kind": "iid", "m": 2, "weights": [1, 1], "seed": -1}}),
+     ("tail", "seed")),
+    (lambda: GeneratorMap.from_spec({"kind": "permutation", "perm": 5}), ("perm",)),
+    (lambda: MetricSpace.from_spec({"lo": [0.0], "hi": [1.0]}), ("kind",)),
+    (lambda: JumpRule.from_spec({"kind": "offset", "power": None}), ("power",)),
+    (lambda: JumpRule("offset", scale=math.inf), ("scale",)),
+    (lambda: JumpRule.from_spec([0.5]), ()),
+    (lambda: GeneratorMap.affine([[1.0, 2.0]], [0.0]), ()),
+])
+def test_spec_errors_carry_the_path_of_their_key(build, path):
+    with pytest.raises(ParameterError) as err:
+        build()
+    assert err.value.path == path
 
 
 def test_word_is_a_frozen_value():

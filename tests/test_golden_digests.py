@@ -9,7 +9,8 @@ the affine box system (``box-affine-iid``, ``box-affine-iid-true-orbit`` and
 ``search-m-alpha``) were re-pinned when points and rows came to round the
 same. The ``search-circle`` case was pinned by the release whose scan
 still pruned the circle with a float bound around a walked incumbent; the
-scan now runs in full there. So a change that alters any artifact byte
+scan now runs in full there. The ``disk-offset-integer-power`` case was
+pinned by the release whose jump rule was built outside the spec table. So a change that alters any artifact byte
 fails here, not only across two runs of the same code. When an artifact is
 meant to change, update its digest and record why in CHANGES.md.
 """
@@ -58,6 +59,13 @@ CASES = {
     "disk-offset": ("generate", DISK_SYSTEM,
                     {"corruption": {"indices": {"kind": "all"},
                                     "jump": {"kind": "offset", "scale": 0.5, "power": 1.5}}}),
+    # JSON integers reach scale / (j + 1) ** power as ints, which round
+    # differently from floats once (j + 1) ** 5 passes 2**53, at j >= 1 552.
+    "disk-offset-integer-power": ("generate", DISK_SYSTEM,
+                                  {"horizon": 2000,
+                                   "corruption": {"indices": {"kind": "all"},
+                                                  "jump": {"kind": "offset", "scale": 1,
+                                                           "power": 5}}}),
     "disk-fixed": ("generate", DISK_SYSTEM,
                    {"corruption": {"indices": {"kind": "powers", "base": 3},
                                    "jump": {"kind": "fixed", "point": [1.0, 1.0]}}}),
@@ -114,6 +122,10 @@ GOLDEN = {
     "disk-offset": {
         "orbit.json":
             "bcc217cc290c9822811032dba2431c8e0ce12b87849c49a5aa3d1d9ae26960b1",
+    },
+    "disk-offset-integer-power": {
+        "orbit.json":
+            "957ab434cb592aebee2a33cfe3dcbff19d7d729dab56b9ae2b27c800ed3dd486",
     },
     "disk-uniform": {
         "orbit.json":

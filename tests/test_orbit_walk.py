@@ -270,11 +270,30 @@ def test_symbols_memo_answers_any_query_sequence(word, queries):
     assert word == dataclasses.replace(word) and hash(word) == hash(dataclasses.replace(word))
 
 
+@st.composite
+def jump_specs(draw):
+    """Jump rule specs of every kind, their numbers integers or floats; an
+    offset spec may leave out its scale or its power."""
+    number = st.one_of(st.integers(-5, 5), unit(-2.0, 2.0))
+    kind = draw(st.sampled_from(["uniform", "fixed", "offset"]))
+    if kind == "fixed":
+        return {"kind": kind, "point": draw(st.lists(number, min_size=1, max_size=3))}
+    if kind == "offset":
+        scale = st.one_of(st.integers(1, 5), unit(0.01, 2.0))
+        return {"kind": kind, **draw(st.fixed_dictionaries(
+            {}, optional={"scale": scale, "power": number}))}
+    return {"kind": kind}
+
+
 @SETTINGS
-@given(system_and_word())
-def test_specs_round_trip_through_json(system):
+@given(system_and_word(), jump_specs())
+def test_specs_round_trip_through_json(system, jump):
     family, word, _ = system
-    for x in (family, family.space, *family.maps, word):
+    rule = JumpRule.from_spec(jump)
+    # A rule writes each number it reads as it was given: 5 stays 5, not 5.0.
+    unset = {"scale": 1.0, "power": 0.0} if jump["kind"] == "offset" else {}
+    assert json.dumps(rule.spec(), sort_keys=True) == json.dumps({**unset, **jump}, sort_keys=True)
+    for x in (family, family.space, *family.maps, word, rule):
         assert type(x).from_spec(json.loads(json.dumps(x.spec()))) == x
 
 
@@ -327,7 +346,9 @@ def test_corrupted_orbit_matches_per_step_draws(space, kind, horizon, seed, scal
     indices = IndexSet.from_mask(np.array(mask, dtype=bool))
     d = family.space.dimension
     point = tuple(data.draw(vectors(d, -1.5, 1.5))) if kind == "fixed" else None
-    rule = JumpRule(kind, point=point, scale=scale, power=power)
+    # Each kind is given only the fields it reads.
+    rule = (JumpRule(kind, scale=scale, power=power) if kind == "offset"
+            else JumpRule(kind, point=point))
     expected, clamped = reference_corrupted_orbit(family, word, start, indices, rule, seed)
     xi = make_corrupted_orbit(family, word, start, indices, rule, seed)
     assert np.array_equal(xi.points, expected)
@@ -347,7 +368,8 @@ def test_corrupted_orbit_reference_lands_every_kind(space, kind):
     family = GeneratorFamily(space, (GeneratorMap.scale([factor] * d),))
     word = Word.constant(1, m=1)
     indices = IndexSet.from_iterable(range(0, 60, 3), 60)
-    rule = JumpRule(kind, point=(3.0,) * d if kind == "fixed" else None, scale=3.0)
+    rule = {"uniform": JumpRule("uniform"), "fixed": JumpRule("fixed", point=(3.0,) * d),
+            "offset": JumpRule("offset", scale=3.0)}[kind]
     expected, clamped = reference_corrupted_orbit(family, word, (0.25,) * d, indices, rule, 8)
     xi = make_corrupted_orbit(family, word, (0.25,) * d, indices, rule, 8)
     assert np.array_equal(xi.points, expected)
