@@ -79,8 +79,16 @@ def _integer(what: str, value) -> int:
     return int(value)
 
 
+def _items(what: str, values):
+    """An iterator over values; a scalar where a sequence is meant is a ParameterError."""
+    try:
+        return iter(values)
+    except TypeError:
+        raise ParameterError(f"{what}: expected a list, got {type(values).__name__}") from None
+
+
 def _integers(what: str, values) -> tuple[int, ...]:
-    return tuple(_integer(f"{what} entry", v) for v in values)
+    return tuple(_integer(f"{what} entry", v) for v in _items(what, values))
 
 
 def _real(what: str, value):
@@ -93,7 +101,7 @@ def _real(what: str, value):
 
 def _reals(what: str, values) -> tuple:
     """A sequence of finite real numbers as a tuple, each entry as given."""
-    return tuple(_real(f"{what} entry", v) for v in values)
+    return tuple(_real(f"{what} entry", v) for v in _items(what, values))
 
 
 def _finite(what: str, values) -> tuple[float, ...]:
@@ -102,11 +110,11 @@ def _finite(what: str, values) -> tuple[float, ...]:
 
 def _vector(what: str, value) -> tuple[float, ...]:
     """A number, or a sequence of numbers, as a tuple of finite floats."""
-    return _finite(what, [value] if np.ndim(value) == 0 else value)
+    return _finite(what, value if np.iterable(value) and not isinstance(value, str) else [value])
 
 
 def _rows(what: str, matrix) -> tuple[tuple[float, ...], ...]:
-    return tuple(_finite(what, row) for row in matrix)
+    return tuple(_finite(what, row) for row in _items(what, matrix))
 
 
 def _word(what: str, value) -> "Word":
@@ -126,6 +134,14 @@ _WORD_FIELDS = {"constant": {"symbol": _integer}, "periodic": {"pattern": _integ
 # differently from a float one in scale / (j + 1) ** power.
 _JUMP_FIELDS = {"uniform": {}, "fixed": {"point": _reals},
                 "offset": {"scale": _real, "power": _real}}
+
+
+def _keyed(key: str, build, *args):
+    """build(*args); a ParameterError is raised again with key in front of its path."""
+    try:
+        return build(*args)
+    except ParameterError as exc:
+        raise ParameterError(str(exc), key, *exc.path) from None
 
 
 def _plain(value):
@@ -398,8 +414,13 @@ class GeneratorFamily:
 
     @classmethod
     def from_spec(cls, spec: dict) -> "GeneratorFamily":
-        space = MetricSpace.from_spec(spec["space"])
-        return cls(space, tuple(GeneratorMap.from_spec(g) for g in spec["maps"]))
+        """The family of a spec {"space": ..., "maps": [...]}; an error in the space
+        or in map i has "space" or "maps[i]" in front of its path."""
+        space = _keyed("space", MetricSpace.from_spec, spec["space"])
+        if not isinstance(spec["maps"], list):
+            raise ParameterError(f"must be a list of map specs, got {spec['maps']!r}", "maps")
+        return cls(space, tuple(_keyed(f"maps[{i}]", GeneratorMap.from_spec, g)
+                                for i, g in enumerate(spec["maps"])))
 
 
 _NO_SYMBOLS = np.zeros(0, dtype=np.int64)

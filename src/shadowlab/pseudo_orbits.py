@@ -7,6 +7,7 @@ sliding-window means, or in Cesàro means.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -207,12 +208,22 @@ def _draw_jumps(rule: JumpRule, space: MetricSpace, rng: np.random.Generator,
     norms = np.sqrt(np.vecdot(u, u))[:, None]
     with np.errstate(invalid="ignore", divide="ignore"):
         u = np.where(norms > 0, u / norms, np.eye(d)[0])
+    out_of_range = ParameterError(f"jump power {rule.power} is out of floating-point range",
+                                  "power")
+    # A float scale over a Python int (j + 1) ** power past 2**1024 raises
+    # below, but only once the int is computed, which takes hours for a power
+    # of 10**9. The last step's is the largest, so a float probe of its size
+    # raises first.
+    if (steps.size and type(rule.power) is int and rule.power > 0
+            and not isinstance(rule.scale, (int, np.integer))
+            and rule.power * math.log2(int(steps[-1]) + 1) > 1025):
+        raise out_of_range
     try:
         sizes = np.array([rule.scale / (j + 1) ** rule.power for j in steps.tolist()])
     except (OverflowError, ZeroDivisionError):
         sizes = None
     if sizes is None or not np.isfinite(sizes).all():
-        raise ParameterError(f"jump power {rule.power} is out of floating-point range", "power")
+        raise out_of_range
     return u * sizes[:, None]
 
 

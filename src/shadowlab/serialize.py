@@ -21,8 +21,8 @@ from .cesaro import BoundedSequence
 from .concat import BlockPlan
 from .density import MIN_DENSITY_HORIZON, IndexSet
 from .disk_example import DISK_SYSTEM
-from .dynamics import (GeneratorFamily, GeneratorMap, JumpRule, MetricSpace, Word, _integer,
-                       _integral, _real, as_points)
+from .dynamics import (GeneratorFamily, JumpRule, MetricSpace, Word, _integer, _integral,
+                       _keyed, _real, as_points)
 from .errors import IntegrityError, ParameterError
 from .pseudo_orbits import PseudoOrbit, recompute_step_errors
 
@@ -75,6 +75,9 @@ def _input_file(what: str, path):
         raise IntegrityError(f"{what} {path}: {exc}") from None
     except KeyError as exc:
         raise ParameterError(f"{what} {path}: missing key {exc}") from None
+    except ParameterError as exc:
+        field = f"field {'.'.join(exc.path)!r}: " if exc.path else ""
+        raise ParameterError(f"{what} {path}: {field}{exc}") from None
     except (OSError, AttributeError, TypeError, ValueError) as exc:
         raise ParameterError(f"{what} {path}: {exc}") from None
 
@@ -125,8 +128,8 @@ def orbit_from_dict(data: dict) -> PseudoOrbit:
     """Rebuild, recompute step errors, and verify the embedded checksum."""
     if data.get("schema") != ORBIT_SCHEMA:
         raise ParameterError(f"unsupported orbit schema {data.get('schema')!r}")
-    family = GeneratorFamily.from_spec(data["system"])
-    word = Word.from_spec(data["word"])
+    family = _keyed("system", GeneratorFamily.from_spec, data["system"])
+    word = _keyed("word", Word.from_spec, data["word"])
     points = as_points(data["points"], family.space.dimension)
     errors = recompute_step_errors(family, word, points)
     checksum = step_error_checksum(errors)
@@ -399,12 +402,7 @@ def validate_config(data: dict) -> ExperimentConfig:
         _fail("thresholds.alpha", "must lie in (0,1)")
     # v1 key, accepted and ignored: the net scan has no worker count.
     _at_least("threads", data.get("threads", 1), 1)
-    space = _built("system.space", MetricSpace.from_spec, system["space"])
-    if not isinstance(system["maps"], list):
-        _fail("system.maps", f"must be a list of map specs, got {system['maps']!r}")
-    maps = tuple(_built(f"system.maps[{i}]", GeneratorMap.from_spec, g)
-                 for i, g in enumerate(system["maps"]))
-    family = _built("system", GeneratorFamily, space, maps)
+    family = _built("system", GeneratorFamily.from_spec, system)
     word = _built("system.word", Word.from_spec, system["word"])
     if word.m > family.m:
         _fail("system.word.m", f"the word has {word.m} symbols, the system {family.m} maps")

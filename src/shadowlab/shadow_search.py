@@ -108,14 +108,24 @@ def _scan(xi: PseudoOrbit, P: np.ndarray, objective: str, eps: float,
     of the net's pick (LIMSUP is minimised, HIT_DENSITY maximised, ties go to
     the lowest row) when the scan walked it, else None.
 
-    The scan drops the candidates that cannot be the pick by Lipschitz
+    A scan prunes only when FIRST_CHECKPOINT <= H + 1. On the circle, when
+    every symbol of the word has slope +-1 (the identity, a permutation, and
+    scale and affine maps of slope +-1), it takes no step loop to do so: every
+    candidate's walked trace lies within a proven slack of an analytic one
+    (_isometry_targets), which bounds the candidate's value from both sides,
+    and the candidates that cannot be the pick are dropped
+    (_isometry_survivors). When at most _MOST_WALKS survive, each is walked
+    once and reads its walk's value; more are scanned in full by the step loop
+    below, over their rows only. Other circle maps run the full loop.
+
+    The step loop drops the candidates that cannot be the pick by Lipschitz
     dominance. It does so only on a box or the disk (whose maps act on
     coordinates without the circle's wrap), for H < 2**26, when every symbol
     of the word has a norm bound (_symbol_norms) of at most 1 and, for LIMSUP,
     R + H h < _SAFE_MAGNITUDE, with R the norm of the bounding box's corner
     and h the largest offset norm of the word's maps. A point of norm at most
     R then has norm at most R + H h after H steps, so no trace error is NaN
-    and no NaN pick is dropped. Every other scan is in full and walks nothing.
+    and no NaN pick is dropped. Every other loop is in full and walks nothing.
 
     At the first checkpoint the member with the best sums (lowest row on ties)
     is walked once, and is the incumbent. Every map is affine, so the
@@ -145,20 +155,31 @@ def _scan(xi: PseudoOrbit, P: np.ndarray, objective: str, eps: float,
     family, space, H = xi.family, xi.family.space, xi.horizon
     n_lo = tail_window_start(H + 1, tail_fraction)
     symbols = family.checked_symbols(xi.word.symbols(H))
+    live = np.arange(len(P))
+    values = np.full(len(P), -np.inf if hits else np.inf)
+    if space.kind == CIRCLE and FIRST_CHECKPOINT <= H + 1:
+        slopes, shifts = _circle_maps(family)
+        if np.all(np.abs(slopes[symbols]) == 1.0):
+            y, sigma = _isometry_targets(xi, symbols, slopes, shifts)
+            live = _isometry_survivors(xi, P, hits, eps, tail_fraction, y, sigma)
+            if len(live) <= _MOST_WALKS:
+                walks = [_walk_row(xi, P, row, hits, eps, tail_fraction) for row in live.tolist()]
+                values[live] = [w.value for w in walks]
+                return values, walks[int(pick(values[live]))].trace
     norms, offsets = _symbol_norms(family)
     g, h = norms[symbols], offsets[symbols].max(initial=0.0)
     corner = math.hypot(*map(max, map(abs, space.lo), map(abs, space.hi)))
     prune = (space.kind != CIRCLE and H < 2**26 and bool(np.all(g <= 1.0))
              and (hits or corner + H * h < _SAFE_MAGNITUDE))
-    sums = np.zeros(len(P))
-    best = np.full(len(P), np.inf if hits else -np.inf)
-    live, inc = np.arange(len(P)), None
+    sums = np.zeros(len(live))
+    best = np.full(len(live), np.inf if hits else -np.inf)
+    inc = None
     checkpoint = FIRST_CHECKPOINT if prune else 0  # n starts at 1: no checkpoint
-    c = tuple(P.T)
+    c = tuple(P[live].T)
     # Symbol 0 is the identity: at n = 1 the candidates are scored as they are.
     # A family that leaves the space overflows here; the pick's walk raises.
     with np.errstate(over="ignore", invalid="ignore"):
-        for n, (s, x) in enumerate(zip([0, *symbols.tolist()], xi.points.tolist()), start=1):
+        for n, (s, x) in enumerate(_steps(symbols, xi.points), start=1):
             c = family.steps[s](c)
             t = space._distance(c, x, np)
             sums += t < eps if hits else t
@@ -169,7 +190,7 @@ def _scan(xi: PseudoOrbit, P: np.ndarray, objective: str, eps: float,
             checkpoint *= 2
             try:
                 if inc is None:
-                    inc = _walk_row(xi, P, int(pick(sums)), hits, eps, tail_fraction)
+                    inc = _walk_row(xi, P, int(live[pick(sums)]), hits, eps, tail_fraction)
                 mine = np.flatnonzero(~worse(best, inc.value))
                 inc, drop = _dominance(xi, P, hits, eps, tail_fraction, n, inc, live[mine],
                                        tuple(col[mine] for col in c), sums[mine], best[mine], g, h)
@@ -182,9 +203,177 @@ def _scan(xi: PseudoOrbit, P: np.ndarray, objective: str, eps: float,
             if live.tolist() == [inc.row]:
                 best = np.array([inc.value])
                 break
-    values = np.full(len(P), -np.inf if hits else np.inf)
     values[live] = best
     return values, inc.trace if inc is not None and pick(values) == inc.row else None
+
+
+def _steps(symbols: np.ndarray, points: np.ndarray):
+    """The scan's step at each prefix length n = 1..len(points), as Python
+    values: its symbol (0, the identity, at n = 1, then the word's) and its
+    orbit point. Each segment up to n = 16, 32, 64, ... is converted when the
+    scan reaches it, so a scan that stops early converts only what it steps."""
+    steps = np.concatenate(([0], symbols))
+    lo = 0
+    while lo < len(points):
+        hi = max(2 * lo, 16)
+        yield from zip(steps[lo:hi].tolist(), points[lo:hi].tolist())
+        lo = hi
+
+
+# A circle isometry scan walks its survivors when at most this many are left,
+# and else runs the step loop over them: on the benchmark's circle orbit
+# (H = 2 000; 2 cores, Python 3.11) one walk took 1.7-3.4 ms and the loop
+# 20-30 ms at any net size.
+_MOST_WALKS = 4
+
+# The entries of one block of an isometry scan's (net x steps) arrays, 32 KiB
+# each. On the benchmark's circle search the scan then peaks at 171 KiB of
+# traced memory, below the step loop's 220 KiB; blocks of 2**14 entries
+# peaked at 432 KiB, and were twice as fast only on nets of 1 000 points.
+_BLOCK_ENTRIES = 2**12
+
+
+def _circle_maps(family) -> tuple[np.ndarray, np.ndarray]:
+    """The slope a and the offset b of each symbol's map x -> a x + b of the
+    circle (symbol 0 is the identity)."""
+    slopes, shifts = [1.0], [0.0]
+    for f in family.maps:
+        slopes.append(f.matrix[0][0] if f.kind == "affine"
+                      else f.factors[0] if f.kind == "scale" else 1.0)
+        shifts.append(f.offset[0] if f.kind == "affine" else 0.0)
+    return np.array(slopes), np.array(shifts)
+
+
+def _isometry_targets(xi: PseudoOrbit, symbols: np.ndarray, slopes: np.ndarray,
+                      shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """y in [0, 1] and sigma, each of length H + 1, such that the walked float
+    trace t of every start z in [0, 1) has |t_j - tau_j| <= sigma_j for
+    j = 0..H, with tau_j = min(m, 1 - m) in floats, m = |z - y_j|, the
+    circle distance from z to y_j. Every symbol of the word has slope +-1
+    (slopes and shifts from _circle_maps).
+
+    The word's first j maps send z to s_j z + c_j mod 1 exactly, with s_j the
+    product of their slopes and c_j the composed offset. The offsets are
+    dyadic, so c_j is computed exactly, as an integer over 2^E with 2^E the
+    largest denominator of the offsets, and rounded to a float once. As
+    x -> s_j (x - c_j) is an isometry of the circle, the exact trace error
+    d(s_j z + c_j, x_j) is d(z, y_j), with y_j = s_j (x_j - c_j) mod 1.
+
+    Proof. Let u = 2^-53 and x'_j in [0, 1] the float x_j mod 1, the
+    coordinate that the scan's distance reads.
+    1. A walked step of slope a and offset b (0 for a map that has none) from
+       a float p in [0, 1] computes a p exactly and rounds a p + b once, by at
+       most u (1 + |b|); its mod 1 is exact but for the 1 it adds to a
+       negative remainder, which rounds once more, by at most u. The step is
+       an isometry, so the walked point after j steps lies within
+       E_j = u D_j of s_j z + c_j, with D_j the sum over i < j of
+       2 + |b_(w_i)|.
+    2. The float distance between two points of [0, 1] rounds m, their
+       difference's magnitude, and then 1 - m, each once, so it lies within
+       2u (1 + u) of their circle distance min(m, 1 - m). So
+       |t_j - d(z, y_j)| <= E_j + 2u (1 + u).
+    3. The float c_j lies within u / 2 of c_j; x'_j - c_j, at most 1 in size,
+       rounds once, by at most u; the sign is exact and the mod 1 rounds once
+       more. So the float y_j lies within 2.5 u of y_j, and tau_j within
+       4.5 u + 2u^2 of d(z, y_j).
+    Together |t_j - tau_j| <= u (6.6 + D_j). sigma_j is (8 + D_j) u times
+    1 + (H + 8) 2^-50, in floats. The float D_j is within a factor
+    1 + (H + 3) u of the exact one (each term and each add rounds once, and
+    H < 2^40), so sigma_j exceeds that bound by 1.4 u and by a factor of at
+    least 1 + 4u, which covers the rounding of a comparison with it
+    (_isometry_survivors). An offset so large that D_j overflows makes
+    sigma_j infinite, which proves nothing.
+    """
+    ratios = [b.as_integer_ratio() for b in shifts.tolist()]
+    E = max(den.bit_length() - 1 for _, den in ratios)
+    numerators = [num << (E - den.bit_length() + 1) for num, den in ratios]
+    a = [int(v) for v in slopes.tolist()]
+    mask, denominator = (1 << E) - 1, 1 << E
+    c, s, offsets, signs = 0, 1, [0.0], [1.0]
+    for w in symbols.tolist():
+        c = (a[w] * c + numerators[w]) & mask
+        s *= a[w]
+        offsets.append(c / denominator)
+        signs.append(s)
+    y = (np.array(signs) * (xi.points[:, 0] % 1.0 - np.array(offsets))) % 1.0
+    with np.errstate(over="ignore"):
+        drift = np.concatenate(([0.0], np.cumsum(2.0 + np.abs(shifts)[symbols])))
+        sigma = (8.0 + drift) * (2.0**-53 * (1 + (xi.horizon + 8) * 2.0**-50))
+    return y, sigma
+
+
+def _isometry_survivors(xi: PseudoOrbit, P: np.ndarray, hits: bool, eps: float,
+                        tail_fraction: float, y: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """The rows of P, a net of the circle, that can be the pick of a scan whose
+    word applies isometries only, from the analytic traces tau_j(z), each
+    within sigma_j of the walked one (_isometry_targets). The (net x steps)
+    array of tau is built a block of steps at a time.
+
+    Each row's value V is bounded as L <= V <= U.
+    - LIMSUP: V is the max over tail lengths n of fl(S_n / n), S_n the walk's
+      float sum of its first n trace errors, each at most 0.5 (1 + 2u),
+      u = 2^-53. Its exact sum lies within the exact sum of sigma of the exact
+      sum of tau. A float sum of n nonnegative terms, in any order, lies
+      within a factor 1 + 1.01 n u of the exact one (n <= H + 1 < 2^40). So,
+      with A_n and Sigma_n the float sums of the first n of tau and of sigma,
+      fl(S_n / n) lies within h_n = Sigma_n / n + R_n of A_n / n, where
+      R_n = 2^-50 (n + 8)(1 + sigma_H) covers the rounding of S_n, A_n,
+      Sigma_n (sigma_H is the largest sigma), the divisions and the
+      expressions of h_n, L and U about seven times over. With M the max of
+      A_n / n and h the max of h_n over tail lengths, L = M - h and U = M + h.
+    - HIT_DENSITY: V is the min over tail lengths of fl(K_n / n), K_n the
+      walk's count of hits t_j < eps among its first n steps. A step with
+      |tau_j - eps| > sigma_j (in floats: sigma_j's margin covers the
+      rounding of the difference) is sure: there t_j < eps exactly when
+      tau_j < eps. The sure hits count K_n from below and the sure hits and
+      the unsure steps from above; fl(k / n) grows with k, so L and U are
+      the min over tail lengths of fl(k / n) for those two counts, exactly.
+    A row is dropped when the best row's opposite bound proves it worse, or
+    equal at a higher row: for LIMSUP, when L exceeds the least U, U*, or
+    equals U* above the first row attaining it; for HIT_DENSITY, when U is
+    below the greatest L, L*, or equals L* above the first row attaining it.
+    The pick, the lowest row of the best value, is never dropped.
+    """
+    H = xi.horizon
+    n_lo = tail_window_start(H + 1, tail_fraction)
+    lower, upper = np.full(len(P), np.inf), np.full(len(P), np.inf)  # HIT_DENSITY's
+    low, high = np.zeros(len(P), dtype=np.int64), np.zeros(len(P), dtype=np.int64)
+    top, total, spread, half = np.full(len(P), -np.inf), np.zeros(len(P)), 0.0, 0.0  # LIMSUP's
+    rho = 2.0**-50 * (1 + sigma[-1])
+    width = max(1, _BLOCK_ENTRIES // len(P))
+    with np.errstate(over="ignore"):
+        for j0 in range(0, H + 1, width):
+            j1 = min(j0 + width, H + 1)
+            tau = np.subtract(P[:, :1], y[j0:j1])
+            np.abs(tau, out=tau)
+            np.minimum(tau, 1.0 - tau, out=tau)
+            t0 = max(n_lo - 1 - j0, 0)
+            n = np.arange(j0 + 1, j1 + 1)[t0:]
+            if hits:
+                sure = np.abs(tau - eps) > sigma[j0:j1]
+                hit = tau < eps
+                for bound, count, steps in ((lower, low, hit & sure), (upper, high, hit | ~sure)):
+                    counts = np.cumsum(steps, axis=1)
+                    counts += count[:, None]
+                    count[:] = counts[:, -1]
+                    if n.size:
+                        np.minimum(bound, (counts[:, t0:] / n).min(axis=1), out=bound)
+            else:
+                sums = np.cumsum(tau, axis=1, out=tau)
+                sums += total[:, None]
+                total = sums[:, -1].copy()
+                slack = spread + np.cumsum(sigma[j0:j1])
+                spread = slack[-1]
+                if n.size:
+                    np.maximum(top, (sums[:, t0:] / n).max(axis=1), out=top)
+                    half = max(half, float((slack[t0:] / n + rho * (n + 8)).max()))
+    if not hits:
+        lower, upper = top - half, top + half
+    mine, theirs = (upper, lower) if hits else (lower, upper)
+    first = int((np.argmax if hits else np.argmin)(theirs))
+    worse = (np.less if hits else np.greater)(mine, theirs[first])
+    tie = (mine == theirs[first]) & (np.arange(len(P)) > first)
+    return np.flatnonzero(~(worse | tie))
 
 
 @dataclass(frozen=True)

@@ -734,6 +734,19 @@ def test_override_is_checked_against_the_corruption_section(tmp_path, capsys):
 # Input files: exit 2 naming the file
 
 
+def misspelled(orbit: dict, field: str) -> dict:
+    """The orbit file's data with the key "ofset" added to the spec at field."""
+    data = json.loads(json.dumps(orbit))
+    spec = data
+    for key in field.replace("[", ".").replace("]", "").split("."):
+        spec = spec[int(key) if key.isdigit() else key]
+    spec["ofset"] = 4
+    return data
+
+
+SPEC_FIELDS = ("system.space", "system.maps[0]", "system.maps[1]", "word")
+
+
 def orbit_variants(orbit: dict) -> dict:
     return {
         "invalid.json": "{not json",
@@ -756,6 +769,23 @@ def test_malformed_orbit_file_exits_2_naming_it(tmp_path, capsys, command, name)
     code, err = run(data, tmp_path, command, capsys)
     assert code == 2
     assert f"orbit file {path}" in err
+
+
+@pytest.mark.parametrize("command", ["classify", "repair", "search"])
+@pytest.mark.parametrize("field", SPEC_FIELDS)
+def test_a_spec_error_in_an_orbit_file_names_its_dotted_path(tmp_path, capsys, command, field):
+    # It named the key alone: "orbit file ...: unknown key 'ofset', ...".
+    data = section_config(tmp_path, capsys)
+    orbit = json.loads((tmp_path / "out" / "orbit.json").read_text())
+    path = tmp_path / "misspelled.json"
+    path.write_text(json.dumps(misspelled(orbit, field)))
+    data[command]["orbit"] = str(path)
+    code, err = run(data, tmp_path, command, capsys)
+    assert code == 2
+    assert f"orbit file {path}: field '{field}.ofset': unknown key 'ofset'" in err
+    with pytest.raises(ParameterError) as caught:
+        orbit_from_dict(misspelled(orbit, field))
+    assert caught.value.path == (*field.replace(".", " ").split(), "ofset")
 
 
 @pytest.mark.parametrize("plan", [

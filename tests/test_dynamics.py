@@ -255,6 +255,14 @@ def test_raw_constructors_check_what_the_classmethods_check(build):
                              "tail": {"kind": "iid", "m": 2, "weights": [1, 1], "seed": -1}}),
      ("tail", "seed")),
     (lambda: GeneratorMap.from_spec({"kind": "permutation", "perm": 5}), ("perm",)),
+    (lambda: Word.from_spec({"kind": "periodic", "m": 1, "pattern": 1}), ("pattern",)),
+    (lambda: JumpRule.from_spec({"kind": "fixed", "point": 0.5}), ("point",)),
+    (lambda: GeneratorMap.from_spec({"kind": "scale", "factors": [[0.5], 0.5]}), ("factors",)),
+    (lambda: GeneratorFamily.from_spec({"space": {"kind": "circle-1d"},
+                                        "maps": [{"kind": "identity", "ofset": 1}]}),
+     ("maps[0]", "ofset")),
+    (lambda: GeneratorFamily.from_spec({"space": {"kind": "disk"}, "maps": []}),
+     ("space", "kind")),
     (lambda: MetricSpace.from_spec({"lo": [0.0], "hi": [1.0]}), ("kind",)),
     (lambda: JumpRule.from_spec({"kind": "offset", "power": None}), ("power",)),
     (lambda: JumpRule("offset", scale=math.inf), ("scale",)),
@@ -265,6 +273,26 @@ def test_spec_errors_carry_the_path_of_their_key(build, path):
     with pytest.raises(ParameterError) as err:
         build()
     assert err.value.path == path
+
+
+@pytest.mark.parametrize("build, message", [
+    # Each said only "'int' object is not iterable", or "'float' ...".
+    (lambda: GeneratorMap.from_spec({"kind": "permutation", "perm": 5}),
+     "map perm: expected a list, got int"),
+    (lambda: Word.from_spec({"kind": "periodic", "m": 1, "pattern": 1}),
+     "word pattern: expected a list, got int"),
+    (lambda: JumpRule.from_spec({"kind": "fixed", "point": 0.5}),
+     "jump point: expected a list, got float"),
+    (lambda: GeneratorMap.from_spec({"kind": "affine", "matrix": [0.5], "offset": [0.0]}),
+     "map matrix: expected a list, got float"),
+    # A number is a one-coordinate vector; a list inside one is no number.
+    (lambda: GeneratorMap.from_spec({"kind": "scale", "factors": [[0.5], 0.5]}),
+     "map factors entry must be a finite real number, got [0.5]"),
+])
+def test_a_scalar_where_a_list_is_meant_is_named_as_such(build, message):
+    with pytest.raises(ParameterError) as err:
+        build()
+    assert str(err.value) == message
 
 
 def test_word_is_a_frozen_value():

@@ -1341,13 +1341,18 @@ def expanding_box():
     return PseudoOrbit.from_points(family, Word.constant(1, 1), np.full((301, 1), 0.5))
 
 
-@pytest.mark.parametrize("make", [circle_rotation, circle_reflection, disk_rotation,
-                                  expanding_box])
+def circle_doubling():
+    # x -> 2x + 0.1 stretches the circle: no analytic trace follows it.
+    family = GeneratorFamily(MetricSpace.circle(), (GeneratorMap.affine([[2.0]], [0.1]),))
+    return true_orbit(family, Word.constant(1, 1), (0.2,), 300)
+
+
+@pytest.mark.parametrize("make", [disk_rotation, expanding_box, circle_doubling])
 def test_dominance_never_fires_on_isometries_or_expanding_maps(make, monkeypatch):
-    # None of these passes the pruning gate: the circle wraps, a rotation
-    # written as a matrix has the norm bound 1 + 2^-40 and x -> 2x - 1/2 the
-    # bound 2. Such a scan is the full scan: it walks no incumbent and steps
-    # every column to the end.
+    # None of these passes a pruning gate: a rotation written as a matrix has
+    # the norm bound 1 + 2^-40, x -> 2x - 1/2 the bound 2, and a circle map of
+    # slope 2 is no isometry. Such a scan is the full scan: it walks no
+    # incumbent and steps every column to the end.
     xi = make()
     P = net(xi.family.space, 0.1)
 
@@ -1363,6 +1368,119 @@ def test_dominance_never_fires_on_isometries_or_expanding_maps(make, monkeypatch
         pruned, t = _scan(xi, P, objective, 0.2, 0.5)
         assert steps == [len(P)] * (xi.horizon + 1)
         assert pruned.tobytes() == full[objective].tobytes() and t is None
+
+
+# ---------------------------------------------------------------------------
+# Circle isometries: analytic traces bound every candidate, and only the
+# survivors are walked
+
+
+def circle_offsets():
+    """Offsets of every size: plain ones, and ones with tiny and large exponents."""
+    return st.one_of(unit(-2.0, 2.0),
+                     st.builds(math.ldexp, unit(-1.0, 1.0), st.integers(-1074, 70)))
+
+
+@st.composite
+def isometry_systems(draw):
+    """One to three circle maps of slope +-1 (the identity, the permutation,
+    scale [+-1] and affine [[+-1]] with any offset) and a word over them."""
+    slope = st.sampled_from([1.0, -1.0])
+    maps = st.one_of(
+        st.just(GeneratorMap.identity()),
+        st.just(GeneratorMap.permutation((0,))),
+        st.builds(GeneratorMap.scale, slope.map(lambda a: [a])),
+        st.builds(GeneratorMap.affine, slope.map(lambda a: [[a]]), circle_offsets().map(
+            lambda b: [b])),
+    )
+    family = GeneratorFamily(MetricSpace.circle(),
+                             tuple(draw(st.lists(maps, min_size=1, max_size=3))))
+    return family, draw(words(family.m))
+
+
+def isometry_orbit(family, word, horizon, seed):
+    """Seeded points anywhere on the line, which the circle reads mod 1, with
+    runs of exact steps between them."""
+    rng = np.random.default_rng(seed)
+    points = [[float(rng.uniform(-3.0, 3.0))]]
+    for s in word.symbols(horizon).tolist():
+        jump = rng.random() < 0.3
+        points.append([float(rng.uniform(-3.0, 3.0))] if jump
+                      else family.maps[s - 1](points[-1]).tolist())
+    return PseudoOrbit.from_points(family, word, points)
+
+
+@SETTINGS
+@given(isometry_systems(), st.integers(0, 300), st.integers(0, 2**32),
+       st.lists(unit(0.0, 0.9999), min_size=1, max_size=4))
+def test_every_walked_circle_trace_lies_within_sigma_of_the_analytic_one(system, horizon,
+                                                                         seed, starts):
+    family, word = system
+    xi = isometry_orbit(family, word, horizon, seed)
+    y, sigma = shadow_search._isometry_targets(xi, family.checked_symbols(word.symbols(horizon)),
+                                               *shadow_search._circle_maps(family))
+    assert len(y) == len(sigma) == horizon + 1
+    for z in starts + net(family.space, 0.1).ravel().tolist():
+        t = trace_report([z], xi, 1.0).trace_errors
+        m = np.abs(z - y)
+        assert np.all(np.abs(t - np.minimum(m, 1.0 - m)) <= sigma)
+
+
+@SETTINGS
+@given(isometry_systems(), st.integers(1, 300), st.integers(0, 2**32), unit(0.01, 0.5),
+       unit(0.01, 0.6), st.booleans(), unit(0.05, 0.95), st.sampled_from([1, 2, 16]),
+       st.sampled_from([0, 1, 4]), st.data())
+def test_isometry_scan_picks_what_the_full_scan_picks(system, horizon, seed, mesh, eps,
+                                                      on_value, tail_fraction, first, most,
+                                                      data):
+    # most = 0 sends every survivor to the step loop.
+    family, word = system
+    xi = isometry_orbit(family, word, horizon, seed)
+    P = net(family.space, mesh)
+    if on_value:
+        # eps exactly a trace error of a net point: a tie at eps.
+        t = trace_report(P[data.draw(st.integers(0, len(P) - 1))], xi, 1.0).trace_errors
+        eps = float(t[data.draw(st.integers(0, horizon))]) or eps
+    for objective, pick, dropped in ((LIMSUP, np.argmin, math.inf),
+                                     (HIT_DENSITY, np.argmax, -math.inf)):
+        full = full_scan(xi, P, objective, eps, tail_fraction)
+        with mock.patch.multiple(shadow_search, FIRST_CHECKPOINT=first, _MOST_WALKS=most):
+            pruned, t = _scan(xi, P, objective, eps, tail_fraction)
+        assert np.all((pruned == full) | (pruned == dropped))
+        assert pick(pruned) == pick(full)
+        if t is not None:
+            assert t.tobytes() == trace_report(P[pick(full)], xi, eps).trace_errors.tobytes()
+
+
+@pytest.mark.parametrize("make", [circle_rotation, circle_reflection])
+def test_circle_isometry_scan_walks_only_its_survivors(make, monkeypatch):
+    # The true orbit of 0.2 under x -> x + 0.3137 or x -> -x, on the net
+    # 0, 0.1, ..., 0.9. Its LIMSUP pick is 0.2, whose trace is 0; for
+    # HIT_DENSITY at eps 0.15, 0.1, 0.2 and 0.3 hit at every step, and the
+    # analytic bounds are exact, so only the lowest, 0.1, survives.
+    xi = make()
+    P = net(xi.family.space, 0.1)
+    full = {objective: full_scan(xi, P, objective, 0.15, 0.5)
+            for objective in (LIMSUP, HIT_DENSITY)}
+    walked = recording_walks(monkeypatch)
+    steps = scan_steps(monkeypatch)
+    for objective, pick, row in ((LIMSUP, np.argmin, 2), (HIT_DENSITY, np.argmax, 1)):
+        walked.clear()
+        pruned, t = _scan(xi, P, objective, 0.15, 0.5)
+        assert steps == [] and walked == [(row, False)]
+        assert pick(full[objective]) == row and pruned[row] == full[objective][row]
+        assert np.isinf(np.delete(pruned, row)).all()
+        assert t.tobytes() == trace_report(P[row], xi, 0.15).trace_errors.tobytes()
+    # With no walks allowed, the survivors run the step loop, over their rows only.
+    monkeypatch.setattr(shadow_search, "_MOST_WALKS", 0)
+    for objective, row in ((LIMSUP, 2), (HIT_DENSITY, 1)):
+        walked.clear()
+        steps.clear()
+        pruned, t = _scan(xi, P, objective, 0.15, 0.5)
+        assert steps == [1] * (xi.horizon + 1) and walked == []
+        assert pruned[row] == full[objective][row] and t is None
+    got = net_picks(xi, LIMSUP, 0.15, [0.1, 0.05], 0.5)
+    assert pick_bytes(got) == pick_bytes(full_scan_picks(xi, LIMSUP, 0.15, [0.1, 0.05], 0.5))
 
 
 @pytest.mark.parametrize("unused", [

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -254,6 +256,26 @@ def test_clamped_jumps_flagged_and_in_space():
                               JumpRule("offset", scale=3.0, power=0.0), seed=5)
     assert np.all(family.space.contains(xi.points))
     assert len(xi.meta["clamped_indices"]) > 0
+
+
+@pytest.mark.parametrize("scale, power, fails", [
+    # 50 ** power as a Python int: past 2**1024 a float scale cannot divide it.
+    (1.0, 10**9, True), (1.0, 182, True), (1.0, 181, False),
+    # An int scale divides it exactly, to a size of 0.
+    (1, 300, False)])
+def test_an_integer_jump_power_out_of_float_range_fails_fast_naming_it(scale, power, fails):
+    # 50 ** 10**9 took hours to compute before the error was raised.
+    family, word = build_disk_system()
+    last = IndexSet.from_iterable([49], 50)
+    rule = JumpRule("offset", scale=scale, power=power)
+    start = time.perf_counter()
+    if fails:
+        with pytest.raises(ParameterError, match="out of floating-point range") as err:
+            make_corrupted_orbit(family, word, (0.1, 0.1), last, rule, seed=1)
+        assert err.value.path == ("power",)
+    else:
+        make_corrupted_orbit(family, word, (0.1, 0.1), last, rule, seed=1)
+    assert time.perf_counter() - start < 1.0
 
 
 # ---------------------------------------------------------------------------
