@@ -144,6 +144,17 @@ def _keyed(key: str, build, *args):
         raise ParameterError(str(exc), key, *exc.path) from None
 
 
+def _known(what: str, data, keys) -> dict:
+    """data, a JSON object holding no key outside keys; anything else is a
+    ParameterError, whose path is the first unknown key."""
+    if not isinstance(data, dict):
+        raise ParameterError(f"{what} must be an object, got {data!r}")
+    for key in data:
+        if key not in keys:
+            raise ParameterError(f"unknown key {key!r}, expected one of {sorted(keys)}", key)
+    return data
+
+
 def _plain(value):
     """A field as its spec holds it: a tuple as a list, a word as its spec."""
     if isinstance(value, tuple):
@@ -187,12 +198,8 @@ class _Spec:
         """cls built from its spec, a JSON object with a key per field it sets. A
         spec that is not an object, or a key that is unknown, null or missing with
         no default, is a ParameterError naming the key."""
-        if not isinstance(spec, dict):
-            raise ParameterError(f"a {cls.__name__} spec must be an object, got {spec!r}")
         names = {f.name: f.default for f in fields(cls)}
-        for key in spec:
-            if key not in names:
-                raise ParameterError(f"unknown key {key!r}, expected one of {sorted(names)}", key)
+        _known(f"a {cls.__name__} spec", spec, names)
         for name, default in names.items():
             if spec.get(name, default) is MISSING or name in spec and spec[name] is None:
                 raise ParameterError(f"{cls.__name__} spec needs a value for {name!r}", name)
@@ -583,41 +590,54 @@ class JumpRule(_Spec):
 
 
 def _walk(family: GeneratorFamily, symbols, z, jumps: dict | None = None,
-          offset: bool = False) -> tuple[np.ndarray, list[int]]:
+          landing: str = "target") -> tuple[np.ndarray, list[int]]:
     """Step z through the symbols on Python floats; return the points and
     the steps whose jump was clamped. At a step j in jumps, points[j+1] is
-    where jumps[j] lands: the image displaced by it when offset is true, else
-    jumps[j] itself, projected onto the space if it left it. Images are
-    checked once, on columns; the first outside raises DomainError naming its
-    map, its point and its image.
+    where jumps[j] lands, by the landing rule:
+
+    - "target": jumps[j] itself, projected onto the space if it left it;
+    - "offset": the image displaced by jumps[j], projected likewise;
+    - "stored": jumps[j] as it is, a stored point that decoding copies bit
+      for bit (a signed zero or a circle point outside [0, 1) included).
+
+    Images are checked once, on columns; the first outside raises DomainError
+    naming its map, its point and its image. A "stored" walk checks none: an
+    image it lands off is not a point, and its other images are the points,
+    which the caller checks.
     """
     space, steps, jumps = family.space, family.steps, jumps or {}
     p = tuple(as_point(z, space.dimension).tolist())
     if not space._inside(p, _FLOATS):
         raise DomainError(f"start {list(p)} is outside the {space.kind} space")
+    stored = landing == "stored"
     # Coordinates are collected flat, not as a tuple per point, into one array.
     points, images, clamped = list(p), [], []
     for j, s in enumerate(symbols.tolist()):
         if not 0 <= s < len(steps):
             break
         p = steps[s](p)
-        if jumps:
+        if jumps and not stored:
             images.extend(p)
         if j in jumps:
-            p = space._canonical(tuple(map(operator.add, p, jumps[j])) if offset else jumps[j])
-            if not space._inside(p, _FLOATS):
-                p = space._project(p, _FLOATS)
-                clamped.append(j)
+            if stored:
+                p = jumps[j]
+            else:
+                p = space._canonical(tuple(map(operator.add, p, jumps[j]))
+                                     if landing == "offset" else jumps[j])
+                if not space._inside(p, _FLOATS):
+                    p = space._project(p, _FLOATS)
+                    clamped.append(j)
         points.extend(p)
     points = np.array(points).reshape(-1, space.dimension)
-    images = np.array(images).reshape(-1, space.dimension) if jumps else points[1:]
-    # A point that left the space may overflow before the check raises.
-    with np.errstate(all="ignore"):
-        outside = np.flatnonzero(~space._inside(tuple(images.T), np))
-    if outside.size:
-        j = int(outside[0])
-        raise DomainError(f"map {int(symbols[j])} sends {points[j].tolist()} to "
-                          f"{images[j].tolist()}, outside the space")
+    if not stored:
+        images = np.array(images).reshape(-1, space.dimension) if jumps else points[1:]
+        # A point that left the space may overflow before the check raises.
+        with np.errstate(all="ignore"):
+            outside = np.flatnonzero(~space._inside(tuple(images.T), np))
+        if outside.size:
+            j = int(outside[0])
+            raise DomainError(f"map {int(symbols[j])} sends {points[j].tolist()} to "
+                              f"{images[j].tolist()}, outside the space")
     # The first out-of-range symbol, when no earlier image left the space.
     family.checked_symbols(symbols)
     return points, clamped

@@ -26,9 +26,10 @@ from .verdict import ClassificationVerdict
 DEFAULT_DENSITY_TOL = 0.01
 
 
-def recompute_step_errors(family: GeneratorFamily, word: Word, points: np.ndarray) -> np.ndarray:
-    """e_j = d(f_{w_j}(x_j), x_{j+1}), each symbol's map evaluated on the
-    columns of its steps; a step rounds the same within any sequence."""
+def step_images(family: GeneratorFamily, word: Word, points: np.ndarray) -> tuple:
+    """The columns of the images f_{w_j}(x_j), j < H, each symbol's map
+    evaluated on the columns of its steps; a step rounds the same within any
+    sequence, and as the walk takes it on a point."""
     H = len(points) - 1
     symbols = family.checked_symbols(word.symbols(H))
     columns = tuple(points[:-1].T)
@@ -37,7 +38,12 @@ def recompute_step_errors(family: GeneratorFamily, word: Word, points: np.ndarra
         idx = np.flatnonzero(symbols == s)
         for image, column in zip(images, family.steps[s](tuple(c[idx] for c in columns))):
             image[idx] = column
-    return family.space._distance(images, tuple(points[1:].T), np)
+    return images
+
+
+def recompute_step_errors(family: GeneratorFamily, word: Word, points: np.ndarray) -> np.ndarray:
+    """e_j = d(f_{w_j}(x_j), x_{j+1}) of the step images."""
+    return family.space._distance(step_images(family, word, points), tuple(points[1:].T), np)
 
 
 @dataclass(frozen=True)
@@ -210,14 +216,19 @@ def _draw_jumps(rule: JumpRule, space: MetricSpace, rng: np.random.Generator,
         u = np.where(norms > 0, u / norms, np.eye(d)[0])
     out_of_range = ParameterError(f"jump power {rule.power} is out of floating-point range",
                                   "power")
-    # A float scale over a Python int (j + 1) ** power past 2**1024 raises
-    # below, but only once the int is computed, which takes hours for a power
-    # of 10**9. The last step's is the largest, so a float probe of its size
-    # raises first.
-    if (steps.size and type(rule.power) is int and rule.power > 0
-            and not isinstance(rule.scale, (int, np.integer))
-            and rule.power * math.log2(int(steps[-1]) + 1) > 1025):
-        raise out_of_range
+    # A float scale over a Python int (j + 1) ** power past the float range
+    # raises below, but only once the int is computed, which takes hours for a
+    # power of 10**9; an int scale divides it exactly, to a size of 0. So
+    # whatever the scale's type, the last step's, the largest, is probed
+    # first: its size estimated, and converted only once it is small.
+    if steps.size and type(rule.power) is int and rule.power > 0:
+        last = int(steps[-1]) + 1
+        if rule.power * math.log2(last) > 1025:
+            raise out_of_range
+        try:
+            float(last ** rule.power)
+        except OverflowError:
+            raise out_of_range from None
     try:
         sizes = np.array([rule.scale / (j + 1) ** rule.power for j in steps.tolist()])
     except (OverflowError, ZeroDivisionError):
@@ -241,7 +252,7 @@ def make_corrupted_orbit(family: GeneratorFamily, word: Word, z,
     rows = _draw_jumps(jump_rule, family.space, np.random.default_rng(seed), steps)
     jumps = dict(zip(steps.tolist(), map(tuple, rows.tolist())))
     points, clamped = _walk(family, word.symbols(corruption_indices.horizon), z, jumps,
-                            jump_rule.kind == "offset")
+                            "offset" if jump_rule.kind == "offset" else "target")
     meta = {"kind": "corrupted-orbit", "seed": seed, "jump_rule": jump_rule.spec(),
             "corrupted_count": len(corruption_indices), "clamped_indices": clamped}
     return PseudoOrbit.from_points(family, word, points, meta)

@@ -21,13 +21,15 @@ from .cesaro import BoundedSequence
 from .concat import BlockPlan
 from .density import MIN_DENSITY_HORIZON, IndexSet
 from .disk_example import DISK_SYSTEM
-from .dynamics import (GeneratorFamily, JumpRule, MetricSpace, Word, _integer, _integral,
-                       _keyed, _real, as_points)
+from .dynamics import (GeneratorFamily, JumpRule, MetricSpace, Word, _finite, _integer,
+                       _integral, _items, _keyed, _known, _real, _walk, as_points)
 from .errors import IntegrityError, ParameterError
-from .pseudo_orbits import PseudoOrbit, recompute_step_errors
+from .pseudo_orbits import PseudoOrbit, recompute_step_errors, step_images
 
 CONFIG_SCHEMA = "shadowlab/config/v1"
+# Orbit files list every point in v1, which still loads; save_orbit writes v2.
 ORBIT_SCHEMA = "shadowlab/pseudo-orbit/v1"
+ORBIT_SCHEMA_V2 = "shadowlab/pseudo-orbit/v2"
 PLAN_SCHEMA = "shadowlab/block-plan/v1"
 
 
@@ -104,33 +106,94 @@ def load_sequence(path: Path | str, bound: float | None) -> BoundedSequence:
         return BoundedSequence.from_values(values, bound)
 
 
+def _sha256(values) -> str:
+    """SHA-256 of the values as big-endian float64, in C order."""
+    return hashlib.sha256(np.asarray(values, dtype=np.float64).astype(">f8").tobytes()).hexdigest()
+
+
 def step_error_checksum(errors: np.ndarray) -> str:
-    payload = np.asarray(errors, dtype=np.float64).astype(">f8").tobytes()
-    return hashlib.sha256(payload).hexdigest()
+    return _sha256(errors)
 
 
-def _orbit_payload(xi: PseudoOrbit, points) -> dict:
+def orbit_to_dict(xi: PseudoOrbit) -> dict:
+    """The orbit as ORBIT_SCHEMA_V2: its start, and x_{j+1} at each defect j,
+    the steps where x_{j+1} is not f_{w_j}(x_j) bit for bit (bits, not step
+    errors, so that a signed zero or a distance that underflows to 0 counts).
+    Decoding walks from the start and lands each defect's point, so by
+    induction it rebuilds every point bit for bit: a step rounds the same on
+    the walk's point as on the columns here."""
+    P = xi.points
+    images = np.stack(step_images(xi.family, xi.word, P), axis=-1)
+    steps = np.flatnonzero((images.view(np.uint64) != P[1:].view(np.uint64)).any(axis=1))
     return {
-        "schema": ORBIT_SCHEMA,
+        "schema": ORBIT_SCHEMA_V2,
         "system": xi.family.spec(),
         "word": xi.word.spec(),
-        "points": points,
+        "horizon": xi.horizon,
+        "start": P[0].tolist(),
+        "defects": [[j, row] for j, row in zip(steps.tolist(), P[steps + 1].tolist())],
+        "points_sha256": _sha256(P),
         "step_error_checksum": step_error_checksum(xi.step_errors),
         "meta": xi.meta,
     }
 
 
-def orbit_to_dict(xi: PseudoOrbit) -> dict:
-    return _orbit_payload(xi, xi.points.tolist())
+def _stored_point(what: str, value, dimension: int) -> tuple[float, ...]:
+    point = _finite(what, value)
+    if len(point) != dimension:
+        raise ParameterError(f"{what} has {len(point)} coordinates, the space {dimension}")
+    return point
+
+
+def _walked_points(data: dict, family: GeneratorFamily, word: Word) -> np.ndarray:
+    """A v2 file's points: one walk from its start that lands each defect's
+    point as stored, checked against points_sha256."""
+    d = family.space.dimension
+    H = _keyed("horizon", _integer, "horizon", data["horizon"])
+    if H < 0:
+        raise ParameterError(f"must be >= 0, got {H}", "horizon")
+    start = _keyed("start", _stored_point, "start", data["start"], d)
+    defects, last = {}, -1
+    for i, defect in enumerate(_keyed("defects", _items, "defects", data["defects"])):
+        key = f"defects[{i}]"
+        if not isinstance(defect, list) or len(defect) != 2:
+            raise ParameterError(f"must be a pair [j, x_(j+1)], got {defect!r}", key)
+        j = _keyed(key, _integer, "defect step", defect[0])
+        if not last < j < H:
+            raise ParameterError(f"step {j} must lie in ({last}, {H}): defects are sorted, "
+                                 "one a step, below the horizon", key)
+        defects[j] = _keyed(key, _stored_point, "defect point", defect[1], d)
+        last = j
+    points = _walk(family, word.symbols(H), start, defects, "stored")[0]
+    digest = _sha256(points)
+    if digest != data["points_sha256"]:
+        raise IntegrityError(f"points digest mismatch: the walk gives {digest[:12]}…, "
+                             f"file says {str(data['points_sha256'])[:12]}…")
+    return points
+
+
+# The keys of each orbit schema that orbit_from_dict reads.
+ORBIT_KEYS = {
+    ORBIT_SCHEMA: ("schema", "system", "word", "points", "step_error_checksum", "meta"),
+    ORBIT_SCHEMA_V2: ("schema", "system", "word", "horizon", "start", "defects",
+                      "points_sha256", "step_error_checksum", "meta"),
+}
 
 
 def orbit_from_dict(data: dict) -> PseudoOrbit:
-    """Rebuild, recompute step errors, and verify the embedded checksum."""
-    if data.get("schema") != ORBIT_SCHEMA:
-        raise ParameterError(f"unsupported orbit schema {data.get('schema')!r}")
+    """Rebuild the points (listed in v1, walked in v2), recompute the step
+    errors, and verify the embedded checksums; an unknown key is an error."""
+    schema = data.get("schema")
+    if schema not in ORBIT_KEYS:
+        raise ParameterError(f"unsupported orbit schema {schema!r}")
+    _known("an orbit file", data, ORBIT_KEYS[schema])
+    _keyed("system", _known, "system", data["system"], ("space", "maps"))
     family = _keyed("system", GeneratorFamily.from_spec, data["system"])
     word = _keyed("word", Word.from_spec, data["word"])
-    points = as_points(data["points"], family.space.dimension)
+    if schema == ORBIT_SCHEMA:
+        points = as_points(data["points"], family.space.dimension)
+    else:
+        points = _walked_points(data, family, word)
     errors = recompute_step_errors(family, word, points)
     checksum = step_error_checksum(errors)
     if checksum != data["step_error_checksum"]:
@@ -140,32 +203,8 @@ def orbit_from_dict(data: dict) -> PseudoOrbit:
     return PseudoOrbit(family, word, points, errors, data.get("meta", {}))
 
 
-def _points_text(points: np.ndarray) -> str:
-    """json's indent=2 text of ``points.tolist()`` as the value of a top-level key,
-    for an (n, d) float64 array with n, d >= 1: one ``%r`` (``float.__repr__``,
-    the text json writes for a finite float) per value in a template of json's
-    layout."""
-    row = "[\n      " + ",\n      ".join(["%r"] * points.shape[1]) + "\n    ]"
-    template = "[\n    " + ",\n    ".join([row] * len(points)) + "\n  ]"
-    return template % tuple(points.ravel().tolist())
-
-
 def save_orbit(xi: PseudoOrbit, path: Path | str) -> None:
-    """Write ``orbit_to_dict(xi)`` as ``dump_json`` does. The points, finite
-    because they lie in the space, are formatted from the array by
-    ``_points_text``; json writes every other value."""
-    payload = _orbit_payload(xi, xi.points)
-    items = []
-    for key in sorted(payload):
-        value = payload[key]
-        if key == "points":
-            text = _points_text(value)
-        else:
-            # json escapes every newline inside a string, so each "\n" is layout.
-            text = json.dumps(value, sort_keys=True, indent=2,
-                              default=json_default).replace("\n", "\n  ")
-        items.append(json.dumps(key) + ": " + text)
-    Path(path).write_text("{\n  " + ",\n  ".join(items) + "\n}\n")
+    dump_json(orbit_to_dict(xi), path)
 
 
 def load_orbit(path: Path | str) -> PseudoOrbit:

@@ -13,7 +13,7 @@ import numpy as np
 from shadowlab import DomainError, IndexSet, ParameterError, RangeError
 from shadowlab.density import ROUNDING_TOL, prefix_means, tail_extremum
 from shadowlab.dynamics import CIRCLE, MEMBERSHIP_TOL, UNIT_DISK, _coordinates
-from shadowlab.serialize import PLAN_SCHEMA, dump_json
+from shadowlab.serialize import ORBIT_SCHEMA, PLAN_SCHEMA, dump_json, step_error_checksum
 
 # ---------------------------------------------------------------------------
 # One point at a time: maps and spaces on lists of Python floats
@@ -77,6 +77,18 @@ def project(space, P) -> np.ndarray:
     point, or to each row of P."""
     c, xp = _coordinates(P, space.dimension)
     return np.stack(space._project(c, xp), axis=-1)
+
+
+def orbit_v1_dict(xi) -> dict:
+    """The orbit in the v1 layout, which lists every point; v1 files still load."""
+    return {"schema": ORBIT_SCHEMA, "system": xi.family.spec(), "word": xi.word.spec(),
+            "points": xi.points.tolist(),
+            "step_error_checksum": step_error_checksum(xi.step_errors), "meta": xi.meta}
+
+
+def save_orbit_v1(xi, path) -> None:
+    """The v1 orbit file of xi, byte for byte as save_orbit wrote it before v2."""
+    dump_json(orbit_v1_dict(xi), path)
 
 
 def save_block_plan_manifest(block_paths, N_levels, path) -> None:

@@ -752,13 +752,14 @@ def orbit_variants(orbit: dict) -> dict:
         "invalid.json": "{not json",
         "list.json": "[1, 2]",
         "no-system.json": json.dumps({k: v for k, v in orbit.items() if k != "system"}),
-        "3d-points.json": json.dumps({**orbit, "points": [p + [0.0] for p in orbit["points"]]}),
+        "3d-points.json": json.dumps({**orbit, "start": orbit["start"] + [0.0],
+                                      "defects": [[j, p + [0.0]] for j, p in orbit["defects"]]}),
         "missing.json": None,
     }
 
 
 @pytest.mark.parametrize("command", ["classify", "repair", "search"])
-@pytest.mark.parametrize("name", sorted(orbit_variants({"points": []})))
+@pytest.mark.parametrize("name", sorted(orbit_variants({"start": [], "defects": []})))
 def test_malformed_orbit_file_exits_2_naming_it(tmp_path, capsys, command, name):
     data = section_config(tmp_path, capsys)
     text = orbit_variants(json.loads((tmp_path / "out" / "orbit.json").read_text()))[name]

@@ -10,9 +10,14 @@ the affine box system (``box-affine-iid``, ``box-affine-iid-true-orbit`` and
 same. The ``search-circle`` case was pinned by the release whose scan
 still pruned the circle with a float bound around a walked incumbent; the
 scan now runs in full there. The ``disk-offset-integer-power`` case was
-pinned by the release whose jump rule was built outside the spec table. So a change that alters any artifact byte
-fails here, not only across two runs of the same code. When an artifact is
-meant to change, update its digest and record why in CHANGES.md.
+pinned by the release whose jump rule was built outside the spec table.
+Every orbit file (``orbit.json``, ``repaired.json``, ``concatenated.json``)
+was re-pinned when ``save_orbit`` came to write orbit schema v2, which
+stores the start and the defects instead of every point; ``V1_GOLDEN``
+keeps their v1 digests, and each v2 file, loaded and written in the v1
+layout, must still give those bytes. So a change that alters any artifact
+byte fails here, not only across two runs of the same code. When an
+artifact is meant to change, update its digest and record why in CHANGES.md.
 """
 
 import hashlib
@@ -23,9 +28,9 @@ import pytest
 from shadowlab.cli import main
 from shadowlab.dynamics import GeneratorFamily, Word
 from shadowlab.pseudo_orbits import true_orbit
-from shadowlab.serialize import CONFIG_SCHEMA, save_orbit
+from shadowlab.serialize import CONFIG_SCHEMA, load_orbit, save_orbit
 
-from oracles import save_block_plan_manifest
+from oracles import save_block_plan_manifest, save_orbit_v1
 
 DISK_SYSTEM = {
     "space": {"kind": "unit-disk-2d"},
@@ -105,31 +110,31 @@ CASES = {
 GOLDEN = {
     "box-affine-iid-true-orbit": {
         "orbit.json":
-            "a282b026f9d1ce622634cc2fd233fc43879ab8e3f54491e618cf0ace9c541045",
+            "7e31f77ef4c0bcf5b8677e0af859a87cdbc97ce5adcc327a4551a8d1f5568136",
     },
     "box-affine-iid": {
         "orbit.json":
-            "22d288578d3753c3325f9accec1acf2f5a2cfc979059a41ab1d660da8dfd3c01",
+            "600152ea8a3ecfba2a4aa496c446ec83f8dc677d69e867cf646e5b16951fb27c",
     },
     "circle-rotation": {
         "orbit.json":
-            "e3c9fcd2083a37be88f92494ec0fe60ac503a4a916f90cfc0caa9e9c0267c420",
+            "2c65bbe5e0c99e93e855c824c408b4bb2ff977e14370b53c8967c5f92613f454",
     },
     "disk-fixed": {
         "orbit.json":
-            "94835dddf8b388750e577a67d712636b9aa1110a4df49d351d91acfff0dd7da6",
+            "d1084e45569d32f9b63fa3b3366e17d742750e94b836c2db53992d5b434f027b",
     },
     "disk-offset": {
         "orbit.json":
-            "bcc217cc290c9822811032dba2431c8e0ce12b87849c49a5aa3d1d9ae26960b1",
+            "db6b773cae62ef324671b59ca6b3ac45e6ef0be4164e5b8fdef7ea24bad509ee",
     },
     "disk-offset-integer-power": {
         "orbit.json":
-            "957ab434cb592aebee2a33cfe3dcbff19d7d729dab56b9ae2b27c800ed3dd486",
+            "05fc3d0dea2f6065a6da7136ab411ed16628a7f9ad1c99516e93e99184ee578f",
     },
     "disk-uniform": {
         "orbit.json":
-            "0136cd964ced7fea4664117168db8ba793fb455f52e2d6643660ba5761ad15a2",
+            "b78240289351c43f9bafbe825d8f12a4bd52a1620cb0c194e0ea15dbf466d0d9",
     },
     "example-disk-default-start": {
         "example_disk.csv":
@@ -147,15 +152,15 @@ GOLDEN = {
         "classification.json":
             "f8cf1dbd7c998164c47cb480eab4f77d2030ba660ddf1214c89b3d31faa7543c",
         "orbit.json":
-            "0136cd964ced7fea4664117168db8ba793fb455f52e2d6643660ba5761ad15a2",
+            "b78240289351c43f9bafbe825d8f12a4bd52a1620cb0c194e0ea15dbf466d0d9",
     },
     "repair": {
         "orbit.json":
-            "0136cd964ced7fea4664117168db8ba793fb455f52e2d6643660ba5761ad15a2",
+            "b78240289351c43f9bafbe825d8f12a4bd52a1620cb0c194e0ea15dbf466d0d9",
         "repair.json":
             "6c612137fd9dbad6614c5428cc3491a315acd80697cda70f078f8a1f144eec00",
         "repaired.json":
-            "ae0f1fd2954298022606edd40273b92fb955bde9ac9ad884509a276e5fc001a0",
+            "1d44c0e2510fd6551856c4b3d16f22e52257b484f91de8474ef9eddc58a5313c",
     },
     "cesaro": {
         "cesaro.json":
@@ -167,7 +172,7 @@ GOLDEN = {
         "concat_certificate.json":
             "12ff587be371d6dd8bdcb0fd03ea9f2909fba710f4d10f99eaac17077ba89751",
         "concatenated.json":
-            "1fdfe460c95764e34916f1270bb0c324016a10c4b44e1f72dda24b0a805b4865",
+            "7d3e53c9aad2fd80325c65a32fd7ca08eefb79dbb5f22028c533d582cd1e5845",
     },
     "search-average": {
         "search.json":
@@ -195,11 +200,41 @@ GOLDEN = {
         "equivalence_matrix.json":
             "c930c2915f13bb4593b1233d1e93889f525ddaf9011c1e1b03d663ae0bdbb001",
         "orbit.json":
-            "bcc217cc290c9822811032dba2431c8e0ce12b87849c49a5aa3d1d9ae26960b1",
+            "db6b773cae62ef324671b59ca6b3ac45e6ef0be4164e5b8fdef7ea24bad509ee",
         "repaired.json":
-            "c96a8cd53fe62a2e736915010f939f1e6a96073b6aa4ee74d82ca1d64be27cfe",
+            "452172205f6d2743441106e9fb0320645175a28fb746e3cdc1a7a372435f19a2",
     },
 }
+
+# The orbit files' digests in the v1 layout, pinned before save_orbit wrote v2.
+V1_GOLDEN = {
+    "box-affine-iid": {
+        "orbit.json": "22d288578d3753c3325f9accec1acf2f5a2cfc979059a41ab1d660da8dfd3c01"},
+    "box-affine-iid-true-orbit": {
+        "orbit.json": "a282b026f9d1ce622634cc2fd233fc43879ab8e3f54491e618cf0ace9c541045"},
+    "circle-rotation": {
+        "orbit.json": "e3c9fcd2083a37be88f92494ec0fe60ac503a4a916f90cfc0caa9e9c0267c420"},
+    "disk-fixed": {
+        "orbit.json": "94835dddf8b388750e577a67d712636b9aa1110a4df49d351d91acfff0dd7da6"},
+    "disk-offset": {
+        "orbit.json": "bcc217cc290c9822811032dba2431c8e0ce12b87849c49a5aa3d1d9ae26960b1"},
+    "disk-offset-integer-power": {
+        "orbit.json": "957ab434cb592aebee2a33cfe3dcbff19d7d729dab56b9ae2b27c800ed3dd486"},
+    "disk-uniform": {
+        "orbit.json": "0136cd964ced7fea4664117168db8ba793fb455f52e2d6643660ba5761ad15a2"},
+    "repair": {
+        "orbit.json": "0136cd964ced7fea4664117168db8ba793fb455f52e2d6643660ba5761ad15a2",
+        "repaired.json": "ae0f1fd2954298022606edd40273b92fb955bde9ac9ad884509a276e5fc001a0"},
+    "concat": {
+        "concatenated.json": "1fdfe460c95764e34916f1270bb0c324016a10c4b44e1f72dda24b0a805b4865"},
+    "equivalence-suite": {
+        "orbit.json": "bcc217cc290c9822811032dba2431c8e0ce12b87849c49a5aa3d1d9ae26960b1",
+        "repaired.json": "c96a8cd53fe62a2e736915010f939f1e6a96073b6aa4ee74d82ca1d64be27cfe"},
+}
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _write_inputs(tmp_path) -> None:
@@ -226,10 +261,19 @@ def _run_case(tmp_path, case: str) -> dict[str, str]:
     path.write_text(json.dumps(config))
     for command in (commands,) if isinstance(commands, str) else commands:
         assert main([command, "--config", str(path)]) == 0
-    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+    return {p.name: _sha256(p) for p in sorted(out.iterdir())}
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_artifact_digests_match_pinned_values(tmp_path, monkeypatch, case):
     monkeypatch.chdir(tmp_path)  # the input file names in CASES are relative
     assert _run_case(tmp_path, case) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", sorted(V1_GOLDEN))
+def test_v2_orbit_files_load_to_their_pinned_v1_bytes(tmp_path, monkeypatch, case):
+    monkeypatch.chdir(tmp_path)
+    _run_case(tmp_path, case)
+    for name, digest in V1_GOLDEN[case].items():
+        save_orbit_v1(load_orbit(tmp_path / "out" / name), tmp_path / "v1.json")
+        assert _sha256(tmp_path / "v1.json") == digest

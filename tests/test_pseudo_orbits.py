@@ -261,8 +261,8 @@ def test_clamped_jumps_flagged_and_in_space():
 @pytest.mark.parametrize("scale, power, fails", [
     # 50 ** power as a Python int: past 2**1024 a float scale cannot divide it.
     (1.0, 10**9, True), (1.0, 182, True), (1.0, 181, False),
-    # An int scale divides it exactly, to a size of 0.
-    (1, 300, False)])
+    # An int scale would divide it exactly, to a jump of size 0; it fails alike.
+    (1, 10**9, True), (1, 10**6, True), (1, 182, True), (1, 181, False)])
 def test_an_integer_jump_power_out_of_float_range_fails_fast_naming_it(scale, power, fails):
     # 50 ** 10**9 took hours to compute before the error was raised.
     family, word = build_disk_system()
@@ -276,6 +276,23 @@ def test_an_integer_jump_power_out_of_float_range_fails_fast_naming_it(scale, po
     else:
         make_corrupted_orbit(family, word, (0.1, 0.1), last, rule, seed=1)
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("scale", [1.0, 1])
+@pytest.mark.parametrize("power, fails", [(1023, False), (1024, True)])
+def test_a_jump_power_at_the_edge_of_float_range_fails_alike_for_either_scale(scale, power,
+                                                                                fails):
+    # At step 1, (j + 1) ** power is 2 ** power: 2 ** 1024 is the first power of
+    # two past the float range, inside the margin of the probe's estimate.
+    family, word = build_disk_system()
+    rule = JumpRule("offset", scale=scale, power=power)
+    step = IndexSet.from_iterable([1], 2)
+    if fails:
+        with pytest.raises(ParameterError, match="out of floating-point range") as err:
+            make_corrupted_orbit(family, word, (0.1, 0.1), step, rule, seed=1)
+        assert err.value.path == ("power",)
+    else:
+        make_corrupted_orbit(family, word, (0.1, 0.1), step, rule, seed=1)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from shadowlab.serialize import (
     validate_config,
 )
 
-from oracles import save_block_plan_manifest
+from oracles import orbit_v1_dict, save_block_plan_manifest
 
 
 def sample_orbit(horizon=120):
@@ -53,7 +53,7 @@ def test_tampered_checksum_rejected(tmp_path):
 
 def test_tampered_points_rejected(tmp_path):
     xi = sample_orbit()
-    data = orbit_to_dict(xi)
+    data = orbit_v1_dict(xi)
     data["points"][5][0] = 0.123456
     with pytest.raises(IntegrityError):
         orbit_from_dict(data)

@@ -1,11 +1,14 @@
 """Differential tests of the artifact writers.
 
-``save_orbit`` and ``dump_csv`` format orbit points and CSV rows without the
-per-value Python loop of the writers they replace. The references below are
-those writers: ``json.dumps(..., indent=2)`` of ``orbit_to_dict``, and one
-``repr``-or-``str`` per CSV cell. Files must agree byte for byte.
+``save_orbit`` finds an orbit's defects with one vectorised bitwise
+comparison, and ``dump_csv`` formats CSV rows without a per-cell Python
+loop. The references below take one point or one cell at a time: the v2
+payload from ``reference_map`` step by step, written by
+``json.dumps(..., indent=2)``, and one ``repr``-or-``str`` per CSV cell.
+Files must agree byte for byte.
 """
 
+import hashlib
 import json
 import tempfile
 from pathlib import Path
@@ -14,7 +17,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from shadowlab import (
     GeneratorFamily,
@@ -28,14 +30,17 @@ from shadowlab import (
     make_corrupted_orbit,
     true_orbit,
 )
+from shadowlab.dynamics import CIRCLE
 from shadowlab.serialize import (
     CSV_CHUNK_ROWS,
-    _points_text,
+    ORBIT_SCHEMA_V2,
     dump_csv,
     json_default,
-    orbit_to_dict,
+    load_orbit,
     save_orbit,
 )
+
+from oracles import reference_map
 
 SETTINGS = settings(max_examples=200, deadline=None)
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e16, -1e16, 1e-5, 1e-4, 0.1, 1 / 3,
@@ -63,25 +68,27 @@ def written(writer, *args) -> str:
 
 finite = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                    st.sampled_from(EDGE_FLOATS))
-# Orbit points: n >= 1 rows of one to three coordinates (d = 1 is a circle orbit).
-point_arrays = arrays(np.float64, st.tuples(st.integers(1, 12), st.integers(1, 3)),
-                      elements=finite)
 
 
-def reference_points(a: np.ndarray) -> str:
-    return json.dumps(a.tolist(), indent=2).replace("\n", "\n  ")
+def big_endian_sha256(values: np.ndarray) -> str:
+    return hashlib.sha256(values.astype(">f8").tobytes()).hexdigest()
 
 
-@SETTINGS
-@given(point_arrays)
-def test_points_text_matches_json_layout(a):
-    assert _points_text(a) == reference_points(a)
-
-
-@pytest.mark.parametrize("d", [1, 2])
-def test_points_text_edge_floats(d):
-    a = np.array(EDGE_FLOATS).reshape(-1, d)
-    assert _points_text(a) == reference_points(a)
+def reference_orbit_dict(xi: PseudoOrbit) -> dict:
+    """The v2 payload, one step at a time: a defect is a step whose next point's
+    bytes differ from those of the image of its point."""
+    family, P = xi.family, xi.points
+    defects = []
+    for j, s in enumerate(xi.word.symbols(xi.horizon).tolist()):
+        image = P[j].tolist() if s == 0 else reference_map(family.maps[s - 1], P[j].tolist())
+        if family.space.kind == CIRCLE:
+            image = [image[0] % 1.0]
+        if np.array(image).tobytes() != P[j + 1].tobytes():
+            defects.append([j, P[j + 1].tolist()])
+    return {"schema": ORBIT_SCHEMA_V2, "system": family.spec(), "word": xi.word.spec(),
+            "horizon": xi.horizon, "start": P[0].tolist(), "defects": defects,
+            "points_sha256": big_endian_sha256(P),
+            "step_error_checksum": big_endian_sha256(xi.step_errors), "meta": xi.meta}
 
 
 def circle_orbit():
@@ -92,16 +99,34 @@ def circle_orbit():
                                 squares, JumpRule("uniform"), seed=2)
 
 
+def signed_zero_orbit():
+    """A swap/halving orbit whose stored points flip the sign of a zero at two
+    steps and move by 5e-324 at a third: step errors of 0, and defects all."""
+    family, word = build_disk_system()
+    points = true_orbit(family, word, (0.0, 0.5), 12).points.copy()
+    points[3, 0], points[7, 0] = -points[3, 0], -points[7, 0]
+    points[9, 1] += 5e-324
+    return PseudoOrbit.from_points(family, word, points, {"kind": "signed-zeros"})
+
+
 @pytest.mark.parametrize("make", [
     lambda: true_orbit(*build_disk_system(), (0.4, 0.2), 300),
     lambda: make_corrupted_orbit(*build_disk_system(), (0.4, 0.2),
                                  IndexSet.from_iterable(range(0, 300, 7), 300),
                                  JumpRule("uniform"), seed=3),
     circle_orbit,
+    signed_zero_orbit,
 ])
-def test_save_orbit_writes_the_orbit_dict(make):
+def test_save_orbit_writes_the_start_and_the_defects(make):
     xi = make()
-    assert written(save_orbit, xi) == reference_json(orbit_to_dict(xi))
+    assert written(save_orbit, xi) == reference_json(reference_orbit_dict(xi))
+
+
+def test_signed_zeros_and_underflowing_moves_are_defects():
+    xi = signed_zero_orbit()
+    assert not xi.step_errors.any()
+    # A flipped zero is also the next step's defect: its image keeps the sign.
+    assert [j for j, _ in reference_orbit_dict(xi)["defects"]] == [2, 3, 6, 7, 8]
 
 
 def test_save_orbit_meta_goes_through_json():
@@ -111,7 +136,11 @@ def test_save_orbit_meta_goes_through_json():
     meta = {"quote\"slash\\newline\n\u00e9\U0001f600": [1, {"x": 0.1, "y": [-0.0]}],
             "points": "[\n  1.0\n]", "z": np.float64(1e16), "": []}
     xi = PseudoOrbit(family, word, xi.points, xi.step_errors, meta)
-    assert written(save_orbit, xi) == reference_json(orbit_to_dict(xi))
+    assert written(save_orbit, xi) == reference_json(reference_orbit_dict(xi))
+    with tempfile.TemporaryDirectory() as d:
+        save_orbit(xi, Path(d) / "orbit.json")
+        assert load_orbit(Path(d) / "orbit.json").meta == json.loads(
+            json.dumps(meta, default=json_default))
 
 
 def edge_rows(n: int) -> list[tuple]:
