@@ -104,7 +104,7 @@ def make_decaying_instance(seed: int, horizon: int, scale: float = 1.0, power: f
     family, word = build_disk_system()
     rng = np.random.default_rng(seed)
     z = family.space.sample(rng) if x0 is None else as_point(x0, 2)
-    all_indices = IndexSet.from_iterable(range(horizon), horizon)
+    all_indices = IndexSet(np.arange(horizon), horizon)
     xi = make_corrupted_orbit(family, word, z, all_indices,
                               JumpRule("offset", scale=scale, power=power), seed)
     return DiskExampleInstance(xi, xi.points[0] if start is None else start)

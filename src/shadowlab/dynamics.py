@@ -66,6 +66,16 @@ def _dot(u, v):
     return acc
 
 
+def _compiled(params: str, body, **constants):
+    """``lambda params: body``, built once from source text (a tuple when body
+    is a list of terms) that holds only indices, operators and names. Each
+    constant is bound by its name, never written into the text, so no value
+    is parsed as code and each keeps its type and every bit. Python's
+    operators evaluate left to right, so a sum accumulates as _dot does."""
+    body = body if isinstance(body, str) else f"({''.join(f'{t}, ' for t in body)})"
+    return eval(f"lambda {params}: {body}", {"__builtins__": {}, **constants})
+
+
 def _integral(value) -> bool:
     """Whether value is an integer, Python or numpy, or an integral float such
     as 2.0; a bool, a string or a non-integral number is not."""
@@ -271,19 +281,29 @@ class MetricSpace(_Spec):
         b, xb = _coordinates(Q, self.dimension)
         return self._distance(a, b, xa if xa is xb else np)
 
-    def _canonical(self, c: tuple) -> tuple:
-        """Canonical representative: wraps circle coordinates into [0, 1)."""
-        return (c[0] % 1.0,) if self.kind == CIRCLE else c
-
-    def _inside(self, c: tuple, xp):
+    @cached_property
+    def _inside(self):
+        """Membership of coordinates c in the namespace xp, within MEMBERSHIP_TOL."""
         if self.kind == UNIT_DISK:
-            return xp.sqrt(_dot(c, c)) <= 1.0 + MEMBERSHIP_TOL
+            return _compiled("c, xp", "xp.sqrt(c[0] * c[0] + c[1] * c[1]) <= r",
+                             r=1.0 + MEMBERSHIP_TOL)
         if self.kind == CIRCLE:
-            return xp.isfinite(c[0])
-        inside = True
-        for x, lo, hi in zip(c, self.lo, self.hi):
-            inside = inside & (x >= lo - MEMBERSHIP_TOL) & (x <= hi + MEMBERSHIP_TOL)
-        return inside
+            return _compiled("c, xp", "xp.isfinite(c[0])")
+        lo = {f"lo{k}": x - MEMBERSHIP_TOL for k, x in enumerate(self.lo)}
+        hi = {f"hi{k}": x + MEMBERSHIP_TOL for k, x in enumerate(self.hi)}
+        return _compiled("c, xp", " & ".join(f"(c[{k}] >= lo{k}) & (c[{k}] <= hi{k})"
+                                             for k in range(self.dimension)), **lo, **hi)
+
+    @cached_property
+    def _landings(self) -> dict:
+        """Where a jump q lands from the image p, by landing rule, before it is
+        checked: "target" lands q, "offset" p + q, both wrapped on the circle;
+        "stored" lands q as it is."""
+        wrap = "({}) % 1.0" if self.kind == CIRCLE else "{}"
+        d = range(self.dimension)
+        return {"target": _compiled("p, q", [wrap.format(f"q[{k}]") for k in d]),
+                "offset": _compiled("p, q", [wrap.format(f"p[{k}] + q[{k}]") for k in d]),
+                "stored": lambda p, q: q}
 
     def _distance(self, a: tuple, b: tuple, xp):
         if self.kind == CIRCLE:
@@ -300,7 +320,7 @@ class MetricSpace(_Spec):
             r = xp.where(r > 1.0, r, 1.0)
             return tuple(x / r for x in c)
         if self.kind == CIRCLE:
-            return self._canonical(c)
+            return (c[0] % 1.0,)
         # A tie goes to the bound, signed zeros included; NaN stays NaN.
         return tuple(xp.where(x <= lo, lo, xp.where(x >= hi, hi, x))
                      for x, lo, hi in zip(c, self.lo, self.hi))
@@ -361,15 +381,29 @@ class GeneratorMap(_Spec):
 
     @cached_property
     def _step(self):
-        """The map as one expression over a tuple of coordinates."""
-        if self.kind == "identity":
-            return lambda c: c
-        if self.kind == "permutation":
-            return lambda c: tuple([c[i] for i in self.perm])
-        if self.kind == "affine":
-            rows = tuple(zip(self.matrix, self.offset))
-            return lambda c: tuple([_dot(c, a) + b for a, b in rows])
-        return lambda c: tuple(map(operator.mul, c, self.factors))
+        """The map as a step over a tuple of coordinates, of the dimension its fields fix."""
+        size = self.perm or self.offset or self.factors
+        return self._compile(len(size)) if size else lambda c: c
+
+    def _compile(self, d: int, wrap: str = "{}"):
+        """The map on d coordinates c as one straight-line expression, each image
+        coordinate formatted into wrap (an affine row is ((c[0] * a_i0 + c[1] *
+        a_i1) + ...) + b_i); a permutation of d > 1 coordinates, never wrapped,
+        is an itemgetter."""
+        if self.kind == "permutation" and d > 1:
+            return operator.itemgetter(*self.perm)
+        if self.kind in ("identity", "permutation"):
+            terms, constants = [f"c[{i}]" for i in self.perm or range(d)], {}
+        elif self.kind == "affine":
+            terms = [" + ".join([*(f"c[{k}] * a{i}_{k}" for k in range(d)), f"b{i}"])
+                     for i in range(d)]
+            constants = {f"a{i}_{k}": a for i, row in enumerate(self.matrix)
+                         for k, a in enumerate(row)}
+            constants.update((f"b{i}", b) for i, b in enumerate(self.offset))
+        else:
+            terms = [f"c[{k}] * f{k}" for k in range(d)]
+            constants = {f"f{k}": f for k, f in enumerate(self.factors)}
+        return _compiled("c", [wrap.format(t) for t in terms], **constants)
 
 
 @dataclass(frozen=True)
@@ -403,10 +437,8 @@ class GeneratorFamily:
         Symbol 0 is the identity, and circle images wrap into [0, 1). Every
         stepping loop goes through this table.
         """
-        maps = [g._step for g in self.maps]
-        if self.space.kind == CIRCLE:
-            maps = [lambda c, f=f: self.space._canonical(f(c)) for f in maps]
-        return (lambda c: c, *maps)
+        d, wrap = self.space.dimension, "({}) % 1.0" if self.space.kind == CIRCLE else "{}"
+        return (lambda c: c, *(g._compile(d, wrap) for g in self.maps))
 
     def checked_symbols(self, symbols) -> np.ndarray:
         """The symbols as an int64 array; RangeError at the first outside [0, m]."""
@@ -460,8 +492,8 @@ class Word(_Spec):
         self._check_fields("word", {"m": _integer, "offset": _integer})
         if self.m < 1:
             raise ParameterError("alphabet size m must be >= 1", "m")
-        if self.offset < 0:
-            raise ParameterError("word offset must be >= 0", "offset")
+        if not 0 <= self.offset < 2**63:
+            raise ParameterError(f"word offset must lie in [0, 2**63), got {self.offset}", "offset")
         if self.kind == "constant":
             if not 1 <= self.symbol <= self.m:
                 raise ParameterError(f"word symbol {self.symbol} outside 1..{self.m}", "symbol")
@@ -541,7 +573,7 @@ class Word(_Spec):
             return np.full(n, self.symbol, dtype=np.int64)
         if self.kind == "periodic":
             pattern = np.array(self.pattern, dtype=np.int64)
-            return pattern[(start + np.arange(n)) % len(pattern)]
+            return pattern[(start % len(pattern) + np.arange(n)) % len(pattern)]
         if self.kind == "iid":
             u = np.frombuffer(self._iid_draws(start, n), dtype=">u8").astype(np.float64) / 2.0**64
             s = np.searchsorted(np.array(self._iid_thresholds()), u, side="right") + 1
@@ -589,58 +621,61 @@ class JumpRule(_Spec):
             raise ParameterError(f"offset jump scale must be positive, got {self.scale}", "scale")
 
 
-def _walk(family: GeneratorFamily, symbols, z, jumps: dict | None = None,
-          landing: str = "target") -> tuple[np.ndarray, list[int]]:
-    """Step z through the symbols on Python floats; return the points and
-    the steps whose jump was clamped. At a step j in jumps, points[j+1] is
-    where jumps[j] lands, by the landing rule:
+def _walk(family: GeneratorFamily, symbols, z, jumps=((), ()),
+          landing: str = "target") -> tuple[np.ndarray, list[int], np.ndarray]:
+    """Step z through the symbols on Python floats; return the points, the
+    steps whose jump was clamped, and the images at the jump steps walked.
+    jumps holds sorted steps and a point q for each; at step j, points[j+1]
+    is where q lands, by the landing rule:
 
-    - "target": jumps[j] itself, projected onto the space if it left it;
-    - "offset": the image displaced by jumps[j], projected likewise;
-    - "stored": jumps[j] as it is, a stored point that decoding copies bit
-      for bit (a signed zero or a circle point outside [0, 1) included).
+    - "target": q itself, projected onto the space if it left it;
+    - "offset": the image displaced by q, projected likewise;
+    - "stored": q as it is, a stored point that decoding copies bit for bit
+      (a signed zero or a circle point outside [0, 1) included).
 
     Images are checked once, on columns; the first outside raises DomainError
     naming its map, its point and its image. A "stored" walk checks none: an
     image it lands off is not a point, and its other images are the points,
     which the caller checks.
     """
-    space, steps, jumps = family.space, family.steps, jumps or {}
-    p = tuple(as_point(z, space.dimension).tolist())
-    if not space._inside(p, _FLOATS):
+    space, d, steps = family.space, family.space.dimension, family.steps
+    p, inside = tuple(as_point(z, d).tolist()), space._inside
+    if not inside(p, _FLOATS):
         raise DomainError(f"start {list(p)} is outside the {space.kind} space")
-    stored = landing == "stored"
+    stored, land, project = landing == "stored", space._landings[landing], space._project
+    # Symbols are walked up to the first out of range, which raises below.
+    bad = np.flatnonzero((symbols < 0) | (symbols > family.m))[:1]
+    walked = symbols[:bad[0]] if bad.size else symbols
+    at = np.asarray(jumps[0], dtype=np.int64)
+    at = at[at < len(walked)]
+    aligned = [None] * len(walked)
+    for j, q in zip(at.tolist(), jumps[1]):
+        aligned[j] = q
     # Coordinates are collected flat, not as a tuple per point, into one array.
     points, images, clamped = list(p), [], []
-    for j, s in enumerate(symbols.tolist()):
-        if not 0 <= s < len(steps):
-            break
-        p = steps[s](p)
-        if jumps and not stored:
+    for j, (f, q) in enumerate(zip([steps[s] for s in walked.tolist()], aligned)):
+        p = f(p)
+        if q is not None:
             images.extend(p)
-        if j in jumps:
-            if stored:
-                p = jumps[j]
-            else:
-                p = space._canonical(tuple(map(operator.add, p, jumps[j]))
-                                     if landing == "offset" else jumps[j])
-                if not space._inside(p, _FLOATS):
-                    p = space._project(p, _FLOATS)
-                    clamped.append(j)
+            p = land(p, q)
+            if not stored and not inside(p, _FLOATS):
+                p = project(p, _FLOATS)
+                clamped.append(j)
         points.extend(p)
-    points = np.array(points).reshape(-1, space.dimension)
+    points = np.array(points).reshape(-1, d)
+    images = np.array(images).reshape(-1, d)
     if not stored:
-        images = np.array(images).reshape(-1, space.dimension) if jumps else points[1:]
+        every = points[1:].copy() if at.size else points[1:]
+        every[at] = images
         # A point that left the space may overflow before the check raises.
         with np.errstate(all="ignore"):
-            outside = np.flatnonzero(~space._inside(tuple(images.T), np))
+            outside = np.flatnonzero(~inside(tuple(every.T), np))
         if outside.size:
             j = int(outside[0])
             raise DomainError(f"map {int(symbols[j])} sends {points[j].tolist()} to "
-                              f"{images[j].tolist()}, outside the space")
-    # The first out-of-range symbol, when no earlier image left the space.
-    family.checked_symbols(symbols)
-    return points, clamped
+                              f"{every[j].tolist()}, outside the space")
+    family.checked_symbols(symbols[bad])  # when no earlier image left the space
+    return points, clamped, images
 
 
 def orbit(family: GeneratorFamily, word: Word, z, n: int) -> np.ndarray:

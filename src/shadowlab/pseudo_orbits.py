@@ -248,11 +248,11 @@ def make_corrupted_orbit(family: GeneratorFamily, word: Word, z,
     drawn before stepping, in corrupted-step order. Every image, including
     an image a jump replaces, is checked for membership.
     """
-    steps = np.flatnonzero(corruption_indices.mask())
+    steps = corruption_indices.indices
     rows = _draw_jumps(jump_rule, family.space, np.random.default_rng(seed), steps)
-    jumps = dict(zip(steps.tolist(), map(tuple, rows.tolist())))
-    points, clamped = _walk(family, word.symbols(corruption_indices.horizon), z, jumps,
-                            "offset" if jump_rule.kind == "offset" else "target")
+    points, clamped, _ = _walk(family, word.symbols(corruption_indices.horizon), z,
+                               (steps, rows.tolist()),
+                               "offset" if jump_rule.kind == "offset" else "target")
     meta = {"kind": "corrupted-orbit", "seed": seed, "jump_rule": jump_rule.spec(),
             "corrupted_count": len(corruption_indices), "clamped_indices": clamped}
     return PseudoOrbit.from_points(family, word, points, meta)

@@ -145,31 +145,35 @@ def _stored_point(what: str, value, dimension: int) -> tuple[float, ...]:
     return point
 
 
-def _walked_points(data: dict, family: GeneratorFamily, word: Word) -> np.ndarray:
-    """A v2 file's points: one walk from its start that lands each defect's
-    point as stored, checked against points_sha256."""
+def _walked_orbit(data: dict, family: GeneratorFamily, word: Word) -> tuple:
+    """A v2 file's points, from one walk from its start that lands each defect's
+    point as stored, checked against points_sha256; and its step errors, 0.0
+    but at the defects: every other x_{j+1} is the walk's image of x_j."""
     d = family.space.dimension
     H = _keyed("horizon", _integer, "horizon", data["horizon"])
     if H < 0:
         raise ParameterError(f"must be >= 0, got {H}", "horizon")
     start = _keyed("start", _stored_point, "start", data["start"], d)
-    defects, last = {}, -1
+    steps, rows = [], []
     for i, defect in enumerate(_keyed("defects", _items, "defects", data["defects"])):
         key = f"defects[{i}]"
         if not isinstance(defect, list) or len(defect) != 2:
             raise ParameterError(f"must be a pair [j, x_(j+1)], got {defect!r}", key)
         j = _keyed(key, _integer, "defect step", defect[0])
+        last = steps[-1] if steps else -1
         if not last < j < H:
             raise ParameterError(f"step {j} must lie in ({last}, {H}): defects are sorted, "
                                  "one a step, below the horizon", key)
-        defects[j] = _keyed(key, _stored_point, "defect point", defect[1], d)
-        last = j
-    points = _walk(family, word.symbols(H), start, defects, "stored")[0]
+        steps.append(j)
+        rows.append(_keyed(key, _stored_point, "defect point", defect[1], d))
+    points, _, images = _walk(family, word.symbols(H), start, (steps, rows), "stored")
     digest = _sha256(points)
     if digest != data["points_sha256"]:
         raise IntegrityError(f"points digest mismatch: the walk gives {digest[:12]}…, "
                              f"file says {str(data['points_sha256'])[:12]}…")
-    return points
+    errors = np.zeros(H)
+    errors[steps] = family.space._distance(tuple(images.T), tuple(points[1:][steps].T), np)
+    return points, errors
 
 
 # The keys of each orbit schema that orbit_from_dict reads.
@@ -181,8 +185,8 @@ ORBIT_KEYS = {
 
 
 def orbit_from_dict(data: dict) -> PseudoOrbit:
-    """Rebuild the points (listed in v1, walked in v2), recompute the step
-    errors, and verify the embedded checksums; an unknown key is an error."""
+    """Rebuild the points (listed in v1, walked in v2) and the step errors,
+    and verify the embedded checksums; an unknown key is an error."""
     schema = data.get("schema")
     if schema not in ORBIT_KEYS:
         raise ParameterError(f"unsupported orbit schema {schema!r}")
@@ -192,9 +196,9 @@ def orbit_from_dict(data: dict) -> PseudoOrbit:
     word = _keyed("word", Word.from_spec, data["word"])
     if schema == ORBIT_SCHEMA:
         points = as_points(data["points"], family.space.dimension)
+        errors = recompute_step_errors(family, word, points)
     else:
-        points = _walked_points(data, family, word)
-    errors = recompute_step_errors(family, word, points)
+        points, errors = _walked_orbit(data, family, word)
     checksum = step_error_checksum(errors)
     if checksum != data["step_error_checksum"]:
         raise IntegrityError(

@@ -215,6 +215,19 @@ def test_word_shift_reindexes():
     assert [shifted.symbol_at(j) for j in range(5)] == [word.symbol_at(3 + j) for j in range(5)]
 
 
+def test_word_offsets_past_int64_are_rejected_and_large_ones_read_their_pattern():
+    # An offset of 2**70 in a config reached numpy as an OverflowError, not an exit 2.
+    word = Word.periodic((1, 2, 2), m=2)
+    far = word.shifted(2**63 - 5)
+    assert list(far.symbols(8)) == [word.symbol_at((2**63 - 5 + j) % 3) for j in range(8)]
+    for offset in (2**63, 2**70):
+        with pytest.raises(ParameterError, match="offset") as info:
+            Word("periodic", 2, pattern=(1, 2), offset=offset)
+        assert info.value.path == ("offset",)
+    with pytest.raises(ParameterError, match="offset"):
+        far.shifted(5)
+
+
 def test_word_validation():
     with pytest.raises(ParameterError):
         Word.constant(3, m=2)

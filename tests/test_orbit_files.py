@@ -31,6 +31,7 @@ from shadowlab import (
     true_orbit,
 )
 from shadowlab.cli import main
+from shadowlab.pseudo_orbits import recompute_step_errors
 from shadowlab.serialize import (
     CONFIG_SCHEMA,
     ORBIT_SCHEMA_V2,
@@ -218,7 +219,11 @@ def test_every_orbit_round_trips_through_v2_bit_for_bit(xi):
     steps = [j for j, _ in data["defects"]]
     assert set(np.flatnonzero(xi.step_errors).tolist()) <= set(steps)
     assert steps == sorted(set(steps))
-    assert_same_orbit(orbit_from_dict(data), xi)
+    loaded = orbit_from_dict(data)
+    assert_same_orbit(loaded, xi)
+    # A v2 load computes step errors at the defects only, the rest are 0.0.
+    recomputed = recompute_step_errors(loaded.family, loaded.word, loaded.points)
+    assert loaded.step_errors.tobytes() == recomputed.tobytes()
     assert_same_orbit(orbit_from_dict(through_json(orbit_v1_dict(xi))), xi)
 
 

@@ -17,6 +17,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 import sys
 from unittest import mock
 
@@ -47,7 +48,7 @@ from shadowlab import (
     true_orbit,
 )
 from shadowlab import shadow_search
-from shadowlab.dynamics import CIRCLE, UNIT_DISK
+from shadowlab.dynamics import _FLOATS, CIRCLE, UNIT_DISK
 from shadowlab.pseudo_orbits import recompute_step_errors
 from shadowlab.serialize import json_default
 from shadowlab.shadow_search import HIT_DENSITY, LIMSUP, _net_pick, _scan
@@ -456,6 +457,124 @@ def test_walk_emits_no_warnings_before_raising():
     word = Word.periodic((1, 1, 1, 2), m=2)
     with np.errstate(all="raise"), pytest.raises(DomainError, match="map 1"):
         orbit(family, word, (0.5,), 200)
+
+
+# ---------------------------------------------------------------------------
+# The compiled step table: each map, membership test and landing is one
+# straight-line expression, built once
+
+
+# Constants and coordinates a step rarely meets: signed zeros, the least
+# subnormal, and 1e308, whose products overflow to inf. Constants may be given
+# as Python ints.
+EDGE = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 0.5, -1.25, 3, -2]
+
+
+def edge_numbers():
+    return st.one_of(st.sampled_from(EDGE), unit(-4.0, 4.0))
+
+
+@st.composite
+def any_maps(draw, d):
+    kind = draw(st.sampled_from(["identity", "permutation", "affine", "scale"]))
+    if kind == "identity":
+        return GeneratorMap.identity()
+    if kind == "permutation":
+        return GeneratorMap.permutation(draw(st.permutations(range(d))))
+    row = st.lists(edge_numbers(), min_size=d, max_size=d)
+    if kind == "scale":
+        return GeneratorMap.scale(draw(row))
+    return GeneratorMap.affine(draw(st.lists(row, min_size=d, max_size=d)), draw(row))
+
+
+def bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda d: st.tuples(
+    any_maps(d), st.lists(st.lists(edge_numbers(), min_size=d, max_size=d),
+                          min_size=1, max_size=6))))
+def test_compiled_steps_equal_the_reference_map_bit_for_bit(case):
+    g, rows = case
+    rows = [[float(x) for x in row] for row in rows]
+    d = len(rows[0])
+    family = GeneratorFamily(MetricSpace.box([-1.0] * d, [1.0] * d), (g,))
+    with np.errstate(all="ignore"):
+        expected = [reference_map(g, row) for row in rows]
+        columns = family.steps[1](tuple(np.array(rows).T))
+        assert bits(np.stack(columns, axis=-1)) == bits(expected)
+        assert bits(g(np.array(rows))) == bits(expected)
+    for row, image in zip(rows, expected):
+        assert bits(family.steps[1](tuple(row))) == bits(image)
+        assert bits(g(row)) == bits(image)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.just(GeneratorMap.identity()), st.just(GeneratorMap.permutation((0,))),
+                 st.integers(-3, 3).map(lambda k: GeneratorMap.scale([k])),
+                 st.tuples(st.integers(-3, 3), edge_numbers()).map(
+                     lambda a: GeneratorMap.affine([[a[0]]], [a[1]]))),
+       st.lists(edge_numbers(), min_size=1, max_size=6))
+def test_compiled_circle_steps_wrap_the_reference_map(g, xs):
+    family = GeneratorFamily(MetricSpace.circle(), (g,))
+    xs = [float(x) for x in xs]
+    with np.errstate(all="ignore"):
+        expected = [reference_map(g, [x])[0] % 1.0 for x in xs]
+        assert bits(family.steps[1]((np.array(xs),))[0]) == bits(expected)
+    for x, image in zip(xs, expected):
+        assert bits(family.steps[1]((x,))) == bits([image])
+
+
+@pytest.mark.parametrize("kind", ["fixed", "offset"])
+@pytest.mark.parametrize("space", sorted(SYSTEMS))
+@settings(max_examples=25, deadline=None)
+@given(horizon=st.integers(1, 300), seed=st.integers(0, 2**32), scale=unit(0.01, 3.0),
+       power=unit(0.0, 1.0), data=st.data())
+def test_a_jump_at_every_step_lands_as_the_reference_lands_it(space, kind, horizon, seed,
+                                                             scale, power, data):
+    # A scale near 3 or a far fixed point clamps most landings; a small one, none.
+    family, start = data.draw(SYSTEMS[space])
+    word = data.draw(words(family.m))
+    d = family.space.dimension
+    rule = (JumpRule("offset", scale=scale, power=power) if kind == "offset"
+            else JumpRule("fixed", point=tuple(data.draw(vectors(d, -2.5, 2.5)))))
+    indices = IndexSet(np.arange(horizon), horizon)
+    expected, clamped = reference_corrupted_orbit(family, word, start, indices, rule, seed)
+    xi = make_corrupted_orbit(family, word, start, indices, rule, seed)
+    assert xi.points.tobytes() == expected.tobytes()
+    assert xi.meta["clamped_indices"] == clamped
+    event("clamped" if clamped else "none clamped")
+
+
+def test_compiled_source_names_every_constant(monkeypatch):
+    from shadowlab import dynamics
+
+    sources = []
+
+    def recording(source, namespace):
+        sources.append(source)
+        return eval(source, namespace)
+
+    monkeypatch.setattr(dynamics, "eval", recording, raising=False)
+    constants = [0.7071067811865476, -0.123456789, 1e-300, 987654321]
+    maps = (GeneratorMap.affine([constants[:2], constants[2:]], [0.4142135623730951, 2.5e-7]),
+            GeneratorMap.scale([0.3183098861837907, -77.25]), GeneratorMap.permutation((1, 0)))
+    space = MetricSpace.box([-0.2718281828459045, -31.5], [1.6180339887498949, 299792458])
+    steps = GeneratorFamily(space, maps).steps
+    assert space._inside((0.5, 0.5), _FLOATS) and space._landings["offset"]((0.0, 0.0), (0.1, 0.2))
+    GeneratorFamily(MetricSpace.circle(),
+                    (GeneratorMap.affine([[2.0]], [0.5772156649015329]),)).steps[1]((0.25,))
+    assert len(steps) == 4 and len(sources) >= 5
+    values = [*constants, 0.4142135623730951, 2.5e-7, 0.3183098861837907, -77.25,
+              *space.lo, *space.hi, 0.5772156649015329, 2.0]
+    for source in sources:
+        assert source.startswith("lambda ")
+        for value in values:
+            assert repr(value) not in source and repr(float(value)) not in source
+        for name in re.findall(r"[A-Za-z_][A-Za-z_0-9]*", source):
+            assert name in {"lambda", "c", "p", "q", "xp", "sqrt", "isfinite"} or re.fullmatch(
+                r"(a\d+_\d+|b\d+|f\d+|lo\d+|hi\d+|r)", name), (name, source)
 
 
 # ---------------------------------------------------------------------------
