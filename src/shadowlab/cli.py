@@ -2,9 +2,14 @@
 
 Every subcommand reads one JSON config (``--config``; omitting it selects
 the built-in unit-disk system), loaded and checked once by
-``serialize.load_config``, emits deterministic JSON/CSV artifacts under
+``serialize.load_config``, emits deterministic JSON artifacts under
 ``--out``, and encodes failures in the exit status: 0 success, 2 config or
 input-file error, 3 precondition-verdict rejection, 4 resource cap.
+
+Three commands can also write a per-step curve as CSV (``CURVES``), only
+under ``--curves``. Each curve is a function of the config and seed, or of
+the input file, so a rerun with the flag rebuilds it; the JSON artifacts
+are the same bytes with and without it.
 """
 
 from __future__ import annotations
@@ -54,6 +59,16 @@ from .shadow_search import (
     refined_asymptotic_search,
 )
 from .surgery import block_length, repair
+
+
+# The per-step curve each command writes under --curves.
+CURVES = {"cesaro": "cesaro_means.csv", "example-disk": "example_disk.csv",
+          "search": "search_curve.csv"}
+
+
+def skipped_note(curves: bool, command: str) -> str:
+    """What a printed line adds about its curve: nothing when --curves wrote it."""
+    return "" if curves else f" ({CURVES[command]} not written: pass --curves)"
 
 
 def numbered_rows(*columns: np.ndarray) -> list[tuple]:
@@ -121,11 +136,12 @@ def cmd_repair(cfg: ExperimentConfig, out: Path) -> int:
     return 0
 
 
-def cmd_cesaro(cfg: ExperimentConfig, out: Path) -> int:
+def cmd_cesaro(cfg: ExperimentConfig, out: Path, curves: bool) -> int:
     if not cfg.cesaro_csv:
         raise ParameterError("config field 'cesaro.input_csv': required for the cesaro subcommand")
     a = load_sequence(cfg.cesaro_csv, cfg.cesaro_bound)
-    dump_csv(numbered_rows(a.means), ["n", "cesaro_mean"], out / "cesaro_means.csv")
+    if curves:
+        dump_csv(numbered_rows(a.means), ["n", "cesaro_mean"], out / CURVES["cesaro"])
     extraction = extract_null_set(a, tail_fraction=cfg.tail_fraction)
     verdict = verify_equivalence(a, extraction.J, cfg.tol, cfg.tail_fraction)
     dump_json({
@@ -137,7 +153,7 @@ def cmd_cesaro(cfg: ExperimentConfig, out: Path) -> int:
         "equivalence": verdict.to_dict(),
     }, out / "cesaro.json")
     print(f"cesaro: |J|={len(extraction.J)}, equivalence "
-          f"{'true' if verdict else 'false'}")
+          f"{'true' if verdict else 'false'}{skipped_note(curves, 'cesaro')}")
     return 0
 
 
@@ -165,7 +181,7 @@ def run_search(cfg: ExperimentConfig, mode: str,
     return refined_asymptotic_search(xi, cfg.epsilon, cfg.search_schedule, cfg.tail_fraction)
 
 
-def cmd_search(cfg: ExperimentConfig, out: Path) -> int:
+def cmd_search(cfg: ExperimentConfig, out: Path, curves: bool) -> int:
     xi = load_orbit(cfg.search_orbit) if cfg.search_orbit else build_orbit(cfg)
     result = run_search(cfg, cfg.search_mode, xi)
     dump_json(result.to_dict(), out / "search.json")
@@ -173,22 +189,26 @@ def cmd_search(cfg: ExperimentConfig, out: Path) -> int:
         outcome = "ok" if result.succeeded else f"failed at stage {result.failed_stage}"
         print(f"refined search: {outcome}")
         return 0
-    dump_csv(numbered_rows(result.report.prefix_means), ["n", "prefix_mean"],
-             out / "search_curve.csv")
+    if curves:
+        dump_csv(numbered_rows(result.report.prefix_means), ["n", "prefix_mean"],
+                 out / CURVES["search"])
     print(f"{cfg.search_mode} search: success={result.success}, "
-          f"objective={result.params['scan_objective']:.6g}, net={result.net_size}")
+          f"objective={result.params['scan_objective']:.6g}, net={result.net_size}"
+          f"{skipped_note(curves, 'search')}")
     return 0
 
 
-def cmd_example_disk(cfg: ExperimentConfig, out: Path) -> int:
+def cmd_example_disk(cfg: ExperimentConfig, out: Path, curves: bool) -> int:
     instance = make_decaying_instance(cfg.seed, cfg.horizon, scale=cfg.disk_scale,
                                       power=cfg.disk_power, start=cfg.disk_start)
     lhs, rhs, verdict = tracking_inequality_curve(instance)
-    dump_csv(numbered_rows(lhs, rhs, instance.tracking_means()), ["n", "lhs", "rhs", "mean"],
-             out / "example_disk.csv")
+    if curves:
+        dump_csv(numbered_rows(lhs, rhs, instance.tracking_means()),
+                 ["n", "lhs", "rhs", "mean"], out / CURVES["example-disk"])
     demo = aasp_demo(instance, cfg.tail_fraction, asymptotic_tol=cfg.tol)
     dump_json({"all_prefixes_bounded": verdict, "demo": demo}, out / "example_disk.json")
-    print(f"example-disk: bound holds at every prefix: {verdict}")
+    print(f"example-disk: bound holds at every prefix: {verdict}"
+          f"{skipped_note(curves, 'example-disk')}")
     return 0
 
 
@@ -242,14 +262,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="shadowlab",
         description="Pseudo-orbit laboratory: generate, classify, repair, and search.",
-        epilog="Defaults: horizon 10000, tail_fraction 0.5. Exit codes: 0 success, "
-               "2 config error, 3 precondition rejection, 4 resource cap.")
+        epilog="Defaults: horizon 10000, tail_fraction 0.5; JSON artifacts only, per-step "
+               "curves under --curves. Exit codes: 0 success, 2 config error, "
+               "3 precondition rejection, 4 resource cap.")
     parser.add_argument("command", choices=tuple(DISPATCH))
     parser.add_argument("--config", type=Path, default=None,
                         help="JSON experiment config (defaults to the built-in disk system)")
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
     parser.add_argument("--horizon", type=int, default=None, help="override config horizon")
     parser.add_argument("--out", default=None, help="override output directory")
+    parser.add_argument("--curves", action="store_true",
+                        help="also write the per-step curve as CSV: " + ", ".join(
+                            f"{name} ({command})" for command, name in CURVES.items())
+                        + "; an output choice that changes no JSON artifact")
     return parser
 
 
@@ -259,7 +284,8 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, seed=args.seed, horizon=args.horizon, out=args.out)
         out = Path(cfg.out)
         out.mkdir(parents=True, exist_ok=True)
-        return DISPATCH[args.command](cfg, out)
+        curves = {"curves": args.curves} if args.command in CURVES else {}
+        return DISPATCH[args.command](cfg, out, **curves)
     except PreconditionError as exc:
         print(f"precondition rejected: {exc} (witness: {exc.witness})", file=sys.stderr)
         return 3

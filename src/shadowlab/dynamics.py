@@ -172,10 +172,19 @@ def _plain(value):
     return value.spec() if isinstance(value, Word) else value
 
 
+def _fields_only(self) -> dict:
+    """The pickled state of a frozen dataclass: its fields, not what is cached
+    beside them in __dict__. A compiled expression is a lambda, which does not
+    pickle; the copy compiles its own on first use."""
+    return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
 class _Spec:
     """The construction path every spec type shares. _FIELDS, the type's table,
     lists its kinds and the fields each reads: __post_init__ checks against it,
     spec writes the kind and those fields, and from_spec reads what spec writes."""
+
+    __getstate__ = _fields_only
 
     def _check_fields(self, what: str, shared=()) -> None:
         """Check the fields against _FIELDS[kind] and shared, the checks of the
@@ -412,6 +421,8 @@ class GeneratorFamily:
 
     space: MetricSpace
     maps: tuple[GeneratorMap, ...]
+
+    __getstate__ = _fields_only
 
     def __post_init__(self):
         if len(self.maps) < 1:

@@ -156,7 +156,7 @@ def test_repair_pipeline_and_rejection(tmp_path):
 
 def test_search_average_and_resource_cap(tmp_path):
     cfg = write_config(tmp_path)
-    assert main(["search", "--config", str(cfg)]) == 0
+    assert main(["search", "--config", str(cfg), "--curves"]) == 0
     report = json.loads((tmp_path / "out" / "search.json").read_text())
     assert report["success"] is True
     curve = (tmp_path / "out" / "search_curve.csv").read_text().splitlines()
@@ -187,7 +187,7 @@ def test_cesaro_subcommand(tmp_path):
     csv = tmp_path / "values.csv"
     csv.write_text("\n".join(str(v) for v in values))
     cfg = write_config(tmp_path, cesaro={"input_csv": str(csv)})
-    assert main(["cesaro", "--config", str(cfg)]) == 0
+    assert main(["cesaro", "--config", str(cfg), "--curves"]) == 0
     result = json.loads((tmp_path / "out" / "cesaro.json").read_text())
     assert result["equivalence"]["verdict"] is True
     assert result["boundaries"]
@@ -218,13 +218,34 @@ def test_concat_subcommand(tmp_path):
 
 
 def test_example_disk_default_config(tmp_path):
-    assert main(["example-disk", "--horizon", "500", "--out", str(tmp_path / "demo")]) == 0
+    assert main(["example-disk", "--horizon", "500", "--out", str(tmp_path / "demo"),
+                 "--curves"]) == 0
     rows = (tmp_path / "demo" / "example_disk.csv").read_text().splitlines()
     assert rows[0] == "n,lhs,rhs,mean"
     final = rows[-1].split(",")
     assert float(final[1]) <= float(final[2]) + 1e-9
     summary = json.loads((tmp_path / "demo" / "example_disk.json").read_text())
     assert summary["all_prefixes_bounded"] is True
+
+
+def test_a_default_run_writes_no_curve_and_names_the_flag(tmp_path, capsys):
+    values = tmp_path / "values.csv"
+    values.write_text("\n".join("1.0" if round(n ** 0.5) ** 2 == n else "0.0"
+                                for n in range(2000)))
+    cfg = write_config(tmp_path, cesaro={"input_csv": str(values)})
+    for command, curve in (("cesaro", "cesaro_means.csv"), ("example-disk", "example_disk.csv"),
+                           ("search", "search_curve.csv")):
+        files, lines = {}, {}
+        for run, flags in (("default", []), ("curves", ["--curves"])):
+            out = tmp_path / command / run
+            assert main([command, "--config", str(cfg), "--out", str(out), *flags]) == 0
+            lines[run] = capsys.readouterr().out
+            files[run] = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert not any(name.endswith(".csv") for name in files["default"])
+        assert f"{curve} not written: pass --curves" in lines["default"]
+        assert "--curves" not in lines["curves"]
+        # The flag adds the curve and changes no other byte.
+        assert files["curves"].pop(curve) and files["curves"] == files["default"]
 
 
 def test_equivalence_suite(tmp_path):
@@ -259,10 +280,11 @@ def test_full_pipeline_byte_identical_across_runs(tmp_path):
             "mode": mode, "levels": 3, "orbit": str(tmp_path / "out" / "orbit.json")}))
     outputs = {}
     for run in ("first", "second"):
-        for command in ("generate", "classify", "repair", "search"):
+        for command in ("generate", "classify", "repair"):
             assert main([command, "--config", str(cfg)]) == 0
-        for search in searches:
-            assert main(["search", "--config", str(search)]) == 0
+        # With --curves, each non-refined search also writes search_curve.csv.
+        for search in (cfg, *searches):
+            assert main(["search", "--config", str(search), "--curves"]) == 0
         outputs[run] = {str(p.relative_to(tmp_path)): p.read_bytes()
                         for p in sorted(tmp_path.rglob("*")) if p.is_file()}
     assert len(outputs["first"]) == 12

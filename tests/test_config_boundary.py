@@ -62,10 +62,10 @@ def set_field(data: dict, name: str, value) -> None:
         target[key] = value
 
 
-def run(data: dict, tmp: Path, command: str, capsys) -> tuple[int, str]:
+def run(data: dict, tmp: Path, command: str, capsys, *flags: str) -> tuple[int, str]:
     path = tmp / "config.json"
     path.write_text(json.dumps(data))
-    code = main([command, "--config", str(path)])
+    code = main([command, "--config", str(path), *flags])
     return code, capsys.readouterr().err
 
 
@@ -835,7 +835,8 @@ def test_unusable_values_file_exits_2_naming_it_before_writing(tmp_path, capsys,
     data = section_config(tmp_path, capsys)
     (tmp_path / "values.csv").write_text(text)
     data["cesaro"]["bound"] = bound
-    code, err = run(data, tmp_path, "cesaro", capsys)
+    # With --curves, so that no curve file shows that the check came before any write.
+    code, err = run(data, tmp_path, "cesaro", capsys, "--curves")
     assert code == 2
     assert f"values file {tmp_path / 'values.csv'}" in err
     assert message in err

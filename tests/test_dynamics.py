@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -7,11 +8,13 @@ import pytest
 from shadowlab import (
     GeneratorFamily,
     GeneratorMap,
+    IndexSet,
     JumpRule,
     MetricSpace,
     ParameterError,
     ResourceCapError,
     Word,
+    make_corrupted_orbit,
     net,
     orbit,
 )
@@ -315,6 +318,38 @@ def test_word_is_a_frozen_value():
     assert word.shifted(3) == Word("periodic", 2, pattern=(1, 2), offset=3) != word
     with pytest.raises(dataclasses.FrozenInstanceError):
         word.offset = 1
+
+
+@pytest.mark.parametrize("spec, start", [
+    ({"space": {"kind": "unit-disk-2d"},
+      "maps": [{"kind": "permutation", "perm": [1, 0]}, {"kind": "scale", "factors": [0.5, 0.5]}]},
+     (0.6, 0.3)),
+    ({"space": {"kind": "box-kd", "lo": [0.0, 0.0], "hi": [1.0, 1.0]},
+      "maps": [{"kind": "affine", "matrix": [[0.5, 0.1], [0.0, 0.5]], "offset": [0.1, 0.2]},
+               {"kind": "affine", "matrix": [[0.4, 0.0], [0.2, 0.4]], "offset": [0.5, 0.3]}]},
+     (0.25, 0.75)),
+    ({"space": {"kind": "circle-1d"},
+      "maps": [{"kind": "affine", "matrix": [[1.0]], "offset": [0.3819660112501051]},
+               {"kind": "scale", "factors": [-1.0]}]},
+     (0.1,)),
+])
+def test_spaces_and_families_pickle_after_their_compiled_expressions_are_built(spec, start):
+    family, word = GeneratorFamily.from_spec(spec), Word.iid([0.5, 0.5], seed=3)
+    point, jumps = np.asarray([start]), IndexSet.from_iterable(range(0, 200, 7), 200)
+
+    def use(family):
+        """Membership, a map call, a walk and a jump walk: each caches a compiled expression."""
+        assert family.space.contains(point[0])
+        corrupted = make_corrupted_orbit(family, word, start, jumps,
+                                         JumpRule("offset", scale=0.1), seed=5)
+        return [family.maps[1](point), orbit(family, word, start, 200), corrupted.points]
+
+    used = use(family)
+    space = pickle.loads(pickle.dumps(family.space))
+    again = pickle.loads(pickle.dumps(family))
+    assert space.spec() == family.space.spec() and space.contains(point[0])
+    assert again.spec() == family.spec()
+    assert [a.tobytes() for a in use(again)] == [a.tobytes() for a in used]
 
 
 def test_word_roundtrip_spec():

@@ -18,6 +18,9 @@ keeps their v1 digests, and each v2 file, loaded and written in the v1
 layout, must still give those bytes. So a change that alters any artifact
 byte fails here, not only across two runs of the same code. When an
 artifact is meant to change, update its digest and record why in CHANGES.md.
+
+The cases run with ``--curves``, so the per-step CSV curves are pinned too;
+without the flag a run writes no CSV and the same JSON bytes.
 """
 
 import hashlib
@@ -251,7 +254,7 @@ def _write_inputs(tmp_path) -> None:
     save_block_plan_manifest(names, [1, 2, 4], tmp_path / "plan.json")
 
 
-def _run_case(tmp_path, case: str) -> dict[str, str]:
+def _run_case(tmp_path, case: str, curves: bool = True) -> dict[str, str]:
     commands, system, extra = CASES[case]
     _write_inputs(tmp_path)
     out = tmp_path / "out"
@@ -260,7 +263,7 @@ def _run_case(tmp_path, case: str) -> dict[str, str]:
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     for command in (commands,) if isinstance(commands, str) else commands:
-        assert main([command, "--config", str(path)]) == 0
+        assert main([command, "--config", str(path), *(["--curves"] if curves else [])]) == 0
     return {p.name: _sha256(p) for p in sorted(out.iterdir())}
 
 
@@ -268,6 +271,15 @@ def _run_case(tmp_path, case: str) -> dict[str, str]:
 def test_artifact_digests_match_pinned_values(tmp_path, monkeypatch, case):
     monkeypatch.chdir(tmp_path)  # the input file names in CASES are relative
     assert _run_case(tmp_path, case) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", sorted(c for c, pins in GOLDEN.items()
+                                         if any(name.endswith(".csv") for name in pins)))
+def test_without_curves_the_json_artifacts_match_their_pins_and_no_csv_is_written(
+        tmp_path, monkeypatch, case):
+    monkeypatch.chdir(tmp_path)
+    assert _run_case(tmp_path, case, curves=False) == {
+        name: digest for name, digest in GOLDEN[case].items() if not name.endswith(".csv")}
 
 
 @pytest.mark.parametrize("case", sorted(V1_GOLDEN))
