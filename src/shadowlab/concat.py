@@ -42,14 +42,14 @@ class BlockPlan:
             raise ParameterError("a block plan needs at least one block")
         if len(self.N_levels) != len(self.blocks):
             raise ParameterError("one quality level N_k per block is required")
-        space = self.blocks[0].family.space
+        family = self.blocks[0].family
         for k, (block, N) in enumerate(zip(self.blocks, self.N_levels), start=1):
             if block.horizon < 1:
                 raise ParameterError(f"block {k} needs at least 2 points")
             if not 1 <= N <= block.horizon:
                 raise ParameterError(f"N_{k}={N} must lie in [1, m_{k}={block.horizon}]")
-            if block.family.space != space:
-                raise ParameterError("all blocks must share one space")
+            if block.family != family:
+                raise ParameterError(f"block {k} has another generator family than block 1")
         for n in range(1, len(self.blocks) + 1):
             if self.offsets[n] > (n + 1) * self.block_lengths[n - 1]:
                 raise ParameterError(

@@ -382,17 +382,20 @@ class GeneratorMap(_Spec):
     def scale(cls, factors) -> "GeneratorMap":
         return cls("scale", factors=factors)
 
+    @property
+    def size(self) -> int | None:
+        """The dimension the map's fields fix; None for the identity, which fits any."""
+        return next((len(v) for v in (self.perm, self.offset, self.factors) if v is not None), None)
+
     def __call__(self, P) -> np.ndarray:
         """Image of a point, or of each row of an (n, d) array P."""
-        size = self.perm or self.offset or self.factors
-        c, _ = _coordinates(P, None if size is None else len(size))
+        c, _ = _coordinates(P, self.size)
         return np.stack(self._step(c), axis=-1)
 
     @cached_property
     def _step(self):
         """The map as a step over a tuple of coordinates, of the dimension its fields fix."""
-        size = self.perm or self.offset or self.factors
-        return self._compile(len(size)) if size else lambda c: c
+        return self._compile(self.size) if self.size else lambda c: c
 
     def _compile(self, d: int, wrap: str = "{}"):
         """The map on d coordinates c as one straight-line expression, each image
@@ -427,13 +430,13 @@ class GeneratorFamily:
     def __post_init__(self):
         if len(self.maps) < 1:
             raise ParameterError("a generator family needs at least one map")
-        sizes = {len(v) for g in self.maps for v in (g.perm, g.offset, g.factors) if v is not None}
+        sizes = {g.size for g in self.maps} - {None}
         if sizes - {self.space.dimension}:
             raise ParameterError(f"maps of sizes {sorted(sizes)} on a space of dimension "
                                  f"{self.space.dimension}")
         if self.space.kind == CIRCLE:
             # Only integer slopes define maps of R/Z.
-            slopes = [v for g in self.maps for v in g.factors or sum(g.matrix or (), ())]
+            slopes = self.affine_parts[0][1:, 0, 0].tolist()
             if not all(map(_integral, slopes)):
                 raise ParameterError(f"circle maps need integer slopes, got {slopes}")
 
@@ -450,6 +453,23 @@ class GeneratorFamily:
         """
         d, wrap = self.space.dimension, "({}) % 1.0" if self.space.kind == CIRCLE else "{}"
         return (lambda c: c, *(g._compile(d, wrap) for g in self.maps))
+
+    @cached_property
+    def affine_parts(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each symbol's map as x -> A[s] x + b[s]: read-only arrays A (m + 1, d, d)
+        and b (m + 1, d), row 0 the identity, built on first use; no step reads it."""
+        d = self.space.dimension
+        A, b = np.zeros((self.m + 1, d, d)), np.zeros((self.m + 1, d))
+        A[:, range(d), range(d)] = 1.0
+        for s, g in enumerate(self.maps, start=1):
+            if g.kind == "permutation":
+                A[s] = A[0][list(g.perm)]
+            elif g.kind == "scale":
+                A[s, range(d), range(d)] = g.factors
+            elif g.kind == "affine":
+                A[s], b[s] = g.matrix, g.offset
+        A.flags.writeable = b.flags.writeable = False
+        return A, b
 
     def checked_symbols(self, symbols) -> np.ndarray:
         """The symbols as an int64 array; RangeError at the first outside [0, m]."""

@@ -242,11 +242,11 @@ def load_block_plan(path: Path | str) -> BlockPlan:
 THRESHOLDS = {"delta": 0.4, "epsilon": 0.2, "alpha": 0.9, "tol": 0.01, "density_tol": 0.01}
 # The keys each subcommand section and the root may hold: validate_config reads
 # each of them, and rejects every other key, naming it.
-SECTION_KEYS = {"classify": ("orbit", "scan"), "repair": ("orbit",),
+SECTION_KEYS = {"classify": ("orbit",), "repair": ("orbit",),
                 "cesaro": ("input_csv", "bound"), "concat": ("manifest",),
                 "search": ("orbit", "mode", "levels", "mesh_schedule"),
                 "example_disk": ("scale", "power", "start")}
-ROOT_KEYS = ("schema", "system", "seed", "horizon", "tail_fraction", "thresholds", "threads",
+ROOT_KEYS = ("schema", "system", "seed", "horizon", "tail_fraction", "thresholds",
              "corruption", "net_mesh", "out", *SECTION_KEYS)
 
 
@@ -443,8 +443,6 @@ def validate_config(data: dict) -> ExperimentConfig:
             _fail(f"thresholds.{name}", "must be positive")
     if not 0.0 < thresholds["alpha"] < 1.0:
         _fail("thresholds.alpha", "must lie in (0,1)")
-    # v1 key, accepted and ignored: the net scan has no worker count.
-    _at_least("threads", data.get("threads", 1), 1)
     family = _built("system", GeneratorFamily.from_spec, system)
     word = _built("system.word", Word.from_spec, system["word"])
     if word.m > family.m:
@@ -453,8 +451,6 @@ def validate_config(data: dict) -> ExperimentConfig:
 
     classify, repair, cesaro, concat, search, disk = (
         _object(name, data.get(name, {}), keys) for name, keys in SECTION_KEYS.items())
-    # v1 key: both values run the exact window scan.
-    _text("classify.scan", classify.get("scan", "full"), ("full", "sampled"))
     net_mesh = _positive("net_mesh", data.get("net_mesh", 0.1))
     return ExperimentConfig(
         family=family, word=word, start=_member("system.start", system["start"], family.space),

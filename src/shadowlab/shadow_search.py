@@ -158,9 +158,8 @@ def _scan(xi: PseudoOrbit, P: np.ndarray, objective: str, eps: float,
     live = np.arange(len(P))
     values = np.full(len(P), -np.inf if hits else np.inf)
     if space.kind == CIRCLE and FIRST_CHECKPOINT <= H + 1:
-        slopes, shifts = _circle_maps(family)
-        if np.all(np.abs(slopes[symbols]) == 1.0):
-            y, sigma = _isometry_targets(xi, symbols, slopes, shifts)
+        if np.all(np.abs(family.affine_parts[0][symbols, 0, 0]) == 1.0):
+            y, sigma = _isometry_targets(xi, symbols)
             live = _isometry_survivors(xi, P, hits, eps, tail_fraction, y, sigma)
             if len(live) <= _MOST_WALKS:
                 walks = [_walk_row(xi, P, row, hits, eps, tail_fraction) for row in live.tolist()]
@@ -233,24 +232,12 @@ _MOST_WALKS = 4
 _BLOCK_ENTRIES = 2**12
 
 
-def _circle_maps(family) -> tuple[np.ndarray, np.ndarray]:
-    """The slope a and the offset b of each symbol's map x -> a x + b of the
-    circle (symbol 0 is the identity)."""
-    slopes, shifts = [1.0], [0.0]
-    for f in family.maps:
-        slopes.append(f.matrix[0][0] if f.kind == "affine"
-                      else f.factors[0] if f.kind == "scale" else 1.0)
-        shifts.append(f.offset[0] if f.kind == "affine" else 0.0)
-    return np.array(slopes), np.array(shifts)
-
-
-def _isometry_targets(xi: PseudoOrbit, symbols: np.ndarray, slopes: np.ndarray,
-                      shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _isometry_targets(xi: PseudoOrbit, symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """y in [0, 1] and sigma, each of length H + 1, such that the walked float
     trace t of every start z in [0, 1) has |t_j - tau_j| <= sigma_j for
     j = 0..H, with tau_j = min(m, 1 - m) in floats, m = |z - y_j|, the
-    circle distance from z to y_j. Every symbol of the word has slope +-1
-    (slopes and shifts from _circle_maps).
+    circle distance from z to y_j. Every symbol s of the word has slope +-1:
+    its map is x -> A[s, 0, 0] x + b[s, 0] (the family's affine_parts).
 
     The word's first j maps send z to s_j z + c_j mod 1 exactly, with s_j the
     product of their slopes and c_j the composed offset. The offsets are
@@ -284,10 +271,11 @@ def _isometry_targets(xi: PseudoOrbit, symbols: np.ndarray, slopes: np.ndarray,
     (_isometry_survivors). An offset so large that D_j overflows makes
     sigma_j infinite, which proves nothing.
     """
-    ratios = [b.as_integer_ratio() for b in shifts.tolist()]
+    A, b = xi.family.affine_parts
+    ratios = [v.as_integer_ratio() for v in b[:, 0].tolist()]
     E = max(den.bit_length() - 1 for _, den in ratios)
     numerators = [num << (E - den.bit_length() + 1) for num, den in ratios]
-    a = [int(v) for v in slopes.tolist()]
+    a = [int(v) for v in A[:, 0, 0].tolist()]
     mask, denominator = (1 << E) - 1, 1 << E
     c, s, offsets, signs = 0, 1, [0.0], [1.0]
     for w in symbols.tolist():
@@ -297,7 +285,7 @@ def _isometry_targets(xi: PseudoOrbit, symbols: np.ndarray, slopes: np.ndarray,
         signs.append(s)
     y = (np.array(signs) * (xi.points[:, 0] % 1.0 - np.array(offsets))) % 1.0
     with np.errstate(over="ignore"):
-        drift = np.concatenate(([0.0], np.cumsum(2.0 + np.abs(shifts)[symbols])))
+        drift = np.concatenate(([0.0], np.cumsum(2.0 + np.abs(b[symbols, 0]))))
         sigma = (8.0 + drift) * (2.0**-53 * (1 + (xi.horizon + 8) * 2.0**-50))
     return y, sigma
 
@@ -546,28 +534,24 @@ def _hits_dominance(eps, tail_fraction, n, inc, rows, gap, sums, best, g, h):
 
 def _symbol_norms(family) -> tuple[np.ndarray, np.ndarray]:
     """For each symbol s (0 is the identity), an upper bound on the operator
-    2-norm of f_s's linear part, and the norm of f_s's offset.
+    2-norm of A[s] and the norm of b[s], with A and b the family's affine_parts.
 
-    An affine map's bound is the square root of the largest absolute row sum
-    of A^T A, which bounds its largest eigenvalue ||A||_2^2 and equals it when
-    A is orthogonal or diagonal; it is raised by a factor 1 + 2^-40 and by
-    _TINY, which cover its own rounding and underflow. A scale map's bound
-    is its largest |factor|, and a permutation's and the identity's is 1. An
-    entry too large to square makes the bound inf or NaN.
+    A monomial A, at most one nonzero entry in each row and column (the
+    identity, a permutation, a scale map or an affine map written so), is a
+    permutation P times a diagonal D, and ||P D||_2 = max |d_i|: its bound is
+    its largest |a_ij|, exactly. Any other A's bound is the square root of
+    the largest absolute row sum of A^T A, which bounds ||A||_2^2, raised by
+    a factor 1 + 2^-40 and by _TINY, which cover its own rounding and
+    underflow; an entry too large to square makes it inf or NaN.
     """
-    growth, offsets = [1.0], [0.0]
+    A, b = family.affine_parts
+    monomial = ((A != 0).sum(axis=1).max(axis=1) <= 1) & ((A != 0).sum(axis=2).max(axis=1) <= 1)
+    growth = np.abs(A).max(axis=(1, 2))
     with np.errstate(all="ignore"):
-        for f in family.maps:
-            if f.kind == "affine":
-                a = np.array(f.matrix)
-                gram = (a[:, :, None] * a[:, None, :]).sum(axis=0)
-                root = np.sqrt(np.abs(gram).sum(axis=1).max())
-                growth.append(root * (1 + 2.0 ** -40) + _TINY)
-                offsets.append(np.sqrt(np.square(f.offset).sum()))
-            else:
-                growth.append(np.abs(f.factors).max() if f.kind == "scale" else 1.0)
-                offsets.append(0.0)
-    return np.array(growth), np.array(offsets)
+        for s in np.flatnonzero(~monomial).tolist():
+            gram = (A[s, :, :, None] * A[s, :, None, :]).sum(axis=0)
+            growth[s] = np.sqrt(np.abs(gram).sum(axis=1).max()) * (1 + 2.0 ** -40) + _TINY
+        return growth, np.sqrt(np.square(b).sum(axis=1))
 
 
 def _net_pick(xi: PseudoOrbit, objective: str, eps: float, mesh: float,

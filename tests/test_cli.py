@@ -319,16 +319,17 @@ def test_equivalence_suite_rows_are_search_outputs_at_the_default_levels(tmp_pat
     assert_suite_rows_are_search_outputs(tmp_path, {})
 
 
-def test_classify_scan_key_is_accepted_and_exact(tmp_path):
-    # The v1 key `classify.scan`: "full" and "sampled" both run the exact scan.
+def test_classify_scan_key_exits_2_naming_it(tmp_path, capsys):
+    # The v1 key `classify.scan` was accepted and ignored; it is now unknown,
+    # whatever its value. The scan is exact, and its verdict still says so.
     corruption = {"indices": {"kind": "squares"}, "jump": {"kind": "uniform"}}
-    outputs = {}
-    for scan in ("full", "sampled"):
+    cfg = write_config(tmp_path, corruption=corruption)
+    assert main(["generate", "--config", str(cfg)]) == 0
+    assert main(["classify", "--config", str(cfg)]) == 0
+    verdict = json.loads((tmp_path / "out" / "classification.json").read_bytes())
+    assert verdict["average_pseudo_orbit"]["params"]["scan"] == "full"
+    capsys.readouterr()
+    for scan in ("full", "sampled", "bogus"):
         cfg = write_config(tmp_path, corruption=corruption, classify={"scan": scan})
-        assert main(["generate", "--config", str(cfg)]) == 0
-        assert main(["classify", "--config", str(cfg)]) == 0
-        outputs[scan] = (tmp_path / "out" / "classification.json").read_bytes()
-    assert outputs["sampled"] == outputs["full"]
-    assert json.loads(outputs["full"])["average_pseudo_orbit"]["params"]["scan"] == "full"
-    cfg = write_config(tmp_path, corruption=corruption, classify={"scan": "bogus"})
-    assert main(["classify", "--config", str(cfg)]) == 2
+        assert main(["classify", "--config", str(cfg)]) == 2
+        assert "config field 'classify.scan': unknown key" in capsys.readouterr().err

@@ -144,6 +144,22 @@ def test_block_plan_rejects_shrinking_blocks():
         BlockPlan((big, tiny), (1, 1))
 
 
+def test_block_plan_rejects_blocks_of_different_families():
+    # Both blocks are true orbits on the disk, one under a swap and x / 2, the
+    # other under a swap and x / 4. concatenate steps every block with block
+    # 1's family, so it blamed block 2's word instead.
+    word = Word.periodic((1, 2), m=2)
+    swap = GeneratorMap.permutation((1, 0))
+    half, quarter = (GeneratorFamily(MetricSpace.unit_disk(), (swap, GeneratorMap.scale([f, f])))
+                     for f in (0.5, 0.25))
+    block1 = true_orbit(half, word, (0.8, 0.1), 20)
+    block2 = true_orbit(quarter, word.shifted(21), (0.6, 0.3), 40)
+    with pytest.raises(ParameterError, match="block 2 has another generator family"):
+        BlockPlan((block1, block2), (1, 1))
+    again = true_orbit(half, word.shifted(21), (0.6, 0.3), 40)
+    assert concatenate(BlockPlan((block1, again), (1, 1)), word).horizon == 61
+
+
 # ---------------------------------------------------------------------------
 # asymptotic_certificate
 

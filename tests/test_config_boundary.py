@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from shadowlab import build_disk_system, true_orbit
+from shadowlab import GeneratorFamily, GeneratorMap, build_disk_system, true_orbit
 from shadowlab.cli import main
 from shadowlab.errors import IntegrityError, ParameterError
 from shadowlab.serialize import (
@@ -26,7 +26,7 @@ from shadowlab.serialize import (
 )
 
 EXIT_CODES = {0, 2, 3, 4}
-FIELDS = ("seed", "horizon", "tail_fraction", "net_mesh", "threads", "thresholds.delta",
+FIELDS = ("seed", "horizon", "tail_fraction", "net_mesh", "thresholds.delta",
           "thresholds.epsilon", "thresholds.alpha", "thresholds.tol", "thresholds.density_tol",
           "system.start")
 MISSING = object()
@@ -148,7 +148,9 @@ def test_malformed_field_exits_2_naming_it(tmp_path, capsys, field, value):
 @pytest.mark.parametrize("field", [
     "horizn", "system.strat", "thresholds.epsilonn", "corruption.jumps",
     "corruption.indices.kindd", "corruption.jump.scal", "classify.scann", "repair.orbits",
-    "cesaro.bounds", "concat.manifests", "search.lvls", "example_disk.scal"])
+    "cesaro.bounds", "concat.manifests", "search.lvls", "example_disk.scal",
+    # Keys of the v1 config that were accepted and ignored.
+    "threads", "classify.scan"])
 def test_an_unknown_key_exits_2_naming_it(tmp_path, capsys, field):
     # A misspelled key used to load with the default of the key it meant.
     data = base_config(tmp_path / "out")
@@ -162,10 +164,13 @@ def test_an_unknown_key_exits_2_naming_it(tmp_path, capsys, field):
     assert f"config field {field!r}: unknown key" in err
 
 
-def test_unknown_override_keys_raise_and_v1_keys_still_load():
+def test_unknown_override_keys_raise_and_so_do_the_ignored_v1_keys():
     with pytest.raises(ParameterError, match="config field 'horizn'"):
         load_config(None, horizn=5, thresholds={"epsilonn": 0.3})
-    assert load_config(None, threads=4, classify={"scan": "sampled"}).horizon == 10_000
+    with pytest.raises(ParameterError, match="config field 'threads': unknown key"):
+        load_config(None, threads=4)
+    with pytest.raises(ParameterError, match="config field 'classify.scan': unknown key"):
+        load_config(None, classify={"scan": "sampled"})
 
 
 def test_negative_seed_override_exits_2(tmp_path, capsys):
@@ -520,7 +525,7 @@ def section_config(tmp: Path, capsys) -> dict:
         {"schema": PLAN_SCHEMA, "blocks": [orbit], "N_levels": [1]}))
     (tmp / "values.csv").write_text("\n".join(["1.0"] + ["0.0"] * 99) + "\n")
     data.update({
-        "classify": {"orbit": orbit, "scan": "full"},
+        "classify": {"orbit": orbit},
         "repair": {"orbit": orbit},
         "cesaro": {"input_csv": str(tmp / "values.csv"), "bound": 1.0},
         "concat": {"manifest": str(tmp / "plan.json")},
@@ -533,7 +538,7 @@ def section_config(tmp: Path, capsys) -> dict:
 
 # field -> the subcommand that reads it
 SECTION_FIELDS = {
-    "classify": "classify", "classify.orbit": "classify", "classify.scan": "classify",
+    "classify": "classify", "classify.orbit": "classify",
     "repair": "repair", "repair.orbit": "repair",
     "cesaro": "cesaro", "cesaro.input_csv": "cesaro", "cesaro.bound": "cesaro",
     "concat": "concat", "concat.manifest": "concat",
@@ -562,7 +567,7 @@ def section_junk(field: str):
     if field in ("classify.orbit", "repair.orbit", "cesaro.input_csv", "concat.manifest",
                  "search.orbit"):
         return not_strings
-    if field in ("classify.scan", "search.mode"):
+    if field == "search.mode":
         return st.one_of(not_strings, st.none(), st.text(alphabet="abxyz-", max_size=6))
     if field == "search.mesh_schedule":
         return not_meshes
@@ -813,6 +818,22 @@ def test_malformed_block_in_a_plan_exits_2_naming_the_block(tmp_path, capsys):
     code, err = run(data, tmp_path, "concat", capsys)
     assert code == 2
     assert f"orbit file {tmp_path / 'block.json'}" in err
+
+
+def test_a_plan_whose_blocks_have_different_families_exits_2_naming_it(tmp_path, capsys):
+    # It exited 3, blaming block 2's word: concatenate stepped every block
+    # with block 1's family.
+    data = section_config(tmp_path, capsys)
+    family, word = build_disk_system()
+    other = GeneratorFamily(family.space, (GeneratorMap.permutation((1, 0)),
+                                           GeneratorMap.scale([0.25, 0.25])))
+    save_orbit(true_orbit(other, word.shifted(121), [0.6, 0.3], 240), tmp_path / "other.json")
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"schema": PLAN_SCHEMA, "N_levels": [1, 1],
+                                "blocks": ["true_orbit.json", "other.json"]}))
+    code, err = run(data, tmp_path, "concat", capsys)
+    assert code == 2
+    assert f"plan manifest {plan}: block 2 has another generator family" in err
 
 
 @pytest.mark.parametrize("text", ["0.5\nabc\n", "0.5\nnan\n"])

@@ -338,12 +338,18 @@ def test_spaces_and_families_pickle_after_their_compiled_expressions_are_built(s
     point, jumps = np.asarray([start]), IndexSet.from_iterable(range(0, 200, 7), 200)
 
     def use(family):
-        """Membership, a map call, a walk and a jump walk: each caches a compiled expression."""
+        """Membership, a map call, a walk and a jump walk: each caches a compiled
+        expression. The normal form is cached last, and read."""
         assert family.space.contains(point[0])
         corrupted = make_corrupted_orbit(family, word, start, jumps,
                                          JumpRule("offset", scale=0.1), seed=5)
-        return [family.maps[1](point), orbit(family, word, start, 200), corrupted.points]
+        return [family.maps[1](point), orbit(family, word, start, 200), corrupted.points,
+                *family.affine_parts]
 
+    orbit(family, word, start, 200)
+    # A walk steps the compiled steps and builds no normal form; a circle
+    # family's slope check has built it.
+    assert ("affine_parts" in vars(family)) == (family.space.kind == "circle-1d")
     used = use(family)
     space = pickle.loads(pickle.dumps(family.space))
     again = pickle.loads(pickle.dumps(family))

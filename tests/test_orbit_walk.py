@@ -19,6 +19,7 @@ import json
 import math
 import re
 import sys
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -475,13 +476,14 @@ def edge_numbers():
 
 
 @st.composite
-def any_maps(draw, d):
+def any_maps(draw, d, numbers=edge_numbers()):
+    """A map of any kind on d coordinates, its entries drawn from numbers."""
     kind = draw(st.sampled_from(["identity", "permutation", "affine", "scale"]))
     if kind == "identity":
         return GeneratorMap.identity()
     if kind == "permutation":
         return GeneratorMap.permutation(draw(st.permutations(range(d))))
-    row = st.lists(edge_numbers(), min_size=d, max_size=d)
+    row = st.lists(numbers, min_size=d, max_size=d)
     if kind == "scale":
         return GeneratorMap.scale(draw(row))
     return GeneratorMap.affine(draw(st.lists(row, min_size=d, max_size=d)), draw(row))
@@ -524,6 +526,63 @@ def test_compiled_circle_steps_wrap_the_reference_map(g, xs):
         assert bits(family.steps[1]((np.array(xs),))[0]) == bits(expected)
     for x, image in zip(xs, expected):
         assert bits(family.steps[1]((x,))) == bits([image])
+
+
+def dyadic_numbers():
+    """Floats k / 2^e, signed zeros and the least subnormal among them: each
+    converts to a Fraction exactly, and no product of two of them overflows."""
+    return st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 5e-324]),
+                     st.builds(math.ldexp, st.integers(-2**30, 2**30), st.integers(-60, 30)))
+
+
+def exact_affine(x, matrix, offset):
+    """matrix x + offset in exact rationals, for x a list of Fractions."""
+    return [sum(map(Fraction.__mul__, x, map(Fraction, row)), Fraction(b))
+            for row, b in zip(matrix, offset)]
+
+
+def exact_image(g, x):
+    """g(x) in exact rationals, read from g's spec fields, for x a list of Fractions."""
+    if g.kind == "identity":
+        return x
+    if g.kind == "permutation":
+        return [x[i] for i in g.perm]
+    if g.kind == "scale":
+        return [v * Fraction(f) for v, f in zip(x, g.factors)]
+    return exact_affine(x, g.matrix, g.offset)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda d: st.tuples(
+    st.lists(any_maps(d, dyadic_numbers()), min_size=1, max_size=4),
+    st.lists(st.lists(dyadic_numbers(), min_size=d, max_size=d), min_size=1, max_size=4))))
+def test_the_affine_normal_form_is_each_maps_exact_image(case):
+    # A x + b, in exact rationals, is the map's exact image; the compiled step
+    # is that image correctly rounded for the identity, a permutation and a
+    # scale map, and within the rounding bound of a left-to-right dot product
+    # (d products and d adds, each relative u = 2^-53, plus what underflows)
+    # for an affine map.
+    maps, points = case
+    d = len(points[0])
+    family = GeneratorFamily(MetricSpace.box([-1.0] * d, [1.0] * d), tuple(maps))
+    assert "affine_parts" not in vars(family)
+    A, b = family.affine_parts
+    assert A.shape == (family.m + 1, d, d) and b.shape == (family.m + 1, d)
+    assert not A.flags.writeable and not b.flags.writeable
+    assert A[0].tolist() == np.eye(d).tolist() and b[0].tolist() == [0.0] * d
+    gamma = Fraction(d + 1, 2**53 - d - 1)
+    for s, g in enumerate((GeneratorMap.identity(), *maps)):
+        for p in points:
+            x = [Fraction(v) for v in p]
+            normal = exact_affine(x, A[s].tolist(), b[s].tolist())
+            assert normal == exact_image(g, x)
+            step = family.steps[s](tuple(p))
+            if g.kind != "affine":
+                assert list(step) == [float(v) for v in normal]
+                continue
+            for got, exact, row, c in zip(step, normal, A[s].tolist(), b[s].tolist()):
+                size = sum(abs(v * Fraction(a)) for v, a in zip(x, row)) + abs(Fraction(c))
+                assert abs(Fraction(got) - exact) <= gamma * size + Fraction(d + 1, 2**1074)
 
 
 @pytest.mark.parametrize("kind", ["fixed", "offset"])
@@ -1122,18 +1181,31 @@ def test_refined_scan_of_a_decaying_disk_ends_with_under_one_percent_live(monkey
 # Lipschitz dominance: on contracting words the scan ends at a checkpoint
 
 
+def is_monomial(A) -> bool:
+    """At most one nonzero entry in each row and each column of A."""
+    nonzero = np.asarray(A) != 0
+    return bool((nonzero.sum(axis=0) <= 1).all() and (nonzero.sum(axis=1) <= 1).all())
+
+
 @SETTINGS
-@given(st.integers(1, 4).flatmap(lambda d: matrices(d, -3.0, 3.0)))
-def test_symbol_norms_bound_the_operator_norm(matrix):
+@given(st.integers(1, 4).flatmap(lambda d: st.tuples(matrices(d, -3.0, 3.0),
+                                                     st.permutations(range(d)))))
+def test_symbol_norms_bound_the_operator_norm(case):
+    matrix, perm = case
     d = len(matrix)
     A = np.array(matrix)
+    # An affine monomial matrix: A's diagonal, each entry moved to column perm[i].
+    M = np.zeros((d, d))
+    M[range(d), perm] = np.diag(A)
     family = GeneratorFamily(MetricSpace.box([0.0] * d, [1.0] * d), (
         GeneratorMap.affine(matrix, [0.0] * d), GeneratorMap.scale(np.diag(A).tolist()),
-        GeneratorMap.permutation(range(d))))
+        GeneratorMap.permutation(range(d)), GeneratorMap.affine(M.tolist(), [0.0] * d)))
     norms, offsets = shadow_search._symbol_norms(family)
-    assert norms[0] == norms[3] == 1.0 and offsets.tolist() == [0.0] * 4
-    assert norms[1] >= np.linalg.norm(A, 2)
-    assert norms[2] == np.abs(np.diag(A)).max() >= np.linalg.norm(np.diag(np.diag(A)), 2)
+    assert norms[0] == norms[3] == 1.0 and offsets.tolist() == [0.0] * 5
+    # A monomial matrix P D has 2-norm max |d_i|, which its bound equals exactly.
+    assert norms[1] == np.abs(A).max() if is_monomial(A) else norms[1] >= np.linalg.norm(A, 2)
+    assert norms[2] == norms[4] == np.abs(np.diag(A)).max()
+    assert norms[2] >= np.linalg.norm(np.diag(np.diag(A)), 2)
 
 
 def test_symbol_norm_of_a_non_normal_matrix():
@@ -1191,9 +1263,30 @@ def test_trace_gap_bound_covers_distances_whose_squares_underflow():
 
 
 @st.composite
+def monomial_systems(draw):
+    """One to three affine maps with monomial matrices (a permutation of a
+    signed diagonal, entries at most c <= 1 in size) and offsets at most
+    (1 - c) / 2 in each coordinate, which map the disk or the box [-1, 1]^d
+    (d = 1-3) into itself, and a start."""
+    disk = draw(st.booleans())
+    d = 2 if disk else draw(st.integers(1, 3))
+    maps = []
+    for _ in range(draw(st.integers(1, 3))):
+        c = draw(st.one_of(st.sampled_from([1.0, 0.5]), unit(0.0, 1.0)))
+        M = np.zeros((d, d))
+        M[range(d), draw(st.permutations(range(d)))] = draw(vectors(d, -c, c))
+        maps.append(GeneratorMap.affine(M.tolist(), draw(vectors(d, (c - 1) / 2, (1 - c) / 2))))
+    space = MetricSpace.unit_disk() if disk else MetricSpace.box([-1.0] * d, [1.0] * d)
+    return GeneratorFamily(space, tuple(maps)), draw(vectors(d, -0.7, 0.7))
+
+
+@st.composite
 def contracting_systems(draw):
-    """One to three affine maps of norm bound below 1 that map a box
-    (d = 1-3, [0, 1]^d or [-1, 1]^d) or the disk into itself, and a start."""
+    """One to three affine maps of norm bound at most 1 that map a box
+    (d = 1-3, [0, 1]^d or [-1, 1]^d) or the disk into itself, and a start;
+    one draw in three, monomial ones (monomial_systems)."""
+    if draw(st.integers(0, 2)) == 0:
+        return draw(monomial_systems())
     if draw(st.booleans()):
         space = MetricSpace.unit_disk()
         maps = st.builds(GeneratorMap.affine, matrices(2, -0.6, 0.6), vectors(2, -0.15, 0.15))
@@ -1239,6 +1332,32 @@ def test_dominance_picks_what_the_full_scan_picks(system, horizon, seed, mesh, e
         assert pick(pruned) == pick(full)
         if t is not None:
             assert t.tobytes() == trace_report(P[pick(full)], xi, eps).trace_errors.tobytes()
+
+
+@pytest.mark.parametrize("space, isometry", [
+    (MetricSpace.box([-1.0, -1.0], [1.0, 1.0]), [[0.0, 1.0], [1.0, 0.0]]),
+    (MetricSpace.unit_disk(), [[-1.0, 0.0], [0.0, 1.0]]),
+], ids=["swap-box", "reflection-disk"])
+def test_affine_monomial_isometries_no_longer_block_pruning(space, isometry, monkeypatch):
+    # A swap or a reflection written as an affine matrix, alternating with a
+    # signed diagonal contraction. The isometry's Gram bound was 1 + 2^-40,
+    # above 1, so the scan ran in full; its monomial bound is 1 exactly, and
+    # the scan now ends early. Its picks are the full scan's.
+    family = GeneratorFamily(space, (
+        GeneratorMap.affine(isometry, [0.0, 0.0]),
+        GeneratorMap.affine([[-0.5, 0.0], [0.0, 0.5]], [0.25, 0.0])))
+    assert shadow_search._symbol_norms(family)[0].tolist() == [1.0, 1.0, 0.5]
+    indices = IndexSet.from_iterable(range(0, 400, 9), 400)
+    xi = make_corrupted_orbit(family, Word.periodic((1, 2), 2), (0.3, -0.2), indices,
+                              JumpRule("uniform"), seed=4)
+    for objective in (LIMSUP, HIT_DENSITY):
+        expected = full_scan_picks(xi, objective, 0.3, [0.1], 0.5)
+        steps = scan_steps(monkeypatch)
+        got = _net_pick(xi, objective, 0.3, 0.1, 0.5)
+        assert pick_bytes([got[:4]]) == pick_bytes(expected)
+        assert len(steps) < xi.horizon + 1
+        z, t = got[0], got[4]
+        assert t is None or t.tobytes() == trace_report(z, xi, 0.3).trace_errors.tobytes()
 
 
 def test_hit_density_keeps_a_lower_row_that_ties_the_incumbent_at_eps(monkeypatch):
@@ -1536,8 +1655,7 @@ def test_every_walked_circle_trace_lies_within_sigma_of_the_analytic_one(system,
                                                                          seed, starts):
     family, word = system
     xi = isometry_orbit(family, word, horizon, seed)
-    y, sigma = shadow_search._isometry_targets(xi, family.checked_symbols(word.symbols(horizon)),
-                                               *shadow_search._circle_maps(family))
+    y, sigma = shadow_search._isometry_targets(xi, family.checked_symbols(word.symbols(horizon)))
     assert len(y) == len(sigma) == horizon + 1
     for z in starts + net(family.space, 0.1).ravel().tolist():
         t = trace_report([z], xi, 1.0).trace_errors
