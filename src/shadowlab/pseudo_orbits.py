@@ -132,6 +132,10 @@ def is_ergodic_pseudo_orbit(xi: PseudoOrbit, delta: float,
 # Relative slack against rounding in the O(H) window scan's float shortcuts;
 # every decision they do not settle goes through the canonical comparison.
 _ROUNDING_SLACK = 1e-9
+# Subnormal arithmetic rounds by an absolute half unit, which the relative
+# slack underflows to zero on; the division in a window's canonical mean can
+# round up by that much, i.e. by n half units once multiplied back by n.
+_SUBNORMAL_UNIT = float(np.finfo(np.float64).smallest_subnormal)
 
 
 def is_average_pseudo_orbit(xi: PseudoOrbit, delta: float, N: int) -> ClassificationVerdict:
@@ -151,7 +155,9 @@ def is_average_pseudo_orbit(xi: PseudoOrbit, delta: float, N: int) -> Classifica
       reaches g[k], less a relative slack, are candidates; they are
       confirmed in increasing order with the canonical comparison, and the
       first that confirms, with its first n, is the witness: the
-      lexicographically first violating window.
+      lexicographically first violating window. The slack also holds H
+      subnormal units, so a subnormal mean that only rounds up to delta
+      stays a candidate.
     """
     check_positive("delta", delta)
     H = xi.horizon
@@ -164,7 +170,7 @@ def is_average_pseudo_orbit(xi: PseudoOrbit, delta: float, N: int) -> Classifica
     if worst >= delta * (1 - _ROUNDING_SLACK):
         g = S - delta * np.arange(H + 1)
         reach = np.maximum.accumulate(g[::-1])[::-1]
-        slack = _ROUNDING_SLACK * (S[-1] + delta * H)
+        slack = _ROUNDING_SLACK * (S[-1] + delta * H) + H * _SUBNORMAL_UNIT
         for k in np.flatnonzero(reach[N:] >= g[:H - N + 1] - slack).tolist():
             means = (S[k + N:] - S[k]) / np.arange(N, H - k + 1)
             bad = np.flatnonzero(means >= delta)

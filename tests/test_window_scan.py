@@ -9,7 +9,7 @@ scan must reproduce its verdict, witness and ``max_window_mean`` exactly.
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shadowlab import (
@@ -153,8 +153,16 @@ def test_periodic_errors_match_oracle(case):
 
 @given(sparse_case())
 @settings(max_examples=120, deadline=None)
+# Subnormal errors: 2u/3 rounds up to u = delta, though 2u < 3 delta.
+@example((np.array([5e-324, 5e-324, 0.0]), 5e-324))
 def test_sparse_errors_match_oracle(case):
     assert_matches_oracle(*case)
+
+
+def test_subnormal_mean_rounding_up_to_delta_is_a_violation():
+    u = float(np.finfo(np.float64).smallest_subnormal)
+    for e in ([u, u, 0.0], [0.0, u, 0.0, u, 0.0], [u, 0.0, u] * 5):
+        assert_matches_oracle(np.array(e), u)
 
 
 @given(st.lists(unit_floats, min_size=1, max_size=MAX_H), st.floats(1e-6, 1.0))
