@@ -43,6 +43,7 @@ from .pseudo_orbits import (
 )
 from .serialize import (
     ExperimentConfig,
+    config_error,
     dump_csv,
     dump_json,
     load_block_plan,
@@ -138,7 +139,7 @@ def cmd_repair(cfg: ExperimentConfig, out: Path) -> int:
 
 def cmd_cesaro(cfg: ExperimentConfig, out: Path, curves: bool) -> int:
     if not cfg.cesaro_csv:
-        raise ParameterError("config field 'cesaro.input_csv': required for the cesaro subcommand")
+        raise config_error("required for the cesaro subcommand", "cesaro", "input_csv")
     a = load_sequence(cfg.cesaro_csv, cfg.cesaro_bound)
     if curves:
         dump_csv(numbered_rows(a.means), ["n", "cesaro_mean"], out / CURVES["cesaro"])
@@ -159,7 +160,7 @@ def cmd_cesaro(cfg: ExperimentConfig, out: Path, curves: bool) -> int:
 
 def cmd_concat(cfg: ExperimentConfig, out: Path) -> int:
     if not cfg.concat_manifest:
-        raise ParameterError("config field 'concat.manifest': required for the concat subcommand")
+        raise config_error("required for the concat subcommand", "concat", "manifest")
     plan = load_block_plan(cfg.concat_manifest)
     xi = concatenate(plan, cfg.word)
     save_orbit(xi, out / "concatenated.json")

@@ -90,11 +90,11 @@ def _integer(what: str, value) -> int:
 
 
 def _items(what: str, values):
-    """An iterator over values; a scalar where a sequence is meant is a ParameterError."""
-    try:
-        return iter(values)
-    except TypeError:
-        raise ParameterError(f"{what}: expected a list, got {type(values).__name__}") from None
+    """An iterator over values; a scalar, a string or an object where a sequence
+    is meant is a ParameterError."""
+    if isinstance(values, (str, dict)) or not np.iterable(values):
+        raise ParameterError(f"{what}: expected a list, got {type(values).__name__}")
+    return iter(values)
 
 
 def _integers(what: str, values) -> tuple[int, ...]:
@@ -154,14 +154,18 @@ def _keyed(key: str, build, *args):
         raise ParameterError(str(exc), key, *exc.path) from None
 
 
-def _known(what: str, data, keys) -> dict:
-    """data, a JSON object holding no key outside keys; anything else is a
-    ParameterError, whose path is the first unknown key."""
+def _known(what: str, data, keys, required=()) -> dict:
+    """data, a JSON object holding no key outside keys and every key of
+    required; anything else is a ParameterError, whose path is the first
+    unknown or missing key."""
     if not isinstance(data, dict):
         raise ParameterError(f"{what} must be an object, got {data!r}")
     for key in data:
         if key not in keys:
             raise ParameterError(f"unknown key {key!r}, expected one of {sorted(keys)}", key)
+    for key in required:
+        if key not in data:
+            raise ParameterError("required", key)
     return data
 
 
@@ -359,6 +363,10 @@ class GeneratorMap(_Spec):
 
     def __post_init__(self):
         self._check_fields("map")
+        for name in ("perm", "matrix", "factors"):
+            if getattr(self, name) == ():
+                raise ParameterError(f"map {name} is empty: a map acts on at least one "
+                                     "coordinate", name)
         if self.kind == "permutation" and sorted(self.perm) != list(range(len(self.perm))):
             raise ParameterError(f"{list(self.perm)} is not a permutation of "
                                  f"0..{len(self.perm) - 1}", "perm")

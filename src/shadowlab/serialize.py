@@ -19,11 +19,11 @@ import numpy as np
 
 from .cesaro import BoundedSequence
 from .concat import BlockPlan
-from .density import MIN_DENSITY_HORIZON, IndexSet
+from .density import MIN_DENSITY_HORIZON, IndexSet, check_tail_fraction
 from .disk_example import DISK_SYSTEM
 from .dynamics import (GeneratorFamily, JumpRule, MetricSpace, Word, _finite, _integer,
-                       _integral, _items, _keyed, _known, _real, _walk, as_points)
-from .errors import IntegrityError, ParameterError
+                       _integers, _items, _keyed, _known, _real, _walk, as_points)
+from .errors import IntegrityError, ParameterError, check_alpha, check_positive
 from .pseudo_orbits import PseudoOrbit, recompute_step_errors, step_images
 
 CONFIG_SCHEMA = "shadowlab/config/v1"
@@ -31,6 +31,7 @@ CONFIG_SCHEMA = "shadowlab/config/v1"
 ORBIT_SCHEMA = "shadowlab/pseudo-orbit/v1"
 ORBIT_SCHEMA_V2 = "shadowlab/pseudo-orbit/v2"
 PLAN_SCHEMA = "shadowlab/block-plan/v1"
+PLAN_KEYS = ("schema", "blocks", "N_levels")
 
 
 def json_default(obj):
@@ -75,8 +76,6 @@ def _input_file(what: str, path):
         yield
     except IntegrityError as exc:
         raise IntegrityError(f"{what} {path}: {exc}") from None
-    except KeyError as exc:
-        raise ParameterError(f"{what} {path}: missing key {exc}") from None
     except ParameterError as exc:
         field = f"field {'.'.join(exc.path)!r}: " if exc.path else ""
         raise ParameterError(f"{what} {path}: {field}{exc}") from None
@@ -102,7 +101,8 @@ def load_sequence(path: Path | str, bound: float | None) -> BoundedSequence:
             raise ParameterError(f"density estimates need at least {MIN_DENSITY_HORIZON} "
                                  f"values, got {values.size}")
         if bound is not None and bound < values.max():
-            _fail("cesaro.bound", f"{bound} is below the largest value {values.max()}")
+            raise config_error(f"{bound} is below the largest value {values.max()}",
+                               "cesaro", "bound")
         return BoundedSequence.from_values(values, bound)
 
 
@@ -138,7 +138,22 @@ def orbit_to_dict(xi: PseudoOrbit) -> dict:
     }
 
 
-def _stored_point(what: str, value, dimension: int) -> tuple[float, ...]:
+def _text(f: str, value, choices: tuple[str, ...] = ()) -> str:
+    if not isinstance(value, str) or choices and value not in choices:
+        raise ParameterError(f"must be {f'one of {choices}' if choices else 'a string'}, "
+                             f"got {value!r}", f)
+    return value
+
+
+def _at_least(f: str, value, low: int) -> int:
+    """An integral number (2.0 included) as an int of at least low, or an error naming f."""
+    out = _keyed(f, _integer, "value", value)
+    if out < low:
+        raise ParameterError(f"must be >= {low}, got {out}", f)
+    return out
+
+
+def _point(what: str, value, dimension: int) -> tuple[float, ...]:
     point = _finite(what, value)
     if len(point) != dimension:
         raise ParameterError(f"{what} has {len(point)} coordinates, the space {dimension}")
@@ -150,10 +165,8 @@ def _walked_orbit(data: dict, family: GeneratorFamily, word: Word) -> tuple:
     point as stored, checked against points_sha256; and its step errors, 0.0
     but at the defects: every other x_{j+1} is the walk's image of x_j."""
     d = family.space.dimension
-    H = _keyed("horizon", _integer, "horizon", data["horizon"])
-    if H < 0:
-        raise ParameterError(f"must be >= 0, got {H}", "horizon")
-    start = _keyed("start", _stored_point, "start", data["start"], d)
+    H = _at_least("horizon", data["horizon"], 0)
+    start = _keyed("start", _point, "start", data["start"], d)
     steps, rows = [], []
     for i, defect in enumerate(_keyed("defects", _items, "defects", data["defects"])):
         key = f"defects[{i}]"
@@ -165,7 +178,7 @@ def _walked_orbit(data: dict, family: GeneratorFamily, word: Word) -> tuple:
             raise ParameterError(f"step {j} must lie in ({last}, {H}): defects are sorted, "
                                  "one a step, below the horizon", key)
         steps.append(j)
-        rows.append(_keyed(key, _stored_point, "defect point", defect[1], d))
+        rows.append(_keyed(key, _point, "defect point", defect[1], d))
     points, _, images = _walk(family, word.symbols(H), start, (steps, rows), "stored")
     digest = _sha256(points)
     if digest != data["points_sha256"]:
@@ -176,22 +189,22 @@ def _walked_orbit(data: dict, family: GeneratorFamily, word: Word) -> tuple:
     return points, errors
 
 
-# The keys of each orbit schema that orbit_from_dict reads.
+# The keys each orbit schema requires; orbit_from_dict reads them and "meta".
 ORBIT_KEYS = {
-    ORBIT_SCHEMA: ("schema", "system", "word", "points", "step_error_checksum", "meta"),
+    ORBIT_SCHEMA: ("schema", "system", "word", "points", "step_error_checksum"),
     ORBIT_SCHEMA_V2: ("schema", "system", "word", "horizon", "start", "defects",
-                      "points_sha256", "step_error_checksum", "meta"),
+                      "points_sha256", "step_error_checksum"),
 }
 
 
 def orbit_from_dict(data: dict) -> PseudoOrbit:
     """Rebuild the points (listed in v1, walked in v2) and the step errors,
-    and verify the embedded checksums; an unknown key is an error."""
+    and verify the embedded checksums; an unknown or missing key is an error."""
     schema = data.get("schema")
     if schema not in ORBIT_KEYS:
         raise ParameterError(f"unsupported orbit schema {schema!r}")
-    _known("an orbit file", data, ORBIT_KEYS[schema])
-    _keyed("system", _known, "system", data["system"], ("space", "maps"))
+    _known("an orbit file", data, (*ORBIT_KEYS[schema], "meta"), ORBIT_KEYS[schema])
+    _keyed("system", _known, "system", data["system"], ("space", "maps"), ("space", "maps"))
     family = _keyed("system", GeneratorFamily.from_spec, data["system"])
     word = _keyed("word", Word.from_spec, data["word"])
     if schema == ORBIT_SCHEMA:
@@ -204,7 +217,10 @@ def orbit_from_dict(data: dict) -> PseudoOrbit:
         raise IntegrityError(
             "step-error checksum mismatch: recomputed "
             f"{checksum[:12]}…, file says {str(data['step_error_checksum'])[:12]}…")
-    return PseudoOrbit(family, word, points, errors, data.get("meta", {}))
+    meta = data.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ParameterError(f"must be an object, got {meta!r}", "meta")
+    return PseudoOrbit(family, word, points, errors, meta)
 
 
 def save_orbit(xi: PseudoOrbit, path: Path | str) -> None:
@@ -217,15 +233,15 @@ def load_orbit(path: Path | str) -> PseudoOrbit:
 
 
 def load_block_plan_manifest(path: Path | str) -> tuple[list[Path], list[int]]:
+    """The block paths, relative to the manifest's folder, and the levels N_k."""
     with _input_file("plan manifest", path):
         data = _read_object(path)
         if data.get("schema") != PLAN_SCHEMA:
             raise ParameterError(f"unsupported plan schema {data.get('schema')!r}")
-        levels = data["N_levels"]
-        if not isinstance(levels, list) or not all(map(_integral, levels)):
-            raise ParameterError(f"N_levels must be a list of integers, got {levels!r}")
-        base = Path(path).parent
-        return [base / p for p in data["blocks"]], [int(n) for n in levels]
+        _known("a plan manifest", data, PLAN_KEYS, PLAN_KEYS)
+        blocks = _keyed("blocks", _items, "blocks", data["blocks"])
+        return ([Path(path).parent / _text(f"blocks[{i}]", p) for i, p in enumerate(blocks)],
+                list(_keyed("N_levels", _integers, "N_levels", data["N_levels"])))
 
 
 def load_block_plan(path: Path | str) -> BlockPlan:
@@ -240,12 +256,14 @@ def load_block_plan(path: Path | str) -> BlockPlan:
 # Experiment configuration
 
 THRESHOLDS = {"delta": 0.4, "epsilon": 0.2, "alpha": 0.9, "tol": 0.01, "density_tol": 0.01}
-# The keys each subcommand section and the root may hold: validate_config reads
-# each of them, and rejects every other key, naming it.
+# The keys each subcommand section, the system and the root may hold:
+# validate_config reads each of them, and rejects every other key, naming it.
+# The system needs all of its keys.
 SECTION_KEYS = {"classify": ("orbit",), "repair": ("orbit",),
                 "cesaro": ("input_csv", "bound"), "concat": ("manifest",),
                 "search": ("orbit", "mode", "levels", "mesh_schedule"),
                 "example_disk": ("scale", "power", "start")}
+SYSTEM_KEYS = ("space", "maps", "word", "start")
 ROOT_KEYS = ("schema", "system", "seed", "horizon", "tail_fraction", "thresholds",
              "corruption", "net_mesh", "out", *SECTION_KEYS)
 
@@ -284,56 +302,23 @@ class ExperimentConfig:
     disk_start: np.ndarray | None
 
 
-def _fail(f: str, msg: str):
-    raise ParameterError(f"config field {f!r}: {msg}")
+def config_error(message: str, *path: str) -> ParameterError:
+    """The error of the config field at path, named as every config error is:
+    "config field 'a.b': <message>"."""
+    return ParameterError(f"config field {'.'.join(path) or '<root>'!r}: {message}")
 
 
-def _built(f: str, build, *args):
-    """build(*args); a ParameterError fails naming field f, followed by the path
-    of the key the error names."""
-    try:
-        return build(*args)
-    except ParameterError as exc:
-        _fail(".".join((f, *exc.path)), str(exc))
-
-
-def _number(f: str, value) -> float:
-    """A JSON number as a finite float; anything else, a string or a bool
-    included, fails naming field f."""
-    return float(_built(f, _real, "value", value))
-
-
-def _positive(f: str, value) -> float:
-    out = _number(f, value)
-    if out <= 0:
-        _fail(f, f"must be positive, got {out}")
+def _number(f: str, value, check=None) -> float:
+    """A JSON number as a finite float, which check accepts when one is given;
+    anything else, a string or a bool included, fails naming field f."""
+    out = float(_keyed(f, _real, "value", value))
+    if check is not None:
+        _keyed(f, check, out)
     return out
 
 
-def _at_least(f: str, value, low: int) -> int:
-    """An integral JSON number (2.0 included) as an int of at least low."""
-    out = _built(f, _integer, "value", value)
-    if out < low:
-        _fail(f, f"must be >= {low}, got {out}")
-    return out
-
-
-def _object(f: str, value, keys) -> dict:
-    """value as a JSON object holding only the given keys; an unknown key
-    fails naming it as f.key (as key at the root)."""
-    if not isinstance(value, dict):
-        _fail(f, f"must be an object, got {value!r}")
-    for key in value:
-        if key not in keys:
-            _fail(key if f == "<root>" else f"{f}.{key}",
-                  f"unknown key, expected one of {sorted(keys)}")
-    return value
-
-
-def _text(f: str, value, choices: tuple[str, ...] | None = None) -> str:
-    if not isinstance(value, str) or (choices and value not in choices):
-        _fail(f, f"must be {f'one of {choices}' if choices else 'a string'}, got {value!r}")
-    return value
+def _positive(value: float) -> None:
+    check_positive("value", value)
 
 
 def _optional(check, f: str, value, *args):
@@ -342,11 +327,9 @@ def _optional(check, f: str, value, *args):
 
 
 def _member(f: str, value, space: MetricSpace) -> np.ndarray:
-    if not isinstance(value, (list, tuple)) or len(value) != space.dimension:
-        _fail(f, f"must be a point of {space.dimension} finite coordinates, got {value!r}")
-    p = np.array([_number(f, v) for v in value], dtype=np.float64)
+    p = np.array(_keyed(f, _point, "point", value, space.dimension))
     if not space.contains(p):
-        _fail(f, f"must be a point of the {space.kind} space, got {value!r}")
+        raise ParameterError(f"must be a point of the {space.kind} space, got {value!r}", f)
     return p
 
 
@@ -354,7 +337,7 @@ def _power(f: str, value, horizon: int) -> float:
     """An exponent p with horizon ** p a normal float: offsets divide by (j + 1) ** p, j < horizon."""
     p = _number(f, value)
     if abs(p) * math.log(horizon) > 700:
-        _fail(f, f"{horizon} ** power is out of floating-point range")
+        raise ParameterError(f"{horizon} ** power is out of floating-point range", f)
     return p
 
 
@@ -363,26 +346,26 @@ def _schedule(section: dict, net_mesh: float, epsilon: float) -> tuple[float, ..
     search.mesh_schedule, else net_mesh / 2**i. Stage m's budget is epsilon / 2**m."""
     levels = _at_least("search.levels", section.get("levels", 3), 1)
     if math.ldexp(epsilon, -levels) == 0.0:
-        _fail("search.levels", f"epsilon / 2**{levels}, the last stage's budget, is 0")
+        raise ParameterError(f"epsilon / 2**{levels}, the last stage's budget, is 0",
+                             "search.levels")
     given = section.get("mesh_schedule")
     if given is None:
         return tuple(math.ldexp(net_mesh, -i) for i in range(levels))
-    if not isinstance(given, list) or not given:
-        _fail("search.mesh_schedule", f"must be a non-empty list of meshes, got {given!r}")
-    meshes = [_positive("search.mesh_schedule", v) for v in given]
+    f = "search.mesh_schedule"
+    meshes = [_number(f, v, _positive) for v in _keyed(f, _items, "meshes", given)]
     if len(meshes) < levels:
-        _fail("search.mesh_schedule", f"has {len(meshes)} entries, search.levels is {levels}")
+        raise ParameterError(f"has {len(meshes)} entries, search.levels is {levels}", f)
     if any(b > a for a, b in zip(meshes, meshes[1:])):
-        _fail("search.mesh_schedule", f"must be non-increasing, got {given!r}")
+        raise ParameterError(f"must be non-increasing, got {given!r}", f)
     return tuple(meshes[:levels])
 
 
 def _corruption(section, dimension: int, horizon: int, seed: int) -> tuple[IndexSet, JumpRule]:
     """The corrupted steps and the jump rule of the corruption section."""
-    section = _object("corruption", section, ("indices", "jump"))
+    section = _keyed("corruption", _known, "corruption", section, ("indices", "jump"))
     # Each kind reads its field by popping it, so that what is left is unread.
-    spec = dict(_object("corruption.indices", section.get("indices", {}),
-                        ("kind", "density", "base", "indices")))
+    spec = dict(_keyed("corruption.indices", _known, "indices", section.get("indices", {}),
+                       ("kind", "density", "base", "indices")))
     kind, H = spec.pop("kind", "none"), horizon
     if kind == "none":
         steps = []
@@ -399,65 +382,66 @@ def _corruption(section, dimension: int, horizon: int, seed: int) -> tuple[Index
             steps.append(v)
             v *= base
     elif kind == "explicit":
-        steps = spec.pop("indices", None)
-        if not isinstance(steps, list):
-            _fail("corruption.indices.indices", f"must be a list of step indices, got {steps!r}")
+        f = "corruption.indices.indices"
+        steps = _keyed(f, _integers, "indices", spec.pop("indices", None))
         for v in steps:
-            if not _integral(v) or not 0 <= v < H:
-                _fail("corruption.indices.indices", f"must hold integers in [0, {H}), got {v!r}")
+            if not 0 <= v < H:
+                raise ParameterError(f"must hold integers in [0, {H}), got {v}", f)
     elif kind == "random":
         density = _number("corruption.indices.density", spec.pop("density", 0.01))
         if not 0 <= density <= 1:
-            _fail("corruption.indices.density", "must lie in [0, 1]")
+            raise ParameterError("must lie in [0, 1]", "corruption.indices.density")
         steps = np.flatnonzero(np.random.default_rng(seed).random(H) < density)
     else:
-        _fail("corruption.indices.kind", f"unknown kind {kind!r}")
+        raise ParameterError(f"unknown kind {kind!r}", "corruption.indices.kind")
     for key in spec:
-        _fail(f"corruption.indices.{key}", f"kind {kind!r} does not read it")
-    rule = _built("corruption.jump", JumpRule.from_spec, section.get("jump", {"kind": "uniform"}))
+        raise ParameterError(f"kind {kind!r} does not read it", f"corruption.indices.{key}")
+    rule = _keyed("corruption.jump", JumpRule.from_spec, section.get("jump", {"kind": "uniform"}))
     if rule.kind == "offset":
         _power("corruption.jump.power", rule.power, H)
-    if rule.kind == "fixed" and len(rule.point) != dimension:
-        _fail("corruption.jump.point", f"must have {dimension} coordinates, got {rule.point}")
+    if rule.kind == "fixed":
+        _keyed("corruption.jump.point", _point, "point", rule.point, dimension)
     return IndexSet.from_iterable(steps, H), rule
 
 
 def validate_config(data: dict) -> ExperimentConfig:
-    _object("<root>", data, ROOT_KEYS)
+    """The config as an ExperimentConfig; every error names its field, as config_error does."""
+    try:
+        return _config(data)
+    except ParameterError as exc:
+        raise config_error(str(exc), *exc.path) from None
+
+
+def _config(data: dict) -> ExperimentConfig:
+    """validate_config's reading; an error's path is its field's dotted name, whole or in parts."""
+    _known("the config", data, ROOT_KEYS)
     if data.get("schema") != CONFIG_SCHEMA:
-        _fail("schema", f"expected {CONFIG_SCHEMA!r}, got {data.get('schema')!r}")
-    required = ("space", "maps", "word", "start")
-    system = _object("system", data.get("system"), required)
-    for key in required:
-        if key not in system:
-            _fail(f"system.{key}", "required")
+        raise ParameterError(f"expected {CONFIG_SCHEMA!r}, got {data.get('schema')!r}", "schema")
+    system = _keyed("system", _known, "system", data.get("system"), SYSTEM_KEYS, SYSTEM_KEYS)
     seed = _at_least("seed", data.get("seed", 0), 0)
-    horizon = _at_least("horizon", data.get("horizon", 10_000), 10)
-    tail_fraction = _number("tail_fraction", data.get("tail_fraction", 0.5))
-    if not 0.0 < tail_fraction < 1.0:
-        _fail("tail_fraction", f"must lie in (0,1), got {tail_fraction}")
-    given = {**THRESHOLDS, **_object("thresholds", data.get("thresholds", {}), THRESHOLDS)}
-    thresholds = {name: _number(f"thresholds.{name}", v) for name, v in given.items()}
-    for name in ("delta", "epsilon", "tol", "density_tol"):
-        if thresholds[name] <= 0:
-            _fail(f"thresholds.{name}", "must be positive")
-    if not 0.0 < thresholds["alpha"] < 1.0:
-        _fail("thresholds.alpha", "must lie in (0,1)")
-    family = _built("system", GeneratorFamily.from_spec, system)
-    word = _built("system.word", Word.from_spec, system["word"])
+    horizon = _at_least("horizon", data.get("horizon", 10_000), MIN_DENSITY_HORIZON)
+    tail_fraction = _number("tail_fraction", data.get("tail_fraction", 0.5), check_tail_fraction)
+    given = {**THRESHOLDS, **_keyed("thresholds", _known, "thresholds",
+                                    data.get("thresholds", {}), THRESHOLDS)}
+    thresholds = {name: _number(f"thresholds.{name}", v,
+                                check_alpha if name == "alpha" else _positive)
+                  for name, v in given.items()}
+    family = _keyed("system", GeneratorFamily.from_spec, system)
+    word = _keyed("system.word", Word.from_spec, system["word"])
     if word.m > family.m:
-        _fail("system.word.m", f"the word has {word.m} symbols, the system {family.m} maps")
+        raise ParameterError(f"the word has {word.m} symbols, the system {family.m} maps",
+                             "system.word.m")
     indices, jump = _corruption(data.get("corruption", {}), family.space.dimension, horizon, seed)
 
     classify, repair, cesaro, concat, search, disk = (
-        _object(name, data.get(name, {}), keys) for name, keys in SECTION_KEYS.items())
-    net_mesh = _positive("net_mesh", data.get("net_mesh", 0.1))
+        _keyed(name, _known, name, data.get(name, {}), keys) for name, keys in SECTION_KEYS.items())
+    net_mesh = _number("net_mesh", data.get("net_mesh", 0.1), _positive)
     return ExperimentConfig(
         family=family, word=word, start=_member("system.start", system["start"], family.space),
         seed=seed, horizon=horizon, tail_fraction=tail_fraction,
         out=_text("out", data.get("out", "out")),
         net_mesh=net_mesh,
-        **{name: thresholds[name] for name in THRESHOLDS}, corruption_indices=indices, jump=jump,
+        **thresholds, corruption_indices=indices, jump=jump,
         classify_orbit=_optional(_text, "classify.orbit", classify.get("orbit")),
         repair_orbit=_optional(_text, "repair.orbit", repair.get("orbit")),
         cesaro_csv=_optional(_text, "cesaro.input_csv", cesaro.get("input_csv")),
@@ -467,7 +451,7 @@ def validate_config(data: dict) -> ExperimentConfig:
         search_mode=_text("search.mode", search.get("mode", "average"),
                           ("average", "m-alpha", "refined")),
         search_schedule=_schedule(search, net_mesh, thresholds["epsilon"]),
-        disk_scale=_positive("example_disk.scale", disk.get("scale", 1.0)),
+        disk_scale=_number("example_disk.scale", disk.get("scale", 1.0), _positive),
         disk_power=_power("example_disk.power", disk.get("power", 2.0), horizon),
         disk_start=_optional(_member, "example_disk.start", disk.get("start"),
                              MetricSpace.unit_disk()))

@@ -209,12 +209,12 @@ def _scan(xi: PseudoOrbit, P: np.ndarray, objective: str, eps: float,
 def _steps(symbols: np.ndarray, points: np.ndarray):
     """The scan's step at each prefix length n = 1..len(points), as Python
     values: its symbol (0, the identity, at n = 1, then the word's) and its
-    orbit point. Each segment up to n = 16, 32, 64, ... is converted when the
-    scan reaches it, so a scan that stops early converts only what it steps."""
+    orbit point. Each segment up to a checkpoint is converted when the scan
+    reaches it, so a scan that stops early converts only what it steps."""
     steps = np.concatenate(([0], symbols))
     lo = 0
     while lo < len(points):
-        hi = max(2 * lo, 16)
+        hi = max(2 * lo, FIRST_CHECKPOINT)
         yield from zip(steps[lo:hi].tolist(), points[lo:hi].tolist())
         lo = hi
 
@@ -542,14 +542,15 @@ def _symbol_norms(family) -> tuple[np.ndarray, np.ndarray]:
     its largest |a_ij|, exactly. Any other A's bound is the square root of
     the largest absolute row sum of A^T A, which bounds ||A||_2^2, raised by
     a factor 1 + 2^-40 and by _TINY, which cover its own rounding and
-    underflow; an entry too large to square makes it inf or NaN.
+    underflow; an entry too large to square makes it inf or NaN. A^T A sums
+    the rows' outer products in row order, in O(d^2) memory.
     """
     A, b = family.affine_parts
     monomial = ((A != 0).sum(axis=1).max(axis=1) <= 1) & ((A != 0).sum(axis=2).max(axis=1) <= 1)
     growth = np.abs(A).max(axis=(1, 2))
     with np.errstate(all="ignore"):
         for s in np.flatnonzero(~monomial).tolist():
-            gram = (A[s, :, :, None] * A[s, :, None, :]).sum(axis=0)
+            gram = sum(np.outer(row, row) for row in A[s])
             growth[s] = np.sqrt(np.abs(gram).sum(axis=1).max()) * (1 + 2.0 ** -40) + _TINY
         return growth, np.sqrt(np.square(b).sum(axis=1))
 

@@ -98,6 +98,18 @@ def save_block_plan_manifest(block_paths, N_levels, path) -> None:
 
 
 # ---------------------------------------------------------------------------
+# Norm bounds
+
+
+def broadcast_gram(A) -> np.ndarray:
+    """A^T A of a square matrix A, as one d x d x d array of the products
+    A[i, j] A[i, k] summed over i: O(d^3) memory, and the sum, in row order,
+    that the Gram bound's row-at-a-time one must equal bit for bit."""
+    A = np.asarray(A, dtype=np.float64)
+    return (A[:, :, None] * A[:, None, :]).sum(axis=0)
+
+
+# ---------------------------------------------------------------------------
 # Densities
 
 

@@ -7,6 +7,7 @@ a traceback is never an answer to a bad config.
 import json
 import math
 import tempfile
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,8 @@ from hypothesis import strategies as st
 
 from shadowlab import GeneratorFamily, GeneratorMap, build_disk_system, true_orbit
 from shadowlab.cli import main
-from shadowlab.errors import IntegrityError, ParameterError
+from shadowlab.density import MIN_DENSITY_HORIZON, check_tail_fraction
+from shadowlab.errors import IntegrityError, ParameterError, check_alpha, check_positive
 from shadowlab.serialize import (
     CONFIG_SCHEMA,
     PLAN_SCHEMA,
@@ -23,6 +25,7 @@ from shadowlab.serialize import (
     load_orbit,
     orbit_from_dict,
     save_orbit,
+    validate_config,
 )
 
 EXIT_CODES = {0, 2, 3, 4}
@@ -881,3 +884,86 @@ def test_section_config_runs_every_subcommand(tmp_path, capsys, command):
     # The fuzz above varies one field of this config at a time.
     data = section_config(tmp_path, capsys)
     assert run(data, tmp_path, command, capsys)[0] == 0
+
+
+# ---------------------------------------------------------------------------
+# One way to name a field: the library's checks, under the config's field names
+
+
+@pytest.mark.parametrize("field, value, check", [
+    ("tail_fraction", 1.0, check_tail_fraction),
+    ("thresholds.alpha", 1.0, check_alpha),
+    ("thresholds.delta", 0.0, partial(check_positive, "value")),
+    ("thresholds.density_tol", -1.0, partial(check_positive, "value")),
+    ("net_mesh", 0.0, partial(check_positive, "value")),
+])
+def test_a_range_error_is_the_library_checks_own_after_the_field(tmp_path, field, value, check):
+    data = base_config(tmp_path / "out")
+    set_field(data, field, value)
+    with pytest.raises(ParameterError) as expected:
+        check(value)
+    with pytest.raises(ParameterError) as caught:
+        validate_config(data)
+    assert str(caught.value) == f"config field {field!r}: {expected.value}"
+
+
+@pytest.mark.parametrize("horizon, code", [(MIN_DENSITY_HORIZON - 1, 2), (MIN_DENSITY_HORIZON, 0)])
+def test_the_horizon_floor_is_the_density_estimates_own(tmp_path, capsys, horizon, code):
+    data = {**base_config(tmp_path / "out"), "horizon": horizon}
+    del data["corruption"]
+    got, err = run(data, tmp_path, "generate", capsys)
+    assert got == code
+    assert ("config field 'horizon'" in err) == (code == 2)
+
+
+@pytest.mark.parametrize("index, spec, key", [
+    # Each built; the family then said only "maps of sizes [0]", naming the system.
+    (0, {"kind": "permutation", "perm": []}, "perm"),
+    (1, {"kind": "scale", "factors": []}, "factors"),
+    (1, {"kind": "affine", "matrix": [], "offset": []}, "matrix"),
+])
+def test_a_map_of_size_0_exits_2_naming_its_field(tmp_path, capsys, index, spec, key):
+    data = base_config(tmp_path / "out")
+    data["system"]["maps"][index] = spec
+    code, err = run(data, tmp_path, "generate", capsys)
+    assert code == 2
+    assert f"config field 'system.maps[{index}].{key}': map {key} is empty" in err
+
+
+@pytest.mark.parametrize("command, field", [
+    ("cesaro", "cesaro.input_csv"), ("concat", "concat.manifest")])
+def test_a_subcommand_without_its_input_file_exits_2_naming_the_field(tmp_path, capsys,
+                                                                      command, field):
+    code, err = run(base_config(tmp_path / "out"), tmp_path, command, capsys)
+    assert code == 2
+    assert f"config field {field!r}: required for the {command} subcommand" in err
+
+
+def run_plan(tmp_path, capsys, **fields) -> tuple[int, str, Path]:
+    """concat on a one-block plan over a valid orbit, with fields set in its manifest."""
+    data = section_config(tmp_path, capsys)
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({**json.loads(plan.read_text()), **fields}))
+    code, err = run(data, tmp_path, "concat", capsys)
+    return code, err, plan
+
+
+def test_a_plan_manifest_with_an_unknown_key_exits_2_naming_it(tmp_path, capsys):
+    # It loaded, ignoring the key.
+    code, err, plan = run_plan(tmp_path, capsys, levelz=1)
+    assert code == 2
+    assert f"plan manifest {plan}: field 'levelz': unknown key 'levelz'" in err
+
+
+def test_a_plan_manifest_whose_blocks_are_a_string_exits_2_naming_blocks(tmp_path, capsys):
+    # Its characters were read as block paths: it failed on a missing file "b".
+    code, err, plan = run_plan(tmp_path, capsys, blocks="b1.json")
+    assert code == 2
+    assert f"plan manifest {plan}: field 'blocks': blocks: expected a list, got str" in err
+
+
+def test_a_plan_manifest_block_that_is_no_path_exits_2_naming_it(tmp_path, capsys):
+    # It exited 2 with Python's TypeError text, naming no field.
+    code, err, plan = run_plan(tmp_path, capsys, blocks=["true_orbit.json", 1], N_levels=[1, 1])
+    assert code == 2
+    assert f"plan manifest {plan}: field 'blocks[1]': must be a string, got 1" in err

@@ -311,6 +311,36 @@ def test_a_scalar_where_a_list_is_meant_is_named_as_such(build, message):
     assert str(err.value) == message
 
 
+
+@pytest.mark.parametrize("build, message", [
+    # Each was read entry by entry, a string's characters and an object's keys.
+    (lambda: GeneratorMap.from_spec({"kind": "permutation", "perm": "10"}),
+     "map perm: expected a list, got str"),
+    (lambda: Word.from_spec({"kind": "periodic", "m": 2, "pattern": {"1": 2}}),
+     "word pattern: expected a list, got dict"),
+    (lambda: GeneratorMap.from_spec({"kind": "affine", "matrix": ["ab", "cd"],
+                                     "offset": [0.0, 0.0]}),
+     "map matrix: expected a list, got str"),
+])
+def test_a_string_or_an_object_where_a_list_is_meant_is_named_as_such(build, message):
+    with pytest.raises(ParameterError) as err:
+        build()
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("build, field", [
+    # Each built a map of size 0, which a family rejected only as "maps of sizes [0]".
+    (lambda: GeneratorMap.permutation([]), "perm"),
+    (lambda: GeneratorMap.scale([]), "factors"),
+    (lambda: GeneratorMap.affine([], []), "matrix"),
+    (lambda: GeneratorMap.from_spec({"kind": "affine", "matrix": [], "offset": [0.5]}), "matrix"),
+])
+def test_a_map_of_size_0_is_rejected_naming_its_field(build, field):
+    with pytest.raises(ParameterError, match=f"map {field} is empty") as err:
+        build()
+    assert err.value.path == (field,)
+
+
 def test_word_is_a_frozen_value():
     word = Word.periodic(np.array([1, 2]), m=np.int64(2))
     assert word == Word.periodic([1.0, 2], m=2) and hash(word) == hash(Word.periodic((1, 2), 2))

@@ -22,6 +22,7 @@ from shadowlab import (
     IndexSet,
     JumpRule,
     MetricSpace,
+    ParameterError,
     PseudoOrbit,
     Word,
     build_disk_system,
@@ -370,3 +371,26 @@ def test_an_unknown_key_in_a_v1_file_exits_2_naming_it(tmp_path, capsys, how):
     code, err, path = classify(tmp_path, capsys, data)
     assert code == 2
     assert f"orbit file {path}: {TAMPERED[how]}" in err
+
+
+@pytest.mark.parametrize("section, key", [("system", "maps"), (None, "defects")])
+def test_a_missing_key_of_an_orbit_file_names_its_path(tmp_path, capsys, section, key):
+    # Each exited 2 naming the key alone: "missing key 'maps'".
+    data = orbit_to_dict(sample_orbits()["disk-uniform"])
+    del (data[section] if section else data)[key]
+    code, err, path = classify(tmp_path, capsys, data)
+    field = f"{section}.{key}" if section else key
+    assert code == 2
+    assert f"orbit file {path}: field {field!r}: required" in err
+    with pytest.raises(ParameterError) as caught:
+        orbit_from_dict(data)
+    assert caught.value.path == tuple(field.split("."))
+
+
+@pytest.mark.parametrize("meta", [[1], 5, "x", None])
+def test_an_orbit_file_whose_meta_is_no_object_exits_2_naming_it(tmp_path, capsys, meta):
+    # It loaded, and repair ended in a TypeError traceback merging the meta.
+    data = {**orbit_to_dict(sample_orbits()["disk-uniform"]), "meta": meta}
+    code, err, path = classify(tmp_path, capsys, data)
+    assert code == 2
+    assert f"orbit file {path}: field 'meta': must be an object" in err

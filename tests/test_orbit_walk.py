@@ -19,6 +19,7 @@ import json
 import math
 import re
 import sys
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -26,6 +27,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from shadowlab import (
     DomainError,
@@ -54,7 +56,14 @@ from shadowlab.pseudo_orbits import recompute_step_errors
 from shadowlab.serialize import json_default
 from shadowlab.shadow_search import HIT_DENSITY, LIMSUP, _net_pick, _scan
 
-from oracles import project, reference_contains, reference_dot, reference_map, reference_step
+from oracles import (
+    broadcast_gram,
+    project,
+    reference_contains,
+    reference_dot,
+    reference_map,
+    reference_step,
+)
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -1217,6 +1226,51 @@ def test_symbol_norm_of_a_non_normal_matrix():
     norms, offsets = shadow_search._symbol_norms(family)
     assert np.linalg.norm([[0.5, 0.4], [0.0, 0.5]], 2) <= norms[1] <= math.sqrt(0.61) * 1.001
     assert offsets[1] == 0.05
+
+
+def gram_bound(A) -> float:
+    """The documented Gram bound of a non-monomial A, from the broadcast A^T A."""
+    return (np.sqrt(np.abs(broadcast_gram(A)).sum(axis=1).max()) * (1 + 2.0 ** -40)
+            + shadow_search._TINY)
+
+
+def affine_family(A) -> GeneratorFamily:
+    """One affine map x -> A x on the unit box of A's dimension."""
+    d = len(A)
+    return GeneratorFamily(MetricSpace.box([0.0] * d, [1.0] * d),
+                           (GeneratorMap.affine(np.asarray(A).tolist(), [0.0] * d),))
+
+
+# Entries from 1e-150 to 1e150 in size, so that the order of the Gram sums
+# shows, some products underflow and some sums overflow to inf.
+wide_entries = st.one_of(unit(-3.0, 3.0), st.floats(-1e150, 1e150, allow_nan=False),
+                         st.sampled_from([0.0, 1e-150, -1e-150]))
+
+
+@SETTINGS
+@given(st.integers(1, 24).flatmap(lambda d: arrays(np.float64, (d, d), elements=wide_entries)))
+def test_row_at_a_time_gram_bound_equals_the_broadcast_one(A):
+    assume(not is_monomial(A))
+    with np.errstate(all="ignore"):
+        expected = gram_bound(A)
+    np.testing.assert_array_equal(shadow_search._symbol_norms(affine_family(A))[0][1], expected)
+
+
+def test_gram_bound_takes_quadratic_memory():
+    # The d x d x d product array took a 26 MiB tracemalloc peak at d = 150.
+    d = 150
+    rng = np.random.default_rng(150)
+    A = rng.standard_normal((d, d)) * np.exp(rng.uniform(-20.0, 20.0, (d, d)))
+    family = affine_family(A)
+    family.affine_parts
+    tracemalloc.start()
+    try:
+        norms, _ = shadow_search._symbol_norms(family)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert norms[1] == gram_bound(A)
 
 
 @SETTINGS
