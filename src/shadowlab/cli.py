@@ -162,6 +162,10 @@ def cmd_concat(cfg: ExperimentConfig, out: Path) -> int:
     if not cfg.concat_manifest:
         raise config_error("required for the concat subcommand", "concat", "manifest")
     plan = load_block_plan(cfg.concat_manifest)
+    maps = plan.blocks[0].family.m
+    if cfg.word.m > maps:
+        raise config_error(f"the word has {cfg.word.m} symbols, the blocks of plan manifest "
+                           f"{cfg.concat_manifest} {maps} maps", "system", "word", "m")
     xi = concatenate(plan, cfg.word)
     save_orbit(xi, out / "concatenated.json")
     cert = asymptotic_certificate(xi, plan)

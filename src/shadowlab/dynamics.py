@@ -663,9 +663,10 @@ class JumpRule(_Spec):
 def _walk(family: GeneratorFamily, symbols, z, jumps=((), ()),
           landing: str = "target") -> tuple[np.ndarray, list[int], np.ndarray]:
     """Step z through the symbols on Python floats; return the points, the
-    steps whose jump was clamped, and the images at the jump steps walked.
-    jumps holds sorted steps and a point q for each; at step j, points[j+1]
-    is where q lands, by the landing rule:
+    steps whose jump was clamped, and the step errors e_j = d(f_{w_j}(x_j),
+    x_{j+1}): taken on columns at the landing steps, 0.0 at every other, whose
+    next point is its image. jumps holds sorted steps and a point q for each;
+    at step j, points[j+1] is where q lands, by the landing rule:
 
     - "target": q itself, projected onto the space if it left it;
     - "offset": the image displaced by q, projected likewise;
@@ -714,7 +715,11 @@ def _walk(family: GeneratorFamily, symbols, z, jumps=((), ()),
             raise DomainError(f"map {int(symbols[j])} sends {points[j].tolist()} to "
                               f"{every[j].tolist()}, outside the space")
     family.checked_symbols(symbols[bad])  # when no earlier image left the space
-    return points, clamped, images
+    errors = np.zeros(len(walked))
+    if at.size:
+        with np.errstate(all="ignore"):  # a stored walk's image may be far outside
+            errors[at] = space._distance(tuple(images.T), tuple(points[1:][at].T), np)
+    return points, clamped, errors
 
 
 def orbit(family: GeneratorFamily, word: Word, z, n: int) -> np.ndarray:

@@ -19,7 +19,7 @@ from .density import (
     tail_extremum,
     upper_density_estimate,
 )
-from .dynamics import GeneratorFamily, JumpRule, MetricSpace, Word, _walk, as_point, orbit
+from .dynamics import GeneratorFamily, JumpRule, MetricSpace, Word, _walk, as_point
 from .errors import DomainError, ParameterError, check_positive
 from .verdict import ClassificationVerdict
 
@@ -90,10 +90,12 @@ class PseudoOrbit:
 def true_orbit(family: GeneratorFamily, word: Word, z, horizon: int) -> PseudoOrbit:
     """The actual orbit of z for `horizon` steps, as a pseudo-orbit.
 
-    Its step errors are the recomputed ones, all exactly zero.
+    Its step errors are the walk's, all exactly zero.
     """
-    return PseudoOrbit.from_points(family, word, orbit(family, word, z, horizon + 1),
-                                   {"kind": "true-orbit"})
+    if horizon < 0:
+        raise ParameterError("orbit length must be >= 1")
+    points, _, errors = _walk(family, word.symbols(horizon), z)
+    return PseudoOrbit(family, word, points, errors, {"kind": "true-orbit"})
 
 
 # ---------------------------------------------------------------------------
@@ -252,13 +254,14 @@ def make_corrupted_orbit(family: GeneratorFamily, word: Word, z,
     Jumps that leave the space are clamped onto it; clamped indices are
     flagged in the metadata. Deterministic under the seed: every jump is
     drawn before stepping, in corrupted-step order. Every image, including
-    an image a jump replaces, is checked for membership.
+    an image a jump replaces, is checked for membership. The step errors are
+    the walk's, nonzero only at corrupted steps.
     """
     steps = corruption_indices.indices
     rows = _draw_jumps(jump_rule, family.space, np.random.default_rng(seed), steps)
-    points, clamped, _ = _walk(family, word.symbols(corruption_indices.horizon), z,
-                               (steps, rows.tolist()),
-                               "offset" if jump_rule.kind == "offset" else "target")
+    points, clamped, errors = _walk(family, word.symbols(corruption_indices.horizon), z,
+                                    (steps, rows.tolist()),
+                                    "offset" if jump_rule.kind == "offset" else "target")
     meta = {"kind": "corrupted-orbit", "seed": seed, "jump_rule": jump_rule.spec(),
             "corrupted_count": len(corruption_indices), "clamped_indices": clamped}
-    return PseudoOrbit.from_points(family, word, points, meta)
+    return PseudoOrbit(family, word, points, errors, meta)

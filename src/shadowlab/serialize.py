@@ -23,7 +23,7 @@ from .density import MIN_DENSITY_HORIZON, IndexSet, check_tail_fraction
 from .disk_example import DISK_SYSTEM
 from .dynamics import (GeneratorFamily, JumpRule, MetricSpace, Word, _finite, _integer,
                        _integers, _items, _keyed, _known, _real, _walk, as_points)
-from .errors import IntegrityError, ParameterError, check_alpha, check_positive
+from .errors import IntegrityError, ParameterError, ResourceCapError, check_alpha, check_positive
 from .pseudo_orbits import PseudoOrbit, recompute_step_errors, step_images
 
 CONFIG_SCHEMA = "shadowlab/config/v1"
@@ -32,6 +32,13 @@ ORBIT_SCHEMA = "shadowlab/pseudo-orbit/v1"
 ORBIT_SCHEMA_V2 = "shadowlab/pseudo-orbit/v2"
 PLAN_SCHEMA = "shadowlab/block-plan/v1"
 PLAN_KEYS = ("schema", "blocks", "N_levels")
+# The longest horizon a config or an orbit file may ask for, checked before any
+# walk. A walk and the orbit built from it peak at about 100 bytes a step (peak
+# RSS above a 10-step run, at 2 * 10**6 steps: 97 for `generate`, 88 for loading
+# a v2 file; Python 3.11, numpy 2.4), so one at the cap peaks near 1 GB. The
+# longest horizon in use is 10**4, and a concatenation of the benchmark's blocks
+# is 10 500 steps long.
+HORIZON_CAP = 10**7
 
 
 def json_default(obj):
@@ -71,11 +78,14 @@ def dump_csv(rows, header: list[str], path: Path | str) -> None:
 @contextmanager
 def _input_file(what: str, path):
     """A missing, unreadable or malformed input file is a ParameterError naming
-    the file; an IntegrityError (a checksum mismatch) stays one, naming the file."""
+    the file; an IntegrityError (a checksum mismatch) or a ResourceCapError stays
+    one, naming the file."""
     try:
         yield
     except IntegrityError as exc:
         raise IntegrityError(f"{what} {path}: {exc}") from None
+    except ResourceCapError as exc:
+        raise ResourceCapError(f"{what} {path}: {exc}", exc.required_cap) from None
     except ParameterError as exc:
         field = f"field {'.'.join(exc.path)!r}: " if exc.path else ""
         raise ParameterError(f"{what} {path}: {field}{exc}") from None
@@ -160,12 +170,20 @@ def _point(what: str, value, dimension: int) -> tuple[float, ...]:
     return point
 
 
+def _capped(name: str, horizon: int) -> int:
+    """horizon, if it is at most HORIZON_CAP; else a ResourceCapError naming the
+    field, raised before any symbol or point is computed for it."""
+    if horizon > HORIZON_CAP:
+        raise ResourceCapError(f"{name}: {horizon} steps exceed the horizon cap of "
+                               f"{HORIZON_CAP}", required_cap=horizon)
+    return horizon
+
+
 def _walked_orbit(data: dict, family: GeneratorFamily, word: Word) -> tuple:
-    """A v2 file's points, from one walk from its start that lands each defect's
-    point as stored, checked against points_sha256; and its step errors, 0.0
-    but at the defects: every other x_{j+1} is the walk's image of x_j."""
+    """A v2 file's points and step errors, from one walk from its start that
+    lands each defect's point as stored; the points must match points_sha256."""
     d = family.space.dimension
-    H = _at_least("horizon", data["horizon"], 0)
+    H = _capped("field 'horizon'", _at_least("horizon", data["horizon"], 0))
     start = _keyed("start", _point, "start", data["start"], d)
     steps, rows = [], []
     for i, defect in enumerate(_keyed("defects", _items, "defects", data["defects"])):
@@ -179,13 +197,11 @@ def _walked_orbit(data: dict, family: GeneratorFamily, word: Word) -> tuple:
                                  "one a step, below the horizon", key)
         steps.append(j)
         rows.append(_keyed(key, _point, "defect point", defect[1], d))
-    points, _, images = _walk(family, word.symbols(H), start, (steps, rows), "stored")
+    points, _, errors = _walk(family, word.symbols(H), start, (steps, rows), "stored")
     digest = _sha256(points)
     if digest != data["points_sha256"]:
         raise IntegrityError(f"points digest mismatch: the walk gives {digest[:12]}…, "
                              f"file says {str(data['points_sha256'])[:12]}…")
-    errors = np.zeros(H)
-    errors[steps] = family.space._distance(tuple(images.T), tuple(points[1:][steps].T), np)
     return points, errors
 
 
@@ -419,7 +435,8 @@ def _config(data: dict) -> ExperimentConfig:
         raise ParameterError(f"expected {CONFIG_SCHEMA!r}, got {data.get('schema')!r}", "schema")
     system = _keyed("system", _known, "system", data.get("system"), SYSTEM_KEYS, SYSTEM_KEYS)
     seed = _at_least("seed", data.get("seed", 0), 0)
-    horizon = _at_least("horizon", data.get("horizon", 10_000), MIN_DENSITY_HORIZON)
+    horizon = _capped("config field 'horizon'",
+                      _at_least("horizon", data.get("horizon", 10_000), MIN_DENSITY_HORIZON))
     tail_fraction = _number("tail_fraction", data.get("tail_fraction", 0.5), check_tail_fraction)
     given = {**THRESHOLDS, **_keyed("thresholds", _known, "thresholds",
                                     data.get("thresholds", {}), THRESHOLDS)}

@@ -2,9 +2,9 @@
 
 Large step errors are confined to blocks of length M anchored at greedily
 chosen bad indices; inside each block the sequence is replaced by the true
-orbit of the block's first point (composition shifted to the block's symbol
-index), so in-block step errors vanish and only one block-exit error per
-block survives.
+orbit of the block's first point, so in-block step errors vanish and only one
+block-exit error per block survives. One walk from x_0 follows the maps inside
+the blocks and lands the input's own point, as stored, at every other step.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import DEFAULT_TAIL_FRACTION, IndexSet
-from .dynamics import MetricSpace, orbit
+from .dynamics import MetricSpace, _walk
 from .errors import ParameterError, PreconditionError, check_positive
 from .pseudo_orbits import DEFAULT_DENSITY_TOL, PseudoOrbit, is_ergodic_pseudo_orbit
 
@@ -76,8 +76,9 @@ def repair(xi: PseudoOrbit, delta: float,
     """Turn a (delta/2, w)-ergodic pseudo-orbit into a (delta, w)-average one.
 
     An input with no bad step is already good enough and is returned
-    unchanged. Rejects inputs that fail the ergodic precondition at the
-    caller's tolerance, carrying the classification witness.
+    unchanged; any other is walked once, and its step errors are the walk's.
+    Rejects inputs that fail the ergodic precondition at the caller's
+    tolerance, carrying the classification witness.
     """
     gate = is_ergodic_pseudo_orbit(xi, delta / 2.0, density_tol, tail_fraction)
     if not gate:
@@ -94,23 +95,17 @@ def repair(xi: PseudoOrbit, delta: float,
     M = block_length(xi.family.space, delta, horizon=H)
     anchors = select_anchors(bad, M)
 
-    points = xi.points.copy()
-    block_indices: list[int] = []
-    truncated = False
+    # Block k holds points k..k+M-1 (fewer at the horizon); the walk follows
+    # the maps on its steps k..k+M-2 and lands x_{j+1} as stored at every other j.
+    blocks, followed = np.zeros(H + 1, dtype=bool), np.zeros(H, dtype=bool)
     for k in anchors.to_list():
-        length = min(M, H + 1 - k)
-        if length < M:
-            truncated = True
-        block = orbit(xi.family, xi.word.shifted(k), xi.points[k], length)
-        points[k:k + length] = block
-        block_indices.extend(range(k, k + length))
-
+        blocks[k:k + M] = followed[k:k + M - 1] = True
+    landed = np.flatnonzero(~followed)
+    points, _, errors = _walk(xi.family, xi.word.symbols(H), xi.points[0],
+                              (landed, xi.points[landed + 1].tolist()), "stored")
     meta = {**xi.meta, "repaired": True, "M": M, "delta": delta}
-    y = PseudoOrbit.from_points(xi.family, xi.word, points, meta)
-
-    diff_mask = np.any(points != xi.points, axis=1)
-    diff = IndexSet.from_mask(diff_mask)
-    blocks = IndexSet.from_iterable(block_indices, H + 1)
-    anchors_pts = IndexSet.from_iterable(anchors.to_list(), H + 1)
-    return RepairResult(y, M, anchors_pts, blocks, diff, delta, truncated)
+    y = PseudoOrbit(xi.family, xi.word, points, errors, meta)
+    diff = IndexSet.from_mask(np.any(points != xi.points, axis=1))
+    return RepairResult(y, M, IndexSet.from_iterable(anchors.to_list(), H + 1),
+                        IndexSet.from_mask(blocks), diff, delta, anchors.to_list()[-1] + M > H + 1)
 

@@ -10,9 +10,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from shadowlab import DomainError, IndexSet, ParameterError, RangeError
+from shadowlab import (DomainError, IndexSet, ParameterError, PseudoOrbit, RangeError,
+                       RepairResult, block_length, select_anchors)
 from shadowlab.density import ROUNDING_TOL, prefix_means, tail_extremum
-from shadowlab.dynamics import CIRCLE, MEMBERSHIP_TOL, UNIT_DISK, _coordinates
+from shadowlab.dynamics import CIRCLE, MEMBERSHIP_TOL, UNIT_DISK, _coordinates, orbit
 from shadowlab.serialize import ORBIT_SCHEMA, PLAN_SCHEMA, dump_json, step_error_checksum
 
 # ---------------------------------------------------------------------------
@@ -95,6 +96,32 @@ def save_block_plan_manifest(block_paths, N_levels, path) -> None:
     """A plan manifest of the given block files and levels, as ``concat`` reads it."""
     dump_json({"schema": PLAN_SCHEMA, "blocks": list(block_paths),
                "N_levels": [int(n) for n in N_levels]}, path)
+
+
+# ---------------------------------------------------------------------------
+# Repair
+
+
+def reference_repair(xi, delta: float) -> RepairResult:
+    """repair of an input with a bad step, as one true orbit per block: each
+    anchor k's block is the orbit of x_k under the word shifted by k, and
+    every step error is recomputed from the repaired points."""
+    H = xi.horizon
+    M = block_length(xi.family.space, delta, horizon=H)
+    anchors = select_anchors(xi.exceptional_set(delta / 2.0), M)
+    points = xi.points.copy()
+    block_indices: list[int] = []
+    truncated = False
+    for k in anchors.to_list():
+        length = min(M, H + 1 - k)
+        truncated = truncated or length < M
+        points[k:k + length] = orbit(xi.family, xi.word.shifted(k), xi.points[k], length)
+        block_indices.extend(range(k, k + length))
+    meta = {**xi.meta, "repaired": True, "M": M, "delta": delta}
+    y = PseudoOrbit.from_points(xi.family, xi.word, points, meta)
+    diff = IndexSet.from_mask(np.any(points != xi.points, axis=1))
+    return RepairResult(y, M, IndexSet.from_iterable(anchors.to_list(), H + 1),
+                        IndexSet.from_iterable(block_indices, H + 1), diff, delta, truncated)
 
 
 # ---------------------------------------------------------------------------

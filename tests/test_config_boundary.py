@@ -6,6 +6,9 @@ a traceback is never an answer to a bad config.
 
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from functools import partial
 from pathlib import Path
@@ -14,12 +17,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import shadowlab
 from shadowlab import GeneratorFamily, GeneratorMap, build_disk_system, true_orbit
 from shadowlab.cli import main
 from shadowlab.density import MIN_DENSITY_HORIZON, check_tail_fraction
 from shadowlab.errors import IntegrityError, ParameterError, check_alpha, check_positive
 from shadowlab.serialize import (
     CONFIG_SCHEMA,
+    HORIZON_CAP,
     PLAN_SCHEMA,
     load_config,
     load_orbit,
@@ -837,6 +842,51 @@ def test_a_plan_whose_blocks_have_different_families_exits_2_naming_it(tmp_path,
     code, err = run(data, tmp_path, "concat", capsys)
     assert code == 2
     assert f"plan manifest {plan}: block 2 has another generator family" in err
+
+
+def test_a_word_with_more_symbols_than_the_plans_maps_exits_2_naming_it(tmp_path, capsys):
+    # It exited 2 with a bare "symbol 3 outside [0, 2]", naming no field.
+    data = section_config(tmp_path, capsys)
+    data["system"]["maps"].append({"kind": "identity"})
+    data["system"]["word"] = {"kind": "periodic", "m": 3, "pattern": [1, 3]}
+    code, err = run(data, tmp_path, "concat", capsys)
+    assert code == 2
+    assert "config field 'system.word.m'" in err
+    assert f"plan manifest {tmp_path / 'plan.json'}" in err
+    assert not (tmp_path / "out" / "concatenated.json").exists()
+
+
+# An address space a walk past HORIZON_CAP cannot fit in, but the interpreter can.
+CAPPED_MEMORY = 384 * 2**20
+CAPPED_CLI = ("import resource, runpy; "
+              f"resource.setrlimit(resource.RLIMIT_AS, ({CAPPED_MEMORY}, {CAPPED_MEMORY})); "
+              "runpy.run_module('shadowlab.cli', run_name='__main__')")
+
+
+def run_capped(tmp: Path, *argv: str) -> subprocess.CompletedProcess:
+    """The console script in a subprocess that caps its own address space at
+    CAPPED_MEMORY before it imports anything."""
+    src = str(Path(shadowlab.__file__).parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-c", CAPPED_CLI, *argv], cwd=tmp, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_a_config_horizon_past_the_cap_exits_4_before_any_walk(tmp_path):
+    done = run_capped(tmp_path, "generate", "--horizon", str(HORIZON_CAP + 1), "--out", "out")
+    assert done.returncode == 4, done.stderr
+    assert "config field 'horizon'" in done.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_orbit_file_horizon_past_the_cap_exits_4_naming_the_file(tmp_path):
+    assert run_capped(tmp_path, "generate", "--horizon", "100", "--out", "out").returncode == 0
+    orbit = tmp_path / "out" / "orbit.json"
+    orbit.write_text(json.dumps({**json.loads(orbit.read_text()), "horizon": 10**9}))
+    done = run_capped(tmp_path, "classify", "--horizon", "100", "--out", "out")
+    assert done.returncode == 4, done.stderr
+    assert f"orbit file {Path('out') / 'orbit.json'}: field 'horizon'" in done.stderr
 
 
 @pytest.mark.parametrize("text", ["0.5\nabc\n", "0.5\nnan\n"])

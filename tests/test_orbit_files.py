@@ -214,6 +214,9 @@ def orbits(draw):
 @settings(max_examples=300, deadline=None)
 @given(orbits())
 def test_every_orbit_round_trips_through_v2_bit_for_bit(xi):
+    # Each producer's step errors, walked or recomputed, are the recomputation's.
+    assert xi.step_errors.tobytes() == recompute_step_errors(xi.family, xi.word,
+                                                             xi.points).tobytes()
     data = through_json(orbit_to_dict(xi))
     assert data["schema"] == ORBIT_SCHEMA_V2
     # Every step with a nonzero step error is a defect; others may be too.

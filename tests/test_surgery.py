@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shadowlab import (
     GeneratorFamily,
@@ -9,6 +11,8 @@ from shadowlab import (
     MetricSpace,
     ParameterError,
     PreconditionError,
+    PseudoOrbit,
+    Word,
     block_length,
     build_disk_system,
     is_average_pseudo_orbit,
@@ -18,8 +22,10 @@ from shadowlab import (
     select_anchors,
     true_orbit,
 )
+from shadowlab.dynamics import CIRCLE, UNIT_DISK
 
-from oracles import window_violation_bound_check
+from oracles import reference_repair, window_violation_bound_check
+from test_orbit_files import families, start_point
 
 
 def halving_interval():
@@ -251,3 +257,88 @@ def test_repair_truncates_block_at_horizon_edge():
     assert result.truncated_last_block
     assert max(result.blocks.to_list()) <= H
     assert is_average_pseudo_orbit(result.y, 0.8, N=result.M)
+
+
+# ---------------------------------------------------------------------------
+# repair against the per-block oracle
+
+
+def far_point(space, image) -> tuple:
+    """A point of the space at least 0.5 from image: the farther of (1, 0) and
+    (-1, 0) on the disk, the farthest corner of the unit box, the antipode on
+    the circle."""
+    if space.kind == UNIT_DISK:
+        return (-1.0, 0.0) if image[0] > 0 else (1.0, 0.0)
+    if space.kind == CIRCLE:
+        return ((image[0] + 0.5) % 1.0,)
+    return tuple(0.0 if x > 0.5 else 1.0 for x in image)
+
+
+def jumping_orbit(family, word, start, H, jumps) -> PseudoOrbit:
+    """The walk of start that lands far_point of the image at each step of jumps:
+    those steps, and no other, have errors of at least 0.5."""
+    p, points = tuple(start), [tuple(start)]
+    for j, s in enumerate(word.symbols(H).tolist()):
+        p = family.steps[s](p)
+        p = far_point(family.space, p) if j in jumps else p
+        points.append(p)
+    return PseudoOrbit.from_points(family, word, points)
+
+
+@st.composite
+def repair_inputs(draw):
+    """(xi, delta): a disk, box or circle orbit over a periodic or iid word whose
+    bad steps are drawn; a pair of them exactly M apart, and one whose block the
+    horizon cuts, are drawn more often than chance would."""
+    kind, family = draw(families())
+    m, symbols = family.m, st.integers(1, family.m)
+    if draw(st.booleans()):
+        word = Word.periodic(draw(st.lists(symbols, min_size=1, max_size=4)), m)
+    else:
+        word = Word.iid([draw(st.floats(0.1, 1.0)) for _ in range(m)],
+                        seed=draw(st.integers(0, 2**64 - 1)))
+    delta = draw(st.floats(0.5, 1.0))
+    M = block_length(family.space, delta)
+    H = draw(st.integers(max(M + 1, 10), 4 * M + 10))
+    jumps = set(draw(st.lists(st.integers(0, H - 1), min_size=1, max_size=6)))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, H - 1 - M))
+        jumps |= {k, k + M}
+    if draw(st.booleans()):
+        jumps.add(draw(st.integers(max(0, H - M + 1), H - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return jumping_orbit(family, word, start_point(draw, kind, family.space, rng), H,
+                         jumps), delta
+
+
+def assert_same_repair(got, want) -> None:
+    """Equal bit for bit: points and step errors; equal blocks and bookkeeping."""
+    assert np.array_equal(got.y.points.view(np.uint64), want.y.points.view(np.uint64))
+    assert np.array_equal(got.y.step_errors.view(np.uint64), want.y.step_errors.view(np.uint64))
+    assert got.y.meta == want.y.meta
+    assert (got.M, got.truncated_last_block) == (want.M, want.truncated_last_block)
+    for name in ("anchors", "blocks", "diff_set"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.to_list(), a.horizon) == (b.to_list(), b.horizon)
+
+
+@settings(max_examples=200, deadline=None)
+@given(repair_inputs())
+def test_repair_equals_one_orbit_per_block(case):
+    xi, delta = case
+    assert_same_repair(repair(xi, delta, density_tol=1.0), reference_repair(xi, delta))
+
+
+@pytest.mark.parametrize("word", [Word.periodic([1, 2, 2], 2), Word.iid([0.3, 0.7], seed=7)])
+def test_repair_with_anchors_exactly_m_apart_and_a_cut_block(word):
+    family, _ = build_disk_system()
+    M = block_length(family.space, 0.8)
+    H = 4 * M
+    xi = jumping_orbit(family, word, (0.3, 0.2), H, {5, 5 + M, H - 3})
+    got = repair(xi, 0.8, density_tol=1.0)
+    assert got.anchors.to_list() == [5, 5 + M, H - 3]
+    assert got.truncated_last_block
+    assert_same_repair(got, reference_repair(xi, 0.8))
+    # Block 1's last step lands anchor 2's point as stored, and keeps an error.
+    assert got.y.points[5 + M].tolist() == xi.points[5 + M].tolist()
+    assert got.y.step_errors[5 + M - 1] > 0.0
