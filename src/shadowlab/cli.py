@@ -4,7 +4,8 @@ Every subcommand reads one JSON config (``--config``; omitting it selects
 the built-in unit-disk system), loaded and checked once by
 ``serialize.load_config``, emits deterministic JSON artifacts under
 ``--out``, and encodes failures in the exit status: 0 success, 2 config or
-input-file error, 3 precondition-verdict rejection, 4 resource cap.
+input-file error, 3 precondition-verdict rejection, 4 resource cap or out of
+memory.
 
 Three commands can also write a per-step curve as CSV (``CURVES``), only
 under ``--curves``. Each curve is a function of the config and seed, or of
@@ -269,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Pseudo-orbit laboratory: generate, classify, repair, and search.",
         epilog="Defaults: horizon 10000, tail_fraction 0.5; JSON artifacts only, per-step "
                "curves under --curves. Exit codes: 0 success, 2 config error, "
-               "3 precondition rejection, 4 resource cap.")
+               "3 precondition rejection, 4 resource cap or out of memory.")
     parser.add_argument("command", choices=tuple(DISPATCH))
     parser.add_argument("--config", type=Path, default=None,
                         help="JSON experiment config (defaults to the built-in disk system)")
@@ -296,6 +297,9 @@ def main(argv=None) -> int:
         return 3
     except ResourceCapError as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError:
+        print(f"resource cap exceeded: out of memory in {args.command}", file=sys.stderr)
         return 4
     except (ParameterError, RangeError, DomainError, IntegrityError) as exc:
         print(f"error: {exc}", file=sys.stderr)

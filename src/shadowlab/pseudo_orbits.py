@@ -149,9 +149,21 @@ def is_average_pseudo_orbit(xi: PseudoOrbit, delta: float, N: int) -> Classifica
     sum of the step errors, and a window's canonical comparison is
     ``(S[k+n] - S[k]) / n >= delta``.
 
-    - ``max_window_mean`` is the max over lengths N..2N-1 only: a window of
-      length >= 2N splits into two of length >= N, one at least as dense,
-      so the densest window is shorter than 2N.
+    - ``max_window_mean`` (worst) is the max of the canonical means over
+      lengths N..min(2N - 1, H) only. A longer window's canonical mean can
+      exceed it: its difference of rounded prefix sums rounds on its own.
+    - The gate ``worst >= delta * (1 - _ROUNDING_SLACK)`` skips the scan
+      below only when no window of any length >= N reaches delta. Read the
+      float S as real numbers: the real mean (S[k+n] - S[k]) / n of a
+      window of length >= 2N is a weighted mean of those of two windows of
+      length >= N, so some window of length N..min(2N - 1, H) has a real
+      mean at least as large. The canonical mean rounds the real one twice
+      (a difference, exact when it underflows, and a division), each within
+      a factor 1 +- u, u = 2^-53, plus half a subnormal unit v. So a window
+      whose canonical mean reaches delta gives worst >= delta (1 - 4u) - v,
+      which is at least fl(delta * (1 - _ROUNDING_SLACK)) for every
+      delta >= 1e-314, at any horizon. Below that, deep in the subnormal
+      range, the bound is not shown.
     - A window (k, n) reaching delta has g[k+n] >= g[k] for
       g_i = S_i - delta*i. Starts k whose suffix max of g beyond k+N
       reaches g[k], less a relative slack, are candidates; they are

@@ -32,12 +32,16 @@ ORBIT_SCHEMA = "shadowlab/pseudo-orbit/v1"
 ORBIT_SCHEMA_V2 = "shadowlab/pseudo-orbit/v2"
 PLAN_SCHEMA = "shadowlab/block-plan/v1"
 PLAN_KEYS = ("schema", "blocks", "N_levels")
-# The longest horizon a config or an orbit file may ask for, checked before any
-# walk. A walk and the orbit built from it peak at about 100 bytes a step (peak
-# RSS above a 10-step run, at 2 * 10**6 steps: 97 for `generate`, 88 for loading
-# a v2 file; Python 3.11, numpy 2.4), so one at the cap peaks near 1 GB. The
-# longest horizon in use is 10**4, and a concatenation of the benchmark's blocks
-# is 10 500 steps long.
+# The longest horizon a config, an orbit file or a plan's laid-out blocks may
+# ask for, checked before any walk. A walk and the orbit built from it peak at
+# about 100 bytes a step in dimension 2 (peak RSS above a 10-step run, at
+# 2 * 10**6 steps: 97 for `generate`, 88 for loading a v2 file; Python 3.11,
+# numpy 2.4), so one at the cap peaks near 1 GB. A walk stores (H + 1) d
+# coordinates at about 48 bytes each (`generate` at H = 2 * 10**5 on a box:
+# 56 MiB peak RSS for d = 2, 497 MiB for d = 50), so (H + 1) d is capped too,
+# at 2 (HORIZON_CAP + 1), the coordinates of a d = 2 walk at the cap. The
+# longest horizon in use is 10**4, and a concatenation of the benchmark's
+# blocks is 10 500 steps long.
 HORIZON_CAP = 10**7
 
 
@@ -170,12 +174,18 @@ def _point(what: str, value, dimension: int) -> tuple[float, ...]:
     return point
 
 
-def _capped(name: str, horizon: int) -> int:
-    """horizon, if it is at most HORIZON_CAP; else a ResourceCapError naming the
-    field, raised before any symbol or point is computed for it."""
+def _capped(name: str, horizon: int, d: int) -> int:
+    """horizon, if it is at most HORIZON_CAP and its walk in dimension d stores
+    at most the coordinates of a d = 2 walk at the cap; else a ResourceCapError
+    naming the field, raised before any symbol or point is computed for it."""
     if horizon > HORIZON_CAP:
         raise ResourceCapError(f"{name}: {horizon} steps exceed the horizon cap of "
                                f"{HORIZON_CAP}", required_cap=horizon)
+    coordinates = (horizon + 1) * d
+    if coordinates > 2 * (HORIZON_CAP + 1):
+        raise ResourceCapError(f"{name}: {horizon} steps in dimension {d} store {coordinates} "
+                               f"coordinates, past the cap of {2 * (HORIZON_CAP + 1)}",
+                               required_cap=coordinates)
     return horizon
 
 
@@ -183,7 +193,7 @@ def _walked_orbit(data: dict, family: GeneratorFamily, word: Word) -> tuple:
     """A v2 file's points and step errors, from one walk from its start that
     lands each defect's point as stored; the points must match points_sha256."""
     d = family.space.dimension
-    H = _capped("field 'horizon'", _at_least("horizon", data["horizon"], 0))
+    H = _capped("field 'horizon'", _at_least("horizon", data["horizon"], 0), d)
     start = _keyed("start", _point, "start", data["start"], d)
     steps, rows = [], []
     for i, defect in enumerate(_keyed("defects", _items, "defects", data["defects"])):
@@ -261,11 +271,19 @@ def load_block_plan_manifest(path: Path | str) -> tuple[list[Path], list[int]]:
 
 
 def load_block_plan(path: Path | str) -> BlockPlan:
-    """The manifest's plan over its loaded blocks; a plan they do not fit names the manifest."""
+    """The manifest's plan over its loaded blocks; a plan they do not fit names the
+    manifest. Once the blocks loaded so far lay out past the cap (_capped), the
+    next one is not loaded: the ResourceCapError names the manifest and the block."""
     block_paths, N_levels = load_block_plan_manifest(path)
-    blocks = tuple(load_orbit(p) for p in block_paths)
+    blocks, points = [], 0
+    for i, p in enumerate(block_paths):
+        blocks.append(load_orbit(p))
+        points += len(blocks[-1].points)
+        with _input_file("plan manifest", path):
+            _capped(f"field 'blocks[{i}]', laid out after the blocks before it", points - 1,
+                    blocks[-1].family.space.dimension)
     with _input_file("plan manifest", path):
-        return BlockPlan(blocks, tuple(N_levels))
+        return BlockPlan(tuple(blocks), tuple(N_levels))
 
 
 # ---------------------------------------------------------------------------
@@ -435,8 +453,7 @@ def _config(data: dict) -> ExperimentConfig:
         raise ParameterError(f"expected {CONFIG_SCHEMA!r}, got {data.get('schema')!r}", "schema")
     system = _keyed("system", _known, "system", data.get("system"), SYSTEM_KEYS, SYSTEM_KEYS)
     seed = _at_least("seed", data.get("seed", 0), 0)
-    horizon = _capped("config field 'horizon'",
-                      _at_least("horizon", data.get("horizon", 10_000), MIN_DENSITY_HORIZON))
+    horizon = _at_least("horizon", data.get("horizon", 10_000), MIN_DENSITY_HORIZON)
     tail_fraction = _number("tail_fraction", data.get("tail_fraction", 0.5), check_tail_fraction)
     given = {**THRESHOLDS, **_keyed("thresholds", _known, "thresholds",
                                     data.get("thresholds", {}), THRESHOLDS)}
@@ -444,6 +461,7 @@ def _config(data: dict) -> ExperimentConfig:
                                 check_alpha if name == "alpha" else _positive)
                   for name, v in given.items()}
     family = _keyed("system", GeneratorFamily.from_spec, system)
+    _capped("config field 'horizon'", horizon, family.space.dimension)
     word = _keyed("system.word", Word.from_spec, system["word"])
     if word.m > family.m:
         raise ParameterError(f"the word has {word.m} symbols, the system {family.m} maps",

@@ -226,9 +226,14 @@ def _steps(symbols: np.ndarray, points: np.ndarray):
 _MOST_WALKS = 4
 
 # The entries of one block of an isometry scan's (net x steps) arrays, 32 KiB
-# each. On the benchmark's circle search the scan then peaks at 171 KiB of
-# traced memory, below the step loop's 220 KiB; blocks of 2**14 entries
-# peaked at 432 KiB, and were twice as fast only on nets of 1 000 points.
+# each: max(1, _BLOCK_ENTRIES // (H + 1)) whole net rows, so one row once
+# H + 1 > 2**12. On a 50-point circle net (a rotation with +-0.3 jumps,
+# eps 0.1; 2 cores, Python 3.11) _isometry_survivors peaked at 104 / 152 KiB
+# of traced memory (LIMSUP / HIT_DENSITY) and took 0.8-1.0 / 1.6-2.1 ms at
+# H = 2 000; 276 / 384 KiB and 3.0-3.7 / 6.4-8.3 ms at H = 10**4; 2 737 /
+# 3 811 KiB, 28 / 39 bytes a step, and 30-37 / 68-81 ms at H = 10**5. The
+# whole circle scan peaked at 143 KiB at H = 2 000, below the step loop's
+# 220 KiB, and at 6.1 MiB at H = 10**5, held by its targets and walks.
 _BLOCK_ENTRIES = 2**12
 
 
@@ -295,7 +300,8 @@ def _isometry_survivors(xi: PseudoOrbit, P: np.ndarray, hits: bool, eps: float,
     """The rows of P, a net of the circle, that can be the pick of a scan whose
     word applies isometries only, from the analytic traces tau_j(z), each
     within sigma_j of the walked one (_isometry_targets). The (net x steps)
-    array of tau is built a block of steps at a time.
+    array of tau is built a block of whole net rows at a time, and each block
+    writes its rows' bounds once: nothing is carried from block to block.
 
     Each row's value V is bounded as L <= V <= U.
     - LIMSUP: V is the max over tail lengths n of fl(S_n / n), S_n the walk's
@@ -308,7 +314,8 @@ def _isometry_survivors(xi: PseudoOrbit, P: np.ndarray, hits: bool, eps: float,
       R_n = 2^-50 (n + 8)(1 + sigma_H) covers the rounding of S_n, A_n,
       Sigma_n (sigma_H is the largest sigma), the divisions and the
       expressions of h_n, L and U about seven times over. With M the max of
-      A_n / n and h the max of h_n over tail lengths, L = M - h and U = M + h.
+      A_n / n and h the max of h_n over tail lengths, L = M - h and U = M + h;
+      h does not depend on the row, so it is computed once.
     - HIT_DENSITY: V is the min over tail lengths of fl(K_n / n), K_n the
       walk's count of hits t_j < eps among its first n steps. A step with
       |tau_j - eps| > sigma_j (in floats: sigma_j's margin covers the
@@ -323,40 +330,29 @@ def _isometry_survivors(xi: PseudoOrbit, P: np.ndarray, hits: bool, eps: float,
     The pick, the lowest row of the best value, is never dropped.
     """
     H = xi.horizon
-    n_lo = tail_window_start(H + 1, tail_fraction)
-    lower, upper = np.full(len(P), np.inf), np.full(len(P), np.inf)  # HIT_DENSITY's
-    low, high = np.zeros(len(P), dtype=np.int64), np.zeros(len(P), dtype=np.int64)
-    top, total, spread, half = np.full(len(P), -np.inf), np.zeros(len(P)), 0.0, 0.0  # LIMSUP's
-    rho = 2.0**-50 * (1 + sigma[-1])
-    width = max(1, _BLOCK_ENTRIES // len(P))
+    n = np.arange(tail_window_start(H + 1, tail_fraction), H + 2)
+    tail = slice(n[0] - 1, None)
+    lower, upper = np.empty(len(P)), np.empty(len(P))
+    rows = max(1, _BLOCK_ENTRIES // (H + 1))
     with np.errstate(over="ignore"):
-        for j0 in range(0, H + 1, width):
-            j1 = min(j0 + width, H + 1)
-            tau = np.subtract(P[:, :1], y[j0:j1])
+        half = float((np.cumsum(sigma)[tail] / n + 2.0**-50 * (1 + sigma[-1]) * (n + 8)).max())
+        for r0 in range(0, len(P), rows):
+            block = slice(r0, r0 + rows)
+            tau = np.subtract(P[block, :1], y)
             np.abs(tau, out=tau)
             np.minimum(tau, 1.0 - tau, out=tau)
-            t0 = max(n_lo - 1 - j0, 0)
-            n = np.arange(j0 + 1, j1 + 1)[t0:]
             if hits:
-                sure = np.abs(tau - eps) > sigma[j0:j1]
+                sure = np.abs(tau - eps) > sigma
                 hit = tau < eps
-                for bound, count, steps in ((lower, low, hit & sure), (upper, high, hit | ~sure)):
-                    counts = np.cumsum(steps, axis=1)
-                    counts += count[:, None]
-                    count[:] = counts[:, -1]
-                    if n.size:
-                        np.minimum(bound, (counts[:, t0:] / n).min(axis=1), out=bound)
+                for bound, steps in ((lower, hit & sure), (upper, hit | ~sure)):
+                    means = np.cumsum(steps, axis=1, dtype=float, out=tau)[:, tail]
+                    means /= n
+                    bound[block] = means.min(axis=1)
             else:
-                sums = np.cumsum(tau, axis=1, out=tau)
-                sums += total[:, None]
-                total = sums[:, -1].copy()
-                slack = spread + np.cumsum(sigma[j0:j1])
-                spread = slack[-1]
-                if n.size:
-                    np.maximum(top, (sums[:, t0:] / n).max(axis=1), out=top)
-                    half = max(half, float((slack[t0:] / n + rho * (n + 8)).max()))
-    if not hits:
-        lower, upper = top - half, top + half
+                means = np.cumsum(tau, axis=1, out=tau)[:, tail]
+                means /= n
+                top = means.max(axis=1)
+                lower[block], upper[block] = top - half, top + half
     mine, theirs = (upper, lower) if hits else (lower, upper)
     first = int((np.argmax if hits else np.argmin)(theirs))
     worse = (np.less if hits else np.greater)(mine, theirs[first])

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import shadowlab
 from shadowlab import GeneratorFamily, GeneratorMap, build_disk_system, true_orbit
+from shadowlab import serialize
 from shadowlab.cli import main
 from shadowlab.density import MIN_DENSITY_HORIZON, check_tail_fraction
 from shadowlab.errors import IntegrityError, ParameterError, check_alpha, check_positive
@@ -880,13 +881,81 @@ def test_a_config_horizon_past_the_cap_exits_4_before_any_walk(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-def test_an_orbit_file_horizon_past_the_cap_exits_4_naming_the_file(tmp_path):
+@pytest.mark.parametrize("horizon, message", [
+    (10**9, f"orbit file {Path('out') / 'orbit.json'}: field 'horizon'"),
+    # Below the cap, but its walk does not fit in CAPPED_MEMORY.
+    (5_000_000, "resource cap exceeded: out of memory in classify"),
+])
+def test_an_orbit_file_horizon_past_the_cap_exits_4_naming_the_file(tmp_path, horizon, message):
     assert run_capped(tmp_path, "generate", "--horizon", "100", "--out", "out").returncode == 0
     orbit = tmp_path / "out" / "orbit.json"
-    orbit.write_text(json.dumps({**json.loads(orbit.read_text()), "horizon": 10**9}))
+    orbit.write_text(json.dumps({**json.loads(orbit.read_text()), "horizon": horizon}))
     done = run_capped(tmp_path, "classify", "--horizon", "100", "--out", "out")
     assert done.returncode == 4, done.stderr
-    assert f"orbit file {Path('out') / 'orbit.json'}: field 'horizon'" in done.stderr
+    assert message in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def test_running_out_of_memory_exits_4_without_a_traceback(tmp_path):
+    # 5 * 10**6 steps is a legal horizon, below HORIZON_CAP, whose walk does
+    # not fit in CAPPED_MEMORY.
+    done = run_capped(tmp_path, "generate", "--horizon", "5000000", "--out", "out")
+    assert done.returncode == 4, done.stderr
+    assert done.stderr == "resource cap exceeded: out of memory in generate\n"
+    assert not (tmp_path / "out" / "orbit.json").exists()
+
+
+def box_config(tmp: Path, d: int) -> Path:
+    """A config of the halving map on the d-dimensional unit box."""
+    data = base_config(tmp / "out")
+    data.pop("corruption")
+    data["system"] = {"space": {"kind": "box-kd", "lo": [0.0] * d, "hi": [1.0] * d},
+                      "maps": [{"kind": "scale", "factors": [0.5] * d}],
+                      "word": {"kind": "constant", "m": 1, "symbol": 1},
+                      "start": [0.5] * d}
+    path = tmp / "box.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+# 400 000 steps in dimension 50 store 20 000 050 coordinates, past the
+# 2 (HORIZON_CAP + 1) = 20 000 002 of a two-dimensional walk at the cap.
+def test_a_config_horizon_past_the_coordinate_cap_exits_4_naming_it(tmp_path):
+    data = json.loads(box_config(tmp_path, 50).read_text())
+    assert validate_config({**data, "horizon": 399_999}).horizon == 399_999
+    done = run_capped(tmp_path, "generate", "--config", "box.json", "--horizon", "400000")
+    assert done.returncode == 4, done.stderr
+    assert "config field 'horizon': 400000 steps in dimension 50" in done.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_orbit_file_past_the_coordinate_cap_exits_4_naming_the_file(tmp_path):
+    box_config(tmp_path, 50)
+    done = run_capped(tmp_path, "generate", "--config", "box.json", "--horizon", "100")
+    assert done.returncode == 0, done.stderr
+    orbit = tmp_path / "out" / "orbit.json"
+    orbit.write_text(json.dumps({**json.loads(orbit.read_text()), "horizon": 400_000}))
+    done = run_capped(tmp_path, "classify", "--config", "box.json", "--horizon", "100")
+    assert done.returncode == 4, done.stderr
+    assert f"orbit file {orbit}: field 'horizon': 400000 steps in dimension 50" in done.stderr
+
+
+def test_a_plan_whose_blocks_lay_out_past_the_cap_exits_4_naming_the_block(tmp_path, capsys,
+                                                                           monkeypatch):
+    # blocks[1] is within the cap alone, but 501 + 2 001 points lay out 2 501
+    # steps; blocks[2] (past the cap alone) is never loaded.
+    family, word = build_disk_system()
+    for name, steps in (("b0.json", 500), ("b1.json", 2000), ("b2.json", 8000)):
+        save_orbit(true_orbit(family, word, [0.6, 0.3], steps), tmp_path / name)
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"schema": PLAN_SCHEMA, "N_levels": [1, 1, 1],
+                                "blocks": ["b0.json", "b1.json", "b2.json"]}))
+    data = {**base_config(tmp_path / "out"), "horizon": 100, "concat": {"manifest": str(plan)}}
+    monkeypatch.setattr(serialize, "HORIZON_CAP", 2000)
+    code, err = run(data, tmp_path, "concat", capsys)
+    assert code == 4, err
+    assert (f"plan manifest {plan}: field 'blocks[1]', laid out after the blocks before it: "
+            "2501 steps exceed the horizon cap of 2000") in err
 
 
 @pytest.mark.parametrize("text", ["0.5\nabc\n", "0.5\nnan\n"])

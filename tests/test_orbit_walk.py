@@ -1720,11 +1720,12 @@ def test_every_walked_circle_trace_lies_within_sigma_of_the_analytic_one(system,
 @SETTINGS
 @given(isometry_systems(), st.integers(1, 300), st.integers(0, 2**32), unit(0.01, 0.5),
        unit(0.01, 0.6), st.booleans(), unit(0.05, 0.95), st.sampled_from([1, 2, 16]),
-       st.sampled_from([0, 1, 4]), st.data())
+       st.sampled_from([0, 1, 4]), st.sampled_from([1, 7, 2**12]), st.data())
 def test_isometry_scan_picks_what_the_full_scan_picks(system, horizon, seed, mesh, eps,
                                                       on_value, tail_fraction, first, most,
-                                                      data):
-    # most = 0 sends every survivor to the step loop.
+                                                      block, data):
+    # most = 0 sends every survivor to the step loop. Blocks of 1 and 7
+    # entries hold one net row each; blocks of 2**12 several short rows.
     family, word = system
     xi = isometry_orbit(family, word, horizon, seed)
     P = net(family.space, mesh)
@@ -1735,12 +1736,26 @@ def test_isometry_scan_picks_what_the_full_scan_picks(system, horizon, seed, mes
     for objective, pick, dropped in ((LIMSUP, np.argmin, math.inf),
                                      (HIT_DENSITY, np.argmax, -math.inf)):
         full = full_scan(xi, P, objective, eps, tail_fraction)
-        with mock.patch.multiple(shadow_search, FIRST_CHECKPOINT=first, _MOST_WALKS=most):
+        with mock.patch.multiple(shadow_search, FIRST_CHECKPOINT=first, _MOST_WALKS=most,
+                                 _BLOCK_ENTRIES=block):
             pruned, t = _scan(xi, P, objective, eps, tail_fraction)
         assert np.all((pruned == full) | (pruned == dropped))
         assert pick(pruned) == pick(full)
         if t is not None:
             assert t.tobytes() == trace_report(P[pick(full)], xi, eps).trace_errors.tobytes()
+
+
+@pytest.mark.parametrize("g", [GeneratorMap.affine([[1.0]], [0.3137]), GeneratorMap.scale([-1.0])])
+def test_isometry_scan_past_one_block_a_row_picks_what_the_full_scan_picks(g):
+    # H + 1 = 5 001 > _BLOCK_ENTRIES: each block is one net row, longer than
+    # _BLOCK_ENTRIES.
+    family = GeneratorFamily(MetricSpace.circle(), (g,))
+    xi = isometry_orbit(family, Word.constant(1, 1), 5_000, 7)
+    P = net(family.space, 0.02)
+    for objective, pick in ((LIMSUP, np.argmin), (HIT_DENSITY, np.argmax)):
+        full = full_scan(xi, P, objective, 0.3, 0.5)
+        pruned, _ = _scan(xi, P, objective, 0.3, 0.5)
+        assert pick(pruned) == pick(full) and pruned[pick(full)] == full[pick(full)]
 
 
 @pytest.mark.parametrize("make", [circle_rotation, circle_reflection])

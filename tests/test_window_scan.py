@@ -3,7 +3,11 @@
 ``full_scan_oracle`` is the scan ``is_average_pseudo_orbit`` used before:
 one pass per window length n in [N, H], the first violating start of each
 length, and the lexicographically first (k, n) over all of them. The fast
-scan must reproduce its verdict, witness and ``max_window_mean`` exactly.
+scan must reproduce its verdict and witness exactly, and its
+``max_window_mean`` must equal the same scan over lengths N..min(2N - 1, H).
+The two maxima agree when the window differences are exact (the dyadic
+cases), but rounded prefix-sum differences can make a longer window's float
+mean exceed every shorter one's.
 """
 
 from fractions import Fraction
@@ -24,13 +28,14 @@ from shadowlab import (
 MAX_H = 80
 
 
-def full_scan_oracle(e: np.ndarray, delta: float, N: int):
-    """(witness or None, max_window_mean) of the quadratic scan."""
+def full_scan_oracle(e: np.ndarray, delta: float, N: int, longest: int | None = None):
+    """(witness or None, max window mean) of the quadratic scan over window
+    lengths N..longest (default: every length up to H)."""
     H = len(e)
     S = np.concatenate(([0.0], np.cumsum(e)))
     worst = None
     candidates = []
-    for n in range(N, H + 1):
+    for n in range(N, (longest or H) + 1):
         means = (S[n:] - S[: H - n + 1]) / n
         bad = np.flatnonzero(means >= delta)
         if bad.size:
@@ -54,11 +59,13 @@ def orbit_with_step_errors(e) -> PseudoOrbit:
 
 def assert_matches_oracle(e, delta: float):
     xi = orbit_with_step_errors(e)
-    for N in range(1, len(e) + 1):
+    H = len(e)
+    for N in range(1, H + 1):
         verdict = is_average_pseudo_orbit(xi, delta, N)
-        witness, worst = full_scan_oracle(xi.step_errors, delta, N)
+        witness, _ = full_scan_oracle(xi.step_errors, delta, N)
         assert verdict.verdict is (witness is None)
         assert verdict.witness == witness
+        _, worst = full_scan_oracle(xi.step_errors, delta, N, min(2 * N - 1, H))
         assert verdict.params["max_window_mean"] == worst
         assert verdict.params["scan"] == "full"
 
@@ -107,6 +114,8 @@ def test_dyadic_ties_match_oracle_and_exact_arithmetic(case):
     reach = exact_reaching_windows([Fraction(u, 16) for u in units], Fraction(delta_units, 16))
     for N in range(1, len(units) + 1):
         verdict = is_average_pseudo_orbit(xi, delta, N)
+        # Exact differences: the densest window is shorter than 2N.
+        assert verdict.params["max_window_mean"] == full_scan_oracle(e, delta, N)[1]
         expected = first_window(reach, N)
         got = None if verdict.verdict else (verdict.witness["k"], verdict.witness["n"])
         assert got == expected
@@ -165,10 +174,27 @@ def test_subnormal_mean_rounding_up_to_delta_is_a_violation():
         assert_matches_oracle(np.array(e), u)
 
 
+# Rounded differences: at N = 1 the window (2, 3) reads 0.8644625966881375,
+# above the max over windows of length 1, 0.8644625966881374.
+ROUNDED_LONG_WINDOW = [0.050919444647296044, 1e-05] + [0.8644625966881374] * 3
+
+
 @given(st.lists(unit_floats, min_size=1, max_size=MAX_H), st.floats(1e-6, 1.0))
 @settings(max_examples=120, deadline=None)
+@example(ROUNDED_LONG_WINDOW, 0.5)
 def test_random_errors_match_oracle(values, delta):
     assert_matches_oracle(np.array(values), delta)
+
+
+def test_a_long_window_above_the_reported_max_is_still_the_witness():
+    # max_window_mean reads 0.8644625966881374 < delta, yet within the gate's
+    # slack, so the scan runs and finds the violating window (2, 3).
+    delta = 0.8644625966881375
+    assert_matches_oracle(np.array(ROUNDED_LONG_WINDOW), delta)
+    verdict = is_average_pseudo_orbit(orbit_with_step_errors(ROUNDED_LONG_WINDOW), delta, 1)
+    assert verdict.params["max_window_mean"] < delta
+    assert not verdict.verdict
+    assert verdict.witness == {"k": 2, "n": 3, "window_mean": delta}
 
 
 def test_constant_and_zero_errors_match_oracle():
