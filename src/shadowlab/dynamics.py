@@ -14,7 +14,7 @@ import math
 import operator
 import sys
 from dataclasses import KW_ONLY, MISSING, dataclass, fields, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,6 +23,13 @@ from .errors import DomainError, ParameterError, RangeError, ResourceCapError, c
 
 MEMBERSHIP_TOL = 1e-12
 DEFAULT_NET_CAP = 1_000_000
+# The largest box dimension. A family's walk is generated source text, and a
+# dense affine map writes d^2 terms into it: on a 2-core x86_64 host with
+# CPython 3.11, its walk is written and compiled at d = 256 in about 0.5 s
+# and 95 MiB, at d = 512 in about 2.2 s and 380 MiB, and past d of about
+# 1 490 the box's column membership test, a chain of 2d comparisons,
+# overflows the compiler's recursion limit.
+DIMENSION_CAP = 256
 
 UNIT_DISK = "unit-disk-2d"
 BOX = "box-kd"
@@ -66,14 +73,33 @@ def _dot(u, v):
     return acc
 
 
+@lru_cache(maxsize=256)
+def _code(source: str):
+    """source compiled, once per process for each distinct text. Every family
+    of one shape has the same text, and a constant is never written into it,
+    so the code is shared and each build binds its own constants."""
+    return compile(source, "<shadowlab>", "exec")
+
+
+def _built(source: str, constants: dict):
+    """The function f that source defines, its names bound to constants in a
+    fresh namespace with no builtins. f is taken out of its namespace, so the
+    two form no reference cycle and are freed with the family, not by a
+    later garbage collection."""
+    namespace = {"__builtins__": {}, **constants}
+    exec(_code(source), namespace)
+    return namespace.pop("f")
+
+
 def _compiled(params: str, body, **constants):
-    """``lambda params: body``, built once from source text (a tuple when body
-    is a list of terms) that holds only indices, operators and names. Each
-    constant is bound by its name, never written into the text, so no value
-    is parsed as code and each keeps its type and every bit. Python's
-    operators evaluate left to right, so a sum accumulates as _dot does."""
+    """The function of params that returns body, built from source text (a
+    tuple when body is a list of terms) that holds only indices, operators
+    and names, its code cached by that text. Each constant is bound by its name, never written
+    into the text, so no value is parsed as code and each keeps its type and
+    every bit. Python's operators evaluate left to right, so a sum
+    accumulates as _dot does."""
     body = body if isinstance(body, str) else f"({''.join(f'{t}, ' for t in body)})"
-    return eval(f"lambda {params}: {body}", {"__builtins__": {}, **constants})
+    return _built(f"def f({params}): return {body}", constants)
 
 
 def _integral(value) -> bool:
@@ -254,6 +280,9 @@ class MetricSpace(_Spec):
             object.__setattr__(self, "hi", _BOUNDS[self.kind][1])
         elif len(self.lo) != len(self.hi) or not self.lo:
             raise ParameterError("box bounds must be nonempty and of equal length")
+        elif len(self.lo) > DIMENSION_CAP:
+            raise ParameterError(f"a box of dimension {len(self.lo)} is past the dimension cap "
+                                 f"of {DIMENSION_CAP}", "lo")
         elif any(h <= l for l, h in zip(self.lo, self.hi)):
             raise ParameterError("box bounds require lo < hi on every axis")
 
@@ -306,17 +335,6 @@ class MetricSpace(_Spec):
         hi = {f"hi{k}": x + MEMBERSHIP_TOL for k, x in enumerate(self.hi)}
         return _compiled("c, xp", " & ".join(f"(c[{k}] >= lo{k}) & (c[{k}] <= hi{k})"
                                              for k in range(self.dimension)), **lo, **hi)
-
-    @cached_property
-    def _landings(self) -> dict:
-        """Where a jump q lands from the image p, by landing rule, before it is
-        checked: "target" lands q, "offset" p + q, both wrapped on the circle;
-        "stored" lands q as it is."""
-        wrap = "({}) % 1.0" if self.kind == CIRCLE else "{}"
-        d = range(self.dimension)
-        return {"target": _compiled("p, q", [wrap.format(f"q[{k}]") for k in d]),
-                "offset": _compiled("p, q", [wrap.format(f"p[{k}] + q[{k}]") for k in d]),
-                "stored": lambda p, q: q}
 
     def _distance(self, a: tuple, b: tuple, xp):
         if self.kind == CIRCLE:
@@ -405,24 +423,29 @@ class GeneratorMap(_Spec):
         """The map as a step over a tuple of coordinates, of the dimension its fields fix."""
         return self._compile(self.size) if self.size else lambda c: c
 
+    def _terms(self, c: list, tag: str = "") -> tuple[list, dict]:
+        """The map's image of the coordinates named c, one expression per
+        coordinate (an affine row is ((c0 * a_i0 + c1 * a_i1) + ...) + b_i),
+        and the constants those name, each name ending in tag."""
+        d = len(c)
+        if self.kind in ("identity", "permutation"):
+            return [c[i] for i in self.perm or range(d)], {}
+        if self.kind == "scale":
+            return ([f"{c[k]} * f{k}{tag}" for k in range(d)],
+                    {f"f{k}{tag}": f for k, f in enumerate(self.factors)})
+        constants = {f"a{i}_{k}{tag}": a for i, row in enumerate(self.matrix)
+                     for k, a in enumerate(row)}
+        constants.update((f"b{i}{tag}", b) for i, b in enumerate(self.offset))
+        return ([" + ".join([*(f"{c[k]} * a{i}_{k}{tag}" for k in range(d)), f"b{i}{tag}"])
+                 for i in range(d)], constants)
+
     def _compile(self, d: int, wrap: str = "{}"):
-        """The map on d coordinates c as one straight-line expression, each image
-        coordinate formatted into wrap (an affine row is ((c[0] * a_i0 + c[1] *
-        a_i1) + ...) + b_i); a permutation of d > 1 coordinates, never wrapped,
-        is an itemgetter."""
+        """The map on d coordinates c as one straight-line expression of its
+        terms, each formatted into wrap; a permutation of d > 1 coordinates,
+        never wrapped, is an itemgetter."""
         if self.kind == "permutation" and d > 1:
             return operator.itemgetter(*self.perm)
-        if self.kind in ("identity", "permutation"):
-            terms, constants = [f"c[{i}]" for i in self.perm or range(d)], {}
-        elif self.kind == "affine":
-            terms = [" + ".join([*(f"c[{k}] * a{i}_{k}" for k in range(d)), f"b{i}"])
-                     for i in range(d)]
-            constants = {f"a{i}_{k}": a for i, row in enumerate(self.matrix)
-                         for k, a in enumerate(row)}
-            constants.update((f"b{i}", b) for i, b in enumerate(self.offset))
-        else:
-            terms = [f"c[{k}] * f{k}" for k in range(d)]
-            constants = {f"f{k}": f for k, f in enumerate(self.factors)}
+        terms, constants = self._terms([f"c[{k}]" for k in range(d)])
         return _compiled("c", [wrap.format(t) for t in terms], **constants)
 
 
@@ -456,8 +479,9 @@ class GeneratorFamily:
     def steps(self) -> tuple:
         """Step table: ``steps[s]`` maps coordinates, floats or columns, through f_s.
 
-        Symbol 0 is the identity, and circle images wrap into [0, 1). Every
-        stepping loop goes through this table.
+        Symbol 0 is the identity, and circle images wrap into [0, 1). The
+        scans and step_images step through this table; the walk is generated
+        from the same terms (_walk_source).
         """
         d, wrap = self.space.dimension, "({}) % 1.0" if self.space.kind == CIRCLE else "{}"
         return (lambda c: c, *(g._compile(d, wrap) for g in self.maps))
@@ -478,6 +502,13 @@ class GeneratorFamily:
                 A[s], b[s] = g.matrix, g.offset
         A.flags.writeable = b.flags.writeable = False
         return A, b
+
+    def _walker(self, landing: str):
+        """The generated walk under a landing rule, built on first use."""
+        walks = self.__dict__.setdefault("_walks", {})
+        if landing not in walks:
+            walks[landing] = _built(*_walk_source(self, landing))
+        return walks[landing]
 
     def checked_symbols(self, symbols) -> np.ndarray:
         """The symbols as an int64 array; RangeError at the first outside [0, m]."""
@@ -660,13 +691,79 @@ class JumpRule(_Spec):
             raise ParameterError(f"offset jump scale must be positive, got {self.scale}", "scale")
 
 
+def _walk_source(family: GeneratorFamily, landing: str) -> tuple[str, dict]:
+    """The source text of the family's walk under a landing rule, and the
+    constants it names.
+
+    ``f(symbols, at, Q0.., c0..)`` steps the coordinates c0..c{d-1} through
+    the list of symbols: symbol s runs branch s, whose terms are f_s's as
+    GeneratorMap._terms writes them (wrapped on the circle), and symbol 0
+    runs none. At the steps listed in at (ended by -1), where the k-th is
+    landed from Q0[k]..Q{d-1}[k], the image is kept and the point landed;
+    under "target" and "offset" a landing outside the space is projected
+    onto it, with the membership test and projection that _inside and
+    _project compute on floats. It returns the points and images, flat, and
+    the clamped steps.
+    """
+    space, d = family.space, family.space.dimension
+    c = [f"c{k}" for k in range(d)]
+    cs, Q = ", ".join(c), [f"Q{k}[k]" for k in range(d)]
+    wrap = "({}) % 1.0" if space.kind == CIRCLE else "{}"
+    constants = {"enumerate": enumerate, "sqrt": math.sqrt, "isfinite": math.isfinite}
+    body = []
+    for s, g in enumerate(family.maps, start=1):
+        terms, named = g._terms(c, f"_{s}")
+        terms = [wrap.format(t) for t in terms]
+        constants.update(named)
+        body += [f"{'if' if s == 1 else 'elif'} s == {s}:",
+                 f"    {cs} = {', '.join(terms)}" if terms != c else "    pass"]
+    if landing == "stored":
+        landed = Q
+    else:
+        landed = [wrap.format(q if landing == "target" else f"{x} + {q}") for x, q in zip(c, Q)]
+    body += ["if j == nxt:", "    " + "; ".join(f"image({x})" for x in c),
+             f"    {cs} = {', '.join(landed)}",
+             "    k += 1", "    nxt = at[k]"]
+    if landing != "stored":
+        if space.kind == UNIT_DISK:
+            norm = f"sqrt({' + '.join(f'{x} * {x}' for x in c)})"
+            inside = f"{norm} <= r"
+            project = [f"n_ = {norm}", "n_ = n_ if n_ > 1.0 else 1.0",
+                       f"{cs} = {', '.join(f'{x} / n_' for x in c)}"]
+            constants["r"] = 1.0 + MEMBERSHIP_TOL
+        elif space.kind == CIRCLE:
+            inside, project = "isfinite(c0)", ["c0 = c0 % 1.0"]
+        else:
+            # An "and" chain where _inside's is "&": on bools the two agree,
+            # and a chain of "and" does not nest deeper as d grows.
+            inside = " and ".join(f"{x} >= lo{k} and {x} <= hi{k}" for k, x in enumerate(c))
+            project = [f"{cs} = " + ", ".join(f"clo{k} if {x} <= clo{k} else chi{k} if "
+                                               f"{x} >= chi{k} else {x}" for k, x in enumerate(c))]
+            for k, (lo, hi) in enumerate(zip(space.lo, space.hi)):
+                constants.update({f"lo{k}": lo - MEMBERSHIP_TOL, f"hi{k}": hi + MEMBERSHIP_TOL,
+                                  f"clo{k}": lo, f"chi{k}": hi})
+        body += [f"    if not ({inside}):", *(f"        {line}" for line in project),
+                 "        clamped.append(j)"]
+    body.append("; ".join(f"point({x})" for x in c))
+    source = "\n".join([
+        f"def f(symbols, at, {', '.join(f'Q{k}' for k in range(d))}, {cs}):",
+        f"    points, images, clamped = [{cs}], [], []",
+        "    point, image, k, nxt = points.append, images.append, 0, at[0]",
+        "    for j, s in enumerate(symbols):",
+        *(f"        {line}" for line in body),
+        "    return points, images, clamped", ""])
+    return source, constants
+
+
 def _walk(family: GeneratorFamily, symbols, z, jumps=((), ()),
           landing: str = "target") -> tuple[np.ndarray, list[int], np.ndarray]:
-    """Step z through the symbols on Python floats; return the points, the
-    steps whose jump was clamped, and the step errors e_j = d(f_{w_j}(x_j),
-    x_{j+1}): taken on columns at the landing steps, 0.0 at every other, whose
-    next point is its image. jumps holds sorted steps and a point q for each;
-    at step j, points[j+1] is where q lands, by the landing rule:
+    """Step z through the symbols in the family's generated walk (one Python
+    loop on float coordinates, built once per family and landing rule, see
+    _walk_source); return the points, the steps whose jump was clamped, and
+    the step errors e_j = d(f_{w_j}(x_j), x_{j+1}): taken on columns at the
+    landing steps, 0.0 at every other, whose next point is its image. jumps
+    holds sorted steps and an (n, d) array of a point q for each; at step j,
+    points[j+1] is where q lands, by the landing rule:
 
     - "target": q itself, projected onto the space if it left it;
     - "offset": the image displaced by q, projected likewise;
@@ -678,33 +775,21 @@ def _walk(family: GeneratorFamily, symbols, z, jumps=((), ()),
     image it lands off is not a point, and its other images are the points,
     which the caller checks.
     """
-    space, d, steps = family.space, family.space.dimension, family.steps
+    space, d = family.space, family.space.dimension
     p, inside = tuple(as_point(z, d).tolist()), space._inside
     if not inside(p, _FLOATS):
         raise DomainError(f"start {list(p)} is outside the {space.kind} space")
-    stored, land, project = landing == "stored", space._landings[landing], space._project
     # Symbols are walked up to the first out of range, which raises below.
     bad = np.flatnonzero((symbols < 0) | (symbols > family.m))[:1]
     walked = symbols[:bad[0]] if bad.size else symbols
     at = np.asarray(jumps[0], dtype=np.int64)
     at = at[at < len(walked)]
-    aligned = [None] * len(walked)
-    for j, q in zip(at.tolist(), jumps[1]):
-        aligned[j] = q
-    # Coordinates are collected flat, not as a tuple per point, into one array.
-    points, images, clamped = list(p), [], []
-    for j, (f, q) in enumerate(zip([steps[s] for s in walked.tolist()], aligned)):
-        p = f(p)
-        if q is not None:
-            images.extend(p)
-            p = land(p, q)
-            if not stored and not inside(p, _FLOATS):
-                p = project(p, _FLOATS)
-                clamped.append(j)
-        points.extend(p)
-    points = np.array(points).reshape(-1, d)
-    images = np.array(images).reshape(-1, d)
-    if not stored:
+    rows = np.asarray(jumps[1], dtype=np.float64).reshape(-1, d)[:len(at)]
+    points, images, clamped = family._walker(landing)(walked.tolist(), [*at.tolist(), -1],
+                                                      *rows.T.tolist(), *p)
+    points = np.fromiter(points, np.float64, len(points)).reshape(-1, d)
+    images = np.fromiter(images, np.float64, len(images)).reshape(-1, d)
+    if landing != "stored":
         every = points[1:].copy() if at.size else points[1:]
         every[at] = images
         # A point that left the space may overflow before the check raises.

@@ -272,7 +272,7 @@ def make_corrupted_orbit(family: GeneratorFamily, word: Word, z,
     steps = corruption_indices.indices
     rows = _draw_jumps(jump_rule, family.space, np.random.default_rng(seed), steps)
     points, clamped, errors = _walk(family, word.symbols(corruption_indices.horizon), z,
-                                    (steps, rows.tolist()),
+                                    (steps, rows),
                                     "offset" if jump_rule.kind == "offset" else "target")
     meta = {"kind": "corrupted-orbit", "seed": seed, "jump_rule": jump_rule.spec(),
             "corrupted_count": len(corruption_indices), "clamped_indices": clamped}

@@ -102,7 +102,7 @@ def repair(xi: PseudoOrbit, delta: float,
         blocks[k:k + M] = followed[k:k + M - 1] = True
     landed = np.flatnonzero(~followed)
     points, _, errors = _walk(xi.family, xi.word.symbols(H), xi.points[0],
-                              (landed, xi.points[landed + 1].tolist()), "stored")
+                              (landed, xi.points[landed + 1]), "stored")
     meta = {**xi.meta, "repaired": True, "M": M, "delta": delta}
     y = PseudoOrbit(xi.family, xi.word, points, errors, meta)
     diff = IndexSet.from_mask(np.any(points != xi.points, axis=1))

@@ -13,7 +13,7 @@ import numpy as np
 from shadowlab import (DomainError, IndexSet, ParameterError, PseudoOrbit, RangeError,
                        RepairResult, block_length, select_anchors)
 from shadowlab.density import ROUNDING_TOL, prefix_means, tail_extremum
-from shadowlab.dynamics import CIRCLE, MEMBERSHIP_TOL, UNIT_DISK, _coordinates, orbit
+from shadowlab.dynamics import _FLOATS, CIRCLE, MEMBERSHIP_TOL, UNIT_DISK, _coordinates, orbit
 from shadowlab.serialize import ORBIT_SCHEMA, PLAN_SCHEMA, dump_json, step_error_checksum
 
 # ---------------------------------------------------------------------------
@@ -78,6 +78,73 @@ def project(space, P) -> np.ndarray:
     point, or to each row of P."""
     c, xp = _coordinates(P, space.dimension)
     return np.stack(space._project(c, xp), axis=-1)
+
+
+# ---------------------------------------------------------------------------
+# The walk as one loop over the step table
+
+
+def reference_loop(family, walked, p, at, rows, landing):
+    """The walk's loop as the library ran it before it was generated: one
+    call of the step table per symbol of walked (symbols in [0, m]) from the
+    point p, and at the steps at (sorted, each below len(walked)) the image
+    kept and rows[k] landed by the landing rule, through the space's own
+    membership test and projection on floats. Returns the points, the
+    images and the clamped steps, checking nothing."""
+    space, d = family.space, family.space.dimension
+    wrap = (lambda x: x % 1.0) if space.kind == CIRCLE else (lambda x: x)
+    land = {"target": lambda p, q: tuple(wrap(y) for y in q),
+            "offset": lambda p, q: tuple(wrap(x + y) for x, y in zip(p, q)),
+            "stored": lambda p, q: q}[landing]
+    aligned = [None] * len(walked)
+    for j, q in zip(at, rows):
+        aligned[j] = q
+    points, images, clamped = list(p), [], []
+    for j, (s, q) in enumerate(zip(walked, aligned)):
+        p = family.steps[s](p)
+        if q is not None:
+            images.extend(p)
+            p = land(p, q)
+            if landing != "stored" and not space._inside(p, _FLOATS):
+                p = space._project(p, _FLOATS)
+                clamped.append(j)
+        points.extend(p)
+    return np.array(points).reshape(-1, d), np.array(images).reshape(-1, d), clamped
+
+
+def reference_walk(family, symbols, z, jumps=((), ()), landing="target"):
+    """What ``dynamics._walk`` returns or raises, from reference_loop: the
+    start checked, the symbols walked up to the first outside [0, m], every
+    image but a stored walk's checked on columns (DomainError at the first
+    outside), then the RangeError of that symbol, and the step errors at the
+    landing steps."""
+    space, d = family.space, family.space.dimension
+    p = tuple(float(x) for x in z)
+    if not space._inside(p, _FLOATS):
+        raise DomainError(f"start {list(p)} is outside the {space.kind} space")
+    symbols = np.asarray(symbols, dtype=np.int64)
+    bad = np.flatnonzero((symbols < 0) | (symbols > family.m))[:1]
+    walked = symbols[:bad[0]] if bad.size else symbols
+    at = np.asarray(jumps[0], dtype=np.int64)
+    at = at[at < len(walked)]
+    rows = np.asarray(jumps[1], dtype=np.float64).reshape(-1, d).tolist()
+    points, images, clamped = reference_loop(family, walked.tolist(), p, at.tolist(), rows,
+                                             landing)
+    if landing != "stored":
+        every = points[1:].copy()
+        every[at] = images
+        with np.errstate(all="ignore"):
+            outside = np.flatnonzero(~space._inside(tuple(every.T), np))
+        if outside.size:
+            j = int(outside[0])
+            raise DomainError(f"map {int(symbols[j])} sends {points[j].tolist()} to "
+                              f"{every[j].tolist()}, outside the space")
+    family.checked_symbols(symbols[bad])
+    errors = np.zeros(len(walked))
+    if at.size:
+        with np.errstate(all="ignore"):
+            errors[at] = space._distance(tuple(images.T), tuple(points[1:][at].T), np)
+    return points, clamped, errors
 
 
 def orbit_v1_dict(xi) -> dict:

@@ -22,6 +22,7 @@ from shadowlab import GeneratorFamily, GeneratorMap, build_disk_system, true_orb
 from shadowlab import serialize
 from shadowlab.cli import main
 from shadowlab.density import MIN_DENSITY_HORIZON, check_tail_fraction
+from shadowlab.dynamics import DIMENSION_CAP
 from shadowlab.errors import IntegrityError, ParameterError, check_alpha, check_positive
 from shadowlab.serialize import (
     CONFIG_SCHEMA,
@@ -1086,3 +1087,37 @@ def test_a_plan_manifest_block_that_is_no_path_exits_2_naming_it(tmp_path, capsy
     code, err, plan = run_plan(tmp_path, capsys, blocks=["true_orbit.json", 1], N_levels=[1, 1])
     assert code == 2
     assert f"plan manifest {plan}: field 'blocks[1]': must be a string, got 1" in err
+
+
+def test_a_box_at_the_dimension_cap_generates(tmp_path, capsys):
+    data = json.loads(box_config(tmp_path, DIMENSION_CAP).read_text())
+    code, err = run({**data, "horizon": 20}, tmp_path, "generate", capsys)
+    assert code == 0, err
+    orbit = load_orbit(tmp_path / "out" / "orbit.json")
+    assert orbit.points.shape == (21, DIMENSION_CAP)
+    assert orbit.points[-1].tolist() == [0.5 ** 21] * DIMENSION_CAP
+
+
+def past_the_dimension_cap(data: dict) -> dict:
+    """data, an orbit file's or a config's, on a box one past the dimension cap."""
+    d = DIMENSION_CAP + 1
+    return {**data, "system": {**data["system"],
+                               "space": {"kind": "box-kd", "lo": [0.0] * d, "hi": [1.0] * d}}}
+
+
+@pytest.mark.parametrize("source", ["config", "orbit file", "plan"])
+def test_a_box_past_the_dimension_cap_exits_2_naming_lo(tmp_path, capsys, source):
+    # It ended in a RecursionError traceback at d = 3 000, compiling the
+    # box's membership test.
+    data = section_config(tmp_path, capsys)
+    orbit = tmp_path / "true_orbit.json"
+    if source == "config":
+        code, err = run(past_the_dimension_cap(data), tmp_path, "generate", capsys)
+        named = "config field 'system.space.lo'"
+    else:
+        orbit.write_text(json.dumps(past_the_dimension_cap(json.loads(orbit.read_text()))))
+        code, err = run(data, tmp_path, "classify" if source == "orbit file" else "concat", capsys)
+        named = f"orbit file {orbit}: field 'system.space.lo'"
+    assert code == 2, err
+    assert named in err and f"dimension cap of {DIMENSION_CAP}" in err
+    assert "Traceback" not in err

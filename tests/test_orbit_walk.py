@@ -25,7 +25,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, event, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -51,7 +51,7 @@ from shadowlab import (
     true_orbit,
 )
 from shadowlab import shadow_search
-from shadowlab.dynamics import _FLOATS, CIRCLE, UNIT_DISK
+from shadowlab.dynamics import _FLOATS, CIRCLE, MEMBERSHIP_TOL, UNIT_DISK
 from shadowlab.pseudo_orbits import recompute_step_errors
 from shadowlab.serialize import json_default
 from shadowlab.shadow_search import HIT_DENSITY, LIMSUP, _net_pick, _scan
@@ -61,8 +61,10 @@ from oracles import (
     project,
     reference_contains,
     reference_dot,
+    reference_loop,
     reference_map,
     reference_step,
+    reference_walk,
 )
 
 SETTINGS = settings(max_examples=150, deadline=None)
@@ -615,34 +617,186 @@ def test_a_jump_at_every_step_lands_as_the_reference_lands_it(space, kind, horiz
     event("clamped" if clamped else "none clamped")
 
 
-def test_compiled_source_names_every_constant(monkeypatch):
+def recorded_compiles(monkeypatch) -> list:
+    """The source texts dynamics compiles from now on, its cache emptied so
+    that each distinct text is compiled, and recorded, once more."""
     from shadowlab import dynamics
 
     sources = []
 
-    def recording(source, namespace):
+    def recording(source, *args):
         sources.append(source)
-        return eval(source, namespace)
+        return compile(source, *args)
 
-    monkeypatch.setattr(dynamics, "eval", recording, raising=False)
+    monkeypatch.setattr(dynamics, "compile", recording, raising=False)
+    dynamics._code.cache_clear()
+    return sources
+
+
+# The names a compiled source may hold besides constants: keywords, the
+# parameters and locals of a step, a membership test and a walk, and the
+# functions bound by name.
+SOURCE_NAMES = {"def", "f", "return", "c", "xp", "sqrt", "isfinite", "enumerate", "for", "in",
+                "if", "elif", "else", "not", "and", "pass", "symbols", "at", "points",
+                "images", "clamped", "append", "point", "image", "k", "nxt", "j", "s", "n_"}
+
+
+def test_compiled_source_names_every_constant(monkeypatch):
+    # Recorded where each text is compiled: the step table, the membership
+    # test, and the generated walk of each landing rule, with its inline
+    # membership test and projection, on a box, a disk and a circle.
+    sources = recorded_compiles(monkeypatch)
     constants = [0.7071067811865476, -0.123456789, 1e-300, 987654321]
     maps = (GeneratorMap.affine([constants[:2], constants[2:]], [0.4142135623730951, 2.5e-7]),
             GeneratorMap.scale([0.3183098861837907, -77.25]), GeneratorMap.permutation((1, 0)))
     space = MetricSpace.box([-0.2718281828459045, -31.5], [1.6180339887498949, 299792458])
-    steps = GeneratorFamily(space, maps).steps
-    assert space._inside((0.5, 0.5), _FLOATS) and space._landings["offset"]((0.0, 0.0), (0.1, 0.2))
-    GeneratorFamily(MetricSpace.circle(),
-                    (GeneratorMap.affine([[2.0]], [0.5772156649015329]),)).steps[1]((0.25,))
-    assert len(steps) == 4 and len(sources) >= 5
+    families = [GeneratorFamily(space, maps), GeneratorFamily(MetricSpace.unit_disk(), maps),
+                GeneratorFamily(MetricSpace.circle(),
+                                (GeneratorMap.affine([[2.0]], [0.5772156649015329]),))]
+    for family in families:
+        assert family.space._inside((0.5,) * family.space.dimension, _FLOATS)
+        family.steps[1]((0.25,) * family.space.dimension)
+        for landing in ("target", "offset", "stored"):
+            family._walker(landing)
+    # A stored walk tests no membership, so the box's and the disk's share a text.
+    walks = [source for source in sources if source.startswith("def f(symbols, ")]
+    assert len(walks) == 8 and len(sources) >= 14
     values = [*constants, 0.4142135623730951, 2.5e-7, 0.3183098861837907, -77.25,
-              *space.lo, *space.hi, 0.5772156649015329, 2.0]
+              *space.lo, *space.hi, 0.5772156649015329, 2.0,
+              *(x - MEMBERSHIP_TOL for x in space.lo), *(x + MEMBERSHIP_TOL for x in space.hi),
+              1.0 + MEMBERSHIP_TOL]
     for source in sources:
-        assert source.startswith("lambda ")
+        assert source.startswith("def f(")
         for value in values:
             assert repr(value) not in source and repr(float(value)) not in source
         for name in re.findall(r"[A-Za-z_][A-Za-z_0-9]*", source):
-            assert name in {"lambda", "c", "p", "q", "xp", "sqrt", "isfinite"} or re.fullmatch(
-                r"(a\d+_\d+|b\d+|f\d+|lo\d+|hi\d+|r)", name), (name, source)
+            assert name in SOURCE_NAMES or re.fullmatch(
+                r"(a\d+_\d+(_\d+)?|[bf]\d+(_\d+)?|c?(lo|hi)\d+|[cQ]\d+|r)", name), (name, source)
+
+
+def test_each_source_text_compiles_once_per_process(monkeypatch):
+    # Two disk families that differ only in their constants share every text;
+    # each binds its own constants.
+    sources = recorded_compiles(monkeypatch)
+    word, walked = Word.periodic((1, 2), m=2), []
+    for factor in (0.5, 0.25):
+        family = GeneratorFamily(MetricSpace.unit_disk(), (GeneratorMap.permutation((1, 0)),
+                                                           GeneratorMap.scale([factor] * 2)))
+        walked.append(orbit(family, word, (0.5, 0.25), 3))
+        corrupted = make_corrupted_orbit(family, word, (0.5, 0.25), IndexSet.from_iterable([1], 2),
+                                         JumpRule("fixed", point=(3.0, 0.0)), 0)
+        assert corrupted.points[2].tolist() == [1.0, 0.0]
+        if factor == 0.5:
+            first = len(sources)
+    assert len(sources) == first == len(set(sources)) > 0
+    assert walked[0][2].tolist() == [0.125, 0.25] and walked[1][2].tolist() == [0.0625, 0.125]
+
+
+# ---------------------------------------------------------------------------
+# The generated walk against the reference loop over the step table
+
+
+@st.composite
+def walk_families(draw):
+    """A family of 1 to 4 maps on a box (d <= 3), the disk or the circle, maps
+    that may leave the space among them (a factor of 1e300 overflows to inf,
+    and then to NaN), and a start of the space (on the circle, any finite
+    coordinate). A box bound of 0.0 meets the signed zeros and the tiny
+    coordinates that the jumps land."""
+    kind = draw(st.sampled_from(["box", UNIT_DISK, CIRCLE]))
+    if kind == CIRCLE:
+        slope = st.integers(-3, 3).map(float)
+        maps = st.one_of(st.just(GeneratorMap.identity()), st.just(GeneratorMap.permutation((0,))),
+                         st.builds(lambda k: GeneratorMap.scale([k]), slope),
+                         st.builds(lambda k, b: GeneratorMap.affine([[k]], [b]), slope,
+                                   unit(-2.0, 2.0)))
+        space = MetricSpace.circle()
+        start = draw(st.one_of(unit(0.0, 0.999), st.sampled_from([-0.0, 1.5, -2.25])))
+        starts = [start]
+    else:
+        d = 2 if kind == UNIT_DISK else draw(st.integers(1, 3))
+        lo, hi = (-0.5, 0.5) if kind == UNIT_DISK else draw(st.sampled_from([(-1.0, 0.5),
+                                                                             (0.0, 1.0)]))
+        space = MetricSpace.unit_disk() if kind == UNIT_DISK else MetricSpace.box([lo] * d,
+                                                                                  [hi] * d)
+        factor = st.one_of(unit(-2.5, 2.5), st.sampled_from([1e300, 0.0]))
+        maps = st.one_of(st.just(GeneratorMap.identity()),
+                         st.permutations(range(d)).map(GeneratorMap.permutation),
+                         st.builds(GeneratorMap.scale, st.lists(factor, min_size=d, max_size=d)),
+                         st.builds(GeneratorMap.affine, matrices(d, -0.9, 0.9),
+                                   vectors(d, -0.4, 0.4)))
+        starts = draw(vectors(d, lo, hi))
+    family = GeneratorFamily(space, tuple(draw(st.lists(maps, min_size=1, max_size=4))))
+    return family, starts
+
+
+@st.composite
+def walk_cases(draw):
+    """A family and start, symbols (a raw prefix, symbol 0 and symbols outside
+    [0, m] among them, then a word's), jumps (none, sparse, or at every step)
+    with rows that often land outside the space, and a landing rule."""
+    family, start = draw(walk_families())
+    m, d = family.m, family.space.dimension
+    prefix = draw(st.lists(st.integers(0, m), max_size=4))
+    prefix += draw(st.sampled_from([[]] * 8 + [[m + 1], [-1]]))
+    symbols = np.concatenate([np.array(prefix, dtype=np.int64),
+                              draw(words(m)).symbols(draw(st.integers(0, 40)))])
+    spread = draw(st.sampled_from(["none", "sparse", "every", "every"]))
+    steps = {"none": [], "every": list(range(len(symbols))),
+             "sparse": sorted(draw(st.sets(st.integers(0, max(len(symbols) - 1, 0)),
+                                           max_size=6)))}[spread]
+    reach = draw(st.sampled_from([0.05, 0.5, 3.0]))
+    # Far coordinates clamp a target or an offset landing (1e300 overflows the
+    # disk norm); those within MEMBERSHIP_TOL of a bound land unclamped.
+    coordinate = st.one_of(unit(-reach, reach),
+                           st.sampled_from([-0.0, 5e-324, -5e-324, -1e-13, 2.5, -3.0, 1e300,
+                                            -1e300]))
+    rows = draw(st.lists(st.lists(coordinate, min_size=d, max_size=d),
+                         min_size=len(steps), max_size=len(steps)))
+    landing = draw(st.sampled_from(["target", "offset", "stored"]))
+    return family, symbols, start, (steps, np.array(rows, dtype=np.float64).reshape(-1, d)), landing
+
+
+# A clamp whose other coordinate, -0.0, ties the box's bound 0.0 and goes to it;
+# a disk point whose x overflows to inf, then to NaN under a factor 0.0, is
+# projected by a NaN norm, which divides by 1.0 and leaves y as it is.
+BOX_TIE = (GeneratorFamily(MetricSpace.box([0.0, 0.0], [1.0, 1.0]),
+                           (GeneratorMap.permutation((1, 0)),)),
+           np.array([1, 0, 1]), [0.5, 0.25], ([1, 2], np.array([[-0.0, 2.5], [3.0, -0.0]])),
+           "target")
+DISK_NAN = (GeneratorFamily(MetricSpace.unit_disk(), (GeneratorMap.scale([1e300, 1.0]),
+                                                      GeneratorMap.scale([0.0, 1.0]))),
+            np.array([1, 1, 2, 2]), [0.5, 0.25], ([3], np.array([[0.1, 0.1]])), "offset")
+
+
+@settings(max_examples=400, deadline=None)
+@given(walk_cases())
+@example(BOX_TIE)
+@example(DISK_NAN)
+def test_the_generated_walk_equals_the_reference_loop_bit_for_bit(case):
+    from shadowlab.dynamics import _walk
+
+    family, symbols, start, jumps, landing = case
+    got, want = outcome(_walk, *case), outcome(reference_walk, *case)
+    if want[0] == "ok":
+        assert got[0] == "ok"
+        assert [bits(a) for a in (got[1][0], got[1][2])] == [bits(a) for a in (want[1][0],
+                                                                                 want[1][2])]
+        assert got[1][1] == want[1][1]
+        event(f"{landing}, {'clamped' if got[1][1] else 'none clamped'}")
+    else:
+        assert got == want
+        event(f"{landing}, {want[0].__name__}")
+    # The images, which only the step errors and an error's text show: the
+    # generated loop's own, whether or not the walk raises.
+    walked = symbols[:next((j for j, s in enumerate(symbols.tolist())
+                            if not 0 <= s <= family.m), len(symbols))]
+    at = [j for j in jumps[0] if j < len(walked)]
+    rows = jumps[1][:len(at)]
+    points, images, clamped = family._walker(landing)(walked.tolist(), [*at, -1],
+                                                      *rows.T.tolist(), *start)
+    ref = reference_loop(family, walked.tolist(), tuple(start), at, rows.tolist(), landing)
+    assert (bits(points), bits(images), clamped) == (bits(ref[0]), bits(ref[1]), ref[2])
 
 
 # ---------------------------------------------------------------------------
