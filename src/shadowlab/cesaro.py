@@ -77,10 +77,6 @@ class NullSetExtraction:
     truncated_at_stage: int | None = None
     params: dict = field(default_factory=dict)
 
-    @property
-    def truncated(self) -> bool:
-        return self.truncated_at_stage is not None
-
 
 def _first_certified(cum: np.ndarray, level: float, lo: int, hi: int) -> int | None:
     """Smallest t in [lo, hi] with (count of level-set below t)/t < level."""

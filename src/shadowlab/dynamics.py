@@ -3,8 +3,9 @@
 Map specs form a closed algebra (identity, coordinate permutation, affine,
 componentwise scale) so that continuity and self-mapping are verifiable
 rather than assumed. Every map and space operation is one fixed-order
-elementwise expression over d coordinates, Python floats for a point and
-numpy columns for rows, so a point and a row round the same.
+elementwise expression over numpy columns of d coordinates, a point read as
+one row, so a point and a row round the same. Only a family's generated walk
+evaluates the same expressions on Python floats, one point at a time.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import operator
 import sys
 from dataclasses import KW_ONLY, MISSING, dataclass, fields, replace
 from functools import cached_property, lru_cache
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -26,9 +26,7 @@ DEFAULT_NET_CAP = 1_000_000
 # The largest box dimension. A family's walk is generated source text, and a
 # dense affine map writes d^2 terms into it: on a 2-core x86_64 host with
 # CPython 3.11, its walk is written and compiled at d = 256 in about 0.5 s
-# and 95 MiB, at d = 512 in about 2.2 s and 380 MiB, and past d of about
-# 1 490 the box's column membership test, a chain of 2d comparisons,
-# overflows the compiler's recursion limit.
+# and 95 MiB, and at d = 512 in about 2.2 s and 380 MiB.
 DIMENSION_CAP = 256
 
 UNIT_DISK = "unit-disk-2d"
@@ -53,16 +51,10 @@ def as_point(p, dimension: int | None = None) -> np.ndarray:
     return q
 
 
-# Besides operators, the expressions call these on floats and numpy's on
-# columns; math.sqrt and np.sqrt are both the correctly rounded square root.
-_FLOATS = SimpleNamespace(sqrt=math.sqrt, isfinite=math.isfinite,
-                          where=lambda condition, a, b: a if condition else b)
-
-
-def _coordinates(P, dimension: int | None = None) -> tuple:
-    """A point's floats or an (n, d) array's columns, with their namespace."""
+def _columns(P, dimension: int) -> tuple[tuple, bool]:
+    """The columns of P, a point read as one row, and whether P is a point."""
     q = as_points(P, dimension)
-    return (tuple(q.tolist()), _FLOATS) if q.ndim == 1 else (tuple(q.T), np)
+    return tuple(np.atleast_2d(q).T), q.ndim == 1
 
 
 def _dot(u, v):
@@ -81,25 +73,16 @@ def _code(source: str):
     return compile(source, "<shadowlab>", "exec")
 
 
-def _built(source: str, constants: dict):
-    """The function f that source defines, its names bound to constants in a
-    fresh namespace with no builtins. f is taken out of its namespace, so the
-    two form no reference cycle and are freed with the family, not by a
-    later garbage collection."""
+def _built(source: str, name: str, constants: dict):
+    """The function that source defines under name, its names bound to
+    constants in a fresh namespace with no builtins. The function is taken
+    out of its namespace, so the two form no reference cycle and are freed
+    with the family, not by a later garbage collection. name tells a
+    profile's rows apart: it is a role and a kind ("walk_target",
+    "step_affine"), never a symbol, so families of one shape share a text."""
     namespace = {"__builtins__": {}, **constants}
     exec(_code(source), namespace)
-    return namespace.pop("f")
-
-
-def _compiled(params: str, body, **constants):
-    """The function of params that returns body, built from source text (a
-    tuple when body is a list of terms) that holds only indices, operators
-    and names, its code cached by that text. Each constant is bound by its name, never written
-    into the text, so no value is parsed as code and each keeps its type and
-    every bit. Python's operators evaluate left to right, so a sum
-    accumulates as _dot does."""
-    body = body if isinstance(body, str) else f"({''.join(f'{t}, ' for t in body)})"
-    return _built(f"def f({params}): return {body}", constants)
+    return namespace.pop(name)
 
 
 def _integral(value) -> bool:
@@ -314,46 +297,50 @@ class MetricSpace(_Spec):
 
     def contains(self, P):
         """Membership of a point (a bool) or of each row of P (an array), within MEMBERSHIP_TOL."""
-        return self._inside(*_coordinates(P, self.dimension))
+        c, point = _columns(P, self.dimension)
+        with np.errstate(all="ignore"):  # a far point overflows the disk norm to inf
+            inside = self._inside(c)
+        return bool(inside[0]) if point else inside
 
     def distance(self, P, Q):
         """d(P, Q) for two points (a float), or row by row when either is an
         (n, d) array of rows (an array); a single point broadcasts."""
-        a, xa = _coordinates(P, self.dimension)
-        b, xb = _coordinates(Q, self.dimension)
-        return self._distance(a, b, xa if xa is xb else np)
+        (a, a_point), (b, b_point) = _columns(P, self.dimension), _columns(Q, self.dimension)
+        with np.errstate(all="ignore"):  # inf % 1.0 is NaN, a far difference overflows
+            d = self._distance(a, b)
+        return float(d[0]) if a_point and b_point else d
 
-    @cached_property
-    def _inside(self):
-        """Membership of coordinates c in the namespace xp, within MEMBERSHIP_TOL."""
+    def _inside(self, c: tuple) -> np.ndarray:
+        """Membership of the columns c, within MEMBERSHIP_TOL."""
         if self.kind == UNIT_DISK:
-            return _compiled("c, xp", "xp.sqrt(c[0] * c[0] + c[1] * c[1]) <= r",
-                             r=1.0 + MEMBERSHIP_TOL)
+            return np.sqrt(c[0] * c[0] + c[1] * c[1]) <= 1.0 + MEMBERSHIP_TOL
         if self.kind == CIRCLE:
-            return _compiled("c, xp", "xp.isfinite(c[0])")
-        lo = {f"lo{k}": x - MEMBERSHIP_TOL for k, x in enumerate(self.lo)}
-        hi = {f"hi{k}": x + MEMBERSHIP_TOL for k, x in enumerate(self.hi)}
-        return _compiled("c, xp", " & ".join(f"(c[{k}] >= lo{k}) & (c[{k}] <= hi{k})"
-                                             for k in range(self.dimension)), **lo, **hi)
+            return np.isfinite(c[0])
+        inside = np.ones(len(c[0]), dtype=bool)
+        for x, lo, hi in zip(c, self.lo, self.hi):
+            inside &= (x >= lo - MEMBERSHIP_TOL) & (x <= hi + MEMBERSHIP_TOL)
+        return inside
 
-    def _distance(self, a: tuple, b: tuple, xp):
+    def _distance(self, a: tuple, b: tuple) -> np.ndarray:
+        """d between the columns a and b, row by row; a column of one row broadcasts."""
         if self.kind == CIRCLE:
             m = abs(a[0] % 1.0 - b[0] % 1.0)
             r = 1.0 - m
-            return xp.where(m <= r, m, r)
+            return np.where(m <= r, m, r)
         diff = [x - y for x, y in zip(a, b)]
-        return xp.sqrt(_dot(diff, diff))
+        return np.sqrt(_dot(diff, diff))
 
-    def _project(self, c: tuple, xp) -> tuple:
+    def _project(self, c: tuple) -> tuple:
+        """The columns c's nearest points of the space, as columns."""
         if self.kind == UNIT_DISK:
             # Division by max(|c|, 1), or by 1 for a NaN norm, is exact inside.
-            r = xp.sqrt(_dot(c, c))
-            r = xp.where(r > 1.0, r, 1.0)
+            r = np.sqrt(_dot(c, c))
+            r = np.where(r > 1.0, r, 1.0)
             return tuple(x / r for x in c)
         if self.kind == CIRCLE:
             return (c[0] % 1.0,)
         # A tie goes to the bound, signed zeros included; NaN stays NaN.
-        return tuple(xp.where(x <= lo, lo, xp.where(x >= hi, hi, x))
+        return tuple(np.where(x <= lo, lo, np.where(x >= hi, hi, x))
                      for x, lo, hi in zip(c, self.lo, self.hi))
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
@@ -413,16 +400,6 @@ class GeneratorMap(_Spec):
         """The dimension the map's fields fix; None for the identity, which fits any."""
         return next((len(v) for v in (self.perm, self.offset, self.factors) if v is not None), None)
 
-    def __call__(self, P) -> np.ndarray:
-        """Image of a point, or of each row of an (n, d) array P."""
-        c, _ = _coordinates(P, self.size)
-        return np.stack(self._step(c), axis=-1)
-
-    @cached_property
-    def _step(self):
-        """The map as a step over a tuple of coordinates, of the dimension its fields fix."""
-        return self._compile(self.size) if self.size else lambda c: c
-
     def _terms(self, c: list, tag: str = "") -> tuple[list, dict]:
         """The map's image of the coordinates named c, one expression per
         coordinate (an affine row is ((c0 * a_i0 + c1 * a_i1) + ...) + b_i),
@@ -440,13 +417,21 @@ class GeneratorMap(_Spec):
                  for i in range(d)], constants)
 
     def _compile(self, d: int, wrap: str = "{}"):
-        """The map on d coordinates c as one straight-line expression of its
-        terms, each formatted into wrap; a permutation of d > 1 coordinates,
-        never wrapped, is an itemgetter."""
+        """The map on a tuple c of d coordinates as one straight-line
+        expression of its terms, each formatted into wrap; a permutation of
+        d > 1 coordinates, never wrapped, is an itemgetter.
+
+        The source text holds only indices, operators and names, and its code
+        is cached by that text. Each constant is bound by its name, never
+        written into the text, so no value is parsed as code and each keeps
+        its type and every bit. Python's operators evaluate left to right, so
+        a sum accumulates as _dot does."""
         if self.kind == "permutation" and d > 1:
             return operator.itemgetter(*self.perm)
         terms, constants = self._terms([f"c[{k}]" for k in range(d)])
-        return _compiled("c", [wrap.format(t) for t in terms], **constants)
+        name = f"step_{self.kind}"
+        body = "".join(f"{wrap.format(t)}, " for t in terms)
+        return _built(f"def {name}(c): return ({body})", name, constants)
 
 
 @dataclass(frozen=True)
@@ -477,11 +462,12 @@ class GeneratorFamily:
 
     @cached_property
     def steps(self) -> tuple:
-        """Step table: ``steps[s]`` maps coordinates, floats or columns, through f_s.
+        """Step table: ``steps[s]`` maps a tuple of d columns through f_s.
 
         Symbol 0 is the identity, and circle images wrap into [0, 1). The
-        scans and step_images step through this table; the walk is generated
-        from the same terms (_walk_source).
+        scans and step_images step columns through this table; the walk is
+        generated from the same terms (_walk_source), so a step rounds the
+        same there on floats.
         """
         d, wrap = self.space.dimension, "({}) % 1.0" if self.space.kind == CIRCLE else "{}"
         return (lambda c: c, *(g._compile(d, wrap) for g in self.maps))
@@ -507,16 +493,17 @@ class GeneratorFamily:
         """The generated walk under a landing rule, built on first use."""
         walks = self.__dict__.setdefault("_walks", {})
         if landing not in walks:
-            walks[landing] = _built(*_walk_source(self, landing))
+            source, constants = _walk_source(self, landing)
+            walks[landing] = _built(source, f"walk_{landing}", constants)
         return walks[landing]
 
-    def checked_symbols(self, symbols) -> np.ndarray:
-        """The symbols as an int64 array; RangeError at the first outside [0, m]."""
-        symbols = np.asarray(symbols, dtype=np.int64)
-        bad = np.flatnonzero((symbols < 0) | (symbols > self.m))
-        if bad.size:
-            raise RangeError(f"symbol {int(symbols[bad[0]])} outside [0, {self.m}]")
-        return symbols
+    def check_alphabet(self, word: Word) -> None:
+        """A word over more symbols than the family has maps is a
+        ParameterError naming word.m. Every symbol of a word lies in 1..word.m,
+        so a word that passes steps only through maps f_1..f_m."""
+        if word.m > self.m:
+            raise ParameterError(f"the word has {word.m} symbols, the family {self.m} maps",
+                                 "word", "m")
 
     def spec(self) -> dict:
         return {"space": self.space.spec(), "maps": [g.spec() for g in self.maps]}
@@ -695,14 +682,14 @@ def _walk_source(family: GeneratorFamily, landing: str) -> tuple[str, dict]:
     """The source text of the family's walk under a landing rule, and the
     constants it names.
 
-    ``f(symbols, at, Q0.., c0..)`` steps the coordinates c0..c{d-1} through
-    the list of symbols: symbol s runs branch s, whose terms are f_s's as
-    GeneratorMap._terms writes them (wrapped on the circle), and symbol 0
-    runs none. At the steps listed in at (ended by -1), where the k-th is
-    landed from Q0[k]..Q{d-1}[k], the image is kept and the point landed;
-    under "target" and "offset" a landing outside the space is projected
-    onto it, with the membership test and projection that _inside and
-    _project compute on floats. It returns the points and images, flat, and
+    ``walk_<landing>(symbols, at, Q0.., c0..)`` steps the coordinates
+    c0..c{d-1} through the list of symbols, each in 1..m: symbol s runs
+    branch s, whose terms are f_s's as GeneratorMap._terms writes them
+    (wrapped on the circle). At the steps listed in at (ended by -1), where
+    the k-th is landed from Q0[k]..Q{d-1}[k], the image is kept and the
+    point landed; under "target" and "offset" a landing outside the space is
+    projected onto it, by the expressions of MetricSpace._inside and
+    _project written on floats. It returns the points and images, flat, and
     the clamped steps.
     """
     space, d = family.space, family.space.dimension
@@ -746,7 +733,7 @@ def _walk_source(family: GeneratorFamily, landing: str) -> tuple[str, dict]:
                  "        clamped.append(j)"]
     body.append("; ".join(f"point({x})" for x in c))
     source = "\n".join([
-        f"def f(symbols, at, {', '.join(f'Q{k}' for k in range(d))}, {cs}):",
+        f"def walk_{landing}(symbols, at, {', '.join(f'Q{k}' for k in range(d))}, {cs}):",
         f"    points, images, clamped = [{cs}], [], []",
         "    point, image, k, nxt = points.append, images.append, 0, at[0]",
         "    for j, s in enumerate(symbols):",
@@ -755,55 +742,52 @@ def _walk_source(family: GeneratorFamily, landing: str) -> tuple[str, dict]:
     return source, constants
 
 
-def _walk(family: GeneratorFamily, symbols, z, jumps=((), ()),
+def _walk(family: GeneratorFamily, word: Word, z, horizon: int, jumps=((), ()),
           landing: str = "target") -> tuple[np.ndarray, list[int], np.ndarray]:
-    """Step z through the symbols in the family's generated walk (one Python
-    loop on float coordinates, built once per family and landing rule, see
-    _walk_source); return the points, the steps whose jump was clamped, and
-    the step errors e_j = d(f_{w_j}(x_j), x_{j+1}): taken on columns at the
-    landing steps, 0.0 at every other, whose next point is its image. jumps
-    holds sorted steps and an (n, d) array of a point q for each; at step j,
-    points[j+1] is where q lands, by the landing rule:
+    """Step z through the word's first horizon symbols in the family's
+    generated walk (one Python loop on float coordinates, built once per
+    family and landing rule, see _walk_source); return the points, the steps
+    whose jump was clamped, and the step errors e_j = d(f_{w_j}(x_j), x_{j+1}):
+    taken on columns at the landing steps, 0.0 at every other, whose next
+    point is its image. jumps holds sorted steps below horizon and an (n, d)
+    array of a point q for each; at step j, points[j+1] is where q lands, by
+    the landing rule:
 
     - "target": q itself, projected onto the space if it left it;
     - "offset": the image displaced by q, projected likewise;
     - "stored": q as it is, a stored point that decoding copies bit for bit
       (a signed zero or a circle point outside [0, 1) included).
 
-    Images are checked once, on columns; the first outside raises DomainError
-    naming its map, its point and its image. A "stored" walk checks none: an
-    image it lands off is not a point, and its other images are the points,
-    which the caller checks.
+    The word's alphabet is checked against the family before any step, and
+    the start against the space. Images are checked once, on columns; the
+    first outside raises DomainError naming its map, its point and its
+    image. A "stored" walk checks none: an image it lands off is not a
+    point, and its other images are the points, which the caller checks.
     """
+    family.check_alphabet(word)
     space, d = family.space, family.space.dimension
-    p, inside = tuple(as_point(z, d).tolist()), space._inside
-    if not inside(p, _FLOATS):
-        raise DomainError(f"start {list(p)} is outside the {space.kind} space")
-    # Symbols are walked up to the first out of range, which raises below.
-    bad = np.flatnonzero((symbols < 0) | (symbols > family.m))[:1]
-    walked = symbols[:bad[0]] if bad.size else symbols
+    z = as_point(z, d)
+    if not space.contains(z):
+        raise DomainError(f"start {z.tolist()} is outside the {space.kind} space")
+    symbols = word.symbols(horizon)
     at = np.asarray(jumps[0], dtype=np.int64)
-    at = at[at < len(walked)]
-    rows = np.asarray(jumps[1], dtype=np.float64).reshape(-1, d)[:len(at)]
-    points, images, clamped = family._walker(landing)(walked.tolist(), [*at.tolist(), -1],
-                                                      *rows.T.tolist(), *p)
+    rows = np.asarray(jumps[1], dtype=np.float64).reshape(-1, d)
+    points, images, clamped = family._walker(landing)(symbols.tolist(), [*at.tolist(), -1],
+                                                      *rows.T.tolist(), *z.tolist())
     points = np.fromiter(points, np.float64, len(points)).reshape(-1, d)
     images = np.fromiter(images, np.float64, len(images)).reshape(-1, d)
-    if landing != "stored":
-        every = points[1:].copy() if at.size else points[1:]
-        every[at] = images
-        # A point that left the space may overflow before the check raises.
-        with np.errstate(all="ignore"):
-            outside = np.flatnonzero(~inside(tuple(every.T), np))
-        if outside.size:
-            j = int(outside[0])
-            raise DomainError(f"map {int(symbols[j])} sends {points[j].tolist()} to "
-                              f"{every[j].tolist()}, outside the space")
-    family.checked_symbols(symbols[bad])  # when no earlier image left the space
-    errors = np.zeros(len(walked))
-    if at.size:
-        with np.errstate(all="ignore"):  # a stored walk's image may be far outside
-            errors[at] = space._distance(tuple(images.T), tuple(points[1:][at].T), np)
+    with np.errstate(all="ignore"):  # a point that left the space may overflow
+        if landing != "stored":
+            every = points[1:].copy() if at.size else points[1:]
+            every[at] = images
+            outside = np.flatnonzero(~space._inside(tuple(every.T)))
+            if outside.size:
+                j = int(outside[0])
+                raise DomainError(f"map {int(symbols[j])} sends {points[j].tolist()} to "
+                                  f"{every[j].tolist()}, outside the space")
+        errors = np.zeros(horizon)
+        if at.size:
+            errors[at] = space._distance(tuple(images.T), tuple(points[1:][at].T))
     return points, clamped, errors
 
 
@@ -815,7 +799,7 @@ def orbit(family: GeneratorFamily, word: Word, z, n: int) -> np.ndarray:
     """
     if n < 1:
         raise ParameterError("orbit length must be >= 1")
-    return _walk(family, word.symbols(n - 1), z)[0]
+    return _walk(family, word, z, n - 1)[0]
 
 
 def net(space: MetricSpace, mesh: float) -> np.ndarray:
@@ -842,8 +826,8 @@ def net(space: MetricSpace, mesh: float) -> np.ndarray:
     axes = [lo + (hi - lo) * np.arange(n) / n if space.kind == CIRCLE else np.linspace(lo, hi, n)
             for (lo, hi), n in zip(bounds, counts)]
     grid = tuple(axis.ravel() for axis in np.meshgrid(*axes, indexing="ij"))
-    proj = space._project(grid, np)
-    proj = np.stack(proj, axis=-1)[space._distance(grid, proj, np) <= mesh]
+    proj = space._project(grid)
+    proj = np.stack(proj, axis=-1)[space._distance(grid, proj) <= mesh]
     _, first = np.unique(row_keys(proj), return_index=True)
     return proj[np.sort(first)]
 

@@ -29,9 +29,11 @@ DEFAULT_DENSITY_TOL = 0.01
 def step_images(family: GeneratorFamily, word: Word, points: np.ndarray) -> tuple:
     """The columns of the images f_{w_j}(x_j), j < H, each symbol's map
     evaluated on the columns of its steps; a step rounds the same within any
-    sequence, and as the walk takes it on a point."""
+    sequence, and as the walk takes it on a point. The word's alphabet is
+    checked against the family first."""
+    family.check_alphabet(word)
     H = len(points) - 1
-    symbols = family.checked_symbols(word.symbols(H))
+    symbols = word.symbols(H)
     columns = tuple(points[:-1].T)
     images = tuple(np.empty(H) for _ in columns)
     for s in np.unique(symbols).tolist():
@@ -43,7 +45,7 @@ def step_images(family: GeneratorFamily, word: Word, points: np.ndarray) -> tupl
 
 def recompute_step_errors(family: GeneratorFamily, word: Word, points: np.ndarray) -> np.ndarray:
     """e_j = d(f_{w_j}(x_j), x_{j+1}) of the step images."""
-    return family.space._distance(step_images(family, word, points), tuple(points[1:].T), np)
+    return family.space._distance(step_images(family, word, points), tuple(points[1:].T))
 
 
 @dataclass(frozen=True)
@@ -57,6 +59,7 @@ class PseudoOrbit:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        self.family.check_alphabet(self.word)
         pts = np.asarray(self.points, dtype=np.float64)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "step_errors", np.asarray(self.step_errors, dtype=np.float64))
@@ -72,6 +75,9 @@ class PseudoOrbit:
     @classmethod
     def from_points(cls, family: GeneratorFamily, word: Word, points,
                     meta: dict | None = None) -> "PseudoOrbit":
+        """The pseudo-orbit through the given points, its step errors
+        recomputed; a 1-d array holds one point of a 1-dimensional space per
+        entry. perfbench builds its orbit files through it."""
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim == 1:
             pts = pts.reshape(-1, 1)
@@ -94,7 +100,7 @@ def true_orbit(family: GeneratorFamily, word: Word, z, horizon: int) -> PseudoOr
     """
     if horizon < 0:
         raise ParameterError("orbit length must be >= 1")
-    points, _, errors = _walk(family, word.symbols(horizon), z)
+    points, _, errors = _walk(family, word, z, horizon)
     return PseudoOrbit(family, word, points, errors, {"kind": "true-orbit"})
 
 
@@ -271,8 +277,7 @@ def make_corrupted_orbit(family: GeneratorFamily, word: Word, z,
     """
     steps = corruption_indices.indices
     rows = _draw_jumps(jump_rule, family.space, np.random.default_rng(seed), steps)
-    points, clamped, errors = _walk(family, word.symbols(corruption_indices.horizon), z,
-                                    (steps, rows),
+    points, clamped, errors = _walk(family, word, z, corruption_indices.horizon, (steps, rows),
                                     "offset" if jump_rule.kind == "offset" else "target")
     meta = {"kind": "corrupted-orbit", "seed": seed, "jump_rule": jump_rule.spec(),
             "corrupted_count": len(corruption_indices), "clamped_indices": clamped}

@@ -207,7 +207,7 @@ def _walked_orbit(data: dict, family: GeneratorFamily, word: Word) -> tuple:
                                  "one a step, below the horizon", key)
         steps.append(j)
         rows.append(_keyed(key, _point, "defect point", defect[1], d))
-    points, _, errors = _walk(family, word.symbols(H), start, (steps, rows), "stored")
+    points, _, errors = _walk(family, word, start, H, (steps, rows), "stored")
     digest = _sha256(points)
     if digest != data["points_sha256"]:
         raise IntegrityError(f"points digest mismatch: the walk gives {digest[:12]}…, "
@@ -463,9 +463,7 @@ def _config(data: dict) -> ExperimentConfig:
     family = _keyed("system", GeneratorFamily.from_spec, system)
     _capped("config field 'horizon'", horizon, family.space.dimension)
     word = _keyed("system.word", Word.from_spec, system["word"])
-    if word.m > family.m:
-        raise ParameterError(f"the word has {word.m} symbols, the system {family.m} maps",
-                             "system.word.m")
+    _keyed("system", family.check_alphabet, word)
     indices, jump = _corruption(data.get("corruption", {}), family.space.dimension, horizon, seed)
 
     classify, repair, cesaro, concat, search, disk = (

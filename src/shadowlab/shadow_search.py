@@ -154,7 +154,7 @@ def _scan(xi: PseudoOrbit, P: np.ndarray, objective: str, eps: float,
                              else (np.maximum, np.greater, np.argmin))
     family, space, H = xi.family, xi.family.space, xi.horizon
     n_lo = tail_window_start(H + 1, tail_fraction)
-    symbols = family.checked_symbols(xi.word.symbols(H))
+    symbols = xi.word.symbols(H)
     live = np.arange(len(P))
     values = np.full(len(P), -np.inf if hits else np.inf)
     if space.kind == CIRCLE and FIRST_CHECKPOINT <= H + 1:
@@ -180,7 +180,7 @@ def _scan(xi: PseudoOrbit, P: np.ndarray, objective: str, eps: float,
     with np.errstate(over="ignore", invalid="ignore"):
         for n, (s, x) in enumerate(_steps(symbols, xi.points), start=1):
             c = family.steps[s](c)
-            t = space._distance(c, x, np)
+            t = space._distance(c, x)
             sums += t < eps if hits else t
             if n >= n_lo:
                 extremum(best, sums / n, out=best)
@@ -400,7 +400,7 @@ def _dominance(xi: PseudoOrbit, P: np.ndarray, hits: bool, eps: float, tail_frac
     dropped. A rival whose walk leaves the space raises its DomainError."""
 
     def test(inc: _Incumbent) -> tuple[np.ndarray, np.ndarray]:
-        gap = xi.family.space._distance(c, tuple(inc.points[n - 1].tolist()), np)
+        gap = xi.family.space._distance(c, tuple(inc.points[n - 1].tolist()))
         if hits:
             return _hits_dominance(eps, tail_fraction, n, inc, rows, gap, sums, best, g, h)
         return _limsup_dominance(n, inc, gap, sums, best, g, h)

@@ -101,7 +101,7 @@ def repair(xi: PseudoOrbit, delta: float,
     for k in anchors.to_list():
         blocks[k:k + M] = followed[k:k + M - 1] = True
     landed = np.flatnonzero(~followed)
-    points, _, errors = _walk(xi.family, xi.word.symbols(H), xi.points[0],
+    points, _, errors = _walk(xi.family, xi.word, xi.points[0], H,
                               (landed, xi.points[landed + 1]), "stored")
     meta = {**xi.meta, "repaired": True, "M": M, "delta": delta}
     y = PseudoOrbit(xi.family, xi.word, points, errors, meta)

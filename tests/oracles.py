@@ -10,10 +10,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from shadowlab import (DomainError, IndexSet, ParameterError, PseudoOrbit, RangeError,
-                       RepairResult, block_length, select_anchors)
+from shadowlab import (DomainError, IndexSet, ParameterError, PseudoOrbit, RepairResult,
+                       block_length, select_anchors)
 from shadowlab.density import ROUNDING_TOL, prefix_means, tail_extremum
-from shadowlab.dynamics import _FLOATS, CIRCLE, MEMBERSHIP_TOL, UNIT_DISK, _coordinates, orbit
+from shadowlab.dynamics import CIRCLE, MEMBERSHIP_TOL, UNIT_DISK, orbit
 from shadowlab.serialize import ORBIT_SCHEMA, PLAN_SCHEMA, dump_json, step_error_checksum
 
 # ---------------------------------------------------------------------------
@@ -54,13 +54,11 @@ def reference_step(family, s, p):
     """f_s(p) for one point p, a list of floats; symbol 0 is the identity and a
     circle image wraps into [0, 1).
 
-    Pins the errors of one step of a walk: RangeError for a symbol outside
-    [0, m], DomainError for a point outside the space, and DomainError naming
-    the map, the point and the image for an image outside it.
+    Pins the errors of one step of a walk: DomainError for a point outside
+    the space, and DomainError naming the map, the point and the image for an
+    image outside it.
     """
     space = family.space
-    if not 0 <= s <= family.m:
-        raise RangeError(f"symbol {s} outside [0, {family.m}]")
     if not reference_contains(space, p):
         raise DomainError(f"point {p} is outside the {space.kind} space")
     if s == 0:
@@ -73,11 +71,33 @@ def reference_step(family, s, p):
     return image
 
 
+def reference_project(space, q):
+    """The nearest point of the space to one point q, a list of floats: the
+    box clamps each coordinate (a tie goes to the bound), the disk divides by
+    a norm past 1, the circle wraps into [0, 1)."""
+    if space.kind == UNIT_DISK:
+        r = math.sqrt(reference_dot(q, q))
+        return [x / r for x in q] if r > 1.0 else q
+    if space.kind == CIRCLE:
+        return [q[0] % 1.0]
+    return [lo if x <= lo else hi if x >= hi else x for x, lo, hi in zip(q, space.lo, space.hi)]
+
+
+def reference_distance(space, a, b):
+    """d(a, b) for two points, lists of floats: geodesic on the circle, else
+    the square root of the sum of squared coordinate differences, accumulated
+    left to right."""
+    if space.kind == CIRCLE:
+        m = abs(a[0] % 1.0 - b[0] % 1.0)
+        return min(m, 1.0 - m)
+    diff = [x - y for x, y in zip(a, b)]
+    return math.sqrt(reference_dot(diff, diff))
+
+
 def project(space, P) -> np.ndarray:
-    """The library's nearest point of the space (clamp / normalize / wrap) to a
-    point, or to each row of P."""
-    c, xp = _coordinates(P, space.dimension)
-    return np.stack(space._project(c, xp), axis=-1)
+    """The library's nearest point of the space (clamp / normalize / wrap) to
+    each row of P."""
+    return np.stack(space._project(tuple(np.atleast_2d(P).T)), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -86,64 +106,60 @@ def project(space, P) -> np.ndarray:
 
 def reference_loop(family, walked, p, at, rows, landing):
     """The walk's loop as the library ran it before it was generated: one
-    call of the step table per symbol of walked (symbols in [0, m]) from the
+    call of the step table per symbol of walked (symbols in 1..m) from the
     point p, and at the steps at (sorted, each below len(walked)) the image
-    kept and rows[k] landed by the landing rule, through the space's own
-    membership test and projection on floats. Returns the points, the
-    images and the clamped steps, checking nothing."""
+    kept and rows[k] landed by the landing rule, through reference_contains
+    and reference_project. Returns the points, the images and the clamped
+    steps, checking nothing."""
     space, d = family.space, family.space.dimension
     wrap = (lambda x: x % 1.0) if space.kind == CIRCLE else (lambda x: x)
-    land = {"target": lambda p, q: tuple(wrap(y) for y in q),
-            "offset": lambda p, q: tuple(wrap(x + y) for x, y in zip(p, q)),
+    land = {"target": lambda p, q: [wrap(y) for y in q],
+            "offset": lambda p, q: [wrap(x + y) for x, y in zip(p, q)],
             "stored": lambda p, q: q}[landing]
     aligned = [None] * len(walked)
     for j, q in zip(at, rows):
         aligned[j] = q
     points, images, clamped = list(p), [], []
     for j, (s, q) in enumerate(zip(walked, aligned)):
-        p = family.steps[s](p)
+        p = reference_map(family.maps[s - 1], p)
+        if space.kind == CIRCLE:
+            p = [p[0] % 1.0]
         if q is not None:
             images.extend(p)
             p = land(p, q)
-            if landing != "stored" and not space._inside(p, _FLOATS):
-                p = space._project(p, _FLOATS)
+            if landing != "stored" and not reference_contains(space, p):
+                p = reference_project(space, p)
                 clamped.append(j)
         points.extend(p)
     return np.array(points).reshape(-1, d), np.array(images).reshape(-1, d), clamped
 
 
-def reference_walk(family, symbols, z, jumps=((), ()), landing="target"):
+def reference_walk(family, word, z, horizon, jumps=((), ()), landing="target"):
     """What ``dynamics._walk`` returns or raises, from reference_loop: the
-    start checked, the symbols walked up to the first outside [0, m], every
-    image but a stored walk's checked on columns (DomainError at the first
-    outside), then the RangeError of that symbol, and the step errors at the
-    landing steps."""
+    alphabet and the start checked, every image but a stored walk's checked
+    (DomainError at the first outside), and the step errors at the landing
+    steps, by reference_distance."""
     space, d = family.space, family.space.dimension
-    p = tuple(float(x) for x in z)
-    if not space._inside(p, _FLOATS):
-        raise DomainError(f"start {list(p)} is outside the {space.kind} space")
-    symbols = np.asarray(symbols, dtype=np.int64)
-    bad = np.flatnonzero((symbols < 0) | (symbols > family.m))[:1]
-    walked = symbols[:bad[0]] if bad.size else symbols
-    at = np.asarray(jumps[0], dtype=np.int64)
-    at = at[at < len(walked)]
+    if word.m > family.m:
+        raise ParameterError(f"the word has {word.m} symbols, the family {family.m} maps",
+                             "word", "m")
+    p = [float(x) for x in z]
+    if not reference_contains(space, p):
+        raise DomainError(f"start {p} is outside the {space.kind} space")
+    symbols = [word.symbol_at(j) for j in range(horizon)]
+    at = [int(j) for j in jumps[0]]
     rows = np.asarray(jumps[1], dtype=np.float64).reshape(-1, d).tolist()
-    points, images, clamped = reference_loop(family, walked.tolist(), p, at.tolist(), rows,
-                                             landing)
+    points, images, clamped = reference_loop(family, symbols, p, at, rows, landing)
     if landing != "stored":
         every = points[1:].copy()
         every[at] = images
-        with np.errstate(all="ignore"):
-            outside = np.flatnonzero(~space._inside(tuple(every.T), np))
-        if outside.size:
-            j = int(outside[0])
-            raise DomainError(f"map {int(symbols[j])} sends {points[j].tolist()} to "
-                              f"{every[j].tolist()}, outside the space")
-    family.checked_symbols(symbols[bad])
-    errors = np.zeros(len(walked))
-    if at.size:
-        with np.errstate(all="ignore"):
-            errors[at] = space._distance(tuple(images.T), tuple(points[1:][at].T), np)
+        for j, image in enumerate(every.tolist()):
+            if not reference_contains(space, image):
+                raise DomainError(f"map {symbols[j]} sends {points[j].tolist()} to "
+                                  f"{image}, outside the space")
+    errors = np.zeros(horizon)
+    for k, j in enumerate(at):
+        errors[j] = reference_distance(space, images[k].tolist(), points[j + 1].tolist())
     return points, clamped, errors
 
 

@@ -1,7 +1,9 @@
+import cProfile
 import dataclasses
 import gc
 import math
 import pickle
+import pstats
 import weakref
 
 import numpy as np
@@ -372,7 +374,7 @@ def test_spaces_and_families_pickle_after_their_compiled_expressions_are_built(s
     point, jumps = np.asarray([start]), IndexSet.from_iterable(range(0, 200, 7), 200)
 
     def use(family):
-        """Membership, a map call, a walk and a walk under each landing rule:
+        """Membership, a step, a walk and a walk under each landing rule:
         each caches a compiled expression or a generated walk. The normal
         form is cached last, and read."""
         assert family.space.contains(point[0])
@@ -380,9 +382,9 @@ def test_spaces_and_families_pickle_after_their_compiled_expressions_are_built(s
                                          JumpRule("offset", scale=0.1), seed=5)
         fixed = make_corrupted_orbit(family, word, start, jumps,
                                      JumpRule("fixed", point=(0.5,) * len(start)), seed=5)
-        stored = _walk(family, word.symbols(200), start, (jumps.indices, fixed.points[1:][::7]),
-                       "stored")
-        return [family.maps[1](point), orbit(family, word, start, 200), corrupted.points,
+        stored = _walk(family, word, start, 200, (jumps.indices, fixed.points[1:][::7]), "stored")
+        return [np.stack(family.steps[2](tuple(point.T)), axis=-1),
+                orbit(family, word, start, 200), corrupted.points,
                 fixed.points, *stored[::2], *family.affine_parts]
 
     orbit(family, word, start, 200)
@@ -411,12 +413,26 @@ def test_a_familys_compiled_functions_are_freed_with_it():
         family = GeneratorFamily(MetricSpace.unit_disk(), (GeneratorMap.permutation((1, 0)),
                                                            GeneratorMap.scale((0.5, 0.5))))
         orbit(family, Word.periodic((1, 2), m=2), (0.5, 0.25), 10)
-        built = [family._walker("target"), family.steps[2], family.space._inside]
+        built = [family._walker("target"), family.steps[2]]
         refs = [weakref.ref(f) for f in built]
         del family, built
-        assert [ref() for ref in refs] == [None] * 3
+        assert [ref() for ref in refs] == [None] * 2
     finally:
         gc.enable()
+
+
+def test_a_walk_and_a_step_have_different_profiled_names():
+    # A profile names a generated function by its code's name, which was "f"
+    # for every one, so a walk's time and a step's shared one row.
+    family = GeneratorFamily(MetricSpace.unit_disk(), (GeneratorMap.permutation((1, 0)),
+                                                       GeneratorMap.scale((0.5, 0.5))))
+    profile = cProfile.Profile()
+    profile.runcall(orbit, family, Word.periodic((1, 2), m=2), (0.5, 0.25), 10)
+    profile.runcall(family.steps[2], (np.array([0.5]), np.array([0.25])))
+    # "<module>" is each source text run once to define its function.
+    names = {name for filename, _, name in pstats.Stats(profile).stats
+             if filename == "<shadowlab>"}
+    assert names == {"<module>", "walk_target", "step_scale"}
 
 
 def test_a_dense_affine_walk_at_the_dimension_cap_compiles():

@@ -64,7 +64,7 @@ def matrix_rescan(xi, points, tail_fraction=0.5):
     P = points.copy()
     T[:, 0] = space.distance(P, xi.points[0])
     for j in range(1, L):
-        P = xi.family.maps[xi.word.symbol_at(j - 1) - 1](P)
+        P = np.stack(xi.family.steps[xi.word.symbol_at(j - 1)](tuple(P.T)), axis=-1)
         T[:, j] = space.distance(P, xi.points[j])
     means = np.cumsum(T, axis=1) / np.arange(1, L + 1)
     n_lo = max(1, int(np.ceil(tail_fraction * L)))
