@@ -18,11 +18,11 @@ from .density import (
     DEFAULT_TAIL_FRACTION,
     ROUNDING_TOL,
     IndexSet,
+    check_density_horizon,
     prefix_density,
     prefix_means,
     tail_extremum,
     tail_window_start,
-    upper_density_estimate,
 )
 from .errors import ParameterError, PreconditionError, check_positive
 from .verdict import ClassificationVerdict
@@ -30,6 +30,8 @@ from .verdict import ClassificationVerdict
 DEFAULT_LEVELS = tuple(1.0 / k for k in range(1, 33))
 DENSITY_MARGIN = 0.5
 MIN_STAGE_RATIO = 2.0
+# Length of the first chunk that _first_certified compares past its lower limit.
+_FIRST_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -44,6 +46,10 @@ class BoundedSequence:
         object.__setattr__(self, "values", vals)
         if vals.ndim != 1 or vals.size == 0:
             raise ParameterError("values must be a nonempty 1-d sequence")
+        if not np.all(np.isfinite(vals)):
+            raise ParameterError("values must be finite numbers")
+        if not math.isfinite(self.bound):
+            raise ParameterError(f"bound must be a finite number, got {self.bound}")
         if np.any(vals < 0):
             raise ParameterError("values must be nonnegative")
         if self.bound < float(vals.max()):
@@ -78,14 +84,33 @@ class NullSetExtraction:
     params: dict = field(default_factory=dict)
 
 
-def _first_certified(cum: np.ndarray, level: float, lo: int, hi: int) -> int | None:
-    """Smallest t in [lo, hi] with (count of level-set below t)/t < level."""
+def _first_certified(values: np.ndarray, level: float, lo: int,
+                     hi: int) -> tuple[int, int] | None:
+    """Smallest t in [lo, hi] with c_t < level * t, where c_t counts the
+    values[:t] at or above level, returned with c_t; None if no t qualifies.
+
+    c_{lo-1} is counted once; then t runs forward from lo in chunks that
+    double in length, each compared whole. Invariant: at every chunk start s,
+    count holds c_{s-1} exactly, so the chunk's counts are count plus its own
+    running sum. Each comparison is an int64 count against a float64
+    level * t, as in a cumulative sum over the whole sequence. Past lo the
+    scan reads at most the first chunk or twice as far as the answer lies,
+    and up to hi when no t qualifies.
+    """
     if lo > hi:
         return None
-    ts = np.arange(lo, hi + 1, dtype=np.int64)
-    ok = cum[ts - 1] < level * ts
-    hit = np.flatnonzero(ok)
-    return int(ts[hit[0]]) if hit.size else None
+    count = int(np.count_nonzero(values[:lo - 1] >= level))
+    start, size = lo, _FIRST_CHUNK
+    while start <= hi:
+        stop = min(hi, start + size - 1)
+        ts = np.arange(start, stop + 1, dtype=np.int64)
+        counts = count + np.cumsum(values[start - 1:stop] >= level)
+        hit = np.flatnonzero(counts < level * ts)
+        if hit.size:
+            return int(ts[hit[0]]), int(counts[hit[0]])
+        count = int(counts[-1])
+        start, size = stop + 1, 2 * size
+    return None
 
 
 def extract_null_set(a: BoundedSequence, level_schedule: list[float] | None = None,
@@ -119,26 +144,25 @@ def extract_null_set(a: BoundedSequence, level_schedule: list[float] | None = No
     flagged = np.zeros(H, dtype=bool)
     truncated_at: int | None = None
 
-    T1 = _first_certified(np.cumsum(a.values >= levels[0]), levels[0], 1, H)
-    if T1 is None:
+    first = _first_certified(a.values, levels[0], 1, H)
+    if first is None:
         truncated_at = 0
     else:
-        boundaries.append(T1)
+        boundaries.append(first[0])
         k = 1
         while k < len(levels):
             level = levels[k]
             Tk = boundaries[-1]
             lo = Tk + max(1, math.ceil(MIN_STAGE_RATIO * Tk))
-            cum = np.cumsum(a.values >= level)
-            T_next = _first_certified(cum, level, lo, H)
-            if T_next is None:
+            found = _first_certified(a.values, level, lo, H)
+            if found is None:
                 truncated_at = k
                 break
+            T_next, count = found
             flagged[Tk:T_next] |= a.values[Tk:T_next] >= level
-            certified = float(cum[T_next - 1] / T_next)
             boundaries.append(T_next)
             stages.append({"stage": k, "T": Tk, "T_next": T_next, "level": level,
-                           "certified_density": certified})
+                           "certified_density": count / T_next})
             k += 1
         # Tail segment past the last boundary, flagged at the next level
         # (or the finest available) so the guarantee covers the horizon.
@@ -172,14 +196,16 @@ def verify_equivalence(a: BoundedSequence, J: IndexSet, tol: float,
     H = a.horizon
     n_lo = tail_window_start(H, tail_fraction)
     in_J = J.mask()
+    J_means = prefix_means(in_J)
 
     off_tail = a.values[n_lo:][~in_J[n_lo:]]
     off_tail_sup = float(off_tail.max()) if off_tail.size else 0.0
     early_off_mass = float(a.values[:n_lo][~in_J[:n_lo]].sum())
 
-    dJ = upper_density_estimate(J, tail_fraction)
+    check_density_horizon(H)
+    dJ = tail_extremum(J_means, tail_fraction)[0]
     ns = np.arange(n_lo, H + 1, dtype=np.int64)
-    exact_bound = a.bound * prefix_means(in_J)[n_lo - 1:] + early_off_mass / ns + off_tail_sup
+    exact_bound = a.bound * J_means[n_lo - 1:] + early_off_mass / ns + off_tail_sup
     exact_ok = bool(np.all(a.means[n_lo - 1:] <= exact_bound + ROUNDING_TOL))
 
     direction_i = (off_tail_sup >= tol) or exact_ok

@@ -98,9 +98,14 @@ def prefix_density(A: IndexSet, n: int) -> float:
     return A.count_below(n) / n
 
 
+def check_density_horizon(horizon: int) -> None:
+    """Reject a horizon shorter than the density estimates read."""
+    if horizon < MIN_DENSITY_HORIZON:
+        raise ParameterError(f"density estimates need horizon >= {MIN_DENSITY_HORIZON}, "
+                             f"got {horizon}")
+
+
 def upper_density_estimate(A: IndexSet, tail_fraction: float = DEFAULT_TAIL_FRACTION) -> float:
     """Finite surrogate of the upper density: max prefix density over the tail window."""
-    if A.horizon < MIN_DENSITY_HORIZON:
-        raise ParameterError(f"density estimates need horizon >= {MIN_DENSITY_HORIZON}, "
-                             f"got {A.horizon}")
+    check_density_horizon(A.horizon)
     return tail_extremum(prefix_means(A.mask()), tail_fraction)[0]

@@ -105,19 +105,21 @@ def _read_object(path) -> dict:
 
 
 def load_sequence(path: Path | str, bound: float | None) -> BoundedSequence:
-    """The values file (finite numbers, one a line) as a sequence long enough for
-    the density estimates; every error names the file."""
+    """The values file (whitespace-separated finite numbers) as a sequence long
+    enough for the density estimates; every error names the file."""
     with _input_file("values file", path):
-        values = np.array([float(v) for v in Path(path).read_text().split()], dtype=np.float64)
-        if not np.all(np.isfinite(values)):
-            raise ParameterError("values must be finite numbers")
+        tokens = Path(path).read_text().split()
+        values = np.fromiter(map(float, tokens), np.float64, count=len(tokens))
         if values.size < MIN_DENSITY_HORIZON:
             raise ParameterError(f"density estimates need at least {MIN_DENSITY_HORIZON} "
                                  f"values, got {values.size}")
-        if bound is not None and bound < values.max():
-            raise config_error(f"{bound} is below the largest value {values.max()}",
+        a = BoundedSequence.from_values(values)
+        if bound is None:
+            return a
+        if bound < a.bound:
+            raise config_error(f"{bound} is below the largest value {a.bound}",
                                "cesaro", "bound")
-        return BoundedSequence.from_values(values, bound)
+        return BoundedSequence.from_values(a.values, bound)
 
 
 def _sha256(values) -> str:

@@ -10,9 +10,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from shadowlab import (DomainError, IndexSet, ParameterError, PseudoOrbit, RepairResult,
-                       block_length, select_anchors)
-from shadowlab.density import ROUNDING_TOL, prefix_means, tail_extremum
+from shadowlab import (DomainError, IndexSet, NullSetExtraction, ParameterError,
+                       PreconditionError, PseudoOrbit, RepairResult, block_length,
+                       select_anchors)
+from shadowlab.cesaro import DEFAULT_LEVELS, DENSITY_MARGIN, MIN_STAGE_RATIO
+from shadowlab.density import (DEFAULT_TAIL_FRACTION, ROUNDING_TOL, prefix_density,
+                               prefix_means, tail_extremum)
 from shadowlab.dynamics import CIRCLE, MEMBERSHIP_TOL, UNIT_DISK, orbit
 from shadowlab.serialize import ORBIT_SCHEMA, PLAN_SCHEMA, dump_json, step_error_checksum
 
@@ -297,3 +300,72 @@ def threshold_inequality_holds(a, theta):
     equivalence that ``verify_equivalence`` checks on the tail."""
     dens = prefix_means(a.values >= theta)
     return bool(np.all(a.means <= a.bound * dens + theta + ROUNDING_TOL))
+
+
+# ---------------------------------------------------------------------------
+# Cesàro null-set extraction with every level's counts built up front
+
+
+def reference_first_certified(cum, level, lo, hi):
+    """Smallest t in [lo, hi] with cum[t - 1] < level * t, every t compared."""
+    if lo > hi:
+        return None
+    ts = np.arange(lo, hi + 1, dtype=np.int64)
+    hit = np.flatnonzero(cum[ts - 1] < level * ts)
+    return int(ts[hit[0]]) if hit.size else None
+
+
+def reference_extract_null_set(a, level_schedule=None, tail_fraction=DEFAULT_TAIL_FRACTION):
+    """The eager form of ``extract_null_set``: each level's cumulative count
+    over the whole sequence, built before stage 1, and every prefix length
+    from a stage's lower limit to the horizon compared."""
+    levels = list(DEFAULT_LEVELS if level_schedule is None else level_schedule)
+    if not levels or any(l <= 0 for l in levels):
+        raise ParameterError("level schedule must be positive")
+    if any(b >= a_ for a_, b in zip(levels, levels[1:])):
+        raise ParameterError("level schedule must be strictly decreasing")
+    H = a.horizon
+    tail_mean, _ = tail_extremum(prefix_means(a.values), tail_fraction)
+    if tail_mean >= levels[0] * DENSITY_MARGIN:
+        raise PreconditionError(
+            f"tail Cesàro means reach {tail_mean}, not below "
+            f"level_1 * margin = {levels[0] * DENSITY_MARGIN}; sequence is not Cesàro-null "
+            f"at this horizon",
+            witness={"tail_mean_max": tail_mean, "required_below": levels[0] * DENSITY_MARGIN})
+    cums = {level: np.cumsum(a.values >= level) for level in levels}
+    boundaries, stages = [], []
+    flagged = np.zeros(H, dtype=bool)
+    truncated_at = None
+    T1 = reference_first_certified(cums[levels[0]], levels[0], 1, H)
+    if T1 is None:
+        truncated_at = 0
+    else:
+        boundaries.append(T1)
+        k = 1
+        while k < len(levels):
+            level = levels[k]
+            Tk = boundaries[-1]
+            lo = Tk + max(1, math.ceil(MIN_STAGE_RATIO * Tk))
+            T_next = reference_first_certified(cums[level], level, lo, H)
+            if T_next is None:
+                truncated_at = k
+                break
+            flagged[Tk:T_next] |= a.values[Tk:T_next] >= level
+            certified = float(cums[level][T_next - 1] / T_next)
+            boundaries.append(T_next)
+            stages.append({"stage": k, "T": Tk, "T_next": T_next, "level": level,
+                           "certified_density": certified})
+            k += 1
+        tail_level = levels[min(len(boundaries), len(levels) - 1)]
+        Tk = boundaries[-1]
+        if Tk < H:
+            flagged[Tk:] |= a.values[Tk:] >= tail_level
+            stages.append({"stage": len(boundaries), "T": Tk, "T_next": H,
+                           "level": tail_level, "certified_density": None})
+    J = IndexSet.from_mask(flagged)
+    for rec in stages:
+        rec["realized_J_density_at_T_next"] = prefix_density(J, rec["T_next"])
+    params = {"levels": levels, "density_margin": DENSITY_MARGIN,
+              "min_stage_ratio": MIN_STAGE_RATIO, "tail_fraction": tail_fraction,
+              "horizon": H, "realized_J_density_at_horizon": prefix_density(J, H)}
+    return NullSetExtraction(J, boundaries, stages, truncated_at, params)

@@ -1,33 +1,24 @@
-import math
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shadowlab import (
     BoundedSequence,
     IndexSet,
-    NullSetExtraction,
     ParameterError,
     PreconditionError,
     extract_null_set,
     verify_equivalence,
 )
-from shadowlab.cesaro import (
-    DEFAULT_LEVELS,
-    DENSITY_MARGIN,
-    MIN_STAGE_RATIO,
-    _first_certified,
-)
-from shadowlab.density import (
-    DEFAULT_TAIL_FRACTION,
-    prefix_density,
-    prefix_means,
-    tail_extremum,
-)
+from shadowlab.cesaro import _FIRST_CHUNK, _first_certified
+from shadowlab.density import prefix_means
 
-from oracles import threshold_inequality_holds
+from oracles import (
+    reference_extract_null_set,
+    reference_first_certified,
+    threshold_inequality_holds,
+)
 
 
 def squares_indicator(horizon):
@@ -208,62 +199,63 @@ def test_empty_sequence_is_a_parameter_error():
         BoundedSequence.from_values([])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_values_are_a_parameter_error(bad):
+    # A NaN maximum made the bound NaN, every comparison with it False, and
+    # the extraction ran on.
+    with pytest.raises(ParameterError, match="values must be finite numbers"):
+        BoundedSequence.from_values([0.1, bad] + [0.0] * 20)
+    with pytest.raises(ParameterError, match="values must be finite numbers"):
+        BoundedSequence(np.array([0.1, bad] + [0.0] * 20), 1.0)
+
+
+@pytest.mark.parametrize("bound", [float("nan"), float("inf")])
+def test_a_non_finite_bound_is_a_parameter_error(bound):
+    with pytest.raises(ParameterError, match="bound must be a finite number"):
+        BoundedSequence(np.zeros(20), bound)
+    with pytest.raises(ParameterError, match="bound must be a finite number"):
+        BoundedSequence.from_values(np.zeros(20), bound)
+
+
 # ---------------------------------------------------------------------------
-# Differential: level counts computed per stage against all counts up front
+# Differential: the chunked boundary search against every prefix compared
 
 
-def reference_extract_null_set(a, level_schedule=None, tail_fraction=DEFAULT_TAIL_FRACTION):
-    """The eager form: every level's count of the level set built before stage 1."""
-    levels = list(DEFAULT_LEVELS if level_schedule is None else level_schedule)
-    if not levels or any(l <= 0 for l in levels):
-        raise ParameterError("level schedule must be positive")
-    if any(b >= a_ for a_, b in zip(levels, levels[1:])):
-        raise ParameterError("level schedule must be strictly decreasing")
-    H = a.horizon
-    tail_mean, _ = tail_extremum(prefix_means(a.values), tail_fraction)
-    if tail_mean >= levels[0] * DENSITY_MARGIN:
-        raise PreconditionError(
-            f"tail Cesàro means reach {tail_mean}, not below "
-            f"level_1 * margin = {levels[0] * DENSITY_MARGIN}; sequence is not Cesàro-null "
-            f"at this horizon",
-            witness={"tail_mean_max": tail_mean, "required_below": levels[0] * DENSITY_MARGIN})
-    cums = {level: np.cumsum(a.values >= level) for level in levels}
-    boundaries, stages = [], []
-    flagged = np.zeros(H, dtype=bool)
-    truncated_at = None
-    T1 = _first_certified(cums[levels[0]], levels[0], 1, H)
-    if T1 is None:
-        truncated_at = 0
+def chunk_last_index(lo, j):
+    """The last t that chunk j (from 1) of a search from lo compares."""
+    return lo + _FIRST_CHUNK * (2 ** j - 1) - 1
+
+
+@st.composite
+def certification_problems(draw):
+    """Values, a level and [lo, hi]: 0/1 values whose counts tie dyadic levels,
+    drawn reals, or a run of ones that puts the answer at level 1 on, just
+    before or just past the last index of a chunk."""
+    kind = draw(st.sampled_from(["binary", "reals", "chunk-edge"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    if kind == "chunk-edge":
+        lo = draw(st.integers(1, 300))
+        answer = chunk_last_index(lo, draw(st.integers(1, 5))) + draw(st.integers(-1, 1))
+        values = np.concatenate([np.ones(answer - 1), [0.0], rng.random(draw(st.integers(0, 50)))])
+        return values, 1.0, lo, values.size
+    H = draw(st.integers(1, 3000))
+    if kind == "binary":
+        values = (rng.random(H) < draw(st.sampled_from([0.25, 0.5, 0.75]))).astype(np.float64)
+        level = draw(st.sampled_from([1.0, 0.75, 0.5, 0.25, 0.125]))
     else:
-        boundaries.append(T1)
-        k = 1
-        while k < len(levels):
-            level = levels[k]
-            Tk = boundaries[-1]
-            lo = Tk + max(1, math.ceil(MIN_STAGE_RATIO * Tk))
-            T_next = _first_certified(cums[level], level, lo, H)
-            if T_next is None:
-                truncated_at = k
-                break
-            flagged[Tk:T_next] |= a.values[Tk:T_next] >= level
-            certified = float(cums[level][T_next - 1] / T_next)
-            boundaries.append(T_next)
-            stages.append({"stage": k, "T": Tk, "T_next": T_next, "level": level,
-                           "certified_density": certified})
-            k += 1
-        tail_level = levels[min(len(boundaries), len(levels) - 1)]
-        Tk = boundaries[-1]
-        if Tk < H:
-            flagged[Tk:] |= a.values[Tk:] >= tail_level
-            stages.append({"stage": len(boundaries), "T": Tk, "T_next": H,
-                           "level": tail_level, "certified_density": None})
-    J = IndexSet.from_mask(flagged)
-    for rec in stages:
-        rec["realized_J_density_at_T_next"] = prefix_density(J, rec["T_next"])
-    params = {"levels": levels, "density_margin": DENSITY_MARGIN,
-              "min_stage_ratio": MIN_STAGE_RATIO, "tail_fraction": tail_fraction,
-              "horizon": H, "realized_J_density_at_horizon": prefix_density(J, H)}
-    return NullSetExtraction(J, boundaries, stages, truncated_at, params)
+        values = rng.random(H) * draw(st.floats(0.0, 2.0))
+        level = draw(st.floats(1e-3, 2.0))
+    lo = draw(st.integers(1, H + 2))
+    return values, level, lo, H
+
+
+@settings(max_examples=300, deadline=None)
+@given(certification_problems())
+def test_first_certified_matches_every_prefix_compared(problem):
+    values, level, lo, hi = problem
+    cum = np.cumsum(values >= level)
+    t = reference_first_certified(cum, level, lo, hi)
+    assert _first_certified(values, level, lo, hi) == (None if t is None else (t, int(cum[t - 1])))
 
 
 def extraction_outcome(fn, a, levels):
@@ -278,7 +270,11 @@ def extraction_outcome(fn, a, levels):
 @st.composite
 def null_sequences(draw):
     """Sparse large values (indices near k^p, p > 1, and a few random ones)
-    over small noise decaying like n^-q: Cesàro-null as H grows."""
+    over small noise decaying like n^-q: Cesàro-null as H grows. Some draws
+    open with a dense block, which pushes the boundaries of the levels below
+    its value past their stages' lower limits (or makes the sequence fail the
+    precondition), or with a run of ones that ends the first stage on or just
+    past the last index of a chunk."""
     H = draw(st.integers(10, 4000))
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
     n = np.arange(1, H + 1, dtype=np.float64)
@@ -286,6 +282,13 @@ def null_sequences(draw):
     spikes = (np.arange(int(H ** 0.5) + 1) ** draw(st.floats(1.5, 3.0))).astype(np.int64)
     values[spikes[spikes < H]] = draw(st.floats(0.1, 2.0))
     values[rng.integers(0, H, size=draw(st.integers(0, 5)))] = 1.0
+    start = draw(st.sampled_from(["sparse", "dense", "chunk-edge"]))
+    if start == "dense":
+        values[:draw(st.integers(1, H // 4 + 1))] = draw(st.sampled_from([1.0, 0.5, 0.3, 0.25]))
+    elif start == "chunk-edge":
+        # T_1 is the run's length plus one, the first prefix with a value below 1.
+        run = chunk_last_index(1, draw(st.integers(1, 3))) - 1 + draw(st.integers(0, 1))
+        values = np.concatenate([np.ones(run), np.minimum(values, 0.5)])
     return BoundedSequence(values, max(1.0, float(values.max())))
 
 
@@ -293,12 +296,40 @@ level_schedules = st.one_of(
     st.none(),
     st.lists(st.floats(1e-4, 4.0), min_size=1, max_size=12, unique=True).map(
         lambda ls: sorted(ls, reverse=True)),
+    # Dyadic levels, whose products with t are exact: counts tie them.
+    st.lists(st.integers(0, 8), min_size=1, max_size=9, unique=True).map(
+        lambda es: [2.0 ** -e for e in sorted(es)]),
+    # Levels below the noise, so that the schedule truncates.
+    st.just([1.0, 0.5, 1e-6, 1e-9]),
     st.lists(st.floats(-1.0, 1.0), min_size=0, max_size=3),
 )
 
 
-@settings(max_examples=200, deadline=None)
+def ones_then_small(run, tail):
+    return BoundedSequence(np.concatenate([np.ones(run), np.full(tail, 1e-3)]), 1.0)
+
+
+@settings(max_examples=300, deadline=None)
 @given(null_sequences(), level_schedules)
+@example(ones_then_small(chunk_last_index(1, 1) - 1, 400), None)  # T_1 on a chunk's end
+@example(ones_then_small(chunk_last_index(1, 1), 400), None)  # T_1 just past it
+@example(BoundedSequence(np.r_[np.full(40, 0.25), np.zeros(400)], 1.0),
+         [1.0, 0.5, 0.25, 0.125])  # the level-1/4 count ties t / 4 at t = 160
+@example(BoundedSequence(np.r_[np.ones(10), np.full(400, 1e-3)], 1.0),
+         [1.0, 0.5, 1e-6])  # truncates at stage 2
+@example(BoundedSequence(np.full(100, 0.5), 1.0), None)  # PreconditionError
 def test_extract_null_set_matches_eager_counts(a, levels):
     assert extraction_outcome(extract_null_set, a, levels) == \
         extraction_outcome(reference_extract_null_set, a, levels)
+
+
+def test_the_examples_reach_past_lower_limits_and_truncate():
+    # The differential's fixed examples do what their comments say.
+    tie = extract_null_set(BoundedSequence(np.r_[np.full(40, 0.25), np.zeros(400)], 1.0),
+                           [1.0, 0.5, 0.25, 0.125])
+    assert tie.boundaries == [1, 3, 161]
+    for run in (chunk_last_index(1, 1) - 1, chunk_last_index(1, 1)):
+        assert extract_null_set(ones_then_small(run, 400)).boundaries[0] == run + 1
+    truncated = extract_null_set(BoundedSequence(np.r_[np.ones(10), np.full(400, 1e-3)], 1.0),
+                                 [1.0, 0.5, 1e-6])
+    assert truncated.truncated_at_stage == 2

@@ -973,7 +973,13 @@ def test_non_numeric_values_file_exits_2_naming_it(tmp_path, capsys, text):
     ("0\n" * 5, 1.0, "got 5"),
     ("-1.0\n" + "0.0\n" * 99, 1.0, "nonnegative"),
     ("11.0\n" + "0.0\n" * 99, 3.0, "config field 'cesaro.bound'"),
-], ids=["empty", "five-values", "negative", "bound-below-max"])
+    ("nan\n" + "0.0\n" * 99, 1.0, "values must be finite numbers"),
+    # Named as non-finite, not as above the bound.
+    ("inf\n" + "0.0\n" * 99, 1.0, "values must be finite numbers"),
+    # Two faults: the first in the README's order is named.
+    ("-1.0\n11.0\n" + "0.0\n" * 98, 3.0, "values must be nonnegative"),
+], ids=["empty", "five-values", "negative", "bound-below-max", "nan", "inf-above-bound",
+        "negative-and-bound-below-max"])
 def test_unusable_values_file_exits_2_naming_it_before_writing(tmp_path, capsys, text, bound,
                                                                 message):
     data = section_config(tmp_path, capsys)

@@ -11,6 +11,8 @@ same. The ``search-circle`` case was pinned by the release whose scan
 still pruned the circle with a float bound around a walked incumbent; the
 scan now runs in full there. The ``disk-offset-integer-power`` case was
 pinned by the release whose jump rule was built outside the spec table.
+The ``cesaro-spikes`` case was pinned by the release whose boundary search
+compared every prefix count up to the horizon at every stage.
 Every orbit file (``orbit.json``, ``repaired.json``, ``concatenated.json``)
 was re-pinned when ``save_orbit`` came to write orbit schema v2, which
 stores the start and the defects instead of every point; ``V1_GOLDEN``
@@ -25,7 +27,9 @@ without the flag a run writes no CSV and the same JSON bytes.
 
 import hashlib
 import json
+import math
 
+import numpy as np
 import pytest
 
 from shadowlab.cli import main
@@ -59,6 +63,8 @@ SQUARES = {"kind": "squares"}
 UNIFORM_SQUARES = {"corruption": {"indices": SQUARES, "jump": {"kind": "uniform"}}}
 DECAYING = {"corruption": {"indices": {"kind": "all"},
                            "jump": {"kind": "offset", "scale": 0.5, "power": 1.5}}}
+
+SPIKES = "spikes.txt"
 
 # case -> (subcommand or subcommands run in order, system, extra config keys)
 CASES = {
@@ -95,6 +101,8 @@ CASES = {
     "repair": (("generate", "repair"), DISK_SYSTEM,
                {**UNIFORM_SQUARES, "thresholds": {"delta": 0.8, "density_tol": 0.2}}),
     "cesaro": ("cesaro", DISK_SYSTEM, {"cesaro": {"input_csv": "values.txt"}}),
+    # 10^5 values, so that the boundary search reads many chunks.
+    "cesaro-spikes": ("cesaro", DISK_SYSTEM, {"cesaro": {"input_csv": SPIKES}}),
     "concat": ("concat", DISK_SYSTEM, {"concat": {"manifest": "plan.json"}}),
     "search-average": ("search", DISK_SYSTEM, UNIFORM_SQUARES),
     "search-m-alpha": ("search", BOX_AFFINE_SYSTEM,
@@ -170,6 +178,12 @@ GOLDEN = {
             "dde27557a37a4f3bb5fab6f4c2687d76fe40b3f1fc6608d0066bc1aac7d24705",
         "cesaro_means.csv":
             "518462564b2c8bfb0ddd3a5e02f2906e554215dac8ca6404349c2e714d5c84df",
+    },
+    "cesaro-spikes": {
+        "cesaro.json":
+            "ebc1f988daab85ee2668812c1aa553e9f79f58c7dc62afafd8a3907b461c914c",
+        "cesaro_means.csv":
+            "fa845fe66b1655c61872ac981dd1e5481f642549739e5da5f8ff6281c6e0a78a",
     },
     "concat": {
         "concat_certificate.json":
@@ -254,9 +268,24 @@ def _write_inputs(tmp_path) -> None:
     save_block_plan_manifest(names, [1, 2, 4], tmp_path / "plan.json")
 
 
+def _write_spikes(path) -> None:
+    """10^5 seeded values built like the benchmark's cesaro input: zero except
+    one value in [0.5, 1] at a seeded index in each gap between squares."""
+    rng = np.random.default_rng(38)
+    n = 100_000
+    values = np.zeros(n)
+    k = np.arange(1, math.isqrt(n - 1) + 1)
+    spikes = k * k + (rng.random(k.size) * k).astype(np.int64)
+    spikes = spikes[spikes < n]
+    values[spikes] = rng.uniform(0.5, 1.0, size=spikes.size)
+    path.write_text("\n".join(map(repr, values.tolist())) + "\n")
+
+
 def _run_case(tmp_path, case: str, curves: bool = True) -> dict[str, str]:
     commands, system, extra = CASES[case]
     _write_inputs(tmp_path)
+    if extra.get("cesaro", {}).get("input_csv") == SPIKES:
+        _write_spikes(tmp_path / SPIKES)
     out = tmp_path / "out"
     config = {"schema": CONFIG_SCHEMA, "seed": 17, "horizon": 500, "out": str(out),
               "system": system, **extra}
