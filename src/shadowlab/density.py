@@ -86,7 +86,7 @@ class IndexSet:
         return int(np.searchsorted(self.indices, n, side="left"))
 
     def to_list(self) -> list[int]:
-        return [int(j) for j in self.indices]
+        return self.indices.tolist()
 
 
 def prefix_density(A: IndexSet, n: int) -> float:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import math
 import operator
+import struct
 import sys
 from dataclasses import KW_ONLY, MISSING, dataclass, fields, replace
 from functools import cached_property, lru_cache
@@ -28,6 +29,14 @@ DEFAULT_NET_CAP = 1_000_000
 # CPython 3.11, its walk is written and compiled at d = 256 in about 0.5 s
 # and 95 MiB, and at d = 512 in about 2.2 s and 380 MiB.
 DIMENSION_CAP = 256
+# Steps a walk hands its generated loop at a time (see _walk), and jump rows
+# drawn at a time. A block's lists hold about 32 bytes a coordinate, and its
+# slicing and image check cost about 10 us whatever its length. On the disk
+# example (2-core x86_64, CPython 3.11, numpy 2.4), a block of 2 048 steps
+# with a jump at each holds about 600 KB, and a 10^4-step orbit walks 2 %
+# slower than in one block; at 1 024 steps, 300 KB and 7 %; at 4 096, 1.2 MB
+# and 1.4 %.
+WALK_BLOCK = 2048
 
 UNIT_DISK = "unit-disk-2d"
 BOX = "box-kd"
@@ -682,15 +691,17 @@ def _walk_source(family: GeneratorFamily, landing: str) -> tuple[str, dict]:
     """The source text of the family's walk under a landing rule, and the
     constants it names.
 
-    ``walk_<landing>(symbols, at, Q0.., c0..)`` steps the coordinates
-    c0..c{d-1} through the list of symbols, each in 1..m: symbol s runs
-    branch s, whose terms are f_s's as GeneratorMap._terms writes them
-    (wrapped on the circle). At the steps listed in at (ended by -1), where
-    the k-th is landed from Q0[k]..Q{d-1}[k], the image is kept and the
-    point landed; under "target" and "offset" a landing outside the space is
-    projected onto it, by the expressions of MetricSpace._inside and
-    _project written on floats. It returns the points and images, flat, and
-    the clamped steps.
+    ``walk_<landing>(symbols, j0, at, Q0.., c0..)`` steps the coordinates
+    c0..c{d-1} through the list of symbols, each in 1..m, numbering the
+    steps from j0: symbol s runs branch s, whose terms are f_s's as
+    GeneratorMap._terms writes them (wrapped on the circle). At the steps
+    listed in at (ended by -1), where the k-th is landed from
+    Q0[k]..Q{d-1}[k], the image is kept and the point landed; under "target"
+    and "offset" a landing outside the space is projected onto it, by the
+    expressions of MetricSpace._inside and _project written on floats. It
+    returns the point after each step and the images, flat, and the clamped
+    steps. _walk calls it once per block of steps, each block from the last
+    point of the one before, so its lists never span more than a block.
     """
     space, d = family.space, family.space.dimension
     c = [f"c{k}" for k in range(d)]
@@ -733,13 +744,20 @@ def _walk_source(family: GeneratorFamily, landing: str) -> tuple[str, dict]:
                  "        clamped.append(j)"]
     body.append("; ".join(f"point({x})" for x in c))
     source = "\n".join([
-        f"def walk_{landing}(symbols, at, {', '.join(f'Q{k}' for k in range(d))}, {cs}):",
-        f"    points, images, clamped = [{cs}], [], []",
+        f"def walk_{landing}(symbols, j0, at, {', '.join(f'Q{k}' for k in range(d))}, {cs}):",
+        "    points, images, clamped = [], [], []",
         "    point, image, k, nxt = points.append, images.append, 0, at[0]",
-        "    for j, s in enumerate(symbols):",
+        "    for j, s in enumerate(symbols, j0):",
         *(f"        {line}" for line in body),
         "    return points, images, clamped", ""])
     return source, constants
+
+
+def _floats(values: list) -> np.ndarray:
+    """A list of Python floats as a float64 array, bit for bit (a NaN's
+    payload included): packed by struct, which is 2 to 3 times as fast as
+    np.fromiter on a walk's lists."""
+    return np.frombuffer(struct.pack(f"{len(values)}d", *values))
 
 
 def _walk(family: GeneratorFamily, word: Word, z, horizon: int, jumps=((), ()),
@@ -759,10 +777,14 @@ def _walk(family: GeneratorFamily, word: Word, z, horizon: int, jumps=((), ()),
       (a signed zero or a circle point outside [0, 1) included).
 
     The word's alphabet is checked against the family before any step, and
-    the start against the space. Images are checked once, on columns; the
-    first outside raises DomainError naming its map, its point and its
-    image. A "stored" walk checks none: an image it lands off is not a
-    point, and its other images are the points, which the caller checks.
+    the start against the space. The walk runs in blocks of WALK_BLOCK steps:
+    each hands the generated loop its symbols, landing steps and rows as
+    lists, writes the points it returns into the points array, and checks its
+    images on columns before the next block starts, so the first image
+    outside raises DomainError naming its map, its point and its image. A
+    "stored" walk checks none: an image it lands off is not a point, and its
+    other images are the points, which the caller checks. Only one block's
+    lists and temporaries are held at a time.
     """
     family.check_alphabet(word)
     space, d = family.space, family.space.dimension
@@ -772,30 +794,41 @@ def _walk(family: GeneratorFamily, word: Word, z, horizon: int, jumps=((), ()),
     symbols = word.symbols(horizon)
     at = np.asarray(jumps[0], dtype=np.int64)
     rows = np.asarray(jumps[1], dtype=np.float64).reshape(-1, d)
-    points, images, clamped = family._walker(landing)(symbols.tolist(), [*at.tolist(), -1],
-                                                      *rows.T.tolist(), *z.tolist())
-    points = np.fromiter(points, np.float64, len(points)).reshape(-1, d)
-    images = np.fromiter(images, np.float64, len(images)).reshape(-1, d)
+    walk = family._walker(landing)
+    points, clamped, errors = np.empty((horizon + 1, d)), [], np.zeros(horizon)
+    points[0] = z
+    flat, c = points.reshape(-1), z.tolist()
+    cuts = [0, *at.searchsorted(range(WALK_BLOCK, horizon, WALK_BLOCK)).tolist(), at.size]
     with np.errstate(all="ignore"):  # a point that left the space may overflow
-        if landing != "stored":
-            every = points[1:].copy() if at.size else points[1:]
-            every[at] = images
-            outside = np.flatnonzero(~space._inside(tuple(every.T)))
-            if outside.size:
-                j = int(outside[0])
-                raise DomainError(f"map {int(symbols[j])} sends {points[j].tolist()} to "
-                                  f"{every[j].tolist()}, outside the space")
-        errors = np.zeros(horizon)
-        if at.size:
-            errors[at] = space._distance(tuple(images.T), tuple(points[1:][at].T))
+        for j0, k0, k1 in zip(range(0, horizon, WALK_BLOCK), cuts, cuts[1:]):
+            j1, steps = min(j0 + WALK_BLOCK, horizon), at[k0:k1]
+            walked, images, block_clamped = walk(symbols[j0:j1].tolist(), j0,
+                                                 [*steps.tolist(), -1], *rows[k0:k1].T.tolist(),
+                                                 *c)
+            flat[(j0 + 1) * d:(j1 + 1) * d] = _floats(walked)
+            c = walked[-d:]
+            clamped += block_clamped
+            if steps.size:
+                images = _floats(images).reshape(-1, d)
+                errors[steps] = space._distance(tuple(images.T), tuple(points[steps + 1].T))
+            if landing != "stored":
+                every = points[j0 + 1:j1 + 1]
+                if steps.size:
+                    every = every.copy()
+                    every[steps - j0] = images
+                inside = space._inside(tuple(every.T))
+                if not inside.all():
+                    j = int(np.argmin(inside))
+                    raise DomainError(f"map {int(symbols[j0 + j])} sends {points[j0 + j].tolist()} "
+                                      f"to {every[j].tolist()}, outside the space")
     return points, clamped, errors
 
 
 def orbit(family: GeneratorFamily, word: Word, z, n: int) -> np.ndarray:
     """True orbit of z: n points, element j+1 = f_{w_j}(element j).
 
-    The n - 1 symbols are computed once; membership of every image is
-    checked once per orbit.
+    The n - 1 symbols are computed once; every image is checked for
+    membership once, block by block as the walk goes.
     """
     if n < 1:
         raise ParameterError("orbit length must be >= 1")

@@ -19,7 +19,7 @@ from .density import (
     tail_extremum,
     upper_density_estimate,
 )
-from .dynamics import GeneratorFamily, JumpRule, MetricSpace, Word, _walk, as_point
+from .dynamics import WALK_BLOCK, GeneratorFamily, JumpRule, MetricSpace, Word, _walk, as_point
 from .errors import DomainError, ParameterError, check_positive
 from .verdict import ClassificationVerdict
 
@@ -229,17 +229,14 @@ def _draw_jumps(rule: JumpRule, space: MetricSpace, rng: np.random.Generator,
                 steps: np.ndarray) -> np.ndarray:
     """One row per corrupted step, drawn in step order: the target point for
     "uniform" and "fixed" (which draws nothing), the displacement from the
-    true image for "offset"."""
+    true image for "offset". The rows are drawn WALK_BLOCK at a time into
+    one array; a block's normal draws continue the generator's stream, so
+    every row is the one a single draw of them all gives."""
     d = space.dimension
+    rows = np.empty((len(steps), d))
     if rule.kind == "fixed":
-        return np.tile(as_point(rule.point, d), (len(steps), 1))
-    if rule.kind == "uniform":
-        return np.array([space.sample(rng) for _ in steps], dtype=np.float64).reshape(-1, d)
-    u = rng.normal(size=(len(steps), d))
-    # vecdot rounds exactly as the 1-d np.linalg.norm does; einsum does not.
-    norms = np.sqrt(np.vecdot(u, u))[:, None]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        u = np.where(norms > 0, u / norms, np.eye(d)[0])
+        rows[:] = as_point(rule.point, d)
+        return rows
     out_of_range = ParameterError(f"jump power {rule.power} is out of floating-point range",
                                   "power")
     # A float scale over a Python int (j + 1) ** power past the float range
@@ -247,7 +244,7 @@ def _draw_jumps(rule: JumpRule, space: MetricSpace, rng: np.random.Generator,
     # power of 10**9; an int scale divides it exactly, to a size of 0. So
     # whatever the scale's type, the last step's, the largest, is probed
     # first: its size estimated, and converted only once it is small.
-    if steps.size and type(rule.power) is int and rule.power > 0:
+    if rule.kind == "offset" and steps.size and type(rule.power) is int and rule.power > 0:
         last = int(steps[-1]) + 1
         if rule.power * math.log2(last) > 1025:
             raise out_of_range
@@ -255,13 +252,24 @@ def _draw_jumps(rule: JumpRule, space: MetricSpace, rng: np.random.Generator,
             float(last ** rule.power)
         except OverflowError:
             raise out_of_range from None
-    try:
-        sizes = np.array([rule.scale / (j + 1) ** rule.power for j in steps.tolist()])
-    except (OverflowError, ZeroDivisionError):
-        sizes = None
-    if sizes is None or not np.isfinite(sizes).all():
-        raise out_of_range
-    return u * sizes[:, None]
+    for k in range(0, len(steps), WALK_BLOCK):
+        block = steps[k:k + WALK_BLOCK]
+        if rule.kind == "uniform":
+            rows[k:k + len(block)] = [space.sample(rng) for _ in block]
+            continue
+        u = rng.normal(size=(len(block), d))
+        # vecdot rounds exactly as the 1-d np.linalg.norm does; einsum does not.
+        norms = np.sqrt(np.vecdot(u, u))[:, None]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            u = np.where(norms > 0, u / norms, np.eye(d)[0])
+        try:
+            sizes = np.array([rule.scale / (j + 1) ** rule.power for j in block.tolist()])
+        except (OverflowError, ZeroDivisionError):
+            raise out_of_range from None
+        if not np.isfinite(sizes).all():
+            raise out_of_range
+        np.multiply(u, sizes[:, None], out=rows[k:k + len(block)])
+    return rows
 
 
 def make_corrupted_orbit(family: GeneratorFamily, word: Word, z,

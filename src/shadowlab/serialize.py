@@ -33,15 +33,17 @@ ORBIT_SCHEMA_V2 = "shadowlab/pseudo-orbit/v2"
 PLAN_SCHEMA = "shadowlab/block-plan/v1"
 PLAN_KEYS = ("schema", "blocks", "N_levels")
 # The longest horizon a config, an orbit file or a plan's laid-out blocks may
-# ask for, checked before any walk. A walk and the orbit built from it peak at
-# about 100 bytes a step in dimension 2 (peak RSS above a 10-step run, at
-# 2 * 10**6 steps: 97 for `generate`, 88 for loading a v2 file; Python 3.11,
-# numpy 2.4), so one at the cap peaks near 1 GB. A walk stores (H + 1) d
-# coordinates at about 48 bytes each (`generate` at H = 2 * 10**5 on a box:
-# 56 MiB peak RSS for d = 2, 497 MiB for d = 50), so (H + 1) d is capped too,
-# at 2 (HORIZON_CAP + 1), the coordinates of a d = 2 walk at the cap. The
-# longest horizon in use is 10**4, and a concatenation of the benchmark's
-# blocks is 10 500 steps long.
+# ask for, checked before any walk. A walk holds its arrays and one block of
+# lists (dynamics.WALK_BLOCK), and a command built on walks peaks at 100 bytes
+# a step or less in dimension 2 (peak RSS above a 1 000-step run, the shortest
+# that repair and example-disk accept, at 2 * 10**6 steps; Python 3.11, numpy
+# 2.4): 73 for `generate`, 48 for loading a v2 file, 100 for `repair` of an
+# orbit with jumps at the squares, 89 for `example-disk`. So one at the cap
+# peaks near 1 GB. A walk stores (H + 1) d coordinates at about 32 bytes each
+# (`generate` at H = 2 * 10**5 on a box: 50 MiB peak RSS for d = 2, 346 MiB
+# for d = 50), so (H + 1) d is capped too, at 2 (HORIZON_CAP + 1), the
+# coordinates of a d = 2 walk at the cap. The longest horizon in use is
+# 10**4, and a concatenation of the benchmark's blocks is 10 500 steps long.
 HORIZON_CAP = 10**7
 
 
@@ -54,6 +56,8 @@ def json_default(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
+# Values a digest converts to big-endian bytes at a time (512 KiB).
+DIGEST_BLOCK = 2**16
 # Rows ``dump_csv`` formats and writes at a time, so a 10^5-row file is never
 # held as one string.
 CSV_CHUNK_ROWS = 4096
@@ -123,8 +127,13 @@ def load_sequence(path: Path | str, bound: float | None) -> BoundedSequence:
 
 
 def _sha256(values) -> str:
-    """SHA-256 of the values as big-endian float64, in C order."""
-    return hashlib.sha256(np.asarray(values, dtype=np.float64).astype(">f8").tobytes()).hexdigest()
+    """SHA-256 of the values as big-endian float64, in C order, hashed
+    DIGEST_BLOCK values at a time: no big-endian copy of a whole orbit is made."""
+    flat = np.ravel(np.asarray(values, dtype=np.float64))
+    digest = hashlib.sha256()
+    for k in range(0, flat.size, DIGEST_BLOCK):
+        digest.update(flat[k:k + DIGEST_BLOCK].astype(">f8"))
+    return digest.hexdigest()
 
 
 def step_error_checksum(errors: np.ndarray) -> str:

@@ -884,8 +884,8 @@ def test_a_config_horizon_past_the_cap_exits_4_before_any_walk(tmp_path):
 
 @pytest.mark.parametrize("horizon, message", [
     (10**9, f"orbit file {Path('out') / 'orbit.json'}: field 'horizon'"),
-    # Below the cap, but its walk does not fit in CAPPED_MEMORY.
-    (5_000_000, "resource cap exceeded: out of memory in classify"),
+    # At the cap, but its walk does not fit in CAPPED_MEMORY.
+    (HORIZON_CAP, "resource cap exceeded: out of memory in classify"),
 ])
 def test_an_orbit_file_horizon_past_the_cap_exits_4_naming_the_file(tmp_path, horizon, message):
     assert run_capped(tmp_path, "generate", "--horizon", "100", "--out", "out").returncode == 0
@@ -898,12 +898,20 @@ def test_an_orbit_file_horizon_past_the_cap_exits_4_naming_the_file(tmp_path, ho
 
 
 def test_running_out_of_memory_exits_4_without_a_traceback(tmp_path):
-    # 5 * 10**6 steps is a legal horizon, below HORIZON_CAP, whose walk does
-    # not fit in CAPPED_MEMORY.
-    done = run_capped(tmp_path, "generate", "--horizon", "5000000", "--out", "out")
+    # HORIZON_CAP is a legal horizon whose walk does not fit in CAPPED_MEMORY.
+    done = run_capped(tmp_path, "generate", "--horizon", str(HORIZON_CAP), "--out", "out")
     assert done.returncode == 4, done.stderr
     assert done.stderr == "resource cap exceeded: out of memory in generate\n"
     assert not (tmp_path / "out" / "orbit.json").exists()
+
+
+def test_the_worked_example_walks_a_million_steps_in_capped_memory(tmp_path):
+    # Each walk and its jump draws run in fixed-size blocks, so the instance
+    # and its true orbit hold their arrays and one block of lists at a time.
+    done = run_capped(tmp_path, "example-disk", "--horizon", "1000000", "--out", "out")
+    assert done.returncode == 0, done.stderr
+    assert json.loads((tmp_path / "out" / "example_disk.json").read_text())[
+        "all_prefixes_bounded"] is True
 
 
 def box_config(tmp: Path, d: int) -> Path:

@@ -2,7 +2,7 @@
 space and map operations that take a point or rows.
 
 ``orbit`` and ``make_corrupted_orbit`` step a point with symbols computed
-once and check membership once per orbit. The references below, and the
+once and check membership block by block as the walk goes. The references below, and the
 per-point ones they import from ``oracles``, step one symbol at a time
 through the per-index symbol rule, and evaluate each map and space
 operation as its documented expression on a list of Python floats, one
@@ -13,6 +13,7 @@ step. ``net``, ``trace_report`` and the net scan are checked against
 per-point and per-step loops of the same expressions.
 """
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -49,7 +50,7 @@ from shadowlab import (
     trace_report,
     true_orbit,
 )
-from shadowlab import shadow_search
+from shadowlab import dynamics, pseudo_orbits, shadow_search
 from shadowlab.concat import BlockPlan, concatenate
 from shadowlab.dynamics import CIRCLE, MEMBERSHIP_TOL, UNIT_DISK
 from shadowlab.pseudo_orbits import recompute_step_errors
@@ -336,6 +337,17 @@ def test_orbit_matches_apply_loop_bit_for_bit(system, n, shift):
 
 
 SYSTEMS = {UNIT_DISK: disk_systems(), "box": box_systems(), CIRCLE: circle_systems()}
+# Walk block sizes that put block edges at jumps, clamps, escapes and the last step.
+BLOCK_SIZES = st.sampled_from([1, 2, 3, 7, 64])
+
+
+@contextlib.contextmanager
+def walk_blocks(size):
+    """Walks and jump draws run size steps a block inside the context."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "WALK_BLOCK", size)
+        patch.setattr(pseudo_orbits, "WALK_BLOCK", size)
+        yield
 
 
 @pytest.mark.parametrize("kind", ["uniform", "fixed", "offset"])
@@ -355,7 +367,8 @@ def test_corrupted_orbit_matches_per_step_draws(space, kind, horizon, seed, scal
     rule = (JumpRule(kind, scale=scale, power=power) if kind == "offset"
             else JumpRule(kind, point=point))
     expected, clamped = reference_corrupted_orbit(family, word, start, indices, rule, seed)
-    xi = make_corrupted_orbit(family, word, start, indices, rule, seed)
+    with walk_blocks(data.draw(BLOCK_SIZES)):
+        xi = make_corrupted_orbit(family, word, start, indices, rule, seed)
     assert np.array_equal(xi.points, expected)
     assert xi.meta["clamped_indices"] == clamped
 
@@ -631,7 +644,7 @@ def recorded_compiles(monkeypatch) -> list:
 # functions bound by name.
 SOURCE_NAMES = {"def", "return", "c", "sqrt", "isfinite", "enumerate", "for", "in",
                 "if", "elif", "else", "not", "and", "pass", "symbols", "at", "points",
-                "images", "clamped", "append", "point", "image", "k", "nxt", "j", "s", "n_"}
+                "images", "clamped", "append", "point", "image", "k", "nxt", "j", "j0", "s", "n_"}
 
 
 def test_compiled_source_names_every_constant(monkeypatch):
@@ -729,7 +742,9 @@ def walk_families(draw):
 def walk_cases(draw):
     """A family and start, a word over the family's maps (or fewer) and a
     horizon, jumps (none, sparse, or at every step) with rows that often land
-    outside the space, and a landing rule."""
+    outside the space, a landing rule, and a walk block size so small that
+    jumps, clamps, the first image outside and the last step fall on block
+    edges."""
     family, start = draw(walk_families())
     d = family.space.dimension
     word = draw(words(draw(st.integers(1, family.m))))
@@ -748,7 +763,7 @@ def walk_cases(draw):
                          min_size=len(steps), max_size=len(steps)))
     landing = draw(st.sampled_from(["target", "offset", "stored"]))
     return (family, word, start, horizon, (steps, np.array(rows, dtype=np.float64).reshape(-1, d)),
-            landing)
+            landing, draw(BLOCK_SIZES))
 
 
 # A clamp whose other coordinate, -0.0, ties the box's bound 0.0 and goes to it;
@@ -757,22 +772,32 @@ def walk_cases(draw):
 BOX_TIE = (GeneratorFamily(MetricSpace.box([0.0, 0.0], [1.0, 1.0]),
                            (GeneratorMap.permutation((1, 0)),)),
            Word.constant(1, 1), [0.5, 0.25], 3, ([1, 2], np.array([[-0.0, 2.5], [3.0, -0.0]])),
-           "target")
+           "target", 1)
 DISK_NAN = (GeneratorFamily(MetricSpace.unit_disk(), (GeneratorMap.scale([1e300, 1.0]),
                                                       GeneratorMap.scale([0.0, 1.0]))),
             Word.periodic((1, 1, 2, 2), 2), [0.5, 0.25], 4, ([3], np.array([[0.1, 0.1]])),
-            "offset")
+            "offset", 2)
+
+# The first image outside, under map 2 at step 2, lies in the third one-step
+# block, whose first symbol is not the word's.
+LATE_ESCAPE = (GeneratorFamily(MetricSpace.box([0.0, 0.0], [1.0, 1.0]),
+                               (GeneratorMap.permutation((1, 0)), GeneratorMap.scale((3.0, 3.0)))),
+               Word.periodic((1, 1, 2), 2), [0.5, 0.25], 5, ([], np.zeros((0, 2))), "target", 1)
 
 
 @settings(max_examples=400, deadline=None)
 @given(walk_cases())
 @example(BOX_TIE)
 @example(DISK_NAN)
+@example(LATE_ESCAPE)
 def test_the_generated_walk_equals_the_reference_loop_bit_for_bit(case):
     from shadowlab.dynamics import _walk
 
+    *case, block = case
     family, word, start, horizon, jumps, landing = case
-    got, want = outcome(_walk, *case), outcome(reference_walk, *case)
+    with walk_blocks(block):
+        got = outcome(_walk, *case)
+    want = outcome(reference_walk, *case)
     if want[0] == "ok":
         assert got[0] == "ok"
         assert [bits(a) for a in (got[1][0], got[1][2])] == [bits(a) for a in (want[1][0],
@@ -785,10 +810,10 @@ def test_the_generated_walk_equals_the_reference_loop_bit_for_bit(case):
     # The images, which only the step errors and an error's text show: the
     # generated loop's own, whether or not the walk raises.
     symbols, (at, rows) = word.symbols(horizon).tolist(), jumps
-    points, images, clamped = family._walker(landing)(symbols, [*at, -1], *rows.T.tolist(),
+    points, images, clamped = family._walker(landing)(symbols, 0, [*at, -1], *rows.T.tolist(),
                                                       *start)
     ref = reference_loop(family, symbols, list(start), at, rows.tolist(), landing)
-    assert (bits(points), bits(images), clamped) == (bits(ref[0]), bits(ref[1]), ref[2])
+    assert (bits(points), bits(images), clamped) == (bits(ref[0][1:]), bits(ref[1]), ref[2])
 
 
 # ---------------------------------------------------------------------------
