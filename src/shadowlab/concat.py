@@ -13,7 +13,7 @@ import numpy as np
 
 from .density import prefix_means
 from .errors import ParameterError, PreconditionError
-from .pseudo_orbits import PseudoOrbit, recompute_step_errors
+from .pseudo_orbits import PseudoOrbit
 from .dynamics import Word
 from .verdict import ClassificationVerdict
 
@@ -88,17 +88,19 @@ def concatenate(plan: BlockPlan, word: Word) -> PseudoOrbit:
 
     Each block must be a pseudo-orbit for the word shifted to its own
     offset, with prefix mean errors below 1/k beyond N_k; both checks read
-    the block's slice of the step errors recomputed once over the laid-out
-    points. Junction step errors are recorded separately in the metadata.
+    the block's slice of the step errors of one walk through the laid-out
+    points (PseudoOrbit.from_points). Junction step errors are recorded
+    separately in the metadata.
     """
     offsets = plan.offsets
     family = plan.blocks[0].family
-    points = np.concatenate([b.points for b in plan.blocks], axis=0)
-    errors = recompute_step_errors(family, word, points)
+    laid = PseudoOrbit.from_points(family, word,
+                                   np.concatenate([b.points for b in plan.blocks], axis=0))
+    points, errors = laid.points, laid.step_errors
     for k, (block, N) in enumerate(zip(plan.blocks, plan.N_levels), start=1):
         block_errors = errors[offsets[k - 1]:offsets[k] - 1]
-        # A step recomputes to the same bits wherever it lies, so any difference
-        # means the block was built for another word.
+        # A step's error is the same bits wherever it is walked, so any
+        # difference means the block was built for another word.
         if not np.array_equal(block_errors, block.step_errors):
             mismatch = float(np.max(np.abs(block_errors - block.step_errors)))
             raise PreconditionError(
@@ -116,7 +118,7 @@ def concatenate(plan: BlockPlan, word: Word) -> PseudoOrbit:
     meta = {"kind": "concatenation", "offsets": offsets,
             "junction_indices": junction_indices,
             "junction_errors": [float(errors[i]) for i in junction_indices]}
-    return PseudoOrbit(family, word, points, errors, meta)
+    return PseudoOrbit(family, word, points, errors, meta, defects=laid.defects)
 
 
 def _sample_grid(offsets: list[int], horizon: int) -> list[int]:

@@ -474,7 +474,8 @@ class GeneratorFamily:
         """Step table: ``steps[s]`` maps a tuple of d columns through f_s.
 
         Symbol 0 is the identity, and circle images wrap into [0, 1). The
-        scans and step_images step columns through this table; the walk is
+        scans, and pseudo_orbits.recompute_step_errors (the column reference
+        for the walk), step columns through this table; the walk is
         generated from the same terms (_walk_source), so a step rounds the
         same there on floats.
         """
@@ -761,12 +762,16 @@ def _floats(values: list) -> np.ndarray:
 
 
 def _walk(family: GeneratorFamily, word: Word, z, horizon: int, jumps=((), ()),
-          landing: str = "target") -> tuple[np.ndarray, list[int], np.ndarray]:
+          landing: str = "target") -> tuple[np.ndarray, list[int], np.ndarray, np.ndarray]:
     """Step z through the word's first horizon symbols in the family's
     generated walk (one Python loop on float coordinates, built once per
     family and landing rule, see _walk_source); return the points, the steps
-    whose jump was clamped, and the step errors e_j = d(f_{w_j}(x_j), x_{j+1}):
-    taken on columns at the landing steps, 0.0 at every other, whose next
+    whose jump was clamped, the step errors e_j = d(f_{w_j}(x_j), x_{j+1}),
+    and the defects. The errors are taken on columns at the landing steps,
+    and are 0.0 at every other, whose next point is its image. The defects
+    are the landing steps whose landed point differs from the image bit for
+    bit (bits, not errors, so that a signed zero or a distance that
+    underflows to 0 counts), as a sorted int array: every other step's next
     point is its image. jumps holds sorted steps below horizon and an (n, d)
     array of a point q for each; at step j, points[j+1] is where q lands, by
     the landing rule:
@@ -779,12 +784,12 @@ def _walk(family: GeneratorFamily, word: Word, z, horizon: int, jumps=((), ()),
     The word's alphabet is checked against the family before any step, and
     the start against the space. The walk runs in blocks of WALK_BLOCK steps:
     each hands the generated loop its symbols, landing steps and rows as
-    lists, writes the points it returns into the points array, and checks its
-    images on columns before the next block starts, so the first image
-    outside raises DomainError naming its map, its point and its image. A
-    "stored" walk checks none: an image it lands off is not a point, and its
-    other images are the points, which the caller checks. Only one block's
-    lists and temporaries are held at a time.
+    lists, writes the points it returns into the points array, and compares
+    and checks its images on columns before the next block starts, so the
+    first image outside raises DomainError naming its map, its point and its
+    image. A "stored" walk checks none: an image it lands off is not a point,
+    and its other images are the points, which the caller checks. Only one
+    block's lists and temporaries are held at a time.
     """
     family.check_alphabet(word)
     space, d = family.space, family.space.dimension
@@ -796,6 +801,7 @@ def _walk(family: GeneratorFamily, word: Word, z, horizon: int, jumps=((), ()),
     rows = np.asarray(jumps[1], dtype=np.float64).reshape(-1, d)
     walk = family._walker(landing)
     points, clamped, errors = np.empty((horizon + 1, d)), [], np.zeros(horizon)
+    defects = [at[:0]]
     points[0] = z
     flat, c = points.reshape(-1), z.tolist()
     cuts = [0, *at.searchsorted(range(WALK_BLOCK, horizon, WALK_BLOCK)).tolist(), at.size]
@@ -809,8 +815,10 @@ def _walk(family: GeneratorFamily, word: Word, z, horizon: int, jumps=((), ()),
             c = walked[-d:]
             clamped += block_clamped
             if steps.size:
-                images = _floats(images).reshape(-1, d)
-                errors[steps] = space._distance(tuple(images.T), tuple(points[steps + 1].T))
+                images, landed = _floats(images).reshape(-1, d), points[steps + 1]
+                errors[steps] = space._distance(tuple(images.T), tuple(landed.T))
+                defects.append(steps[(images.view(np.uint64)
+                                      != landed.view(np.uint64)).any(axis=1)])
             if landing != "stored":
                 every = points[j0 + 1:j1 + 1]
                 if steps.size:
@@ -821,7 +829,7 @@ def _walk(family: GeneratorFamily, word: Word, z, horizon: int, jumps=((), ()),
                     j = int(np.argmin(inside))
                     raise DomainError(f"map {int(symbols[j0 + j])} sends {points[j0 + j].tolist()} "
                                       f"to {every[j].tolist()}, outside the space")
-    return points, clamped, errors
+    return points, clamped, errors, np.concatenate(defects)
 
 
 def orbit(family: GeneratorFamily, word: Word, z, n: int) -> np.ndarray:

@@ -8,7 +8,7 @@ sliding-window means, or in Cesàro means.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 
 import numpy as np
 
@@ -26,11 +26,12 @@ from .verdict import ClassificationVerdict
 DEFAULT_DENSITY_TOL = 0.01
 
 
-def step_images(family: GeneratorFamily, word: Word, points: np.ndarray) -> tuple:
-    """The columns of the images f_{w_j}(x_j), j < H, each symbol's map
-    evaluated on the columns of its steps; a step rounds the same within any
-    sequence, and as the walk takes it on a point. The word's alphabet is
-    checked against the family first."""
+def recompute_step_errors(family: GeneratorFamily, word: Word, points: np.ndarray) -> np.ndarray:
+    """e_j = d(f_{w_j}(x_j), x_{j+1}) on columns: each symbol's map evaluated
+    on the columns of its steps, after the word's alphabet is checked against
+    the family. The column reference that tests compare the walk's step
+    errors against, and that perfbench writes its orbit files' checksums
+    with; the library itself takes every step error from its walk."""
     family.check_alphabet(word)
     H = len(points) - 1
     symbols = word.symbols(H)
@@ -40,49 +41,74 @@ def step_images(family: GeneratorFamily, word: Word, points: np.ndarray) -> tupl
         idx = np.flatnonzero(symbols == s)
         for image, column in zip(images, family.steps[s](tuple(c[idx] for c in columns))):
             image[idx] = column
-    return images
+    return family.space._distance(images, tuple(points[1:].T))
 
 
-def recompute_step_errors(family: GeneratorFamily, word: Word, points: np.ndarray) -> np.ndarray:
-    """e_j = d(f_{w_j}(x_j), x_{j+1}) of the step images."""
-    return family.space._distance(step_images(family, word, points), tuple(points[1:].T))
+def _checked_points(family: GeneratorFamily, word: Word, points) -> np.ndarray:
+    """points as an (H+1, d) float64 array of points of the space, after the
+    word's alphabet is checked against the family."""
+    family.check_alphabet(word)
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != family.space.dimension or not len(pts):
+        raise DomainError("points must be an (H+1, dim) array matching the space")
+    outside = np.flatnonzero(~family.space.contains(pts))
+    if outside.size:
+        raise DomainError(f"point {int(outside[0])} is outside the {family.space.kind} space")
+    return pts
 
 
 @dataclass(frozen=True)
 class PseudoOrbit:
-    """Finite point sequence with cached per-step jump errors."""
+    """Finite point sequence x_0..x_H under a word, with the step errors and
+    the defects of the walk that built it (dynamics._walk).
+
+    ``defects`` is required and keyword-only: the sorted steps j whose point
+    x_{j+1} is not f_{w_j}(x_j) bit for bit. Every step with a nonzero step
+    error is among them, and every other point is its step's image, so a
+    save lists the points at the defects alone.
+    """
 
     family: GeneratorFamily
     word: Word
     points: np.ndarray
     step_errors: np.ndarray
     meta: dict = field(default_factory=dict)
+    _: KW_ONLY
+    defects: np.ndarray
 
     def __post_init__(self):
-        self.family.check_alphabet(self.word)
-        pts = np.asarray(self.points, dtype=np.float64)
+        pts = _checked_points(self.family, self.word, self.points)
+        errors = np.asarray(self.step_errors, dtype=np.float64)
+        defects = np.asarray(self.defects, dtype=np.int64)
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "step_errors", np.asarray(self.step_errors, dtype=np.float64))
-        if pts.ndim != 2 or pts.shape[1] != self.family.space.dimension:
-            raise DomainError("points must be an (H+1, dim) array matching the space")
-        if len(self.step_errors) != len(pts) - 1:
+        object.__setattr__(self, "step_errors", errors)
+        object.__setattr__(self, "defects", defects)
+        H = len(pts) - 1
+        if len(errors) != H:
             raise DomainError("step_errors must have one entry per step")
-        outside = np.flatnonzero(~self.family.space.contains(pts))
-        if outside.size:
-            raise DomainError(f"point {int(outside[0])} is outside the "
-                              f"{self.family.space.kind} space")
+        if defects.ndim != 1 or defects.size and not (
+                0 <= defects[0] and defects[-1] < H and (defects[1:] > defects[:-1]).all()):
+            raise DomainError("defects must be sorted steps below the horizon, one a step")
+        if np.count_nonzero(errors[defects]) != np.count_nonzero(errors):
+            j = np.setdiff1d(np.flatnonzero(errors), defects)[0]
+            raise DomainError(f"step {j} has a nonzero step error but is no defect")
 
     @classmethod
     def from_points(cls, family: GeneratorFamily, word: Word, points,
                     meta: dict | None = None) -> "PseudoOrbit":
-        """The pseudo-orbit through the given points, its step errors
-        recomputed; a 1-d array holds one point of a 1-dimensional space per
-        entry. perfbench builds its orbit files through it."""
+        """The pseudo-orbit through the given points: one "stored" walk from
+        the first that lands every other as it is, so its step errors and
+        defects are the walk's. The alphabet, the shape and each point's
+        membership are checked before the walk; a 1-d array holds one point
+        of a 1-dimensional space per entry. perfbench builds its orbit files
+        through it."""
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim == 1:
             pts = pts.reshape(-1, 1)
-        errors = recompute_step_errors(family, word, pts)
-        return cls(family, word, pts, errors, meta or {})
+        pts = _checked_points(family, word, pts)
+        H = len(pts) - 1
+        _, _, errors, defects = _walk(family, word, pts[0], H, (np.arange(H), pts[1:]), "stored")
+        return cls(family, word, pts, errors, meta or {}, defects=defects)
 
     @property
     def horizon(self) -> int:
@@ -100,8 +126,8 @@ def true_orbit(family: GeneratorFamily, word: Word, z, horizon: int) -> PseudoOr
     """
     if horizon < 0:
         raise ParameterError("orbit length must be >= 1")
-    points, _, errors = _walk(family, word, z, horizon)
-    return PseudoOrbit(family, word, points, errors, {"kind": "true-orbit"})
+    points, _, errors, defects = _walk(family, word, z, horizon)
+    return PseudoOrbit(family, word, points, errors, {"kind": "true-orbit"}, defects=defects)
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +311,9 @@ def make_corrupted_orbit(family: GeneratorFamily, word: Word, z,
     """
     steps = corruption_indices.indices
     rows = _draw_jumps(jump_rule, family.space, np.random.default_rng(seed), steps)
-    points, clamped, errors = _walk(family, word, z, corruption_indices.horizon, (steps, rows),
-                                    "offset" if jump_rule.kind == "offset" else "target")
+    landing = "offset" if jump_rule.kind == "offset" else "target"
+    points, clamped, errors, defects = _walk(family, word, z, corruption_indices.horizon,
+                                             (steps, rows), landing)
     meta = {"kind": "corrupted-orbit", "seed": seed, "jump_rule": jump_rule.spec(),
             "corrupted_count": len(corruption_indices), "clamped_indices": clamped}
-    return PseudoOrbit(family, word, points, errors, meta)
+    return PseudoOrbit(family, word, points, errors, meta, defects=defects)

@@ -24,7 +24,7 @@ from .disk_example import DISK_SYSTEM
 from .dynamics import (GeneratorFamily, JumpRule, MetricSpace, Word, _finite, _integer,
                        _integers, _items, _keyed, _known, _real, _walk, as_points)
 from .errors import IntegrityError, ParameterError, ResourceCapError, check_alpha, check_positive
-from .pseudo_orbits import PseudoOrbit, recompute_step_errors, step_images
+from .pseudo_orbits import PseudoOrbit
 
 CONFIG_SCHEMA = "shadowlab/config/v1"
 # Orbit files list every point in v1, which still loads; save_orbit writes v2.
@@ -37,13 +37,15 @@ PLAN_KEYS = ("schema", "blocks", "N_levels")
 # lists (dynamics.WALK_BLOCK), and a command built on walks peaks at 100 bytes
 # a step or less in dimension 2 (peak RSS above a 1 000-step run, the shortest
 # that repair and example-disk accept, at 2 * 10**6 steps; Python 3.11, numpy
-# 2.4): 73 for `generate`, 48 for loading a v2 file, 100 for `repair` of an
-# orbit with jumps at the squares, 89 for `example-disk`. So one at the cap
-# peaks near 1 GB. A walk stores (H + 1) d coordinates at about 32 bytes each
-# (`generate` at H = 2 * 10**5 on a box: 50 MiB peak RSS for d = 2, 346 MiB
-# for d = 50), so (H + 1) d is capped too, at 2 (HORIZON_CAP + 1), the
-# coordinates of a d = 2 walk at the cap. The longest horizon in use is
-# 10**4, and a concatenation of the benchmark's blocks is 10 500 steps long.
+# 2.4): 48 for `generate` (no jumps, or jumps at the squares), 48 for loading
+# a v2 file, 75 for `repair` of an orbit with jumps at the squares (at a
+# density_tol of 0.05, which its 1 000-step run needs), 89 for `example-disk`.
+# So one at the cap peaks near 1 GB. A walk stores (H + 1) d coordinates at
+# about 32 bytes each (`generate` at H = 2 * 10**5 on a box: 50 MiB peak RSS
+# for d = 2, 346 MiB for d = 50), so (H + 1) d is capped too, at
+# 2 (HORIZON_CAP + 1), the coordinates of a d = 2 walk at the cap. The longest
+# horizon in use is 10**4, and a concatenation of the benchmark's blocks is
+# 10 500 steps long.
 HORIZON_CAP = 10**7
 
 
@@ -141,15 +143,12 @@ def step_error_checksum(errors: np.ndarray) -> str:
 
 
 def orbit_to_dict(xi: PseudoOrbit) -> dict:
-    """The orbit as ORBIT_SCHEMA_V2: its start, and x_{j+1} at each defect j,
-    the steps where x_{j+1} is not f_{w_j}(x_j) bit for bit (bits, not step
-    errors, so that a signed zero or a distance that underflows to 0 counts).
-    Decoding walks from the start and lands each defect's point, so by
-    induction it rebuilds every point bit for bit: a step rounds the same on
-    the walk's point as on the columns here."""
-    P = xi.points
-    images = np.stack(step_images(xi.family, xi.word, P), axis=-1)
-    steps = np.flatnonzero((images.view(np.uint64) != P[1:].view(np.uint64)).any(axis=1))
+    """The orbit as ORBIT_SCHEMA_V2: its start, and x_{j+1} at each of
+    xi.defects, the steps where x_{j+1} is not f_{w_j}(x_j) bit for bit, as
+    the walk that built xi recorded them. Decoding walks from the start and
+    lands each defect's point, so by induction it rebuilds every point bit
+    for bit."""
+    P, steps = xi.points, xi.defects
     return {
         "schema": ORBIT_SCHEMA_V2,
         "system": xi.family.spec(),
@@ -201,8 +200,9 @@ def _capped(name: str, horizon: int, d: int) -> int:
 
 
 def _walked_orbit(data: dict, family: GeneratorFamily, word: Word) -> tuple:
-    """A v2 file's points and step errors, from one walk from its start that
-    lands each defect's point as stored; the points must match points_sha256."""
+    """A v2 file's points, step errors and defects, from one walk from its
+    start that lands each defect's point as stored; the points must match
+    points_sha256."""
     d = family.space.dimension
     H = _capped("field 'horizon'", _at_least("horizon", data["horizon"], 0), d)
     start = _keyed("start", _point, "start", data["start"], d)
@@ -218,12 +218,12 @@ def _walked_orbit(data: dict, family: GeneratorFamily, word: Word) -> tuple:
                                  "one a step, below the horizon", key)
         steps.append(j)
         rows.append(_keyed(key, _point, "defect point", defect[1], d))
-    points, _, errors = _walk(family, word, start, H, (steps, rows), "stored")
+    points, _, errors, defects = _walk(family, word, start, H, (steps, rows), "stored")
     digest = _sha256(points)
     if digest != data["points_sha256"]:
         raise IntegrityError(f"points digest mismatch: the walk gives {digest[:12]}…, "
                              f"file says {str(data['points_sha256'])[:12]}…")
-    return points, errors
+    return points, errors, defects
 
 
 # The keys each orbit schema requires; orbit_from_dict reads them and "meta".
@@ -235,8 +235,9 @@ ORBIT_KEYS = {
 
 
 def orbit_from_dict(data: dict) -> PseudoOrbit:
-    """Rebuild the points (listed in v1, walked in v2) and the step errors,
-    and verify the embedded checksums; an unknown or missing key is an error."""
+    """Rebuild the points (listed in v1, walked in v2), the step errors and the
+    defects, each from one walk, and verify the embedded checksums; an unknown
+    or missing key is an error."""
     schema = data.get("schema")
     if schema not in ORBIT_KEYS:
         raise ParameterError(f"unsupported orbit schema {schema!r}")
@@ -245,10 +246,11 @@ def orbit_from_dict(data: dict) -> PseudoOrbit:
     family = _keyed("system", GeneratorFamily.from_spec, data["system"])
     word = _keyed("word", Word.from_spec, data["word"])
     if schema == ORBIT_SCHEMA:
-        points = as_points(data["points"], family.space.dimension)
-        errors = recompute_step_errors(family, word, points)
+        listed = PseudoOrbit.from_points(family, word,
+                                         as_points(data["points"], family.space.dimension))
+        points, errors, defects = listed.points, listed.step_errors, listed.defects
     else:
-        points, errors = _walked_orbit(data, family, word)
+        points, errors, defects = _walked_orbit(data, family, word)
     checksum = step_error_checksum(errors)
     if checksum != data["step_error_checksum"]:
         raise IntegrityError(
@@ -257,7 +259,7 @@ def orbit_from_dict(data: dict) -> PseudoOrbit:
     meta = data.get("meta", {})
     if not isinstance(meta, dict):
         raise ParameterError(f"must be an object, got {meta!r}", "meta")
-    return PseudoOrbit(family, word, points, errors, meta)
+    return PseudoOrbit(family, word, points, errors, meta, defects=defects)
 
 
 def save_orbit(xi: PseudoOrbit, path: Path | str) -> None:

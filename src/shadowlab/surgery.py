@@ -4,7 +4,8 @@ Large step errors are confined to blocks of length M anchored at greedily
 chosen bad indices; inside each block the sequence is replaced by the true
 orbit of the block's first point, so in-block step errors vanish and only one
 block-exit error per block survives. One walk from x_0 follows the maps inside
-the blocks and lands the input's own point, as stored, at every other step.
+the blocks and lands the input's own point, as stored, at each block's exit
+and at the input's defects outside the blocks.
 """
 
 from __future__ import annotations
@@ -96,15 +97,17 @@ def repair(xi: PseudoOrbit, delta: float,
     anchors = select_anchors(bad, M)
 
     # Block k holds points k..k+M-1 (fewer at the horizon); the walk follows
-    # the maps on its steps k..k+M-2 and lands x_{j+1} as stored at every other j.
+    # the maps on its steps k..k+M-2. Elsewhere x_{j+1} is the image of x_j
+    # except at a defect, so only the defects and each exit step k+M-1 land.
     blocks, followed = np.zeros(H + 1, dtype=bool), np.zeros(H, dtype=bool)
     for k in anchors.to_list():
         blocks[k:k + M] = followed[k:k + M - 1] = True
-    landed = np.flatnonzero(~followed)
-    points, _, errors = _walk(xi.family, xi.word, xi.points[0], H,
-                              (landed, xi.points[landed + 1]), "stored")
+    exits = anchors.indices + (M - 1)
+    landed = np.union1d(xi.defects[~followed[xi.defects]], exits[exits < H])
+    points, _, errors, defects = _walk(xi.family, xi.word, xi.points[0], H,
+                                       (landed, xi.points[landed + 1]), "stored")
     meta = {**xi.meta, "repaired": True, "M": M, "delta": delta}
-    y = PseudoOrbit(xi.family, xi.word, points, errors, meta)
+    y = PseudoOrbit(xi.family, xi.word, points, errors, meta, defects=defects)
     diff = IndexSet.from_mask(np.any(points != xi.points, axis=1))
     return RepairResult(y, M, IndexSet.from_iterable(anchors.to_list(), H + 1),
                         IndexSet.from_mask(blocks), diff, delta, anchors.to_list()[-1] + M > H + 1)

@@ -17,6 +17,7 @@ from shadowlab.cesaro import DEFAULT_LEVELS, DENSITY_MARGIN, MIN_STAGE_RATIO
 from shadowlab.density import (DEFAULT_TAIL_FRACTION, ROUNDING_TOL, prefix_density,
                                prefix_means, tail_extremum)
 from shadowlab.dynamics import CIRCLE, MEMBERSHIP_TOL, UNIT_DISK, orbit
+from shadowlab.pseudo_orbits import recompute_step_errors
 from shadowlab.serialize import ORBIT_SCHEMA, PLAN_SCHEMA, dump_json, step_error_checksum
 
 # ---------------------------------------------------------------------------
@@ -53,9 +54,17 @@ def reference_map(g, p):
     return [x * f for x, f in zip(p, g.factors)]
 
 
+def reference_image(family, s, p):
+    """f_s(p) for one point p, a list of floats, checking nothing; symbol 0 is
+    the identity and a circle image wraps into [0, 1)."""
+    if s == 0:
+        return p
+    image = reference_map(family.maps[s - 1], p)
+    return [image[0] % 1.0] if family.space.kind == CIRCLE else image
+
+
 def reference_step(family, s, p):
-    """f_s(p) for one point p, a list of floats; symbol 0 is the identity and a
-    circle image wraps into [0, 1).
+    """f_s(p) for one point p, a list of floats, as reference_image steps it.
 
     Pins the errors of one step of a walk: DomainError for a point outside
     the space, and DomainError naming the map, the point and the image for an
@@ -64,14 +73,19 @@ def reference_step(family, s, p):
     space = family.space
     if not reference_contains(space, p):
         raise DomainError(f"point {p} is outside the {space.kind} space")
-    if s == 0:
-        return p
-    image = reference_map(family.maps[s - 1], p)
-    if space.kind == CIRCLE:
-        image = [image[0] % 1.0]
-    if not reference_contains(space, image):
+    image = reference_image(family, s, p)
+    if s != 0 and not reference_contains(space, image):
         raise DomainError(f"map {s} sends {p} to {image}, outside the space")
     return image
+
+
+def reference_defects(family, word, points) -> list[int]:
+    """The steps j whose point x_{j+1}'s bytes differ from those of the image
+    of x_j (reference_image), one step at a time: what a pseudo-orbit records
+    as its defects."""
+    P = np.asarray(points, dtype=np.float64)
+    return [j for j, s in enumerate(word.symbols(len(P) - 1).tolist())
+            if np.array(reference_image(family, s, P[j].tolist())).tobytes() != P[j + 1].tobytes()]
 
 
 def reference_project(space, q):
@@ -140,8 +154,9 @@ def reference_loop(family, walked, p, at, rows, landing):
 def reference_walk(family, word, z, horizon, jumps=((), ()), landing="target"):
     """What ``dynamics._walk`` returns or raises, from reference_loop: the
     alphabet and the start checked, every image but a stored walk's checked
-    (DomainError at the first outside), and the step errors at the landing
-    steps, by reference_distance."""
+    (DomainError at the first outside), the step errors at the landing
+    steps, by reference_distance, and the landing steps whose landed point's
+    bytes differ from the image's."""
     space, d = family.space, family.space.dimension
     if word.m > family.m:
         raise ParameterError(f"the word has {word.m} symbols, the family {family.m} maps",
@@ -163,7 +178,8 @@ def reference_walk(family, word, z, horizon, jumps=((), ()), landing="target"):
     errors = np.zeros(horizon)
     for k, j in enumerate(at):
         errors[j] = reference_distance(space, images[k].tolist(), points[j + 1].tolist())
-    return points, clamped, errors
+    defects = [j for k, j in enumerate(at) if images[k].tobytes() != points[j + 1].tobytes()]
+    return points, clamped, errors, defects
 
 
 def orbit_v1_dict(xi) -> dict:
@@ -190,8 +206,9 @@ def save_block_plan_manifest(block_paths, N_levels, path) -> None:
 
 def reference_repair(xi, delta: float) -> RepairResult:
     """repair of an input with a bad step, as one true orbit per block: each
-    anchor k's block is the orbit of x_k under the word shifted by k, and
-    every step error is recomputed from the repaired points."""
+    anchor k's block is the orbit of x_k under the word shifted by k; every
+    step error is recomputed from the repaired points on columns, and the
+    defects are compared one step at a time."""
     H = xi.horizon
     M = block_length(xi.family.space, delta, horizon=H)
     anchors = select_anchors(xi.exceptional_set(delta / 2.0), M)
@@ -204,7 +221,9 @@ def reference_repair(xi, delta: float) -> RepairResult:
         points[k:k + length] = orbit(xi.family, xi.word.shifted(k), xi.points[k], length)
         block_indices.extend(range(k, k + length))
     meta = {**xi.meta, "repaired": True, "M": M, "delta": delta}
-    y = PseudoOrbit.from_points(xi.family, xi.word, points, meta)
+    y = PseudoOrbit(xi.family, xi.word, points,
+                    recompute_step_errors(xi.family, xi.word, points), meta,
+                    defects=reference_defects(xi.family, xi.word, points))
     diff = IndexSet.from_mask(np.any(points != xi.points, axis=1))
     return RepairResult(y, M, IndexSet.from_iterable(anchors.to_list(), H + 1),
                         IndexSet.from_iterable(block_indices, H + 1), diff, delta, truncated)

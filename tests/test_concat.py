@@ -23,7 +23,7 @@ from shadowlab import (
 from shadowlab.density import prefix_means
 from shadowlab.pseudo_orbits import recompute_step_errors
 
-from oracles import reference_step
+from oracles import reference_defects, reference_distance, reference_step
 
 
 def interval_identity():
@@ -111,13 +111,52 @@ def test_step_errors_one_ulp_off_are_rejected():
     block = zigzag_block(family, word, 10, 0.25)
     errors = block.step_errors.copy()
     errors[3] = np.nextafter(errors[3], np.inf)
-    raw = PseudoOrbit(family, word, block.points, errors)
+    raw = PseudoOrbit(family, word, block.points, errors, defects=block.defects)
     assert np.array_equal(recompute_step_errors(family, word, block.points), block.step_errors)
     assert not np.array_equal(recompute_step_errors(family, word, raw.points), raw.step_errors)
     concatenate(BlockPlan((block,), (1,)), word)
     with pytest.raises(PreconditionError) as err:
         concatenate(BlockPlan((raw,), (1,)), word)
     assert err.value.witness["max_error_mismatch"] == errors[3] - 0.25
+
+
+def word_flipped_at(word, j: int, m: int = 2) -> Word:
+    """The word with symbol j swapped for another of 1..m, and no other symbol changed."""
+    head = word.symbols(j + 1).tolist()
+    head[j] = head[j] % m + 1
+    return Word("prefix", m, prefix=tuple(head), tail=word.shifted(j + 1))
+
+
+@pytest.mark.parametrize("at", ["defect", "ordinary"])
+def test_concatenate_rejects_a_block_whose_word_differs_at_one_step(at):
+    # Block 2 follows the word shifted by its offset at every step but j, where
+    # it follows the other map: on the path of its walk (an ordinary step), or
+    # before a jump lands (a defect, whose error is then taken from the other
+    # map's image).
+    family, word = build_disk_system()
+    offset, j = 21, 6
+    wrong = word_flipped_at(word.shifted(offset), j)
+    assert np.flatnonzero(wrong.symbols(30) != word.shifted(offset).symbols(30)).tolist() == [j]
+    block1 = true_orbit(family, word, (0.5, 0.2), 20)
+
+    def block2(w):
+        if at == "ordinary":
+            return true_orbit(family, w, (0.3, -0.6), 30)
+        return make_corrupted_orbit(family, w, (0.3, -0.6), IndexSet.from_iterable([j], 30),
+                                    JumpRule("fixed", point=(0.9, 0.0)), seed=0)
+
+    concatenate(BlockPlan((block1, block2(word.shifted(offset))), (1, 30)), word)
+    bad = block2(wrong)
+    assert (bad.defects.tolist() == [j]) == (at == "defect")
+    with pytest.raises(PreconditionError, match="block 2 is not a pseudo-orbit for the word "
+                                                "shifted by 21") as err:
+        concatenate(BlockPlan((block1, bad), (1, 30)), word)
+    x = bad.points[j].tolist()
+    want = reference_distance(family.space, reference_step(family, word.symbol_at(offset + j), x),
+                              bad.points[j + 1].tolist())
+    assert want != bad.step_errors[j]
+    assert err.value.witness == {"block": 2, "offset": offset,
+                                 "max_error_mismatch": abs(want - bad.step_errors[j])}
 
 
 def test_concatenate_rejects_poor_quality_block():
@@ -222,7 +261,8 @@ def test_certificate_targets_pass_for_well_grown_plan():
 def test_certificate_rejects_mismatched_sequence():
     plan, word = derived_three_block_plan()
     xi = concatenate(plan, word)
-    tampered = PseudoOrbit(xi.family, xi.word, xi.points[:-1], xi.step_errors[:-1], xi.meta)
+    tampered = PseudoOrbit(xi.family, xi.word, xi.points[:-1], xi.step_errors[:-1], xi.meta,
+                           defects=xi.defects[xi.defects < xi.horizon - 1])
     with pytest.raises(ParameterError):
         asymptotic_certificate(tampered, plan)
 
@@ -284,7 +324,8 @@ def reference_concatenate(plan, word):
     meta = {"kind": "concatenation", "offsets": offsets,
             "junction_indices": junction_indices,
             "junction_errors": [float(errors[i]) for i in junction_indices]}
-    return PseudoOrbit(family, word, points, errors, meta)
+    return PseudoOrbit(family, word, points, errors, meta,
+                       defects=reference_defects(family, word, points))
 
 
 def affine_box_system(seed):

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from shadowlab import (
@@ -41,9 +41,11 @@ from shadowlab.serialize import (
     orbit_from_dict,
     orbit_to_dict,
     save_orbit,
+    step_error_checksum,
 )
 
-from oracles import orbit_v1_dict, save_orbit_v1
+from oracles import orbit_v1_dict, reference_defects, save_orbit_v1
+from test_orbit_walk import BLOCK_SIZES, walk_blocks
 
 
 def through_json(data: dict) -> dict:
@@ -197,14 +199,22 @@ def orbits(draw):
         return concatenate(BlockPlan(tuple(blocks), (1,) * len(blocks)), word)
     # Repair's block length at delta >= 0.5 is at most 33 on these spaces.
     H = max(H, 40 if shape == "repaired" else 1)
-    rule = draw(st.sampled_from([
+    rules = [
         JumpRule("uniform"),
         JumpRule("fixed", point=tuple(draw(st.floats(-2.0, 2.0))
                                       for _ in range(space.dimension))),
         JumpRule("offset", scale=draw(st.floats(0.01, 3.0)),
-                 power=draw(st.sampled_from([0.0, 1.0, 2, 1.5])))]))
+                 power=draw(st.sampled_from([0.0, 1.0, 2, 1.5])))]
     steps = IndexSet.from_iterable(draw(st.lists(st.integers(0, H - 1), max_size=10)), H)
-    xi = make_corrupted_orbit(family, word, start_point(draw, kind, space, rng), steps, rule,
+    start = start_point(draw, kind, space, rng)
+    if len(steps):
+        # A fixed target equal to the first jump's image lands no defect there;
+        # with the sign of a zero flipped, a defect whose step error is 0.
+        image = true_orbit(family, word, start, steps.indices[0] + 1).points[-1]
+        if draw(st.booleans()):
+            image = np.where(image == 0.0, -image, image)
+        rules.append(JumpRule("fixed", point=tuple(image.tolist())))
+    xi = make_corrupted_orbit(family, word, start, steps, draw(st.sampled_from(rules)),
                               seed=draw(st.integers(0, 1000)))
     if shape == "repaired":
         xi = repair(xi, draw(st.floats(0.5, 1.0)), density_tol=1.0).y
@@ -229,6 +239,42 @@ def test_every_orbit_round_trips_through_v2_bit_for_bit(xi):
     recomputed = recompute_step_errors(loaded.family, loaded.word, loaded.points)
     assert loaded.step_errors.tobytes() == recomputed.tobytes()
     assert_same_orbit(orbit_from_dict(through_json(orbit_v1_dict(xi))), xi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_every_producer_records_the_bitwise_defects(data):
+    """The defects of every producer (true, corrupted, repaired, concatenated
+    and landed orbits, the last through from_points) and of the v1 and v2
+    loads of each are the steps whose next point's bytes differ from the
+    reference image's, with walks run in blocks so short that block edges
+    fall on landings."""
+    with walk_blocks(data.draw(BLOCK_SIZES)):
+        xi = data.draw(orbits())
+        loads = [orbit_from_dict(through_json(to_dict(xi)))
+                 for to_dict in (orbit_to_dict, orbit_v1_dict)]
+    want = reference_defects(xi.family, xi.word, xi.points)
+    for got in (xi, *loads):
+        assert got.defects.tolist() == want
+    event(f"{xi.meta.get('kind')}, {'defects' if want else 'no defect'}")
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7, 64])
+def test_a_jump_onto_its_image_is_no_defect_and_a_signed_zero_is_one(block):
+    # Under (x, y) -> (0, y/2) from (0.5, 0.5), x_2 = (0.0, 0.125) is the image
+    # of x_1; -0.0 differs from it in bits alone, and 2.0 is clamped to 1.0.
+    family = GeneratorFamily(MetricSpace.box([0.0, 0.0], [1.0, 1.0]),
+                             (GeneratorMap.scale([0.0, 0.5]),))
+    word, jumps = Word.constant(1, 1), IndexSet.from_iterable([1, 4], 9)
+    with walk_blocks(block):
+        image, signed, far = (make_corrupted_orbit(family, word, (0.5, 0.5), jumps,
+                                                   JumpRule("fixed", point=(x, 0.125)), seed=0)
+                              for x in (0.0, -0.0, 2.0))
+    assert image.defects.tolist() == [4]
+    assert signed.defects.tolist() == [1, 4] and signed.step_errors[1] == 0.0
+    assert far.defects.tolist() == [1, 4] and far.meta["clamped_indices"] == [1, 4]
+    for xi in (image, signed, far):
+        assert xi.defects.tolist() == reference_defects(family, word, xi.points)
 
 
 @pytest.mark.parametrize("family, points, defects", [
@@ -374,6 +420,44 @@ def test_an_unknown_key_in_a_v1_file_exits_2_naming_it(tmp_path, capsys, how):
     code, err, path = classify(tmp_path, capsys, data)
     assert code == 2
     assert f"orbit file {path}: {TAMPERED[how]}" in err
+
+
+def v1_with_points(points, checksum: str | None = None) -> dict:
+    """The disk-uniform orbit's v1 data with its points replaced, and its
+    step-error checksum the column reference's, or the one given."""
+    xi = sample_orbits()["disk-uniform"]
+    errors = recompute_step_errors(xi.family, xi.word, np.asarray(points, dtype=np.float64))
+    return {**orbit_v1_dict(xi), "points": points,
+            "step_error_checksum": checksum or step_error_checksum(errors)}
+
+
+@pytest.mark.parametrize("outside", [0, 5, 120])
+@pytest.mark.parametrize("checksum", ["right", "wrong"])
+def test_a_v1_point_outside_the_space_exits_2_naming_it(tmp_path, capsys, outside, checksum):
+    # Membership is checked before the walk: a first point outside is named as
+    # a point, not as the walk's start, and so is a point outside in a file
+    # whose checksum is wrong too (that file named the checksum).
+    points = sample_orbits()["disk-uniform"].points.tolist()
+    points[outside] = [1.5, 0.25]
+    data = v1_with_points(points, None if checksum == "right" else "0" * 64)
+    code, err, path = classify(tmp_path, capsys, data)
+    assert code == 2
+    assert f"orbit file {path}: point {outside} is outside the unit-disk-2d space" in err
+
+
+@pytest.mark.parametrize("points, message", [
+    # A flat list ended in an IndexError traceback.
+    ([0.1, 0.2], "points must be an (H+1, dim) array matching the space"),
+    ([[0.1], [0.2]], "point has dimension 1, space has dimension 2"),
+    ([], "point has dimension 0, space has dimension 2"),
+    ([[[0.1, 0.2]]], "expected a point or an (n, d) array of rows, got shape (1, 1, 2)"),
+])
+def test_v1_points_of_the_wrong_shape_exit_2_naming_the_file(tmp_path, capsys, points,
+                                                            message):
+    code, err, path = classify(tmp_path, capsys, {**v1_with_points([[0.1, 0.2]]),
+                                                  "points": points})
+    assert code == 2
+    assert f"orbit file {path}: {message}" in err
 
 
 @pytest.mark.parametrize("section, key", [("system", "maps"), (None, "defects")])

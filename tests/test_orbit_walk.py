@@ -445,7 +445,8 @@ def test_a_word_past_the_familys_maps_is_refused_naming_word_m_before_any_step(s
         "make_corrupted_orbit": lambda: make_corrupted_orbit(
             family, word, start, IndexSet.from_iterable([1], 5), JumpRule("uniform"), 0),
         "recompute_step_errors": lambda: recompute_step_errors(family, word, points),
-        "PseudoOrbit": lambda: PseudoOrbit(family, word, points, xi.step_errors),
+        "PseudoOrbit": lambda: PseudoOrbit(family, word, points, xi.step_errors,
+                                           defects=xi.defects),
         "concatenate": lambda: concatenate(plan, word),
         "_walk": lambda: dynamics._walk(family, word, start, 5),
     }
@@ -803,6 +804,7 @@ def test_the_generated_walk_equals_the_reference_loop_bit_for_bit(case):
         assert [bits(a) for a in (got[1][0], got[1][2])] == [bits(a) for a in (want[1][0],
                                                                                  want[1][2])]
         assert got[1][1] == want[1][1]
+        assert got[1][3].tolist() == want[1][3]
         event(f"{landing}, {'clamped' if got[1][1] else 'none clamped'}")
     else:
         assert got == want

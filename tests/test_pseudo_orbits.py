@@ -1,3 +1,4 @@
+import re
 import time
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from shadowlab import (
     BoundedSequence,
+    DomainError,
     GeneratorFamily,
     GeneratorMap,
     IndexSet,
@@ -325,6 +327,24 @@ def test_classification_invariant_under_recache():
     for delta in (0.05, 0.5):
         assert is_pseudo_orbit(xi, delta).verdict == is_pseudo_orbit(recached, delta).verdict
     assert np.array_equal(xi.step_errors, recached.step_errors)
+
+
+@pytest.mark.parametrize("defects, message", [
+    ([1, 3], "step 5 has a nonzero step error but is no defect"),
+    ([5, 1, 3], "defects must be sorted steps below the horizon, one a step"),
+    ([1, 1, 3, 5], "defects must be sorted steps below the horizon, one a step"),
+    ([-1, 1, 3, 5], "defects must be sorted steps below the horizon, one a step"),
+    ([1, 3, 5, 8], "defects must be sorted steps below the horizon, one a step"),
+    ([[1, 3, 5]], "defects must be sorted steps below the horizon, one a step"),
+])
+def test_the_constructor_checks_the_defects_cover_every_nonzero_error(defects, message):
+    xi = orbit_with_errors([0.0, 0.0, 0.5, 0.5, 0.25, 0.25, 0.75, 0.75, 0.75])
+    assert xi.defects.tolist() == [1, 3, 5]
+    PseudoOrbit(xi.family, xi.word, xi.points, xi.step_errors, defects=[0, 1, 3, 5, 7])
+    with pytest.raises(DomainError, match=re.escape(message)):
+        PseudoOrbit(xi.family, xi.word, xi.points, xi.step_errors, defects=defects)
+    with pytest.raises(TypeError, match="defects"):
+        PseudoOrbit(xi.family, xi.word, xi.points, xi.step_errors)
 
 
 def test_step_errors_bounded_by_diameter():

@@ -54,7 +54,8 @@ def orbit_with_step_errors(e) -> PseudoOrbit:
     """A constant 1-d orbit carrying the given step errors as its cache."""
     e = np.asarray(e, dtype=np.float64)
     family = GeneratorFamily(MetricSpace.box([0.0], [1.0]), (GeneratorMap.identity(),))
-    return PseudoOrbit(family, Word.constant(1, m=1), np.zeros((len(e) + 1, 1)), e)
+    return PseudoOrbit(family, Word.constant(1, m=1), np.zeros((len(e) + 1, 1)), e,
+                       defects=np.flatnonzero(e))
 
 
 def assert_matches_oracle(e, delta: float):

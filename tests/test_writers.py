@@ -1,9 +1,9 @@
 """Differential tests of the artifact writers.
 
-``save_orbit`` finds an orbit's defects with one vectorised bitwise
-comparison, and ``dump_csv`` formats CSV rows without a per-cell Python
-loop. The references below take one point or one cell at a time: the v2
-payload from ``reference_map`` step by step, written by
+``save_orbit`` writes the defects that an orbit's walk recorded, and
+``dump_csv`` formats CSV rows without a per-cell Python loop. The references
+below take one point or one cell at a time: the v2 payload from
+``reference_defects`` step by step, written by
 ``json.dumps(..., indent=2)``, and one ``repr``-or-``str`` per CSV cell.
 Files must agree byte for byte.
 """
@@ -30,7 +30,6 @@ from shadowlab import (
     make_corrupted_orbit,
     true_orbit,
 )
-from shadowlab.dynamics import CIRCLE
 from shadowlab.serialize import (
     CSV_CHUNK_ROWS,
     ORBIT_SCHEMA_V2,
@@ -40,7 +39,7 @@ from shadowlab.serialize import (
     save_orbit,
 )
 
-from oracles import reference_map
+from oracles import reference_defects
 
 SETTINGS = settings(max_examples=200, deadline=None)
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e16, -1e16, 1e-5, 1e-4, 0.1, 1 / 3,
@@ -78,13 +77,7 @@ def reference_orbit_dict(xi: PseudoOrbit) -> dict:
     """The v2 payload, one step at a time: a defect is a step whose next point's
     bytes differ from those of the image of its point."""
     family, P = xi.family, xi.points
-    defects = []
-    for j, s in enumerate(xi.word.symbols(xi.horizon).tolist()):
-        image = P[j].tolist() if s == 0 else reference_map(family.maps[s - 1], P[j].tolist())
-        if family.space.kind == CIRCLE:
-            image = [image[0] % 1.0]
-        if np.array(image).tobytes() != P[j + 1].tobytes():
-            defects.append([j, P[j + 1].tolist()])
+    defects = [[j, P[j + 1].tolist()] for j in reference_defects(family, xi.word, P)]
     return {"schema": ORBIT_SCHEMA_V2, "system": family.spec(), "word": xi.word.spec(),
             "horizon": xi.horizon, "start": P[0].tolist(), "defects": defects,
             "points_sha256": big_endian_sha256(P),
@@ -135,7 +128,7 @@ def test_save_orbit_meta_goes_through_json():
     xi = true_orbit(family, word, (0.4, 0.2), 20)
     meta = {"quote\"slash\\newline\n\u00e9\U0001f600": [1, {"x": 0.1, "y": [-0.0]}],
             "points": "[\n  1.0\n]", "z": np.float64(1e16), "": []}
-    xi = PseudoOrbit(family, word, xi.points, xi.step_errors, meta)
+    xi = PseudoOrbit(family, word, xi.points, xi.step_errors, meta, defects=xi.defects)
     assert written(save_orbit, xi) == reference_json(reference_orbit_dict(xi))
     with tempfile.TemporaryDirectory() as d:
         save_orbit(xi, Path(d) / "orbit.json")
