@@ -14,7 +14,7 @@ import numpy as np
 from .density import prefix_means
 from .errors import ParameterError, PreconditionError
 from .pseudo_orbits import PseudoOrbit
-from .dynamics import Word
+from .dynamics import Word, _walk
 from .verdict import ClassificationVerdict
 
 GROWTH_CAP = 20
@@ -88,15 +88,15 @@ def concatenate(plan: BlockPlan, word: Word) -> PseudoOrbit:
 
     Each block must be a pseudo-orbit for the word shifted to its own
     offset, with prefix mean errors below 1/k beyond N_k; both checks read
-    the block's slice of the step errors of one walk through the laid-out
-    points (PseudoOrbit.from_points). Junction step errors are recorded
-    separately in the metadata.
+    the block's slice of the step errors of one "stored" walk landing every
+    laid-out point (checked when its block was built, so not again here).
+    Junction step errors are recorded separately in the metadata.
     """
     offsets = plan.offsets
     family = plan.blocks[0].family
-    laid = PseudoOrbit.from_points(family, word,
-                                   np.concatenate([b.points for b in plan.blocks], axis=0))
-    points, errors = laid.points, laid.step_errors
+    points = np.concatenate([b.points for b in plan.blocks], axis=0)
+    H = len(points) - 1
+    _, _, errors, defects = _walk(family, word, points[0], H, (np.arange(H), points[1:]), "stored")
     for k, (block, N) in enumerate(zip(plan.blocks, plan.N_levels), start=1):
         block_errors = errors[offsets[k - 1]:offsets[k] - 1]
         # A step's error is the same bits wherever it is walked, so any
@@ -118,7 +118,7 @@ def concatenate(plan: BlockPlan, word: Word) -> PseudoOrbit:
     meta = {"kind": "concatenation", "offsets": offsets,
             "junction_indices": junction_indices,
             "junction_errors": [float(errors[i]) for i in junction_indices]}
-    return PseudoOrbit(family, word, points, errors, meta, defects=laid.defects)
+    return PseudoOrbit(family, word, points, errors, meta, defects=defects)
 
 
 def _sample_grid(offsets: list[int], horizon: int) -> list[int]:

@@ -100,8 +100,8 @@ class PseudoOrbit:
         the first that lands every other as it is, so its step errors and
         defects are the walk's. The alphabet, the shape and each point's
         membership are checked before the walk; a 1-d array holds one point
-        of a 1-dimensional space per entry. perfbench builds its orbit files
-        through it."""
+        of a 1-dimensional space per entry. A v1 load goes through it, and
+        so does perfbench's one set-up orbit, but not perfbench's files."""
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim == 1:
             pts = pts.reshape(-1, 1)

@@ -32,10 +32,11 @@ ORBIT_SCHEMA = "shadowlab/pseudo-orbit/v1"
 ORBIT_SCHEMA_V2 = "shadowlab/pseudo-orbit/v2"
 PLAN_SCHEMA = "shadowlab/block-plan/v1"
 PLAN_KEYS = ("schema", "blocks", "N_levels")
-# The longest horizon a config, an orbit file or a plan's laid-out blocks may
-# ask for, checked before any walk. A walk holds its arrays and one block of
-# lists (dynamics.WALK_BLOCK), and a command built on walks peaks at 100 bytes
-# a step or less in dimension 2 (peak RSS above a 1 000-step run, the shortest
+# The longest horizon a config, an orbit file (its `horizon` in v2, one less
+# than its listed points in v1) or a plan's laid-out blocks may ask for,
+# checked before any walk. A walk holds its arrays and one block of lists
+# (dynamics.WALK_BLOCK), and a command built on walks peaks at 100 bytes a
+# step or less in dimension 2 (peak RSS above a 1 000-step run, the shortest
 # that repair and example-disk accept, at 2 * 10**6 steps; Python 3.11, numpy
 # 2.4): 48 for `generate` (no jumps, or jumps at the squares), 48 for loading
 # a v2 file, 75 for `repair` of an orbit with jumps at the squares (at a
@@ -199,10 +200,10 @@ def _capped(name: str, horizon: int, d: int) -> int:
     return horizon
 
 
-def _walked_orbit(data: dict, family: GeneratorFamily, word: Word) -> tuple:
-    """A v2 file's points, step errors and defects, from one walk from its
-    start that lands each defect's point as stored; the points must match
-    points_sha256."""
+def _walked_orbit(data: dict, family: GeneratorFamily, word: Word, meta: dict) -> PseudoOrbit:
+    """A v2 file's orbit, carrying meta, from one walk from its start that
+    lands each defect's point as stored; the points must match points_sha256
+    before the orbit is built."""
     d = family.space.dimension
     H = _capped("field 'horizon'", _at_least("horizon", data["horizon"], 0), d)
     start = _keyed("start", _point, "start", data["start"], d)
@@ -223,7 +224,7 @@ def _walked_orbit(data: dict, family: GeneratorFamily, word: Word) -> tuple:
     if digest != data["points_sha256"]:
         raise IntegrityError(f"points digest mismatch: the walk gives {digest[:12]}…, "
                              f"file says {str(data['points_sha256'])[:12]}…")
-    return points, errors, defects
+    return PseudoOrbit(family, word, points, errors, meta, defects=defects)
 
 
 # The keys each orbit schema requires; orbit_from_dict reads them and "meta".
@@ -235,9 +236,9 @@ ORBIT_KEYS = {
 
 
 def orbit_from_dict(data: dict) -> PseudoOrbit:
-    """Rebuild the points (listed in v1, walked in v2), the step errors and the
-    defects, each from one walk, and verify the embedded checksums; an unknown
-    or missing key is an error."""
+    """The file's one PseudoOrbit, with its meta: the keys (an unknown or
+    missing one is an error), specs, meta and caps are checked before the one
+    walk that builds it, and its step errors then against the checksum."""
     schema = data.get("schema")
     if schema not in ORBIT_KEYS:
         raise ParameterError(f"unsupported orbit schema {schema!r}")
@@ -245,21 +246,21 @@ def orbit_from_dict(data: dict) -> PseudoOrbit:
     _keyed("system", _known, "system", data["system"], ("space", "maps"), ("space", "maps"))
     family = _keyed("system", GeneratorFamily.from_spec, data["system"])
     word = _keyed("word", Word.from_spec, data["word"])
+    meta = data.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ParameterError(f"must be an object, got {meta!r}", "meta")
     if schema == ORBIT_SCHEMA:
-        listed = PseudoOrbit.from_points(family, word,
-                                         as_points(data["points"], family.space.dimension))
-        points, errors, defects = listed.points, listed.step_errors, listed.defects
+        points = as_points(data["points"], family.space.dimension)
+        _capped("field 'points'", len(points) - 1, family.space.dimension)
+        xi = PseudoOrbit.from_points(family, word, points, meta)
     else:
-        points, errors, defects = _walked_orbit(data, family, word)
-    checksum = step_error_checksum(errors)
+        xi = _walked_orbit(data, family, word, meta)
+    checksum = step_error_checksum(xi.step_errors)
     if checksum != data["step_error_checksum"]:
         raise IntegrityError(
             "step-error checksum mismatch: recomputed "
             f"{checksum[:12]}…, file says {str(data['step_error_checksum'])[:12]}…")
-    meta = data.get("meta", {})
-    if not isinstance(meta, dict):
-        raise ParameterError(f"must be an object, got {meta!r}", "meta")
-    return PseudoOrbit(family, word, points, errors, meta, defects=defects)
+    return xi
 
 
 def save_orbit(xi: PseudoOrbit, path: Path | str) -> None:
@@ -415,13 +416,13 @@ def _corruption(section, dimension: int, horizon: int, seed: int) -> tuple[Index
                        ("kind", "density", "base", "indices")))
     kind, H = spec.pop("kind", "none"), horizon
     if kind == "none":
-        steps = []
+        steps = np.arange(0)
     elif kind == "all":
-        steps = range(H)
+        steps = np.arange(H)
     elif kind == "squares":
-        steps = (k * k for k in range(math.isqrt(H - 1) + 1))
+        steps = np.arange(math.isqrt(H - 1) + 1) ** 2
     elif kind == "evens":
-        steps = range(0, H, 2)
+        steps = np.arange(0, H, 2)
     elif kind == "powers":
         base = _at_least("corruption.indices.base", spec.pop("base", 2), 2)
         steps, v = [], 1

@@ -563,14 +563,6 @@ def _net_pick(xi: PseudoOrbit, objective: str, eps: float, mesh: float,
     return P[index], index, float(values[index]), len(P), t
 
 
-def _pick_report(xi: PseudoOrbit, z: np.ndarray, index: int, t: np.ndarray | None, eps: float,
-                 tail_fraction: float, alpha: float | None) -> ShadowReport:
-    """The pick's trace_report, from the scan's walk of it when there was one."""
-    if t is None:
-        return trace_report(z, xi, eps, tail_fraction, alpha, index)
-    return _build_report(t, eps, tail_fraction, z, alpha, index)
-
-
 @dataclass(frozen=True)
 class SearchResult:
     """Best candidate found by an exhaustive net scan."""
@@ -601,31 +593,35 @@ class SearchResult:
         }
 
 
+def _net_search(xi: PseudoOrbit, objective: str, eps: float, mesh: float, tail_fraction: float,
+                alpha: float | None) -> SearchResult:
+    """The net's pick for objective as a SearchResult, after alpha (when
+    given), eps and the tail fraction are checked, in that order."""
+    check_alpha(alpha)
+    check_positive("eps", eps)
+    check_tail_fraction(tail_fraction)
+    z, index, value, size, t = _net_pick(xi, objective, eps, mesh, tail_fraction)
+    report = (trace_report(z, xi, eps, tail_fraction, alpha, index) if t is None
+              else _build_report(t, eps, tail_fraction, z, alpha, index))
+    params = {"scan_objective": value, "eps": eps, "tail_fraction": tail_fraction}
+    if objective == LIMSUP:
+        return SearchResult(report, value < eps, objective, mesh, size, params)
+    return SearchResult(report, value > alpha, objective, mesh, size, {**params, "alpha": alpha})
+
+
 def average_shadow_search(xi: PseudoOrbit, eps: float, mesh: float,
                           tail_fraction: float = DEFAULT_TAIL_FRACTION) -> SearchResult:
     """Minimize the limsup estimate of trace means over a net.
 
     Success means the minimum is below eps.
     """
-    check_positive("eps", eps)
-    check_tail_fraction(tail_fraction)
-    z, index, value, size, t = _net_pick(xi, LIMSUP, eps, mesh, tail_fraction)
-    report = _pick_report(xi, z, index, t, eps, tail_fraction, None)
-    return SearchResult(report, value < eps, LIMSUP, mesh, size,
-                        {"scan_objective": value, "eps": eps, "tail_fraction": tail_fraction})
+    return _net_search(xi, LIMSUP, eps, mesh, tail_fraction, None)
 
 
 def m_alpha_shadow_search(xi: PseudoOrbit, eps: float, alpha: float, mesh: float,
                           tail_fraction: float = DEFAULT_TAIL_FRACTION) -> SearchResult:
     """Find a net point whose hit set has lower density estimate above alpha."""
-    check_alpha(alpha)
-    check_positive("eps", eps)
-    check_tail_fraction(tail_fraction)
-    z, index, value, size, t = _net_pick(xi, HIT_DENSITY, eps, mesh, tail_fraction)
-    report = _pick_report(xi, z, index, t, eps, tail_fraction, alpha)
-    return SearchResult(report, value > alpha, HIT_DENSITY, mesh, size,
-                        {"scan_objective": value, "eps": eps, "alpha": alpha,
-                         "tail_fraction": tail_fraction})
+    return _net_search(xi, HIT_DENSITY, eps, mesh, tail_fraction, alpha)
 
 
 @dataclass(frozen=True)

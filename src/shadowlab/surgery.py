@@ -34,11 +34,12 @@ class RepairResult:
     truncated_last_block: bool = False
 
     def __post_init__(self):
-        diff = set(self.diff_set.to_list())
-        if not diff <= set(self.blocks.to_list()):
+        # j is among the sorted block indices iff its left and right
+        # insertion points differ.
+        blocks, diff = self.blocks.indices, self.diff_set.indices
+        if (np.searchsorted(blocks, diff) == np.searchsorted(blocks, diff, "right")).any():
             raise ParameterError("diff set must be contained in the block union")
-        anchors = self.anchors.to_list()
-        if any(b - a < self.M for a, b in zip(anchors, anchors[1:])):
+        if (np.diff(self.anchors.indices) < self.M).any():
             raise ParameterError(f"anchors must be spaced >= M={self.M} apart")
 
 
@@ -103,12 +104,13 @@ def repair(xi: PseudoOrbit, delta: float,
     for k in anchors.to_list():
         blocks[k:k + M] = followed[k:k + M - 1] = True
     exits = anchors.indices + (M - 1)
-    landed = np.union1d(xi.defects[~followed[xi.defects]], exits[exits < H])
+    landed = IndexSet.from_iterable(np.concatenate((xi.defects[~followed[xi.defects]],
+                                                    exits[exits < H])), H).indices
     points, _, errors, defects = _walk(xi.family, xi.word, xi.points[0], H,
                                        (landed, xi.points[landed + 1]), "stored")
     meta = {**xi.meta, "repaired": True, "M": M, "delta": delta}
     y = PseudoOrbit(xi.family, xi.word, points, errors, meta, defects=defects)
     diff = IndexSet.from_mask(np.any(points != xi.points, axis=1))
-    return RepairResult(y, M, IndexSet.from_iterable(anchors.to_list(), H + 1),
-                        IndexSet.from_mask(blocks), diff, delta, anchors.to_list()[-1] + M > H + 1)
+    return RepairResult(y, M, IndexSet(anchors.indices, H + 1), IndexSet.from_mask(blocks), diff,
+                        delta, int(anchors.indices[-1]) + M > H + 1)
 

@@ -201,7 +201,13 @@ def save_block_plan_manifest(block_paths, N_levels, path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Repair
+# Index sets and repair
+
+
+def reference_index_set(indices, horizon: int) -> IndexSet:
+    """The distinct indices, by the direct expression: Python's sorted, then
+    numpy's unique."""
+    return IndexSet(np.unique(np.asarray(sorted(indices), dtype=np.int64)), horizon)
 
 
 def reference_repair(xi, delta: float) -> RepairResult:
@@ -225,8 +231,8 @@ def reference_repair(xi, delta: float) -> RepairResult:
                     recompute_step_errors(xi.family, xi.word, points), meta,
                     defects=reference_defects(xi.family, xi.word, points))
     diff = IndexSet.from_mask(np.any(points != xi.points, axis=1))
-    return RepairResult(y, M, IndexSet.from_iterable(anchors.to_list(), H + 1),
-                        IndexSet.from_iterable(block_indices, H + 1), diff, delta, truncated)
+    return RepairResult(y, M, reference_index_set(anchors.to_list(), H + 1),
+                        reference_index_set(block_indices, H + 1), diff, delta, truncated)
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import shadowlab
-from shadowlab import GeneratorFamily, GeneratorMap, build_disk_system, true_orbit
-from shadowlab import serialize
+from shadowlab import GeneratorFamily, GeneratorMap, Word, build_disk_system, true_orbit
+from shadowlab import concat, dynamics, pseudo_orbits, serialize, surgery
 from shadowlab.cli import main
 from shadowlab.density import MIN_DENSITY_HORIZON, check_tail_fraction
 from shadowlab.dynamics import DIMENSION_CAP
@@ -34,6 +34,8 @@ from shadowlab.serialize import (
     save_orbit,
     validate_config,
 )
+
+from oracles import save_orbit_v1
 
 EXIT_CODES = {0, 2, 3, 4}
 FIELDS = ("seed", "horizon", "tail_fraction", "net_mesh", "thresholds.delta",
@@ -965,6 +967,53 @@ def test_a_plan_whose_blocks_lay_out_past_the_cap_exits_4_naming_the_block(tmp_p
     assert code == 4, err
     assert (f"plan manifest {plan}: field 'blocks[1]', laid out after the blocks before it: "
             "2501 steps exceed the horizon cap of 2000") in err
+
+
+def no_walk(monkeypatch) -> None:
+    """Make every walk raise, so that a test shows that none started."""
+    def walk(*args, **kwargs):
+        raise AssertionError("a walk started")
+    for module in (dynamics, pseudo_orbits, serialize, surgery, concat):
+        monkeypatch.setattr(module, "_walk", walk)
+
+
+@pytest.mark.parametrize("d, steps, message", [
+    (2, 101, "field 'points': 101 steps exceed the horizon cap of 100"),
+    (10, 20, "field 'points': 20 steps in dimension 10 store 210 coordinates, "
+             "past the cap of 202"),
+])
+def test_a_v1_file_past_the_cap_exits_4_naming_it_before_any_walk(tmp_path, capsys,
+                                                                  monkeypatch, d, steps, message):
+    # A v1 file's horizon is its points less one. It loaded past the cap.
+    data = json.loads(box_config(tmp_path, d).read_text())
+    system, orbit = data["system"], tmp_path / "v1.json"
+    save_orbit_v1(true_orbit(GeneratorFamily.from_spec(system), Word.from_spec(system["word"]),
+                             system["start"], steps), orbit)
+    data.update({"horizon": 10, "classify": {"orbit": str(orbit)}})
+    monkeypatch.setattr(serialize, "HORIZON_CAP", 100)
+    no_walk(monkeypatch)
+    code, err = run(data, tmp_path, "classify", capsys)
+    assert code == 4, err
+    assert f"orbit file {orbit}: {message}" in err
+
+
+def test_a_plan_whose_one_block_past_the_cap_is_v1_names_that_block(tmp_path, capsys,
+                                                                     monkeypatch):
+    # blocks[1], a v1 file, is past the cap alone. The plan named the manifest,
+    # once the block had loaded.
+    family, word = build_disk_system()
+    save_orbit(true_orbit(family, word, [0.6, 0.3], 50), tmp_path / "b0.json")
+    save_orbit_v1(true_orbit(family, word, [0.6, 0.3], 150), tmp_path / "b1.json")
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"schema": PLAN_SCHEMA, "N_levels": [1, 1],
+                                "blocks": ["b0.json", "b1.json"]}))
+    data = {**base_config(tmp_path / "out"), "horizon": 100, "concat": {"manifest": str(plan)}}
+    monkeypatch.setattr(serialize, "HORIZON_CAP", 100)
+    code, err = run(data, tmp_path, "concat", capsys)
+    assert code == 4, err
+    assert (f"orbit file {tmp_path / 'b1.json'}: field 'points': 150 steps exceed the "
+            "horizon cap of 100") in err
+    assert "plan manifest" not in err
 
 
 @pytest.mark.parametrize("text", ["0.5\nabc\n", "0.5\nnan\n"])

@@ -14,7 +14,8 @@ from shadowlab import (
 )
 from shadowlab.density import tail_window_start
 
-from oracles import complement, lower_density_estimate, prefix_density_exact
+from oracles import (complement, lower_density_estimate, prefix_density_exact,
+                     reference_index_set)
 
 
 def evens(horizon):
@@ -31,6 +32,44 @@ def test_prefix_density_empty_and_full():
     full = IndexSet.from_iterable(range(10), 10)
     assert all(prefix_density(full, n) == 1.0 for n in range(1, 11))
     assert prefix_density(full, 0) == 0.0
+
+
+# Each form of an iterable of indices, made afresh for every read (a
+# generator is read once).
+FORMS = {
+    "list": list,
+    "tuple": tuple,
+    "generator": lambda v: (j for j in v),
+    "int64 array": lambda v: np.array(v, dtype=np.int64),
+    "int32 array": lambda v: np.array(v, dtype=np.int32),
+    "set": set,
+}
+
+
+def index_set_or_error(make):
+    """(indices, horizon) of the set that make() builds, or the error it raises."""
+    try:
+        A = make()
+    except ParameterError as exc:
+        return str(exc)
+    assert A.indices.dtype == np.int64
+    return A.indices.tolist(), A.horizon
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.tuples(st.lists(st.integers(-2, 40), max_size=60), st.sampled_from(sorted(FORMS))),
+    # Ranges, ascending or descending.
+    st.builds(range, st.integers(-2, 40), st.integers(-2, 40),
+              st.integers(1, 7) | st.integers(-7, -1)).map(lambda r: (r, "range"))),
+    st.integers(0, 40))
+def test_from_iterable_matches_sorted_then_unique(case, horizon):
+    # Duplicates in any order are dropped; an index outside [0, horizon) is
+    # the same ParameterError.
+    values, form = case
+    make = (lambda: values) if form == "range" else (lambda: FORMS[form](values))
+    assert (index_set_or_error(lambda: IndexSet.from_iterable(make(), horizon))
+            == index_set_or_error(lambda: reference_index_set(make(), horizon)))
 
 
 def test_prefix_density_range_error():

@@ -481,3 +481,36 @@ def test_an_orbit_file_whose_meta_is_no_object_exits_2_naming_it(tmp_path, capsy
     code, err, path = classify(tmp_path, capsys, data)
     assert code == 2
     assert f"orbit file {path}: field 'meta': must be an object" in err
+
+
+# ---------------------------------------------------------------------------
+# One decode path: each load and each concatenation builds one PseudoOrbit
+
+
+def two_block_plan() -> tuple[BlockPlan, Word]:
+    """Two swap-map true orbits on the disk, laid out under a constant word."""
+    family = GeneratorFamily(MetricSpace.unit_disk(), (GeneratorMap.permutation((1, 0)),))
+    word = Word.constant(1, m=1)
+    block = true_orbit(family, word, (0.8, 0.1), 10)
+    return BlockPlan((block, block), (1, 1)), word
+
+
+@pytest.mark.parametrize("build", ["v1 load", "v2 load", "concatenate"])
+def test_each_load_and_concatenation_builds_one_pseudo_orbit(tmp_path, monkeypatch, build):
+    # A v1 load and a concatenation each built two: the walk's orbit and a
+    # copy with the meta.
+    xi, (plan, word) = sample_orbits()["disk-uniform"], two_block_plan()
+    save_orbit_v1(xi, tmp_path / "v1 load.json")
+    save_orbit(xi, tmp_path / "v2 load.json")
+    built, check = [], PseudoOrbit.__post_init__
+
+    def counted(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(PseudoOrbit, "__post_init__", counted)
+    got = (concatenate(plan, word) if build == "concatenate"
+           else load_orbit(tmp_path / f"{build}.json"))
+    assert len(built) == 1 and built[0] is got
+    if build != "concatenate":
+        assert_same_orbit(got, xi)

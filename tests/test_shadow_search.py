@@ -104,6 +104,23 @@ def test_trace_report_rejects_an_alpha_outside_the_unit_interval(alpha):
         trace_report((0.1, 0.1), xi, 0.2, alpha=alpha)
 
 
+@pytest.mark.parametrize("search, args, message", [
+    # alpha first for m-alpha, then eps, then the tail fraction.
+    (m_alpha_shadow_search, dict(eps=0.0, alpha=1.5, tail_fraction=1.5), "alpha must lie in"),
+    (m_alpha_shadow_search, dict(eps=0.0, alpha=0.5, tail_fraction=1.5), "eps"),
+    (m_alpha_shadow_search, dict(eps=0.1, alpha=0.5, tail_fraction=1.5), "tail_fraction"),
+    (average_shadow_search, dict(eps=0.0, tail_fraction=1.5), "eps"),
+    (average_shadow_search, dict(eps=0.1, tail_fraction=1.5), "tail_fraction"),
+])
+def test_a_net_search_checks_its_arguments_in_order_before_any_net(monkeypatch, search, args,
+                                                                 message):
+    def no_net(*a, **k):
+        raise AssertionError("a net was built")
+    monkeypatch.setattr(shadow_search, "net", no_net)
+    with pytest.raises(ParameterError, match=message):
+        search(constant_orbit((0.25, 0.25), 50), mesh=0.5, **args)
+
+
 def test_trace_constant_distance():
     xi = constant_orbit((0.25, 0.25), 50)
     z = (0.75, 0.25)

@@ -12,6 +12,7 @@ from shadowlab import (
     ParameterError,
     PreconditionError,
     PseudoOrbit,
+    RepairResult,
     Word,
     block_length,
     build_disk_system,
@@ -342,3 +343,23 @@ def test_repair_with_anchors_exactly_m_apart_and_a_cut_block(word):
     # Block 1's last step lands anchor 2's point as stored, and keeps an error.
     assert got.y.points[5 + M].tolist() == xi.points[5 + M].tolist()
     assert got.y.step_errors[5 + M - 1] > 0.0
+
+
+@pytest.mark.parametrize("M, diff, message", [
+    (5, [5, 14], None),
+    (5, [4, 14], "diff set must be contained in the block union"),
+    (5, [5, 15], "diff set must be contained in the block union"),
+    (5, [5, 9, 30], "diff set must be contained in the block union"),
+    (6, [5, 14], "anchors must be spaced >= M=6 apart"),
+])
+def test_a_repair_result_rejects_a_diff_outside_the_blocks_and_anchors_closer_than_m(M, diff,
+                                                                                   message):
+    family, word = halving_interval()
+    y = true_orbit(family, word, [0.5], 30)
+    anchors, blocks = IndexSet.from_iterable([5, 10], 31), IndexSet.from_iterable(range(5, 15), 31)
+    diff_set = IndexSet.from_iterable(diff, 31)
+    if message is None:
+        assert RepairResult(y, M, anchors, blocks, diff_set, 0.4).diff_set.to_list() == diff
+        return
+    with pytest.raises(ParameterError, match=message):
+        RepairResult(y, M, anchors, blocks, diff_set, 0.4)
