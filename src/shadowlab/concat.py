@@ -13,8 +13,8 @@ import numpy as np
 
 from .density import prefix_means
 from .errors import ParameterError, PreconditionError
-from .pseudo_orbits import PseudoOrbit
-from .dynamics import Word, _walk
+from .dynamics import Word
+from .pseudo_orbits import PseudoOrbit, _column_pass
 from .verdict import ClassificationVerdict
 
 GROWTH_CAP = 20
@@ -88,18 +88,30 @@ def concatenate(plan: BlockPlan, word: Word) -> PseudoOrbit:
 
     Each block must be a pseudo-orbit for the word shifted to its own
     offset, with prefix mean errors below 1/k beyond N_k; both checks read
-    the block's slice of the step errors of one "stored" walk landing every
-    laid-out point (checked when its block was built, so not again here).
-    Junction step errors are recorded separately in the metadata.
+    the block's slice of the step errors of one column pass
+    (pseudo_orbits._column_pass) over the laid-out points, whose membership
+    was checked when their blocks were built. Block k's steps take the
+    symbols of the block's own word when it equals the word shifted by the
+    block's offset (a frozen spec fixes every symbol, and the block's memo
+    already holds them), and those of the shifted word otherwise; a
+    junction's symbol is the word's symbol_at. Junction step errors are
+    recorded separately in the metadata.
     """
     offsets = plan.offsets
     family = plan.blocks[0].family
+    family.check_alphabet(word)
     points = np.concatenate([b.points for b in plan.blocks], axis=0)
-    H = len(points) - 1
-    _, _, errors, defects = _walk(family, word, points[0], H, (np.arange(H), points[1:]), "stored")
+    symbols = np.empty(len(points) - 1, dtype=np.min_scalar_type(word.m))
+    for k, block in enumerate(plan.blocks, start=1):
+        shifted = word.shifted(offsets[k - 1])
+        symbols[offsets[k - 1]:offsets[k] - 1] = (
+            block.word if block.word == shifted else shifted).symbols(block.horizon)
+        if k < len(plan.blocks):
+            symbols[offsets[k] - 1] = word.symbol_at(offsets[k] - 1)
+    errors, defects = _column_pass(family, symbols, points)
     for k, (block, N) in enumerate(zip(plan.blocks, plan.N_levels), start=1):
         block_errors = errors[offsets[k - 1]:offsets[k] - 1]
-        # A step's error is the same bits wherever it is walked, so any
+        # A step's error is the same bits wherever it is computed, so any
         # difference means the block was built for another word.
         if not np.array_equal(block_errors, block.step_errors):
             mismatch = float(np.max(np.abs(block_errors - block.step_errors)))

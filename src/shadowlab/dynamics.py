@@ -474,10 +474,9 @@ class GeneratorFamily:
         """Step table: ``steps[s]`` maps a tuple of d columns through f_s.
 
         Symbol 0 is the identity, and circle images wrap into [0, 1). The
-        scans, and pseudo_orbits.recompute_step_errors (the column reference
-        for the walk), step columns through this table; the walk is
-        generated from the same terms (_walk_source), so a step rounds the
-        same there on floats.
+        scans, and the column pass of given points (pseudo_orbits._column_pass),
+        step columns through this table; the walk is generated from the same
+        terms (_walk_source), so a step rounds the same there on floats.
         """
         d, wrap = self.space.dimension, "({}) % 1.0" if self.space.kind == CIRCLE else "{}"
         return (lambda c: c, *(g._compile(d, wrap) for g in self.maps))

@@ -26,31 +26,70 @@ from .verdict import ClassificationVerdict
 DEFAULT_DENSITY_TOL = 0.01
 
 
-def recompute_step_errors(family: GeneratorFamily, word: Word, points: np.ndarray) -> np.ndarray:
-    """e_j = d(f_{w_j}(x_j), x_{j+1}) on columns: each symbol's map evaluated
-    on the columns of its steps, after the word's alphabet is checked against
-    the family. The column reference that tests compare the walk's step
-    errors against, and that perfbench writes its orbit files' checksums
-    with; the library itself takes every step error from its walk."""
-    family.check_alphabet(word)
+# Steps a column pass evaluates at once. It bounds the pass's temporaries (a
+# symbol's index and gathered columns, the images, their distances and bit
+# comparison) to one block: from_points on the disk at H = 2e5 peaked at 64 B
+# a step in one full-length pass and at 26.7 in blocks of 2**16 steps
+# (tracemalloc), against about 35 for a "stored" walk of the same points.
+COLUMN_BLOCK = 2**16
+
+
+def _column_pass(family: GeneratorFamily, symbols: np.ndarray,
+                 points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The step errors e_j = d(f_{w_j}(x_j), x_{j+1}) and the defects of the
+    given points x_0..x_H under the given symbols w_0..w_{H-1}, with no walk:
+    when every point is given, no step depends on the one before. Each
+    symbol's map runs on the columns of its steps (family.steps), COLUMN_BLOCK
+    steps at a time, and the errors are space._distance from the images to
+    the next points; the defects are the steps whose next point differs from
+    the image bit for bit, _walk's rule for a landing step, so a "stored" walk
+    landing every point returns the same errors and defects bit for bit. No
+    membership is checked, and a point that left the space raises no
+    warning; the caller checks the alphabet."""
     H = len(points) - 1
-    symbols = word.symbols(H)
-    columns = tuple(points[:-1].T)
-    images = tuple(np.empty(H) for _ in columns)
-    for s in np.unique(symbols).tolist():
-        idx = np.flatnonzero(symbols == s)
-        for image, column in zip(images, family.steps[s](tuple(c[idx] for c in columns))):
-            image[idx] = column
-    return family.space._distance(images, tuple(points[1:].T))
+    errors, defects = np.empty(H), [np.empty(0, dtype=np.int64)]
+    with np.errstate(all="ignore"):  # a point outside the space may overflow
+        for j0 in range(0, H, COLUMN_BLOCK):
+            j1 = min(j0 + COLUMN_BLOCK, H)
+            block, columns = symbols[j0:j1], tuple(points[j0:j1].T)
+            images = tuple(np.empty(j1 - j0) for _ in columns)
+            for s in np.flatnonzero(np.bincount(block)).tolist():
+                idx = np.flatnonzero(block == s)
+                for image, column in zip(images, family.steps[s](tuple(c[idx] for c in columns))):
+                    image[idx] = column
+            landed = tuple(points[j0 + 1:j1 + 1].T)
+            errors[j0:j1] = family.space._distance(images, landed)
+            moved = np.zeros(j1 - j0, dtype=bool)
+            for image, x in zip(images, landed):
+                moved |= image.view(np.uint64) != x.view(np.uint64)
+            defects.append(j0 + np.flatnonzero(moved))
+    return errors, np.concatenate(defects)
 
 
-def _checked_points(family: GeneratorFamily, word: Word, points) -> np.ndarray:
-    """points as an (H+1, d) float64 array of points of the space, after the
-    word's alphabet is checked against the family."""
+def recompute_step_errors(family: GeneratorFamily, word: Word, points: np.ndarray) -> np.ndarray:
+    """e_j = d(f_{w_j}(x_j), x_{j+1}) of the given points, after the word's
+    alphabet is checked against the family: the step errors of one column
+    pass (_column_pass), as from_points and concatenate take them. perfbench
+    writes its orbit files' checksums with it, and the tests compare the
+    walk's step errors against it; no code in the library calls it."""
+    family.check_alphabet(word)
+    points = np.asarray(points, dtype=np.float64)
+    return _column_pass(family, word.symbols(len(points) - 1), points)[0]
+
+
+def _shaped_points(family: GeneratorFamily, word: Word, points) -> np.ndarray:
+    """points as an (H+1, d) float64 array, after the word's alphabet is
+    checked against the family."""
     family.check_alphabet(word)
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != family.space.dimension or not len(pts):
         raise DomainError("points must be an (H+1, dim) array matching the space")
+    return pts
+
+
+def _checked_points(family: GeneratorFamily, word: Word, points) -> np.ndarray:
+    """_shaped_points, each of them a point of the space."""
+    pts = _shaped_points(family, word, points)
     outside = np.flatnonzero(~family.space.contains(pts))
     if outside.size:
         raise DomainError(f"point {int(outside[0])} is outside the {family.space.kind} space")
@@ -96,18 +135,19 @@ class PseudoOrbit:
     @classmethod
     def from_points(cls, family: GeneratorFamily, word: Word, points,
                     meta: dict | None = None) -> "PseudoOrbit":
-        """The pseudo-orbit through the given points: one "stored" walk from
-        the first that lands every other as it is, so its step errors and
-        defects are the walk's. The alphabet, the shape and each point's
-        membership are checked before the walk; a 1-d array holds one point
-        of a 1-dimensional space per entry. A v1 load goes through it, and
-        so does perfbench's one set-up orbit, but not perfbench's files."""
+        """The pseudo-orbit through the given points, its step errors and
+        defects from one column pass (_column_pass), equal bit for bit to
+        those of a "stored" walk from the first point that lands every other
+        as it is. The alphabet and the shape are checked before the pass, and
+        each point's membership by the constructor after it; a 1-d array
+        holds one point of a 1-dimensional space per entry. A v1 load goes
+        through it, and so does perfbench's one set-up orbit, but not
+        perfbench's files."""
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim == 1:
             pts = pts.reshape(-1, 1)
-        pts = _checked_points(family, word, pts)
-        H = len(pts) - 1
-        _, _, errors, defects = _walk(family, word, pts[0], H, (np.arange(H), pts[1:]), "stored")
+        pts = _shaped_points(family, word, pts)
+        errors, defects = _column_pass(family, word.symbols(len(pts) - 1), pts)
         return cls(family, word, pts, errors, meta or {}, defects=defects)
 
     @property

@@ -34,7 +34,7 @@ PLAN_SCHEMA = "shadowlab/block-plan/v1"
 PLAN_KEYS = ("schema", "blocks", "N_levels")
 # The longest horizon a config, an orbit file (its `horizon` in v2, one less
 # than its listed points in v1) or a plan's laid-out blocks may ask for,
-# checked before any walk. A walk holds its arrays and one block of lists
+# checked before any step. A walk holds its arrays and one block of lists
 # (dynamics.WALK_BLOCK), and a command built on walks peaks at 100 bytes a
 # step or less in dimension 2 (peak RSS above a 1 000-step run, the shortest
 # that repair and example-disk accept, at 2 * 10**6 steps; Python 3.11, numpy
@@ -237,8 +237,9 @@ ORBIT_KEYS = {
 
 def orbit_from_dict(data: dict) -> PseudoOrbit:
     """The file's one PseudoOrbit, with its meta: the keys (an unknown or
-    missing one is an error), specs, meta and caps are checked before the one
-    walk that builds it, and its step errors then against the checksum."""
+    missing one is an error), specs, meta and caps are checked before the
+    one pass that builds it (a v2 file's walk, a v1 file's column pass in
+    PseudoOrbit.from_points), and its step errors then against the checksum."""
     schema = data.get("schema")
     if schema not in ORBIT_KEYS:
         raise ParameterError(f"unsupported orbit schema {schema!r}")

@@ -595,8 +595,11 @@ class SearchResult:
 
 def _net_search(xi: PseudoOrbit, objective: str, eps: float, mesh: float, tail_fraction: float,
                 alpha: float | None) -> SearchResult:
-    """The net's pick for objective as a SearchResult, after alpha (when
-    given), eps and the tail fraction are checked, in that order."""
+    """The net's pick for objective as a SearchResult, after alpha (which
+    HIT_DENSITY needs and LIMSUP takes as None), eps and the tail fraction
+    are checked, in that order."""
+    if objective == HIT_DENSITY and alpha is None:
+        raise ParameterError("alpha must lie in (0,1), got None")
     check_alpha(alpha)
     check_positive("eps", eps)
     check_tail_fraction(tail_fraction)

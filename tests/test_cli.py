@@ -20,7 +20,7 @@ from shadowlab.serialize import (
     step_error_checksum,
 )
 
-from oracles import save_block_plan_manifest
+from oracles import save_block_plan_manifest, save_orbit_v1
 
 AFFINE_BOX_SYSTEM = {
     "space": {"kind": "box-kd", "lo": [0.0, 0.0], "hi": [1.0, 1.0]},
@@ -215,6 +215,36 @@ def test_concat_subcommand(tmp_path):
     assert cert["verdict"] is True
     stitched = load_orbit(tmp_path / "out" / "concatenated.json")
     assert len(stitched.points) == 42
+
+
+def test_concat_of_an_iid_plan_draws_each_symbol_once(tmp_path, monkeypatch):
+    # Three v1 blocks of the benchmark's lengths under an iid word shifted to
+    # their offsets lay out H = 10 502 steps. Each load draws its block's
+    # symbols and the junctions take one each; concat drew the whole horizon
+    # once more, 21 002 draws in all.
+    family, word = build_disk_system()[0], Word.iid([0.5, 0.5], seed=7)
+    offset = 0
+    for k, m in enumerate((500, 2_000, 8_000), start=1):
+        save_orbit_v1(true_orbit(family, word.shifted(offset), (0.6, 0.3), m),
+                      tmp_path / f"b{k}.json")
+        offset += m + 1
+    save_block_plan_manifest(["b1.json", "b2.json", "b3.json"], [50, 200, 800],
+                             tmp_path / "plan.json")
+    cfg = json.loads(write_config(tmp_path, concat={"manifest": str(tmp_path / "plan.json")})
+                     .read_text())
+    cfg["system"]["word"] = word.spec()
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
+    draws, iid_draws = [], Word._iid_draws
+
+    def counted(self, start, n):
+        draws.append(n)
+        return iid_draws(self, start, n)
+
+    monkeypatch.setattr(Word, "_iid_draws", counted)
+    assert main(["concat", "--config", str(tmp_path / "config.json")]) == 0
+    assert sum(draws) == offset - 1 == 10_502
+    cert = json.loads((tmp_path / "out" / "concat_certificate.json").read_text())
+    assert cert["verdict"] is True
 
 
 def test_example_disk_default_config(tmp_path):

@@ -93,12 +93,17 @@ def test_concatenate_rejects_wrong_shift():
     assert err.value.witness["block"] == 2
 
 
-def test_concatenate_accepts_correct_shift():
+@pytest.mark.parametrize("block_word", [Word.periodic((1, 2), m=2).shifted(5),
+                                        Word.periodic((2, 1), m=2)], ids=["shifted", "respelled"])
+def test_concatenate_accepts_correct_shift(block_word):
+    # Block 2's word is the word shifted by 5, or another spec with the same
+    # symbols, which concatenate lays out from the shifted word.
     space = MetricSpace.box([0.0], [1.0])
     family = GeneratorFamily(space, (GeneratorMap.identity(), GeneratorMap.scale([0.5])))
     word = Word.periodic((1, 2), m=2)
+    assert np.array_equal(block_word.symbols(9), word.shifted(5).symbols(9))
     block1 = true_orbit(family, word, [0.8], 4)
-    block2 = true_orbit(family, word.shifted(5), [0.6], 4)
+    block2 = true_orbit(family, block_word, [0.6], 4)
     xi = concatenate(BlockPlan((block1, block2), (1, 1)), word)
     assert len(xi.points) == 10
     interior = np.delete(xi.step_errors, 4)
@@ -346,7 +351,8 @@ def jump_rule(kind: str, scale: float) -> JumpRule:
 def plans(draw):
     """A system, a word and a plan of 1-3 blocks, each a true orbit of the word
     shifted to its offset, a true orbit of a wrongly shifted word (fails the
-    mismatch check) or a corrupted orbit (often fails the 1/k check)."""
+    mismatch check), a true orbit of another word with the same symbols (passes)
+    or a corrupted orbit (often fails the 1/k check)."""
     if draw(st.booleans()):
         family, word = build_disk_system()
     else:
@@ -355,9 +361,13 @@ def plans(draw):
     blocks, levels, offset = [], [], 0
     for m in lengths:
         start = family.space.sample(np.random.default_rng(draw(st.integers(0, 2**32))))
-        kind = draw(st.sampled_from(["true", "wrong-shift", "corrupted"]))
+        kind = draw(st.sampled_from(["true", "wrong-shift", "respelled", "corrupted"]))
         if kind == "true":
             block = true_orbit(family, word.shifted(offset), start, m)
+        elif kind == "respelled":
+            respelled = Word("prefix", word.m, prefix=tuple(word.shifted(offset).symbols(m)),
+                             tail=word.shifted(offset + m))
+            block = true_orbit(family, respelled, start, m)
         elif kind == "wrong-shift":
             block = true_orbit(family, word.shifted(offset + draw(st.integers(1, 3))), start, m)
         else:

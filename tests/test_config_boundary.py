@@ -970,11 +970,14 @@ def test_a_plan_whose_blocks_lay_out_past_the_cap_exits_4_naming_the_block(tmp_p
 
 
 def no_walk(monkeypatch) -> None:
-    """Make every walk raise, so that a test shows that none started."""
+    """Make every walk and every column pass raise, so that a test shows that
+    no step was taken."""
     def walk(*args, **kwargs):
-        raise AssertionError("a walk started")
-    for module in (dynamics, pseudo_orbits, serialize, surgery, concat):
+        raise AssertionError("a step was taken")
+    for module in (dynamics, pseudo_orbits, serialize, surgery):
         monkeypatch.setattr(module, "_walk", walk)
+    for module in (pseudo_orbits, concat):
+        monkeypatch.setattr(module, "_column_pass", walk)
 
 
 @pytest.mark.parametrize("d, steps, message", [

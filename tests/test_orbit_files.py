@@ -514,3 +514,20 @@ def test_each_load_and_concatenation_builds_one_pseudo_orbit(tmp_path, monkeypat
     assert len(built) == 1 and built[0] is got
     if build != "concatenate":
         assert_same_orbit(got, xi)
+
+
+@pytest.mark.parametrize("build", ["v1 load", "concatenate"])
+def test_a_v1_load_and_a_concatenation_check_each_point_once(tmp_path, monkeypatch, build):
+    # A v1 load checked every point before its walk and again in the
+    # constructor, and its start once more when the walk began.
+    xi, (plan, word) = sample_orbits()["disk-uniform"], two_block_plan()
+    save_orbit_v1(xi, tmp_path / "v1.json")
+    checked, inside = [], MetricSpace._inside
+
+    def counted(self, c):
+        checked.append(len(c[0]))
+        return inside(self, c)
+
+    monkeypatch.setattr(MetricSpace, "_inside", counted)
+    got = concatenate(plan, word) if build == "concatenate" else load_orbit(tmp_path / "v1.json")
+    assert checked == [len(got.points)]

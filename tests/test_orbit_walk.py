@@ -62,6 +62,7 @@ from oracles import (
     project,
     reference_contains,
     reference_distance,
+    reference_image,
     reference_loop,
     reference_map,
     reference_project,
@@ -816,6 +817,59 @@ def test_the_generated_walk_equals_the_reference_loop_bit_for_bit(case):
                                                       *start)
     ref = reference_loop(family, symbols, list(start), at, rows.tolist(), landing)
     assert (bits(points), bits(images), clamped) == (bits(ref[0][1:]), bits(ref[1]), ref[2])
+
+
+# ---------------------------------------------------------------------------
+# The column pass over given points against a reference "stored" walk
+
+
+@st.composite
+def given_points(draw):
+    """A family and start (walk_families), a word over its maps, up to 44
+    given points after the start and a column block size that puts block
+    edges among them. Each point is the image of the one before (stepped one
+    point at a time), that image with the sign of each zero coordinate
+    flipped, or a drawn row: often outside the space, a signed zero, a
+    subnormal, or on the circle a point outside [0, 1)."""
+    family, start = draw(walk_families())
+    d = family.space.dimension
+    word = draw(words(draw(st.integers(1, family.m))))
+    coordinate = st.one_of(unit(-1.0, 1.0),
+                           st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.5, -2.25, 1e300]))
+    points = [list(start)]
+    for s in word.symbols(draw(st.integers(0, 44))).tolist():
+        image, kind = reference_image(family, s, points[-1]), draw(st.integers(0, 2))
+        points.append(image if kind == 0 else [-x if x == 0.0 else x for x in image] if kind == 1
+                      else draw(st.lists(coordinate, min_size=d, max_size=d)))
+    return (family, word, np.array(points, dtype=np.float64).reshape(-1, d),
+            draw(st.sampled_from([1, 2, 3, 7])))
+
+
+# A step of x -> 0 x lands -0.0 on the image 0.0, and the next lands 0.0 on
+# the image -0.0: two defects of step error 0.0. On the circle, 1.5 lands
+# on the image 0.5 (a defect of error 0.0), and its own image, 0.0, is 0.0.
+SIGNED_ZEROS = (GeneratorFamily(MetricSpace.box([0.0], [1.0]), (GeneratorMap.scale([0.0]),)),
+                Word.constant(1, 1), np.array([[0.5], [-0.0], [0.0]]), 2)
+CIRCLE_OUTSIDE = (GeneratorFamily(MetricSpace.circle(), (GeneratorMap.scale([2.0]),)),
+                  Word.constant(1, 1), np.array([[0.25], [1.5], [0.0]]), 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(given_points())
+@example(SIGNED_ZEROS)
+@example(CIRCLE_OUTSIDE)
+def test_the_column_pass_equals_a_stored_walk_landing_every_point_bit_for_bit(case):
+    family, word, points, block = case
+    H = len(points) - 1
+    _, _, errors, defects = reference_walk(family, word, points[0], H, (range(H), points[1:]),
+                                           "stored")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pseudo_orbits, "COLUMN_BLOCK", block)
+        got = pseudo_orbits._column_pass(family, word.symbols(H), points)
+    assert bits(got[0]) == bits(errors)
+    assert got[1].tolist() == defects
+    event(f"{family.space.kind}, {'some' if defects else 'no'} defects, "
+          f"{'some' if len(defects) < H else 'no'} ordinary steps")
 
 
 # ---------------------------------------------------------------------------

@@ -107,6 +107,9 @@ def test_trace_report_rejects_an_alpha_outside_the_unit_interval(alpha):
 @pytest.mark.parametrize("search, args, message", [
     # alpha first for m-alpha, then eps, then the tail fraction.
     (m_alpha_shadow_search, dict(eps=0.0, alpha=1.5, tail_fraction=1.5), "alpha must lie in"),
+    # alpha None scanned the whole net, then ended in a TypeError.
+    (m_alpha_shadow_search, dict(eps=0.2, alpha=None, tail_fraction=0.5),
+     r"alpha must lie in \(0,1\), got None"),
     (m_alpha_shadow_search, dict(eps=0.0, alpha=0.5, tail_fraction=1.5), "eps"),
     (m_alpha_shadow_search, dict(eps=0.1, alpha=0.5, tail_fraction=1.5), "tail_fraction"),
     (average_shadow_search, dict(eps=0.0, tail_fraction=1.5), "eps"),
