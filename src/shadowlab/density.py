@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import _integer
 from .errors import ParameterError, RangeError
 
 DEFAULT_TAIL_FRACTION = 0.5
@@ -77,10 +78,6 @@ class IndexSet:
     def __len__(self) -> int:
         return int(self.indices.size)
 
-    def __contains__(self, j: int) -> bool:
-        pos = np.searchsorted(self.indices, j)
-        return pos < self.indices.size and self.indices[pos] == j
-
     def mask(self) -> np.ndarray:
         out = np.zeros(self.horizon, dtype=bool)
         out[self.indices] = True
@@ -96,6 +93,7 @@ class IndexSet:
 
 def prefix_density(A: IndexSet, n: int) -> float:
     """|A ∩ [0,n)| / n with exact counting; defined as 0 at n = 0."""
+    n = _integer("n", n)
     if n < 0 or n > A.horizon:
         raise RangeError(f"prefix length {n} outside [0, {A.horizon}]")
     if n == 0:

@@ -474,9 +474,9 @@ class GeneratorFamily:
         """Step table: ``steps[s]`` maps a tuple of d columns through f_s.
 
         Symbol 0 is the identity, and circle images wrap into [0, 1). The
-        scans, and the column pass of given points (pseudo_orbits._column_pass),
-        step columns through this table; the walk is generated from the same
-        terms (_walk_source), so a step rounds the same there on floats.
+        scans and the column pass (pseudo_orbits._column_pass) step columns
+        through this table; the walk is generated from the same terms
+        (_walk_source), so a step rounds the same there on floats.
         """
         d, wrap = self.space.dimension, "({}) % 1.0" if self.space.kind == CIRCLE else "{}"
         return (lambda c: c, *(g._compile(d, wrap) for g in self.maps))
@@ -696,12 +696,13 @@ def _walk_source(family: GeneratorFamily, landing: str) -> tuple[str, dict]:
     steps from j0: symbol s runs branch s, whose terms are f_s's as
     GeneratorMap._terms writes them (wrapped on the circle). At the steps
     listed in at (ended by -1), where the k-th is landed from
-    Q0[k]..Q{d-1}[k], the image is kept and the point landed; under "target"
-    and "offset" a landing outside the space is projected onto it, by the
-    expressions of MetricSpace._inside and _project written on floats. It
-    returns the point after each step and the images, flat, and the clamped
-    steps. _walk calls it once per block of steps, each block from the last
-    point of the one before, so its lists never span more than a block.
+    Q0[k]..Q{d-1}[k], the point is landed; under "target" and "offset" the
+    image is kept and a landing outside the space is projected onto it, by
+    the expressions of MetricSpace._inside and _project written on floats.
+    It returns the point after each step and the images, flat, and the
+    clamped steps. _walk calls it once per block of steps, each block from
+    the last point of the one before, so its lists never span more than a
+    block.
     """
     space, d = family.space, family.space.dimension
     c = [f"c{k}" for k in range(d)]
@@ -719,9 +720,10 @@ def _walk_source(family: GeneratorFamily, landing: str) -> tuple[str, dict]:
         landed = Q
     else:
         landed = [wrap.format(q if landing == "target" else f"{x} + {q}") for x, q in zip(c, Q)]
-    body += ["if j == nxt:", "    " + "; ".join(f"image({x})" for x in c),
-             f"    {cs} = {', '.join(landed)}",
-             "    k += 1", "    nxt = at[k]"]
+    body.append("if j == nxt:")
+    if landing != "stored":
+        body.append("    " + "; ".join(f"image({x})" for x in c))
+    body += [f"    {cs} = {', '.join(landed)}", "    k += 1", "    nxt = at[k]"]
     if landing != "stored":
         if space.kind == UNIT_DISK:
             norm = f"sqrt({' + '.join(f'{x} * {x}' for x in c)})"
@@ -761,19 +763,14 @@ def _floats(values: list) -> np.ndarray:
 
 
 def _walk(family: GeneratorFamily, word: Word, z, horizon: int, jumps=((), ()),
-          landing: str = "target") -> tuple[np.ndarray, list[int], np.ndarray, np.ndarray]:
+          landing: str = "target") -> tuple[np.ndarray, list[int]]:
     """Step z through the word's first horizon symbols in the family's
     generated walk (one Python loop on float coordinates, built once per
-    family and landing rule, see _walk_source); return the points, the steps
-    whose jump was clamped, the step errors e_j = d(f_{w_j}(x_j), x_{j+1}),
-    and the defects. The errors are taken on columns at the landing steps,
-    and are 0.0 at every other, whose next point is its image. The defects
-    are the landing steps whose landed point differs from the image bit for
-    bit (bits, not errors, so that a signed zero or a distance that
-    underflows to 0 counts), as a sorted int array: every other step's next
-    point is its image. jumps holds sorted steps below horizon and an (n, d)
-    array of a point q for each; at step j, points[j+1] is where q lands, by
-    the landing rule:
+    family and landing rule, see _walk_source); return the points and the
+    steps whose jump was clamped. Step errors and defects are not its job:
+    PseudoOrbit.from_points takes them from the points. jumps holds sorted
+    steps below horizon and an (n, d) array of a point q for each; at step
+    j, points[j+1] is where q lands, by the landing rule:
 
     - "target": q itself, projected onto the space if it left it;
     - "offset": the image displaced by q, projected likewise;
@@ -783,12 +780,12 @@ def _walk(family: GeneratorFamily, word: Word, z, horizon: int, jumps=((), ()),
     The word's alphabet is checked against the family before any step, and
     the start against the space. The walk runs in blocks of WALK_BLOCK steps:
     each hands the generated loop its symbols, landing steps and rows as
-    lists, writes the points it returns into the points array, and compares
-    and checks its images on columns before the next block starts, so the
-    first image outside raises DomainError naming its map, its point and its
-    image. A "stored" walk checks none: an image it lands off is not a point,
-    and its other images are the points, which the caller checks. Only one
-    block's lists and temporaries are held at a time.
+    lists, writes the points it returns into the points array, and checks
+    its images on columns before the next block starts, so the first image
+    outside raises DomainError naming its map, its point and its image. A
+    "stored" walk checks none: an image it lands off is not a point, and its
+    other images are the points, which the caller checks. Only one block's
+    lists and temporaries are held at a time.
     """
     family.check_alphabet(word)
     space, d = family.space, family.space.dimension
@@ -799,8 +796,7 @@ def _walk(family: GeneratorFamily, word: Word, z, horizon: int, jumps=((), ()),
     at = np.asarray(jumps[0], dtype=np.int64)
     rows = np.asarray(jumps[1], dtype=np.float64).reshape(-1, d)
     walk = family._walker(landing)
-    points, clamped, errors = np.empty((horizon + 1, d)), [], np.zeros(horizon)
-    defects = [at[:0]]
+    points, clamped = np.empty((horizon + 1, d)), []
     points[0] = z
     flat, c = points.reshape(-1), z.tolist()
     cuts = [0, *at.searchsorted(range(WALK_BLOCK, horizon, WALK_BLOCK)).tolist(), at.size]
@@ -813,22 +809,17 @@ def _walk(family: GeneratorFamily, word: Word, z, horizon: int, jumps=((), ()),
             flat[(j0 + 1) * d:(j1 + 1) * d] = _floats(walked)
             c = walked[-d:]
             clamped += block_clamped
-            if steps.size:
-                images, landed = _floats(images).reshape(-1, d), points[steps + 1]
-                errors[steps] = space._distance(tuple(images.T), tuple(landed.T))
-                defects.append(steps[(images.view(np.uint64)
-                                      != landed.view(np.uint64)).any(axis=1)])
             if landing != "stored":
                 every = points[j0 + 1:j1 + 1]
                 if steps.size:
                     every = every.copy()
-                    every[steps - j0] = images
+                    every[steps - j0] = _floats(images).reshape(-1, d)
                 inside = space._inside(tuple(every.T))
                 if not inside.all():
                     j = int(np.argmin(inside))
                     raise DomainError(f"map {int(symbols[j0 + j])} sends {points[j0 + j].tolist()} "
                                       f"to {every[j].tolist()}, outside the space")
-    return points, clamped, errors, np.concatenate(defects)
+    return points, clamped
 
 
 def orbit(family: GeneratorFamily, word: Word, z, n: int) -> np.ndarray:

@@ -19,7 +19,8 @@ from .density import (
     tail_extremum,
     upper_density_estimate,
 )
-from .dynamics import WALK_BLOCK, GeneratorFamily, JumpRule, MetricSpace, Word, _walk, as_point
+from .dynamics import (WALK_BLOCK, GeneratorFamily, JumpRule, MetricSpace, Word, _integer, _walk,
+                       as_point, orbit)
 from .errors import DomainError, ParameterError, check_positive
 from .verdict import ClassificationVerdict
 
@@ -37,15 +38,15 @@ COLUMN_BLOCK = 2**16
 def _column_pass(family: GeneratorFamily, symbols: np.ndarray,
                  points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The step errors e_j = d(f_{w_j}(x_j), x_{j+1}) and the defects of the
-    given points x_0..x_H under the given symbols w_0..w_{H-1}, with no walk:
-    when every point is given, no step depends on the one before. Each
-    symbol's map runs on the columns of its steps (family.steps), COLUMN_BLOCK
-    steps at a time, and the errors are space._distance from the images to
-    the next points; the defects are the steps whose next point differs from
-    the image bit for bit, _walk's rule for a landing step, so a "stored" walk
-    landing every point returns the same errors and defects bit for bit. No
-    membership is checked, and a point that left the space raises no
-    warning; the caller checks the alphabet."""
+    given points x_0..x_H under the given symbols w_0..w_{H-1}: the one place
+    in the library that turns points into both. No step depends on the one
+    before, so each symbol's map runs on the columns of its steps
+    (family.steps), COLUMN_BLOCK steps at a time, and the errors are
+    space._distance from the images to the next points. The defects are the
+    steps whose next point differs from the image bit for bit (bits, not
+    errors, so that a signed zero or a distance that underflows to 0 counts),
+    as a sorted int array. No membership is checked, and a point that left
+    the space raises no warning; the caller checks the alphabet."""
     H = len(points) - 1
     errors, defects = np.empty(H), [np.empty(0, dtype=np.int64)]
     with np.errstate(all="ignore"):  # a point outside the space may overflow
@@ -70,8 +71,8 @@ def recompute_step_errors(family: GeneratorFamily, word: Word, points: np.ndarra
     """e_j = d(f_{w_j}(x_j), x_{j+1}) of the given points, after the word's
     alphabet is checked against the family: the step errors of one column
     pass (_column_pass), as from_points and concatenate take them. perfbench
-    writes its orbit files' checksums with it, and the tests compare the
-    walk's step errors against it; no code in the library calls it."""
+    writes its orbit files' checksums with it, and the tests read step
+    errors of given points with it; no code in the library calls it."""
     family.check_alphabet(word)
     points = np.asarray(points, dtype=np.float64)
     return _column_pass(family, word.symbols(len(points) - 1), points)[0]
@@ -99,7 +100,7 @@ def _checked_points(family: GeneratorFamily, word: Word, points) -> np.ndarray:
 @dataclass(frozen=True)
 class PseudoOrbit:
     """Finite point sequence x_0..x_H under a word, with the step errors and
-    the defects of the walk that built it (dynamics._walk).
+    the defects of one column pass over its points (_column_pass).
 
     ``defects`` is required and keyword-only: the sorted steps j whose point
     x_{j+1} is not f_{w_j}(x_j) bit for bit. Every step with a nonzero step
@@ -136,13 +137,13 @@ class PseudoOrbit:
     def from_points(cls, family: GeneratorFamily, word: Word, points,
                     meta: dict | None = None) -> "PseudoOrbit":
         """The pseudo-orbit through the given points, its step errors and
-        defects from one column pass (_column_pass), equal bit for bit to
-        those of a "stored" walk from the first point that lands every other
-        as it is. The alphabet and the shape are checked before the pass, and
-        each point's membership by the constructor after it; a 1-d array
-        holds one point of a 1-dimensional space per entry. A v1 load goes
-        through it, and so does perfbench's one set-up orbit, but not
-        perfbench's files."""
+        defects from one column pass (_column_pass). The alphabet and the
+        shape are checked before the pass, and each point's membership by
+        the constructor after it; a 1-d array holds one point of a
+        1-dimensional space per entry. Every producer but concatenate builds
+        its orbit here: true_orbit, make_corrupted_orbit and repair from their
+        walk's points, orbit_from_dict from a v1 file's listed or a v2 file's
+        walked ones."""
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim == 1:
             pts = pts.reshape(-1, 1)
@@ -160,14 +161,12 @@ class PseudoOrbit:
 
 
 def true_orbit(family: GeneratorFamily, word: Word, z, horizon: int) -> PseudoOrbit:
-    """The actual orbit of z for `horizon` steps, as a pseudo-orbit.
-
-    Its step errors are the walk's, all exactly zero.
+    """The actual orbit of z for `horizon` steps (dynamics.orbit), as a
+    pseudo-orbit: every point is its step's image, so the column pass finds
+    every step error exactly zero and no defect.
     """
-    if horizon < 0:
-        raise ParameterError("orbit length must be >= 1")
-    points, _, errors, defects = _walk(family, word, z, horizon)
-    return PseudoOrbit(family, word, points, errors, {"kind": "true-orbit"}, defects=defects)
+    return PseudoOrbit.from_points(family, word, orbit(family, word, z, horizon + 1),
+                                   {"kind": "true-orbit"})
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +245,7 @@ def is_average_pseudo_orbit(xi: PseudoOrbit, delta: float, N: int) -> Classifica
       stays a candidate.
     """
     check_positive("delta", delta)
-    H = xi.horizon
+    N, H = _integer("N", N), xi.horizon
     if not 1 <= N <= H:
         raise ParameterError(f"N must lie in [1, horizon={H}]")
     S = np.concatenate(([0.0], np.cumsum(xi.step_errors)))
@@ -346,14 +345,13 @@ def make_corrupted_orbit(family: GeneratorFamily, word: Word, z,
     Jumps that leave the space are clamped onto it; clamped indices are
     flagged in the metadata. Deterministic under the seed: every jump is
     drawn before stepping, in corrupted-step order. Every image, including
-    an image a jump replaces, is checked for membership. The step errors are
-    the walk's, nonzero only at corrupted steps.
+    an image a jump replaces, is checked for membership. The step errors,
+    from the walk's points, are nonzero only at corrupted steps.
     """
     steps = corruption_indices.indices
     rows = _draw_jumps(jump_rule, family.space, np.random.default_rng(seed), steps)
     landing = "offset" if jump_rule.kind == "offset" else "target"
-    points, clamped, errors, defects = _walk(family, word, z, corruption_indices.horizon,
-                                             (steps, rows), landing)
+    points, clamped = _walk(family, word, z, corruption_indices.horizon, (steps, rows), landing)
     meta = {"kind": "corrupted-orbit", "seed": seed, "jump_rule": jump_rule.spec(),
             "corrupted_count": len(corruption_indices), "clamped_indices": clamped}
-    return PseudoOrbit(family, word, points, errors, meta, defects=defects)
+    return PseudoOrbit.from_points(family, word, points, meta)

@@ -146,9 +146,9 @@ def step_error_checksum(errors: np.ndarray) -> str:
 def orbit_to_dict(xi: PseudoOrbit) -> dict:
     """The orbit as ORBIT_SCHEMA_V2: its start, and x_{j+1} at each of
     xi.defects, the steps where x_{j+1} is not f_{w_j}(x_j) bit for bit, as
-    the walk that built xi recorded them. Decoding walks from the start and
-    lands each defect's point, so by induction it rebuilds every point bit
-    for bit."""
+    the column pass that built xi found them. Decoding walks from the start
+    and lands each defect's point, so by induction it rebuilds every point
+    bit for bit."""
     P, steps = xi.points, xi.defects
     return {
         "schema": ORBIT_SCHEMA_V2,
@@ -200,10 +200,9 @@ def _capped(name: str, horizon: int, d: int) -> int:
     return horizon
 
 
-def _walked_orbit(data: dict, family: GeneratorFamily, word: Word, meta: dict) -> PseudoOrbit:
-    """A v2 file's orbit, carrying meta, from one walk from its start that
-    lands each defect's point as stored; the points must match points_sha256
-    before the orbit is built."""
+def _walked_points(data: dict, family: GeneratorFamily, word: Word) -> np.ndarray:
+    """A v2 file's points, from one walk from its start that lands each
+    defect's point as stored; they must match points_sha256."""
     d = family.space.dimension
     H = _capped("field 'horizon'", _at_least("horizon", data["horizon"], 0), d)
     start = _keyed("start", _point, "start", data["start"], d)
@@ -219,12 +218,12 @@ def _walked_orbit(data: dict, family: GeneratorFamily, word: Word, meta: dict) -
                                  "one a step, below the horizon", key)
         steps.append(j)
         rows.append(_keyed(key, _point, "defect point", defect[1], d))
-    points, _, errors, defects = _walk(family, word, start, H, (steps, rows), "stored")
+    points = _walk(family, word, start, H, (steps, rows), "stored")[0]
     digest = _sha256(points)
     if digest != data["points_sha256"]:
         raise IntegrityError(f"points digest mismatch: the walk gives {digest[:12]}…, "
                              f"file says {str(data['points_sha256'])[:12]}…")
-    return PseudoOrbit(family, word, points, errors, meta, defects=defects)
+    return points
 
 
 # The keys each orbit schema requires; orbit_from_dict reads them and "meta".
@@ -237,9 +236,9 @@ ORBIT_KEYS = {
 
 def orbit_from_dict(data: dict) -> PseudoOrbit:
     """The file's one PseudoOrbit, with its meta: the keys (an unknown or
-    missing one is an error), specs, meta and caps are checked before the
-    one pass that builds it (a v2 file's walk, a v1 file's column pass in
-    PseudoOrbit.from_points), and its step errors then against the checksum."""
+    missing one is an error), specs, meta and caps are checked before its
+    points are read (listed in v1, walked in v2), PseudoOrbit.from_points
+    builds it, and its step errors are then checked against the checksum."""
     schema = data.get("schema")
     if schema not in ORBIT_KEYS:
         raise ParameterError(f"unsupported orbit schema {schema!r}")
@@ -253,9 +252,9 @@ def orbit_from_dict(data: dict) -> PseudoOrbit:
     if schema == ORBIT_SCHEMA:
         points = as_points(data["points"], family.space.dimension)
         _capped("field 'points'", len(points) - 1, family.space.dimension)
-        xi = PseudoOrbit.from_points(family, word, points, meta)
     else:
-        xi = _walked_orbit(data, family, word, meta)
+        points = _walked_points(data, family, word)
+    xi = PseudoOrbit.from_points(family, word, points, meta)
     checksum = step_error_checksum(xi.step_errors)
     if checksum != data["step_error_checksum"]:
         raise IntegrityError(

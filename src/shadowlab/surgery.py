@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import DEFAULT_TAIL_FRACTION, IndexSet
-from .dynamics import MetricSpace, _walk
+from .dynamics import MetricSpace, _integer, _walk
 from .errors import ParameterError, PreconditionError, check_positive
 from .pseudo_orbits import DEFAULT_DENSITY_TOL, PseudoOrbit, is_ergodic_pseudo_orbit
 
@@ -60,6 +60,7 @@ def block_length(space: MetricSpace, delta: float, horizon: int | None = None) -
 
 def select_anchors(bad: IndexSet, M: int) -> IndexSet:
     """Greedy recurrence: k_0 = min(bad), k_{n+1} = min{l in bad : l >= k_n + M}."""
+    M = _integer("M", M)
     if M < 1:
         raise ParameterError("M must be >= 1")
     idx = bad.indices
@@ -78,7 +79,7 @@ def repair(xi: PseudoOrbit, delta: float,
     """Turn a (delta/2, w)-ergodic pseudo-orbit into a (delta, w)-average one.
 
     An input with no bad step is already good enough and is returned
-    unchanged; any other is walked once, and its step errors are the walk's.
+    unchanged; any other is walked once and built from its walk's points.
     Rejects inputs that fail the ergodic precondition at the caller's
     tolerance, carrying the classification witness.
     """
@@ -106,10 +107,10 @@ def repair(xi: PseudoOrbit, delta: float,
     exits = anchors.indices + (M - 1)
     landed = IndexSet.from_iterable(np.concatenate((xi.defects[~followed[xi.defects]],
                                                     exits[exits < H])), H).indices
-    points, _, errors, defects = _walk(xi.family, xi.word, xi.points[0], H,
-                                       (landed, xi.points[landed + 1]), "stored")
+    points, _ = _walk(xi.family, xi.word, xi.points[0], H, (landed, xi.points[landed + 1]),
+                      "stored")
     meta = {**xi.meta, "repaired": True, "M": M, "delta": delta}
-    y = PseudoOrbit(xi.family, xi.word, points, errors, meta, defects=defects)
+    y = PseudoOrbit.from_points(xi.family, xi.word, points, meta)
     diff = IndexSet.from_mask(np.any(points != xi.points, axis=1))
     return RepairResult(y, M, IndexSet(anchors.indices, H + 1), IndexSet.from_mask(blocks), diff,
                         delta, int(anchors.indices[-1]) + M > H + 1)

@@ -4,6 +4,7 @@
 a traceback is never an answer to a bad config.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -13,6 +14,7 @@ import tempfile
 from functools import partial
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -26,12 +28,14 @@ from shadowlab.dynamics import DIMENSION_CAP
 from shadowlab.errors import IntegrityError, ParameterError, check_alpha, check_positive
 from shadowlab.serialize import (
     CONFIG_SCHEMA,
+    DIGEST_BLOCK,
     HORIZON_CAP,
     PLAN_SCHEMA,
     load_config,
     load_orbit,
     orbit_from_dict,
     save_orbit,
+    _sha256,
     validate_config,
 )
 
@@ -884,19 +888,47 @@ def test_a_config_horizon_past_the_cap_exits_4_before_any_walk(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("horizon, message", [
-    (10**9, f"orbit file {Path('out') / 'orbit.json'}: field 'horizon'"),
-    # At the cap, but its walk does not fit in CAPPED_MEMORY.
-    (HORIZON_CAP, "resource cap exceeded: out of memory in classify"),
+@pytest.mark.parametrize("horizon, code, message", [
+    (10**9, 4, "field 'horizon': 1000000000 steps exceed the horizon cap"),
+    # At the cap: the walk, which makes points only, fits in CAPPED_MEMORY,
+    # and its points are not the ones the file's digest names.
+    (HORIZON_CAP, 2, "points digest mismatch"),
 ])
-def test_an_orbit_file_horizon_past_the_cap_exits_4_naming_the_file(tmp_path, horizon, message):
+def test_an_orbit_file_with_an_edited_horizon_exits_naming_the_file(tmp_path, horizon, code,
+                                                                    message):
     assert run_capped(tmp_path, "generate", "--horizon", "100", "--out", "out").returncode == 0
     orbit = tmp_path / "out" / "orbit.json"
     orbit.write_text(json.dumps({**json.loads(orbit.read_text()), "horizon": horizon}))
     done = run_capped(tmp_path, "classify", "--horizon", "100", "--out", "out")
-    assert done.returncode == 4, done.stderr
-    assert message in done.stderr
+    assert done.returncode == code, done.stderr
+    assert f"orbit file {Path('out') / 'orbit.json'}: {message}" in done.stderr
     assert "Traceback" not in done.stderr
+
+
+def zeros_sha256(n: int) -> str:
+    """The digest serialize._sha256 gives n float64 zeros, hashed a block at
+    a time, so that no array of them is made."""
+    digest, block = hashlib.sha256(), bytes(8 * DIGEST_BLOCK)
+    for k in range(0, n, DIGEST_BLOCK):
+        digest.update(block[:8 * min(DIGEST_BLOCK, n - k)])
+    return digest.hexdigest()
+
+
+def test_a_consistent_orbit_file_at_the_cap_runs_out_of_memory_in_classify(tmp_path):
+    # The true orbit of the disk's fixed point 0 for HORIZON_CAP steps: every
+    # point and every step error is 0.0, so the file is consistent and a few
+    # hundred bytes long. Its walk fits in CAPPED_MEMORY; the orbit built
+    # from the walked points, with its step errors, does not.
+    assert zeros_sha256(5) == _sha256(np.zeros(5))
+    assert run_capped(tmp_path, "generate", "--horizon", "100", "--out", "out").returncode == 0
+    orbit = tmp_path / "out" / "orbit.json"
+    orbit.write_text(json.dumps({
+        **json.loads(orbit.read_text()), "horizon": HORIZON_CAP, "start": [0.0, 0.0],
+        "defects": [], "points_sha256": zeros_sha256(2 * (HORIZON_CAP + 1)),
+        "step_error_checksum": zeros_sha256(HORIZON_CAP), "meta": {"kind": "true-orbit"}}))
+    done = run_capped(tmp_path, "classify", "--horizon", "100", "--out", "out")
+    assert done.returncode == 4, done.stderr
+    assert done.stderr == "resource cap exceeded: out of memory in classify\n"
 
 
 def test_running_out_of_memory_exits_4_without_a_traceback(tmp_path):

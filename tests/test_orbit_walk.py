@@ -50,12 +50,13 @@ from shadowlab import (
     trace_report,
     true_orbit,
 )
-from shadowlab import dynamics, pseudo_orbits, shadow_search
+from shadowlab import concat, dynamics, pseudo_orbits, shadow_search
 from shadowlab.concat import BlockPlan, concatenate
 from shadowlab.dynamics import CIRCLE, MEMBERSHIP_TOL, UNIT_DISK
 from shadowlab.pseudo_orbits import recompute_step_errors
-from shadowlab.serialize import json_default
+from shadowlab.serialize import json_default, load_orbit, save_orbit
 from shadowlab.shadow_search import HIT_DENSITY, LIMSUP, _net_pick, _scan
+from shadowlab.surgery import repair
 
 from oracles import (
     broadcast_gram,
@@ -68,6 +69,7 @@ from oracles import (
     reference_project,
     reference_step,
     reference_walk,
+    save_orbit_v1,
 )
 
 SETTINGS = settings(max_examples=150, deadline=None)
@@ -802,21 +804,33 @@ def test_the_generated_walk_equals_the_reference_loop_bit_for_bit(case):
     want = outcome(reference_walk, *case)
     if want[0] == "ok":
         assert got[0] == "ok"
-        assert [bits(a) for a in (got[1][0], got[1][2])] == [bits(a) for a in (want[1][0],
-                                                                                 want[1][2])]
-        assert got[1][1] == want[1][1]
-        assert got[1][3].tolist() == want[1][3]
-        event(f"{landing}, {'clamped' if got[1][1] else 'none clamped'}")
+        (points, clamped), (want_points, want_clamped, errors, defects) = got[1], want[1]
+        assert bits(points) == bits(want_points)
+        assert clamped == want_clamped
+        # The walk makes the points; the column pass over them gives the
+        # step errors and defects that the reference walk takes at its
+        # landing steps. Where a stored walk's points leave the space (an
+        # escaping map's point may go NaN, where the pass reads NaN and the
+        # reference 0.0), no PseudoOrbit holds them.
+        inside = bool(family.space.contains(points).all())
+        if inside:
+            got_errors, got_defects = pseudo_orbits._column_pass(family, word.symbols(horizon),
+                                                                 points)
+            assert bits(got_errors) == bits(errors)
+            assert got_defects.tolist() == defects
+        event(f"{landing}, {'clamped' if clamped else 'none clamped'}, "
+              f"{'inside' if inside else 'outside'}")
     else:
         assert got == want
         event(f"{landing}, {want[0].__name__}")
-    # The images, which only the step errors and an error's text show: the
-    # generated loop's own, whether or not the walk raises.
+    # The images, which only an error's text shows: the generated loop's own,
+    # whether or not the walk raises. A stored walk keeps none.
     symbols, (at, rows) = word.symbols(horizon).tolist(), jumps
     points, images, clamped = family._walker(landing)(symbols, 0, [*at, -1], *rows.T.tolist(),
                                                       *start)
     ref = reference_loop(family, symbols, list(start), at, rows.tolist(), landing)
-    assert (bits(points), bits(images), clamped) == (bits(ref[0][1:]), bits(ref[1]), ref[2])
+    assert (bits(points), bits(images), clamped) == (
+        bits(ref[0][1:]), bits([] if landing == "stored" else ref[1]), ref[2])
 
 
 # ---------------------------------------------------------------------------
@@ -870,6 +884,48 @@ def test_the_column_pass_equals_a_stored_walk_landing_every_point_bit_for_bit(ca
     assert got[1].tolist() == defects
     event(f"{family.space.kind}, {'some' if defects else 'no'} defects, "
           f"{'some' if len(defects) < H else 'no'} ordinary steps")
+
+
+def test_each_producer_makes_one_column_pass_and_builds_one_pseudo_orbit(tmp_path,
+                                                                          monkeypatch):
+    # A walk makes points only, so every producer takes its step errors and
+    # defects from one column pass over them and builds one PseudoOrbit.
+    family, word = build_disk_system()
+    jump = IndexSet.from_iterable([100], 400), JumpRule("fixed", point=(0.9, 0.0))
+    xi = make_corrupted_orbit(family, word, (0.4, 0.4), *jump, seed=0)
+    save_orbit(xi, tmp_path / "v2.json")
+    save_orbit_v1(xi, tmp_path / "v1.json")
+    assert len(repair(xi, 0.5).anchors) == 1
+    plan = BlockPlan((true_orbit(family, word, (0.4, 0.4), 20),), (1,))
+    producers = {
+        "true_orbit": lambda: true_orbit(family, word, (0.4, 0.4), 400),
+        "make_corrupted_orbit": lambda: make_corrupted_orbit(family, word, (0.4, 0.4), *jump,
+                                                             seed=0),
+        "v1 load": lambda: load_orbit(tmp_path / "v1.json"),
+        "v2 load": lambda: load_orbit(tmp_path / "v2.json"),
+        "repair": lambda: repair(xi, 0.5).y,
+        "concatenate": lambda: concatenate(plan, word),
+    }
+    passes, built, post_init = [], [], PseudoOrbit.__post_init__
+    column_pass = pseudo_orbits._column_pass
+
+    def counted_pass(*args):
+        passes.append(args)
+        return column_pass(*args)
+
+    def counted_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    for module in (pseudo_orbits, concat):
+        monkeypatch.setattr(module, "_column_pass", counted_pass)
+    monkeypatch.setattr(PseudoOrbit, "__post_init__", counted_post_init)
+    for name, produce in producers.items():
+        passes.clear()
+        built.clear()
+        made = produce()
+        assert (len(passes), len(built)) == (1, 1), name
+        assert built[0] is made, name
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,9 @@ from shadowlab import (
     true_orbit,
     verify_equivalence,
 )
+from shadowlab.density import prefix_density
 from shadowlab.pseudo_orbits import recompute_step_errors
+from shadowlab.surgery import select_anchors
 
 from oracles import reference_step
 
@@ -434,3 +436,24 @@ def test_a_density_tol_that_is_negative_or_nan_is_rejected(density_tol):
     with pytest.raises(ParameterError, match="density_tol must be nonnegative"):
         is_ergodic_pseudo_orbit(xi, 0.1, density_tol)
     assert is_ergodic_pseudo_orbit(xi, 0.1, 0.0).params["density_tol"] == 0.0
+
+
+# Each takes an integer argument, named by the key, on a 200-step orbit and the
+# index set {1, 4, 7} below 10.
+INTEGER_ARGUMENTS = {
+    "n": lambda xi, A, v: prefix_density(A, v),
+    "N": lambda xi, A, v: is_average_pseudo_orbit(xi, 0.1, v),
+    "M": lambda xi, A, v: select_anchors(A, v).to_list(),
+}
+
+
+@pytest.mark.parametrize("value", [True, 2.5, "2"])
+@pytest.mark.parametrize("name", sorted(INTEGER_ARGUMENTS))
+def test_an_integer_argument_that_is_not_an_integer_is_rejected_naming_it(name, value):
+    # prefix_density(A, 2.5) returned 0.4, is_average_pseudo_orbit ran N = True
+    # as N = 1 and raised a TypeError at N = 2.5, and select_anchors took 2.5.
+    xi, A = make_decaying_instance(0, 200).xi, IndexSet.from_iterable([1, 4, 7], 10)
+    call = INTEGER_ARGUMENTS[name]
+    with pytest.raises(ParameterError, match=f"^{name} must be an integer, got {value!r}$"):
+        call(xi, A, value)
+    assert call(xi, A, 2.0) == call(xi, A, 2)
