@@ -13,8 +13,8 @@ import numpy as np
 
 from .density import prefix_means
 from .errors import ParameterError, PreconditionError
-from .dynamics import Word
-from .pseudo_orbits import PseudoOrbit, _column_pass
+from .dynamics import Word, _integer
+from .pseudo_orbits import PseudoOrbit
 from .verdict import ClassificationVerdict
 
 GROWTH_CAP = 20
@@ -37,7 +37,8 @@ class BlockPlan:
 
     def __post_init__(self):
         object.__setattr__(self, "blocks", tuple(self.blocks))
-        object.__setattr__(self, "N_levels", tuple(int(n) for n in self.N_levels))
+        object.__setattr__(self, "N_levels", tuple(_integer(f"N_{k}", n) for k, n in
+                                                   enumerate(self.N_levels, start=1)))
         if not self.blocks:
             raise ParameterError("a block plan needs at least one block")
         if len(self.N_levels) != len(self.blocks):
@@ -88,18 +89,16 @@ def concatenate(plan: BlockPlan, word: Word) -> PseudoOrbit:
 
     Each block must be a pseudo-orbit for the word shifted to its own
     offset, with prefix mean errors below 1/k beyond N_k; both checks read
-    the block's slice of the step errors of one column pass
-    (pseudo_orbits._column_pass) over the laid-out points, whose membership
-    was checked when their blocks were built. Block k's steps take the
-    symbols of the block's own word when it equals the word shifted by the
-    block's offset (a frozen spec fixes every symbol, and the block's memo
-    already holds them), and those of the shifted word otherwise; a
-    junction's symbol is the word's symbol_at. Junction step errors are
-    recorded separately in the metadata.
+    the block's slice of the new orbit's step errors. Block k's steps take
+    the symbols of the block's own word when it equals the word shifted by
+    the block's offset (a frozen spec fixes every symbol, and the block's
+    memo already holds them), and those of the shifted word otherwise; a
+    junction's symbol is the word's symbol_at. So the laid-out symbols equal
+    word.symbols(H), and the orbit is built with them. Junction step errors
+    are recorded separately in the metadata.
     """
     offsets = plan.offsets
     family = plan.blocks[0].family
-    family.check_alphabet(word)
     points = np.concatenate([b.points for b in plan.blocks], axis=0)
     symbols = np.empty(len(points) - 1, dtype=np.min_scalar_type(word.m))
     for k, block in enumerate(plan.blocks, start=1):
@@ -108,9 +107,11 @@ def concatenate(plan: BlockPlan, word: Word) -> PseudoOrbit:
             block.word if block.word == shifted else shifted).symbols(block.horizon)
         if k < len(plan.blocks):
             symbols[offsets[k] - 1] = word.symbol_at(offsets[k] - 1)
-    errors, defects = _column_pass(family, symbols, points)
+    junction_indices = [offsets[k] - 1 for k in range(1, len(plan.blocks))]
+    meta = {"kind": "concatenation", "offsets": offsets, "junction_indices": junction_indices}
+    xi = PseudoOrbit(family, word, points, meta, symbols=symbols)
     for k, (block, N) in enumerate(zip(plan.blocks, plan.N_levels), start=1):
-        block_errors = errors[offsets[k - 1]:offsets[k] - 1]
+        block_errors = xi.step_errors[offsets[k - 1]:offsets[k] - 1]
         # A step's error is the same bits wherever it is computed, so any
         # difference means the block was built for another word.
         if not np.array_equal(block_errors, block.step_errors):
@@ -125,12 +126,8 @@ def concatenate(plan: BlockPlan, word: Word) -> PseudoOrbit:
             raise PreconditionError(
                 f"block {k} has prefix mean {means[n - 1]:.6g} >= 1/{k} at length {n}",
                 witness={"block": k, "n": n, "prefix_mean": float(means[n - 1])})
-
-    junction_indices = [offsets[k] - 1 for k in range(1, len(plan.blocks))]
-    meta = {"kind": "concatenation", "offsets": offsets,
-            "junction_indices": junction_indices,
-            "junction_errors": [float(errors[i]) for i in junction_indices]}
-    return PseudoOrbit(family, word, points, errors, meta, defects=defects)
+    meta["junction_errors"] = [float(xi.step_errors[i]) for i in junction_indices]
+    return xi
 
 
 def _sample_grid(offsets: list[int], horizon: int) -> list[int]:

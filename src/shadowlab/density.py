@@ -57,6 +57,7 @@ class IndexSet:
     def __post_init__(self):
         idx = np.asarray(self.indices, dtype=np.int64)
         object.__setattr__(self, "indices", idx)
+        object.__setattr__(self, "horizon", _integer("horizon", self.horizon))
         if idx.size and (np.any(np.diff(idx) <= 0) or idx[0] < 0):
             raise ParameterError("indices must be strictly increasing naturals")
         if self.horizon < 0 or (idx.size and idx[-1] >= self.horizon):

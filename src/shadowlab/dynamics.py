@@ -768,7 +768,7 @@ def _walk(family: GeneratorFamily, word: Word, z, horizon: int, jumps=((), ()),
     generated walk (one Python loop on float coordinates, built once per
     family and landing rule, see _walk_source); return the points and the
     steps whose jump was clamped. Step errors and defects are not its job:
-    PseudoOrbit.from_points takes them from the points. jumps holds sorted
+    the PseudoOrbit constructor derives them from the points. jumps holds sorted
     steps below horizon and an (n, d) array of a point q for each; at step
     j, points[j+1] is where q lands, by the landing rule:
 
@@ -828,6 +828,7 @@ def orbit(family: GeneratorFamily, word: Word, z, n: int) -> np.ndarray:
     The n - 1 symbols are computed once; every image is checked for
     membership once, block by block as the walk goes.
     """
+    n = _integer("n", n)
     if n < 1:
         raise ParameterError("orbit length must be >= 1")
     return _walk(family, word, z, n - 1)[0]

@@ -8,7 +8,7 @@ sliding-window means, or in Cesàro means.
 from __future__ import annotations
 
 import math
-from dataclasses import KW_ONLY, dataclass, field
+from dataclasses import KW_ONLY, InitVar, dataclass, field
 
 import numpy as np
 
@@ -29,7 +29,7 @@ DEFAULT_DENSITY_TOL = 0.01
 
 # Steps a column pass evaluates at once. It bounds the pass's temporaries (a
 # symbol's index and gathered columns, the images, their distances and bit
-# comparison) to one block: from_points on the disk at H = 2e5 peaked at 64 B
+# comparison) to one block: an orbit built on the disk at H = 2e5 peaked at 64 B
 # a step in one full-length pass and at 26.7 in blocks of 2**16 steps
 # (tracemalloc), against about 35 for a "stored" walk of the same points.
 COLUMN_BLOCK = 2**16
@@ -45,8 +45,9 @@ def _column_pass(family: GeneratorFamily, symbols: np.ndarray,
     space._distance from the images to the next points. The defects are the
     steps whose next point differs from the image bit for bit (bits, not
     errors, so that a signed zero or a distance that underflows to 0 counts),
-    as a sorted int array. No membership is checked, and a point that left
-    the space raises no warning; the caller checks the alphabet."""
+    as a sorted int array. The pass checks nothing, and a point that left
+    the space raises no warning: the constructor checks the alphabet and
+    each point's membership before it, recompute_step_errors the alphabet."""
     H = len(points) - 1
     errors, defects = np.empty(H), [np.empty(0, dtype=np.int64)]
     with np.errstate(all="ignore"):  # a point outside the space may overflow
@@ -70,27 +71,24 @@ def _column_pass(family: GeneratorFamily, symbols: np.ndarray,
 def recompute_step_errors(family: GeneratorFamily, word: Word, points: np.ndarray) -> np.ndarray:
     """e_j = d(f_{w_j}(x_j), x_{j+1}) of the given points, after the word's
     alphabet is checked against the family: the step errors of one column
-    pass (_column_pass), as from_points and concatenate take them. perfbench
-    writes its orbit files' checksums with it, and the tests read step
-    errors of given points with it; no code in the library calls it."""
+    pass (_column_pass), as the PseudoOrbit constructor derives them.
+    perfbench writes its orbit files' checksums with it, and the tests read
+    step errors of given points with it; no code in the library calls it."""
     family.check_alphabet(word)
     points = np.asarray(points, dtype=np.float64)
     return _column_pass(family, word.symbols(len(points) - 1), points)[0]
 
 
-def _shaped_points(family: GeneratorFamily, word: Word, points) -> np.ndarray:
-    """points as an (H+1, d) float64 array, after the word's alphabet is
-    checked against the family."""
+def _checked_points(family: GeneratorFamily, word: Word, points) -> np.ndarray:
+    """points as an (H+1, d) float64 array, each of them a point of the space,
+    after the word's alphabet is checked against the family; a 1-d array
+    holds one point of a 1-dimensional space per entry."""
     family.check_alphabet(word)
     pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim == 1:
+        pts = pts.reshape(-1, 1)
     if pts.ndim != 2 or pts.shape[1] != family.space.dimension or not len(pts):
         raise DomainError("points must be an (H+1, dim) array matching the space")
-    return pts
-
-
-def _checked_points(family: GeneratorFamily, word: Word, points) -> np.ndarray:
-    """_shaped_points, each of them a point of the space."""
-    pts = _shaped_points(family, word, points)
     outside = np.flatnonzero(~family.space.contains(pts))
     if outside.size:
         raise DomainError(f"point {int(outside[0])} is outside the {family.space.kind} space")
@@ -100,56 +98,48 @@ def _checked_points(family: GeneratorFamily, word: Word, points) -> np.ndarray:
 @dataclass(frozen=True)
 class PseudoOrbit:
     """Finite point sequence x_0..x_H under a word, with the step errors and
-    the defects of one column pass over its points (_column_pass).
+    the defects that one column pass over its points derives (_column_pass).
 
-    ``defects`` is required and keyword-only: the sorted steps j whose point
-    x_{j+1} is not f_{w_j}(x_j) bit for bit. Every step with a nonzero step
-    error is among them, and every other point is its step's image, so a
-    save lists the points at the defects alone.
+    ``PseudoOrbit(family, word, points, meta)`` is the one way to build one:
+    it checks the word's alphabet, the points' shape and each point's
+    membership, then makes the pass over word.symbols(H). Neither record is
+    an argument, and ``dataclasses.replace`` derives both again. ``defects``
+    are the sorted steps j whose point x_{j+1} is not f_{w_j}(x_j) bit for
+    bit; every step with a nonzero step error is among them, and every other
+    point is its step's image, so a save lists the points at the defects
+    alone. ``points``, ``step_errors`` and ``defects`` are read-only views;
+    ``points`` shares the memory of the array given, so a caller who writes
+    into that array afterwards changes the orbit.
+
+    ``symbols``, keyword-only, is for a caller that already holds the word's
+    first H symbols (concatenate lays them out from its blocks): it must equal
+    word.symbols(H), which is drawn when it is left out.
     """
 
     family: GeneratorFamily
     word: Word
     points: np.ndarray
-    step_errors: np.ndarray
     meta: dict = field(default_factory=dict)
     _: KW_ONLY
-    defects: np.ndarray
+    symbols: InitVar[np.ndarray | None] = None
+    step_errors: np.ndarray = field(init=False)
+    defects: np.ndarray = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, symbols):
         pts = _checked_points(self.family, self.word, self.points)
-        errors = np.asarray(self.step_errors, dtype=np.float64)
-        defects = np.asarray(self.defects, dtype=np.int64)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "step_errors", errors)
-        object.__setattr__(self, "defects", defects)
-        H = len(pts) - 1
-        if len(errors) != H:
-            raise DomainError("step_errors must have one entry per step")
-        if defects.ndim != 1 or defects.size and not (
-                0 <= defects[0] and defects[-1] < H and (defects[1:] > defects[:-1]).all()):
-            raise DomainError("defects must be sorted steps below the horizon, one a step")
-        if np.count_nonzero(errors[defects]) != np.count_nonzero(errors):
-            j = np.setdiff1d(np.flatnonzero(errors), defects)[0]
-            raise DomainError(f"step {j} has a nonzero step error but is no defect")
+        if symbols is None:
+            symbols = self.word.symbols(len(pts) - 1)
+        errors, defects = _column_pass(self.family, symbols, pts)
+        # A view of the points, so that the caller's array stays writable.
+        for name, a in (("points", pts.view()), ("step_errors", errors), ("defects", defects)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     @classmethod
     def from_points(cls, family: GeneratorFamily, word: Word, points,
                     meta: dict | None = None) -> "PseudoOrbit":
-        """The pseudo-orbit through the given points, its step errors and
-        defects from one column pass (_column_pass). The alphabet and the
-        shape are checked before the pass, and each point's membership by
-        the constructor after it; a 1-d array holds one point of a
-        1-dimensional space per entry. Every producer but concatenate builds
-        its orbit here: true_orbit, make_corrupted_orbit and repair from their
-        walk's points, orbit_from_dict from a v1 file's listed or a v2 file's
-        walked ones."""
-        pts = np.asarray(points, dtype=np.float64)
-        if pts.ndim == 1:
-            pts = pts.reshape(-1, 1)
-        pts = _shaped_points(family, word, pts)
-        errors, defects = _column_pass(family, word.symbols(len(pts) - 1), pts)
-        return cls(family, word, pts, errors, meta or {}, defects=defects)
+        """PseudoOrbit(family, word, points, meta), meta left out as {}."""
+        return cls(family, word, points, meta or {})
 
     @property
     def horizon(self) -> int:
@@ -165,8 +155,8 @@ def true_orbit(family: GeneratorFamily, word: Word, z, horizon: int) -> PseudoOr
     pseudo-orbit: every point is its step's image, so the column pass finds
     every step error exactly zero and no defect.
     """
-    return PseudoOrbit.from_points(family, word, orbit(family, word, z, horizon + 1),
-                                   {"kind": "true-orbit"})
+    horizon = _integer("horizon", horizon)
+    return PseudoOrbit(family, word, orbit(family, word, z, horizon + 1), {"kind": "true-orbit"})
 
 
 # ---------------------------------------------------------------------------
@@ -354,4 +344,4 @@ def make_corrupted_orbit(family: GeneratorFamily, word: Word, z,
     points, clamped = _walk(family, word, z, corruption_indices.horizon, (steps, rows), landing)
     meta = {"kind": "corrupted-orbit", "seed": seed, "jump_rule": jump_rule.spec(),
             "corrupted_count": len(corruption_indices), "clamped_indices": clamped}
-    return PseudoOrbit.from_points(family, word, points, meta)
+    return PseudoOrbit(family, word, points, meta)

@@ -237,8 +237,9 @@ ORBIT_KEYS = {
 def orbit_from_dict(data: dict) -> PseudoOrbit:
     """The file's one PseudoOrbit, with its meta: the keys (an unknown or
     missing one is an error), specs, meta and caps are checked before its
-    points are read (listed in v1, walked in v2), PseudoOrbit.from_points
-    builds it, and its step errors are then checked against the checksum."""
+    points are read (listed in v1, walked in v2), the PseudoOrbit
+    constructor builds it from them, and its step errors are then checked
+    against the checksum."""
     schema = data.get("schema")
     if schema not in ORBIT_KEYS:
         raise ParameterError(f"unsupported orbit schema {schema!r}")
@@ -254,7 +255,7 @@ def orbit_from_dict(data: dict) -> PseudoOrbit:
         _capped("field 'points'", len(points) - 1, family.space.dimension)
     else:
         points = _walked_points(data, family, word)
-    xi = PseudoOrbit.from_points(family, word, points, meta)
+    xi = PseudoOrbit(family, word, points, meta)
     checksum = step_error_checksum(xi.step_errors)
     if checksum != data["step_error_checksum"]:
         raise IntegrityError(

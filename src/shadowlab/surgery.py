@@ -110,7 +110,7 @@ def repair(xi: PseudoOrbit, delta: float,
     points, _ = _walk(xi.family, xi.word, xi.points[0], H, (landed, xi.points[landed + 1]),
                       "stored")
     meta = {**xi.meta, "repaired": True, "M": M, "delta": delta}
-    y = PseudoOrbit.from_points(xi.family, xi.word, points, meta)
+    y = PseudoOrbit(xi.family, xi.word, points, meta)
     diff = IndexSet.from_mask(np.any(points != xi.points, axis=1))
     return RepairResult(y, M, IndexSet(anchors.indices, H + 1), IndexSet.from_mask(blocks), diff,
                         delta, int(anchors.indices[-1]) + M > H + 1)

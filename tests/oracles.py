@@ -17,7 +17,6 @@ from shadowlab.cesaro import DEFAULT_LEVELS, DENSITY_MARGIN, MIN_STAGE_RATIO
 from shadowlab.density import (DEFAULT_TAIL_FRACTION, ROUNDING_TOL, prefix_density,
                                prefix_means, tail_extremum)
 from shadowlab.dynamics import CIRCLE, MEMBERSHIP_TOL, UNIT_DISK, orbit
-from shadowlab.pseudo_orbits import recompute_step_errors
 from shadowlab.serialize import ORBIT_SCHEMA, PLAN_SCHEMA, dump_json, step_error_checksum
 
 # ---------------------------------------------------------------------------
@@ -227,9 +226,8 @@ def reference_repair(xi, delta: float) -> RepairResult:
         points[k:k + length] = orbit(xi.family, xi.word.shifted(k), xi.points[k], length)
         block_indices.extend(range(k, k + length))
     meta = {**xi.meta, "repaired": True, "M": M, "delta": delta}
-    y = PseudoOrbit(xi.family, xi.word, points,
-                    recompute_step_errors(xi.family, xi.word, points), meta,
-                    defects=reference_defects(xi.family, xi.word, points))
+    y = PseudoOrbit(xi.family, xi.word, points, meta)
+    assert y.defects.tolist() == reference_defects(xi.family, xi.word, points)
     diff = IndexSet.from_mask(np.any(points != xi.points, axis=1))
     return RepairResult(y, M, reference_index_set(anchors.to_list(), H + 1),
                         reference_index_set(block_indices, H + 1), diff, delta, truncated)

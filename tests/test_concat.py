@@ -110,21 +110,6 @@ def test_concatenate_accepts_correct_shift(block_word):
     assert np.all(interior <= 1e-15)
 
 
-def test_step_errors_one_ulp_off_are_rejected():
-    # A step recomputes to the same bits wherever it lies: no tolerance applies.
-    family, word = interval_identity()
-    block = zigzag_block(family, word, 10, 0.25)
-    errors = block.step_errors.copy()
-    errors[3] = np.nextafter(errors[3], np.inf)
-    raw = PseudoOrbit(family, word, block.points, errors, defects=block.defects)
-    assert np.array_equal(recompute_step_errors(family, word, block.points), block.step_errors)
-    assert not np.array_equal(recompute_step_errors(family, word, raw.points), raw.step_errors)
-    concatenate(BlockPlan((block,), (1,)), word)
-    with pytest.raises(PreconditionError) as err:
-        concatenate(BlockPlan((raw,), (1,)), word)
-    assert err.value.witness["max_error_mismatch"] == errors[3] - 0.25
-
-
 def word_flipped_at(word, j: int, m: int = 2) -> Word:
     """The word with symbol j swapped for another of 1..m, and no other symbol changed."""
     head = word.symbols(j + 1).tolist()
@@ -162,6 +147,23 @@ def test_concatenate_rejects_a_block_whose_word_differs_at_one_step(at):
     assert want != bad.step_errors[j]
     assert err.value.witness == {"block": 2, "offset": offset,
                                  "max_error_mismatch": abs(want - bad.step_errors[j])}
+
+
+def test_a_concatenation_has_the_record_of_a_pseudo_orbit_built_on_its_points():
+    # concatenate hands the constructor the symbols it laid out, which must be
+    # the word's own: its record equals, bit for bit, that of an orbit built
+    # on the same points that draws the word's symbols itself.
+    family, word = affine_box_system(3)
+    respelled = Word("prefix", word.m, prefix=tuple(word.shifted(21).symbols(40)),
+                     tail=word.shifted(61))
+    block1 = make_corrupted_orbit(family, word, (0.5, 0.5), IndexSet.from_iterable([7], 20),
+                                  JumpRule("fixed", point=(3.0, 3.0)), 0)
+    block2 = true_orbit(family, respelled, (2.0, 1.0), 40)
+    xi = concatenate(BlockPlan((block1, block2), (20, 1)), word)
+    built = PseudoOrbit(family, word, xi.points)
+    assert xi.defects.tolist() == [7, 20]
+    assert xi.step_errors.tobytes() == built.step_errors.tobytes()
+    assert xi.defects.tobytes() == built.defects.tobytes()
 
 
 def test_concatenate_rejects_poor_quality_block():
@@ -266,8 +268,7 @@ def test_certificate_targets_pass_for_well_grown_plan():
 def test_certificate_rejects_mismatched_sequence():
     plan, word = derived_three_block_plan()
     xi = concatenate(plan, word)
-    tampered = PseudoOrbit(xi.family, xi.word, xi.points[:-1], xi.step_errors[:-1], xi.meta,
-                           defects=xi.defects[xi.defects < xi.horizon - 1])
+    tampered = PseudoOrbit(xi.family, xi.word, xi.points[:-1], xi.meta)
     with pytest.raises(ParameterError):
         asymptotic_certificate(tampered, plan)
 
@@ -329,8 +330,9 @@ def reference_concatenate(plan, word):
     meta = {"kind": "concatenation", "offsets": offsets,
             "junction_indices": junction_indices,
             "junction_errors": [float(errors[i]) for i in junction_indices]}
-    return PseudoOrbit(family, word, points, errors, meta,
-                       defects=reference_defects(family, word, points))
+    xi = PseudoOrbit(family, word, points, meta)
+    assert xi.defects.tolist() == reference_defects(family, word, points)
+    return xi
 
 
 def affine_box_system(seed):
@@ -389,7 +391,7 @@ def concat_outcome(fn, plan, word):
         xi = fn(plan, word)
     except PreconditionError as exc:
         return type(exc), exc.witness
-    return xi.points.tobytes(), xi.step_errors.tobytes(), xi.meta
+    return xi.points.tobytes(), xi.step_errors.tobytes(), xi.defects.tobytes(), xi.meta
 
 
 def assert_outcomes_agree(plan, word):
@@ -439,6 +441,6 @@ def test_differential_plans_reach_every_outcome():
         outcome = concat_outcome(concatenate, BlockPlan((good[0], second), (1, 1)), word)
         assert_outcomes_agree(BlockPlan((good[0], second), (1, 1)), word)
         if witness_key is None:
-            assert outcome[2]["kind"] == "concatenation"
+            assert outcome[-1]["kind"] == "concatenation"
         else:
             assert outcome[0] is PreconditionError and witness_key in outcome[1]

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import shadowlab
 from shadowlab import GeneratorFamily, GeneratorMap, Word, build_disk_system, true_orbit
-from shadowlab import concat, dynamics, pseudo_orbits, serialize, surgery
+from shadowlab import dynamics, pseudo_orbits, serialize, surgery
 from shadowlab.cli import main
 from shadowlab.density import MIN_DENSITY_HORIZON, check_tail_fraction
 from shadowlab.dynamics import DIMENSION_CAP
@@ -1008,8 +1008,7 @@ def no_walk(monkeypatch) -> None:
         raise AssertionError("a step was taken")
     for module in (dynamics, pseudo_orbits, serialize, surgery):
         monkeypatch.setattr(module, "_walk", walk)
-    for module in (pseudo_orbits, concat):
-        monkeypatch.setattr(module, "_column_pass", walk)
+    monkeypatch.setattr(pseudo_orbits, "_column_pass", walk)
 
 
 @pytest.mark.parametrize("d, steps, message", [

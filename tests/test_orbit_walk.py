@@ -50,7 +50,7 @@ from shadowlab import (
     trace_report,
     true_orbit,
 )
-from shadowlab import concat, dynamics, pseudo_orbits, shadow_search
+from shadowlab import dynamics, pseudo_orbits, shadow_search
 from shadowlab.concat import BlockPlan, concatenate
 from shadowlab.dynamics import CIRCLE, MEMBERSHIP_TOL, UNIT_DISK
 from shadowlab.pseudo_orbits import recompute_step_errors
@@ -439,7 +439,6 @@ def test_a_word_past_the_familys_maps_is_refused_naming_word_m_before_any_step(s
     word = Word.periodic((1, 2), m=2)
     points = np.array([start, [0.5, 0.5], [0.25, 0.75]])
     plan = BlockPlan((true_orbit(family, Word.constant(1, 1), (0.1, 0.2), 2),), (1,))
-    xi = PseudoOrbit.from_points(family, Word.constant(1, 1), points)
     monkeypatch.setattr(GeneratorFamily, "_walker", lambda *args: pytest.fail("walked"))
     monkeypatch.setattr(GeneratorFamily, "steps", property(lambda self: pytest.fail("stepped")))
     calls = {
@@ -448,8 +447,7 @@ def test_a_word_past_the_familys_maps_is_refused_naming_word_m_before_any_step(s
         "make_corrupted_orbit": lambda: make_corrupted_orbit(
             family, word, start, IndexSet.from_iterable([1], 5), JumpRule("uniform"), 0),
         "recompute_step_errors": lambda: recompute_step_errors(family, word, points),
-        "PseudoOrbit": lambda: PseudoOrbit(family, word, points, xi.step_errors,
-                                           defects=xi.defects),
+        "PseudoOrbit": lambda: PseudoOrbit(family, word, points),
         "concatenate": lambda: concatenate(plan, word),
         "_walk": lambda: dynamics._walk(family, word, start, 5),
     }
@@ -913,12 +911,11 @@ def test_each_producer_makes_one_column_pass_and_builds_one_pseudo_orbit(tmp_pat
         passes.append(args)
         return column_pass(*args)
 
-    def counted_post_init(self):
+    def counted_post_init(self, symbols):
         built.append(self)
-        post_init(self)
+        post_init(self, symbols)
 
-    for module in (pseudo_orbits, concat):
-        monkeypatch.setattr(module, "_column_pass", counted_pass)
+    monkeypatch.setattr(pseudo_orbits, "_column_pass", counted_pass)
     monkeypatch.setattr(PseudoOrbit, "__post_init__", counted_post_init)
     for name, produce in producers.items():
         passes.clear()

@@ -1,4 +1,4 @@
-import re
+import dataclasses
 import time
 
 import numpy as np
@@ -6,7 +6,6 @@ import pytest
 
 from shadowlab import (
     BoundedSequence,
-    DomainError,
     GeneratorFamily,
     GeneratorMap,
     IndexSet,
@@ -28,7 +27,9 @@ from shadowlab import (
     true_orbit,
     verify_equivalence,
 )
+from shadowlab.concat import BlockPlan
 from shadowlab.density import prefix_density
+from shadowlab.dynamics import orbit
 from shadowlab.pseudo_orbits import recompute_step_errors
 from shadowlab.surgery import select_anchors
 
@@ -331,22 +332,31 @@ def test_classification_invariant_under_recache():
     assert np.array_equal(xi.step_errors, recached.step_errors)
 
 
-@pytest.mark.parametrize("defects, message", [
-    ([1, 3], "step 5 has a nonzero step error but is no defect"),
-    ([5, 1, 3], "defects must be sorted steps below the horizon, one a step"),
-    ([1, 1, 3, 5], "defects must be sorted steps below the horizon, one a step"),
-    ([-1, 1, 3, 5], "defects must be sorted steps below the horizon, one a step"),
-    ([1, 3, 5, 8], "defects must be sorted steps below the horizon, one a step"),
-    ([[1, 3, 5]], "defects must be sorted steps below the horizon, one a step"),
-])
-def test_the_constructor_checks_the_defects_cover_every_nonzero_error(defects, message):
-    xi = orbit_with_errors([0.0, 0.0, 0.5, 0.5, 0.25, 0.25, 0.75, 0.75, 0.75])
-    assert xi.defects.tolist() == [1, 3, 5]
-    PseudoOrbit(xi.family, xi.word, xi.points, xi.step_errors, defects=[0, 1, 3, 5, 7])
-    with pytest.raises(DomainError, match=re.escape(message)):
-        PseudoOrbit(xi.family, xi.word, xi.points, xi.step_errors, defects=defects)
-    with pytest.raises(TypeError, match="defects"):
-        PseudoOrbit(xi.family, xi.word, xi.points, xi.step_errors)
+def test_a_pseudo_orbit_derives_its_record_and_takes_none():
+    # A disk orbit with jumps at steps 5 and 50. The constructor took a zero
+    # record for its points, replace kept a true orbit's record on them, and
+    # every array took writes; each orbit then passed is_pseudo_orbit at 0.01.
+    family, word = build_disk_system()
+    jumps = IndexSet.from_iterable([5, 50], 100)
+    xi = make_corrupted_orbit(family, word, (0.6, 0.3), jumps,
+                              JumpRule("fixed", point=(0.9, 0.0)), seed=0)
+    assert xi.defects.tolist() == [5, 50] and not is_pseudo_orbit(xi, 0.01)
+    for record in ("step_errors", "defects"):
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{record}'"):
+            PseudoOrbit(family, word, xi.points, {}, **{record: np.zeros(100)})
+        with pytest.raises(ValueError, match=f"field {record} is declared with init=False"):
+            dataclasses.replace(xi, **{record: np.zeros(100)})
+    jumped = dataclasses.replace(true_orbit(family, word, (0.6, 0.3), 100), points=xi.points)
+    assert jumped.defects.tolist() == [5, 50]
+    assert np.array_equal(jumped.step_errors, xi.step_errors)
+    for name, index, value in (("points", 3, [5.0, 5.0]), ("step_errors", 5, 0.0),
+                               ("defects", 0, 1)):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(xi, name)[index] = value
+    # The orbit's points are a view: the array given stays writable.
+    given = xi.points.copy()
+    PseudoOrbit(family, word, given)
+    given[0] = 0.0
 
 
 def test_step_errors_bounded_by_diameter():
@@ -438,22 +448,29 @@ def test_a_density_tol_that_is_negative_or_nan_is_rejected(density_tol):
     assert is_ergodic_pseudo_orbit(xi, 0.1, 0.0).params["density_tol"] == 0.0
 
 
-# Each takes an integer argument, named by the key, on a 200-step orbit and the
-# index set {1, 4, 7} below 10.
+# Each case: the argument's name, as the error names it, and a call that sets
+# it, on a 200-step orbit and the index set {1, 4, 7} below 10.
 INTEGER_ARGUMENTS = {
-    "n": lambda xi, A, v: prefix_density(A, v),
-    "N": lambda xi, A, v: is_average_pseudo_orbit(xi, 0.1, v),
-    "M": lambda xi, A, v: select_anchors(A, v).to_list(),
+    "n": ("n", lambda xi, A, v: prefix_density(A, v)),
+    "N": ("N", lambda xi, A, v: is_average_pseudo_orbit(xi, 0.1, v)),
+    "M": ("M", lambda xi, A, v: select_anchors(A, v).to_list()),
+    "N_k": ("N_1", lambda xi, A, v: BlockPlan((xi,), (v,)).N_levels),
+    "IndexSet horizon": ("horizon", lambda xi, A, v: IndexSet.from_iterable([1], v).horizon),
+    "orbit n": ("n", lambda xi, A, v: orbit(xi.family, xi.word, xi.points[0], v).tolist()),
+    "true_orbit horizon": ("horizon", lambda xi, A, v: true_orbit(
+        xi.family, xi.word, xi.points[0], v).points.tolist()),
 }
 
 
 @pytest.mark.parametrize("value", [True, 2.5, "2"])
-@pytest.mark.parametrize("name", sorted(INTEGER_ARGUMENTS))
-def test_an_integer_argument_that_is_not_an_integer_is_rejected_naming_it(name, value):
+@pytest.mark.parametrize("case", sorted(INTEGER_ARGUMENTS))
+def test_an_integer_argument_that_is_not_an_integer_is_rejected_naming_it(case, value):
     # prefix_density(A, 2.5) returned 0.4, is_average_pseudo_orbit ran N = True
     # as N = 1 and raised a TypeError at N = 2.5, and select_anchors took 2.5.
+    # BlockPlan ran N_k = 2.5 as 2, IndexSet stored the horizon 10.5, and
+    # orbit and true_orbit ran True as 1 and raised a TypeError at 2.5.
     xi, A = make_decaying_instance(0, 200).xi, IndexSet.from_iterable([1, 4, 7], 10)
-    call = INTEGER_ARGUMENTS[name]
+    name, call = INTEGER_ARGUMENTS[case]
     with pytest.raises(ParameterError, match=f"^{name} must be an integer, got {value!r}$"):
         call(xi, A, value)
     assert call(xi, A, 2.0) == call(xi, A, 2)

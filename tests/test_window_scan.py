@@ -11,19 +11,13 @@ mean exceed every shorter one's.
 """
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from shadowlab import (
-    GeneratorFamily,
-    GeneratorMap,
-    MetricSpace,
-    PseudoOrbit,
-    Word,
-    is_average_pseudo_orbit,
-)
+from shadowlab import is_average_pseudo_orbit
 
 MAX_H = 80
 
@@ -50,12 +44,12 @@ def full_scan_oracle(e: np.ndarray, delta: float, N: int, longest: int | None = 
     return {"k": k, "n": n, "window_mean": mean}, worst
 
 
-def orbit_with_step_errors(e) -> PseudoOrbit:
-    """A constant 1-d orbit carrying the given step errors as its cache."""
+def orbit_with_step_errors(e) -> SimpleNamespace:
+    """A stand-in for a pseudo-orbit with the given step errors. A PseudoOrbit
+    derives its step errors from its points, so the stand-in holds only the
+    two attributes is_average_pseudo_orbit reads: step_errors and horizon."""
     e = np.asarray(e, dtype=np.float64)
-    family = GeneratorFamily(MetricSpace.box([0.0], [1.0]), (GeneratorMap.identity(),))
-    return PseudoOrbit(family, Word.constant(1, m=1), np.zeros((len(e) + 1, 1)), e,
-                       defects=np.flatnonzero(e))
+    return SimpleNamespace(step_errors=e, horizon=len(e))
 
 
 def assert_matches_oracle(e, delta: float):

@@ -123,17 +123,22 @@ def test_signed_zeros_and_underflowing_moves_are_defects():
 
 
 def test_save_orbit_meta_goes_through_json():
-    """Meta keys and strings json must escape, nested values and numpy scalars."""
+    """Meta keys and strings json must escape, nested values and numpy values,
+    which serialize.json_default writes as Python ones."""
     family, word = build_disk_system()
-    xi = true_orbit(family, word, (0.4, 0.2), 20)
     meta = {"quote\"slash\\newline\n\u00e9\U0001f600": [1, {"x": 0.1, "y": [-0.0]}],
-            "points": "[\n  1.0\n]", "z": np.float64(1e16), "": []}
-    xi = PseudoOrbit(family, word, xi.points, xi.step_errors, meta, defects=xi.defects)
+            "points": "[\n  1.0\n]", "z": np.float64(1e16), "": [],
+            "int64": np.int64(3), "bool_": np.bool_(True), "arange": np.arange(3)}
+    xi = PseudoOrbit(family, word, true_orbit(family, word, (0.4, 0.2), 20).points, meta)
     assert written(save_orbit, xi) == reference_json(reference_orbit_dict(xi))
     with tempfile.TemporaryDirectory() as d:
         save_orbit(xi, Path(d) / "orbit.json")
-        assert load_orbit(Path(d) / "orbit.json").meta == json.loads(
-            json.dumps(meta, default=json_default))
+        loaded = load_orbit(Path(d) / "orbit.json").meta
+    assert loaded == {
+        "quote\"slash\\newline\n\u00e9\U0001f600": [1, {"x": 0.1, "y": [-0.0]}],
+        "points": "[\n  1.0\n]", "z": 1e16, "": [], "int64": 3, "bool_": True,
+        "arange": [0, 1, 2]}
+    assert type(loaded["int64"]) is int and loaded["bool_"] is True
 
 
 def edge_rows(n: int) -> list[tuple]:
