@@ -89,27 +89,24 @@ def concatenate(plan: BlockPlan, word: Word) -> PseudoOrbit:
 
     Each block must be a pseudo-orbit for the word shifted to its own
     offset, with prefix mean errors below 1/k beyond N_k; both checks read
-    the block's slice of the new orbit's step errors. Block k's steps take
-    the symbols of the block's own word when it equals the word shifted by
-    the block's offset (a frozen spec fixes every symbol, and the block's
-    memo already holds them), and those of the shifted word otherwise; a
-    junction's symbol is the word's symbol_at. So the laid-out symbols equal
-    word.symbols(H), and the orbit is built with them. Junction step errors
-    are recorded separately in the metadata.
+    the block's slice of the new orbit's step errors. The word's first H
+    symbols are laid into its memo block by block (Word._extend_symbols): a
+    block's are lent by the block's own word when that is the word shifted
+    to the block's offset, and drawn by the rule otherwise, and each
+    junction's symbol is drawn after its block. So the constructor's
+    word.symbols(H) reads the memo, and an iid plan draws each symbol once.
+    Junction step errors are recorded separately in the metadata.
     """
     offsets = plan.offsets
     family = plan.blocks[0].family
     points = np.concatenate([b.points for b in plan.blocks], axis=0)
-    symbols = np.empty(len(points) - 1, dtype=np.min_scalar_type(word.m))
     for k, block in enumerate(plan.blocks, start=1):
-        shifted = word.shifted(offsets[k - 1])
-        symbols[offsets[k - 1]:offsets[k] - 1] = (
-            block.word if block.word == shifted else shifted).symbols(block.horizon)
+        word._extend_symbols(block.word, offsets[k - 1], block.horizon)
         if k < len(plan.blocks):
-            symbols[offsets[k] - 1] = word.symbol_at(offsets[k] - 1)
+            word.symbols(offsets[k])  # the junction's symbol
     junction_indices = [offsets[k] - 1 for k in range(1, len(plan.blocks))]
     meta = {"kind": "concatenation", "offsets": offsets, "junction_indices": junction_indices}
-    xi = PseudoOrbit(family, word, points, meta, symbols=symbols)
+    xi = PseudoOrbit(family, word, points, meta)
     for k, (block, N) in enumerate(zip(plan.blocks, plan.N_levels), start=1):
         block_errors = xi.step_errors[offsets[k - 1]:offsets[k] - 1]
         # A step's error is the same bits wherever it is computed, so any

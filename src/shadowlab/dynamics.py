@@ -528,10 +528,6 @@ class GeneratorFamily:
                                 for i, g in enumerate(spec["maps"])))
 
 
-_NO_SYMBOLS = np.zeros(0, dtype=np.int64)
-_NO_SYMBOLS.flags.writeable = False
-
-
 @dataclass(frozen=True)
 class Word(_Spec):
     """Deterministic rule for an infinite symbol sequence over {1..m}.
@@ -619,19 +615,46 @@ class Word(_Spec):
         return int(self._base_symbols(self.offset + j, 1)[0])
 
     def symbols(self, n: int) -> np.ndarray:
-        """The first n symbols as a read-only int array; equal to symbol_at(0..n-1).
+        """The first n symbols as a read-only array of the smallest unsigned
+        dtype that holds m; equal to symbol_at(0..n-1).
 
         The word keeps the longest prefix asked for so far and computes only
         the symbols past it.
         """
         n = max(int(n), 0)
-        memo = self.__dict__.get("_symbols_memo", _NO_SYMBOLS)
+        memo = self._memo()
         if n > len(memo):
-            memo = np.concatenate(
-                (memo, self._base_symbols(self.offset + len(memo), n - len(memo))))
-            memo.flags.writeable = False
-            object.__setattr__(self, "_symbols_memo", memo)
+            memo = self._keep(memo, self._base_symbols(self.offset + len(memo), n - len(memo)))
         return memo[:n]
+
+    def _extend_symbols(self, block: "Word", start: int, n: int) -> None:
+        """Extend the memo to the first start + n symbols, the last n of them
+        those of a block of n steps laid out from step start under its own
+        word, block. When the memo ends at start and block is this word
+        shifted by start, they are read from block's memo (frozen words with
+        equal fields draw equal symbols); otherwise they are drawn by the
+        rule."""
+        memo = self._memo()
+        if len(memo) == start and block == self.shifted(start):
+            self._keep(memo, block.symbols(n))
+        else:
+            self.symbols(start + n)
+
+    def _memo(self) -> np.ndarray:
+        """The symbols computed so far, read-only, in the smallest unsigned
+        dtype that holds m."""
+        memo = self.__dict__.get("_symbols_memo")
+        if memo is None:
+            memo = np.zeros(0, np.min_scalar_type(self.m))
+            memo.flags.writeable = False
+        return memo
+
+    def _keep(self, memo: np.ndarray, more: np.ndarray) -> np.ndarray:
+        """memo followed by the next symbols, more, as the word's read-only memo."""
+        memo = np.concatenate((memo, more.astype(memo.dtype, copy=False)))
+        memo.flags.writeable = False
+        object.__setattr__(self, "_symbols_memo", memo)
+        return memo
 
     def _base_symbols(self, start: int, n: int) -> np.ndarray:
         """Base-rule symbols start..start+n-1: the one symbol rule of the word."""

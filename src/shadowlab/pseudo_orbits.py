@@ -8,7 +8,7 @@ sliding-window means, or in Cesàro means.
 from __future__ import annotations
 
 import math
-from dataclasses import KW_ONLY, InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,10 +28,13 @@ DEFAULT_DENSITY_TOL = 0.01
 
 
 # Steps a column pass evaluates at once. It bounds the pass's temporaries (a
-# symbol's index and gathered columns, the images, their distances and bit
-# comparison) to one block: an orbit built on the disk at H = 2e5 peaked at 64 B
-# a step in one full-length pass and at 26.7 in blocks of 2**16 steps
-# (tracemalloc), against about 35 for a "stored" walk of the same points.
+# symbol's index and gathered columns, the images, their bit comparison, and
+# the distances with the columns gathered for them) to one block: a true orbit
+# built on the disk at H = 2e5 peaked at 64 B a step in one full-length pass
+# and at 26.7 in blocks of 2**16 steps (tracemalloc), against about 35 for a
+# "stored" walk of the same points. With distances taken only where they can
+# be nonzero, that orbit peaks at 21.8, and one whose every step is a defect
+# at 31.9.
 COLUMN_BLOCK = 2**16
 
 
@@ -41,13 +44,16 @@ def _column_pass(family: GeneratorFamily, symbols: np.ndarray,
     given points x_0..x_H under the given symbols w_0..w_{H-1}: the one place
     in the library that turns points into both. No step depends on the one
     before, so each symbol's map runs on the columns of its steps
-    (family.steps), COLUMN_BLOCK steps at a time, and the errors are
-    space._distance from the images to the next points. The defects are the
-    steps whose next point differs from the image bit for bit (bits, not
-    errors, so that a signed zero or a distance that underflows to 0 counts),
-    as a sorted int array. The pass checks nothing, and a point that left
-    the space raises no warning: the constructor checks the alphabet and
-    each point's membership before it, recompute_step_errors the alphabet."""
+    (family.steps), COLUMN_BLOCK steps at a time. The defects are the steps
+    whose next point differs from the image bit for bit (bits, not errors, so
+    that a signed zero or a distance that underflows to 0 counts), as a sorted
+    int array. The errors are space._distance from the images to the next
+    points, taken at the defects and at the steps whose next point is not
+    finite (at every step of a block that is mostly defects); every other
+    step lands on its image, a finite point, at distance 0.0. The pass
+    checks nothing, and a point that left the space raises no warning: the
+    constructor checks the alphabet and each point's membership before it,
+    recompute_step_errors the alphabet."""
     H = len(points) - 1
     errors, defects = np.empty(H), [np.empty(0, dtype=np.int64)]
     with np.errstate(all="ignore"):  # a point outside the space may overflow
@@ -60,10 +66,19 @@ def _column_pass(family: GeneratorFamily, symbols: np.ndarray,
                 for image, column in zip(images, family.steps[s](tuple(c[idx] for c in columns))):
                     image[idx] = column
             landed = tuple(points[j0 + 1:j1 + 1].T)
-            errors[j0:j1] = family.space._distance(images, landed)
             moved = np.zeros(j1 - j0, dtype=bool)
             for image, x in zip(images, landed):
                 moved |= image.view(np.uint64) != x.view(np.uint64)
+            if 2 * np.count_nonzero(moved) > j1 - j0:  # mostly defects: gathering costs more
+                errors[j0:j1] = family.space._distance(images, landed)
+            else:
+                far = moved.copy()
+                for x in landed:
+                    far |= ~np.isfinite(x)
+                idx = np.flatnonzero(far)
+                errors[j0:j1] = 0.0
+                errors[j0 + idx] = family.space._distance(tuple(c[idx] for c in images),
+                                                          tuple(x[idx] for x in landed))
             defects.append(j0 + np.flatnonzero(moved))
     return errors, np.concatenate(defects)
 
@@ -103,37 +118,34 @@ class PseudoOrbit:
     ``PseudoOrbit(family, word, points, meta)`` is the one way to build one:
     it checks the word's alphabet, the points' shape and each point's
     membership, then makes the pass over word.symbols(H). Neither record is
-    an argument, and ``dataclasses.replace`` derives both again. ``defects``
-    are the sorted steps j whose point x_{j+1} is not f_{w_j}(x_j) bit for
-    bit; every step with a nonzero step error is among them, and every other
-    point is its step's image, so a save lists the points at the defects
-    alone. ``points``, ``step_errors`` and ``defects`` are read-only views;
-    ``points`` shares the memory of the array given, so a caller who writes
-    into that array afterwards changes the orbit.
-
-    ``symbols``, keyword-only, is for a caller that already holds the word's
-    first H symbols (concatenate lays them out from its blocks): it must equal
-    word.symbols(H), which is drawn when it is left out.
+    an argument, ``dataclasses.replace`` derives both again, and a copy or a
+    pickle is rebuilt by the constructor from the four arguments, so it
+    derives its record from its own points. ``defects`` are the sorted steps
+    j whose point x_{j+1} is not f_{w_j}(x_j) bit for bit; every step with a
+    nonzero step error is among them, and every other point is its step's
+    image, so a save lists the points at the defects alone. ``points``,
+    ``step_errors`` and ``defects`` are read-only views; ``points`` shares
+    the memory of the array given, so a caller who writes into that array
+    afterwards changes the orbit.
     """
 
     family: GeneratorFamily
     word: Word
     points: np.ndarray
     meta: dict = field(default_factory=dict)
-    _: KW_ONLY
-    symbols: InitVar[np.ndarray | None] = None
     step_errors: np.ndarray = field(init=False)
     defects: np.ndarray = field(init=False)
 
-    def __post_init__(self, symbols):
+    def __post_init__(self):
         pts = _checked_points(self.family, self.word, self.points)
-        if symbols is None:
-            symbols = self.word.symbols(len(pts) - 1)
-        errors, defects = _column_pass(self.family, symbols, pts)
+        errors, defects = _column_pass(self.family, self.word.symbols(len(pts) - 1), pts)
         # A view of the points, so that the caller's array stays writable.
         for name, a in (("points", pts.view()), ("step_errors", errors), ("defects", defects)):
             a.flags.writeable = False
             object.__setattr__(self, name, a)
+
+    def __reduce__(self):
+        return type(self), (self.family, self.word, self.points, self.meta)
 
     @classmethod
     def from_points(cls, family: GeneratorFamily, word: Word, points,
@@ -156,6 +168,8 @@ def true_orbit(family: GeneratorFamily, word: Word, z, horizon: int) -> PseudoOr
     every step error exactly zero and no defect.
     """
     horizon = _integer("horizon", horizon)
+    if horizon < 0:
+        raise ParameterError(f"horizon must be >= 0, got {horizon}", "horizon")
     return PseudoOrbit(family, word, orbit(family, word, z, horizon + 1), {"kind": "true-orbit"})
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -150,9 +152,9 @@ def test_concatenate_rejects_a_block_whose_word_differs_at_one_step(at):
 
 
 def test_a_concatenation_has_the_record_of_a_pseudo_orbit_built_on_its_points():
-    # concatenate hands the constructor the symbols it laid out, which must be
-    # the word's own: its record equals, bit for bit, that of an orbit built
-    # on the same points that draws the word's symbols itself.
+    # concatenate lays the word's symbols into the word's memo from its blocks,
+    # which must give the word's own: its record equals, bit for bit, that of
+    # an orbit built on the same points under a fresh copy of the word.
     family, word = affine_box_system(3)
     respelled = Word("prefix", word.m, prefix=tuple(word.shifted(21).symbols(40)),
                      tail=word.shifted(61))
@@ -160,10 +162,40 @@ def test_a_concatenation_has_the_record_of_a_pseudo_orbit_built_on_its_points():
                                   JumpRule("fixed", point=(3.0, 3.0)), 0)
     block2 = true_orbit(family, respelled, (2.0, 1.0), 40)
     xi = concatenate(BlockPlan((block1, block2), (20, 1)), word)
-    built = PseudoOrbit(family, word, xi.points)
+    built = PseudoOrbit(family, dataclasses.replace(word), xi.points)
     assert xi.defects.tolist() == [7, 20]
     assert xi.step_errors.tobytes() == built.step_errors.tobytes()
     assert xi.defects.tobytes() == built.defects.tobytes()
+
+
+@pytest.mark.parametrize("case, draws", [("shifted", 1), ("respelled", 31),
+                                         ("memo short of the horizon", 16),
+                                         ("memo past the horizon", 0)])
+def test_a_block_word_other_than_the_shifted_word_is_drawn_not_lent(monkeypatch, case, draws):
+    # Block 2 (30 steps at offset 21) lends its memo only when its word is the
+    # word shifted by 21 and the word's memo ends at 21. Every other symbol of
+    # the 51 that the word's memo lacks is drawn once, and the word then holds
+    # them all; it held none after a concatenation, which drew them again on
+    # the next read.
+    family, word = build_disk_system()[0], Word.iid([0.5, 0.5], seed=3)
+    respelled = Word("prefix", 2, prefix=tuple(word.shifted(21).symbols(30)),
+                     tail=word.shifted(51))
+    block1 = true_orbit(family, word.shifted(0), (0.5, 0.2), 20)
+    block2 = true_orbit(family, respelled if case == "respelled" else word.shifted(21),
+                        (0.3, -0.6), 30)
+    want, target = word.symbols(51), Word.iid([0.5, 0.5], seed=3)
+    target.symbols({"memo short of the horizon": 5, "memo past the horizon": 60}.get(case, 0))
+    counted, iid_draws = [], Word._iid_draws
+
+    def count(self, start, n):
+        counted.append(n)
+        return iid_draws(self, start, n)
+
+    monkeypatch.setattr(Word, "_iid_draws", count)
+    xi = concatenate(BlockPlan((block1, block2), (1, 1)), target)
+    assert np.array_equal(target.symbols(xi.horizon), want)
+    assert sum(counted) == draws
+    assert xi.defects.tolist() == [20]
 
 
 def test_concatenate_rejects_poor_quality_block():

@@ -213,6 +213,15 @@ def test_word_symbols_in_range():
         assert syms.min() >= 1 and syms.max() <= 3
 
 
+@pytest.mark.parametrize("m, dtype", [(2, np.uint8), (255, np.uint8), (256, np.uint16),
+                                      (70_000, np.uint32)])
+def test_word_symbols_take_the_smallest_unsigned_dtype_that_holds_m(m, dtype):
+    # The memo held int64, 8 bytes a symbol for any alphabet.
+    word = Word.periodic((1, m, m), m=m)
+    assert word.symbols(5).dtype == dtype
+    assert word.symbols(5).tolist() == [word.symbol_at(j) for j in range(5)] == [1, m, m, 1, m]
+
+
 def test_word_prefix_then_tail():
     word = Word("prefix", 2, prefix=(2, 2, 2), tail=Word.periodic((1, 2), m=2))
     assert list(word.symbols(6)) == [2, 2, 2, 1, 2, 1]

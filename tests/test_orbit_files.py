@@ -504,9 +504,9 @@ def test_each_load_and_concatenation_builds_one_pseudo_orbit(tmp_path, monkeypat
     save_orbit(xi, tmp_path / "v2 load.json")
     built, check = [], PseudoOrbit.__post_init__
 
-    def counted(self, symbols):
+    def counted(self):
         built.append(self)
-        check(self, symbols)
+        check(self)
 
     monkeypatch.setattr(PseudoOrbit, "__post_init__", counted)
     got = (concatenate(plan, word) if build == "concatenate"

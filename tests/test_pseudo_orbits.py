@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 import time
 
 import numpy as np
@@ -359,6 +361,48 @@ def test_a_pseudo_orbit_derives_its_record_and_takes_none():
     given[0] = 0.0
 
 
+def test_a_pseudo_orbit_takes_no_symbols():
+    # A swap-only true orbit, built under the alternating word with the swap's
+    # symbols handed in, reported no defect and passed is_pseudo_orbit at 0.01.
+    family, word = build_disk_system()
+    swaps = true_orbit(family, Word.constant(1, 2), (0.6, 0.3), 100)
+    assert "symbols" not in {f.name for f in dataclasses.fields(PseudoOrbit)}
+    with pytest.raises(TypeError, match="unexpected keyword argument 'symbols'"):
+        PseudoOrbit(family, word, swaps.points, {}, symbols=Word.constant(1, 2).symbols(100))
+    xi = PseudoOrbit(family, word, swaps.points)
+    assert xi.defects.tolist() == list(range(1, 100, 2)) and not is_pseudo_orbit(xi, 0.01)
+
+
+COPIES = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+          "pickle": lambda xi: pickle.loads(pickle.dumps(xi))}
+
+
+@pytest.mark.parametrize("how", sorted(COPIES))
+def test_a_copy_of_a_pseudo_orbit_is_built_by_the_constructor(monkeypatch, how):
+    # A deep copy and a pickle gave writable arrays, so a point written into
+    # one kept the original's record, and no copy went through the constructor.
+    family, word = build_disk_system()
+    xi = make_corrupted_orbit(family, word, (0.6, 0.3), IndexSet.from_iterable([5, 50], 100),
+                              JumpRule("fixed", point=(0.9, 0.0)), seed=0)
+    built, post_init = [], PseudoOrbit.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(PseudoOrbit, "__post_init__", counted)
+    got = COPIES[how](xi)
+    assert len(built) == 1 and built[0] is got
+    for name in ("points", "step_errors", "defects"):
+        assert not getattr(got, name).flags.writeable, name
+    with pytest.raises(ValueError, match="read-only"):
+        got.points[3] = [0.9, 0.0]
+    again = PseudoOrbit(got.family, got.word, got.points.copy(), got.meta)
+    assert got.meta == xi.meta and got.points.tobytes() == xi.points.tobytes()
+    assert got.step_errors.tobytes() == again.step_errors.tobytes()
+    assert got.defects.tobytes() == again.defects.tobytes() and got.defects.tolist() == [5, 50]
+
+
 def test_step_errors_bounded_by_diameter():
     family, word = build_disk_system()
     all_idx = IndexSet.from_iterable(range(200), 200)
@@ -474,3 +518,12 @@ def test_an_integer_argument_that_is_not_an_integer_is_rejected_naming_it(case, 
     with pytest.raises(ParameterError, match=f"^{name} must be an integer, got {value!r}$"):
         call(xi, A, value)
     assert call(xi, A, 2.0) == call(xi, A, 2)
+
+
+def test_a_negative_true_orbit_horizon_is_rejected_naming_it():
+    # true_orbit(..., -5) raised orbit's "orbit length must be >= 1".
+    family, word = build_disk_system()
+    with pytest.raises(ParameterError, match=r"^horizon must be >= 0, got -5$") as err:
+        true_orbit(family, word, (0.6, 0.3), -5)
+    assert err.value.path == ("horizon",)
+    assert true_orbit(family, word, (0.6, 0.3), 0).horizon == 0
