@@ -651,24 +651,26 @@ class Word(_Spec):
 
     def _keep(self, memo: np.ndarray, more: np.ndarray) -> np.ndarray:
         """memo followed by the next symbols, more, as the word's read-only memo."""
-        memo = np.concatenate((memo, more.astype(memo.dtype, copy=False)))
+        memo = np.concatenate((memo, more))
         memo.flags.writeable = False
         object.__setattr__(self, "_symbols_memo", memo)
         return memo
 
     def _base_symbols(self, start: int, n: int) -> np.ndarray:
-        """Base-rule symbols start..start+n-1: the one symbol rule of the word."""
+        """Base-rule symbols start..start+n-1: the one symbol rule of the
+        word, in the memo's dtype."""
+        dtype = np.min_scalar_type(self.m)
         if self.kind == "constant":
-            return np.full(n, self.symbol, dtype=np.int64)
+            return np.full(n, self.symbol, dtype=dtype)
         if self.kind == "periodic":
-            pattern = np.array(self.pattern, dtype=np.int64)
-            return pattern[(start % len(pattern) + np.arange(n)) % len(pattern)]
+            pattern = np.array(self.pattern, dtype=dtype)
+            return np.tile(np.roll(pattern, -(start % len(pattern))), -(-n // len(pattern)))[:n]
         if self.kind == "iid":
             u = np.frombuffer(self._iid_draws(start, n), dtype=">u8").astype(np.float64) / 2.0**64
             s = np.searchsorted(np.array(self._iid_thresholds()), u, side="right") + 1
-            return np.minimum(s, self.m).astype(np.int64)
+            return np.minimum(s, self.m).astype(dtype)
         L = len(self.prefix)
-        head = np.array(self.prefix[start:start + n], dtype=np.int64)
+        head = np.array(self.prefix[start:start + n], dtype=dtype)
         tail_start = max(start, L) - L
         return np.concatenate((head, self.tail._base_symbols(self.tail.offset + tail_start,
                                                              n - len(head))))

@@ -4,6 +4,7 @@ import gc
 import math
 import pickle
 import pstats
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -220,6 +221,22 @@ def test_word_symbols_take_the_smallest_unsigned_dtype_that_holds_m(m, dtype):
     word = Word.periodic((1, m, m), m=m)
     assert word.symbols(5).dtype == dtype
     assert word.symbols(5).tolist() == [word.symbol_at(j) for j in range(5)] == [1, m, m, 1, m]
+
+
+@pytest.mark.parametrize("word", [Word.constant(2, m=2), Word.periodic((1, 2, 2), m=2).shifted(4),
+                                  Word("prefix", 2, prefix=(2, 1), tail=Word.periodic((1, 2), m=2))])
+def test_word_symbols_are_built_in_the_memo_dtype(word):
+    # Built as int64 (np.arange, the modulo and the gather), a periodic word's
+    # symbols peaked at 16 bytes a symbol before the memo took them.
+    n = 100_000
+    tracemalloc.start()
+    try:
+        symbols = word.symbols(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * n
+    assert symbols[[0, 1, 2, n - 1]].tolist() == [word.symbol_at(j) for j in (0, 1, 2, n - 1)]
 
 
 def test_word_prefix_then_tail():
