@@ -37,6 +37,10 @@ DIMENSION_CAP = 256
 # slower than in one block; at 1 024 steps, 300 KB and 7 %; at 4 096, 1.2 MB
 # and 1.4 %.
 WALK_BLOCK = 2048
+# Indices an iid word hashes before it reads their draws into its output (see
+# Word._iid_draws): a build holds one block of 32-byte digests, 128 KiB,
+# besides its arrays.
+IID_BLOCK = 4096
 
 UNIT_DISK = "unit-disk-2d"
 BOX = "box-kd"
@@ -590,14 +594,26 @@ class Word(_Spec):
         weights = tuple(weights)
         return cls("iid", len(weights), weights=weights, seed=seed)
 
-    def _iid_draws(self, start: int, n: int) -> bytes:
-        """8 big-endian bytes per index start..start+n-1.
+    def _iid_draws(self, start: int, n: int) -> np.ndarray:
+        """The draws of indices start..start+n-1 as uint64: index j draws the
+        first 8 bytes, big-endian, of SHA-256(b"shadowlab-word" + seed + j),
+        seed and j each as 8 big-endian bytes.
 
-        Counter-based draws: deterministic regardless of query order.
+        Counter-based draws: deterministic regardless of query order. The key
+        is hashed once and copied per index, and each IID_BLOCK digests are
+        joined and read into the output at once.
         """
-        key = b"shadowlab-word" + self.seed.to_bytes(8, "big")
-        return b"".join(hashlib.sha256(key + j.to_bytes(8, "big")).digest()[:8]
-                        for j in range(start, start + n))
+        key = hashlib.sha256(b"shadowlab-word" + self.seed.to_bytes(8, "big"))
+        draws = np.empty(n, np.uint64)
+        for lo in range(0, n, IID_BLOCK):
+            digests = []
+            for j in range(start + lo, start + min(n, lo + IID_BLOCK)):
+                h = key.copy()
+                h.update(j.to_bytes(8, "big"))
+                digests.append(h.digest())
+            # Each digest is four big-endian uint64s; the draw is the first.
+            draws[lo:lo + len(digests)] = np.frombuffer(b"".join(digests), ">u8")[::4]
+        return draws
 
     def _iid_thresholds(self) -> list[float]:
         total = sum(self.weights)
@@ -666,9 +682,12 @@ class Word(_Spec):
             pattern = np.array(self.pattern, dtype=dtype)
             return np.tile(np.roll(pattern, -(start % len(pattern))), -(-n // len(pattern)))[:n]
         if self.kind == "iid":
-            u = np.frombuffer(self._iid_draws(start, n), dtype=">u8").astype(np.float64) / 2.0**64
+            u = self._iid_draws(start, n) / 2.0**64
             s = np.searchsorted(np.array(self._iid_thresholds()), u, side="right") + 1
-            return np.minimum(s, self.m).astype(dtype)
+            # A u at or past the last threshold (rounding puts it there) takes
+            # the last symbol of positive weight, never a zero-weight one.
+            last = max(k for k, w in enumerate(self.weights, start=1) if w > 0)
+            return np.minimum(s, last).astype(dtype)
         L = len(self.prefix)
         head = np.array(self.prefix[start:start + n], dtype=dtype)
         tail_start = max(start, L) - L

@@ -11,6 +11,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -111,12 +113,45 @@ def _read_object(path) -> dict:
     return data
 
 
+# Suffixes that numpy's path reader (its DataSource) opens decompressed.
+_NUMPY_DECOMPRESSES = (".gz", ".bz2", ".xz", ".lzma")
+
+
+def _read_values(path: Path) -> np.ndarray:
+    """The file's whitespace-separated tokens, each as ``float`` reads it.
+
+    A pure ASCII file with the same number of values on every line is read by
+    numpy's C reader, which ends in the same string-to-double conversion as
+    ``float`` and takes a field only when all of it parses. Every other file
+    (ragged lines, underscores, non-ASCII text, no values at all) and any
+    error goes to _read_tokens, which gives the values or raises the error
+    that ``float`` does. numpy opens a path by name through its DataSource,
+    which fetches a URL, decompresses by suffix and looks for path + ".gz"
+    when path is missing; so it is given only the absolute path of an
+    existing regular file with none of those suffixes.
+    """
+    if path.is_file() and path.suffix not in _NUMPY_DECOMPRESSES:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                return np.loadtxt(os.path.abspath(path), dtype=np.float64, comments=None,
+                                  ndmin=1, encoding="ascii").ravel()
+        except (OSError, ValueError, Warning):
+            pass
+    return _read_tokens(path)
+
+
+def _read_tokens(path: Path) -> np.ndarray:
+    """The file's whitespace-separated tokens, one ``float`` call each."""
+    tokens = path.read_text().split()
+    return np.fromiter(map(float, tokens), np.float64, count=len(tokens))
+
+
 def load_sequence(path: Path | str, bound: float | None) -> BoundedSequence:
     """The values file (whitespace-separated finite numbers) as a sequence long
     enough for the density estimates; every error names the file."""
     with _input_file("values file", path):
-        tokens = Path(path).read_text().split()
-        values = np.fromiter(map(float, tokens), np.float64, count=len(tokens))
+        values = _read_values(Path(path))
         if values.size < MIN_DENSITY_HORIZON:
             raise ParameterError(f"density estimates need at least {MIN_DENSITY_HORIZON} "
                                  f"values, got {values.size}")

@@ -5,6 +5,7 @@ inequality of the paper's constructions, evaluated independently of the
 code under test where it can be. None of them is part of the library.
 """
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -76,6 +77,30 @@ def reference_step(family, s, p):
     if s != 0 and not reference_contains(space, image):
         raise DomainError(f"map {s} sends {p} to {image}, outside the space")
     return image
+
+
+def iid_symbols_reference(weights, seed, start, n) -> list[int]:
+    """Symbols start..start+n-1 of the iid word with these weights and seed,
+    one index at a time: index j draws u, the first 8 bytes of
+    SHA-256(b"shadowlab-word" + seed + j) (seed and j as 8 big-endian bytes)
+    read big-endian over 2**64, and takes the first symbol whose cumulative
+    weight share exceeds u; a u past every threshold takes the last symbol of
+    positive weight."""
+    key = b"shadowlab-word" + seed.to_bytes(8, "big")
+    total = sum(weights)
+    last = max(s for s, w in enumerate(weights, start=1) if w > 0)
+    out = []
+    for j in range(start, start + n):
+        u = int.from_bytes(hashlib.sha256(key + j.to_bytes(8, "big")).digest()[:8], "big")
+        u /= 2.0**64
+        acc, symbol = 0.0, last
+        for s, w in enumerate(weights, start=1):
+            acc += w / total
+            if u < acc:
+                symbol = s
+                break
+        out.append(symbol)
+    return out
 
 
 def reference_defects(family, word, points) -> list[int]:

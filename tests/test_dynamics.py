@@ -9,6 +9,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shadowlab import (
     GeneratorFamily,
@@ -23,9 +25,9 @@ from shadowlab import (
     net,
     orbit,
 )
-from shadowlab.dynamics import DEFAULT_NET_CAP, DIMENSION_CAP, _walk
+from shadowlab.dynamics import DEFAULT_NET_CAP, DIMENSION_CAP, IID_BLOCK, _walk
 
-from oracles import reference_map
+from oracles import iid_symbols_reference, reference_map
 
 
 @pytest.fixture
@@ -494,6 +496,61 @@ def test_iid_word_reads_its_weights_once():
     word = Word.iid(iter([0.5, 0.5]), seed=1)
     assert word == Word.iid([0.5, 0.5], seed=1)
     assert word.m == 2 and word.weights == (0.5, 0.5)
+
+
+@pytest.mark.parametrize("weights, symbols", [((0.5, 0.5, 0.0), [1, 2, 2, 2]),
+                                              ((0.0, 1.0, 0.0, 0.0), [2, 2, 2, 2]),
+                                              ((0.5, 0.0, 0.5), [1, 3, 3, 3])])
+def test_a_zero_weight_symbol_is_never_drawn(monkeypatch, weights, symbols):
+    # A draw of at least 2**64 - 2**10 rounds to u = 1.0, past every threshold;
+    # it took symbol m, of weight 0 in the first two cases.
+    draws = np.array([0, 2**63, 2**64 - 2**10, 2**64 - 1], np.uint64)
+    monkeypatch.setattr(Word, "_iid_draws", lambda self, start, n: draws[start:start + n])
+    word = Word.iid(weights, seed=1)
+    assert word.symbols(4).tolist() == symbols
+    assert [word.symbol_at(j) for j in range(4)] == symbols
+
+
+iid_weights = st.integers(1, 5).flatmap(lambda m: st.lists(
+    st.one_of(st.sampled_from([0.0, 0.1, 1.0, 3.0]), st.floats(0.0, 10.0)),
+    min_size=m, max_size=m)).filter(lambda w: sum(w) > 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(iid_weights, st.integers(0, 2**64 - 1), st.integers(0, 2**63 - 1), st.integers(0, 40))
+def test_iid_symbols_equal_the_reference_at_any_offset(weights, seed, offset, n):
+    word = Word.iid(weights, seed=seed).shifted(offset)
+    expected = iid_symbols_reference(weights, seed, offset, n)
+    assert word.symbols(n).tolist() == expected
+    assert [word.symbol_at(j) for j in range(n)] == expected
+
+
+@pytest.mark.parametrize("n", [IID_BLOCK - 1, IID_BLOCK, IID_BLOCK + 1, 2 * IID_BLOCK + 1])
+def test_iid_symbols_across_block_edges_equal_the_reference(n):
+    weights, offset = (0.3, 0.0, 0.7, 0.0), 2**63 - 3 * IID_BLOCK
+    expected = iid_symbols_reference(weights, 11, offset, n)
+    word = Word.iid(weights, seed=11).shifted(offset)
+    assert word.symbols(n).tolist() == expected
+    # A memo extended from inside a block reads on across the edge.
+    split = Word.iid(weights, seed=11).shifted(offset)
+    split.symbols(n // 2 + 1)
+    assert split.symbols(n).tolist() == expected
+    assert [word.symbol_at(j) for j in (0, n // 2, n - 1)] == [expected[j] for j in (0, n // 2, n - 1)]
+
+
+def test_iid_symbols_are_built_a_block_of_draws_at_a_time():
+    # One bytes object per draw, joined at the end, peaked at 137 bytes a symbol.
+    n = 200_000
+    word = Word.iid((0.5, 0.5), seed=7)
+    tracemalloc.start()
+    try:
+        symbols = word.symbols(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * n
+    assert symbols[[0, n - 1]].tolist() == iid_symbols_reference((0.5, 0.5), 7, 0, 1) + \
+        iid_symbols_reference((0.5, 0.5), 7, n - 1, 1)
 
 
 def test_net_covering_sweep():

@@ -15,7 +15,6 @@ per-point and per-step loops of the same expressions.
 
 import contextlib
 import dataclasses
-import hashlib
 import json
 import math
 import re
@@ -60,6 +59,7 @@ from shadowlab.surgery import repair
 
 from oracles import (
     broadcast_gram,
+    iid_symbols_reference,
     project,
     reference_contains,
     reference_distance,
@@ -76,24 +76,15 @@ SETTINGS = settings(max_examples=150, deadline=None)
 
 
 def reference_symbol(word, j):
-    """Symbol j of the word, one index at a time: an iid index hashes its own
-    SHA-256 draw and walks the cumulative weights; a prefix word's tail is
-    read at its own index."""
+    """Symbol j of the word, one index at a time: an iid index is drawn by
+    iid_symbols_reference; a prefix word's tail is read at its own index."""
     b = word.offset + j
     if word.kind == "constant":
         return word.symbol
     if word.kind == "periodic":
         return word.pattern[b % len(word.pattern)]
     if word.kind == "iid":
-        key = b"shadowlab-word" + word.seed.to_bytes(8, "big")
-        u = int.from_bytes(hashlib.sha256(key + b.to_bytes(8, "big")).digest()[:8], "big")
-        u /= 2.0**64
-        total, acc = sum(word.weights), 0.0
-        for s, w in enumerate(word.weights, start=1):
-            acc += w / total
-            if u < acc:
-                return s
-        return word.m
+        return iid_symbols_reference(word.weights, word.seed, b, 1)[0]
     if b < len(word.prefix):
         return word.prefix[b]
     return reference_symbol(word.tail, b - len(word.prefix))

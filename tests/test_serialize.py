@@ -1,7 +1,13 @@
+import gzip
 import json
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shadowlab import (
     IndexSet,
@@ -12,11 +18,13 @@ from shadowlab import (
     make_corrupted_orbit,
     true_orbit,
 )
+from shadowlab import serialize
 from shadowlab.serialize import (
     CONFIG_SCHEMA,
     load_block_plan_manifest,
     load_config,
     load_orbit,
+    load_sequence,
     orbit_from_dict,
     orbit_to_dict,
     save_orbit,
@@ -141,3 +149,104 @@ def test_load_config_roundtrip(tmp_path):
     family, word = cfg.family, cfg.word
     assert family.m == 2
     assert list(word.symbols(4)) == [1, 2, 1, 2]
+
+
+# ---------------------------------------------------------------------------
+# The values file
+
+SEPARATORS = [" ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", " \t "]
+LINE_ENDS = ["\n", "\r\n", "\r"]
+# Tokens that float and numpy's C reader may take differently, or that neither takes.
+ODD_TOKENS = ["1_000", "_1", "\u0661", "\ufeff1", "1\x00", "#", "#1", "1,5", "1e", "0x10",
+              "infinity", "-Inf", "nan", "-0", "-0.5", "1e400", ".5", "5.", "+7"]
+spelled = st.floats(0.0, 1e300).flatmap(lambda x: st.sampled_from(
+    [repr(x), f"{x:.3g}", f"{x:e}", f"{x:.17g}", f"+{x!r}", f"{x:f}"]))
+tokens = st.one_of(spelled, st.integers(0, 10**25).map(str))
+
+
+@st.composite
+def values_texts(draw):
+    """A values file's text: rows of tokens, the same number on every row
+    unless ragged, possibly with one odd token."""
+    rows, cols = draw(st.integers(1, 20)), draw(st.integers(1, 4))
+    grid = [[draw(tokens) for _ in range(cols)] for _ in range(rows)]
+    kind = draw(st.sampled_from(["rectangular", "ragged", "odd token"]))
+    if kind == "ragged":
+        row = draw(st.integers(0, rows - 1))
+        grid[row] = grid[row][:draw(st.integers(0, cols - 1))] or grid[row] + ["0"]
+    if kind == "odd token":
+        grid[draw(st.integers(0, rows - 1))][draw(st.integers(0, cols - 1))] = \
+            draw(st.sampled_from(ODD_TOKENS))
+    text = "".join(draw(st.sampled_from(SEPARATORS)).join(row) + draw(st.sampled_from(LINE_ENDS))
+                   for row in grid)
+    return draw(st.sampled_from(["", " ", "\n"])) + text[:len(text) - draw(st.integers(0, 1))]
+
+
+def sequence_or_message(path):
+    try:
+        return load_sequence(path, None).values.tobytes()
+    except ParameterError as exc:
+        return str(exc)
+
+
+def float_per_token(path):
+    return np.fromiter(map(float, path.read_text().split()), np.float64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values_texts())
+def test_the_values_file_reads_as_float_reads_each_token(text):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "values.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        got = sequence_or_message(path)
+        with mock.patch.object(serialize, "_read_values", float_per_token):
+            assert got == sequence_or_message(path)
+
+
+def test_a_missing_or_directory_values_file_keeps_its_os_error_text(tmp_path):
+    # numpy names a missing file "... not found." and would open values.csv.gz
+    # in its place.
+    missing, directory = tmp_path / "values.csv", tmp_path / "values"
+    (tmp_path / "values.csv.gz").write_bytes(gzip.compress(b"0.5\n" * 20))
+    directory.mkdir()
+    with pytest.raises(ParameterError) as info:
+        load_sequence(missing, None)
+    assert str(info.value) == \
+        f"values file {missing}: [Errno 2] No such file or directory: '{missing}'"
+    with pytest.raises(ParameterError) as info:
+        load_sequence(directory, None)
+    assert str(info.value) == f"values file {directory}: [Errno 21] Is a directory: '{directory}'"
+
+
+def test_a_values_file_named_as_compressed_is_read_as_text(tmp_path):
+    # numpy opens a .gz path through gzip.
+    plain, packed = tmp_path / "plain.gz", tmp_path / "packed.gz"
+    plain.write_text("0.5\n" * 20)
+    packed.write_bytes(gzip.compress(b"0.5\n" * 20))
+    assert load_sequence(plain, None).values.tolist() == [0.5] * 20
+    with pytest.raises(ParameterError, match="codec can't decode"):
+        load_sequence(packed, None)
+
+
+def test_a_rectangular_file_skips_the_token_reader_and_a_ragged_one_takes_it(tmp_path,
+                                                                             monkeypatch):
+    rectangular, ragged = tmp_path / "rectangular.csv", tmp_path / "ragged.csv"
+    rectangular.write_text("0.5 0 1e-3\r\n0.25\t7\x0c+0.0\n" * 5)
+    ragged.write_text("0.5 0 1e-3\n0.25\n" * 5)
+    want = [0.5, 0.0, 1e-3, 0.25, 7.0, 0.0] * 5
+    calls, read_tokens = [], serialize._read_tokens
+
+    def refuse(path):
+        raise AssertionError(f"{path} read token by token")
+
+    monkeypatch.setattr(serialize, "_read_tokens", refuse)
+    assert load_sequence(rectangular, None).values.tolist() == want
+
+    def counted(path):
+        calls.append(path)
+        return read_tokens(path)
+
+    monkeypatch.setattr(serialize, "_read_tokens", counted)
+    assert load_sequence(ragged, None).values.tolist() == [0.5, 0.0, 1e-3, 0.25] * 5
+    assert calls == [ragged]
