@@ -49,11 +49,11 @@ class BoundedSequence:
         if not np.all(np.isfinite(vals)):
             raise ParameterError("values must be finite numbers")
         if not math.isfinite(self.bound):
-            raise ParameterError(f"bound must be a finite number, got {self.bound}")
+            raise ParameterError(f"bound must be a finite number, got {self.bound}", "bound")
         if np.any(vals < 0):
             raise ParameterError("values must be nonnegative")
         if self.bound < float(vals.max()):
-            raise ParameterError(f"bound {self.bound} is below max value {vals.max()}")
+            raise ParameterError(f"bound {self.bound} is below max value {vals.max()}", "bound")
 
     @classmethod
     def from_values(cls, values, bound: float | None = None) -> "BoundedSequence":

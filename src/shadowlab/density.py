@@ -47,6 +47,18 @@ def tail_extremum(curve, tail_fraction: float, mode: str = "max") -> tuple[float
     return float(tail[i]), n_lo + i
 
 
+def _index_array(indices) -> np.ndarray:
+    """indices as int64: an integer array as it is, else each entry as _integer reads
+    it (2.0 as 2, a bool or 2.5 a ParameterError naming it), and none past int64."""
+    if isinstance(indices, np.ndarray) and indices.dtype.kind in "iu":
+        return indices.astype(np.int64, copy=False)
+    try:
+        return np.array([_integer("index", v) for v in (
+            indices.tolist() if isinstance(indices, np.ndarray) else indices)], np.int64)
+    except OverflowError:
+        raise ParameterError("indices must fit in int64") from None
+
+
 @dataclass(frozen=True)
 class IndexSet:
     """Strictly increasing natural numbers below a declared horizon."""
@@ -55,21 +67,20 @@ class IndexSet:
     horizon: int
 
     def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
+        idx = _index_array(self.indices)
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "horizon", _integer("horizon", self.horizon))
         if idx.size and (np.any(np.diff(idx) <= 0) or idx[0] < 0):
             raise ParameterError("indices must be strictly increasing naturals")
         if self.horizon < 0 or (idx.size and idx[-1] >= self.horizon):
-            raise ParameterError("all indices must be < horizon")
+            raise ParameterError(f"all indices must be < horizon {self.horizon}")
 
     @classmethod
     def from_iterable(cls, indices, horizon: int) -> "IndexSet":
-        """The distinct indices of an array or any iterable of ints, in order.
+        """The distinct indices of an array or any iterable of integers, in order.
         Duplicates are dropped by sorting: numpy's hashed unique is about 50
         times as slow on int64 (numpy 2.4)."""
-        idx = np.sort(np.asarray(indices, dtype=np.int64) if isinstance(indices, np.ndarray)
-                      else np.fromiter(indices, np.int64))
+        idx = np.sort(_index_array(indices))
         return cls(np.concatenate((idx[:1], idx[1:][idx[1:] != idx[:-1]])), horizon)
 
     @classmethod

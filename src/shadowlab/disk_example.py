@@ -14,7 +14,7 @@ import numpy as np
 
 from .density import DEFAULT_TAIL_FRACTION, IndexSet
 from .dynamics import GeneratorFamily, JumpRule, Word, as_point, orbit
-from .errors import ParameterError, PreconditionError
+from .errors import ParameterError, PreconditionError, check_positive
 from .pseudo_orbits import PseudoOrbit, is_asymptotic_average, make_corrupted_orbit
 
 TRACKING_TOL = 1e-9
@@ -95,15 +95,14 @@ class DiskExampleInstance:
 
 
 def make_decaying_instance(seed: int, horizon: int, scale: float = 1.0, power: float = 2.0,
-                           start=None, x0=None) -> DiskExampleInstance:
+                           start=None) -> DiskExampleInstance:
     """Seeded instance with per-step corruption of size scale/(i+1)^power.
 
     The true-orbit start defaults to x_0 (which makes M = 0); pass a
     different start to exercise the M term.
     """
     family, word = build_disk_system()
-    rng = np.random.default_rng(seed)
-    z = family.space.sample(rng) if x0 is None else as_point(x0, 2)
+    z = family.space.sample(np.random.default_rng(seed))
     all_indices = IndexSet(np.arange(horizon), horizon)
     xi = make_corrupted_orbit(family, word, z, all_indices,
                               JumpRule("offset", scale=scale, power=power), seed)
@@ -128,6 +127,7 @@ def aasp_demo(instance: DiskExampleInstance, tail_fraction: float = DEFAULT_TAIL
     verdict at the configured tolerance; rejected with that witness
     otherwise.
     """
+    check_positive("asymptotic_tol", asymptotic_tol)
     gate = is_asymptotic_average(instance.xi, asymptotic_tol, tail_fraction)
     if not gate:
         raise PreconditionError("instance is not an asymptotic average pseudo-orbit "

@@ -54,6 +54,12 @@ def check_positive(name: str, value: float) -> None:
         raise ParameterError(f"{name} must be positive, got {value}")
 
 
+def check_nonnegative(name: str, value: float) -> None:
+    """Reject a tolerance that is not >= 0 (NaN included)."""
+    if not value >= 0:
+        raise ParameterError(f"{name} must be nonnegative, got {value}")
+
+
 def check_alpha(alpha: float | None) -> None:
     """Reject a density threshold alpha outside (0, 1) (NaN included); None means none."""
     if alpha is not None and not 0.0 < alpha < 1.0:

@@ -21,7 +21,7 @@ from .density import (
 )
 from .dynamics import (WALK_BLOCK, GeneratorFamily, JumpRule, MetricSpace, Word, _integer, _walk,
                        as_point, orbit)
-from .errors import DomainError, ParameterError, check_positive
+from .errors import DomainError, ParameterError, check_nonnegative, check_positive
 from .verdict import ClassificationVerdict
 
 DEFAULT_DENSITY_TOL = 0.01
@@ -191,8 +191,7 @@ def is_ergodic_pseudo_orbit(xi: PseudoOrbit, delta: float,
                             tail_fraction: float = DEFAULT_TAIL_FRACTION) -> ClassificationVerdict:
     """Step errors reach delta only on a set of (estimated) density <= density_tol."""
     check_positive("delta", delta)
-    if not density_tol >= 0:
-        raise ParameterError(f"density_tol must be nonnegative, got {density_tol}")
+    check_nonnegative("density_tol", density_tol)
     exceptional = xi.exceptional_set(delta)
     est = upper_density_estimate(exceptional, tail_fraction)
     params = {"delta": delta, "density_tol": density_tol, "horizon": xi.horizon,
@@ -282,6 +281,7 @@ def is_weak_asymptotic_average(xi: PseudoOrbit, delta: float,
 def is_asymptotic_average(xi: PseudoOrbit, tol: float,
                           tail_fraction: float = DEFAULT_TAIL_FRACTION) -> ClassificationVerdict:
     """Finite surrogate of Cesàro means of step errors tending to zero."""
+    check_positive("tol", tol)
     inner = is_weak_asymptotic_average(xi, tol, tail_fraction)
     return ClassificationVerdict("asymptotic-average-pseudo-orbit", inner.verdict,
                                  inner.witness, {**inner.params, "tol": tol})
@@ -291,18 +291,9 @@ def is_asymptotic_average(xi: PseudoOrbit, tol: float,
 # Corrupted-orbit factory
 
 
-def _draw_jumps(rule: JumpRule, space: MetricSpace, rng: np.random.Generator,
-                steps: np.ndarray) -> np.ndarray:
-    """One row per corrupted step, drawn in step order: the target point for
-    "uniform" and "fixed" (which draws nothing), the displacement from the
-    true image for "offset". The rows are drawn WALK_BLOCK at a time into
-    one array; a block's normal draws continue the generator's stream, so
-    every row is the one a single draw of them all gives."""
-    d = space.dimension
-    rows = np.empty((len(steps), d))
-    if rule.kind == "fixed":
-        rows[:] = as_point(rule.point, d)
-        return rows
+def jump_sizes(rule: JumpRule, steps: list[int]) -> np.ndarray:
+    """The offset sizes scale / (j + 1) ** power at increasing steps j, each a finite
+    float, else a ParameterError naming power; they are monotone in j, so the last decides."""
     out_of_range = ParameterError(f"jump power {rule.power} is out of floating-point range",
                                   "power")
     # A float scale over a Python int (j + 1) ** power past the float range
@@ -310,14 +301,35 @@ def _draw_jumps(rule: JumpRule, space: MetricSpace, rng: np.random.Generator,
     # power of 10**9; an int scale divides it exactly, to a size of 0. So
     # whatever the scale's type, the last step's, the largest, is probed
     # first: its size estimated, and converted only once it is small.
-    if rule.kind == "offset" and steps.size and type(rule.power) is int and rule.power > 0:
-        last = int(steps[-1]) + 1
+    if steps and type(rule.power) is int and rule.power > 0:
+        last = steps[-1] + 1
         if rule.power * math.log2(last) > 1025:
             raise out_of_range
         try:
             float(last ** rule.power)
         except OverflowError:
             raise out_of_range from None
+    try:
+        sizes = np.array([rule.scale / (j + 1) ** rule.power for j in steps])
+    except (OverflowError, ZeroDivisionError):
+        raise out_of_range from None
+    if not np.isfinite(sizes).all():
+        raise out_of_range
+    return sizes
+
+
+def _draw_jumps(rule: JumpRule, space: MetricSpace, rng: np.random.Generator,
+                steps: np.ndarray) -> np.ndarray:
+    """One row per corrupted step, drawn in step order: the target point for
+    "uniform" and "fixed" (which draws nothing), the displacement from the
+    true image for "offset", of the size jump_sizes gives. The rows are drawn
+    WALK_BLOCK at a time into one array; a block's normal draws continue the
+    generator's stream, so every row is the one a single draw of them all gives."""
+    d = space.dimension
+    rows = np.empty((len(steps), d))
+    if rule.kind == "fixed":
+        rows[:] = as_point(rule.point, d)
+        return rows
     for k in range(0, len(steps), WALK_BLOCK):
         block = steps[k:k + WALK_BLOCK]
         if rule.kind == "uniform":
@@ -328,13 +340,7 @@ def _draw_jumps(rule: JumpRule, space: MetricSpace, rng: np.random.Generator,
         norms = np.sqrt(np.vecdot(u, u))[:, None]
         with np.errstate(invalid="ignore", divide="ignore"):
             u = np.where(norms > 0, u / norms, np.eye(d)[0])
-        try:
-            sizes = np.array([rule.scale / (j + 1) ** rule.power for j in block.tolist()])
-        except (OverflowError, ZeroDivisionError):
-            raise out_of_range from None
-        if not np.isfinite(sizes).all():
-            raise out_of_range
-        np.multiply(u, sizes[:, None], out=rows[k:k + len(block)])
+        np.multiply(u, jump_sizes(rule, block.tolist())[:, None], out=rows[k:k + len(block)])
     return rows
 
 

@@ -15,18 +15,21 @@ import os
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .cesaro import BoundedSequence
 from .concat import BlockPlan
-from .density import MIN_DENSITY_HORIZON, IndexSet, check_tail_fraction
+from .density import IndexSet, check_density_horizon, check_tail_fraction
 from .disk_example import DISK_SYSTEM
 from .dynamics import (GeneratorFamily, JumpRule, MetricSpace, Word, _finite, _integer,
                        _integers, _items, _keyed, _known, _real, _walk, as_points)
-from .errors import IntegrityError, ParameterError, ResourceCapError, check_alpha, check_positive
-from .pseudo_orbits import PseudoOrbit
+from .errors import (IntegrityError, ParameterError, ResourceCapError, check_alpha,
+                     check_nonnegative, check_positive)
+from .pseudo_orbits import PseudoOrbit, jump_sizes
+from .shadow_search import check_schedule
 
 CONFIG_SCHEMA = "shadowlab/config/v1"
 # Orbit files list every point in v1, which still loads; save_orbit writes v2.
@@ -152,16 +155,11 @@ def load_sequence(path: Path | str, bound: float | None) -> BoundedSequence:
     enough for the density estimates; every error names the file."""
     with _input_file("values file", path):
         values = _read_values(Path(path))
-        if values.size < MIN_DENSITY_HORIZON:
-            raise ParameterError(f"density estimates need at least {MIN_DENSITY_HORIZON} "
-                                 f"values, got {values.size}")
-        a = BoundedSequence.from_values(values)
-        if bound is None:
-            return a
-        if bound < a.bound:
-            raise config_error(f"{bound} is below the largest value {a.bound}",
-                               "cesaro", "bound")
-        return BoundedSequence.from_values(a.values, bound)
+        check_density_horizon(values.size)
+        try:
+            return BoundedSequence.from_values(values, bound)
+        except ParameterError as exc:  # only a bound's error has a path
+            raise (config_error(str(exc), "cesaro", *exc.path) if exc.path else exc) from None
 
 
 def _sha256(values) -> str:
@@ -340,6 +338,7 @@ def load_block_plan(path: Path | str) -> BlockPlan:
 # Experiment configuration
 
 THRESHOLDS = {"delta": 0.4, "epsilon": 0.2, "alpha": 0.9, "tol": 0.01, "density_tol": 0.01}
+THRESHOLD_CHECKS = {"alpha": check_alpha, "density_tol": partial(check_nonnegative, "density_tol")}
 # The keys each subcommand section, the system and the root may hold:
 # validate_config reads each of them, and rejects every other key, naming it.
 # The system needs all of its keys.
@@ -417,30 +416,15 @@ def _member(f: str, value, space: MetricSpace) -> np.ndarray:
     return p
 
 
-def _power(f: str, value, horizon: int) -> float:
-    """An exponent p with horizon ** p a normal float: offsets divide by (j + 1) ** p, j < horizon."""
-    p = _number(f, value)
-    if abs(p) * math.log(horizon) > 700:
-        raise ParameterError(f"{horizon} ** power is out of floating-point range", f)
-    return p
-
-
 def _schedule(section: dict, net_mesh: float, epsilon: float) -> tuple[float, ...]:
     """The refined search's meshes, one a stage: the first search.levels entries of
     search.mesh_schedule, else net_mesh / 2**i. Stage m's budget is epsilon / 2**m."""
     levels = _at_least("search.levels", section.get("levels", 3), 1)
-    if math.ldexp(epsilon, -levels) == 0.0:
-        raise ParameterError(f"epsilon / 2**{levels}, the last stage's budget, is 0",
-                             "search.levels")
-    given = section.get("mesh_schedule")
-    if given is None:
-        return tuple(math.ldexp(net_mesh, -i) for i in range(levels))
-    f = "search.mesh_schedule"
-    meshes = [_number(f, v, _positive) for v in _keyed(f, _items, "meshes", given)]
-    if len(meshes) < levels:
-        raise ParameterError(f"has {len(meshes)} entries, search.levels is {levels}", f)
-    if any(b > a for a, b in zip(meshes, meshes[1:])):
-        raise ParameterError(f"must be non-increasing, got {given!r}", f)
+    given, f = section.get("mesh_schedule"), "search.mesh_schedule"
+    # check_schedule reads a default schedule only once its budget passes.
+    meshes = _keyed("search", check_schedule, epsilon, levels,
+                    (math.ldexp(net_mesh, -i) for i in range(levels)) if given is None
+                    else [_number(f, v) for v in _keyed(f, _items, "meshes", given)])
     return tuple(meshes[:levels])
 
 
@@ -467,10 +451,8 @@ def _corruption(section, dimension: int, horizon: int, seed: int) -> tuple[Index
             v *= base
     elif kind == "explicit":
         f = "corruption.indices.indices"
-        steps = _keyed(f, _integers, "indices", spec.pop("indices", None))
-        for v in steps:
-            if not 0 <= v < H:
-                raise ParameterError(f"must hold integers in [0, {H}), got {v}", f)
+        steps = _keyed(f, IndexSet.from_iterable,
+                       _keyed(f, _items, "indices", spec.pop("indices", None)), H).indices
     elif kind == "random":
         density = _number("corruption.indices.density", spec.pop("density", 0.01))
         if not 0 <= density <= 1:
@@ -482,7 +464,7 @@ def _corruption(section, dimension: int, horizon: int, seed: int) -> tuple[Index
         raise ParameterError(f"kind {kind!r} does not read it", f"corruption.indices.{key}")
     rule = _keyed("corruption.jump", JumpRule.from_spec, section.get("jump", {"kind": "uniform"}))
     if rule.kind == "offset":
-        _power("corruption.jump.power", rule.power, H)
+        _keyed("corruption.jump", jump_sizes, rule, [H - 1])
     if rule.kind == "fixed":
         _keyed("corruption.jump.point", _point, "point", rule.point, dimension)
     return IndexSet.from_iterable(steps, H), rule
@@ -503,12 +485,12 @@ def _config(data: dict) -> ExperimentConfig:
         raise ParameterError(f"expected {CONFIG_SCHEMA!r}, got {data.get('schema')!r}", "schema")
     system = _keyed("system", _known, "system", data.get("system"), SYSTEM_KEYS, SYSTEM_KEYS)
     seed = _at_least("seed", data.get("seed", 0), 0)
-    horizon = _at_least("horizon", data.get("horizon", 10_000), MIN_DENSITY_HORIZON)
+    horizon = _keyed("horizon", _integer, "value", data.get("horizon", 10_000))
+    _keyed("horizon", check_density_horizon, horizon)
     tail_fraction = _number("tail_fraction", data.get("tail_fraction", 0.5), check_tail_fraction)
     given = {**THRESHOLDS, **_keyed("thresholds", _known, "thresholds",
                                     data.get("thresholds", {}), THRESHOLDS)}
-    thresholds = {name: _number(f"thresholds.{name}", v,
-                                check_alpha if name == "alpha" else _positive)
+    thresholds = {name: _number(f"thresholds.{name}", v, THRESHOLD_CHECKS.get(name, _positive))
                   for name, v in given.items()}
     family = _keyed("system", GeneratorFamily.from_spec, system)
     _capped("config field 'horizon'", horizon, family.space.dimension)
@@ -519,6 +501,10 @@ def _config(data: dict) -> ExperimentConfig:
     classify, repair, cesaro, concat, search, disk = (
         _keyed(name, _known, name, data.get(name, {}), keys) for name, keys in SECTION_KEYS.items())
     net_mesh = _number("net_mesh", data.get("net_mesh", 0.1), _positive)
+    scale = _number("example_disk.scale", disk.get("scale", 1.0))
+    power = _number("example_disk.power", disk.get("power", 2.0))
+    _keyed("example_disk",
+           lambda: jump_sizes(JumpRule("offset", None, scale, power), [horizon - 1]))
     return ExperimentConfig(
         family=family, word=word, start=_member("system.start", system["start"], family.space),
         seed=seed, horizon=horizon, tail_fraction=tail_fraction,
@@ -534,8 +520,7 @@ def _config(data: dict) -> ExperimentConfig:
         search_mode=_text("search.mode", search.get("mode", "average"),
                           ("average", "m-alpha", "refined")),
         search_schedule=_schedule(search, net_mesh, thresholds["epsilon"]),
-        disk_scale=_number("example_disk.scale", disk.get("scale", 1.0), _positive),
-        disk_power=_power("example_disk.power", disk.get("power", 2.0), horizon),
+        disk_scale=scale, disk_power=power,
         disk_start=_optional(_member, "example_disk.start", disk.get("start"),
                              MetricSpace.unit_disk()))
 

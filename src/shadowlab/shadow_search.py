@@ -21,7 +21,7 @@ from .density import (
     tail_extremum,
     tail_window_start,
 )
-from .dynamics import CIRCLE, as_point, net, orbit
+from .dynamics import CIRCLE, _keyed, as_point, net, orbit
 from .errors import (
     DomainError,
     ParameterError,
@@ -650,6 +650,21 @@ class RefinedSearchResult:
         }
 
 
+def check_schedule(eps0: float, stages: int, meshes) -> list[float]:
+    """The meshes as floats, read once the last budget eps0 / 2**stages is above 0, if they are
+    a non-increasing list of positives, one a stage or more; an error's path is its config field."""
+    _keyed("levels", check_positive, f"eps0 / 2**{stages}", math.ldexp(eps0, -stages))
+    meshes = [float(v) for v in meshes]
+    if not 0 < stages <= len(meshes):
+        raise ParameterError(f"mesh schedule must hold a mesh for each of {max(stages, 1)} "
+                             f"stages, got {len(meshes)}", "mesh_schedule")
+    for mesh in meshes:
+        _keyed("mesh_schedule", check_positive, "mesh", mesh)
+    if any(b > a for a, b in zip(meshes, meshes[1:])):
+        raise ParameterError("mesh schedule must be non-increasing", "mesh_schedule")
+    return meshes
+
+
 def refined_asymptotic_search(xi: PseudoOrbit, eps0: float, mesh_schedule: list[float],
                               tail_fraction: float = DEFAULT_TAIL_FRACTION) -> RefinedSearchResult:
     """Stage m picks the point of the m-th mesh's net with the least limsup
@@ -666,14 +681,7 @@ def refined_asymptotic_search(xi: PseudoOrbit, eps0: float, mesh_schedule: list[
     net is built; a net over the cap raises ResourceCapError only once every
     earlier stage has succeeded.
     """
-    meshes = [float(v) for v in mesh_schedule]
-    if not meshes:
-        raise ParameterError("mesh schedule must not be empty")
-    for mesh in meshes:
-        check_positive("mesh", mesh)
-    if any(b > a for a, b in zip(meshes, meshes[1:])):
-        raise ParameterError("mesh schedule must be non-increasing")
-    check_positive(f"eps0 / 2**{len(meshes)}", math.ldexp(eps0, -len(meshes)))
+    meshes = check_schedule(eps0, len(mesh_schedule), mesh_schedule)
     check_tail_fraction(tail_fraction)
 
     stages, candidates = [], []

@@ -83,6 +83,7 @@ def repair(xi: PseudoOrbit, delta: float,
     Rejects inputs that fail the ergodic precondition at the caller's
     tolerance, carrying the classification witness.
     """
+    check_positive("delta", delta)
     gate = is_ergodic_pseudo_orbit(xi, delta / 2.0, density_tol, tail_fraction)
     if not gate:
         raise PreconditionError(

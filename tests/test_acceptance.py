@@ -231,8 +231,9 @@ def test_criterion_8_search_soundness_and_determinism():
 
 
 def test_criterion_9_refined_search_budgets():
-    inst = make_decaying_instance(3, horizon=5000, x0=(0.5, 0.5))
-    xi = inst.xi
+    family, word = build_disk_system()
+    xi = make_corrupted_orbit(family, word, (0.5, 0.5), IndexSet(np.arange(5000), 5000),
+                              JumpRule("offset", scale=1.0, power=2.0), 3)
     eps0 = 0.4
     meshes = [0.2, 0.1, 0.05, 0.025]
     result = refined_asymptotic_search(xi, eps0=eps0, mesh_schedule=meshes)

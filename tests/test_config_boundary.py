@@ -23,9 +23,13 @@ import shadowlab
 from shadowlab import GeneratorFamily, GeneratorMap, Word, build_disk_system, true_orbit
 from shadowlab import dynamics, pseudo_orbits, serialize, surgery
 from shadowlab.cli import main
-from shadowlab.density import MIN_DENSITY_HORIZON, check_tail_fraction
-from shadowlab.dynamics import DIMENSION_CAP
-from shadowlab.errors import IntegrityError, ParameterError, check_alpha, check_positive
+from shadowlab.cesaro import BoundedSequence
+from shadowlab.density import (MIN_DENSITY_HORIZON, IndexSet, check_density_horizon,
+                               check_tail_fraction)
+from shadowlab.dynamics import DIMENSION_CAP, JumpRule
+from shadowlab.errors import (IntegrityError, ParameterError, check_alpha, check_nonnegative,
+                              check_positive)
+from shadowlab.pseudo_orbits import jump_sizes
 from shadowlab.serialize import (
     CONFIG_SCHEMA,
     DIGEST_BLOCK,
@@ -38,6 +42,7 @@ from shadowlab.serialize import (
     _sha256,
     validate_config,
 )
+from shadowlab.shadow_search import check_schedule
 
 from oracles import save_orbit_v1
 
@@ -277,6 +282,7 @@ def test_any_corruption_value_exits_with_a_documented_code(capsys, field, value,
     ("corruption.indices.indices", {"indices": {"kind": "explicit", "indices": [3, 120]}}),
     ("corruption.indices.indices", {"indices": {"kind": "explicit", "indices": [2.5]}}),
     ("corruption.indices.indices", {"indices": {"kind": "explicit", "indices": [True]}}),
+    ("corruption.indices.indices", {"indices": {"kind": "explicit", "indices": [3, 10**30]}}),
     ("corruption.jump.scale", {"jump": {"kind": "offset", "scale": "0.5"}}),
     ("corruption.jump.power", {"jump": {"kind": "offset", "power": 400}}),
     ("corruption.jump.point", {"jump": {"kind": "fixed"}}),
@@ -1111,8 +1117,9 @@ def test_section_config_runs_every_subcommand(tmp_path, capsys, command):
     ("tail_fraction", 1.0, check_tail_fraction),
     ("thresholds.alpha", 1.0, check_alpha),
     ("thresholds.delta", 0.0, partial(check_positive, "value")),
-    ("thresholds.density_tol", -1.0, partial(check_positive, "value")),
+    ("thresholds.density_tol", -1.0, partial(check_nonnegative, "density_tol")),
     ("net_mesh", 0.0, partial(check_positive, "value")),
+    ("horizon", MIN_DENSITY_HORIZON - 1, check_density_horizon),
 ])
 def test_a_range_error_is_the_library_checks_own_after_the_field(tmp_path, field, value, check):
     data = base_config(tmp_path / "out")
@@ -1122,6 +1129,120 @@ def test_a_range_error_is_the_library_checks_own_after_the_field(tmp_path, field
     with pytest.raises(ParameterError) as caught:
         validate_config(data)
     assert str(caught.value) == f"config field {field!r}: {expected.value}"
+
+
+def section_checks() -> dict:
+    """base_config with an offset jump at explicit indices and every section
+    whose range rules the library decides: the refined search and example_disk."""
+    data = base_config(Path("out"))
+    data["corruption"] = {"indices": {"kind": "explicit", "indices": [1, 4]},
+                          "jump": {"kind": "offset", "scale": 0.5, "power": 2.0}}
+    data["search"] = {"mode": "refined", "levels": 2, "mesh_schedule": [0.25, 0.2]}
+    data["example_disk"] = {"scale": 0.5, "power": 2.0}
+    return data
+
+
+def last_size(power):
+    """The library's jump size under section_checks' scale 0.5 at step 119,
+    the last below base_config's horizon."""
+    return jump_sizes(JumpRule("offset", scale=0.5, power=power), [119])
+
+
+# Each rule at base_config's horizon, 120, and epsilon, 0.3.
+indices_below_120 = partial(IndexSet.from_iterable, horizon=120)
+two_stages = partial(check_schedule, 0.3, 2)
+
+
+@pytest.mark.parametrize("field, value, check", [
+    ("corruption.jump.power", 400, last_size),
+    ("corruption.jump.power", -400.0, last_size),
+    # At the edge: the size at step 119 leaves the float range, at step 118 it does not.
+    ("corruption.jump.power", -148.6, last_size),
+    ("example_disk.power", 148.4, last_size),
+    ("example_disk.power", 160.0, last_size),
+    ("example_disk.scale", 0.0, lambda v: JumpRule("offset", scale=v)),
+    ("corruption.indices.indices", [3, 120], indices_below_120),
+    ("corruption.indices.indices", [-1], indices_below_120),
+    ("corruption.indices.indices", [2.5], indices_below_120),
+    ("corruption.indices.indices", [True], indices_below_120),
+    ("search.levels", 2000, lambda v: check_schedule(0.3, v, [0.25, 0.2])),
+    ("search.mesh_schedule", [0.25, 0.0], two_stages),
+    ("search.mesh_schedule", [0.2, 0.25], two_stages),
+    ("search.mesh_schedule", [], two_stages),
+    ("search.mesh_schedule", [0.25], two_stages),
+])
+def test_a_section_range_error_is_the_library_checks_own_after_the_field(field, value, check):
+    # Each was a copy of the rule in the config reader: the power against
+    # horizon ** power, the indices in [0, horizon), the scale and each mesh
+    # positive, the schedule non-increasing and the last budget nonzero.
+    data = section_checks()
+    validate_config(data)
+    set_field(data, field, value)
+    with pytest.raises(ParameterError) as expected:
+        check(value)
+    with pytest.raises(ParameterError) as caught:
+        validate_config(data)
+    assert str(caught.value) == f"config field {field!r}: {expected.value}"
+
+
+def test_a_cesaro_bound_error_is_the_bounded_sequences_own_after_the_field(tmp_path, capsys):
+    # load_sequence built the sequence twice, with its own copy of the bound's rule.
+    data = section_config(tmp_path, capsys)
+    values = tmp_path / "values.csv"
+    values.write_text("11.0\n" + "0.0\n" * 99)
+    data["cesaro"]["bound"] = 3.0
+    with pytest.raises(ParameterError) as expected:
+        BoundedSequence.from_values([11.0] + [0.0] * 99, 3.0)
+    code, err = run(data, tmp_path, "cesaro", capsys)
+    assert code == 2
+    assert f"error: values file {values}: config field 'cesaro.bound': {expected.value}\n" == err
+
+
+@given(scale=st.one_of(st.floats(1e-300, 1e300), st.integers(1, 10**6)),
+       power=st.one_of(st.floats(-400.0, 400.0), st.integers(-400, 400),
+                       st.sampled_from([76.5, -76.5, 80.0, 10**9, -10**9])),
+       horizon=st.one_of(st.integers(MIN_DENSITY_HORIZON, HORIZON_CAP),
+                         st.sampled_from([MIN_DENSITY_HORIZON, 10**4])))
+@settings(max_examples=200, deadline=None)
+def test_a_jump_loads_iff_its_size_at_the_last_step_is_a_finite_float(scale, power, horizon):
+    # The size at step horizon - 1 decides: for a corruption jump, kept as
+    # written, and for example_disk, whose scale and power load as floats.
+    cases = {"corruption.jump": ({"jump": {"kind": "offset", "scale": scale, "power": power}},
+                                 JumpRule("offset", scale=scale, power=power)),
+             "example_disk": ({"scale": scale, "power": power},
+                              JumpRule("offset", scale=float(scale), power=float(power)))}
+    for field, (section, rule) in cases.items():
+        data = {**base_config(Path("out")), "horizon": horizon, field.split(".")[0]: section}
+        try:
+            jump_sizes(rule, [horizon - 1])
+        except ParameterError as exc:
+            with pytest.raises(ParameterError) as caught:
+                validate_config(data)
+            assert str(caught.value) == f"config field '{field}.power': {exc}"
+        else:
+            validate_config(data)
+
+
+@pytest.mark.parametrize("power", [76.5, -76.5])
+def test_example_disk_runs_a_power_whose_sizes_stay_finite(tmp_path, capsys, power):
+    # |power| * ln(10**4) > 700 exited 2 naming example_disk.power, while the
+    # library drew these sizes, 1 / (j + 1) ** 76.5 at every j < 10**4.
+    data = {**base_config(tmp_path / "out"), "horizon": 10**4,
+            "example_disk": {"power": power}}
+    code, err = run(data, tmp_path, "example-disk", capsys)
+    assert code == 0, err
+    assert (tmp_path / "out" / "example_disk.json").exists()
+
+
+def test_classify_runs_at_density_tol_0(tmp_path, capsys):
+    # density_tol 0 exited 2, while is_ergodic_pseudo_orbit and repair took it.
+    data = base_config(tmp_path / "out")
+    data["thresholds"]["density_tol"] = 0.0
+    assert run(data, tmp_path, "generate", capsys)[0] == 0
+    code, err = run(data, tmp_path, "classify", capsys)
+    assert code == 0, err
+    verdicts = json.loads((tmp_path / "out" / "classification.json").read_text())
+    assert verdicts["ergodic_pseudo_orbit"]["params"]["density_tol"] == 0.0
 
 
 @pytest.mark.parametrize("horizon, code", [(MIN_DENSITY_HORIZON - 1, 2), (MIN_DENSITY_HORIZON, 0)])

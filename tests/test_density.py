@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -70,6 +71,41 @@ def test_from_iterable_matches_sorted_then_unique(case, horizon):
     make = (lambda: values) if form == "range" else (lambda: FORMS[form](values))
     assert (index_set_or_error(lambda: IndexSet.from_iterable(make(), horizon))
             == index_set_or_error(lambda: reference_index_set(make(), horizon)))
+
+
+entries = st.one_of(st.integers(-2, 40), st.integers(-2, 40).map(float), st.floats(-2.0, 40.0),
+                  st.booleans(), st.sampled_from([math.nan, math.inf, -math.inf]))
+
+
+def _not_an_integer(v) -> bool:
+    return isinstance(v, bool) or not float(v).is_integer()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(entries, max_size=12), st.integers(0, 40), st.booleans())
+def test_from_iterable_takes_integers_and_integral_floats_only(values, horizon, as_array):
+    # Each entry was truncated to an int: [1.5, 2.7] gave [1, 2], and
+    # [True, False] gave [0, 1]. Now the first entry that is not an integer or
+    # an integral float is named; the others read as their ints.
+    if as_array:
+        values = [float(v) for v in values if not isinstance(v, bool)]
+    make = (lambda: np.array(values, dtype=np.float64)) if as_array else (lambda: values)
+    bad = [v for v in values if _not_an_integer(v)]
+    expected = (f"index must be an integer, got {bad[0]!r}" if bad else
+                index_set_or_error(lambda: reference_index_set(map(int, values), horizon)))
+    assert index_set_or_error(lambda: IndexSet.from_iterable(make(), horizon)) == expected
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: IndexSet.from_iterable([1.5, 2.7], 10), "index must be an integer, got 1.5"),
+    (lambda: IndexSet(np.array([1.5, 2.5]), 10), "index must be an integer, got 1.5"),
+    (lambda: IndexSet.from_iterable(np.array([True, False]), 10),
+     "index must be an integer, got True"),
+    (lambda: IndexSet.from_iterable([2, 10**30], 10), "indices must fit in int64"),
+])
+def test_an_index_that_is_not_an_integer_is_rejected_naming_it(make, message):
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        make()
 
 
 def test_prefix_density_range_error():

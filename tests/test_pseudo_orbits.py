@@ -8,6 +8,7 @@ import pytest
 
 from shadowlab import (
     BoundedSequence,
+    DiskExampleInstance,
     GeneratorFamily,
     GeneratorMap,
     IndexSet,
@@ -16,6 +17,7 @@ from shadowlab import (
     ParameterError,
     PseudoOrbit,
     Word,
+    aasp_demo,
     block_length,
     build_disk_system,
     extract_null_set,
@@ -26,6 +28,7 @@ from shadowlab import (
     is_weak_asymptotic_average,
     make_corrupted_orbit,
     make_decaying_instance,
+    repair,
     true_orbit,
     verify_equivalence,
 )
@@ -469,6 +472,8 @@ THRESHOLD_CHECKS = {
     "verify_equivalence": _no_null_set,
     "extract_null_set": lambda xi, v: extract_null_set(
         BoundedSequence.from_values(xi.step_errors), [0.5, v]),
+    "repair": repair,
+    "aasp_demo": lambda xi, v: aasp_demo(DiskExampleInstance(xi, xi.points[0]), 0.5, v),
 }
 
 
@@ -482,6 +487,25 @@ def test_a_threshold_that_is_not_positive_is_rejected(check, value):
     xi = make_decaying_instance(0, 200).xi
     with pytest.raises(ParameterError, match="must be positive"):
         THRESHOLD_CHECKS[check](xi, value)
+
+
+# A threshold checked under the caller's own name before the call it delegates
+# to: repair said "delta must be positive, got -0.5", its gate's delta / 2, and
+# is_asymptotic_average and aasp_demo said "delta must be positive".
+CALLERS_NAMES = {
+    "repair": ("delta", repair),
+    "is_asymptotic_average": ("tol", is_asymptotic_average),
+    "aasp_demo": ("asymptotic_tol", THRESHOLD_CHECKS["aasp_demo"]),
+}
+
+
+@pytest.mark.parametrize("value", [-1.0, 0.0])
+@pytest.mark.parametrize("case", sorted(CALLERS_NAMES))
+def test_a_threshold_error_names_the_callers_argument(case, value):
+    xi = make_decaying_instance(0, 200).xi
+    name, call = CALLERS_NAMES[case]
+    with pytest.raises(ParameterError, match=f"^{name} must be positive, got {value}$"):
+        call(xi, value)
 
 
 @pytest.mark.parametrize("density_tol", [-1.0, float("nan")])
