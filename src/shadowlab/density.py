@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import _integer
-from .errors import ParameterError, RangeError
+from .errors import ParameterError, RangeError, check_nonnegative
 
 DEFAULT_TAIL_FRACTION = 0.5
 # Slack for float rounding in the exact finite inequality checks.
@@ -70,10 +70,13 @@ class IndexSet:
         idx = _index_array(self.indices)
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "horizon", _integer("horizon", self.horizon))
-        if idx.size and (np.any(np.diff(idx) <= 0) or idx[0] < 0):
-            raise ParameterError("indices must be strictly increasing naturals")
-        if self.horizon < 0 or (idx.size and idx[-1] >= self.horizon):
-            raise ParameterError(f"all indices must be < horizon {self.horizon}")
+        check_nonnegative("horizon", self.horizon)
+        if idx.size and (idx[0] < 0 or (np.diff(idx) <= 0).any()):
+            k = int(np.flatnonzero(np.diff(idx, prepend=-1) <= 0)[0])  # -1 fails a negative idx[0]
+            raise ParameterError(f"index {idx[k]} is negative" if k == 0 else
+                                 f"index {idx[k]} is not above the index before it, {idx[k - 1]}")
+        if idx.size and idx[-1] >= self.horizon:
+            raise ParameterError(f"index {idx[-1]} is not below the horizon {self.horizon}")
 
     @classmethod
     def from_iterable(cls, indices, horizon: int) -> "IndexSet":

@@ -16,7 +16,7 @@ import operator
 import struct
 import sys
 from dataclasses import KW_ONLY, MISSING, dataclass, fields, replace
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -70,14 +70,6 @@ def _columns(P, dimension: int) -> tuple[tuple, bool]:
     return tuple(np.atleast_2d(q).T), q.ndim == 1
 
 
-def _dot(u, v):
-    """Sum of u[k] * v[k], accumulated left to right."""
-    acc = u[0] * v[0]
-    for k in range(1, len(u)):
-        acc = acc + u[k] * v[k]
-    return acc
-
-
 @lru_cache(maxsize=256)
 def _code(source: str):
     """source compiled, once per process for each distinct text. Every family
@@ -96,6 +88,11 @@ def _built(source: str, name: str, constants: dict):
     namespace = {"__builtins__": {}, **constants}
     exec(_code(source), namespace)
     return namespace.pop(name)
+
+
+# What a space's rule text (MetricSpace._rule) calls, on columns and on floats.
+_ON_COLUMNS = {"sqrt": np.sqrt, "isfinite": np.isfinite, "choose": np.where}
+_ON_FLOATS = {"sqrt": math.sqrt, "isfinite": math.isfinite, "choose": lambda t, a, b: a if t else b}
 
 
 def _integral(value) -> bool:
@@ -325,14 +322,47 @@ class MetricSpace(_Spec):
 
     def _inside(self, c: tuple) -> np.ndarray:
         """Membership of the columns c, within MEMBERSHIP_TOL."""
+        return self._on_columns["inside"](c)
+
+    def _project(self, c: tuple) -> tuple:
+        """The columns c's nearest points of the space, as columns."""
+        return self._on_columns["project"](c)
+
+    @cached_property
+    def _on_columns(self) -> dict:
+        """_rule's test and projection on a tuple of numpy columns, by role."""
+        c, kind = [f"c{k}" for k in range(self.dimension)], self.kind.replace("-", "_")
+        cs, (inside, project, constants) = ", ".join(c), self._rule(c)
+        return {role: _built("\n    ".join([f"def {role}_{kind}(c):", f"{cs}, = c", *body]),
+                             f"{role}_{kind}", {**_ON_COLUMNS, **constants})
+                for role, body in (("inside", [f"return {inside}"]),
+                                   ("project", [*project, f"return ({cs},)"]))}
+
+    def _rule(self, c: list) -> tuple[str, list, dict]:
+        """The space's membership test of the coordinates named c, the statements
+        that set them to their nearest point, and the constants both name. It
+        calls sqrt, isfinite and choose(test, a, b): numpy's in _on_columns,
+        floats' in _walk_source. A tie goes to the box's bound, NaN stays NaN,
+        and division by max(|c|, 1), or by 1 for a NaN norm, is exact inside."""
+        cs = ", ".join(c)
         if self.kind == UNIT_DISK:
-            return np.sqrt(c[0] * c[0] + c[1] * c[1]) <= 1.0 + MEMBERSHIP_TOL
+            norm = f"sqrt({' + '.join(f'{x} * {x}' for x in c)})"
+            return (f"{norm} <= r", [f"n_ = {norm}", "n_ = choose(n_ > 1.0, n_, 1.0)",
+                                     f"{cs} = {', '.join(f'{x} / n_' for x in c)}"],
+                    {"r": 1.0 + MEMBERSHIP_TOL})
         if self.kind == CIRCLE:
-            return np.isfinite(c[0])
-        inside = np.ones(len(c[0]), dtype=bool)
-        for x, lo, hi in zip(c, self.lo, self.hi):
-            inside &= (x >= lo - MEMBERSHIP_TOL) & (x <= hi + MEMBERSHIP_TOL)
-        return inside
+            return f"isfinite({cs})", [f"{cs} = {self._wrap.format(cs)}"], {}
+        constants = {f"{name}{k}": v for k, (lo, hi) in enumerate(zip(self.lo, self.hi))
+                     for name, v in (("lo", lo - MEMBERSHIP_TOL), ("hi", hi + MEMBERSHIP_TOL),
+                                     ("clo", lo), ("chi", hi))}
+        return (" & ".join(f"({x} >= lo{k}) & ({x} <= hi{k})" for k, x in enumerate(c)),
+                [f"{cs} = " + ", ".join(f"choose({x} <= clo{k}, clo{k}, choose({x} >= chi{k}, "
+                                        f"chi{k}, {x}))" for k, x in enumerate(c))], constants)
+
+    @property
+    def _wrap(self) -> str:
+        """A map's image in the space's coordinates, as a format: mod 1 on the circle."""
+        return "({}) % 1.0" if self.kind == CIRCLE else "{}"
 
     def _distance(self, a: tuple, b: tuple) -> np.ndarray:
         """d between the columns a and b, row by row; a column of one row broadcasts."""
@@ -341,20 +371,7 @@ class MetricSpace(_Spec):
             r = 1.0 - m
             return np.where(m <= r, m, r)
         diff = [x - y for x, y in zip(a, b)]
-        return np.sqrt(_dot(diff, diff))
-
-    def _project(self, c: tuple) -> tuple:
-        """The columns c's nearest points of the space, as columns."""
-        if self.kind == UNIT_DISK:
-            # Division by max(|c|, 1), or by 1 for a NaN norm, is exact inside.
-            r = np.sqrt(_dot(c, c))
-            r = np.where(r > 1.0, r, 1.0)
-            return tuple(x / r for x in c)
-        if self.kind == CIRCLE:
-            return (c[0] % 1.0,)
-        # A tie goes to the bound, signed zeros included; NaN stays NaN.
-        return tuple(np.where(x <= lo, lo, np.where(x >= hi, hi, x))
-                     for x, lo, hi in zip(c, self.lo, self.hi))
+        return np.sqrt(reduce(operator.add, [x * x for x in diff]))
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         """Uniform seeded point of the space."""
@@ -438,7 +455,7 @@ class GeneratorMap(_Spec):
         is cached by that text. Each constant is bound by its name, never
         written into the text, so no value is parsed as code and each keeps
         its type and every bit. Python's operators evaluate left to right, so
-        a sum accumulates as _dot does."""
+        a sum accumulates term by term from the left."""
         if self.kind == "permutation" and d > 1:
             return operator.itemgetter(*self.perm)
         terms, constants = self._terms([f"c[{k}]" for k in range(d)])
@@ -482,7 +499,7 @@ class GeneratorFamily:
         through this table; the walk is generated from the same terms
         (_walk_source), so a step rounds the same there on floats.
         """
-        d, wrap = self.space.dimension, "({}) % 1.0" if self.space.kind == CIRCLE else "{}"
+        d, wrap = self.space.dimension, self.space._wrap
         return (lambda c: c, *(g._compile(d, wrap) for g in self.maps))
 
     @cached_property
@@ -742,17 +759,15 @@ def _walk_source(family: GeneratorFamily, landing: str) -> tuple[str, dict]:
     listed in at (ended by -1), where the k-th is landed from
     Q0[k]..Q{d-1}[k], the point is landed; under "target" and "offset" the
     image is kept and a landing outside the space is projected onto it, by
-    the expressions of MetricSpace._inside and _project written on floats.
-    It returns the point after each step and the images, flat, and the
-    clamped steps. _walk calls it once per block of steps, each block from
-    the last point of the one before, so its lists never span more than a
-    block.
+    the text of MetricSpace._rule on floats. It returns the point after each
+    step and the images, flat, and the clamped steps. _walk calls it once
+    per block of steps, each block from the last point of the one before,
+    so its lists never span more than a block.
     """
     space, d = family.space, family.space.dimension
     c = [f"c{k}" for k in range(d)]
-    cs, Q = ", ".join(c), [f"Q{k}[k]" for k in range(d)]
-    wrap = "({}) % 1.0" if space.kind == CIRCLE else "{}"
-    constants = {"enumerate": enumerate, "sqrt": math.sqrt, "isfinite": math.isfinite}
+    cs, Q, wrap = ", ".join(c), [f"Q{k}[k]" for k in range(d)], space._wrap
+    constants = {"enumerate": enumerate, **_ON_FLOATS}
     body = []
     for s, g in enumerate(family.maps, start=1):
         terms, named = g._terms(c, f"_{s}")
@@ -761,34 +776,15 @@ def _walk_source(family: GeneratorFamily, landing: str) -> tuple[str, dict]:
         body += [f"{'if' if s == 1 else 'elif'} s == {s}:",
                  f"    {cs} = {', '.join(terms)}" if terms != c else "    pass"]
     if landing == "stored":
-        landed = Q
+        body += ["if j == nxt:", f"    {cs} = {', '.join(Q)}"]
     else:
+        inside, project, named = space._rule(c)
+        constants.update(named)
         landed = [wrap.format(q if landing == "target" else f"{x} + {q}") for x, q in zip(c, Q)]
-    body.append("if j == nxt:")
-    if landing != "stored":
-        body.append("    " + "; ".join(f"image({x})" for x in c))
-    body += [f"    {cs} = {', '.join(landed)}", "    k += 1", "    nxt = at[k]"]
-    if landing != "stored":
-        if space.kind == UNIT_DISK:
-            norm = f"sqrt({' + '.join(f'{x} * {x}' for x in c)})"
-            inside = f"{norm} <= r"
-            project = [f"n_ = {norm}", "n_ = n_ if n_ > 1.0 else 1.0",
-                       f"{cs} = {', '.join(f'{x} / n_' for x in c)}"]
-            constants["r"] = 1.0 + MEMBERSHIP_TOL
-        elif space.kind == CIRCLE:
-            inside, project = "isfinite(c0)", ["c0 = c0 % 1.0"]
-        else:
-            # An "and" chain where _inside's is "&": on bools the two agree,
-            # and a chain of "and" does not nest deeper as d grows.
-            inside = " and ".join(f"{x} >= lo{k} and {x} <= hi{k}" for k, x in enumerate(c))
-            project = [f"{cs} = " + ", ".join(f"clo{k} if {x} <= clo{k} else chi{k} if "
-                                               f"{x} >= chi{k} else {x}" for k, x in enumerate(c))]
-            for k, (lo, hi) in enumerate(zip(space.lo, space.hi)):
-                constants.update({f"lo{k}": lo - MEMBERSHIP_TOL, f"hi{k}": hi + MEMBERSHIP_TOL,
-                                  f"clo{k}": lo, f"chi{k}": hi})
-        body += [f"    if not ({inside}):", *(f"        {line}" for line in project),
-                 "        clamped.append(j)"]
-    body.append("; ".join(f"point({x})" for x in c))
+        body += ["if j == nxt:", "    " + "; ".join(f"image({x})" for x in c),
+                 f"    {cs} = {', '.join(landed)}", f"    if not ({inside}):",
+                 *(f"        {line}" for line in project), "        clamped.append(j)"]
+    body += ["    k += 1", "    nxt = at[k]", "; ".join(f"point({x})" for x in c)]
     source = "\n".join([
         f"def walk_{landing}(symbols, j0, at, {', '.join(f'Q{k}' for k in range(d))}, {cs}):",
         "    points, images, clamped = [], [], []",

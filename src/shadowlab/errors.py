@@ -55,7 +55,7 @@ def check_positive(name: str, value: float) -> None:
 
 
 def check_nonnegative(name: str, value: float) -> None:
-    """Reject a tolerance that is not >= 0 (NaN included)."""
+    """Reject a tolerance or a count that is not >= 0 (NaN included)."""
     if not value >= 0:
         raise ParameterError(f"{name} must be nonnegative, got {value}")
 

@@ -177,6 +177,13 @@ def test_equivalence_detects_bad_J():
 # Exact threshold inequality
 
 
+def test_equivalence_needs_j_on_the_sequences_horizon():
+    a = BoundedSequence(np.zeros(20), 1.0)
+    with pytest.raises(ParameterError, match="^J must share the sequence's horizon$"):
+        verify_equivalence(a, IndexSet.from_iterable([], 21), 0.1)
+    assert verify_equivalence(a, IndexSet.from_iterable([], 20), 0.1).verdict
+
+
 def test_threshold_inequality_randomized():
     rng = np.random.default_rng(6)
     for _ in range(25):
@@ -318,6 +325,9 @@ def ones_then_small(run, tail):
 @example(BoundedSequence(np.r_[np.ones(10), np.full(400, 1e-3)], 1.0),
          [1.0, 0.5, 1e-6])  # truncates at stage 2
 @example(BoundedSequence(np.full(100, 0.5), 1.0), None)  # PreconditionError
+@example(BoundedSequence(np.full(100, 0.5), 1.0), [0.25, 0.5])  # not decreasing
+@example(BoundedSequence(np.tile([0.25, 0.0, 0.0, 0.0], 25), 1.0),
+         [0.25])  # a quarter of the values sit at level 1: no level-1 boundary
 def test_extract_null_set_matches_eager_counts(a, levels):
     assert extraction_outcome(extract_null_set, a, levels) == \
         extraction_outcome(reference_extract_null_set, a, levels)
@@ -333,3 +343,8 @@ def test_the_examples_reach_past_lower_limits_and_truncate():
     truncated = extract_null_set(BoundedSequence(np.r_[np.ones(10), np.full(400, 1e-3)], 1.0),
                                  [1.0, 0.5, 1e-6])
     assert truncated.truncated_at_stage == 2
+    # A first level below 1/2 can pass the precondition with no boundary.
+    none = extract_null_set(BoundedSequence(np.tile([0.25, 0.0, 0.0, 0.0], 25), 1.0), [0.25])
+    assert none.truncated_at_stage == 0 and none.boundaries == [] and len(none.J) == 0
+    with pytest.raises(ParameterError, match="^level schedule must be strictly decreasing$"):
+        extract_null_set(BoundedSequence(np.full(100, 0.5), 1.0), [0.25, 0.5])

@@ -22,6 +22,7 @@ from shadowlab import (
     make_corrupted_orbit,
     true_orbit,
 )
+from shadowlab import concat
 from shadowlab.density import prefix_means
 from shadowlab.pseudo_orbits import recompute_step_errors
 
@@ -222,6 +223,18 @@ def test_block_plan_rejects_shrinking_blocks():
         BlockPlan((big, tiny), (1, 1))
 
 
+@pytest.mark.parametrize("blocks, levels, message", [
+    ((), (), "a block plan needs at least one block"),
+    ((8,), (1, 1), "one quality level N_k per block is required"),
+    ((0,), (1,), "block 1 needs at least 2 points"),
+])
+def test_block_plan_rejects_a_plan_without_blocks_levels_or_steps(blocks, levels, message):
+    family, word = interval_identity()
+    blocks = tuple(zigzag_block(family, word, m, 0.5) for m in blocks)
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        BlockPlan(blocks, levels)
+
+
 def test_block_plan_rejects_blocks_of_different_families():
     # Both blocks are true orbits on the disk, one under a swap and x / 2, the
     # other under a swap and x / 4. concatenate steps every block with block
@@ -303,6 +316,27 @@ def test_certificate_rejects_mismatched_sequence():
     tampered = PseudoOrbit(xi.family, xi.word, xi.points[:-1], xi.meta)
     with pytest.raises(ParameterError):
         asymptotic_certificate(tampered, plan)
+
+
+def test_certificate_rejects_a_sequence_that_differs_inside_a_block():
+    plan, word = derived_three_block_plan()
+    xi = concatenate(plan, word)
+    points = xi.points.copy()
+    points[20] = 0.5
+    with pytest.raises(ParameterError, match="^sequence does not match block 2 of the plan$"):
+        asymptotic_certificate(PseudoOrbit(xi.family, xi.word, points, xi.meta), plan)
+
+
+def test_a_failing_decomposition_names_its_worst_sampled_prefix(monkeypatch):
+    # The split rounds apart from the direct sum by about 1e-14 here; with no
+    # slack at all it fails, and the witness is the worst sampled prefix.
+    plan, word = derived_three_block_plan()
+    xi = concatenate(plan, word)
+    monkeypatch.setattr(concat, "SPLIT_TOL", 0.0)
+    cert = asymptotic_certificate(xi, plan)
+    worst = max(cert.params["split_records"], key=lambda r: r["deviation"])
+    assert not cert and worst["deviation"] > 0.0
+    assert cert.witness == {"j": worst["j"], "deviation": worst["deviation"]}
 
 
 def test_certificate_three_term_boundary_bound():

@@ -887,6 +887,21 @@ def run_capped(tmp: Path, *argv: str) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=120)
 
 
+@pytest.fixture(scope="module")
+def capped_orbit_text(tmp_path_factory) -> str:
+    """The orbit.json of one capped `generate --horizon 100`, which each test
+    that edits an orbit file copies into its own out folder."""
+    tmp = tmp_path_factory.mktemp("capped-generate")
+    assert run_capped(tmp, "generate", "--horizon", "100", "--out", "out").returncode == 0
+    return (tmp / "out" / "orbit.json").read_text()
+
+
+def write_edited_orbit(tmp: Path, text: str, **fields) -> None:
+    """The orbit file text, its fields replaced by fields, as tmp/out/orbit.json."""
+    (tmp / "out").mkdir()
+    (tmp / "out" / "orbit.json").write_text(json.dumps({**json.loads(text), **fields}))
+
+
 def test_a_config_horizon_past_the_cap_exits_4_before_any_walk(tmp_path):
     done = run_capped(tmp_path, "generate", "--horizon", str(HORIZON_CAP + 1), "--out", "out")
     assert done.returncode == 4, done.stderr
@@ -900,11 +915,9 @@ def test_a_config_horizon_past_the_cap_exits_4_before_any_walk(tmp_path):
     # and its points are not the ones the file's digest names.
     (HORIZON_CAP, 2, "points digest mismatch"),
 ])
-def test_an_orbit_file_with_an_edited_horizon_exits_naming_the_file(tmp_path, horizon, code,
-                                                                    message):
-    assert run_capped(tmp_path, "generate", "--horizon", "100", "--out", "out").returncode == 0
-    orbit = tmp_path / "out" / "orbit.json"
-    orbit.write_text(json.dumps({**json.loads(orbit.read_text()), "horizon": horizon}))
+def test_an_orbit_file_with_an_edited_horizon_exits_naming_the_file(tmp_path, capped_orbit_text,
+                                                                    horizon, code, message):
+    write_edited_orbit(tmp_path, capped_orbit_text, horizon=horizon)
     done = run_capped(tmp_path, "classify", "--horizon", "100", "--out", "out")
     assert done.returncode == code, done.stderr
     assert f"orbit file {Path('out') / 'orbit.json'}: {message}" in done.stderr
@@ -920,18 +933,17 @@ def zeros_sha256(n: int) -> str:
     return digest.hexdigest()
 
 
-def test_a_consistent_orbit_file_at_the_cap_runs_out_of_memory_in_classify(tmp_path):
+def test_a_consistent_orbit_file_at_the_cap_runs_out_of_memory_in_classify(tmp_path,
+                                                                           capped_orbit_text):
     # The true orbit of the disk's fixed point 0 for HORIZON_CAP steps: every
     # point and every step error is 0.0, so the file is consistent and a few
     # hundred bytes long. Its walk fits in CAPPED_MEMORY; the orbit built
     # from the walked points, with its step errors, does not.
     assert zeros_sha256(5) == _sha256(np.zeros(5))
-    assert run_capped(tmp_path, "generate", "--horizon", "100", "--out", "out").returncode == 0
-    orbit = tmp_path / "out" / "orbit.json"
-    orbit.write_text(json.dumps({
-        **json.loads(orbit.read_text()), "horizon": HORIZON_CAP, "start": [0.0, 0.0],
-        "defects": [], "points_sha256": zeros_sha256(2 * (HORIZON_CAP + 1)),
-        "step_error_checksum": zeros_sha256(HORIZON_CAP), "meta": {"kind": "true-orbit"}}))
+    write_edited_orbit(
+        tmp_path, capped_orbit_text, horizon=HORIZON_CAP, start=[0.0, 0.0], defects=[],
+        points_sha256=zeros_sha256(2 * (HORIZON_CAP + 1)),
+        step_error_checksum=zeros_sha256(HORIZON_CAP), meta={"kind": "true-orbit"})
     done = run_capped(tmp_path, "classify", "--horizon", "100", "--out", "out")
     assert done.returncode == 4, done.stderr
     assert done.stderr == "resource cap exceeded: out of memory in classify\n"
@@ -1163,6 +1175,8 @@ two_stages = partial(check_schedule, 0.3, 2)
     ("example_disk.scale", 0.0, lambda v: JumpRule("offset", scale=v)),
     ("corruption.indices.indices", [3, 120], indices_below_120),
     ("corruption.indices.indices", [-1], indices_below_120),
+    ("corruption.indices.indices", [7, -3, 7], indices_below_120),
+    ("corruption.indices.indices", [119, 4, 120], indices_below_120),
     ("corruption.indices.indices", [2.5], indices_below_120),
     ("corruption.indices.indices", [True], indices_below_120),
     ("search.levels", 2000, lambda v: check_schedule(0.3, v, [0.25, 0.2])),

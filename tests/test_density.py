@@ -176,10 +176,20 @@ def test_upper_at_least_lower():
 
 
 def test_index_set_validation():
-    with pytest.raises(ParameterError):
+    # Each said only "indices must be strictly increasing naturals" or "all
+    # indices must be < horizon 10"; each names the value and the rule it breaks.
+    with pytest.raises(ParameterError, match="^index 3 is not above the index before it, 3$"):
         IndexSet(np.array([3, 3, 5]), 10)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="^index 12 is not below the horizon 10$"):
         IndexSet(np.array([4, 12]), 10)
+    with pytest.raises(ParameterError, match="^index -1 is negative$"):
+        IndexSet.from_iterable([-1], 10)
+    with pytest.raises(ParameterError, match="^index 2 is not above the index before it, 7$"):
+        IndexSet(np.array([1, 7, 2]), 10)
+    with pytest.raises(ParameterError, match="^index -3 is negative$"):
+        IndexSet(np.array([-3, 7, 2]), 10)
+    with pytest.raises(ParameterError, match="^horizon must be nonnegative, got -1$"):
+        IndexSet(np.array([], dtype=np.int64), -1)
 
 
 def test_index_set_complement_partitions():

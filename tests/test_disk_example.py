@@ -3,6 +3,8 @@ import pytest
 
 from shadowlab import (
     DiskExampleInstance,
+    GeneratorFamily,
+    GeneratorMap,
     IndexSet,
     JumpRule,
     ParameterError,
@@ -43,6 +45,19 @@ def test_build_disk_system_maps():
     assert np.allclose(reference_step(family, 2, [0.6, -0.2]), (0.3, -0.1))
     pts = orbit(family, word, (1.0, 0.0), 5)
     assert np.allclose(pts, [(1, 0), (0, 1), (0, 0.5), (0.5, 0), (0.25, 0)])
+
+
+@pytest.mark.parametrize("family, start, message", [
+    ("halving-swap", (2.0, 0.0), "start must lie in the unit disk"),
+    ("quartering-swap", (0.0, 0.0), "instance requires the swap/halving disk family"),
+])
+def test_instance_requires_the_disk_family_and_a_start_in_the_disk(family, start, message):
+    disk, word = build_disk_system()
+    if family == "quartering-swap":
+        disk = GeneratorFamily(disk.space, (disk.maps[0], GeneratorMap.scale([0.25, 0.25])))
+    xi = true_orbit(disk, word, (0.5, 0.0), 20)
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        DiskExampleInstance(xi, start)
 
 
 def test_instance_requires_alternating_word():

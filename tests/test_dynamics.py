@@ -13,19 +13,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shadowlab import (
+    DomainError,
     GeneratorFamily,
     GeneratorMap,
     IndexSet,
     JumpRule,
     MetricSpace,
     ParameterError,
+    RangeError,
     ResourceCapError,
     Word,
     make_corrupted_orbit,
     net,
     orbit,
 )
-from shadowlab.dynamics import DEFAULT_NET_CAP, DIMENSION_CAP, IID_BLOCK, _walk
+from shadowlab.dynamics import DEFAULT_NET_CAP, DIMENSION_CAP, IID_BLOCK, _walk, as_point
 
 from oracles import iid_symbols_reference, reference_map
 
@@ -375,6 +377,38 @@ def test_a_map_of_size_0_is_rejected_naming_its_field(build, field):
     assert err.value.path == (field,)
 
 
+@pytest.mark.parametrize("build, error, message", [
+    # No in-process test reached these rules; each names what it rejects.
+    (lambda: as_point([[0.5, 0.5]]), DomainError,
+     "a point must be a 1-d coordinate vector, got shape (1, 2)"),
+    (lambda: MetricSpace.box([0.0], [1.0, 2.0]), ParameterError,
+     "box bounds must be nonempty and of equal length"),
+    (lambda: MetricSpace.box([0.0, 1.0], [1.0, 1.0]), ParameterError,
+     "box bounds require lo < hi on every axis"),
+    (lambda: GeneratorFamily(MetricSpace.circle(), ()), ParameterError,
+     "a generator family needs at least one map"),
+    (lambda: GeneratorFamily.from_spec({"space": {"kind": "circle-1d"}, "maps": {}}),
+     ParameterError, "must be a list of map specs, got {}"),
+    (lambda: Word.constant(1, m=0), ParameterError, "alphabet size m must be >= 1"),
+    (lambda: Word.periodic((), m=2), ParameterError, "periodic word needs a nonempty pattern"),
+    (lambda: Word("iid", 3, weights=(0.5, 0.5), seed=1), ParameterError,
+     "iid word needs one weight per symbol"),
+    (lambda: Word("prefix", 2, prefix=(3,), tail=Word.constant(1, m=2)), ParameterError,
+     "prefix symbols must lie in 1..2"),
+    (lambda: Word("prefix", 2, prefix=(1,), tail=Word.constant(1, m=3)), ParameterError,
+     "tail word must share the alphabet size"),
+    (lambda: Word.constant(1, m=2).symbol_at(-1), RangeError, "word indices start at 0"),
+    (lambda: Word.constant(1, m=2).shifted(-1), RangeError, "word shift must be >= 0"),
+    (lambda: orbit(GeneratorFamily(MetricSpace.circle(), (GeneratorMap.identity(),)),
+                   Word.constant(1, m=1), (0.5,), 0), ParameterError,
+     "orbit length must be >= 1"),
+])
+def test_a_broken_rule_raises_its_own_message(build, error, message):
+    with pytest.raises(error) as err:
+        build()
+    assert type(err.value) is error and str(err.value) == message
+
+
 def test_word_is_a_frozen_value():
     word = Word.periodic(np.array([1, 2]), m=np.int64(2))
     assert word == Word.periodic([1.0, 2], m=2) and hash(word) == hash(Word.periodic((1, 2), 2))
@@ -457,10 +491,11 @@ def test_a_walk_and_a_step_have_different_profiled_names():
     profile = cProfile.Profile()
     profile.runcall(orbit, family, Word.periodic((1, 2), m=2), (0.5, 0.25), 10)
     profile.runcall(family.steps[2], (np.array([0.5]), np.array([0.25])))
-    # "<module>" is each source text run once to define its function.
+    # "<module>" is each source text run once to define its function; the
+    # walk's start is checked by the disk's membership test on columns.
     names = {name for filename, _, name in pstats.Stats(profile).stats
              if filename == "<shadowlab>"}
-    assert names == {"<module>", "walk_target", "step_scale"}
+    assert names == {"<module>", "walk_target", "step_scale", "inside_unit_disk_2d"}
 
 
 def test_a_dense_affine_walk_at_the_dimension_cap_compiles():

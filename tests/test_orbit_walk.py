@@ -635,15 +635,16 @@ def recorded_compiles(monkeypatch) -> list:
 # The names a compiled source may hold besides constants: keywords, the
 # function's name, the parameters and locals of a step and a walk, and the
 # functions bound by name.
-SOURCE_NAMES = {"def", "return", "c", "sqrt", "isfinite", "enumerate", "for", "in",
+SOURCE_NAMES = {"def", "return", "c", "sqrt", "isfinite", "choose", "enumerate", "for", "in",
                 "if", "elif", "else", "not", "and", "pass", "symbols", "at", "points",
                 "images", "clamped", "append", "point", "image", "k", "nxt", "j", "j0", "s", "n_"}
 
 
 def test_compiled_source_names_every_constant(monkeypatch):
-    # Recorded where each text is compiled: the step table and the generated
-    # walk of each landing rule, with its inline membership test and
-    # projection, on a box, a disk and a circle.
+    # Recorded where each text is compiled: the step table, the space's
+    # membership test and projection on columns, and the generated walk of
+    # each landing rule, with the same test and projection inline, on a box,
+    # a disk and a circle.
     sources = recorded_compiles(monkeypatch)
     constants = [0.7071067811865476, -0.123456789, 1e-300, 987654321]
     maps = (GeneratorMap.affine([constants[:2], constants[2:]], [0.4142135623730951, 2.5e-7]),
@@ -659,19 +660,20 @@ def test_compiled_source_names_every_constant(monkeypatch):
             family._walker(landing)
     # A stored walk tests no membership, so the box's and the disk's share a text.
     walks = [source for source in sources if source.startswith("def walk_")]
-    assert len(walks) == 8 and len(sources) == 11
+    assert len(walks) == 8 and len(sources) == 17
     values = [*constants, 0.4142135623730951, 2.5e-7, 0.3183098861837907, -77.25,
               *space.lo, *space.hi, 0.5772156649015329, 2.0,
               *(x - MEMBERSHIP_TOL for x in space.lo), *(x + MEMBERSHIP_TOL for x in space.hi),
               1.0 + MEMBERSHIP_TOL]
     for source in sources:
-        assert re.match(r"def (step_(affine|scale)\(c\)|walk_(target|offset|stored)\(symbols)",
-                        source)
+        assert re.match(r"def ((step_(affine|scale)|(inside|project)_(box_kd|unit_disk_2d|circle_1d))"
+                        r"\(c\)|walk_(target|offset|stored)\(symbols)", source)
         for value in values:
             assert repr(value) not in source and repr(float(value)) not in source
         for name in re.findall(r"[A-Za-z_][A-Za-z_0-9]*", source):
             assert name in SOURCE_NAMES or re.fullmatch(
-                r"(a\d+_\d+(_\d+)?|[bf]\d+(_\d+)?|c?(lo|hi)\d+|[cQ]\d+|r|step_[a-z]+|walk_[a-z]+)",
+                r"(a\d+_\d+(_\d+)?|[bf]\d+(_\d+)?|c?(lo|hi)\d+|[cQ]\d+|r|step_[a-z]+|walk_[a-z]+"
+                r"|(inside|project)_[a-z0-9_]+)",
                 name), (name, source)
 
 

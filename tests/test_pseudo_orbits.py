@@ -5,6 +5,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shadowlab import (
     BoundedSequence,
@@ -35,7 +37,7 @@ from shadowlab import (
 from shadowlab.concat import BlockPlan
 from shadowlab.density import prefix_density
 from shadowlab.dynamics import orbit
-from shadowlab.pseudo_orbits import recompute_step_errors
+from shadowlab.pseudo_orbits import jump_sizes, recompute_step_errors
 from shadowlab.surgery import select_anchors
 
 from oracles import reference_step
@@ -126,6 +128,13 @@ def test_true_orbit_is_average():
     family, word = build_disk_system()
     xi = true_orbit(family, word, (0.2, 0.2), 300)
     assert is_average_pseudo_orbit(xi, 1e-6, N=1)
+
+
+@pytest.mark.parametrize("N", [0, 201])
+def test_average_pseudo_orbit_needs_n_in_1_to_the_horizon(N):
+    xi = make_decaying_instance(0, 200).xi
+    with pytest.raises(ParameterError, match=r"^N must lie in \[1, horizon=200\]$"):
+        is_average_pseudo_orbit(xi, 0.1, N=N)
 
 
 def test_single_diameter_jump_with_matching_N():
@@ -286,6 +295,41 @@ def test_an_integer_jump_power_out_of_float_range_fails_fast_naming_it(scale, po
     else:
         make_corrupted_orbit(family, word, (0.1, 0.1), last, rule, seed=1)
     assert time.perf_counter() - start < 1.0
+
+
+def reference_jump_sizes(rule, steps):
+    """Python's scale / (j + 1) ** power at each step, or the error jump_sizes
+    raises where one size is not a finite float: where the expression raises
+    or is not finite, or where an int (j + 1) ** power has no float, which an
+    int scale would divide exactly."""
+    out_of_range = f"jump power {rule.power} is out of floating-point range"
+    try:
+        if steps and type(rule.power) is int and rule.power > 0:
+            float((steps[-1] + 1) ** rule.power)
+        sizes = np.array([rule.scale / (j + 1) ** rule.power for j in steps])
+    except (OverflowError, ZeroDivisionError):
+        return out_of_range
+    return sizes.tobytes() if np.isfinite(sizes).all() else out_of_range
+
+
+def jump_sizes_or_error(rule, steps):
+    try:
+        return jump_sizes(rule, steps).tobytes()
+    except ParameterError as exc:
+        assert exc.path == ("power",)
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scale=st.one_of(st.floats(1e-300, 1e300), st.integers(1, 10**6)),
+       power=st.one_of(st.floats(-400.0, 400.0), st.integers(-400, 400),
+                       st.sampled_from([0.5, 1.5, 2.0, 2.5, 3.3, -0.5, 181, 182])),
+       steps=st.lists(st.integers(0, 10**6 - 1), max_size=40, unique=True).map(sorted))
+def test_jump_sizes_are_pythons_power_bit_for_bit(scale, power, steps):
+    # np.power differs from ** in the last bit on some sizes (numpy 2.4 on
+    # AVX-512: 710 of 10**6 at power 0.5), so each size stays one expression.
+    rule = JumpRule("offset", scale=scale, power=power)
+    assert jump_sizes_or_error(rule, steps) == reference_jump_sizes(rule, steps)
 
 
 @pytest.mark.parametrize("scale", [1.0, 1])

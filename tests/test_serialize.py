@@ -21,6 +21,7 @@ from shadowlab import (
 from shadowlab import serialize
 from shadowlab.serialize import (
     CONFIG_SCHEMA,
+    json_default,
     load_block_plan_manifest,
     load_config,
     load_orbit,
@@ -73,6 +74,20 @@ def test_dump_json_deterministic(tmp_path):
     save_orbit(xi, p1)
     save_orbit(xi, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_json_default_names_a_type_it_cannot_write():
+    assert json_default(np.float64(0.5)) == 0.5 and json_default(np.arange(2)) == [0, 1]
+    with pytest.raises(TypeError, match="^object is not JSON serializable$"):
+        json_default(object())
+
+
+def test_an_unknown_orbit_or_plan_schema_is_named(tmp_path):
+    with pytest.raises(ParameterError, match="^unsupported orbit schema 'shadowlab/orbit/v9'$"):
+        orbit_from_dict({"schema": "shadowlab/orbit/v9"})
+    (tmp_path / "plan.json").write_text(json.dumps({"schema": "shadowlab/plan/v9"}))
+    with pytest.raises(ParameterError, match="unsupported plan schema 'shadowlab/plan/v9'$"):
+        load_block_plan_manifest(tmp_path / "plan.json")
 
 
 def test_block_plan_manifest_roundtrip(tmp_path):

@@ -236,6 +236,12 @@ def test_trace_report_rejects_a_candidate_sent_out_of_the_space():
         trace_report((0.9, 0.9), xi, eps=0.1)
 
 
+def test_trace_report_rejects_a_candidate_outside_the_space():
+    xi = constant_orbit((0.25, 0.25), 20)
+    with pytest.raises(DomainError, match=r"^candidate \[2.0, 0.0\] is outside the box-kd space$"):
+        trace_report((2.0, 0.0), xi, eps=0.1)
+
+
 def test_search_failure_on_circle_rotation():
     xi = rotation_circle_orbit()
     result = average_shadow_search(xi, eps=0.1, mesh=0.02)

@@ -86,8 +86,21 @@ def test_block_length_horizon_gate():
     assert "16001" in str(err.value)
 
 
+def test_block_length_rejects_a_delta_too_small_for_a_finite_length():
+    # 8 * diameter / delta overflows to inf.
+    with pytest.raises(ParameterError,
+                       match="^delta=5e-324 is too small for a finite block length$"):
+        block_length(MetricSpace.unit_disk(), 5e-324)
+
+
 # ---------------------------------------------------------------------------
 # select_anchors
+
+
+@pytest.mark.parametrize("M", [0, -3])
+def test_select_anchors_rejects_a_block_length_below_1(M):
+    with pytest.raises(ParameterError, match="^M must be >= 1$"):
+        select_anchors(IndexSet.from_iterable([3], 30), M)
 
 
 def test_select_anchors_greedy():
