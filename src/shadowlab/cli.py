@@ -23,15 +23,10 @@ import numpy as np
 
 from .cesaro import extract_null_set, verify_equivalence
 from .concat import asymptotic_certificate, concatenate
+from .density import DEFAULT_TAIL_FRACTION
 from .disk_example import aasp_demo, make_decaying_instance, tracking_inequality_curve
-from .errors import (
-    DomainError,
-    IntegrityError,
-    ParameterError,
-    PreconditionError,
-    RangeError,
-    ResourceCapError,
-)
+from .errors import (DomainError, IntegrityError, ParameterError, PreconditionError, RangeError,
+                     ResourceCapError)
 from .pseudo_orbits import (
     PseudoOrbit,
     is_asymptotic_average,
@@ -42,17 +37,8 @@ from .pseudo_orbits import (
     make_corrupted_orbit,
     true_orbit,
 )
-from .serialize import (
-    ExperimentConfig,
-    config_error,
-    dump_csv,
-    dump_json,
-    load_block_plan,
-    load_config,
-    load_orbit,
-    load_sequence,
-    save_orbit,
-)
+from .serialize import (DEFAULT_HORIZON, ExperimentConfig, config_error, dump_csv, dump_json,
+                        load_block_plan, load_config, load_orbit, load_sequence, save_orbit)
 from .shadow_search import (
     RefinedSearchResult,
     SearchResult,
@@ -85,13 +71,16 @@ def build_orbit(cfg: ExperimentConfig) -> PseudoOrbit:
                                 cfg.jump, cfg.seed)
 
 
+def average_verdict(xi: PseudoOrbit, delta: float):
+    return is_average_pseudo_orbit(xi, delta, min(block_length(xi.family.space, delta), xi.horizon))
+
+
 def classify_all(xi: PseudoOrbit, cfg: ExperimentConfig) -> dict:
-    N = min(block_length(xi.family.space, cfg.delta), xi.horizon)
     checks = {
         "pseudo_orbit": is_pseudo_orbit(xi, cfg.delta),
         "ergodic_pseudo_orbit": is_ergodic_pseudo_orbit(
             xi, cfg.delta, cfg.density_tol, cfg.tail_fraction),
-        "average_pseudo_orbit": is_average_pseudo_orbit(xi, cfg.delta, N),
+        "average_pseudo_orbit": average_verdict(xi, cfg.delta),
         "weak_asymptotic_average": is_weak_asymptotic_average(xi, cfg.delta, cfg.tail_fraction),
         "asymptotic_average": is_asymptotic_average(xi, cfg.tol, cfg.tail_fraction),
     }
@@ -123,7 +112,7 @@ def cmd_repair(cfg: ExperimentConfig, out: Path) -> int:
     xi = load_orbit(cfg.repair_orbit or out / "orbit.json")
     result = repair(xi, cfg.delta, cfg.density_tol, cfg.tail_fraction)
     save_orbit(result.y, out / "repaired.json")
-    posterior = is_average_pseudo_orbit(result.y, cfg.delta, max(1, min(result.M, xi.horizon)))
+    posterior = average_verdict(result.y, cfg.delta)
     dump_json({
         "M": result.M,
         "delta": result.delta,
@@ -269,9 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="shadowlab",
         description="Pseudo-orbit laboratory: generate, classify, repair, and search.",
-        epilog="Defaults: horizon 10000, tail_fraction 0.5; JSON artifacts only, per-step "
-               "curves under --curves. Exit codes: 0 success, 2 config error, "
-               "3 precondition rejection, 4 resource cap or out of memory.")
+        epilog=f"Defaults: horizon {DEFAULT_HORIZON}, tail_fraction {DEFAULT_TAIL_FRACTION}; "
+               "JSON artifacts only, per-step curves under --curves. Exit codes: 0 success, "
+               "2 config error, 3 precondition rejection, 4 resource cap or out of memory.")
     parser.add_argument("command", choices=tuple(DISPATCH))
     parser.add_argument("--config", type=Path, default=None,
                         help="JSON experiment config (defaults to the built-in disk system)")

@@ -20,6 +20,8 @@ from .pseudo_orbits import PseudoOrbit, is_asymptotic_average, make_corrupted_or
 TRACKING_TOL = 1e-9
 # Prefix lengths at which aasp_demo reports the tracking mean against its bound.
 AASP_CHECKPOINTS = (1_000, 10_000)
+# The defaults of make_decaying_instance and aasp_demo, which the built-in config reads.
+DEFAULT_SCALE, DEFAULT_POWER, DEFAULT_ASYMPTOTIC_TOL = 1.0, 2.0, 0.01
 # The worked system as a spec, which the built-in config shares.
 DISK_SYSTEM = {
     "space": {"kind": "unit-disk-2d"},
@@ -94,8 +96,8 @@ class DiskExampleInstance:
         return self._tracking[2]
 
 
-def make_decaying_instance(seed: int, horizon: int, scale: float = 1.0, power: float = 2.0,
-                           start=None) -> DiskExampleInstance:
+def make_decaying_instance(seed: int, horizon: int, scale: float = DEFAULT_SCALE,
+                           power: float = DEFAULT_POWER, start=None) -> DiskExampleInstance:
     """Seeded instance with per-step corruption of size scale/(i+1)^power.
 
     The true-orbit start defaults to x_0 (which makes M = 0); pass a
@@ -120,7 +122,7 @@ def tracking_inequality_curve(instance: DiskExampleInstance):
 
 
 def aasp_demo(instance: DiskExampleInstance, tail_fraction: float = DEFAULT_TAIL_FRACTION,
-              asymptotic_tol: float = 0.01) -> dict:
+              asymptotic_tol: float = DEFAULT_ASYMPTOTIC_TOL) -> dict:
     """Show tracking prefix means driven to zero by the summed bound.
 
     Requires the instance's pseudo-orbit to pass the asymptotic-average

@@ -16,7 +16,7 @@ import operator
 import struct
 import sys
 from dataclasses import KW_ONLY, MISSING, dataclass, fields, replace
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -91,8 +91,10 @@ def _built(source: str, name: str, constants: dict):
 
 
 # What a space's rule text (MetricSpace._rule) calls, on columns and on floats.
-_ON_COLUMNS = {"sqrt": np.sqrt, "isfinite": np.isfinite, "choose": np.where}
-_ON_FLOATS = {"sqrt": math.sqrt, "isfinite": math.isfinite, "choose": lambda t, a, b: a if t else b}
+_ON_COLUMNS = {"sqrt": np.sqrt, "isfinite": np.isfinite, "choose": np.where, "abs": np.absolute,
+               "clamp": lambda x, lo, hi: np.where(x <= lo, lo, np.where(x >= hi, hi, x))}
+_ON_FLOATS = {"sqrt": math.sqrt, "isfinite": math.isfinite, "choose": lambda t, a, b: a if t else b,
+              "clamp": lambda x, lo, hi: lo if x <= lo else hi if x >= hi else x}
 
 
 def _integral(value) -> bool:
@@ -289,7 +291,7 @@ class MetricSpace(_Spec):
 
     @classmethod
     def circle(cls) -> "MetricSpace":
-        """Circle of circumference 1, coordinates in [0, 1), geodesic metric."""
+        """Circle of circumference 1, geodesic metric; coordinates wrap mod 1 into [0, 1]."""
         return cls(CIRCLE)
 
     @property
@@ -328,61 +330,63 @@ class MetricSpace(_Spec):
         """The columns c's nearest points of the space, as columns."""
         return self._on_columns["project"](c)
 
+    def _distance(self, a: tuple, b: tuple) -> np.ndarray:
+        """d between the columns a and b, row by row; a column of one row broadcasts."""
+        return self._on_columns["distance"](a, b)
+
     @cached_property
     def _on_columns(self) -> dict:
-        """_rule's test and projection on a tuple of numpy columns, by role."""
-        c, kind = [f"c{k}" for k in range(self.dimension)], self.kind.replace("-", "_")
-        cs, (inside, project, constants) = ", ".join(c), self._rule(c)
-        return {role: _built("\n    ".join([f"def {role}_{kind}(c):", f"{cs}, = c", *body]),
+        """_rule's test, projection and distance on tuples of numpy columns, by role."""
+        d, kind = range(self.dimension), self.kind.replace("-", "_")
+        c = [f"c{k}" for k in d]
+        (inside, project, distance, constants), cs = self._rule(c), ", ".join(c)
+        unpack = {x: ", ".join(f"{x}{k}" for k in d) + f", = {x}" for x in "cab"}
+        return {role: _built("\n    ".join([f"def {role}_{kind}({args}):", *body]),
                              f"{role}_{kind}", {**_ON_COLUMNS, **constants})
-                for role, body in (("inside", [f"return {inside}"]),
-                                   ("project", [*project, f"return ({cs},)"]))}
+                for role, args, body in (
+                    ("inside", "c", [unpack["c"], f"return {inside}"]),
+                    ("project", "c", [unpack["c"], *project, f"return {cs},"]),
+                    ("distance", "a, b", [unpack["a"], unpack["b"], *distance]))}
 
-    def _rule(self, c: list) -> tuple[str, list, dict]:
+    def _rule(self, c: list) -> tuple[str, list, list, dict]:
         """The space's membership test of the coordinates named c, the statements
-        that set them to their nearest point, and the constants both name. It
-        calls sqrt, isfinite and choose(test, a, b): numpy's in _on_columns,
-        floats' in _walk_source. A tie goes to the box's bound, NaN stays NaN,
-        and division by max(|c|, 1), or by 1 for a NaN norm, is exact inside."""
+        that set them to their nearest point, the statements that return the
+        distance of the points named a0.. and b0.., and the constants these name.
+        They call sqrt, isfinite, choose(test, a, b), clamp(x, lo, hi) and abs:
+        numpy's in _on_columns, floats' in _walk_source, which takes no distance.
+        A tie goes to the box's bound, NaN stays NaN, and division by
+        max(|c|, 1), or by 1 for a NaN norm, is exact inside."""
         cs = ", ".join(c)
+        if self.kind == CIRCLE:
+            wrap = self._wrap.format
+            return (f"isfinite({cs})", [f"{cs} = {wrap(cs)}"],
+                    [f"m = abs({wrap('a0')} - {wrap('b0')})", "r = 1.0 - m",
+                     "return choose(m <= r, m, r)"], {})
+        distance = [*(f"d{k} = a{k} - b{k}" for k in range(len(c))),
+                    f"return sqrt({' + '.join(f'd{k} * d{k}' for k in range(len(c)))})"]
         if self.kind == UNIT_DISK:
             norm = f"sqrt({' + '.join(f'{x} * {x}' for x in c)})"
             return (f"{norm} <= r", [f"n_ = {norm}", "n_ = choose(n_ > 1.0, n_, 1.0)",
                                      f"{cs} = {', '.join(f'{x} / n_' for x in c)}"],
-                    {"r": 1.0 + MEMBERSHIP_TOL})
-        if self.kind == CIRCLE:
-            return f"isfinite({cs})", [f"{cs} = {self._wrap.format(cs)}"], {}
+                    distance, {"r": 1.0 + MEMBERSHIP_TOL})
         constants = {f"{name}{k}": v for k, (lo, hi) in enumerate(zip(self.lo, self.hi))
                      for name, v in (("lo", lo - MEMBERSHIP_TOL), ("hi", hi + MEMBERSHIP_TOL),
                                      ("clo", lo), ("chi", hi))}
         return (" & ".join(f"({x} >= lo{k}) & ({x} <= hi{k})" for k, x in enumerate(c)),
-                [f"{cs} = " + ", ".join(f"choose({x} <= clo{k}, clo{k}, choose({x} >= chi{k}, "
-                                        f"chi{k}, {x}))" for k, x in enumerate(c))], constants)
+                [f"{cs} = " + ", ".join(f"clamp({x}, clo{k}, chi{k})" for k, x in enumerate(c))],
+                distance, constants)
 
     @property
     def _wrap(self) -> str:
         """A map's image in the space's coordinates, as a format: mod 1 on the circle."""
         return "({}) % 1.0" if self.kind == CIRCLE else "{}"
 
-    def _distance(self, a: tuple, b: tuple) -> np.ndarray:
-        """d between the columns a and b, row by row; a column of one row broadcasts."""
-        if self.kind == CIRCLE:
-            m = abs(a[0] % 1.0 - b[0] % 1.0)
-            r = 1.0 - m
-            return np.where(m <= r, m, r)
-        diff = [x - y for x, y in zip(a, b)]
-        return np.sqrt(reduce(operator.add, [x * x for x in diff]))
-
     def sample(self, rng: np.random.Generator) -> np.ndarray:
-        """Uniform seeded point of the space."""
-        if self.kind == UNIT_DISK:
-            while True:
-                q = rng.uniform(-1.0, 1.0, size=2)
-                if np.linalg.norm(q) <= 1.0:
-                    return q
-        if self.kind == CIRCLE:
-            return rng.uniform(0.0, 1.0, size=1)
-        return rng.uniform(np.asarray(self.lo), np.asarray(self.hi))
+        """Uniform seeded point of the space: of its bounding box, redrawn outside the disk."""
+        q = rng.uniform(self.lo, self.hi)
+        while self.kind == UNIT_DISK and np.linalg.norm(q) > 1.0:
+            q = rng.uniform(self.lo, self.hi)
+        return q
 
 
 @dataclass(frozen=True)
@@ -494,7 +498,7 @@ class GeneratorFamily:
     def steps(self) -> tuple:
         """Step table: ``steps[s]`` maps a tuple of d columns through f_s.
 
-        Symbol 0 is the identity, and circle images wrap into [0, 1). The
+        Symbol 0 is the identity, and circle images wrap mod 1, into [0, 1]. The
         scans and the column pass (pseudo_orbits._column_pass) step columns
         through this table; the walk is generated from the same terms
         (_walk_source), so a step rounds the same there on floats.
@@ -778,7 +782,7 @@ def _walk_source(family: GeneratorFamily, landing: str) -> tuple[str, dict]:
     if landing == "stored":
         body += ["if j == nxt:", f"    {cs} = {', '.join(Q)}"]
     else:
-        inside, project, named = space._rule(c)
+        inside, project, _, named = space._rule(c)
         constants.update(named)
         landed = [wrap.format(q if landing == "target" else f"{x} + {q}") for x, q in zip(c, Q)]
         body += ["if j == nxt:", "    " + "; ".join(f"image({x})" for x in c),

@@ -92,11 +92,12 @@ def recompute_step_errors(family: GeneratorFamily, word: Word, points: np.ndarra
 
 
 def _checked_points(family: GeneratorFamily, word: Word, points) -> np.ndarray:
-    """points as an (H+1, d) float64 array, each of them a point of the space,
-    after the word's alphabet is checked against the family; a 1-d array
-    holds one point of a 1-dimensional space per entry."""
+    """points as a new (H+1, d) float64 array, each of them a point of the
+    space, after the word's alphabet is checked against the family; a 1-d
+    array holds one point of a 1-dimensional space per entry. The copy is the
+    orbit's own, so no later write into the array given reaches it."""
     family.check_alphabet(word)
-    pts = np.asarray(points, dtype=np.float64)
+    pts = np.array(points, dtype=np.float64)
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1)
     if pts.ndim != 2 or pts.shape[1] != family.space.dimension or not len(pts):
@@ -121,9 +122,7 @@ class PseudoOrbit:
     j whose point x_{j+1} is not f_{w_j}(x_j) bit for bit; every step with a
     nonzero step error is among them, and every other point is its step's
     image, so a save lists the points at the defects alone. ``points``,
-    ``step_errors`` and ``defects`` are read-only views; ``points`` shares
-    the memory of the array given, so a caller who writes into that array
-    afterwards changes the orbit.
+    ``step_errors`` and ``defects`` are read-only arrays of the orbit's own.
     """
 
     family: GeneratorFamily
@@ -136,8 +135,7 @@ class PseudoOrbit:
     def __post_init__(self):
         pts = _checked_points(self.family, self.word, self.points)
         errors, defects = _column_pass(self.family, self.word.symbols(len(pts) - 1), pts)
-        # A view of the points, so that the caller's array stays writable.
-        for name, a in (("points", pts.view()), ("step_errors", errors), ("defects", defects)):
+        for name, a in (("points", pts), ("step_errors", errors), ("defects", defects)):
             a.flags.writeable = False
             object.__setattr__(self, name, a)
 

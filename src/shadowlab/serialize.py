@@ -22,13 +22,13 @@ import numpy as np
 
 from .cesaro import BoundedSequence
 from .concat import BlockPlan
-from .density import IndexSet, check_density_horizon, check_tail_fraction
-from .disk_example import DISK_SYSTEM
+from .density import DEFAULT_TAIL_FRACTION, IndexSet, check_density_horizon, check_tail_fraction
+from .disk_example import DEFAULT_ASYMPTOTIC_TOL, DEFAULT_POWER, DEFAULT_SCALE, DISK_SYSTEM
 from .dynamics import (GeneratorFamily, JumpRule, MetricSpace, Word, _finite, _integer,
                        _integers, _items, _keyed, _known, _real, _walk, as_points)
 from .errors import (IntegrityError, ParameterError, ResourceCapError, check_alpha,
                      check_nonnegative, check_positive)
-from .pseudo_orbits import PseudoOrbit, jump_sizes
+from .pseudo_orbits import DEFAULT_DENSITY_TOL, PseudoOrbit, jump_sizes
 from .shadow_search import check_schedule
 
 CONFIG_SCHEMA = "shadowlab/config/v1"
@@ -337,7 +337,9 @@ def load_block_plan(path: Path | str) -> BlockPlan:
 # ---------------------------------------------------------------------------
 # Experiment configuration
 
-THRESHOLDS = {"delta": 0.4, "epsilon": 0.2, "alpha": 0.9, "tol": 0.01, "density_tol": 0.01}
+DEFAULT_HORIZON = 10_000
+THRESHOLDS = {"delta": 0.4, "epsilon": 0.2, "alpha": 0.9, "tol": DEFAULT_ASYMPTOTIC_TOL,
+              "density_tol": DEFAULT_DENSITY_TOL}
 THRESHOLD_CHECKS = {"alpha": check_alpha, "density_tol": partial(check_nonnegative, "density_tol")}
 # The keys each subcommand section, the system and the root may hold:
 # validate_config reads each of them, and rejects every other key, naming it.
@@ -485,9 +487,10 @@ def _config(data: dict) -> ExperimentConfig:
         raise ParameterError(f"expected {CONFIG_SCHEMA!r}, got {data.get('schema')!r}", "schema")
     system = _keyed("system", _known, "system", data.get("system"), SYSTEM_KEYS, SYSTEM_KEYS)
     seed = _at_least("seed", data.get("seed", 0), 0)
-    horizon = _keyed("horizon", _integer, "value", data.get("horizon", 10_000))
+    horizon = _keyed("horizon", _integer, "value", data.get("horizon", DEFAULT_HORIZON))
     _keyed("horizon", check_density_horizon, horizon)
-    tail_fraction = _number("tail_fraction", data.get("tail_fraction", 0.5), check_tail_fraction)
+    tail_fraction = _number("tail_fraction", data.get("tail_fraction", DEFAULT_TAIL_FRACTION),
+                            check_tail_fraction)
     given = {**THRESHOLDS, **_keyed("thresholds", _known, "thresholds",
                                     data.get("thresholds", {}), THRESHOLDS)}
     thresholds = {name: _number(f"thresholds.{name}", v, THRESHOLD_CHECKS.get(name, _positive))
@@ -501,8 +504,8 @@ def _config(data: dict) -> ExperimentConfig:
     classify, repair, cesaro, concat, search, disk = (
         _keyed(name, _known, name, data.get(name, {}), keys) for name, keys in SECTION_KEYS.items())
     net_mesh = _number("net_mesh", data.get("net_mesh", 0.1), _positive)
-    scale = _number("example_disk.scale", disk.get("scale", 1.0))
-    power = _number("example_disk.power", disk.get("power", 2.0))
+    scale = _number("example_disk.scale", disk.get("scale", DEFAULT_SCALE))
+    power = _number("example_disk.power", disk.get("power", DEFAULT_POWER))
     _keyed("example_disk",
            lambda: jump_sizes(JumpRule("offset", None, scale, power), [horizon - 1]))
     return ExperimentConfig(

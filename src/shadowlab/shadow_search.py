@@ -288,7 +288,8 @@ def _isometry_targets(xi: PseudoOrbit, symbols: np.ndarray) -> tuple[np.ndarray,
         s *= a[w]
         offsets.append(c / denominator)
         signs.append(s)
-    y = (np.array(signs) * (xi.points[:, 0] % 1.0 - np.array(offsets))) % 1.0
+    wrap = xi.family.space._project
+    (y,) = wrap((np.array(signs) * (wrap((xi.points[:, 0],))[0] - np.array(offsets)),))
     with np.errstate(over="ignore"):
         drift = np.concatenate(([0.0], np.cumsum(2.0 + np.abs(b[symbols, 0]))))
         sigma = (8.0 + drift) * (2.0**-53 * (1 + (xi.horizon + 8) * 2.0**-50))

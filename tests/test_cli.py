@@ -1,3 +1,4 @@
+import inspect
 import json
 
 import numpy as np
@@ -11,10 +12,13 @@ from shadowlab import (
     is_pseudo_orbit,
     true_orbit,
 )
-from shadowlab.cli import main
+from shadowlab.cli import build_parser, main
+from shadowlab.disk_example import aasp_demo, make_decaying_instance
+from shadowlab.pseudo_orbits import is_ergodic_pseudo_orbit
 from shadowlab.serialize import (
     CONFIG_SCHEMA,
     ORBIT_SCHEMA,
+    load_config,
     load_orbit,
     save_orbit,
     step_error_checksum,
@@ -147,11 +151,29 @@ def test_repair_pipeline_and_rejection(tmp_path):
     audit = json.loads((tmp_path / "out" / "repair.json").read_text())
     assert audit["average_verdict"]["verdict"] is True
     assert set(audit["diff_set"]) <= set(audit["blocks"])
+    # Both average verdicts read windows of at least the repair's block length M.
+    assert main(["classify", "--config", str(cfg)]) == 0
+    verdicts = json.loads((tmp_path / "out" / "classification.json").read_text())
+    assert (verdicts["average_pseudo_orbit"]["params"]["N"]
+            == audit["average_verdict"]["params"]["N"] == audit["M"] == 21)
 
     dense = write_config(tmp_path, corruption={"indices": {"kind": "evens"},
                                                "jump": {"kind": "uniform"}})
     assert main(["generate", "--config", str(dense)]) == 0
     assert main(["repair", "--config", str(dense)]) == 3
+
+
+def test_the_built_in_config_reads_the_librarys_defaults():
+    cfg = load_config(None)
+    demo, instance, ergodic = (inspect.signature(f).parameters for f in (
+        aasp_demo, make_decaying_instance, is_ergodic_pseudo_orbit))
+    assert cfg.tail_fraction == demo["tail_fraction"].default == ergodic["tail_fraction"].default
+    assert cfg.density_tol == ergodic["density_tol"].default
+    assert cfg.tol == demo["asymptotic_tol"].default
+    assert (cfg.disk_scale, cfg.disk_power) == (instance["scale"].default,
+                                                instance["power"].default)
+    assert f"Defaults: horizon {cfg.horizon}, tail_fraction {cfg.tail_fraction};" in (
+        build_parser().epilog)
 
 
 def test_search_average_and_resource_cap(tmp_path):

@@ -1,11 +1,14 @@
+import ast
 import cProfile
 import dataclasses
 import gc
 import math
 import pickle
 import pstats
+import re
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -122,6 +125,42 @@ def test_circle_distance_is_geodesic():
     c = MetricSpace.circle()
     assert c.distance([0.1], [0.9]) == pytest.approx(0.2)
     assert c.distance([0.0], [0.5]) == pytest.approx(0.5)
+
+
+def test_a_tiny_negative_circle_image_wraps_to_1_the_point_0():
+    # Coordinates lie in [0, 1], not [0, 1): -1e-17 % 1.0 rounds to 1.0.
+    space = MetricSpace.circle()
+    family = GeneratorFamily(space, (GeneratorMap.affine([[1.0]], [-1e-17]),))
+    assert orbit(family, Word.constant(1, 1), [0.0], 3).ravel().tolist() == [0.0, 1.0, 0.0]
+    assert space.distance(1.0, 0.0) == 0.0 and space.contains(1.0)
+
+
+# A circle wrap (a mod 1 in any spelling) or a clamp (np.clip, a min of a max
+# or a max of a min, nested wheres, a chained conditional): MetricSpace._rule
+# writes each once, and only the space and the two tables its text calls
+# (dynamics._ON_COLUMNS and _ON_FLOATS) may spell one.
+WRAP_OR_CLAMP = re.compile(
+    r"%\s*1(\.0*)?(?![\w.])|\b(mod|fmod|remainder|clip|clamp)\("
+    r"|\b(max(imum)?\(([^(),#]+,)?\s*(np\.)?min|min(imum)?\(([^(),#]+,)?\s*(np\.)?max)(imum)?\("
+    r"|\bwhere\([^()#]*\bwhere\(|\bif\b[^#]*\belse\b[^#]*\bif\b[^#]*\belse\b")
+
+
+def test_the_circle_wrap_and_the_box_clamp_are_spelled_only_by_the_space():
+    found = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "shadowlab").glob("*.py")):
+        text = path.read_text()
+        own = set()
+        for node in ast.parse(text).body:
+            names = {getattr(t, "id", None) for t in getattr(node, "targets", ())}
+            if (isinstance(node, ast.ClassDef) and node.name == "MetricSpace"
+                    or names & {"_ON_COLUMNS", "_ON_FLOATS"}):
+                own.update(range(node.lineno, node.end_lineno + 1))
+        found += [f"{path.name}:{n}: {line.strip()}" for n, line in enumerate(text.splitlines(), 1)
+                  if n not in own and WRAP_OR_CLAMP.search(line)]
+    assert found == []
+    for spelling in ("y = (x % 1.0 - c) % 1.0", "N = max(1, min(M, H))",
+                     "np.minimum(np.maximum(x, 0), 1)", "lo if x <= lo else hi if x >= hi else x"):
+        assert WRAP_OR_CLAMP.search(spelling), spelling
 
 
 # ---------------------------------------------------------------------------

@@ -635,16 +635,17 @@ def recorded_compiles(monkeypatch) -> list:
 # The names a compiled source may hold besides constants: keywords, the
 # function's name, the parameters and locals of a step and a walk, and the
 # functions bound by name.
-SOURCE_NAMES = {"def", "return", "c", "sqrt", "isfinite", "choose", "enumerate", "for", "in",
-                "if", "elif", "else", "not", "and", "pass", "symbols", "at", "points",
-                "images", "clamped", "append", "point", "image", "k", "nxt", "j", "j0", "s", "n_"}
+SOURCE_NAMES = {"def", "return", "a", "b", "c", "m", "sqrt", "isfinite", "choose", "clamp", "abs",
+                "enumerate", "for", "in", "if", "elif", "else", "not", "and", "pass", "symbols",
+                "at", "points", "images", "clamped", "append", "point", "image", "k", "nxt", "j",
+                "j0", "s", "n_"}
 
 
 def test_compiled_source_names_every_constant(monkeypatch):
     # Recorded where each text is compiled: the step table, the space's
-    # membership test and projection on columns, and the generated walk of
-    # each landing rule, with the same test and projection inline, on a box,
-    # a disk and a circle.
+    # membership test, projection and distance on columns, and the generated
+    # walk of each landing rule, with the same test and projection inline, on
+    # a box, a disk and a circle.
     sources = recorded_compiles(monkeypatch)
     constants = [0.7071067811865476, -0.123456789, 1e-300, 987654321]
     maps = (GeneratorMap.affine([constants[:2], constants[2:]], [0.4142135623730951, 2.5e-7]),
@@ -660,20 +661,21 @@ def test_compiled_source_names_every_constant(monkeypatch):
             family._walker(landing)
     # A stored walk tests no membership, so the box's and the disk's share a text.
     walks = [source for source in sources if source.startswith("def walk_")]
-    assert len(walks) == 8 and len(sources) == 17
+    assert len(walks) == 8 and len(sources) == 20
     values = [*constants, 0.4142135623730951, 2.5e-7, 0.3183098861837907, -77.25,
               *space.lo, *space.hi, 0.5772156649015329, 2.0,
               *(x - MEMBERSHIP_TOL for x in space.lo), *(x + MEMBERSHIP_TOL for x in space.hi),
               1.0 + MEMBERSHIP_TOL]
     for source in sources:
-        assert re.match(r"def ((step_(affine|scale)|(inside|project)_(box_kd|unit_disk_2d|circle_1d))"
-                        r"\(c\)|walk_(target|offset|stored)\(symbols)", source)
+        kinds = "(box_kd|unit_disk_2d|circle_1d)"
+        assert re.match(rf"def ((step_(affine|scale)|(inside|project)_{kinds})\(c\)"
+                        rf"|distance_{kinds}\(a, b\)|walk_(target|offset|stored)\(symbols)", source)
         for value in values:
             assert repr(value) not in source and repr(float(value)) not in source
         for name in re.findall(r"[A-Za-z_][A-Za-z_0-9]*", source):
             assert name in SOURCE_NAMES or re.fullmatch(
-                r"(a\d+_\d+(_\d+)?|[bf]\d+(_\d+)?|c?(lo|hi)\d+|[cQ]\d+|r|step_[a-z]+|walk_[a-z]+"
-                r"|(inside|project)_[a-z0-9_]+)",
+                r"(a\d+(_\d+){0,2}|[bf]\d+(_\d+)?|c?(lo|hi)\d+|[cdQ]\d+|r|step_[a-z]+|walk_[a-z]+"
+                r"|(inside|project|distance)_[a-z0-9_]+)",
                 name), (name, source)
 
 
@@ -2005,6 +2007,29 @@ def test_every_walked_circle_trace_lies_within_sigma_of_the_analytic_one(system,
         t = trace_report([z], xi, 1.0).trace_errors
         m = np.abs(z - y)
         assert np.all(np.abs(t - np.minimum(m, 1.0 - m)) <= sigma)
+
+
+@SETTINGS
+@given(isometry_systems(), st.integers(0, 300), st.integers(0, 2**32),
+       st.lists(unit(0.0, 0.9999), min_size=1, max_size=4))
+def test_the_isometry_scans_in_place_distance_is_the_spaces(system, horizon, seed, starts):
+    # _isometry_survivors takes tau = min(m, 1 - m), m = |z - y_j|, in place
+    # instead of through space._distance, which is slower there. For a net
+    # point or a start z and a target y in [0, 1) the two agree bit for bit. A
+    # target of 1.0 (a tiny negative wrapped) is the point 0.0 to the space
+    # but not to the difference: there they differ by rounding alone, within
+    # 2^-51, which sigma covers (_isometry_targets, step 2 of the proof).
+    family, word = system
+    y, _ = shadow_search._isometry_targets(isometry_orbit(family, word, horizon, seed),
+                                           word.symbols(horizon))
+    y = np.append(y, [0.0, 1.0, 0.5, np.nextafter(1.0, 0.0)])
+    for z in starts + net(family.space, 0.1).ravel().tolist():
+        tau = np.subtract([[z]], y)
+        np.abs(tau, out=tau)
+        np.minimum(tau, 1.0 - tau, out=tau)
+        d = family.space._distance((np.full_like(y, z),), (y,))
+        assert tau[0][y < 1.0].tobytes() == d[y < 1.0].tobytes()
+        assert np.all(np.abs(tau[0] - d) <= 2.0**-51)
 
 
 @SETTINGS

@@ -38,6 +38,7 @@ from shadowlab.concat import BlockPlan
 from shadowlab.density import prefix_density
 from shadowlab.dynamics import orbit
 from shadowlab.pseudo_orbits import jump_sizes, recompute_step_errors
+from shadowlab.serialize import orbit_from_dict, orbit_to_dict
 from shadowlab.surgery import select_anchors
 
 from oracles import reference_step
@@ -151,6 +152,25 @@ def test_single_diameter_jump_with_matching_N():
     assert not brute_force_average(xi, delta, N - 1)
     k, n = tight.witness["k"], tight.witness["n"]
     assert xi.step_errors[k:k + n].mean() >= delta
+
+
+# Step errors 0.1 and 0.39999999999999997, both below delta = 0.4: the prefix
+# sums are 0.1 and 0.5, so the window (k 1, n 1) has canonical mean
+# 0.5 - 0.1 = 0.4, and is_average_pseudo_orbit answers false with witness
+# {k: 1, n: 1, window_mean: 0.4} (ROADMAP item 1's window-scan tie).
+WINDOW_TIE = [0.1, 0.0, 0.39999999999999997]
+
+
+def test_the_window_tie_orbit_is_a_pseudo_orbit():
+    xi = orbit_with_errors(WINDOW_TIE)
+    assert xi.step_errors.tolist() == [0.1, 0.39999999999999997]
+    assert is_pseudo_orbit(xi, 0.4)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: a rounded window mean decides the tie")
+def test_every_pseudo_orbit_is_an_average_pseudo_orbit_at_a_window_tie():
+    xi = orbit_with_errors(WINDOW_TIE)
+    assert not is_pseudo_orbit(xi, 0.4) or is_average_pseudo_orbit(xi, 0.4, N=1)
 
 
 def test_periodic_unit_jumps_fail():
@@ -402,10 +422,23 @@ def test_a_pseudo_orbit_derives_its_record_and_takes_none():
                                ("defects", 0, 1)):
         with pytest.raises(ValueError, match="read-only"):
             getattr(xi, name)[index] = value
-    # The orbit's points are a view: the array given stays writable.
+    # The orbit keeps a copy of its points: the array given stays writable.
     given = xi.points.copy()
     PseudoOrbit(family, word, given)
     given[0] = 0.0
+
+
+def test_a_write_into_the_given_points_leaves_the_orbit_as_built():
+    # A write into the array given reaches neither the orbit nor its save. An
+    # orbit holding a view of that array had its points move while its record
+    # (0 defects) stood, and its save failed to load with an IntegrityError.
+    family, word = build_disk_system()
+    pts = orbit(family, word, [0.5, 0.2], 21)
+    xi = PseudoOrbit(family, word, pts)
+    built = xi.points.tobytes()
+    pts[5] = [0.9, -0.1]
+    assert xi.points.tobytes() == built and xi.defects.tolist() == []
+    assert orbit_from_dict(orbit_to_dict(xi)).points.tobytes() == built
 
 
 def test_a_pseudo_orbit_takes_no_symbols():
