@@ -279,18 +279,21 @@ def test_repair_truncates_block_at_horizon_edge():
 
 def far_point(space, image) -> tuple:
     """A point of the space at least 0.5 from image: the farther of (1, 0) and
-    (-1, 0) on the disk, the farthest corner of the unit box, the antipode on
-    the circle."""
+    (-1, 0) on the disk, the farthest corner of the unit box. On the circle it
+    is the antipode, image - 0.5 (exact) or image + 0.5 (rounded), whose
+    distance from image is 0.5 or, for an image below 0.5, may round down to
+    0.5 - 2**-54."""
     if space.kind == UNIT_DISK:
         return (-1.0, 0.0) if image[0] > 0 else (1.0, 0.0)
     if space.kind == CIRCLE:
-        return ((image[0] + 0.5) % 1.0,)
+        return (image[0] - 0.5 if image[0] >= 0.5 else image[0] + 0.5,)
     return tuple(0.0 if x > 0.5 else 1.0 for x in image)
 
 
 def jumping_orbit(family, word, start, H, jumps) -> PseudoOrbit:
     """The walk of start that lands far_point of the image at each step of jumps:
-    those steps, and no other, have errors of at least 0.5."""
+    those steps, and no other, have errors of at least 0.5 (0.5 - 2**-54 on the
+    circle)."""
     p, points = tuple(start), [tuple(start)]
     for j, s in enumerate(word.symbols(H).tolist()):
         p = family.steps[s](p)
@@ -311,7 +314,8 @@ def repair_inputs(draw):
     else:
         word = Word.iid([draw(st.floats(0.1, 1.0)) for _ in range(m)],
                         seed=draw(st.integers(0, 2**64 - 1)))
-    delta = draw(st.floats(0.5, 1.0))
+    # Below 1, delta / 2 is at most 0.5 - 2**-54, so a circle's jump reaches it.
+    delta = draw(st.floats(0.5, 1.0, exclude_max=kind == "circle"))
     M = block_length(family.space, delta)
     H = draw(st.integers(max(M + 1, 10), 4 * M + 10))
     jumps = set(draw(st.lists(st.integers(0, H - 1), min_size=1, max_size=6)))
@@ -341,6 +345,17 @@ def assert_same_repair(got, want) -> None:
 def test_repair_equals_one_orbit_per_block(case):
     xi, delta = case
     assert_same_repair(repair(xi, delta, density_tol=1.0), reference_repair(xi, delta))
+
+
+def test_a_circle_jump_from_above_one_half_reaches_delta_one():
+    """The antipode of 0.54..., which (x + 0.5) % 1.0 missed by 2**-53."""
+    family = GeneratorFamily(MetricSpace.circle(), (GeneratorMap.identity(),))
+    xi = jumping_orbit(family, Word.iid([1.0], seed=0), (float.fromhex("0x1.14eb5d6fa7bb1p-1"),),
+                       10, {0})
+    assert xi.step_errors[0] == 0.5
+    got = repair(xi, 1.0, density_tol=1.0)
+    assert got.anchors.to_list() == [0]
+    assert_same_repair(got, reference_repair(xi, 1.0))
 
 
 @pytest.mark.parametrize("word", [Word.periodic([1, 2, 2], 2), Word.iid([0.3, 0.7], seed=7)])
