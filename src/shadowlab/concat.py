@@ -123,7 +123,7 @@ def concatenate(plan: BlockPlan, word: Word) -> PseudoOrbit:
             raise PreconditionError(
                 f"block {k} has prefix mean {means[n - 1]:.6g} >= 1/{k} at length {n}",
                 witness={"block": k, "n": n, "prefix_mean": float(means[n - 1])})
-    meta["junction_errors"] = [float(xi.step_errors[i]) for i in junction_indices]
+    xi.meta["junction_errors"] = [float(xi.step_errors[i]) for i in junction_indices]
     return xi
 
 

@@ -304,8 +304,7 @@ class MetricSpace(_Spec):
             return 2.0
         if self.kind == CIRCLE:
             return 0.5
-        span = np.asarray(self.hi) - np.asarray(self.lo)
-        return float(np.linalg.norm(span))
+        return self.distance(self.lo, self.hi)
 
     def contains(self, P):
         """Membership of a point (a bool) or of each row of P (an array), within MEMBERSHIP_TOL."""
@@ -381,12 +380,26 @@ class MetricSpace(_Spec):
         """A map's image in the space's coordinates, as a format: mod 1 on the circle."""
         return "({}) % 1.0" if self.kind == CIRCLE else "{}"
 
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        """Uniform seeded point of the space: of its bounding box, redrawn outside the disk."""
-        q = rng.uniform(self.lo, self.hi)
-        while self.kind == UNIT_DISK and np.linalg.norm(q) > 1.0:
-            q = rng.uniform(self.lo, self.hi)
-        return q
+    def sample(self, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
+        """Uniform seeded point of the space, or n of them as an (n, d) array:
+        each of its bounding box, redrawn outside the disk.
+
+        The rows are drawn in rounds of exactly as many rows as are still
+        missing, each round one rng.uniform of shape (missing, d), so the
+        generator never runs past the last row kept: n points from one call
+        are the points, and leave the generator in the state, of n calls. A
+        box or a circle takes one round. The disk keeps a row whose
+        sqrt(vecdot(q, q)) is at most 1.0, which rounds as the 1-d
+        np.linalg.norm(q) does."""
+        rows = np.empty((1 if n is None else n, self.dimension))
+        kept = 0
+        while kept < len(rows):
+            q = rng.uniform(self.lo, self.hi, size=(len(rows) - kept, self.dimension))
+            if self.kind == UNIT_DISK:
+                q = q[~(np.sqrt(np.vecdot(q, q)) > 1.0)]
+            rows[kept:kept + len(q)] = q
+            kept += len(q)
+        return rows[0] if n is None else rows
 
 
 @dataclass(frozen=True)
@@ -522,6 +535,18 @@ class GeneratorFamily:
                 A[s], b[s] = g.matrix, g.offset
         A.flags.writeable = b.flags.writeable = False
         return A, b
+
+    def _images(self, symbols: np.ndarray, columns: tuple) -> tuple:
+        """The images f_{w_i}(x_i) of the points on the columns x under the
+        symbols w, as columns: each symbol's map runs once, through the step
+        table, on the columns of the points that carry it, gathered by
+        np.bincount and np.flatnonzero."""
+        images = tuple(np.empty(len(symbols)) for _ in columns)
+        for s in np.flatnonzero(np.bincount(symbols)).tolist():
+            idx = np.flatnonzero(symbols == s)
+            for image, column in zip(images, self.steps[s](tuple(c[idx] for c in columns))):
+                image[idx] = column
+        return images
 
     def _walker(self, landing: str):
         """The generated walk under a landing rule, built on first use."""
@@ -761,12 +786,13 @@ def _walk_source(family: GeneratorFamily, landing: str) -> tuple[str, dict]:
     steps from j0: symbol s runs branch s, whose terms are f_s's as
     GeneratorMap._terms writes them (wrapped on the circle). At the steps
     listed in at (ended by -1), where the k-th is landed from
-    Q0[k]..Q{d-1}[k], the point is landed; under "target" and "offset" the
-    image is kept and a landing outside the space is projected onto it, by
-    the text of MetricSpace._rule on floats. It returns the point after each
-    step and the images, flat, and the clamped steps. _walk calls it once
-    per block of steps, each block from the last point of the one before,
-    so its lists never span more than a block.
+    Q0[k]..Q{d-1}[k], the point is landed; under "target" and "offset" a
+    landing outside the space is projected onto it, by the text of
+    MetricSpace._rule on floats. It returns the point after each step, flat,
+    and the clamped steps; it keeps no image, and checks none (_walk checks
+    them on columns). _walk calls it once per block of steps, each block
+    from the last point of the one before, so its lists never span more
+    than a block.
     """
     space, d = family.space, family.space.dimension
     c = [f"c{k}" for k in range(d)]
@@ -785,17 +811,16 @@ def _walk_source(family: GeneratorFamily, landing: str) -> tuple[str, dict]:
         inside, project, _, named = space._rule(c)
         constants.update(named)
         landed = [wrap.format(q if landing == "target" else f"{x} + {q}") for x, q in zip(c, Q)]
-        body += ["if j == nxt:", "    " + "; ".join(f"image({x})" for x in c),
-                 f"    {cs} = {', '.join(landed)}", f"    if not ({inside}):",
+        body += ["if j == nxt:", f"    {cs} = {', '.join(landed)}", f"    if not ({inside}):",
                  *(f"        {line}" for line in project), "        clamped.append(j)"]
     body += ["    k += 1", "    nxt = at[k]", "; ".join(f"point({x})" for x in c)]
     source = "\n".join([
         f"def walk_{landing}(symbols, j0, at, {', '.join(f'Q{k}' for k in range(d))}, {cs}):",
-        "    points, images, clamped = [], [], []",
-        "    point, image, k, nxt = points.append, images.append, 0, at[0]",
+        "    points, clamped = [], []",
+        "    point, k, nxt = points.append, 0, at[0]",
         "    for j, s in enumerate(symbols, j0):",
         *(f"        {line}" for line in body),
-        "    return points, images, clamped", ""])
+        "    return points, clamped", ""])
     return source, constants
 
 
@@ -825,11 +850,16 @@ def _walk(family: GeneratorFamily, word: Word, z, horizon: int, jumps=((), ()),
     the start against the space. The walk runs in blocks of WALK_BLOCK steps:
     each hands the generated loop its symbols, landing steps and rows as
     lists, writes the points it returns into the points array, and checks
-    its images on columns before the next block starts, so the first image
-    outside raises DomainError naming its map, its point and its image. A
-    "stored" walk checks none: an image it lands off is not a point, and its
-    other images are the points, which the caller checks. Only one block's
-    lists and temporaries are held at a time.
+    the block's images on columns before the next block starts, so the
+    first image outside raises DomainError naming its map, its point and its
+    image. A step that lands nothing has its point as its image; the images
+    at the block's landing steps are stepped again from the points before
+    them, each symbol's map once on the columns of its steps
+    (GeneratorFamily._images), and round as the loop's own images did, since
+    the step table and the loop run the same terms. A "stored" walk checks
+    none: an image it lands off is not a point, and its other images are the
+    points, which the caller checks. Only one block's lists and temporaries
+    are held at a time.
     """
     family.check_alphabet(word)
     space, d = family.space, family.space.dimension
@@ -847,22 +877,23 @@ def _walk(family: GeneratorFamily, word: Word, z, horizon: int, jumps=((), ()),
     with np.errstate(all="ignore"):  # a point that left the space may overflow
         for j0, k0, k1 in zip(range(0, horizon, WALK_BLOCK), cuts, cuts[1:]):
             j1, steps = min(j0 + WALK_BLOCK, horizon), at[k0:k1]
-            walked, images, block_clamped = walk(symbols[j0:j1].tolist(), j0,
-                                                 [*steps.tolist(), -1], *rows[k0:k1].T.tolist(),
-                                                 *c)
+            walked, block_clamped = walk(symbols[j0:j1].tolist(), j0, [*steps.tolist(), -1],
+                                         *rows[k0:k1].T.tolist(), *c)
             flat[(j0 + 1) * d:(j1 + 1) * d] = _floats(walked)
             c = walked[-d:]
             clamped += block_clamped
             if landing != "stored":
-                every = points[j0 + 1:j1 + 1]
+                every = tuple(points[j0 + 1:j1 + 1].T)
                 if steps.size:
-                    every = every.copy()
-                    every[steps - j0] = _floats(images).reshape(-1, d)
-                inside = space._inside(tuple(every.T))
+                    every = tuple(x.copy() for x in every)
+                    images = family._images(symbols[steps], tuple(points[steps].T))
+                    for x, image in zip(every, images):
+                        x[steps - j0] = image
+                inside = space._inside(every)
                 if not inside.all():
                     j = int(np.argmin(inside))
                     raise DomainError(f"map {int(symbols[j0 + j])} sends {points[j0 + j].tolist()} "
-                                      f"to {every[j].tolist()}, outside the space")
+                                      f"to {[float(x[j]) for x in every]}, outside the space")
     return points, clamped
 
 

@@ -7,6 +7,7 @@ sliding-window means, or in Cesàro means.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -45,12 +46,12 @@ def _column_pass(family: GeneratorFamily, symbols: np.ndarray,
     given points x_0..x_H under the given symbols w_0..w_{H-1}: the one place
     in the library that turns points into both. No step depends on the one
     before, so each symbol's map runs on the columns of its steps
-    (family.steps), COLUMN_BLOCK steps at a time. The defects are the steps
-    whose next point differs from the image bit for bit (bits, not errors, so
-    that a signed zero or a distance that underflows to 0 counts), as a sorted
-    int array. The errors are space._distance from the images to the next
-    points, taken at the defects and at the steps whose next point is not
-    finite; every other step lands on its image, a finite point, at
+    (GeneratorFamily._images), COLUMN_BLOCK steps at a time. The defects are
+    the steps whose next point differs from the image bit for bit (bits, not
+    errors, so that a signed zero or a distance that underflows to 0 counts),
+    as a sorted int array. The errors are space._distance from the images to
+    the next points, taken at the defects and at the steps whose next point
+    is not finite; every other step lands on its image, a finite point, at
     distance 0.0. The pass checks nothing, and a point that left the space
     raises no warning: the constructor checks the alphabet and each point's
     membership before it, recompute_step_errors the alphabet."""
@@ -59,12 +60,7 @@ def _column_pass(family: GeneratorFamily, symbols: np.ndarray,
     with np.errstate(all="ignore"):  # a point outside the space may overflow
         for j0 in range(0, H, COLUMN_BLOCK):
             j1 = min(j0 + COLUMN_BLOCK, H)
-            block, columns = symbols[j0:j1], tuple(points[j0:j1].T)
-            images = tuple(np.empty(j1 - j0) for _ in columns)
-            for s in np.flatnonzero(np.bincount(block)).tolist():
-                idx = np.flatnonzero(block == s)
-                for image, column in zip(images, family.steps[s](tuple(c[idx] for c in columns))):
-                    image[idx] = column
+            images = family._images(symbols[j0:j1], tuple(points[j0:j1].T))
             landed = tuple(points[j0 + 1:j1 + 1].T)
             moved = np.zeros(j1 - j0, dtype=bool)
             for image, x in zip(images, landed):
@@ -122,7 +118,9 @@ class PseudoOrbit:
     j whose point x_{j+1} is not f_{w_j}(x_j) bit for bit; every step with a
     nonzero step error is among them, and every other point is its step's
     image, so a save lists the points at the defects alone. ``points``,
-    ``step_errors`` and ``defects`` are read-only arrays of the orbit's own.
+    ``step_errors`` and ``defects`` are read-only arrays of the orbit's own,
+    and ``meta``, a JSON-like dict, is the orbit's own deep copy of the one
+    given, so no later write into either reaches the orbit.
     """
 
     family: GeneratorFamily
@@ -138,6 +136,7 @@ class PseudoOrbit:
         for name, a in (("points", pts), ("step_errors", errors), ("defects", defects)):
             a.flags.writeable = False
             object.__setattr__(self, name, a)
+        object.__setattr__(self, "meta", copy.deepcopy(self.meta))
 
     def __reduce__(self):
         return type(self), (self.family, self.word, self.points, self.meta)
@@ -291,7 +290,23 @@ def is_asymptotic_average(xi: PseudoOrbit, tol: float,
 
 def jump_sizes(rule: JumpRule, steps: list[int]) -> np.ndarray:
     """The offset sizes scale / (j + 1) ** power at increasing steps j, each a finite
-    float, else a ParameterError naming power; they are monotone in j, so the last decides."""
+    float, else a ParameterError naming power; they are monotone in j, so the last decides.
+
+    Each size is the bytes of that Python expression. For an integral power
+    p >= 0 (2 or 2.0) with (last j + 1) ** p <= 2**53, and a scale that is a
+    float or an int of at most 2**53, they are one float64 division of the
+    scale by the int64 powers, which are exact: both sides divide the same
+    two exact doubles with one correctly rounded division. (An int ** int is
+    the exact int, which true division converts exactly; an int ** float is
+    libm pow of two doubles, whose result here is a double. glibc's pow
+    evaluates it to about 2**-68 relative before its one rounding, its
+    bound of 0.52 ulp, so that result comes back exact.) Every other rule
+    evaluates the expression once per size."""
+    scale, power = rule.scale, rule.power
+    if (steps and type(power) in (int, float) and 0 <= power <= 53 and power == int(power)
+            and (int(steps[-1]) + 1) ** int(power) <= 2**53
+            and (type(scale) is float or type(scale) is int and scale <= 2**53)):
+        return float(scale) / (np.asarray(steps, dtype=np.int64) + 1) ** int(power)
     out_of_range = ParameterError(f"jump power {rule.power} is out of floating-point range",
                                   "power")
     # A float scale over a Python int (j + 1) ** power past the float range
@@ -321,8 +336,10 @@ def _draw_jumps(rule: JumpRule, space: MetricSpace, rng: np.random.Generator,
     """One row per corrupted step, drawn in step order: the target point for
     "uniform" and "fixed" (which draws nothing), the displacement from the
     true image for "offset", of the size jump_sizes gives. The rows are drawn
-    WALK_BLOCK at a time into one array; a block's normal draws continue the
-    generator's stream, so every row is the one a single draw of them all gives."""
+    WALK_BLOCK at a time into one array: a block's uniform targets are one
+    space.sample call of the block's length, and its normal draws one
+    rng.normal; each continues the generator's stream, so every row, and the
+    generator's final state, is the one a draw per row gives."""
     d = space.dimension
     rows = np.empty((len(steps), d))
     if rule.kind == "fixed":
@@ -331,7 +348,7 @@ def _draw_jumps(rule: JumpRule, space: MetricSpace, rng: np.random.Generator,
     for k in range(0, len(steps), WALK_BLOCK):
         block = steps[k:k + WALK_BLOCK]
         if rule.kind == "uniform":
-            rows[k:k + len(block)] = [space.sample(rng) for _ in block]
+            rows[k:k + len(block)] = space.sample(rng, len(block))
             continue
         u = rng.normal(size=(len(block), d))
         # vecdot rounds exactly as the 1-d np.linalg.norm does; einsum does not.

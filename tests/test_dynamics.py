@@ -109,6 +109,73 @@ def test_diameters_are_analytic():
     assert MetricSpace.box([0, 0], [1, 1]).diameter == pytest.approx(np.sqrt(2))
 
 
+def test_a_boxs_diameter_is_its_own_distance_of_lo_and_hi():
+    # np.linalg.norm(hi - lo) differed from the space's distance on 19 % of
+    # such boxes; surgery.block_length reads the diameter.
+    rng = np.random.default_rng(5)
+    for d in [d for d in range(1, 65) for _ in range(50)]:
+        lo = rng.uniform(-10.0, 10.0, d) * 10.0 ** rng.integers(-3, 4, d)
+        box = MetricSpace.box(lo, lo + rng.uniform(0.01, 10.0, d) * 10.0 ** rng.integers(-3, 4, d))
+        assert box.diameter.hex() == box.distance(box.lo, box.hi).hex()
+
+
+def reference_sample(space, rng):
+    """One seeded point as sample drew it one call at a time: a uniform point
+    of the bounding box, redrawn while its np.linalg.norm exceeds 1 on the disk."""
+    q = rng.uniform(space.lo, space.hi)
+    while space.kind == "unit-disk-2d" and np.linalg.norm(q) > 1.0:
+        q = rng.uniform(space.lo, space.hi)
+    return q
+
+
+@pytest.mark.parametrize("space", [MetricSpace.unit_disk(), MetricSpace.circle(),
+                                   *(MetricSpace.box([-1.5] * d, [0.5 * d] * d)
+                                     for d in range(1, 6))], ids=lambda s: f"{s.kind}")
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 100, 1000])
+def test_n_points_from_one_call_are_n_single_draws(space, n):
+    for seed in range(5):
+        one, each = np.random.default_rng(seed), np.random.default_rng(seed)
+        rows = space.sample(one, n)
+        want = np.array([reference_sample(space, each) for _ in range(n)])
+        assert rows.shape == (n, space.dimension)
+        assert rows.tobytes() == want.tobytes()
+        assert one.bit_generator.state == each.bit_generator.state
+        point = space.sample(one)
+        assert point.shape == (space.dimension,)
+        assert point.tobytes() == reference_sample(space, each).tobytes()
+        assert one.bit_generator.state == each.bit_generator.state
+
+
+class RowsRng:
+    """Hands sample the given rows, in order, as its uniform draws."""
+
+    def __init__(self, rows):
+        self.rows, self.taken = rows, 0
+
+    def uniform(self, lo, hi, size):
+        self.taken += size[0]
+        return self.rows[self.taken - size[0]:self.taken].copy()
+
+
+def test_the_disk_keeps_a_row_within_an_ulp_of_the_circle_as_its_norm_does():
+    # Points on the unit circle and each of their neighbours an ulp away, in
+    # and out, on each axis: the disk keeps a drawn row exactly when
+    # np.linalg.norm(row) > 1.0 is false.
+    theta = np.random.default_rng(3).uniform(0.0, 2 * np.pi, 2000)
+    on = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    rows = np.concatenate([on, np.nextafter(on, 0.0), np.nextafter(on, 2.0 * on),
+                           np.stack([np.nextafter(on[:, 0], 2.0 * on[:, 0]), on[:, 1]], axis=-1),
+                           np.stack([on[:, 0], np.nextafter(on[:, 1], 0.0)], axis=-1)])
+    rows = rows[np.random.default_rng(4).permutation(len(rows))]
+    keep = np.flatnonzero([not np.linalg.norm(row) > 1.0 for row in rows])
+    assert 0 < len(keep) < len(rows)
+    for n in (1, len(keep) // 2, len(keep)):
+        rng = RowsRng(rows)
+        assert MetricSpace.unit_disk().sample(rng, n).tobytes() == rows[keep[:n]].tobytes()
+        # Each round draws only the rows still missing, so none past the last kept.
+        assert rng.taken == keep[n - 1] + 1
+
+
 def test_metric_axioms_on_sampled_pairs():
     rng = np.random.default_rng(11)
     for space in (MetricSpace.unit_disk(), MetricSpace.box([0, 0, 0], [1, 2, 1]),

@@ -634,11 +634,11 @@ def recorded_compiles(monkeypatch) -> list:
 
 # The names a compiled source may hold besides constants: keywords, the
 # function's name, the parameters and locals of a step and a walk, and the
-# functions bound by name.
+# functions bound by name. A walk keeps no list of images: _walk checks them
+# on columns.
 SOURCE_NAMES = {"def", "return", "a", "b", "c", "m", "sqrt", "isfinite", "choose", "clamp", "abs",
                 "enumerate", "for", "in", "if", "elif", "else", "not", "and", "pass", "symbols",
-                "at", "points", "images", "clamped", "append", "point", "image", "k", "nxt", "j",
-                "j0", "s", "n_"}
+                "at", "points", "clamped", "append", "point", "k", "nxt", "j", "j0", "s", "n_"}
 
 
 def test_compiled_source_names_every_constant(monkeypatch):
@@ -781,12 +781,25 @@ LATE_ESCAPE = (GeneratorFamily(MetricSpace.box([0.0, 0.0], [1.0, 1.0]),
                                (GeneratorMap.permutation((1, 0)), GeneratorMap.scale((3.0, 3.0)))),
                Word.periodic((1, 1, 2), 2), [0.5, 0.25], 5, ([], np.zeros((0, 2))), "target", 1)
 
+# Swap, then scale by 3, from (0.25, 0.125): the image (0.375, 0.75) at step 1
+# is inside, the image (1.5, 1.5) at step 3 is not, and a jump at each lands
+# inside (target (0.5, 0.5) then (0.25, 0.25), or the same by offsets). The
+# walk must name the image, which no point holds, in the second two-step block.
+IMAGE_ESCAPES = {
+    landing: (GeneratorFamily(MetricSpace.box([0.0, 0.0], [1.0, 1.0]),
+                              (GeneratorMap.permutation((1, 0)), GeneratorMap.scale((3.0, 3.0)))),
+              Word.periodic((1, 2), 2), [0.25, 0.125], 6, ([1, 3], np.array(rows)), landing, 2)
+    for landing, rows in (("target", [[0.5, 0.5], [0.25, 0.25]]),
+                          ("offset", [[0.125, -0.25], [-1.25, -1.25]]))}
+
 
 @settings(max_examples=400, deadline=None)
 @given(walk_cases())
 @example(BOX_TIE)
 @example(DISK_NAN)
 @example(LATE_ESCAPE)
+@example(IMAGE_ESCAPES["target"])
+@example(IMAGE_ESCAPES["offset"])
 def test_the_generated_walk_equals_the_reference_loop_bit_for_bit(case):
     from shadowlab.dynamics import _walk
 
@@ -816,14 +829,23 @@ def test_the_generated_walk_equals_the_reference_loop_bit_for_bit(case):
     else:
         assert got == want
         event(f"{landing}, {want[0].__name__}")
-    # The images, which only an error's text shows: the generated loop's own,
-    # whether or not the walk raises. A stored walk keeps none.
+    # The generated loop's own points and clamped steps, whether or not the
+    # walk raises; the images it lands off are checked by _walk, on columns.
     symbols, (at, rows) = word.symbols(horizon).tolist(), jumps
-    points, images, clamped = family._walker(landing)(symbols, 0, [*at, -1], *rows.T.tolist(),
-                                                      *start)
+    points, clamped = family._walker(landing)(symbols, 0, [*at, -1], *rows.T.tolist(), *start)
     ref = reference_loop(family, symbols, list(start), at, rows.tolist(), landing)
-    assert (bits(points), bits(images), clamped) == (
-        bits(ref[0][1:]), bits([] if landing == "stored" else ref[1]), ref[2])
+    assert (bits(points), clamped) == (bits(ref[0][1:]), ref[2])
+
+
+@pytest.mark.parametrize("landing", sorted(IMAGE_ESCAPES))
+def test_an_image_outside_at_a_landing_step_is_named(landing):
+    from shadowlab.dynamics import _walk
+
+    *case, block = IMAGE_ESCAPES[landing]
+    message = "map 2 sends [0.5, 0.5] to [1.5, 1.5], outside the space"
+    with walk_blocks(block):
+        assert outcome(_walk, *case) == (DomainError, message)
+    assert outcome(reference_walk, *case) == (DomainError, message)
 
 
 # ---------------------------------------------------------------------------

@@ -352,6 +352,51 @@ def test_jump_sizes_are_pythons_power_bit_for_bit(scale, power, steps):
     assert jump_sizes_or_error(rule, steps) == reference_jump_sizes(rule, steps)
 
 
+def pythons_sizes(rule, steps) -> bytes:
+    return np.array([rule.scale / (j + 1) ** rule.power for j in steps]).tobytes()
+
+
+# (p, r): r ** p <= 2**53 < (r + 1) ** p, so steps up to j = r - 1 take the
+# division on arrays, and a step j = r takes the expression for every size.
+POWER_EDGES = [(2, 94_906_265), (3, 208_063), (5, 1_552)]
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.1, 3, 2**53, 1e300, 1e-300, 5e-324])
+@pytest.mark.parametrize("p, r", POWER_EDGES)
+@pytest.mark.parametrize("cast", [int, float], ids=["int-power", "float-power"])
+def test_jump_sizes_on_each_side_of_two_to_the_53_are_pythons_power(scale, p, r, cast):
+    assert r ** p <= 2**53 < (r + 1) ** p
+    rule = JumpRule("offset", scale=scale, power=cast(p))
+    below = [0, 1, 2, *range(r - 40, r)]
+    for steps in (below, [*below, r], [r - 1, r, r + 1, r + 2]):
+        assert jump_sizes(rule, steps).tobytes() == pythons_sizes(rule, steps)
+
+
+@pytest.mark.parametrize("scale, power", [
+    (1.0, 0), (1.0, 0.0), (7, 0), (7, 0.0), (0.3, 1), (0.3, 1.0), (1e-300, 0), (2**53, 0),
+    # Negative integral powers take the expression.
+    (1.0, -1), (1.0, -2), (1.0, -2.0), (3, -3), (2.5, -1.0),
+    # An int scale past 2**53 is divided exactly by an int power, which a
+    # float64 division does not do: (2**53 + 1) / 3 is 3002399751580331.0,
+    # and float(2**53 + 1) / 3.0 is 3002399751580330.5.
+    (2**53 + 1, 1), (2**53 + 1, 2), (2**53 + 1, 1.0), (3 * 2**60 + 1, 3), (10**30, 0),
+])
+def test_jump_sizes_are_pythons_power_at_power_0_negative_powers_and_big_int_scales(scale,
+                                                                                   power):
+    rule = JumpRule("offset", scale=scale, power=power)
+    for steps in ([], [0], [0, 1, 2, 5], list(range(0, 10**5, 997))):
+        assert jump_sizes(rule, steps).tobytes() == pythons_sizes(rule, steps)
+
+
+@pytest.mark.parametrize("power", [1, 2, 3, 2.0, 3.0])
+def test_jump_sizes_of_scale_1e_300_go_subnormal_as_pythons_power_does(power):
+    rule = JumpRule("offset", scale=1e-300, power=power)
+    steps = list(range(0, 200_000, 37))
+    sizes = jump_sizes(rule, steps)
+    assert sizes.tobytes() == pythons_sizes(rule, steps)
+    assert power == 1 or 0.0 < sizes[-1] < np.finfo(np.float64).tiny
+
+
 @pytest.mark.parametrize("scale", [1.0, 1])
 @pytest.mark.parametrize("power, fails", [(1023, False), (1024, True)])
 def test_a_jump_power_at_the_edge_of_float_range_fails_alike_for_either_scale(scale, power,
@@ -439,6 +484,22 @@ def test_a_write_into_the_given_points_leaves_the_orbit_as_built():
     pts[5] = [0.9, -0.1]
     assert xi.points.tobytes() == built and xi.defects.tolist() == []
     assert orbit_from_dict(orbit_to_dict(xi)).points.tobytes() == built
+
+
+def test_a_write_into_the_given_meta_leaves_the_orbit_as_built():
+    # The orbit kept the caller's dict itself, so a later write into it moved
+    # both xi.meta and the meta of its save.
+    family, word = build_disk_system()
+    meta = {"kind": "true-orbit", "notes": {"seen": [1, 2]}}
+    xi = PseudoOrbit(family, word, orbit(family, word, [0.5, 0.2], 21), meta)
+    meta["kind"] = "changed"
+    meta["notes"]["seen"].append(3)
+    meta["added"] = True
+    built = {"kind": "true-orbit", "notes": {"seen": [1, 2]}}
+    assert xi.meta == built and orbit_to_dict(xi)["meta"] == built
+    for twin in (copy.copy(xi), copy.deepcopy(xi), pickle.loads(pickle.dumps(xi))):
+        assert twin.meta == built and twin.meta is not xi.meta
+        assert twin.points.tobytes() == xi.points.tobytes()
 
 
 def test_a_pseudo_orbit_takes_no_symbols():
