@@ -46,12 +46,12 @@ class BoundedSequence:
         object.__setattr__(self, "values", vals)
         if vals.ndim != 1 or vals.size == 0:
             raise ParameterError("values must be a nonempty 1-d sequence")
-        if not np.all(np.isfinite(vals)):
-            raise ParameterError("values must be finite numbers")
+        for rule, bad in (("finite numbers", ~np.isfinite(vals)), ("nonnegative", vals < 0)):
+            j = int(bad.argmax())
+            if bad[j]:
+                raise ParameterError(f"values must be {rule}; value {j} is {vals[j]}")
         if not math.isfinite(self.bound):
             raise ParameterError(f"bound must be a finite number, got {self.bound}", "bound")
-        if np.any(vals < 0):
-            raise ParameterError("values must be nonnegative")
         if self.bound < float(vals.max()):
             raise ParameterError(f"bound {self.bound} is below max value {vals.max()}", "bound")
 

@@ -71,18 +71,29 @@ def build_orbit(cfg: ExperimentConfig) -> PseudoOrbit:
                                 cfg.jump, cfg.seed)
 
 
+def load_classified_orbit(path) -> PseudoOrbit:
+    xi = load_orbit(path)
+    try:
+        xi.error_sequence  # checked once, then cached for the verdicts
+    except ParameterError as exc:  # a step error that is not finite, named by its step
+        raise ParameterError(f"step errors of orbit file {path}: {exc}") from None
+    return xi
+
+
 def average_verdict(xi: PseudoOrbit, delta: float):
-    return is_average_pseudo_orbit(xi, delta, min(block_length(xi.family.space, delta), xi.horizon))
+    N = min(block_length(xi.family.space, delta), xi.horizon)
+    return is_average_pseudo_orbit(xi.error_sequence, delta, N)
 
 
 def classify_all(xi: PseudoOrbit, cfg: ExperimentConfig) -> dict:
+    e = xi.error_sequence
     checks = {
-        "pseudo_orbit": is_pseudo_orbit(xi, cfg.delta),
+        "pseudo_orbit": is_pseudo_orbit(e, cfg.delta),
         "ergodic_pseudo_orbit": is_ergodic_pseudo_orbit(
-            xi, cfg.delta, cfg.density_tol, cfg.tail_fraction),
+            e, cfg.delta, cfg.density_tol, cfg.tail_fraction),
         "average_pseudo_orbit": average_verdict(xi, cfg.delta),
-        "weak_asymptotic_average": is_weak_asymptotic_average(xi, cfg.delta, cfg.tail_fraction),
-        "asymptotic_average": is_asymptotic_average(xi, cfg.tol, cfg.tail_fraction),
+        "weak_asymptotic_average": is_weak_asymptotic_average(e, cfg.delta, cfg.tail_fraction),
+        "asymptotic_average": is_asymptotic_average(e, cfg.tol, cfg.tail_fraction),
     }
     return {name: v.to_dict() for name, v in checks.items()}
 
@@ -100,7 +111,7 @@ def cmd_generate(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def cmd_classify(cfg: ExperimentConfig, out: Path) -> int:
-    xi = load_orbit(cfg.classify_orbit or out / "orbit.json")
+    xi = load_classified_orbit(cfg.classify_orbit or out / "orbit.json")
     verdicts = classify_all(xi, cfg)
     dump_json(verdicts, out / "classification.json")
     for name, v in verdicts.items():
@@ -109,7 +120,7 @@ def cmd_classify(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def cmd_repair(cfg: ExperimentConfig, out: Path) -> int:
-    xi = load_orbit(cfg.repair_orbit or out / "orbit.json")
+    xi = load_classified_orbit(cfg.repair_orbit or out / "orbit.json")
     result = repair(xi, cfg.delta, cfg.density_tol, cfg.tail_fraction)
     save_orbit(result.y, out / "repaired.json")
     posterior = average_verdict(result.y, cfg.delta)

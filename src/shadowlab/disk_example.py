@@ -56,10 +56,6 @@ class DiskExampleInstance:
             raise ParameterError("start must lie in the unit disk")
 
     @property
-    def alphas(self) -> np.ndarray:
-        return self.xi.step_errors
-
-    @property
     def M(self) -> float:
         return self.xi.family.space.distance(self.start, self.xi.points[0])
 
@@ -83,7 +79,7 @@ class DiskExampleInstance:
         whether lhs(n) <= rhs(n) + TRACKING_TOL at every n."""
         H = self.xi.horizon
         lhs = np.cumsum(self.tracking_errors())
-        alpha_partial = np.concatenate(([0.0], np.cumsum(self.alphas)))
+        alpha_partial = np.concatenate(([0.0], np.cumsum(self.xi.step_errors)))
         rhs = 4.0 * (self.M + alpha_partial[np.minimum(np.arange(1, H + 2), H)])
         means = lhs / np.arange(1, H + 2)
         for curve in (lhs, rhs, means):
@@ -130,7 +126,7 @@ def aasp_demo(instance: DiskExampleInstance, tail_fraction: float = DEFAULT_TAIL
     otherwise.
     """
     check_positive("asymptotic_tol", asymptotic_tol)
-    gate = is_asymptotic_average(instance.xi, asymptotic_tol, tail_fraction)
+    gate = is_asymptotic_average(instance.xi.error_sequence, asymptotic_tol, tail_fraction)
     if not gate:
         raise PreconditionError("instance is not an asymptotic average pseudo-orbit "
                                 f"at tol={asymptotic_tol}", witness=gate.witness)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import operator
 import struct
 import sys
 from dataclasses import KW_ONLY, MISSING, dataclass, fields, replace
@@ -465,16 +464,13 @@ class GeneratorMap(_Spec):
 
     def _compile(self, d: int, wrap: str = "{}"):
         """The map on a tuple c of d coordinates as one straight-line
-        expression of its terms, each formatted into wrap; a permutation of
-        d > 1 coordinates, never wrapped, is an itemgetter.
+        expression of its terms, each formatted into wrap.
 
         The source text holds only indices, operators and names, and its code
         is cached by that text. Each constant is bound by its name, never
         written into the text, so no value is parsed as code and each keeps
         its type and every bit. Python's operators evaluate left to right, so
         a sum accumulates term by term from the left."""
-        if self.kind == "permutation" and d > 1:
-            return operator.itemgetter(*self.perm)
         terms, constants = self._terms([f"c[{k}]" for k in range(d)])
         name = f"step_{self.kind}"
         body = "".join(f"{wrap.format(t)}, " for t in terms)
@@ -570,7 +566,9 @@ class GeneratorFamily:
     @classmethod
     def from_spec(cls, spec: dict) -> "GeneratorFamily":
         """The family of a spec {"space": ..., "maps": [...]}; an error in the space
-        or in map i has "space" or "maps[i]" in front of its path."""
+        or in map i has "space" or "maps[i]" in front of its path. Other keys, such
+        as a system's word and start, are not read."""
+        _known(f"a {cls.__name__} spec", spec, spec, ("space", "maps"))
         space = _keyed("space", MetricSpace.from_spec, spec["space"])
         if not isinstance(spec["maps"], list):
             raise ParameterError(f"must be a list of map specs, got {spec['maps']!r}", "maps")

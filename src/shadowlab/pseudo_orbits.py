@@ -10,16 +10,12 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .density import (
-    DEFAULT_TAIL_FRACTION,
-    IndexSet,
-    prefix_means,
-    tail_extremum,
-    upper_density_estimate,
-)
+from .cesaro import BoundedSequence
+from .density import DEFAULT_TAIL_FRACTION, IndexSet, tail_extremum, upper_density_estimate
 from .dynamics import (WALK_BLOCK, GeneratorFamily, JumpRule, MetricSpace, Word, _integer, _walk,
                        as_point, orbit)
 from .errors import DomainError, ParameterError, check_nonnegative, check_positive
@@ -151,9 +147,11 @@ class PseudoOrbit:
     def horizon(self) -> int:
         return len(self.step_errors)
 
-    def exceptional_set(self, delta: float) -> IndexSet:
-        """Indices whose step error reaches delta."""
-        return IndexSet.from_mask(self.step_errors >= delta)
+    @cached_property
+    def error_sequence(self) -> BoundedSequence:
+        """step_errors as the one sequence its verdicts read, built on first read: a
+        step error that is not finite (an overflow) is a ParameterError naming its step."""
+        return BoundedSequence.from_values(self.step_errors)
 
 
 def true_orbit(family: GeneratorFamily, word: Word, z, horizon: int) -> PseudoOrbit:
@@ -168,28 +166,26 @@ def true_orbit(family: GeneratorFamily, word: Word, z, horizon: int) -> PseudoOr
 
 
 # ---------------------------------------------------------------------------
-# Classification
+# Classification of step errors, checked once (PseudoOrbit.error_sequence)
 
 
-def is_pseudo_orbit(xi: PseudoOrbit, delta: float) -> ClassificationVerdict:
+def is_pseudo_orbit(xi: BoundedSequence, delta: float) -> ClassificationVerdict:
     """Every step error below delta."""
     check_positive("delta", delta)
-    viol = np.flatnonzero(xi.step_errors >= delta)
-    params = {"delta": delta, "horizon": xi.horizon}
-    if viol.size:
-        j = int(viol[0])
-        witness = {"index": j, "step_error": float(xi.step_errors[j])}
-        return ClassificationVerdict("pseudo-orbit", False, witness, params)
-    return ClassificationVerdict("pseudo-orbit", True, None, params)
+    j = int(np.argmax(xi.values >= delta))
+    ok = not xi.values[j] >= delta
+    witness = None if ok else {"index": j, "step_error": float(xi.values[j])}
+    return ClassificationVerdict("pseudo-orbit", ok, witness,
+                                 {"delta": delta, "horizon": xi.horizon})
 
 
-def is_ergodic_pseudo_orbit(xi: PseudoOrbit, delta: float,
+def is_ergodic_pseudo_orbit(xi: BoundedSequence, delta: float,
                             density_tol: float = DEFAULT_DENSITY_TOL,
                             tail_fraction: float = DEFAULT_TAIL_FRACTION) -> ClassificationVerdict:
     """Step errors reach delta only on a set of (estimated) density <= density_tol."""
     check_positive("delta", delta)
     check_nonnegative("density_tol", density_tol)
-    exceptional = xi.exceptional_set(delta)
+    exceptional = IndexSet.from_mask(xi.values >= delta)
     est = upper_density_estimate(exceptional, tail_fraction)
     params = {"delta": delta, "density_tol": density_tol, "horizon": xi.horizon,
               "tail_fraction": tail_fraction}
@@ -208,14 +204,15 @@ _ROUNDING_SLACK = 1e-9
 _SUBNORMAL_UNIT = float(np.finfo(np.float64).smallest_subnormal)
 
 
-def is_average_pseudo_orbit(xi: PseudoOrbit, delta: float, N: int) -> ClassificationVerdict:
+def is_average_pseudo_orbit(xi: BoundedSequence, delta: float, N: int) -> ClassificationVerdict:
     """All sliding-window means of step errors with length >= N stay below delta.
 
-    Exact over every window (k, n), n >= N, in O(N*H) work at worst and
-    O(H) beyond the max below (the maximum-density-segment argument of
-    Lin, Jiang & Chao 2002; Goldwasser, Kao & Lu 2005). S is the prefix
-    sum of the step errors, and a window's canonical comparison is
-    ``(S[k+n] - S[k]) / n >= delta``.
+    Exact over every window (k, n), n >= N: O(N*H) work for the max below,
+    then O(H) for each candidate start the scan confirms (the
+    maximum-density-segment argument of Lin, Jiang & Chao 2002; Goldwasser,
+    Kao & Lu 2005), so O(H^2) near a tie, where the slack admits every
+    start. S is the prefix sum of the step errors, and a window's canonical
+    comparison is ``(S[k+n] - S[k]) / n >= delta``.
 
     - ``max_window_mean`` (worst) is the max of the canonical means over
       lengths N..min(2N - 1, H) only. A longer window's canonical mean can
@@ -245,7 +242,7 @@ def is_average_pseudo_orbit(xi: PseudoOrbit, delta: float, N: int) -> Classifica
     N, H = _integer("N", N), xi.horizon
     if not 1 <= N <= H:
         raise ParameterError(f"N must lie in [1, horizon={H}]")
-    S = np.concatenate(([0.0], np.cumsum(xi.step_errors)))
+    S = np.concatenate(([0.0], np.cumsum(xi.values)))
     worst = max(float(((S[n:] - S[:H - n + 1]) / n).max())
                 for n in range(N, min(2 * N - 1, H) + 1))
     params = {"delta": delta, "N": N, "horizon": H, "scan": "full", "max_window_mean": worst}
@@ -262,20 +259,19 @@ def is_average_pseudo_orbit(xi: PseudoOrbit, delta: float, N: int) -> Classifica
     return ClassificationVerdict("average-pseudo-orbit", True, None, params)
 
 
-def is_weak_asymptotic_average(xi: PseudoOrbit, delta: float,
+def is_weak_asymptotic_average(xi: BoundedSequence, delta: float,
                                tail_fraction: float = DEFAULT_TAIL_FRACTION) -> ClassificationVerdict:
-    """Tail-window prefix means of step errors stay below delta."""
+    """Tail-window prefix means of step errors (xi.means) stay below delta."""
     check_positive("delta", delta)
-    limsup, n = tail_extremum(prefix_means(xi.step_errors), tail_fraction)
+    limsup, n = tail_extremum(xi.means, tail_fraction)
     params = {"delta": delta, "horizon": xi.horizon, "tail_fraction": tail_fraction,
               "limsup_estimate": limsup}
-    if limsup < delta:
-        return ClassificationVerdict("weak-asymptotic-average-pseudo-orbit", True, None, params)
-    witness = {"n": n, "prefix_mean": limsup}
-    return ClassificationVerdict("weak-asymptotic-average-pseudo-orbit", False, witness, params)
+    ok = limsup < delta
+    witness = None if ok else {"n": n, "prefix_mean": limsup}
+    return ClassificationVerdict("weak-asymptotic-average-pseudo-orbit", ok, witness, params)
 
 
-def is_asymptotic_average(xi: PseudoOrbit, tol: float,
+def is_asymptotic_average(xi: BoundedSequence, tol: float,
                           tail_fraction: float = DEFAULT_TAIL_FRACTION) -> ClassificationVerdict:
     """Finite surrogate of Cesàro means of step errors tending to zero."""
     check_positive("tol", tol)

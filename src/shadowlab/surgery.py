@@ -84,14 +84,14 @@ def repair(xi: PseudoOrbit, delta: float,
     tolerance, carrying the classification witness.
     """
     check_positive("delta", delta)
-    gate = is_ergodic_pseudo_orbit(xi, delta / 2.0, density_tol, tail_fraction)
+    gate = is_ergodic_pseudo_orbit(xi.error_sequence, delta / 2.0, density_tol, tail_fraction)
     if not gate:
         raise PreconditionError(
             f"input is not a ({delta / 2.0}, w)-ergodic pseudo-orbit "
             f"at density_tol={density_tol}", witness=gate.witness)
 
     H = xi.horizon
-    bad = xi.exceptional_set(delta / 2.0)
+    bad = IndexSet.from_mask(xi.error_sequence.values >= delta / 2.0)
     empty = IndexSet.from_iterable([], H + 1)
     if len(bad) == 0:
         return RepairResult(xi, block_length(xi.family.space, delta), empty, empty, empty, delta)

@@ -241,7 +241,7 @@ def reference_repair(xi, delta: float) -> RepairResult:
     defects are compared one step at a time."""
     H = xi.horizon
     M = block_length(xi.family.space, delta, horizon=H)
-    anchors = select_anchors(xi.exceptional_set(delta / 2.0), M)
+    anchors = select_anchors(IndexSet.from_mask(xi.step_errors >= delta / 2.0), M)
     points = xi.points.copy()
     block_indices: list[int] = []
     truncated = False
@@ -339,7 +339,7 @@ def step_recurrence_holds(instance):
     symbols = instance.xi.word.symbols(instance.xi.horizon)
     prev = d[:-1].copy()
     prev[symbols == 2] /= 2.0
-    return bool(np.all(d[1:] <= instance.alphas + prev + ROUNDING_TOL))
+    return bool(np.all(d[1:] <= instance.xi.step_errors + prev + ROUNDING_TOL))
 
 
 def threshold_inequality_holds(a, theta):

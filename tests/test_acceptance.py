@@ -107,7 +107,7 @@ def test_criterion_3_surgery_postconditions():
         z = family.space.sample(rng)
         xi = make_corrupted_orbit(family, word, z, squares, JumpRule("uniform"), seed=seed)
         result = repair(xi, delta, density_tol=0.02)
-        ok = ok and bool(is_average_pseudo_orbit(result.y, delta, N=result.M))
+        ok = ok and bool(is_average_pseudo_orbit(result.y.error_sequence, delta, N=result.M))
         ok = ok and set(result.diff_set.to_list()) <= set(result.blocks.to_list())
         e = result.y.step_errors
         for a in result.anchors.to_list():

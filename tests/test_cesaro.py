@@ -195,8 +195,8 @@ def test_threshold_inequality_randomized():
 
 
 def test_bounded_sequence_validation():
-    with pytest.raises(ParameterError):
-        BoundedSequence(np.array([-0.1, 0.2]), 1.0)
+    with pytest.raises(ParameterError, match=r"^values must be nonnegative; value 1 is -0.1$"):
+        BoundedSequence(np.array([0.2, -0.1, -0.3]), 1.0)
     with pytest.raises(ParameterError):
         BoundedSequence(np.array([0.5, 2.0]), 1.0)
 
@@ -210,10 +210,12 @@ def test_empty_sequence_is_a_parameter_error():
 def test_non_finite_values_are_a_parameter_error(bad):
     # A NaN maximum made the bound NaN, every comparison with it False, and
     # the extraction ran on.
-    with pytest.raises(ParameterError, match="values must be finite numbers"):
-        BoundedSequence.from_values([0.1, bad] + [0.0] * 20)
-    with pytest.raises(ParameterError, match="values must be finite numbers"):
-        BoundedSequence(np.array([0.1, bad] + [0.0] * 20), 1.0)
+    # The first bad value is named by its index.
+    message = f"^values must be finite numbers; value 1 is {bad}$"
+    with pytest.raises(ParameterError, match=message):
+        BoundedSequence.from_values([0.1, bad, bad] + [0.0] * 20)
+    with pytest.raises(ParameterError, match=message):
+        BoundedSequence(np.array([0.1, bad, -1.0] + [0.0] * 20), 1.0)
 
 
 @pytest.mark.parametrize("bound", [float("nan"), float("inf")])

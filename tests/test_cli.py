@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 from shadowlab import (
+    BoundedSequence,
     GeneratorFamily,
     IntegrityError,
+    ParameterError,
+    PseudoOrbit,
     Word,
     build_disk_system,
     is_pseudo_orbit,
@@ -63,7 +66,7 @@ def test_generate_true_orbit_classifies_as_pseudo_orbit(tmp_path):
     assert main(["generate", "--config", str(cfg)]) == 0
     xi = load_orbit(tmp_path / "out" / "orbit.json")
     for delta in (1e-9, 0.5):
-        assert is_pseudo_orbit(xi, delta)
+        assert is_pseudo_orbit(xi.error_sequence, delta)
 
 
 def test_generate_deterministic_bytes(tmp_path):
@@ -96,7 +99,7 @@ def test_generate_then_classify_affine_true_orbit(tmp_path):
     assert main(["classify", "--config", str(cfg)]) == 0
     xi = load_orbit(tmp_path / "out" / "orbit.json")
     assert xi.step_errors.max() == 0.0
-    assert is_pseudo_orbit(xi, 1e-9)
+    assert is_pseudo_orbit(xi.error_sequence, 1e-9)
 
 
 def test_affine_orbit_file_of_matmul_rounding_exits_2_naming_it(tmp_path, capsys):
@@ -385,3 +388,54 @@ def test_classify_scan_key_exits_2_naming_it(tmp_path, capsys):
         cfg = write_config(tmp_path, corruption=corruption, classify={"scan": scan})
         assert main(["classify", "--config", str(cfg)]) == 2
         assert "config field 'classify.scan': unknown key" in capsys.readouterr().err
+
+
+# Step errors that are not finite: the box's first map sends (1, 1) to
+# (1e308 + 1e308, 0) = (inf, 0), an error of inf; the circle's sends 0.9 to
+# (9e307 + 1e308) % 1.0 = inf % 1.0 = NaN, an error of NaN. classify called
+# the box orbit no pseudo-orbit but an average pseudo-orbit (max_window_mean
+# NaN), and the circle orbit a pseudo-orbit, ergodic and average, yet not
+# weakly asymptotically average; repair took the circle orbit.
+OVERFLOWING = {
+    "box": ({"space": {"kind": "box-kd", "lo": [0.0, 0.0], "hi": [1.0, 1.0]},
+             "maps": [{"kind": "affine", "matrix": [[1e308, 1e308], [0.0, 0.0]],
+                       "offset": [0.0, 0.0]},
+                      {"kind": "scale", "factors": [0.5, 0.5]}],
+             "word": {"kind": "periodic", "m": 2, "pattern": [1, 2]}}, [1.0, 1.0], "inf"),
+    "circle": ({"space": {"kind": "circle-1d"},
+                "maps": [{"kind": "affine", "matrix": [[1e308]], "offset": [1e308]}],
+                "word": {"kind": "constant", "m": 1, "symbol": 1}}, [0.9], "nan"),
+}
+
+
+def overflowing_orbit(case):
+    system, point, _ = OVERFLOWING[case]
+    family, word = GeneratorFamily.from_spec(system), Word.from_spec(system["word"])
+    return PseudoOrbit(family, word, np.tile(point, (101, 1)))
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOWING))
+def test_a_step_error_that_is_not_finite_is_named_by_its_step(case):
+    xi, bad = overflowing_orbit(case), OVERFLOWING[case][2]
+    assert str(xi.step_errors[0]) == bad
+    message = f"^values must be finite numbers; value 0 is {bad}$"
+    for build in (lambda: BoundedSequence.from_values(xi.step_errors), lambda: xi.error_sequence):
+        with pytest.raises(ParameterError, match=message):
+            build()
+
+
+@pytest.mark.parametrize("command", ["classify", "repair"])
+@pytest.mark.parametrize("case", sorted(OVERFLOWING))
+def test_classify_and_repair_exit_2_naming_the_file_and_step_of_an_error_not_finite(
+        tmp_path, capsys, case, command):
+    system, point, bad = OVERFLOWING[case]
+    path = tmp_path / "orbit.json"
+    save_orbit_v1(overflowing_orbit(case), path)
+    cfg = write_config(tmp_path, system={**system, "start": point},
+                       **{command: {"orbit": str(path)}})
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert (f"step errors of orbit file {path}: values must be finite numbers; value 0 is {bad}"
+            in err)
+    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())

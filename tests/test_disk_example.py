@@ -114,9 +114,9 @@ def test_decaying_instances_bound_every_prefix():
 def test_decaying_instance_alphas_match_rule():
     inst = make_decaying_instance(3, horizon=500)
     decay = 1.0 / (np.arange(500) + 1.0) ** 2
-    assert np.all(inst.alphas <= decay + 1e-12)
+    assert np.all(inst.xi.step_errors <= decay + 1e-12)
     # most steps should realize the decay exactly (no clamping needed)
-    exact = np.isclose(inst.alphas, decay, atol=1e-12)
+    exact = np.isclose(inst.xi.step_errors, decay, atol=1e-12)
     assert exact.mean() > 0.9
 
 

@@ -433,6 +433,20 @@ def test_spec_errors_carry_the_path_of_their_key(build, path):
     assert err.value.path == path
 
 
+def test_a_family_spec_names_its_missing_key_and_reads_no_other():
+    # A missing key raised KeyError: 'maps', and a list a TypeError.
+    disk = {"space": {"kind": "unit-disk-2d"}, "maps": [{"kind": "identity"}]}
+    for key in ("space", "maps"):
+        with pytest.raises(ParameterError, match="^required$") as err:
+            GeneratorFamily.from_spec({k: v for k, v in disk.items() if k != key})
+        assert err.value.path == (key,)
+    with pytest.raises(ParameterError, match=r"^a GeneratorFamily spec must be an object") as err:
+        GeneratorFamily.from_spec([disk])
+    assert err.value.path == ()
+    system = {**disk, "word": {"kind": "constant", "m": 1, "symbol": 1}, "start": [0.0, 0.0]}
+    assert GeneratorFamily.from_spec(system).spec() == disk
+
+
 @pytest.mark.parametrize("build, message", [
     # Each said only "'int' object is not iterable", or "'float' ...".
     (lambda: GeneratorMap.from_spec({"kind": "permutation", "perm": 5}),

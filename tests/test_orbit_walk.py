@@ -661,14 +661,14 @@ def test_compiled_source_names_every_constant(monkeypatch):
             family._walker(landing)
     # A stored walk tests no membership, so the box's and the disk's share a text.
     walks = [source for source in sources if source.startswith("def walk_")]
-    assert len(walks) == 8 and len(sources) == 20
+    assert len(walks) == 8 and len(sources) == 21
     values = [*constants, 0.4142135623730951, 2.5e-7, 0.3183098861837907, -77.25,
               *space.lo, *space.hi, 0.5772156649015329, 2.0,
               *(x - MEMBERSHIP_TOL for x in space.lo), *(x + MEMBERSHIP_TOL for x in space.hi),
               1.0 + MEMBERSHIP_TOL]
     for source in sources:
         kinds = "(box_kd|unit_disk_2d|circle_1d)"
-        assert re.match(rf"def ((step_(affine|scale)|(inside|project)_{kinds})\(c\)"
+        assert re.match(rf"def ((step_(affine|scale|permutation)|(inside|project)_{kinds})\(c\)"
                         rf"|distance_{kinds}\(a, b\)|walk_(target|offset|stored)\(symbols)", source)
         for value in values:
             assert repr(value) not in source and repr(float(value)) not in source

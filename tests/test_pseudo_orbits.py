@@ -35,7 +35,7 @@ from shadowlab import (
     verify_equivalence,
 )
 from shadowlab.concat import BlockPlan
-from shadowlab.density import prefix_density
+from shadowlab.density import prefix_density, prefix_means
 from shadowlab.dynamics import orbit
 from shadowlab.pseudo_orbits import jump_sizes, recompute_step_errors
 from shadowlab.serialize import orbit_from_dict, orbit_to_dict
@@ -72,12 +72,12 @@ def test_true_orbit_is_pseudo_orbit_for_any_delta():
     family, word = build_disk_system()
     xi = true_orbit(family, word, (0.5, 0.5), 200)
     for delta in (1e-9, 0.1, 1.0):
-        assert is_pseudo_orbit(xi, delta)
+        assert is_pseudo_orbit(xi.error_sequence, delta)
 
 
 def test_single_jump_violates_small_delta():
     xi = orbit_with_errors([0.0] * 10 + [0.3] + [0.3] * 5)
-    verdict = is_pseudo_orbit(xi, 0.2)
+    verdict = is_pseudo_orbit(xi.error_sequence, 0.2)
     assert not verdict
     assert verdict.witness["index"] == 9
     assert verdict.witness["step_error"] == pytest.approx(0.3)
@@ -90,7 +90,7 @@ def test_noisy_orbit_below_half_delta_passes():
     xi = make_corrupted_orbit(family, word, (0.1, 0.2), all_idx,
                               JumpRule("offset", scale=0.45 * delta, power=0.0), seed=3)
     assert np.all(xi.step_errors < delta)
-    assert is_pseudo_orbit(xi, delta)
+    assert is_pseudo_orbit(xi.error_sequence, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +102,7 @@ def test_powers_of_two_corruption_is_ergodic():
     H = 10_000
     powers = IndexSet.from_iterable([2**k for k in range(14)], H)
     xi = make_corrupted_orbit(family, word, (0.3, 0.1), powers, JumpRule("uniform"), seed=1)
-    assert is_ergodic_pseudo_orbit(xi, 0.1, density_tol=0.01)
+    assert is_ergodic_pseudo_orbit(xi.error_sequence, 0.1, density_tol=0.01)
 
 
 def test_evens_corruption_is_not_ergodic():
@@ -110,7 +110,7 @@ def test_evens_corruption_is_not_ergodic():
     H = 2_000
     evens = IndexSet.from_iterable(range(0, H, 2), H)
     xi = make_corrupted_orbit(family, word, (0.3, 0.1), evens, JumpRule("uniform"), seed=2)
-    verdict = is_ergodic_pseudo_orbit(xi, 0.05, density_tol=0.01)
+    verdict = is_ergodic_pseudo_orbit(xi.error_sequence, 0.05, density_tol=0.01)
     assert not verdict
     assert verdict.witness["exceptional_density"] > 0.01
 
@@ -118,7 +118,7 @@ def test_evens_corruption_is_not_ergodic():
 def test_pseudo_orbit_is_ergodic_at_zero_tolerance():
     family, word = build_disk_system()
     xi = true_orbit(family, word, (0.5, 0.0), 500)
-    assert is_ergodic_pseudo_orbit(xi, 0.01, density_tol=0.0)
+    assert is_ergodic_pseudo_orbit(xi.error_sequence, 0.01, density_tol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -128,14 +128,14 @@ def test_pseudo_orbit_is_ergodic_at_zero_tolerance():
 def test_true_orbit_is_average():
     family, word = build_disk_system()
     xi = true_orbit(family, word, (0.2, 0.2), 300)
-    assert is_average_pseudo_orbit(xi, 1e-6, N=1)
+    assert is_average_pseudo_orbit(xi.error_sequence, 1e-6, N=1)
 
 
 @pytest.mark.parametrize("N", [0, 201])
 def test_average_pseudo_orbit_needs_n_in_1_to_the_horizon(N):
     xi = make_decaying_instance(0, 200).xi
     with pytest.raises(ParameterError, match=r"^N must lie in \[1, horizon=200\]$"):
-        is_average_pseudo_orbit(xi, 0.1, N=N)
+        is_average_pseudo_orbit(xi.error_sequence, 0.1, N=N)
 
 
 def test_single_diameter_jump_with_matching_N():
@@ -144,10 +144,10 @@ def test_single_diameter_jump_with_matching_N():
     xi = orbit_with_errors(values)
     delta = 0.1
     N = int(np.ceil(1.0 / delta)) + 1
-    verdict = is_average_pseudo_orbit(xi, delta, N)
+    verdict = is_average_pseudo_orbit(xi.error_sequence, delta, N)
     assert verdict
     assert brute_force_average(xi, delta, N)
-    tight = is_average_pseudo_orbit(xi, delta, N - 1)
+    tight = is_average_pseudo_orbit(xi.error_sequence, delta, N - 1)
     assert not tight
     assert not brute_force_average(xi, delta, N - 1)
     k, n = tight.witness["k"], tight.witness["n"]
@@ -164,13 +164,14 @@ WINDOW_TIE = [0.1, 0.0, 0.39999999999999997]
 def test_the_window_tie_orbit_is_a_pseudo_orbit():
     xi = orbit_with_errors(WINDOW_TIE)
     assert xi.step_errors.tolist() == [0.1, 0.39999999999999997]
-    assert is_pseudo_orbit(xi, 0.4)
+    assert is_pseudo_orbit(xi.error_sequence, 0.4)
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: a rounded window mean decides the tie")
 def test_every_pseudo_orbit_is_an_average_pseudo_orbit_at_a_window_tie():
     xi = orbit_with_errors(WINDOW_TIE)
-    assert not is_pseudo_orbit(xi, 0.4) or is_average_pseudo_orbit(xi, 0.4, N=1)
+    e = xi.error_sequence
+    assert not is_pseudo_orbit(e, 0.4) or is_average_pseudo_orbit(e, 0.4, N=1)
 
 
 def test_periodic_unit_jumps_fail():
@@ -179,13 +180,13 @@ def test_periodic_unit_jumps_fail():
     for block in range(100):
         values.extend([float(block % 2)] * 5)
     xi = orbit_with_errors(values)
-    assert not is_average_pseudo_orbit(xi, 0.1, N=100)
+    assert not is_average_pseudo_orbit(xi.error_sequence, 0.1, N=100)
 
 
 def test_average_witness_recheck():
     values = [0.0, 1.0] * 50
     xi = orbit_with_errors(values)
-    verdict = is_average_pseudo_orbit(xi, 0.5, N=2)
+    verdict = is_average_pseudo_orbit(xi.error_sequence, 0.5, N=2)
     assert not verdict
     k, n, mean = verdict.witness["k"], verdict.witness["n"], verdict.witness["window_mean"]
     assert xi.step_errors[k:k + n].mean() == pytest.approx(mean, abs=1e-12)
@@ -195,14 +196,14 @@ def test_exact_scan_at_horizon_40k_with_n_1():
     # 8e8 (k, n) windows: every one is covered without a budget.
     family, word = interval_identity()
     xi = true_orbit(family, word, [0.5], 40_000)
-    verdict = is_average_pseudo_orbit(xi, 0.1, N=1)
+    verdict = is_average_pseudo_orbit(xi.error_sequence, 0.1, N=1)
     assert verdict
     assert verdict.params["scan"] == "full"
     assert verdict.params["max_window_mean"] == 0.0
     values = np.full(40_001, 0.5)
     values[30_000] = 0.75
     jumped = orbit_with_errors(values)
-    verdict = is_average_pseudo_orbit(jumped, 0.2, N=1)
+    verdict = is_average_pseudo_orbit(jumped.error_sequence, 0.2, N=1)
     assert not verdict
     assert verdict.witness == {"k": 29_999, "n": 1, "window_mean": 0.25}
     assert verdict.params["max_window_mean"] == 0.25
@@ -216,9 +217,9 @@ def test_weak_asymptotic_constant_error():
     c = 0.25
     xi = orbit_with_errors([0.0 if j % 2 == 0 else c for j in range(41)])
     assert np.allclose(xi.step_errors, c)
-    assert is_weak_asymptotic_average(xi, c + 0.01)
-    assert not is_weak_asymptotic_average(xi, c)
-    assert not is_weak_asymptotic_average(xi, c / 2)
+    assert is_weak_asymptotic_average(xi.error_sequence, c + 0.01)
+    assert not is_weak_asymptotic_average(xi.error_sequence, c)
+    assert not is_weak_asymptotic_average(xi.error_sequence, c / 2)
 
 
 def test_asymptotic_harmonic_errors():
@@ -235,18 +236,18 @@ def test_asymptotic_harmonic_errors():
     means = np.cumsum(e) / np.arange(1, H + 1)
     oracle_max_tail = means[5000 - 1:].max()
     assert oracle_max_tail < 0.01
-    assert is_asymptotic_average(xi, 0.01, tail_fraction=0.5)
+    assert is_asymptotic_average(xi.error_sequence, 0.01, tail_fraction=0.5)
 
 
 def test_asymptotic_constant_error_fails():
     xi = orbit_with_errors([0.0 if j % 2 == 0 else 0.5 for j in range(101)])
-    assert not is_asymptotic_average(xi, 0.01)
+    assert not is_asymptotic_average(xi.error_sequence, 0.01)
 
 
 def test_true_orbit_asymptotic():
     family, word = build_disk_system()
     xi = true_orbit(family, word, (0.1, 0.7), 100)
-    assert is_asymptotic_average(xi, 1e-9)
+    assert is_asymptotic_average(xi.error_sequence, 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +278,7 @@ def test_squares_corruption_is_ergodic_at_2_percent():
     H = 10_000
     squares = IndexSet.from_iterable([k * k for k in range(100)], H)
     xi = make_corrupted_orbit(family, word, (0.6, 0.3), squares, JumpRule("uniform"), seed=4)
-    assert is_ergodic_pseudo_orbit(xi, 0.1, density_tol=0.02)
+    assert is_ergodic_pseudo_orbit(xi.error_sequence, 0.1, density_tol=0.02)
 
 
 def test_corruption_deterministic_under_seed():
@@ -430,9 +431,9 @@ def test_implication_chain_on_generated_corpus():
                                   JumpRule("offset", scale=0.05, power=0.0), seed=seed)
         delta = float(xi.step_errors.max()) + 1e-6
         delta_prime = delta * 1.5
-        assert is_pseudo_orbit(xi, delta)
-        assert is_average_pseudo_orbit(xi, delta_prime, N=1)
-        assert is_weak_asymptotic_average(xi, delta_prime)
+        assert is_pseudo_orbit(xi.error_sequence, delta)
+        assert is_average_pseudo_orbit(xi.error_sequence, delta_prime, N=1)
+        assert is_weak_asymptotic_average(xi.error_sequence, delta_prime)
 
 
 def test_classification_invariant_under_recache():
@@ -442,8 +443,27 @@ def test_classification_invariant_under_recache():
     recached = PseudoOrbit.from_points(family, word, xi.points, xi.meta)
     assert np.array_equal(recompute_step_errors(family, word, xi.points), xi.step_errors)
     for delta in (0.05, 0.5):
-        assert is_pseudo_orbit(xi, delta).verdict == is_pseudo_orbit(recached, delta).verdict
+        assert (is_pseudo_orbit(xi.error_sequence, delta).verdict
+                == is_pseudo_orbit(recached.error_sequence, delta).verdict)
     assert np.array_equal(xi.step_errors, recached.step_errors)
+
+
+def test_an_orbits_verdicts_read_one_error_sequence_and_one_derivation_of_its_means(
+        monkeypatch):
+    # is_asymptotic_average derived the prefix means that
+    # is_weak_asymptotic_average had just derived, and each classifier took
+    # the orbit.
+    from shadowlab import cesaro
+
+    xi = make_decaying_instance(0, 200).xi
+    errors = xi.error_sequence
+    assert errors is xi.error_sequence and errors.values is xi.step_errors
+    assert copy.deepcopy(xi).error_sequence is not errors
+    derived = []
+    monkeypatch.setattr(cesaro, "prefix_means", lambda x: derived.append(x) or prefix_means(x))
+    weak, strong = is_weak_asymptotic_average(errors, 0.1), is_asymptotic_average(errors, 0.1)
+    assert len(derived) == 1 and weak.params["limsup_estimate"] == errors.means[99:].max()
+    assert strong.verdict == weak.verdict and strong.witness == weak.witness
 
 
 def test_a_pseudo_orbit_derives_its_record_and_takes_none():
@@ -454,7 +474,7 @@ def test_a_pseudo_orbit_derives_its_record_and_takes_none():
     jumps = IndexSet.from_iterable([5, 50], 100)
     xi = make_corrupted_orbit(family, word, (0.6, 0.3), jumps,
                               JumpRule("fixed", point=(0.9, 0.0)), seed=0)
-    assert xi.defects.tolist() == [5, 50] and not is_pseudo_orbit(xi, 0.01)
+    assert xi.defects.tolist() == [5, 50] and not is_pseudo_orbit(xi.error_sequence, 0.01)
     for record in ("step_errors", "defects"):
         with pytest.raises(TypeError, match=f"unexpected keyword argument '{record}'"):
             PseudoOrbit(family, word, xi.points, {}, **{record: np.zeros(100)})
@@ -511,7 +531,8 @@ def test_a_pseudo_orbit_takes_no_symbols():
     with pytest.raises(TypeError, match="unexpected keyword argument 'symbols'"):
         PseudoOrbit(family, word, swaps.points, {}, symbols=Word.constant(1, 2).symbols(100))
     xi = PseudoOrbit(family, word, swaps.points)
-    assert xi.defects.tolist() == list(range(1, 100, 2)) and not is_pseudo_orbit(xi, 0.01)
+    assert xi.defects.tolist() == list(range(1, 100, 2))
+    assert not is_pseudo_orbit(xi.error_sequence, 0.01)
 
 
 COPIES = {"copy": copy.copy, "deepcopy": copy.deepcopy,
@@ -582,7 +603,7 @@ def test_average_scan_matches_brute_force():
         assert np.allclose(xi.step_errors, e, atol=1e-12)
         delta = float(rng.uniform(0.05, 0.4))
         N = int(rng.integers(1, 10))
-        verdict = is_average_pseudo_orbit(xi, delta, N)
+        verdict = is_average_pseudo_orbit(xi.error_sequence, delta, N)
         expected = brute_min_witness(xi.step_errors, delta, N)
         if expected is None:
             assert verdict.verdict
@@ -596,20 +617,19 @@ def test_average_scan_matches_brute_force():
 
 
 def _no_null_set(xi, tol):
-    a = BoundedSequence.from_values(xi.step_errors)
+    a = xi.error_sequence
     return verify_equivalence(a, IndexSet.from_iterable([], a.horizon), tol)
 
 
 THRESHOLD_CHECKS = {
-    "is_pseudo_orbit": is_pseudo_orbit,
-    "is_ergodic_pseudo_orbit": is_ergodic_pseudo_orbit,
-    "is_average_pseudo_orbit": lambda xi, v: is_average_pseudo_orbit(xi, v, 5),
-    "is_weak_asymptotic_average": is_weak_asymptotic_average,
-    "is_asymptotic_average": is_asymptotic_average,
+    "is_pseudo_orbit": lambda xi, v: is_pseudo_orbit(xi.error_sequence, v),
+    "is_ergodic_pseudo_orbit": lambda xi, v: is_ergodic_pseudo_orbit(xi.error_sequence, v),
+    "is_average_pseudo_orbit": lambda xi, v: is_average_pseudo_orbit(xi.error_sequence, v, 5),
+    "is_weak_asymptotic_average": lambda xi, v: is_weak_asymptotic_average(xi.error_sequence, v),
+    "is_asymptotic_average": lambda xi, v: is_asymptotic_average(xi.error_sequence, v),
     "block_length": lambda xi, v: block_length(xi.family.space, v),
     "verify_equivalence": _no_null_set,
-    "extract_null_set": lambda xi, v: extract_null_set(
-        BoundedSequence.from_values(xi.step_errors), [0.5, v]),
+    "extract_null_set": lambda xi, v: extract_null_set(xi.error_sequence, [0.5, v]),
     "repair": repair,
     "aasp_demo": lambda xi, v: aasp_demo(DiskExampleInstance(xi, xi.points[0]), 0.5, v),
 }
@@ -632,7 +652,7 @@ def test_a_threshold_that_is_not_positive_is_rejected(check, value):
 # is_asymptotic_average and aasp_demo said "delta must be positive".
 CALLERS_NAMES = {
     "repair": ("delta", repair),
-    "is_asymptotic_average": ("tol", is_asymptotic_average),
+    "is_asymptotic_average": ("tol", THRESHOLD_CHECKS["is_asymptotic_average"]),
     "aasp_demo": ("asymptotic_tol", THRESHOLD_CHECKS["aasp_demo"]),
 }
 
@@ -650,15 +670,15 @@ def test_a_threshold_error_names_the_callers_argument(case, value):
 def test_a_density_tol_that_is_negative_or_nan_is_rejected(density_tol):
     xi = make_decaying_instance(0, 200).xi
     with pytest.raises(ParameterError, match="density_tol must be nonnegative"):
-        is_ergodic_pseudo_orbit(xi, 0.1, density_tol)
-    assert is_ergodic_pseudo_orbit(xi, 0.1, 0.0).params["density_tol"] == 0.0
+        is_ergodic_pseudo_orbit(xi.error_sequence, 0.1, density_tol)
+    assert is_ergodic_pseudo_orbit(xi.error_sequence, 0.1, 0.0).params["density_tol"] == 0.0
 
 
 # Each case: the argument's name, as the error names it, and a call that sets
 # it, on a 200-step orbit and the index set {1, 4, 7} below 10.
 INTEGER_ARGUMENTS = {
     "n": ("n", lambda xi, A, v: prefix_density(A, v)),
-    "N": ("N", lambda xi, A, v: is_average_pseudo_orbit(xi, 0.1, v)),
+    "N": ("N", lambda xi, A, v: is_average_pseudo_orbit(xi.error_sequence, 0.1, v)),
     "M": ("M", lambda xi, A, v: select_anchors(A, v).to_list()),
     "N_k": ("N_1", lambda xi, A, v: BlockPlan((xi,), (v,)).N_levels),
     "IndexSet horizon": ("horizon", lambda xi, A, v: IndexSet.from_iterable([1], v).horizon),

@@ -208,7 +208,7 @@ def test_search_identity_constant_orbit_finds_nearest():
 
 def test_search_decaying_disk_instance_with_rescan_oracle():
     xi = decaying_disk_orbit(horizon=2000)
-    assert is_average_pseudo_orbit(xi, 0.2, N=50)
+    assert is_average_pseudo_orbit(xi.error_sequence, 0.2, N=50)
     result = average_shadow_search(xi, eps=0.2, mesh=0.05)
     assert result.success
     points = net(xi.family.space, 0.05)

@@ -154,7 +154,7 @@ def test_repair_derived_interval_instance():
     for a in (100, 160, 400):
         allowed.update(range(a, a + 11))
     assert set(result.diff_set.to_list()) <= allowed
-    assert is_average_pseudo_orbit(result.y, delta, N=result.M)
+    assert is_average_pseudo_orbit(result.y.error_sequence, delta, N=result.M)
     # independent O(H^2) oracle: direct window sums, no prefix-sum reuse
     oracle = window_means_oracle(result.y.step_errors, result.M)
     assert max(oracle.values()) < delta
@@ -177,7 +177,7 @@ def test_repair_result_invariants():
     xi = make_corrupted_orbit(family, word, (0.2, 0.6), squares, JumpRule("uniform"), seed=3)
     delta = 0.4
     result = repair(xi, delta, density_tol=0.03)
-    bad = xi.exceptional_set(delta / 2)
+    bad = IndexSet.from_mask(xi.step_errors >= delta / 2)
     blocks = set(result.blocks.to_list())
     assert set(bad.to_list()) <= blocks
     assert set(result.diff_set.to_list()) <= blocks
@@ -270,7 +270,7 @@ def test_repair_truncates_block_at_horizon_edge():
     result = repair(xi, 0.8)
     assert result.truncated_last_block
     assert max(result.blocks.to_list()) <= H
-    assert is_average_pseudo_orbit(result.y, 0.8, N=result.M)
+    assert is_average_pseudo_orbit(result.y.error_sequence, 0.8, N=result.M)
 
 
 # ---------------------------------------------------------------------------

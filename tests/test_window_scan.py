@@ -11,13 +11,12 @@ mean exceed every shorter one's.
 """
 
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from shadowlab import is_average_pseudo_orbit
+from shadowlab import BoundedSequence, is_average_pseudo_orbit
 
 MAX_H = 80
 
@@ -44,23 +43,15 @@ def full_scan_oracle(e: np.ndarray, delta: float, N: int, longest: int | None = 
     return {"k": k, "n": n, "window_mean": mean}, worst
 
 
-def orbit_with_step_errors(e) -> SimpleNamespace:
-    """A stand-in for a pseudo-orbit with the given step errors. A PseudoOrbit
-    derives its step errors from its points, so the stand-in holds only the
-    two attributes is_average_pseudo_orbit reads: step_errors and horizon."""
-    e = np.asarray(e, dtype=np.float64)
-    return SimpleNamespace(step_errors=e, horizon=len(e))
-
-
 def assert_matches_oracle(e, delta: float):
-    xi = orbit_with_step_errors(e)
+    xi = BoundedSequence.from_values(e)
     H = len(e)
     for N in range(1, H + 1):
         verdict = is_average_pseudo_orbit(xi, delta, N)
-        witness, _ = full_scan_oracle(xi.step_errors, delta, N)
+        witness, _ = full_scan_oracle(xi.values, delta, N)
         assert verdict.verdict is (witness is None)
         assert verdict.witness == witness
-        _, worst = full_scan_oracle(xi.step_errors, delta, N, min(2 * N - 1, H))
+        _, worst = full_scan_oracle(xi.values, delta, N, min(2 * N - 1, H))
         assert verdict.params["max_window_mean"] == worst
         assert verdict.params["scan"] == "full"
 
@@ -105,7 +96,7 @@ def test_dyadic_ties_match_oracle_and_exact_arithmetic(case):
     e = np.array(units, dtype=np.float64) / 16
     delta = delta_units / 16
     assert_matches_oracle(e, delta)
-    xi = orbit_with_step_errors(e)
+    xi = BoundedSequence.from_values(e)
     reach = exact_reaching_windows([Fraction(u, 16) for u in units], Fraction(delta_units, 16))
     for N in range(1, len(units) + 1):
         verdict = is_average_pseudo_orbit(xi, delta, N)
@@ -186,7 +177,7 @@ def test_a_long_window_above_the_reported_max_is_still_the_witness():
     # slack, so the scan runs and finds the violating window (2, 3).
     delta = 0.8644625966881375
     assert_matches_oracle(np.array(ROUNDED_LONG_WINDOW), delta)
-    verdict = is_average_pseudo_orbit(orbit_with_step_errors(ROUNDED_LONG_WINDOW), delta, 1)
+    verdict = is_average_pseudo_orbit(BoundedSequence.from_values(ROUNDED_LONG_WINDOW), delta, 1)
     assert verdict.params["max_window_mean"] < delta
     assert not verdict.verdict
     assert verdict.witness == {"k": 2, "n": 3, "window_mean": delta}
